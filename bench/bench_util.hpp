@@ -14,15 +14,10 @@
 //   telemetry_interval=100  cycles between telemetry samples
 //   telemetry_out=p   write <p>.csv and <p>.trace.json for runs a harness
 //                     designates (e.g. fig4's standalone KMN run)
-//   scheduling=active-set   NoC component scheduling for every cell:
-//                     full (tick everything, default), active-set (skip
-//                     idle components bit-identically), event (timestamped
-//                     event queue; same results, least wall clock at low
-//                     load) or soa (structure-of-arrays tick; same results,
-//                     fastest under load)
-//   batch=4           tick up to this many homogeneous sweep cells in
-//                     lockstep on the sequential (threads=1) path; results
-//                     are bit-identical for any batch size
+//   scheduling=soa    NoC component scheduling for every cell: full
+//                     (tick everything, default) or soa (structure-of-
+//                     arrays tick skipping idle links and routers; same
+//                     results, faster). active-set/event are aliases of soa
 //   qos=strict        QoS arbitration discipline for every cell
 //                     (none|strict|wrr; see DESIGN.md §15)
 //   qos_class=...     per-class contract spec, repeatable: the i-th
@@ -49,6 +44,7 @@
 
 #include "common/cli.hpp"
 #include "common/config.hpp"
+#include "common/enum_registry.hpp"
 #include "common/json.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
@@ -69,7 +65,6 @@ struct BenchOptions {
   std::string telemetry_path;    ///< prefix for .csv/.trace.json exports
   /// NoC scheduling override for every cell (unset = scheme default).
   std::optional<SchedulingMode> scheduling;
-  int batch = 1;  ///< lockstep cell batch width on the sequential path
   std::string checkpoint_dir;      ///< empty = crash-resume off
   Cycle checkpoint_interval = 0;   ///< cycles between mid-cell snapshots
   bool resume = false;             ///< resume from checkpoint_dir
@@ -145,13 +140,19 @@ inline void RegisterSweepFlags(FlagSet& flags) {
                NonNegative());
   flags.AddString("telemetry_out", "",
                   "prefix for telemetry .csv/.trace.json exports");
-  flags.AddEnum("scheduling", "full", "NoC component scheduling",
-                {"full", "active-set", "event", "soa"});
-  flags.AddInt("batch", 1,
-               "homogeneous sweep cells ticked in lockstep at threads=1",
-               [](std::int64_t v) {
-                 return v < 1 ? std::string("must be >= 1") : std::string();
-               });
+  // Validated by the registry itself, so the retired backend names keep
+  // parsing as aliases of soa.
+  flags.AddString("scheduling", "full",
+                  "NoC component scheduling (" +
+                      SchedulingRegistry().Choices() + ")",
+                  [](const std::string& v) -> std::string {
+                    try {
+                      ParseSchedulingMode(v);
+                      return "";
+                    } catch (const std::exception& e) {
+                      return e.what();
+                    }
+                  });
   flags.AddString("checkpoint_dir", "",
                   "directory for crash-resumable sweep state (empty = off)");
   flags.AddInt("checkpoint_interval", 0,
@@ -261,7 +262,6 @@ inline BenchOptions ParseBenchOptions(
   if (opts.raw.Contains("scheduling")) {
     opts.scheduling = ParseSchedulingMode(opts.raw.GetString("scheduling"));
   }
-  opts.batch = static_cast<int>(opts.raw.GetInt("batch", 1));
   opts.checkpoint_dir = opts.raw.GetString("checkpoint_dir", "");
   opts.checkpoint_interval =
       static_cast<Cycle>(opts.raw.GetInt("checkpoint_interval", 0));
@@ -301,7 +301,6 @@ inline SweepOptions SweepOpts(const BenchOptions& opts) {
   out.telemetry = opts.telemetry;
   out.telemetry_interval = opts.telemetry_interval;
   out.scheduling = opts.scheduling;
-  out.batch = opts.batch;
   out.checkpoint_dir = opts.checkpoint_dir;
   out.checkpoint_interval = opts.checkpoint_interval;
   out.resume = opts.resume;

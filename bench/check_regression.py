@@ -1,24 +1,24 @@
 #!/usr/bin/env python3
 """Perf-regression and bit-identity gate for the NoC scheduler.
 
-Runs the fig8 sweep (fixed seed, reduced scale) four times — once per
-scheduling mode (full, active-set, event, soa) — and enforces these gates:
+Runs the fig8 sweep (fixed seed, reduced scale) twice — once per
+scheduling mode (full, soa) — and enforces these gates:
 
-  1. Bit identity: the active-set, event and soa runs' sweep JSON documents
-     must be *exactly* equal to the full-mode one, floats included. They
-     come from the same binary in the same process environment, so any
-     difference is a scheduler bug.
+  1. Bit identity: the soa run's sweep JSON document must be *exactly*
+     equal to the full-mode one, floats included. They come from the same
+     binary in the same process environment, so any difference is a
+     scheduler bug.
   2. Result stability: the full-mode document must match the committed
      baseline (bench/baseline.json). Integers and strings compare exactly;
      floats compare to a relative tolerance of 1e-6, absorbing FP-contraction
      differences between compilers while still catching real changes.
-  3. Wall clock: the active/full, event/full and soa/full wall-clock ratios
-     must not regress by more than --max-regress (default 25%) vs the
-     baseline's recorded ratios. Using the *ratio* normalizes away the CI
-     runner's absolute speed; the full-mode run is the on-machine control.
-     The soa leg additionally carries an *absolute* ceiling on the default
-     fig8 pin: soa/full must stay below --soa-max-ratio (default 0.6),
-     pinning the SoA core's headline >=2x claim, not just its trend.
+  3. Wall clock: the soa/full wall-clock ratio must not regress by more
+     than --max-regress (default 25%) vs the baseline's recorded ratio.
+     Using the *ratio* normalizes away the CI runner's absolute speed; the
+     full-mode run is the on-machine control. The soa leg additionally
+     carries an *absolute* ceiling on the default fig8 pin: soa/full must
+     stay below --soa-max-ratio (default 0.6), pinning the SoA core's
+     headline >=2x claim, not just its trend.
   4. Checkpoint-off cost: a checkpoint-enabled run (checkpoint_dir= to a
      scratch directory) is the on-machine control for the default
      checkpoint-off run. The two must produce exactly equal JSON, and the
@@ -26,15 +26,15 @@ scheduling mode (full, active-set, event, soa) — and enforces these gates:
      of the checkpoint-enabled one — the off path may never pay checkpoint
      costs (it is the pre-checkpoint RunCell code path, null-hook pattern).
   5. Extra gates: each entry of the baseline's "extra_gates" list (e.g. the
-     fixed-seed 16x16 torus sweep) re-runs gates 1-3 — scheduling-mode
-     bit-identity (all three modes), results vs committed baseline, and the
-     active/full wall-clock ratio — under its own protocol. This pins the
-     dateline topologies' numbers the same way the 8x8 mesh baseline is
-     pinned.
+     fixed-seed 16x16 torus sweep) re-runs gates 1-3 — soa-vs-full
+     bit-identity, results vs committed baseline, and the soa/full
+     wall-clock ratio — under its own protocol. This pins the dateline
+     topologies' numbers the same way the 8x8 mesh baseline is pinned.
   6. QoS gate: the qos_starvation harness is self-checking (non-zero exit on
      any cross-backend or snapshot-resume divergence, or a missed p99
-     target), so this leg re-proves four-way bit-identity under a
-     non-trivial QoS config and pins the headline starvation numbers
+     target), so this leg re-proves soa-vs-full and snapshot-resume
+     bit-identity under a non-trivial QoS config and pins the headline
+     starvation numbers
      against the baseline's "qos_gate" section. Note the *default* fig8
      runs of gates 1-2 double as the QoS-off control: QoS stays disabled
      there, so any drift in their numbers vs the committed baseline would
@@ -73,7 +73,7 @@ EXTRA_GATE_PROTOCOLS = [
     },
 ]
 # QoS starvation pin: mixed latency-critical + saturating-bulk open-loop run.
-# The harness runs all four scheduling backends (plus a snapshot-resume leg)
+# The harness runs both scheduling backends (plus snapshot-resume legs)
 # itself and exits non-zero unless they are byte-identical and the QoS-on
 # run holds the critical class's p99 target.
 QOS_GATE_PROTOCOL = {
@@ -137,6 +137,23 @@ def diff_json(a, b, exact_floats, path="$"):
     return []
 
 
+def check_ratio(tag, got, base, max_regress):
+    """Gate 3: the soa/full ratio may not exceed the baseline's by more than
+    `max_regress`. Returns True on failure."""
+    if base is None:
+        print(f"{tag}: note — baseline has no wall_ratio_soa; rerun with "
+              "--update to pin the soa ratio")
+        return False
+    allowed = base * (1.0 + max_regress)
+    if got > allowed:
+        print(f"{tag}: FAIL — soa/full wall-clock ratio {got:.3f} exceeds "
+              f"baseline {base:.3f} +{max_regress:.0%} allowance "
+              f"({allowed:.3f})", file=sys.stderr)
+        return True
+    print(f"{tag}: perf ok (soa ratio {got:.3f} <= {allowed:.3f})")
+    return False
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--build-dir", default=os.environ.get("BUILD_DIR", "build"))
@@ -170,35 +187,23 @@ def main():
         protocol = baseline["protocol"]
 
     full_json = os.path.join(args.out_dir, "sweep_full.json")
-    active_json = os.path.join(args.out_dir, "sweep_active.json")
-    event_json = os.path.join(args.out_dir, "sweep_event.json")
-    full_doc, full_wall = run_mode(args.build_dir, protocol, "full", full_json)
-    active_doc, active_wall = run_mode(args.build_dir, protocol, "active-set",
-                                       active_json)
-    event_doc, event_wall = run_mode(args.build_dir, protocol, "event",
-                                     event_json)
     soa_json = os.path.join(args.out_dir, "sweep_soa.json")
+    full_doc, full_wall = run_mode(args.build_dir, protocol, "full", full_json)
     soa_doc, soa_wall = run_mode(args.build_dir, protocol, "soa", soa_json)
-    ratio = active_wall / full_wall
-    event_ratio = event_wall / full_wall
     soa_ratio = soa_wall / full_wall
     print(f"check_regression: wall full={full_wall:.3f}s "
-          f"active-set={active_wall:.3f}s (ratio={ratio:.3f}) "
-          f"event={event_wall:.3f}s (ratio={event_ratio:.3f}) "
           f"soa={soa_wall:.3f}s (ratio={soa_ratio:.3f})")
 
     # Gate 1: bit identity between the scheduling modes (same binary, exact
     # float comparison — any diff is a scheduler bug).
-    for mode, doc in (("active-set", active_doc), ("event", event_doc),
-                      ("soa", soa_doc)):
-        diffs = diff_json(full_doc, doc, exact_floats=True)
-        if diffs:
-            print(f"check_regression: FAIL — {mode} diverged from full "
-                  "mode:", file=sys.stderr)
-            for d in diffs[:20]:
-                print("  " + d, file=sys.stderr)
-            return 1
-        print(f"check_regression: bit-identity ok ({mode} == full, exact)")
+    diffs = diff_json(full_doc, soa_doc, exact_floats=True)
+    if diffs:
+        print("check_regression: FAIL — soa diverged from full mode:",
+              file=sys.stderr)
+        for d in diffs[:20]:
+            print("  " + d, file=sys.stderr)
+        return 1
+    print("check_regression: bit-identity ok (soa == full, exact)")
 
     # Gate 3b: absolute soa/full ceiling on the default protocol. Unlike the
     # relative ratio gates this does not drift with the baseline — the SoA
@@ -258,37 +263,23 @@ def main():
         e_full_doc, e_full_wall = run_mode(
             args.build_dir, proto, "full",
             os.path.join(args.out_dir, f"sweep_{name}_full.json"))
-        e_active_doc, e_active_wall = run_mode(
-            args.build_dir, proto, "active-set",
-            os.path.join(args.out_dir, f"sweep_{name}_active.json"))
-        e_event_doc, e_event_wall = run_mode(
-            args.build_dir, proto, "event",
-            os.path.join(args.out_dir, f"sweep_{name}_event.json"))
         e_soa_doc, e_soa_wall = run_mode(
             args.build_dir, proto, "soa",
             os.path.join(args.out_dir, f"sweep_{name}_soa.json"))
-        e_ratio = e_active_wall / e_full_wall
-        e_event_ratio = e_event_wall / e_full_wall
         e_soa_ratio = e_soa_wall / e_full_wall
         print(f"check_regression[{name}]: wall full={e_full_wall:.3f}s "
-              f"active-set={e_active_wall:.3f}s (ratio={e_ratio:.3f}) "
-              f"event={e_event_wall:.3f}s (ratio={e_event_ratio:.3f}) "
               f"soa={e_soa_wall:.3f}s (ratio={e_soa_ratio:.3f})")
-        for mode, doc in (("active-set", e_active_doc),
-                          ("event", e_event_doc), ("soa", e_soa_doc)):
-            diffs = diff_json(e_full_doc, doc, exact_floats=True)
-            if diffs:
-                print(f"check_regression[{name}]: FAIL — {mode} diverged "
-                      "from full mode:", file=sys.stderr)
-                for d in diffs[:20]:
-                    print("  " + d, file=sys.stderr)
-                return 1
-            print(f"check_regression[{name}]: bit-identity ok "
-                  f"({mode} == full, exact)")
+        diffs = diff_json(e_full_doc, e_soa_doc, exact_floats=True)
+        if diffs:
+            print(f"check_regression[{name}]: FAIL — soa diverged from full "
+                  "mode:", file=sys.stderr)
+            for d in diffs[:20]:
+                print("  " + d, file=sys.stderr)
+            return 1
+        print(f"check_regression[{name}]: bit-identity ok (soa == full, "
+              "exact)")
         if args.update:
             extra_updated.append(dict(proto, name=name,
-                                      wall_ratio=round(e_ratio, 4),
-                                      wall_ratio_event=round(e_event_ratio, 4),
                                       wall_ratio_soa=round(e_soa_ratio, 4),
                                       results=e_full_doc))
             continue
@@ -302,29 +293,14 @@ def main():
             return 1
         print(f"check_regression[{name}]: stats ok "
               "(match committed baseline)")
-        for mode, got, base_key in (("active-set", e_ratio, "wall_ratio"),
-                                    ("event", e_event_ratio,
-                                     "wall_ratio_event"),
-                                    ("soa", e_soa_ratio, "wall_ratio_soa")):
-            if base_key not in spec:
-                print(f"check_regression[{name}]: note — baseline has no "
-                      f"{base_key}; rerun with --update to pin the {mode} "
-                      "ratio")
-                continue
-            allowed = spec[base_key] * (1.0 + args.max_regress)
-            if got > allowed:
-                print(f"check_regression[{name}]: FAIL — {mode}/full "
-                      f"wall-clock ratio {got:.3f} exceeds baseline "
-                      f"{spec[base_key]:.3f} +{args.max_regress:.0%} "
-                      f"allowance ({allowed:.3f})", file=sys.stderr)
-                return 1
-            print(f"check_regression[{name}]: perf ok "
-                  f"({mode} ratio {got:.3f} <= {allowed:.3f})")
+        if check_ratio(f"check_regression[{name}]", e_soa_ratio,
+                       spec.get("wall_ratio_soa"), args.max_regress):
+            return 1
 
     # Gate 6: QoS guaranteed-service pin. The harness self-checks the hard
-    # invariants (four-way scheduling bit-identity with QoS enabled,
-    # snapshot-resume identity, SLO met under QoS / violated without); the
-    # gate here only adds the graceful failure report and the numeric pin.
+    # invariants (soa-vs-full bit-identity with QoS enabled, snapshot-resume
+    # identity, SLO met under QoS / violated without); the gate here only
+    # adds the graceful failure report and the numeric pin.
     qos_spec = QOS_GATE_PROTOCOL if args.update else baseline.get("qos_gate")
     qos_updated = None
     if qos_spec is not None:
@@ -344,7 +320,7 @@ def main():
         with open(qos_json) as f:
             qos_doc = json.load(f)
         print("check_regression[qos]: self-checks ok (bit-identity across "
-              "all backends + snapshot resume, SLO held)")
+              "both backends + snapshot resume, SLO held)")
         if args.update:
             qos_updated = {"harness": qos_spec["harness"],
                            "args": qos_spec["args"],
@@ -367,11 +343,7 @@ def main():
         doc = {
             "protocol": protocol,
             "wall_seconds": {"full": round(full_wall, 4),
-                             "active-set": round(active_wall, 4),
-                             "event": round(event_wall, 4),
                              "soa": round(soa_wall, 4)},
-            "wall_ratio": round(ratio, 4),
-            "wall_ratio_event": round(event_ratio, 4),
             "wall_ratio_soa": round(soa_ratio, 4),
             "results": full_doc,
             "extra_gates": extra_updated,
@@ -393,25 +365,12 @@ def main():
         return 1
     print("check_regression: stats ok (match committed baseline)")
 
-    # Gate 3: runner-normalized wall-clock. The committed ratios already
-    # prove the active-set/event speedups on the baseline machine; here we
-    # only require the *relative* advantage not to rot.
-    for mode, got, base_key in (("active-set", ratio, "wall_ratio"),
-                                ("event", event_ratio, "wall_ratio_event"),
-                                ("soa", soa_ratio, "wall_ratio_soa")):
-        if base_key not in baseline:
-            print(f"check_regression: note — baseline has no {base_key}; "
-                  f"rerun with --update to pin the {mode} ratio")
-            continue
-        allowed = baseline[base_key] * (1.0 + args.max_regress)
-        if got > allowed:
-            print(f"check_regression: FAIL — {mode}/full wall-clock ratio "
-                  f"{got:.3f} exceeds baseline {baseline[base_key]:.3f} "
-                  f"+{args.max_regress:.0%} allowance ({allowed:.3f})",
-                  file=sys.stderr)
-            return 1
-        print(f"check_regression: perf ok "
-              f"({mode} ratio {got:.3f} <= {allowed:.3f})")
+    # Gate 3: runner-normalized wall-clock. The committed ratio already
+    # proves the soa speedup on the baseline machine; here we only require
+    # the *relative* advantage not to rot.
+    if check_ratio("check_regression", soa_ratio,
+                   baseline.get("wall_ratio_soa"), args.max_regress):
+        return 1
     return 0
 
 

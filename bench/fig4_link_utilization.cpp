@@ -95,7 +95,8 @@ int main(int argc, char** argv) {
   // telemetry_out=prefix: export the validation run's time-resolved link
   // map (windowed CSV + Chrome trace; load the trace in Perfetto to watch
   // the south-link gradient build up towards the MC rows).
-  WriteTelemetryFiles(gpu.fabric().CollectTelemetry(), opts.telemetry_path);
+  WriteTelemetryFiles(gpu.fabric().CollectRunReport().telemetry,
+                      opts.telemetry_path);
   std::cout << "\nPaper reports: request and reply traffic never mix on any\n"
                "link under XY/bottom (enabling VC monopolizing); under XY-YX\n"
                "they mix on horizontal links only (partial monopolizing).\n";

@@ -10,10 +10,12 @@
 // rate cap on bulk injection, the critical class holds its target while
 // bulk degrades gracefully (visible as qos_throttle_cycles).
 //
-// The harness is also an acceptance gate: each variant runs on all four
-// scheduling backends (full, active-set, event, soa) plus a mid-measure
-// snapshot save/resume leg whose pre-restore history deliberately diverges,
-// and the measured statistics must be byte-identical across all five legs.
+// The harness is also an acceptance gate: each variant runs on both
+// scheduling backends (full, soa) plus three mid-measure snapshot
+// save/resume legs whose pre-restore history deliberately diverges — soa
+// into soa, full into soa and soa into full, since snapshots carry no
+// scheduler state — and the measured statistics must be byte-identical
+// across all five legs.
 // Any divergence — or a variant landing on the wrong side of its SLO
 // verdict — exits non-zero, so CI pins this binary directly
 // (bench/check_regression.py).
@@ -118,28 +120,29 @@ std::string ResumeLeg(const Scenario& sc, SchedulingMode mode,
   return ResultBytes(net);
 }
 
-/// Runs all four scheduling backends plus the snapshot save/resume leg,
+/// Runs both scheduling backends plus the snapshot save/resume legs,
 /// byte-comparing every run's results against the full-scheduling
 /// reference.
-VariantResult RunAllBackends(const Scenario& sc, const std::string& label) {
+VariantResult RunAllLegs(const Scenario& sc, const std::string& label) {
   VariantResult out;
-  Serializer snap;
+  Serializer full_snap;
+  Serializer soa_snap;
   const std::string reference =
-      RunLeg(sc, SchedulingMode::kFull, &out, nullptr);
-  for (SchedulingMode mode :
-       {SchedulingMode::kActiveSet, SchedulingMode::kEvent,
-        SchedulingMode::kSoa}) {
-    const bool last = mode == SchedulingMode::kSoa;
-    if (RunLeg(sc, mode, nullptr, last ? &snap : nullptr) != reference) {
-      std::cerr << label << ": " << SchedulingModeName(mode)
-                << " scheduling diverged from full\n";
-      out.bit_identical = false;
-    }
-  }
-  if (ResumeLeg(sc, SchedulingMode::kSoa, snap) != reference) {
-    std::cerr << label << ": snapshot save/resume diverged\n";
+      RunLeg(sc, SchedulingMode::kFull, &out, &full_snap);
+  const auto expect_reference = [&](const std::string& leg,
+                                    const std::string& got) {
+    if (got == reference) return;
+    std::cerr << label << ": " << leg << " diverged from full\n";
     out.bit_identical = false;
-  }
+  };
+  expect_reference("soa scheduling",
+                   RunLeg(sc, SchedulingMode::kSoa, nullptr, &soa_snap));
+  expect_reference("soa snapshot resumed under soa",
+                   ResumeLeg(sc, SchedulingMode::kSoa, soa_snap));
+  expect_reference("full snapshot resumed under soa",
+                   ResumeLeg(sc, SchedulingMode::kSoa, full_snap));
+  expect_reference("soa snapshot resumed under full",
+                   ResumeLeg(sc, SchedulingMode::kFull, soa_snap));
   return out;
 }
 
@@ -164,7 +167,7 @@ int main(int argc, char** argv) {
   const BenchOptions opts = ParseBenchOptions(
       argc, argv, "qos_starvation",
       "QoS starvation study: a latency-critical class vs saturating bulk"
-      " wormholes, with four-way scheduling bit-identity checks",
+      " wormholes, with full-vs-soa and snapshot-resume bit-identity checks",
       [](FlagSet& flags) {
         const auto rate = [](double v) {
           return v < 0.0 ? std::string("must be >= 0") : std::string();
@@ -248,8 +251,8 @@ int main(int argc, char** argv) {
             << " flits/node/cycle, warmup " << sc.lengths.warmup
             << " + measure " << sc.lengths.measure << " cycles\n";
 
-  const VariantResult qos_off = RunAllBackends(off, "qos-off");
-  const VariantResult qos_on = RunAllBackends(on, "qos-on");
+  const VariantResult qos_off = RunAllLegs(off, "qos-off");
+  const VariantResult qos_on = RunAllLegs(on, "qos-on");
 
   TextTable table({"variant", "class", "p99", "target", "viol/windows",
                    "delivered", "throttle"});

@@ -66,36 +66,10 @@ void BM_NetworkCycleIdle(benchmark::State& state) {
 }
 BENCHMARK(BM_NetworkCycleIdle);
 
-/// The same idle 8x8 network under active-set scheduling: every cycle
-/// sweeps four empty dirty lists instead of ticking 64 routers + 64 NICs.
-/// The ratio vs BM_NetworkCycleIdle is the headline low-load win.
-void BM_NetworkCycleIdleActiveSet(benchmark::State& state) {
-  NetworkConfig cfg;
-  cfg.scheduling = SchedulingMode::kActiveSet;
-  Network net(cfg);
-  for (auto _ : state) {
-    net.Tick();
-  }
-  state.SetItemsProcessed(state.iterations() * 64);
-}
-BENCHMARK(BM_NetworkCycleIdleActiveSet);
-
-/// The same idle 8x8 network under event scheduling: an idle cycle is one
-/// empty-heap peek — time advances without any per-cycle component cost.
-void BM_NetworkCycleIdleEvent(benchmark::State& state) {
-  NetworkConfig cfg;
-  cfg.scheduling = SchedulingMode::kEvent;
-  Network net(cfg);
-  for (auto _ : state) {
-    net.Tick();
-  }
-  state.SetItemsProcessed(state.iterations() * 64);
-}
-BENCHMARK(BM_NetworkCycleIdleEvent);
-
 /// The same idle 8x8 network under the SoA core: per-cycle cost is three
-/// linear scans over contiguous due/ready planes — no router object is
-/// touched until a plane entry says it has work.
+/// linear scans over contiguous due/ready planes plus the 64 object-path
+/// NIC ticks — no router object is touched until a plane entry says it
+/// has work.
 void BM_NetworkCycleIdleSoa(benchmark::State& state) {
   NetworkConfig cfg;
   cfg.scheduling = SchedulingMode::kSoa;
@@ -133,10 +107,6 @@ void BM_NetworkCycleSparse(benchmark::State& state) {
 }
 BENCHMARK(BM_NetworkCycleSparse<SchedulingMode::kFull>)
     ->Name("BM_NetworkCycleSparseFull");
-BENCHMARK(BM_NetworkCycleSparse<SchedulingMode::kActiveSet>)
-    ->Name("BM_NetworkCycleSparseActiveSet");
-BENCHMARK(BM_NetworkCycleSparse<SchedulingMode::kEvent>)
-    ->Name("BM_NetworkCycleSparseEvent");
 BENCHMARK(BM_NetworkCycleSparse<SchedulingMode::kSoa>)
     ->Name("BM_NetworkCycleSparseSoa");
 

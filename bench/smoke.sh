@@ -137,33 +137,19 @@ else
   echo "smoke: telemetry ok (structural check only; python3 not found)" >&2
 fi
 
-# Fourth pass: active-set, event and soa scheduling must be bit-identical
-# to full-tick mode. Any diff between the CSVs is a scheduler bug. The soa
-# leg also runs batched (batch=4) — lockstep grouping may not change a
-# single byte either.
+# Fourth pass: soa scheduling must be bit-identical to full-tick mode. Any
+# diff between the CSVs is a scheduler bug.
 SCHED_FULL=${GNOC_SMOKE_SCHED_FULL:-$OUT_DIR/sched_full.csv}
-echo "smoke: $HARNESS scale=0.1 csv=true" \
-     "scheduling={full,active-set,event,soa}" >&2
+SCHED_SOA="$OUT_DIR/sched_soa.csv"
+echo "smoke: $HARNESS scale=0.1 csv=true scheduling={full,soa}" >&2
 "$HARNESS" scale=0.1 threads=4 csv=true scheduling=full "$@" > "$SCHED_FULL"
-for mode in active-set event soa; do
-  got="$OUT_DIR/sched_$mode.csv"
-  "$HARNESS" scale=0.1 threads=4 csv=true scheduling="$mode" "$@" > "$got"
-  if ! diff -q "$SCHED_FULL" "$got" > /dev/null; then
-    echo "smoke: FAIL — $mode scheduling diverged from full mode:" >&2
-    diff "$SCHED_FULL" "$got" | head -20 >&2
-    exit 1
-  fi
-done
-SCHED_BATCH="$OUT_DIR/sched_soa_batch4.csv"
-"$HARNESS" scale=0.1 threads=1 batch=4 csv=true scheduling=soa "$@" \
-    > "$SCHED_BATCH"
-if ! diff -q "$SCHED_FULL" "$SCHED_BATCH" > /dev/null; then
-  echo "smoke: FAIL — batched (batch=4) soa sweep diverged from full:" >&2
-  diff "$SCHED_FULL" "$SCHED_BATCH" | head -20 >&2
+"$HARNESS" scale=0.1 threads=4 csv=true scheduling=soa "$@" > "$SCHED_SOA"
+if ! diff -q "$SCHED_FULL" "$SCHED_SOA" > /dev/null; then
+  echo "smoke: FAIL — soa scheduling diverged from full mode:" >&2
+  diff "$SCHED_FULL" "$SCHED_SOA" | head -20 >&2
   exit 1
 fi
-echo "smoke: scheduling ok — active-set, event, soa (incl. batch=4)" \
-     "output bit-identical to full" >&2
+echo "smoke: scheduling ok — soa output bit-identical to full" >&2
 
 # Fifth pass: kill-and-resume. Run the fig8 sweep with checkpointing, kill
 # it mid-flight (SIGKILL — no chance to clean up), resume it, and require

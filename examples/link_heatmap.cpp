@@ -103,7 +103,7 @@ int main(int argc, char** argv) {
 
   GpuSystem gpu(cfg, workload);
   gpu.Run(/*warmup=*/2000, measure);
-  const TelemetryReport report = gpu.fabric().CollectTelemetry();
+  const TelemetryReport report = gpu.fabric().CollectRunReport().telemetry;
 
   std::size_t num_windows = 0;
   Cycle window_cycles = 0;

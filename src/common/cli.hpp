@@ -6,8 +6,8 @@
 //
 //   FlagSet flags("fig8_vc_monopolizing", "Fig. 8: VC monopolizing sweep");
 //   flags.AddDouble("scale", 1.0, "warmup/measure scaling factor");
-//   flags.AddEnum("scheduling", "full", "NoC scheduling", {"full",
-//                 "active-set"});
+//   flags.AddEnum("topology", "mesh", "interconnect topology",
+//                 {"mesh", "torus"});
 //   const Config args = flags.Parse(argc, argv);
 //   if (flags.help_requested()) { std::cout << flags.Help(); return 0; }
 //

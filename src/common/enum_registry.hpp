@@ -7,12 +7,12 @@
 // Usage:
 //   const EnumRegistry<SchedulingMode> kReg{"scheduling", {
 //       {"full", SchedulingMode::kFull},
-//       {"active-set", SchedulingMode::kActiveSet},
-//       {"active", SchedulingMode::kActiveSet},  // alias
+//       {"soa", SchedulingMode::kSoa},
+//       {"event", SchedulingMode::kSoa},  // alias
 //   }};
-//   kReg.Parse("Active");        // -> kActiveSet
-//   kReg.Name(kActiveSet);       // -> "active-set" (first registered wins)
-//   kReg.CanonicalNames();       // -> {"full", "active-set"}
+//   kReg.Parse("Event");         // -> kSoa
+//   kReg.Name(kSoa);             // -> "soa" (first registered wins)
+//   kReg.CanonicalNames();       // -> {"full", "soa"}
 #pragma once
 
 #include <algorithm>

@@ -143,7 +143,9 @@ std::string ReadSnapshotFile(const std::string& path,
     throw SerializeError(
         "snapshot format version " + std::to_string(version) +
         " unsupported (this build reads version " +
-        std::to_string(kSnapshotFormatVersion) + "): " + path);
+        std::to_string(kSnapshotFormatVersion) + "): file " + path +
+        " was written by a different build — delete the checkpoint "
+        "directory or rerun with that build");
   }
   const std::uint64_t fingerprint = d.U64();
   if (fingerprint != expected_fingerprint) {

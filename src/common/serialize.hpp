@@ -29,7 +29,9 @@ namespace gnoc {
 /// v3: Network payloads append the event queue (scheduling=event).
 /// v4: QoS — NIC token buckets + throttle counters, router WRR credits,
 ///     per-class SLO targets in telemetry reports, QoS summary counters.
-inline constexpr std::uint32_t kSnapshotFormatVersion = 4;
+/// v5: Network payloads drop the active-set dirty lists and the event
+///     queue (both backends retired) and NICs their epoch-dirty flag.
+inline constexpr std::uint32_t kSnapshotFormatVersion = 5;
 
 /// Thrown on any malformed snapshot: truncation, bad magic, version skew,
 /// fingerprint mismatch, CRC mismatch.

@@ -16,9 +16,9 @@
 
 namespace gnoc {
 
-/// Activity notification for the active-set scheduler (DESIGN.md §9): a
+/// Push notification for the soa scheduler's due planes (DESIGN.md §9): a
 /// plain function pointer + context + the subscriber-chosen index of the
-/// notifying component. Unset hooks cost one null-pointer test per event —
+/// notifying channel. Unset hooks cost one null-pointer test per push —
 /// the same cost model the auditor and telemetry hooks use.
 struct WakeHook {
   void (*fn)(void* ctx, std::size_t index) = nullptr;
@@ -53,8 +53,8 @@ class DelayLine {
   bool empty() const { return items_.empty(); }
   std::size_t size() const { return items_.size(); }
 
-  /// Fires `hook` on every Push (active-set scheduling: a non-empty channel
-  /// must be on the scheduler's dirty list).
+  /// Fires `hook` on every Push (soa scheduling: the channel's due-plane
+  /// entry must track its front item).
   void SetWakeHook(WakeHook hook) { wake_ = hook; }
 
   /// Enqueues `item` at time `now`; it is deliverable at `now + latency`.
@@ -68,8 +68,8 @@ class DelayLine {
     return !items_.empty() && items_.front().first <= now;
   }
 
-  /// Delivery cycle of the oldest in-flight item (event scheduling: the
-  /// channel's next wake). Requires a non-empty line.
+  /// Delivery cycle of the oldest in-flight item (the soa due planes cache
+  /// it). Requires a non-empty line.
   Cycle FrontDue() const {
     assert(!items_.empty());
     return items_.front().first;
@@ -119,8 +119,8 @@ class DelayLine {
   }
 
   /// Snapshot support: in-flight items with their delivery times. Load
-  /// writes `items_` directly — no Push, so no wake hooks fire; the
-  /// active-set dirty lists are restored verbatim by Network::Load.
+  /// writes `items_` directly — no Push, so no wake hooks fire; the soa
+  /// planes are rebuilt from the loaded objects by Network::Load.
   void Save(Serializer& s) const {
     s.U64(items_.size());
     for (const auto& [due, item] : items_) {

@@ -58,15 +58,6 @@ class Fabric {
   /// telemetry entities "req:" / "rep:" and sum QoS counters.
   virtual RunReport CollectRunReport() const = 0;
 
-  /// Deprecated shim: the audit section of CollectRunReport(). Prefer the
-  /// unified collector — this survives only for older call sites.
-  AuditReport CollectAuditReport() const { return CollectRunReport().audit; }
-
-  /// Deprecated shim: the telemetry section of CollectRunReport().
-  TelemetryReport CollectTelemetry() const {
-    return CollectRunReport().telemetry;
-  }
-
   /// Snapshot support (DESIGN.md §10): serializes the full transport state
   /// so a run can resume bit-identically. Load requires a fabric built from
   /// the same configuration (wiring is construction-derived).

@@ -16,11 +16,13 @@ const EnumRegistry<SchedulingMode>& SchedulingRegistry() {
   static const EnumRegistry<SchedulingMode> registry{
       "scheduling",
       {{"full", SchedulingMode::kFull},
-       {"active-set", SchedulingMode::kActiveSet},
-       {"active", SchedulingMode::kActiveSet},
-       {"activeset", SchedulingMode::kActiveSet},
-       {"event", SchedulingMode::kEvent},
-       {"soa", SchedulingMode::kSoa}}};
+       {"soa", SchedulingMode::kSoa},
+       // Names of retired backends, kept so old configs and job specs
+       // still parse.
+       {"active-set", SchedulingMode::kSoa},
+       {"active", SchedulingMode::kSoa},
+       {"activeset", SchedulingMode::kSoa},
+       {"event", SchedulingMode::kSoa}}};
   return registry;
 }
 
@@ -239,84 +241,15 @@ Network::Network(const NetworkConfig& config)
   for (auto& r : routers_) r->SetProgressSink(&progress_events_);
   for (auto& nc : nics_) nc->SetProgressSink(&progress_events_);
 
-  // Active-set scheduling: wake hooks keep the four dirty lists sound. All
-  // lists start empty — a fresh network is fully idle, and the first
-  // injection wakes its NIC through Nic::Inject.
-  if (config_.scheduling == SchedulingMode::kActiveSet) {
-    active_routers_.Resize(routers_.size());
-    active_nics_.Resize(nics_.size());
-    active_flit_links_.Resize(flit_links_.size());
-    active_credit_links_.Resize(credit_links_.size());
-    for (std::size_t i = 0; i < routers_.size(); ++i) {
-      routers_[i]->SetWakeHook({&ActiveSet::AddTo, &active_routers_, i});
-    }
-    for (std::size_t i = 0; i < nics_.size(); ++i) {
-      nics_[i]->SetWakeHook({&ActiveSet::AddTo, &active_nics_, i});
-    }
-    for (std::size_t i = 0; i < flit_links_.size(); ++i) {
-      flit_links_[i]->channel.SetWakeHook(
-          {&ActiveSet::AddTo, &active_flit_links_, i});
-    }
-    for (std::size_t i = 0; i < credit_links_.size(); ++i) {
-      credit_links_[i]->channel.SetWakeHook(
-          {&ActiveSet::AddTo, &active_credit_links_, i});
-    }
-  }
-
-  // Event scheduling: the same wake sites schedule timestamped wakes on the
-  // event queue instead. The queue starts empty — a fresh network is fully
-  // idle, and the first injection schedules its NIC through Nic::Inject.
-  if (config_.scheduling == SchedulingMode::kEvent) {
-    event_queue_.Resize(flit_links_.size(), credit_links_.size(),
-                        routers_.size(), nics_.size());
-    for (std::size_t i = 0; i < routers_.size(); ++i) {
-      routers_[i]->SetWakeHook({&Network::WakeRouterEvent, this, i});
-    }
-    for (std::size_t i = 0; i < nics_.size(); ++i) {
-      nics_[i]->SetWakeHook({&Network::WakeNicEvent, this, i});
-    }
-    for (std::size_t i = 0; i < flit_links_.size(); ++i) {
-      flit_links_[i]->channel.SetWakeHook(
-          {&Network::WakeFlitLinkEvent, this, i});
-    }
-    for (std::size_t i = 0; i < credit_links_.size(); ++i) {
-      credit_links_[i]->channel.SetWakeHook(
-          {&Network::WakeCreditLinkEvent, this, i});
-    }
-  }
-
   // SoA scheduling: the core flattens the hot state into contiguous planes
   // and installs channel wake hooks that keep its due/occupancy planes
-  // sound. Routers and NICs keep null hooks — the core tracks their work
-  // through its own counters.
+  // sound. Under kFull the channel hooks stay null.
   if (config_.scheduling == SchedulingMode::kSoa) {
     soa_ = std::make_unique<SoaCore>(*this);
   }
 }
 
 Network::~Network() = default;
-
-void Network::WakeRouterEvent(void* ctx, std::size_t index) {
-  auto* net = static_cast<Network*>(ctx);
-  net->event_queue_.Schedule(EventKind::kRouter, index, net->now_);
-}
-
-void Network::WakeNicEvent(void* ctx, std::size_t index) {
-  auto* net = static_cast<Network*>(ctx);
-  net->event_queue_.Schedule(EventKind::kNic, index, net->now_);
-}
-
-void Network::WakeFlitLinkEvent(void* ctx, std::size_t index) {
-  auto* net = static_cast<Network*>(ctx);
-  net->event_queue_.Schedule(EventKind::kFlitLink, index,
-                             net->flit_links_[index]->channel.FrontDue());
-}
-
-void Network::WakeCreditLinkEvent(void* ctx, std::size_t index) {
-  auto* net = static_cast<Network*>(ctx);
-  net->event_queue_.Schedule(EventKind::kCreditLink, index,
-                             net->credit_links_[index]->channel.FrontDue());
-}
 
 NodeId Network::NodeAt(Coord c) const {
   assert(c.x >= 0 && c.x < config_.width && c.y >= 0 && c.y < config_.height);
@@ -387,8 +320,6 @@ void Network::DeliverChannels() {
 void Network::Tick() {
   switch (config_.scheduling) {
     case SchedulingMode::kFull: TickFull(); break;
-    case SchedulingMode::kActiveSet: TickActive(); break;
-    case SchedulingMode::kEvent: TickEvent(); break;
     case SchedulingMode::kSoa: TickSoa(); break;
   }
   ++now_;
@@ -427,153 +358,10 @@ void Network::TickFull() {
   UpdateWatchdog([this] { return FlitsInFlight() == 0; });
 }
 
-void Network::TickActive() {
-  // Phase order mirrors TickFull: deliveries, then routers, then NICs.
-  // Each sweep runs in ascending index order — the order the full path
-  // iterates in — and ActiveSet::Sweep guarantees that a component woken
-  // mid-sweep is handled this cycle iff its index is still ahead, exactly
-  // when the full path would have reached it after the waking event.
-
-  // Flit deliveries. A link leaves the list only once empty; pushes re-add
-  // it through the channel wake hook, and AcceptFlit wakes the receiver.
-  active_flit_links_.Sweep([this](std::size_t i) {
-    ++tick_steps_;
-    FlitLink& link = *flit_links_[i];
-    while (auto flit = link.channel.Pop(now_)) {
-      link.dst_router->AcceptFlit(link.dst_port, *flit, now_);
-    }
-    return !link.channel.empty();
-  });
-
-  // Credit deliveries. Router-bound credits are pushed into the router
-  // (waking it); NIC-bound credit channels are popped by the NIC itself in
-  // its Tick, so an arrived credit just wakes the owning NIC — the same
-  // cycle the full path's NIC tick would have consumed it.
-  active_credit_links_.Sweep([this](std::size_t i) {
-    ++tick_steps_;
-    CreditLink& link = *credit_links_[i];
-    if (link.dst_router != nullptr) {
-      while (auto credit = link.channel.Pop(now_)) {
-        link.dst_router->AcceptCredit(link.dst_port, credit->vc);
-      }
-    } else if (link.channel.Deliverable(now_)) {
-      active_nics_.Add(static_cast<std::size_t>(link.dst_nic->node()));
-    }
-    return !link.channel.empty();
-  });
-
-  active_routers_.Sweep([this](std::size_t i) {
-    ++tick_steps_;
-    Router& r = *routers_[i];
-    r.Tick(now_);
-    return r.HasWork();
-  });
-
-  active_nics_.Sweep([this](std::size_t i) {
-    ++tick_steps_;
-    Nic& n = *nics_[i];
-    n.Tick(now_);
-    return n.HasWork();
-  });
-
-  if (auditor_ != nullptr && auditor_->SnapshotDue(now_)) {
-    CheckSchedulerCoverage();
-    auditor_->RunSnapshot(now_);
-  }
-
-  if (telemetry_ != nullptr && telemetry_->SampleDue(now_)) {
-    telemetry_->Sample(now_);
-  }
-
-  UpdateWatchdog([this] { return ActiveFlitsInFlight() == 0; });
-}
-
-void Network::TickEvent() {
-  // Events due this cycle pop in (kind, index) order — the exact order the
-  // full path processes components in — and EventQueue::Schedule defers a
-  // same-cycle wake at or behind the cursor to the next cycle, exactly as
-  // ActiveSet::Sweep does for members added mid-sweep. Every visited
-  // component re-arms its own next wake, so a cycle with no due events
-  // does no component work at all.
-  event_queue_.ProcessCycle(now_, [this](EventKind kind, std::size_t i) {
-    ++tick_steps_;
-    switch (kind) {
-      case EventKind::kFlitLink: {
-        FlitLink& link = *flit_links_[i];
-        while (auto flit = link.channel.Pop(now_)) {
-          link.dst_router->AcceptFlit(link.dst_port, *flit, now_);
-        }
-        if (!link.channel.empty()) {
-          event_queue_.Schedule(EventKind::kFlitLink, i,
-                                link.channel.FrontDue());
-        }
-        break;
-      }
-      case EventKind::kCreditLink: {
-        // Router-bound credits are pushed into the router (waking it);
-        // NIC-bound credit channels are popped by the NIC itself in its
-        // Tick, so an arrived credit just wakes the owning NIC.
-        CreditLink& link = *credit_links_[i];
-        if (link.dst_router != nullptr) {
-          while (auto credit = link.channel.Pop(now_)) {
-            link.dst_router->AcceptCredit(link.dst_port, credit->vc);
-          }
-        } else if (link.channel.Deliverable(now_)) {
-          event_queue_.Schedule(EventKind::kNic,
-                                static_cast<std::size_t>(link.dst_nic->node()),
-                                now_);
-        }
-        if (!link.channel.empty()) {
-          // For a NIC-bound link whose front credit is deliverable now, the
-          // cursor rule turns this into a next-cycle revisit — the same
-          // "stay listed until empty" behaviour the dirty list has.
-          event_queue_.Schedule(EventKind::kCreditLink, i,
-                                link.channel.FrontDue());
-        }
-        break;
-      }
-      case EventKind::kRouter: {
-        Router& r = *routers_[i];
-        r.Tick(now_);
-        if (r.HasWork()) {
-          // Busy next cycle, or — dynamic policy with only uncommitted
-          // epoch counts — exactly at the next epoch boundary.
-          event_queue_.Schedule(EventKind::kRouter, i,
-                                r.BufferedFlits() > 0
-                                    ? now_ + 1
-                                    : r.next_boundary_update());
-        }
-        break;
-      }
-      case EventKind::kNic: {
-        Nic& n = *nics_[i];
-        n.Tick(now_);
-        if (n.HasWork()) {
-          event_queue_.Schedule(
-              EventKind::kNic, i,
-              !n.Idle() ? now_ + 1 : n.next_boundary_update());
-        }
-        break;
-      }
-    }
-  });
-
-  if (auditor_ != nullptr && auditor_->SnapshotDue(now_)) {
-    CheckSchedulerCoverage();
-    auditor_->RunSnapshot(now_);
-  }
-
-  if (telemetry_ != nullptr && telemetry_->SampleDue(now_)) {
-    telemetry_->Sample(now_);
-  }
-
-  UpdateWatchdog([this] { return EventFlitsInFlight() == 0; });
-}
-
 void Network::TickSoa() {
   // Same phase order as TickFull; the delivery and router phases run as
-  // tight passes over the SoA planes and skip idle links/routers exactly
-  // where the active-set scheduler would (bit-identical results). NICs are
+  // tight passes over the SoA planes and skip idle links/routers (DESIGN.md
+  // §9 gives the skip rules and why they are bit-identical). NICs are
   // object-ticked every cycle as in TickFull.
   soa_->DeliverFlitLinks(now_);
   soa_->DeliverCreditLinks(now_);
@@ -582,6 +370,7 @@ void Network::TickSoa() {
   tick_steps_ += soa_->TakeSteps() + nics_.size();
 
   if (auditor_ != nullptr && auditor_->SnapshotDue(now_)) {
+    soa_->AuditPlanes(*auditor_, now_);
     auditor_->RunSnapshot(now_);
   }
 
@@ -592,101 +381,16 @@ void Network::TickSoa() {
   UpdateWatchdog([this] { return soa_->NoFlitsInFlight(); });
 }
 
-std::size_t Network::ActiveFlitsInFlight() const {
-  // Every term of the full FlitsInFlight scan is contributed by a component
-  // the wake hooks guarantee is on its dirty list (buffered flits => router
-  // listed, non-empty channel => link listed, non-idle NIC => NIC listed),
-  // so summing over the lists alone reproduces the full scan in O(active).
-  std::size_t total = 0;
-  active_routers_.ForEach(
-      [&](std::size_t i) { total += routers_[i]->BufferedFlits(); });
-  active_flit_links_.ForEach(
-      [&](std::size_t i) { total += flit_links_[i]->channel.size(); });
-  active_nics_.ForEach([&](std::size_t i) {
-    if (!nics_[i]->Idle()) ++total;  // same pending unit as the full scan
-  });
-  return total;
-}
-
-std::size_t Network::EventFlitsInFlight() const {
-  // Event-mode counterpart of ActiveFlitsInFlight: every component holding
-  // flits re-arms a wake while it has work, so summing over the pending
-  // entries reproduces the full scan in O(scheduled).
-  std::size_t total = 0;
-  event_queue_.ForEachPending([&](EventKind kind, std::size_t i) {
-    switch (kind) {
-      case EventKind::kFlitLink: total += flit_links_[i]->channel.size(); break;
-      case EventKind::kCreditLink: break;  // credits are not flits
-      case EventKind::kRouter: total += routers_[i]->BufferedFlits(); break;
-      case EventKind::kNic:
-        if (!nics_[i]->Idle()) ++total;  // same pending unit as the full scan
-        break;
-    }
-  });
-  return total;
-}
-
-void Network::CheckSchedulerCoverage() {
-  assert(auditor_ != nullptr &&
-         config_.scheduling != SchedulingMode::kFull);
-  const bool event = config_.scheduling == SchedulingMode::kEvent;
-  const auto tracked = [&](EventKind kind, const ActiveSet& set,
-                           std::size_t i) {
-    return event ? event_queue_.HasPending(kind, i) : set.Contains(i);
-  };
-  const auto violate = [&](const std::string& what, std::size_t i) {
-    auditor_->ReportViolation(
-        AuditInvariant::kSchedulerCoverage, now_,
-        what + " " + std::to_string(i) + " has pending work but is not " +
-            (event ? "scheduled on the event queue"
-                   : "on the scheduler's dirty list"));
-  };
-  for (std::size_t i = 0; i < routers_.size(); ++i) {
-    if (routers_[i]->HasWork() &&
-        !tracked(EventKind::kRouter, active_routers_, i)) {
-      violate("router", i);
-    }
-  }
-  for (std::size_t i = 0; i < nics_.size(); ++i) {
-    if (nics_[i]->HasWork() && !tracked(EventKind::kNic, active_nics_, i)) {
-      violate("nic", i);
-    }
-  }
-  for (std::size_t i = 0; i < flit_links_.size(); ++i) {
-    if (!flit_links_[i]->channel.empty() &&
-        !tracked(EventKind::kFlitLink, active_flit_links_, i)) {
-      violate("flit link", i);
-    }
-  }
-  for (std::size_t i = 0; i < credit_links_.size(); ++i) {
-    if (!credit_links_[i]->channel.empty() &&
-        !tracked(EventKind::kCreditLink, active_credit_links_, i)) {
-      violate("credit link", i);
-    }
-  }
-}
-
 void Network::ForceSleepAll() {
-  active_routers_.Clear();
-  active_nics_.Clear();
-  active_flit_links_.Clear();
-  active_credit_links_.Clear();
-  event_queue_.Clear();
+  if (soa_ != nullptr) soa_->ForceSleepAll();
 }
 
 bool Network::Drain(Cycle max_cycles) {
-  // Under active-set/event scheduling the scheduler's own tracking makes
-  // the per-cycle drained check O(active); the values are identical (see
-  // ActiveFlitsInFlight / EventFlitsInFlight).
+  // Under kSoa the running plane counters make everything but the NIC
+  // term O(1).
   const auto flits_in_flight = [&] {
-    switch (config_.scheduling) {
-      case SchedulingMode::kActiveSet: return ActiveFlitsInFlight();
-      case SchedulingMode::kEvent: return EventFlitsInFlight();
-      case SchedulingMode::kSoa:
-        // The running plane counters make everything but the NIC term O(1).
-        if (soa_->BufferedTotal() > 0) return soa_->BufferedTotal();
-        break;
-      case SchedulingMode::kFull: break;
+    if (soa_ != nullptr && soa_->BufferedTotal() > 0) {
+      return soa_->BufferedTotal();
     }
     return FlitsInFlight();
   };
@@ -876,11 +580,6 @@ void Network::Save(Serializer& s) const {
   if (auditor_ != nullptr) auditor_->Save(s);
   s.Bool(telemetry_ != nullptr);
   if (telemetry_ != nullptr) telemetry_->Save(s);
-  active_routers_.Save(s);
-  active_nics_.Save(s);
-  active_flit_links_.Save(s);
-  active_credit_links_.Save(s);
-  event_queue_.Save(s);
 }
 
 void Network::Load(Deserializer& d) {
@@ -907,14 +606,9 @@ void Network::Load(Deserializer& d) {
         "snapshot telemetry mode differs from this network's configuration");
   }
   if (telemetry_ != nullptr) telemetry_->Load(d);
-  active_routers_.Load(d);
-  active_nics_.Load(d);
-  active_flit_links_.Load(d);
-  active_credit_links_.Load(d);
-  event_queue_.Load(d);
   // Channel/buffer Load writes contents directly (no wake hooks fire): the
   // object->SoA conversion at the checkpoint boundary re-derives every
-  // plane, so the snapshot format is unchanged (DESIGN.md §14).
+  // plane, so snapshots carry no scheduler state (DESIGN.md §14).
   if (soa_ != nullptr) soa_->RebuildFromObjects();
 }
 

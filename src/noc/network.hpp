@@ -14,10 +14,8 @@
 
 #include "common/stats.hpp"
 #include "common/types.hpp"
-#include "noc/active_set.hpp"
 #include "noc/audit.hpp"
 #include "noc/channel.hpp"
-#include "noc/event_queue.hpp"
 #include "noc/nic.hpp"
 #include "noc/packet.hpp"
 #include "noc/qos.hpp"
@@ -30,37 +28,29 @@ namespace gnoc {
 class LinkUsage;
 class SoaCore;
 
-/// How Network::Tick schedules component updates (DESIGN.md §9).
+/// How Network::Tick schedules component updates (DESIGN.md §9). The
+/// numeric values are hashed into GpuConfigFingerprint, so they never
+/// change.
 enum class SchedulingMode : std::uint8_t {
-  /// Tick every router, NIC and channel every cycle (the reference path).
+  /// Tick every router, NIC and channel every cycle (the reference path
+  /// the bit-identity gates compare against).
   kFull = 0,
-  /// Tick only components with pending work, tracked by wake hooks on a
-  /// per-kind dirty list swept in ascending index order. Bit-identical to
-  /// kFull — stats, telemetry windows, audit reports and watchdog verdicts
-  /// all match — but cycles where most of the mesh is idle cost O(active)
-  /// instead of O(nodes).
-  kActiveSet = 1,
-  /// Timestamped event queue (DESIGN.md §12): components schedule their own
-  /// next wake — channels at the front item's delivery cycle, routers/NICs
-  /// at now+1 while busy or at the next dynamic-epoch boundary when only
-  /// epoch state is dirty. Bit-identical to kFull like kActiveSet, but a
-  /// cycle with no due events costs one heap peek, so idle and sparse runs
-  /// skip whole cycle ranges' worth of component work.
-  kEvent = 2,
   /// Structure-of-arrays tick (DESIGN.md §14): the hot per-component state
   /// (input-VC head readiness, channel due cycles, router occupancy) lives
   /// in contiguous per-network planes and each phase is one tight pass in
-  /// the dense order, with preallocated arbitration scratch. Bit-identical
-  /// to kFull like the other modes, but a busy cycle costs plane scans and
-  /// zero allocations instead of pointer-chasing AoS objects.
+  /// the dense order, skipping idle links and routers, with preallocated
+  /// arbitration scratch. Bit-identical to kFull — stats, telemetry
+  /// windows, audit reports and watchdog verdicts all match.
   kSoa = 3,
 };
 
-/// Human readable name ("full", "active-set", "event", "soa").
+/// Canonical name ("full" or "soa").
 const char* SchedulingModeName(SchedulingMode m);
 
-/// Parses "full" / "active-set" / "active" / "event" / "soa"
-/// (case-insensitive). Throws std::invalid_argument on unknown names.
+/// Parses "full" / "soa" (case-insensitive). The retired backend names
+/// "active-set", "active", "activeset" and "event" are kept as aliases of
+/// "soa" so existing configs and job specs still parse. Throws
+/// std::invalid_argument on unknown names.
 SchedulingMode ParseSchedulingMode(const std::string& name);
 
 template <typename E>
@@ -113,8 +103,8 @@ struct NetworkConfig {
   /// Window cap per metric track; when reached, adjacent windows merge and
   /// the width doubles (0 = unbounded).
   std::size_t telemetry_max_windows = 512;
-  /// Component scheduling discipline; kActiveSet and kEvent skip idle
-  /// routers/NICs/channels bit-identically (see SchedulingMode).
+  /// Component scheduling discipline; kSoa skips idle routers and
+  /// channels bit-identically (see SchedulingMode).
   SchedulingMode scheduling = SchedulingMode::kFull;
   /// Per-class QoS contracts (noc/qos.hpp): allocator priorities, token-
   /// bucket injection regulation, VC reservation, SLO targets. Defaults
@@ -271,25 +261,26 @@ class Network {
 
   /// Component updates performed so far: one per router/NIC tick and one
   /// per channel visit. Under kFull this grows by (routers + NICs + links)
-  /// every cycle; under kActiveSet only by the active count and under
-  /// kEvent only by the events dispatched — the O(active) claim tests
-  /// assert on exactly this.
+  /// every cycle; under kSoa only by the NICs plus the links and routers
+  /// the planes say have work — the skip claim tests assert on exactly
+  /// this.
   std::uint64_t TickSteps() const { return tick_steps_; }
 
-  /// Drops every component from the active-set dirty lists and every wake
-  /// from the event queue WITHOUT regard to pending work — deliberately
-  /// planting the lost-wakeup bug the scheduler-coverage audit invariant
-  /// exists to catch (mutation tests only). No-op under kFull scheduling.
+  /// Marks every link and router idle in the kSoa planes WITHOUT regard to
+  /// pending work — deliberately planting the lost-update bug the
+  /// scheduler-coverage audit invariant exists to catch (mutation tests
+  /// only). No-op under kFull scheduling.
   void ForceSleepAll();
 
   // --- snapshot/restore (DESIGN.md §10) ---
 
   /// Serializes every piece of mutable state — clock, packet-id counter,
-  /// watchdog, routers, NICs, channel contents, auditor/telemetry state,
-  /// the active-set dirty lists and the event queue — in a fixed order. Wiring and
-  /// configuration are construction-derived and not serialized: Load
-  /// requires a Network built from the identical NetworkConfig, and resumed
-  /// execution is bit-identical to never having snapshotted.
+  /// watchdog, routers, NICs, channel contents and auditor/telemetry
+  /// state — in a fixed order. Wiring and configuration are
+  /// construction-derived and not serialized: Load requires a Network
+  /// built from the identical NetworkConfig (scheduling mode aside: the
+  /// kSoa planes are rebuilt from the objects), and resumed execution is
+  /// bit-identical to never having snapshotted.
   void Save(Serializer& s) const;
   void Load(Deserializer& d);
 
@@ -312,24 +303,8 @@ class Network {
 
   void DeliverChannels();
 
-  // Event-scheduling wake trampolines (installed at construction under
-  // kEvent; `ctx` is the Network). Routers and NICs wake at the cycle the
-  // next Tick will process; channels wake at their front item's delivery
-  // cycle.
-  static void WakeRouterEvent(void* ctx, std::size_t index);
-  static void WakeNicEvent(void* ctx, std::size_t index);
-  static void WakeFlitLinkEvent(void* ctx, std::size_t index);
-  static void WakeCreditLinkEvent(void* ctx, std::size_t index);
-
   /// One full-scheduling cycle (the reference path).
   void TickFull();
-  /// One active-set cycle: sweeps the four dirty lists in phase order
-  /// (flit links, credit links, routers, NICs), each in ascending index.
-  void TickActive();
-  /// One event-scheduled cycle: pops every event due now in (kind, index)
-  /// order and dispatches it; visited components re-arm their own next
-  /// wake. A cycle with no due events does no component work at all.
-  void TickEvent();
   /// One SoA cycle: the SoaCore runs the delivery and router phases as
   /// tight passes over its planes; NICs are object-ticked as in TickFull.
   void TickSoa();
@@ -338,18 +313,6 @@ class Network {
   /// it lazily: it is only read when no progress event fired this cycle).
   template <typename NoFlitsFn>
   void UpdateWatchdog(NoFlitsFn&& no_flits);
-  /// FlitsInFlight computed from the dirty lists alone — equal to the full
-  /// scan whenever scheduler coverage holds (components with work are
-  /// always listed), in O(active).
-  std::size_t ActiveFlitsInFlight() const;
-  /// FlitsInFlight computed from the event queue's pending entries alone —
-  /// equal to the full scan whenever scheduler coverage holds, in
-  /// O(scheduled).
-  std::size_t EventFlitsInFlight() const;
-  /// Audits that every component with pending work is tracked by the
-  /// scheduler — on its dirty list (kActiveSet) or holding a pending wake
-  /// (kEvent). kSchedulerCoverage; requires auditing on.
-  void CheckSchedulerCoverage();
 
   NetworkConfig config_;
   Topology topo_;  ///< declared before the routers that point into it
@@ -360,23 +323,9 @@ class Network {
   std::unique_ptr<Auditor> auditor_;  ///< non-null iff config_.audit
   std::unique_ptr<Telemetry> telemetry_;  ///< non-null iff config_.telemetry
 
-  // Active-set scheduling state (empty/unused under kFull). Sets are
-  // indexed by NodeId for routers/NICs and by position in flit_links_ /
-  // credit_links_ for channels; wake hooks installed at construction keep
-  // them sound.
-  ActiveSet active_routers_;
-  ActiveSet active_nics_;
-  ActiveSet active_flit_links_;
-  ActiveSet active_credit_links_;
-
-  // Event scheduling state (empty/unused except under kEvent), over the
-  // same four component domains; wake hooks installed at construction
-  // schedule the wakes.
-  EventQueue event_queue_;
-
   // SoA scheduling state (null except under kSoa): derived hot-state
   // planes rebuilt from the objects at construction and after Load; never
-  // serialized, so the snapshot format is unchanged.
+  // serialized, so snapshots are mode-independent.
   std::unique_ptr<SoaCore> soa_;
 
   Cycle now_ = 0;

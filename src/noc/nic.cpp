@@ -60,7 +60,6 @@ bool Nic::Inject(const Packet& packet, Coord dst_coord, Cycle now) {
   inject_queues_[ci].emplace_back(packet, dst_coord);
   ++stats_.packets_injected[ci];
   ++stats_.packets_by_type[static_cast<std::size_t>(packet.type)];
-  wake_.Notify();
   return true;
 }
 
@@ -81,14 +80,13 @@ void Nic::AcceptEjectedFlit(const Flit& flit, Cycle now) {
   eject_buffers_[ci].push_back(flit);
   ++eject_held_[ci];
   ++stats_.flits_ejected[ci];
-  wake_.Notify();
 }
 
 void Nic::Tick(Cycle now) {
   if (config_.vc_policy == VcPolicyKind::kDynamic) {
-    // Catch-up loop for epochs slept through under active-set scheduling;
-    // see Router::Tick. Missed epochs always have zero counts, so replaying
-    // them is boundary-preserving and bit-identical to full scheduling.
+    // Both schedulers tick every NIC every cycle, so this runs at most once
+    // per tick; the loop form keeps a sparsely ticked standalone NIC exact
+    // (missed epochs have zero counts and never move the boundary).
     while (now >= next_boundary_update_) UpdateDynamicBoundary();
   }
   ConsumeCredits(now);
@@ -108,7 +106,6 @@ void Nic::UpdateDynamicBoundary() {
   const std::uint64_t req = epoch_flits_[ClassIndex(TrafficClass::kRequest)];
   const std::uint64_t rep = epoch_flits_[ClassIndex(TrafficClass::kReply)];
   epoch_flits_.fill(0);
-  epoch_dirty_ = false;
   next_boundary_update_ += config_.dynamic_epoch;
   if (req + rep == 0) return;
   const VcId target = BoundaryForShare(
@@ -242,7 +239,6 @@ void Nic::SendFlits(Cycle now) {
       if (progress_sink_ != nullptr) ++*progress_sink_;
       ++stats_.flits_injected[static_cast<std::size_t>(ClassIndex(flit.cls))];
       ++epoch_flits_[static_cast<std::size_t>(ClassIndex(flit.cls))];
-      epoch_dirty_ = true;
       if (send.remaining.empty()) send.draining = true;
       send_rr_ = (v + 1) % num_vcs;
       ++sent;
@@ -389,7 +385,6 @@ void Nic::Save(Serializer& s) const {
   s.U64(send_rr_);
   s.I32(boundary_);
   for (const std::uint64_t n : epoch_flits_) s.U64(n);
-  s.Bool(epoch_dirty_);
   s.U64(next_boundary_update_);
   for (const auto& buffer : eject_buffers_) {
     s.U64(buffer.size());
@@ -437,7 +432,6 @@ void Nic::Load(Deserializer& d) {
   send_rr_ = d.U64();
   boundary_ = d.I32();
   for (std::uint64_t& n : epoch_flits_) n = d.U64();
-  epoch_dirty_ = d.Bool();
   next_boundary_update_ = d.U64();
   for (auto& buffer : eject_buffers_) {
     buffer.clear();

@@ -129,11 +129,6 @@ class Nic {
   /// the NIC reports per-packet delivery latencies to it.
   void SetTelemetry(Telemetry* telemetry) { telemetry_ = telemetry; }
 
-  /// Fired whenever an event arrives (packet queued for injection, flit
-  /// ejected into this NIC) so the active-set scheduler can put this NIC
-  /// back on its dirty list.
-  void SetWakeHook(WakeHook hook) { wake_ = hook; }
-
   /// Counter bumped on every injected flit and ejected packet (the
   /// network's incremental deadlock-watchdog progress signal). nullptr =
   /// off.
@@ -195,19 +190,6 @@ class Nic {
   /// True when nothing is buffered on either side (for drain detection).
   bool Idle() const;
 
-  /// True when a Tick can still change state: anything buffered or busy, or
-  /// (dynamic policy) uncommitted epoch flit counts. See Router::HasWork.
-  /// Credits in flight back to an idle NIC need no term here: the network
-  /// re-wakes the NIC when its credit channel has a deliverable credit.
-  bool HasWork() const {
-    return !Idle() ||
-           (config_.vc_policy == VcPolicyKind::kDynamic && epoch_dirty_);
-  }
-
-  /// The next dynamic-partitioning epoch boundary (see
-  /// Router::next_boundary_update).
-  Cycle next_boundary_update() const { return next_boundary_update_; }
-
   /// Snapshot support (DESIGN.md §10): queues, in-flight sends, credits,
   /// round-robin pointers, dynamic-boundary state, QoS token buckets,
   /// ejection/reassembly state and stats. Wiring pointers and `inject_flits_per_cycle_` are
@@ -265,20 +247,18 @@ class Nic {
   std::size_t send_rr_ = 0;        // round-robin pointer over VCs
   int inject_flits_per_cycle_ = 1;
 
-  WakeHook wake_;
   std::uint64_t* progress_sink_ = nullptr;
 
   // QoS token-bucket state (fixed-point; see kTokenScale). Buckets start
   // full (burst worth of credit) and refill lazily on demand: min-capping
   // is monotone, so one batched refill equals per-cycle refills and the
-  // admission sequence is bit-identical across scheduling backends.
+  // admission sequence does not depend on when the NIC is ticked.
   std::array<std::int64_t, kNumClasses> qos_tokens_{};
   std::array<Cycle, kNumClasses> qos_refilled_{};  // bucket caught up to here
 
   // Dynamic-partitioning state for the injection link.
   VcId boundary_ = 1;
   std::array<std::uint64_t, kNumClasses> epoch_flits_{};
-  bool epoch_dirty_ = false;  ///< any epoch_flits_ entry nonzero
   Cycle next_boundary_update_ = 0;
 
   std::array<std::deque<Flit>, kNumClasses> eject_buffers_;

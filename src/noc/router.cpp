@@ -123,7 +123,6 @@ void Router::AcceptFlit(Port in_port, const Flit& flit, Cycle now) {
   Flit f = flit;
   f.ready = now + 1;  // models the RC/VA/SA pipeline stage
   ivc.buffer.Push(f);
-  wake_.Notify();
 }
 
 void Router::AcceptCredit(Port out_port, VcId vc) {
@@ -131,7 +130,6 @@ void Router::AcceptCredit(Port out_port, VcId vc) {
   OutputVc& ovc = Ovc(out_port, vc);
   ++ovc.credits;
   assert(ovc.credits <= config_.vc_depth && "credit overflow");
-  wake_.Notify();
 }
 
 bool Router::FrontEligible(const InputVc& ivc, Cycle now) const {
@@ -140,11 +138,9 @@ bool Router::FrontEligible(const InputVc& ivc, Cycle now) const {
 
 void Router::Tick(Cycle now) {
   if (config_.vc_policy == VcPolicyKind::kDynamic) {
-    // The loop replays boundary updates a sleeping router missed under
-    // active-set scheduling. Only zero-count epochs can be missed (nonzero
-    // epoch counts keep HasWork true), and those never move the boundary,
-    // so the caught-up state is bit-identical to full scheduling; under
-    // full scheduling the loop body runs at most once per tick.
+    // Under full scheduling the loop body runs at most once per tick.
+    // SoaCore::TickRouter runs the same loop to replay the boundaries a
+    // skipped router missed; see DESIGN.md §9 for why that is exact.
     while (now >= next_boundary_update_) UpdateDynamicBoundaries();
   }
   RecycleOutputVcs();

@@ -238,10 +238,6 @@ class Router {
     audit_in_[static_cast<std::size_t>(PortIndex(in_port))] = link;
   }
 
-  /// Fired whenever an event arrives (flit or credit) so the active-set
-  /// scheduler can put this router back on its dirty list.
-  void SetWakeHook(WakeHook hook) { wake_ = hook; }
-
   /// Counter bumped on every switch traversal (the network's incremental
   /// deadlock-watchdog progress signal). nullptr = off.
   void SetProgressSink(std::uint64_t* sink) { progress_sink_ = sink; }
@@ -275,22 +271,6 @@ class Router {
 
   /// Total flits currently buffered in all input VCs.
   std::size_t BufferedFlits() const;
-
-  /// True when a Tick can still change state: flits buffered, or (dynamic
-  /// policy) uncommitted epoch flit counts awaiting the next boundary
-  /// update. The active-set scheduler removes a router from its dirty list
-  /// only when this is false; every way it can become true again fires the
-  /// wake hook. Credits in flight need no term: a credit delivery fires the
-  /// hook, and the recycle it enables is a pure function of credit state.
-  bool HasWork() const {
-    return BufferedFlits() > 0 ||
-           (config_.vc_policy == VcPolicyKind::kDynamic && epoch_dirty_);
-  }
-
-  /// The next dynamic-partitioning epoch boundary — the earliest cycle a
-  /// Tick of an otherwise-idle router can change state (event scheduling:
-  /// the wake cycle when only epoch state is dirty).
-  Cycle next_boundary_update() const { return next_boundary_update_; }
 
   /// The output port a packet of class `cls` headed for `dst` takes here
   /// (LUT when the topology or mesh dimensions are known, ComputeOutputPort
@@ -417,7 +397,6 @@ class Router {
   std::vector<int> audit_out_;  // audit link ids, -1 = none
   std::vector<int> audit_in_;
 
-  WakeHook wake_;
   std::uint64_t* progress_sink_ = nullptr;
 
   /// Per-(destination node, class) output ports and dateline VC halves,

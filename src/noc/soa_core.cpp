@@ -1,6 +1,8 @@
 #include "noc/soa_core.hpp"
 
+#include <algorithm>
 #include <cassert>
+#include <string>
 
 #include "noc/audit.hpp"
 #include "noc/network.hpp"
@@ -84,6 +86,47 @@ void SoaCore::RebuildFromObjects() {
   }
 }
 
+void SoaCore::AuditPlanes(Auditor& auditor, Cycle now) const {
+  // A copy re-derived from the objects is the reference: the audit then
+  // uses exactly the derivation the checkpoint boundary uses. The copy
+  // installs no hooks (only the constructor does).
+  SoaCore derived = *this;
+  derived.RebuildFromObjects();
+  const auto check = [&](const char* plane, std::size_t i, std::uint64_t got,
+                         std::uint64_t want) {
+    if (got == want) return;
+    auditor.ReportViolation(
+        AuditInvariant::kSchedulerCoverage, now,
+        std::string("soa ") + plane + "[" + std::to_string(i) + "] is " +
+            std::to_string(got) + " but the objects imply " +
+            std::to_string(want));
+  };
+  for (std::size_t i = 0; i < front_ready_.size(); ++i) {
+    check("front_ready", i, front_ready_[i], derived.front_ready_[i]);
+  }
+  for (std::size_t r = 0; r < routers_.size(); ++r) {
+    check("buffered", r, routers_[r].buffered, derived.routers_[r].buffered);
+  }
+  check("buffered_total", 0, buffered_total_, derived.buffered_total_);
+  for (std::size_t i = 0; i < flit_due_.size(); ++i) {
+    check("flit_due", i, flit_due_[i], derived.flit_due_[i]);
+  }
+  for (std::size_t i = 0; i < credit_due_.size(); ++i) {
+    check("credit_due", i, credit_due_[i], derived.credit_due_[i]);
+  }
+  check("flits_in_channels", 0, flits_in_channels_,
+        derived.flits_in_channels_);
+}
+
+void SoaCore::ForceSleepAll() {
+  std::fill(front_ready_.begin(), front_ready_.end(), kNeverCycle);
+  std::fill(flit_due_.begin(), flit_due_.end(), kNeverCycle);
+  std::fill(credit_due_.begin(), credit_due_.end(), kNeverCycle);
+  for (RouterRec& rec : routers_) rec.buffered = 0;
+  buffered_total_ = 0;
+  flits_in_channels_ = 0;
+}
+
 void SoaCore::WakeFlitLink(void* ctx, std::size_t index) {
   auto* soa = static_cast<SoaCore*>(ctx);
   // Pushes are FIFO with a fixed latency at a monotonic clock, so the front
@@ -138,11 +181,10 @@ void SoaCore::DeliverCreditLinks(Cycle now) {
 void SoaCore::TickRouters(Cycle now) {
   for (std::size_t r = 0; r < routers_.size(); ++r) {
     const RouterRec& rec = routers_[r];
-    // Same skip rule Router::HasWork gives the active-set scheduler: no
-    // buffered flits and no uncommitted epoch counts means a Tick cannot
+    // No buffered flits and no uncommitted epoch counts means a Tick cannot
     // change state (recycle is an idempotent pure function of credit state
     // and is deferred safely; zero-count epoch updates never move
-    // boundaries and are replayed by the catch-up loop).
+    // boundaries and are replayed by the catch-up loop). DESIGN.md §9.
     if (rec.buffered == 0 &&
         !(dynamic_policy_ && rec.router->epoch_dirty_)) {
       continue;

@@ -24,10 +24,10 @@
 // dense phase order exactly — flit links, credit links, routers, NICs,
 // each in ascending canonical index — reusing the object arbiters, route
 // LUTs, VC policy and stats counters, so results are bit-identical to
-// full/active-set/event. Flit payloads, credits, arbiter matrices and NIC
-// cursors stay in the objects: Save/Load, the auditor and every
-// introspection API read live state, and the only checkpoint-boundary
-// conversion needed is RebuildFromObjects() after Network::Load.
+// full. Flit payloads, credits, arbiter matrices and NIC cursors stay in
+// the objects: Save/Load, the auditor and every introspection API read
+// live state, and the only checkpoint-boundary conversion needed is
+// RebuildFromObjects() after Network::Load.
 #pragma once
 
 #include <cstdint>
@@ -37,6 +37,7 @@
 
 namespace gnoc {
 
+class Auditor;
 class Network;
 class Router;
 
@@ -56,6 +57,18 @@ class SoaCore {
   /// state. Called at construction and after Network::Load — the
   /// SoA<->object conversion at checkpoint boundaries (DESIGN.md §14).
   void RebuildFromObjects();
+
+  /// The scheduler-coverage audit: compares every plane and running
+  /// counter with what RebuildFromObjects would derive from the objects
+  /// now, reporting each mismatch as kSchedulerCoverage. A stale plane
+  /// entry is a lost update — the skip rules would freeze the work behind
+  /// it. Called by the Network at audit snapshot cadence.
+  void AuditPlanes(Auditor& auditor, Cycle now) const;
+
+  /// Marks every link and router idle (due/ready planes kNeverCycle,
+  /// occupancy counters zero) regardless of the objects: the planted
+  /// lost-update fault of Network::ForceSleepAll (mutation tests only).
+  void ForceSleepAll();
 
   // --- one cycle, in dense tick order (Network::TickSoa) ---
 

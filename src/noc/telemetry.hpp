@@ -96,7 +96,7 @@ SloSummary ComputeSloSummary(const TelemetryLatency& latency,
                              Cycle sampled_until);
 
 /// Value snapshot of one run's telemetry (merged across physical networks
-/// by Fabric::CollectTelemetry). Default-constructed = disabled.
+/// by Fabric::CollectRunReport). Default-constructed = disabled.
 struct TelemetryReport {
   bool enabled = false;
   Cycle interval = 0;       ///< configured sampling interval

@@ -249,54 +249,6 @@ GpuRunStats RunCell(const SchemeSpec& scheme, const WorkloadProfile& workload,
   return gpu.Run(options.lengths.warmup, options.lengths.measure);
 }
 
-/// Lockstep eligibility (DESIGN.md §14): two cells may tick in lockstep
-/// when their effective configurations build the same network structure —
-/// same topology graph, grid and VC shape, hence the same radix, link count
-/// and per-phase loop trip counts — so the interleaved per-cycle loops stay
-/// homogeneous. This is purely a locality/branch-predictability grouping
-/// rule: cells share no mutable state, so results are bit-identical whether
-/// or not they are batched.
-bool LockstepCompatible(const GpuConfig& a, const GpuConfig& b) {
-  return a.topology == b.topology && a.width == b.width &&
-         a.height == b.height && a.circulant_s1 == b.circulant_s1 &&
-         a.circulant_s2 == b.circulant_s2 && a.num_vcs == b.num_vcs &&
-         a.vc_depth == b.vc_depth && a.division == b.division &&
-         a.ideal_noc == b.ideal_noc;
-}
-
-/// Runs a group of cells in lockstep: every system advances one cycle per
-/// step through the shared warmup and measure phase loops, then each is
-/// measured. Equivalent to GpuSystem::Run per cell — including the
-/// per-cell deadlock stop, which freezes only the deadlocked cell's clock.
-std::vector<GpuRunStats> RunCellsLockstep(
-    const std::vector<const SchemeSpec*>& schemes,
-    const std::vector<const WorkloadProfile*>& workloads,
-    const SweepOptions& options) {
-  const std::size_t k = schemes.size();
-  std::vector<std::unique_ptr<GpuSystem>> gpus;
-  gpus.reserve(k);
-  for (std::size_t c = 0; c < k; ++c) {
-    gpus.push_back(std::make_unique<GpuSystem>(
-        EffectiveConfig(*schemes[c], options), *workloads[c]));
-  }
-  for (Cycle cycle = 0; cycle < options.lengths.warmup; ++cycle) {
-    for (auto& gpu : gpus) gpu->Tick();
-  }
-  for (auto& gpu : gpus) gpu->ResetStats();
-  std::vector<bool> stopped(k, false);
-  for (Cycle cycle = 0; cycle < options.lengths.measure; ++cycle) {
-    for (std::size_t c = 0; c < k; ++c) {
-      if (stopped[c]) continue;
-      gpus[c]->Tick();
-      if (gpus[c]->fabric().Deadlocked()) stopped[c] = true;
-    }
-  }
-  std::vector<GpuRunStats> out;
-  out.reserve(k);
-  for (auto& gpu : gpus) out.push_back(gpu->Measure());
-  return out;
-}
-
 /// Phase tags of a mid-cell snapshot.
 constexpr std::uint8_t kPhaseWarmup = 0;
 constexpr std::uint8_t kPhaseMeasure = 1;
@@ -559,61 +511,16 @@ SweepResult RunSweep(const std::vector<SchemeSpec>& schemes,
     // *completed* count, after the cell's result (and any checkpoint
     // commit) has landed — a resumed or crashed sweep never saw a cell
     // claimed done that is not.
-    //
-    // batch > 1 groups runs of consecutive lockstep-compatible cells
-    // (workload-major order puts all schemes of one workload next to each
-    // other) and ticks them interleaved; heterogeneous neighbours run
-    // scalar. Checkpointed sweeps always run scalar: the mid-cell snapshot
-    // protocol assumes one in-flight cell. Results are bit-identical in
-    // every case, so batch is not fingerprinted (like threads).
-    const std::size_t max_batch =
-        checkpoint == nullptr && options.batch > 1
-            ? static_cast<std::size_t>(options.batch)
-            : 1;
-    int done = 0;
-    const auto report = [&](const SweepCell& cell) {
-      ++done;
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      const SchemeSpec& scheme = schemes[cells[i].scheme];
+      const WorkloadProfile& workload = workloads[cells[i].workload];
+      result.Set(scheme.label, workload.name,
+                 checkpoint != nullptr && checkpoint->IsDone(i) ? load_done(i)
+                                                                : run_one(i));
       if (options.progress) {
-        options.progress(schemes[cell.scheme].label,
-                         workloads[cell.workload].name, done, total);
+        options.progress(scheme.label, workload.name, static_cast<int>(i) + 1,
+                         total);
       }
-    };
-    std::size_t i = 0;
-    while (i < cells.size()) {
-      std::size_t j = i + 1;
-      if (max_batch > 1) {
-        const GpuConfig lead =
-            EffectiveConfig(schemes[cells[i].scheme], options);
-        while (j < cells.size() && j - i < max_batch &&
-               LockstepCompatible(
-                   lead, EffectiveConfig(schemes[cells[j].scheme], options))) {
-          ++j;
-        }
-      }
-      if (j - i == 1) {
-        const SchemeSpec& scheme = schemes[cells[i].scheme];
-        const WorkloadProfile& workload = workloads[cells[i].workload];
-        result.Set(scheme.label, workload.name,
-                   checkpoint != nullptr && checkpoint->IsDone(i)
-                       ? load_done(i)
-                       : run_one(i));
-        report(cells[i]);
-      } else {
-        std::vector<const SchemeSpec*> group_schemes;
-        std::vector<const WorkloadProfile*> group_workloads;
-        for (std::size_t c = i; c < j; ++c) {
-          group_schemes.push_back(&schemes[cells[c].scheme]);
-          group_workloads.push_back(&workloads[cells[c].workload]);
-        }
-        const std::vector<GpuRunStats> stats =
-            RunCellsLockstep(group_schemes, group_workloads, options);
-        for (std::size_t c = i; c < j; ++c) {
-          result.Set(group_schemes[c - i]->label,
-                     group_workloads[c - i]->name, stats[c - i]);
-          report(cells[c]);
-        }
-      }
-      i = j;
     }
     return result;
   }

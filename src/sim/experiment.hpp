@@ -146,17 +146,6 @@ struct SweepOptions {
   /// NoC scheduling mode applied to every cell when set (overrides each
   /// scheme's GpuConfig::scheduling; see SchedulingMode in noc/network.hpp).
   std::optional<SchedulingMode> scheduling;
-  /// Lockstep batch width on the sequential path (threads <= 1): up to this
-  /// many consecutive cells whose effective configurations build the same
-  /// network structure (see LockstepCompatible in experiment.cpp) are
-  /// constructed together and ticked one cycle each per step, sharing the
-  /// instruction stream and keeping their hot state co-resident.
-  /// Heterogeneous neighbours fall back to scalar execution, as does the
-  /// whole sweep when checkpointing is on (mid-cell snapshots assume one
-  /// in-flight cell per worker). Cells share no mutable state, so results
-  /// are bit-identical for any batch width; like `threads`, batch is not
-  /// part of the sweep fingerprint.
-  int batch = 1;
 
   // --- crash-resumable sweeps (DESIGN.md §10) ---
   /// Directory for checkpoint state (empty = checkpointing off, the

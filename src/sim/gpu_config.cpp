@@ -177,7 +177,8 @@ void RegisterGpuConfigFlags(FlagSet& flags) {
                static_cast<std::int64_t>(def.telemetry_max_windows),
                "telemetry window cap (0 = unbounded)", at_least(0));
   flags.AddString("scheduling", "full",
-                  "NoC component scheduling (full|active-set|event|soa)",
+                  "NoC component scheduling (" +
+                      SchedulingRegistry().Choices() + ")",
                   parsed_by(ParseSchedulingMode));
   flags.AddString("qos", "none",
                   "QoS arbitration discipline (none|strict|wrr)",
@@ -217,8 +218,6 @@ std::string GpuConfig::Describe() const {
     oss << ", " << TopologyName(topology);
   }
   if (division == NetworkDivision::kPhysical) oss << ", dual physical nets";
-  if (scheduling == SchedulingMode::kActiveSet) oss << ", active-set sched";
-  if (scheduling == SchedulingMode::kEvent) oss << ", event sched";
   if (scheduling == SchedulingMode::kSoa) oss << ", soa sched";
   if (qos.Enabled()) oss << ", qos " << QosArbitrationName(qos.arbitration);
   return oss.str();

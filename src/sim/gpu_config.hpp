@@ -82,9 +82,9 @@ struct GpuConfig {
   /// Per-track window cap; 2x-downsamples when exceeded (0 = unbounded).
   std::size_t telemetry_max_windows = 512;
 
-  /// NoC component scheduling: kFull ticks everything every cycle;
-  /// kActiveSet skips idle routers/NICs/channels bit-identically (see
-  /// SchedulingMode in noc/network.hpp).
+  /// NoC component scheduling: kFull ticks everything every cycle; kSoa
+  /// skips idle routers and channels bit-identically (see SchedulingMode
+  /// in noc/network.hpp).
   SchedulingMode scheduling = SchedulingMode::kFull;
 
   /// Replace the NoC with a contention-free ideal interconnect (upper

@@ -98,9 +98,9 @@ TEST_F(CheckpointTest, SnapshotResumeIsBitIdenticalAcrossDesignMatrix) {
       {VcPolicyKind::kFullMonopolize, RoutingAlgorithm::kYX,
        McPlacement::kBottom, SchedulingMode::kFull},
       {VcPolicyKind::kPartialMonopolize, RoutingAlgorithm::kXYYX,
-       McPlacement::kTopBottom, SchedulingMode::kActiveSet},
+       McPlacement::kTopBottom, SchedulingMode::kSoa},
       {VcPolicyKind::kSplit, RoutingAlgorithm::kYX, McPlacement::kDiamond,
-       SchedulingMode::kActiveSet},
+       SchedulingMode::kSoa},
   };
   const WorkloadProfile& wl = FindWorkload("BFS");
   const Cycle warmup = 200;
@@ -339,13 +339,13 @@ TEST_F(CheckpointTest, SweepFingerprintSeparatesConfigurations) {
   longer.lengths.measure += 1;
   SweepOptions audited = options;
   audited.audit = true;
-  SweepOptions active = options;
-  active.scheduling = SchedulingMode::kActiveSet;
+  SweepOptions soa = options;
+  soa.scheduling = SchedulingMode::kSoa;
 
   const std::uint64_t base = SweepFingerprint(schemes, workloads, options);
   EXPECT_NE(base, SweepFingerprint(schemes, workloads, longer));
   EXPECT_NE(base, SweepFingerprint(schemes, workloads, audited));
-  EXPECT_NE(base, SweepFingerprint(schemes, workloads, active));
+  EXPECT_NE(base, SweepFingerprint(schemes, workloads, soa));
   // Execution-only knobs must NOT change the fingerprint: a sweep may be
   // resumed with a different thread count.
   SweepOptions threaded = options;

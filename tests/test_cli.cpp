@@ -32,18 +32,18 @@ FlagSet TypicalFlags() {
   flags.AddBool("csv", false, "emit CSV");
   flags.AddString("workloads", "", "comma-separated workload names");
   flags.AddEnum("scheduling", "full", "scheduling mode",
-                {"full", "active-set"});
+                {"full", "soa"});
   return flags;
 }
 
 TEST(CliTest, ParsesTypedValues) {
   FlagSet flags = TypicalFlags();
   const Config args = ParseTokens(
-      flags, {"threads=8", "scale=0.5", "csv=true", "scheduling=active-set"});
+      flags, {"threads=8", "scale=0.5", "csv=true", "scheduling=soa"});
   EXPECT_EQ(args.GetInt("threads", -1), 8);
   EXPECT_EQ(args.GetDouble("scale", 0), 0.5);
   EXPECT_TRUE(args.GetBool("csv", false));
-  EXPECT_EQ(args.GetString("scheduling", ""), "active-set");
+  EXPECT_EQ(args.GetString("scheduling", ""), "soa");
   EXPECT_FALSE(flags.help_requested());
 }
 
@@ -104,7 +104,7 @@ TEST(CliTest, BadEnumValueWithoutNearMissGetsNoSuggestion) {
     FAIL() << "expected CliError";
   } catch (const CliError& e) {
     const std::string what = e.what();
-    EXPECT_NE(what.find("is not one of full|active-set"), std::string::npos)
+    EXPECT_NE(what.find("is not one of full|soa"), std::string::npos)
         << what;
     EXPECT_EQ(what.find("did you mean"), std::string::npos) << what;
   }
@@ -158,7 +158,7 @@ TEST(CliTest, HelpListsEveryFlagWithTypeAndDefault) {
   EXPECT_NE(help.find("a test harness"), std::string::npos);
   EXPECT_NE(help.find("threads"), std::string::npos);
   EXPECT_NE(help.find("(default 0)"), std::string::npos);
-  EXPECT_NE(help.find("full|active-set"), std::string::npos);
+  EXPECT_NE(help.find("full|soa"), std::string::npos);
   // The two automatic flags appear too.
   EXPECT_NE(help.find("config"), std::string::npos);
   EXPECT_NE(help.find("help"), std::string::npos);

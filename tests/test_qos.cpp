@@ -1,8 +1,9 @@
 // QoS traffic-class tests (DESIGN.md §15): spec parsing and the override
 // surface, token-bucket conformance at the NIC, hand-computed SLO
 // violation-window accounting, the reservation-based protocol-deadlock
-// escape, report serialization, fingerprint sensitivity, and four-way
-// scheduling bit-identity under a non-trivial QoS configuration.
+// escape, report serialization, fingerprint sensitivity, and soa-vs-full
+// scheduling and snapshot-resume bit-identity under a non-trivial QoS
+// configuration.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -366,10 +367,18 @@ TEST(QosFingerprintTest, QosKnobsChangeTheConfigFingerprint) {
   EXPECT_NE(GpuConfigFingerprint(rated, workload), plain);
 }
 
-// --- four-way scheduling bit-identity under QoS -----------------------------
+// --- soa-vs-full scheduling bit-identity under QoS -------------------------
+
+constexpr Cycle kQosSnapAt = 750;
 
 /// Serializes everything observable about a QoS-regulated run under `mode`.
-std::string QosFingerprint(QosArbitration arb, SchedulingMode mode) {
+/// With `save`, the state at cycle kQosSnapAt is saved into it. With
+/// `load`, that snapshot is restored at kQosSnapAt instead; until then the
+/// traffic sources advance without ticking the network, so Load must
+/// restore every piece of state (their RNG draws do not depend on it).
+std::string QosFingerprint(QosArbitration arb, SchedulingMode mode,
+                           Serializer* save = nullptr,
+                           const Serializer* load = nullptr) {
   NetworkConfig cfg;
   cfg.width = 4;
   cfg.height = 4;
@@ -406,9 +415,15 @@ std::string QosFingerprint(QosArbitration arb, SchedulingMode mode) {
   OpenLoopTraffic requests(net, req);
   OpenLoopTraffic replies(net, rep);
   for (Cycle c = 0; c < 1500; ++c) {
+    if (c == kQosSnapAt && save != nullptr) net.Save(*save);
+    if (c == kQosSnapAt && load != nullptr) {
+      Deserializer d(load->bytes());
+      net.Load(d);
+      d.Finish();
+    }
     requests.Tick();
     replies.Tick();
-    net.Tick();
+    if (load == nullptr || c >= kQosSnapAt) net.Tick();
   }
 
   std::ostringstream out;
@@ -434,25 +449,34 @@ std::string QosFingerprint(QosArbitration arb, SchedulingMode mode) {
   return out.str();
 }
 
-// Strict and WRR arbitration must give bit-identical results on all four
-// scheduling backends — the QosArbitrate helper is shared between the
-// object router and the SoA core precisely so they cannot drift.
+// Strict and WRR arbitration must give bit-identical results four ways:
+// under both schedulers, and resumed from the other scheduler's mid-run
+// snapshot (token buckets and WRR credits ride in the snapshot; the soa
+// planes are rebuilt on load). The QosArbitrate helper is shared between
+// the object router and the SoA core precisely so they cannot drift.
 TEST(QosSchedulingBitIdentityTest, FourWayMatchesFullMode) {
   for (QosArbitration arb :
        {QosArbitration::kStrict, QosArbitration::kWrr}) {
-    const std::string full = QosFingerprint(arb, SchedulingMode::kFull);
-    EXPECT_EQ(full, QosFingerprint(arb, SchedulingMode::kActiveSet))
-        << "active-set diverged (arb=" << QosArbitrationName(arb) << ")";
-    EXPECT_EQ(full, QosFingerprint(arb, SchedulingMode::kEvent))
-        << "event diverged (arb=" << QosArbitrationName(arb) << ")";
-    EXPECT_EQ(full, QosFingerprint(arb, SchedulingMode::kSoa))
-        << "soa diverged (arb=" << QosArbitrationName(arb) << ")";
+    const std::string label =
+        std::string(" (arb=") + QosArbitrationName(arb) + ")";
+    Serializer full_snap;
+    Serializer soa_snap;
+    const std::string full =
+        QosFingerprint(arb, SchedulingMode::kFull, &full_snap);
+    EXPECT_EQ(full, QosFingerprint(arb, SchedulingMode::kSoa, &soa_snap))
+        << "soa diverged" << label;
+    EXPECT_EQ(full,
+              QosFingerprint(arb, SchedulingMode::kSoa, nullptr, &full_snap))
+        << "full snapshot resumed under soa diverged" << label;
+    EXPECT_EQ(full,
+              QosFingerprint(arb, SchedulingMode::kFull, nullptr, &soa_snap))
+        << "soa snapshot resumed under full diverged" << label;
   }
 }
 
 // The unified run report of a QoS-enabled GPU run carries the class
-// identities and agrees with the deprecated per-subsystem shims.
-TEST(RunReportTest, UnifiedCollectorAgreesWithShims) {
+// identities and agrees with the network's per-subsystem results.
+TEST(RunReportTest, UnifiedCollectorAgreesWithNetworkResults) {
   GpuConfig cfg = GpuConfig::Baseline();
   cfg.width = 4;
   cfg.height = 4;
@@ -476,8 +500,8 @@ TEST(RunReportTest, UnifiedCollectorAgreesWithShims) {
   EXPECT_GT(stats.qos.classes[0].packets_delivered, 0u);
 
   const RunReport report = gpu.fabric().CollectRunReport();
-  const AuditReport audit = gpu.fabric().CollectAuditReport();
-  const TelemetryReport telemetry = gpu.fabric().CollectTelemetry();
+  const AuditReport audit = gpu.network().AuditResults();
+  const TelemetryReport telemetry = gpu.network().TelemetryResults();
   EXPECT_EQ(report.audit.checks, audit.checks);
   EXPECT_EQ(report.audit.violations, audit.violations);
   EXPECT_EQ(report.telemetry.sampled_until, telemetry.sampled_until);

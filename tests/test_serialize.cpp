@@ -200,49 +200,60 @@ TEST_F(SerializeFileTest, TruncatedFileRejected) {
   EXPECT_THROW(ReadSnapshotFile(Path("snap.bin"), 0xF00D), SerializeError);
 }
 
+/// Frames a small payload like WriteSnapshotFile, but with a chosen magic
+/// and format version and a valid CRC trailer, so only the header checks
+/// can reject it.
+void WriteFramed(const std::string& path, const std::string& magic,
+                 std::uint32_t version) {
+  Serializer s;
+  for (char ch : magic) s.U8(static_cast<std::uint8_t>(ch));
+  s.U32(version);
+  s.U64(0xF00D);
+  s.Str("payload");
+  std::string framed = s.TakeBytes();
+  Serializer trailer;
+  trailer.U32(Crc32(framed));
+  framed += trailer.bytes();
+  AtomicWriteFile(path, framed);
+}
+
+/// The SerializeError message ReadSnapshotFile throws for `path`.
+std::string ReadError(const std::string& path) {
+  try {
+    ReadSnapshotFile(path, 0xF00D);
+  } catch (const SerializeError& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "expected SerializeError";
+  return "";
+}
+
 TEST_F(SerializeFileTest, BadMagicRejected) {
   // A framed file whose body starts with the wrong magic but has a valid
   // CRC trailer, so the magic check itself must fire.
-  Serializer s;
-  for (char ch : std::string("NOTASNAP")) {
-    s.U8(static_cast<std::uint8_t>(ch));
-  }
-  s.U32(kSnapshotFormatVersion);
-  s.U64(0xF00D);
-  s.Str("payload");
-  std::string framed = s.TakeBytes();
-  Serializer trailer;
-  trailer.U32(Crc32(framed));
-  framed += trailer.bytes();
-  AtomicWriteFile(Path("snap.bin"), framed);
-  try {
-    ReadSnapshotFile(Path("snap.bin"), 0xF00D);
-    FAIL() << "expected SerializeError";
-  } catch (const SerializeError& e) {
-    EXPECT_NE(std::string(e.what()).find("magic"), std::string::npos);
-  }
+  WriteFramed(Path("snap.bin"), "NOTASNAP", kSnapshotFormatVersion);
+  EXPECT_NE(ReadError(Path("snap.bin")).find("magic"), std::string::npos);
 }
 
 TEST_F(SerializeFileTest, VersionSkewRejected) {
-  // Same framing, but a future format version: the reader must refuse it
-  // with a message naming both versions, not misparse the payload.
-  Serializer s;
-  for (char ch : std::string("GNOCSNAP")) {
-    s.U8(static_cast<std::uint8_t>(ch));
-  }
-  s.U32(kSnapshotFormatVersion + 1);
-  s.U64(0xF00D);
-  s.Str("payload");
-  std::string framed = s.TakeBytes();
-  Serializer trailer;
-  trailer.U32(Crc32(framed));
-  framed += trailer.bytes();
-  AtomicWriteFile(Path("snap.bin"), framed);
-  try {
-    ReadSnapshotFile(Path("snap.bin"), 0xF00D);
-    FAIL() << "expected SerializeError";
-  } catch (const SerializeError& e) {
-    EXPECT_NE(std::string(e.what()).find("version"), std::string::npos);
+  // Same framing, but a future format version — or v4, written before the
+  // scheduler state left the snapshot: the reader must refuse it with a
+  // message naming both versions and advice the user can act on (like the
+  // fingerprint error), not misparse the payload.
+  for (const std::uint32_t version : {kSnapshotFormatVersion + 1, 4u}) {
+    WriteFramed(Path("snap.bin"), "GNOCSNAP", version);
+    const std::string what = ReadError(Path("snap.bin"));
+    EXPECT_NE(what.find("format version " + std::to_string(version)),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("this build reads version " +
+                        std::to_string(kSnapshotFormatVersion)),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("written by a different build — delete the "
+                        "checkpoint directory or rerun with that build"),
+              std::string::npos)
+        << what;
   }
 }
 
