@@ -66,10 +66,10 @@ void BM_NetworkCycleIdle(benchmark::State& state) {
 }
 BENCHMARK(BM_NetworkCycleIdle);
 
-/// The same idle 8x8 network under the SoA core: per-cycle cost is three
-/// linear scans over contiguous due/ready planes plus the 64 object-path
-/// NIC ticks — no router object is touched until a plane entry says it
-/// has work.
+/// The same idle 8x8 network under the SoA core: every occupancy bitmap is
+/// empty, so no link, router or NIC is visited. What a cycle still costs
+/// is the empty bitmap words and the watchdog's idle check, which asks
+/// each NIC whether it is idle.
 void BM_NetworkCycleIdleSoa(benchmark::State& state) {
   NetworkConfig cfg;
   cfg.scheduling = SchedulingMode::kSoa;

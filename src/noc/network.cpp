@@ -296,7 +296,11 @@ bool Network::Inject(Packet packet) {
   assert(packet.dst >= 0 && packet.dst < num_nodes());
   if (packet.id == 0) packet.id = NextPacketId();
   if (packet.created == 0) packet.created = now_;
-  return nic(packet.src).Inject(packet, CoordOf(packet.dst), now_);
+  if (!nic(packet.src).Inject(packet, CoordOf(packet.dst), now_)) {
+    return false;
+  }
+  if (soa_ != nullptr) soa_->WakeNic(static_cast<std::size_t>(packet.src));
+  return true;
 }
 
 bool Network::CanInject(NodeId n, TrafficClass cls) const {
@@ -359,15 +363,15 @@ void Network::TickFull() {
 }
 
 void Network::TickSoa() {
-  // Same phase order as TickFull; the delivery and router phases run as
-  // tight passes over the SoA planes and skip idle links/routers (DESIGN.md
-  // §9 gives the skip rules and why they are bit-identical). NICs are
-  // object-ticked every cycle as in TickFull.
+  // Same phase order as TickFull; each phase visits only the links,
+  // routers and NICs its occupancy bitmap marks live and skips those not
+  // yet due (DESIGN.md §9 gives the skip rules and why they are
+  // bit-identical).
   soa_->DeliverFlitLinks(now_);
   soa_->DeliverCreditLinks(now_);
   soa_->TickRouters(now_);
-  for (auto& nic : nics_) nic->Tick(now_);
-  tick_steps_ += soa_->TakeSteps() + nics_.size();
+  soa_->TickNics(now_);
+  tick_steps_ += soa_->TakeSteps();
 
   if (auditor_ != nullptr && auditor_->SnapshotDue(now_)) {
     soa_->AuditPlanes(*auditor_, now_);

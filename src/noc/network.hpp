@@ -36,11 +36,12 @@ enum class SchedulingMode : std::uint8_t {
   /// the bit-identity gates compare against).
   kFull = 0,
   /// Structure-of-arrays tick (DESIGN.md §14): the hot per-component state
-  /// (input-VC head readiness, channel due cycles, router occupancy) lives
-  /// in contiguous per-network planes and each phase is one tight pass in
-  /// the dense order, skipping idle links and routers, with preallocated
-  /// arbitration scratch. Bit-identical to kFull — stats, telemetry
-  /// windows, audit reports and watchdog verdicts all match.
+  /// (input-VC head readiness, channel and NIC due cycles, router
+  /// occupancy) lives in contiguous per-network planes and each phase
+  /// visits only the live entries of its plane in the dense order,
+  /// skipping idle links, routers and NICs, with preallocated arbitration
+  /// scratch. Bit-identical to kFull — stats, telemetry windows, audit
+  /// reports and watchdog verdicts all match.
   kSoa = 3,
 };
 
@@ -103,8 +104,8 @@ struct NetworkConfig {
   /// Window cap per metric track; when reached, adjacent windows merge and
   /// the width doubles (0 = unbounded).
   std::size_t telemetry_max_windows = 512;
-  /// Component scheduling discipline; kSoa skips idle routers and
-  /// channels bit-identically (see SchedulingMode).
+  /// Component scheduling discipline; kSoa skips idle routers, channels
+  /// and NICs bit-identically (see SchedulingMode).
   SchedulingMode scheduling = SchedulingMode::kFull;
   /// Per-class QoS contracts (noc/qos.hpp): allocator priorities, token-
   /// bucket injection regulation, VC reservation, SLO targets. Defaults
@@ -178,7 +179,9 @@ class Network {
 
   /// Convenience injection: fills in id (when 0) and created (when 0),
   /// resolves the destination coordinate, and enqueues at the source NIC.
-  /// Returns false when the source injection queue is full.
+  /// Returns false when the source injection queue is full. Under kSoa
+  /// this also wakes the source NIC (DESIGN.md §9), so packets must enter
+  /// through here, never through nic(n).Inject.
   bool Inject(Packet packet);
 
   /// True when the source NIC of `cls` traffic at node `n` can take a packet.
@@ -261,15 +264,15 @@ class Network {
 
   /// Component updates performed so far: one per router/NIC tick and one
   /// per channel visit. Under kFull this grows by (routers + NICs + links)
-  /// every cycle; under kSoa only by the NICs plus the links and routers
-  /// the planes say have work — the skip claim tests assert on exactly
-  /// this.
+  /// every cycle; under kSoa only by the links, routers and NICs the
+  /// planes say have due work (an idle network takes no step) — the skip
+  /// claim tests assert on exactly this.
   std::uint64_t TickSteps() const { return tick_steps_; }
 
-  /// Marks every link and router idle in the kSoa planes WITHOUT regard to
-  /// pending work — deliberately planting the lost-update bug the
-  /// scheduler-coverage audit invariant exists to catch (mutation tests
-  /// only). No-op under kFull scheduling.
+  /// Marks every link, router and NIC idle in the kSoa planes and clears
+  /// their occupancy bitmaps WITHOUT regard to pending work — deliberately
+  /// planting the lost-update bug the scheduler-coverage audit invariant
+  /// exists to catch (mutation tests only). No-op under kFull scheduling.
   void ForceSleepAll();
 
   // --- snapshot/restore (DESIGN.md §10) ---
@@ -305,8 +308,8 @@ class Network {
 
   /// One full-scheduling cycle (the reference path).
   void TickFull();
-  /// One SoA cycle: the SoaCore runs the delivery and router phases as
-  /// tight passes over its planes; NICs are object-ticked as in TickFull.
+  /// One SoA cycle: the SoaCore runs the delivery, router and NIC phases
+  /// over the live entries of its planes, skipping what is not due.
   void TickSoa();
   /// Shared watchdog tail of both tick paths. `no_flits` must equal
   /// `FlitsInFlight() == 0` at the post-tick boundary (callers may compute

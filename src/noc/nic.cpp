@@ -84,9 +84,11 @@ void Nic::AcceptEjectedFlit(const Flit& flit, Cycle now) {
 
 void Nic::Tick(Cycle now) {
   if (config_.vc_policy == VcPolicyKind::kDynamic) {
-    // Both schedulers tick every NIC every cycle, so this runs at most once
-    // per tick; the loop form keeps a sparsely ticked standalone NIC exact
-    // (missed epochs have zero counts and never move the boundary).
+    // In a Network this runs at most once per tick: full ticks every NIC
+    // every cycle, and soa ticks an idle NIC on each boundary cycle (its
+    // next-due plane, DESIGN.md §9). The loop form keeps a sparsely ticked
+    // standalone NIC exact (missed epochs have zero counts and never move
+    // the boundary).
     while (now >= next_boundary_update_) UpdateDynamicBoundary();
   }
   ConsumeCredits(now);

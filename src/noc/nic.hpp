@@ -198,6 +198,10 @@ class Nic {
   void Load(Deserializer& d);
 
  private:
+  /// The soa scheduler derives a NIC's next-due cycle from its credit line
+  /// and epoch boundary (DESIGN.md §9).
+  friend class SoaCore;
+
   /// One in-progress packet transmission bound to an injection VC.
   struct ActiveSend {
     bool busy = false;      ///< VC held by a packet (sending or draining)

@@ -42,13 +42,22 @@ SoaCore::SoaCore(Network& net) : net_(net) {
   }
 
   credit_due_.assign(net_.credit_links_.size(), kNeverCycle);
-  credit_router_bound_.resize(net_.credit_links_.size());
+  credit_nic_.resize(net_.credit_links_.size());
   for (std::size_t i = 0; i < net_.credit_links_.size(); ++i) {
-    credit_router_bound_[i] =
-        net_.credit_links_[i]->dst_router != nullptr ? 1 : 0;
+    const Network::CreditLink& link = *net_.credit_links_[i];
+    // NIC tile ids equal their index in nics_ (Network construction).
+    credit_nic_[i] = link.dst_router != nullptr
+                         ? kRouterBound
+                         : static_cast<std::uint32_t>(link.dst_nic->node());
     net_.credit_links_[i]->channel.SetWakeHook(
         {&SoaCore::WakeCreditLink, this, i});
   }
+  nic_due_.assign(net_.nics_.size(), kNeverCycle);
+
+  flit_live_.Reset(flit_due_.size());
+  credit_live_.Reset(credit_due_.size());
+  router_live_.Reset(routers_.size());
+  nic_live_.Reset(nic_due_.size());
 
   va_requests_.assign(static_cast<std::size_t>(total_vcs_), false);
   sa1_requests_.assign(static_cast<std::size_t>(num_vcs_), false);
@@ -60,8 +69,10 @@ SoaCore::SoaCore(Network& net) : net_(net) {
 }
 
 void SoaCore::RebuildFromObjects() {
+  ClearLiveBits();  // then set exactly the live entries
   buffered_total_ = 0;
-  for (RouterRec& rec : routers_) {
+  for (std::size_t r = 0; r < routers_.size(); ++r) {
+    RouterRec& rec = routers_[r];
     const Router& rt = *rec.router;
     rec.buffered = 0;
     Cycle* ready = front_ready_.data() + rec.vc_base;
@@ -71,19 +82,48 @@ void SoaCore::RebuildFromObjects() {
       rec.buffered += static_cast<std::uint32_t>(buf.size());
     }
     buffered_total_ += rec.buffered;
+    if (RouterHasWork(r)) router_live_.Set(r);
   }
   flits_in_channels_ = 0;
   for (std::size_t i = 0; i < flit_due_.size(); ++i) {
     const FlitChannel& ch = net_.flit_links_[i]->channel;
     flit_due_[i] = ch.empty() ? kNeverCycle : ch.FrontDue();
     flits_in_channels_ += ch.size();
+    if (flit_due_[i] != kNeverCycle) flit_live_.Set(i);
   }
   for (std::size_t i = 0; i < credit_due_.size(); ++i) {
     const CreditChannel& ch = net_.credit_links_[i]->channel;
-    credit_due_[i] = (credit_router_bound_[i] == 0 || ch.empty())
+    credit_due_[i] = (credit_nic_[i] != kRouterBound || ch.empty())
                          ? kNeverCycle
                          : ch.FrontDue();
+    if (credit_due_[i] != kNeverCycle) credit_live_.Set(i);
   }
+  for (std::size_t n = 0; n < nic_due_.size(); ++n) {
+    nic_due_[n] = DeriveNicDue(n);
+    if (nic_due_[n] != kNeverCycle) nic_live_.Set(n);
+  }
+}
+
+bool SoaCore::RouterHasWork(std::size_t r) const {
+  // No buffered flits and no uncommitted epoch counts means a Tick cannot
+  // change state (recycle is an idempotent pure function of credit state
+  // and is deferred safely; zero-count epoch updates never move
+  // boundaries and are replayed by the catch-up loop). DESIGN.md §9.
+  const RouterRec& rec = routers_[r];
+  return rec.buffered != 0 || (dynamic_policy_ && rec.router->epoch_dirty_);
+}
+
+Cycle SoaCore::DeriveNicDue(std::size_t tile) const {
+  // An idle NIC's tick changes nothing until a credit lands or an epoch
+  // boundary passes: the stall/drain counters need a queued packet or a
+  // busy VC, QoS refill is lazy and runs only for a queued packet, and the
+  // class alternation is derived from `now` (DESIGN.md §9).
+  const Nic& nic = *net_.nics_[tile];
+  if (!nic.Idle()) return 0;
+  Cycle due = kNeverCycle;
+  if (!nic.credit_channel_->empty()) due = nic.credit_channel_->FrontDue();
+  if (dynamic_policy_) due = std::min(due, nic.next_boundary_update_);
+  return due;
 }
 
 void SoaCore::AuditPlanes(Auditor& auditor, Cycle now) const {
@@ -116,15 +156,42 @@ void SoaCore::AuditPlanes(Auditor& auditor, Cycle now) const {
   }
   check("flits_in_channels", 0, flits_in_channels_,
         derived.flits_in_channels_);
+  for (std::size_t n = 0; n < nic_due_.size(); ++n) {
+    check("nic_due", n, nic_due_[n], derived.nic_due_[n]);
+  }
+  // A live entry whose bit is clear would never be visited; the rebuilt
+  // copy's bits are exactly the live entries. (A stale set bit only costs
+  // one visit and is not reported.)
+  const auto check_bits = [&](const char* bitmap, const LiveBits& got,
+                              const LiveBits& live, std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      if (live.Test(i) && !got.Test(i)) check(bitmap, i, 0, 1);
+    }
+  };
+  check_bits("flit_live", flit_live_, derived.flit_live_, flit_due_.size());
+  check_bits("credit_live", credit_live_, derived.credit_live_,
+             credit_due_.size());
+  check_bits("router_live", router_live_, derived.router_live_,
+             routers_.size());
+  check_bits("nic_live", nic_live_, derived.nic_live_, nic_due_.size());
 }
 
 void SoaCore::ForceSleepAll() {
   std::fill(front_ready_.begin(), front_ready_.end(), kNeverCycle);
   std::fill(flit_due_.begin(), flit_due_.end(), kNeverCycle);
   std::fill(credit_due_.begin(), credit_due_.end(), kNeverCycle);
+  std::fill(nic_due_.begin(), nic_due_.end(), kNeverCycle);
   for (RouterRec& rec : routers_) rec.buffered = 0;
   buffered_total_ = 0;
   flits_in_channels_ = 0;
+  ClearLiveBits();
+}
+
+void SoaCore::ClearLiveBits() {
+  for (LiveBits* bits : {&flit_live_, &credit_live_, &router_live_,
+                         &nic_live_}) {
+    bits->ClearAll();
+  }
 }
 
 void SoaCore::WakeFlitLink(void* ctx, std::size_t index) {
@@ -133,22 +200,31 @@ void SoaCore::WakeFlitLink(void* ctx, std::size_t index) {
   // item stays the earliest: FrontDue is correct whether or not this push
   // landed on an empty line.
   soa->flit_due_[index] = soa->net_.flit_links_[index]->channel.FrontDue();
+  soa->flit_live_.Set(index);
   ++soa->flits_in_channels_;
 }
 
 void SoaCore::WakeCreditLink(void* ctx, std::size_t index) {
   auto* soa = static_cast<SoaCore*>(ctx);
-  if (soa->credit_router_bound_[index] == 0) return;  // NIC pops its own
-  soa->credit_due_[index] =
-      soa->net_.credit_links_[index]->channel.FrontDue();
+  const Cycle due = soa->net_.credit_links_[index]->channel.FrontDue();
+  const std::uint32_t tile = soa->credit_nic_[index];
+  if (tile != kRouterBound) {
+    // The NIC pops its own credits in its Tick: make it due by then.
+    soa->nic_due_[tile] = std::min(soa->nic_due_[tile], due);
+    soa->nic_live_.Set(tile);
+    return;
+  }
+  soa->credit_due_[index] = due;
+  soa->credit_live_.Set(index);
 }
 
 void SoaCore::DeliverFlitLinks(Cycle now) {
-  for (std::size_t i = 0; i < flit_due_.size(); ++i) {
-    if (flit_due_[i] > now) continue;
+  flit_live_.ForEach([&](std::size_t i) {
+    if (flit_due_[i] > now) return;
     ++steps_;
     Network::FlitLink& link = *net_.flit_links_[i];
-    RouterRec& rec = routers_[flit_dst_router_[i]];
+    const std::uint32_t r = flit_dst_router_[i];
+    RouterRec& rec = routers_[r];
     while (auto flit = link.channel.Pop(now)) {
       --flits_in_channels_;
       link.dst_router->AcceptFlit(link.dst_port, *flit, now);
@@ -160,38 +236,50 @@ void SoaCore::DeliverFlitLinks(Cycle now) {
       ++rec.buffered;
       ++buffered_total_;
     }
-    flit_due_[i] = link.channel.empty() ? kNeverCycle : link.channel.FrontDue();
-  }
+    router_live_.Set(r);
+    if (link.channel.empty()) {
+      flit_due_[i] = kNeverCycle;
+      flit_live_.Clear(i);
+    } else {
+      flit_due_[i] = link.channel.FrontDue();
+    }
+  });
 }
 
 void SoaCore::DeliverCreditLinks(Cycle now) {
-  // NIC-bound lines are pinned at kNeverCycle and never visited.
-  for (std::size_t i = 0; i < credit_due_.size(); ++i) {
-    if (credit_due_[i] > now) continue;
+  // NIC-bound lines are pinned at kNeverCycle and never set in the bitmap.
+  credit_live_.ForEach([&](std::size_t i) {
+    if (credit_due_[i] > now) return;
     ++steps_;
     Network::CreditLink& link = *net_.credit_links_[i];
     while (auto credit = link.channel.Pop(now)) {
       link.dst_router->AcceptCredit(link.dst_port, credit->vc);
     }
-    credit_due_[i] =
-        link.channel.empty() ? kNeverCycle : link.channel.FrontDue();
-  }
+    if (link.channel.empty()) {
+      credit_due_[i] = kNeverCycle;
+      credit_live_.Clear(i);
+    } else {
+      credit_due_[i] = link.channel.FrontDue();
+    }
+  });
 }
 
 void SoaCore::TickRouters(Cycle now) {
-  for (std::size_t r = 0; r < routers_.size(); ++r) {
-    const RouterRec& rec = routers_[r];
-    // No buffered flits and no uncommitted epoch counts means a Tick cannot
-    // change state (recycle is an idempotent pure function of credit state
-    // and is deferred safely; zero-count epoch updates never move
-    // boundaries and are replayed by the catch-up loop). DESIGN.md §9.
-    if (rec.buffered == 0 &&
-        !(dynamic_policy_ && rec.router->epoch_dirty_)) {
-      continue;
-    }
+  router_live_.ForEach([&](std::size_t r) {
     ++steps_;
     TickRouter(r, now);
-  }
+    if (!RouterHasWork(r)) router_live_.Clear(r);
+  });
+}
+
+void SoaCore::TickNics(Cycle now) {
+  nic_live_.ForEach([&](std::size_t tile) {
+    if (nic_due_[tile] > now) return;
+    ++steps_;
+    net_.nics_[tile]->Tick(now);
+    nic_due_[tile] = DeriveNicDue(tile);
+    if (nic_due_[tile] == kNeverCycle) nic_live_.Clear(tile);
+  });
 }
 
 void SoaCore::TickRouter(std::size_t r, Cycle now) {
@@ -414,6 +502,7 @@ void SoaCore::TickRouter(std::size_t r, Cycle now) {
       Nic* nic = rt.nics_[static_cast<std::size_t>(op)];
       assert(nic != nullptr);
       nic->AcceptEjectedFlit(flit, now);
+      WakeNic(static_cast<std::size_t>(nic->node()));
       if (rt.auditor_ != nullptr) rt.auditor_->OnFlitEjected(flit, now);
     } else {
       Router::OutputVc& ovc =

@@ -18,8 +18,15 @@
 //                                 the delivery passes skip idle links
 //   buffered_[router]             per-router flit occupancy (O(1) skip of
 //                                 workless routers and O(1) watchdog sums)
+//   nic_due_[tile]                first cycle a NIC tick can change state:
+//                                 0 while the NIC holds a packet or flit,
+//                                 else its earliest in-flight credit or
+//                                 (vc_policy=dynamic) epoch boundary
 //
-// plus preallocated arbitration scratch shared by every router (all
+// plus one occupancy bit per flit link, router-bound credit link, router
+// and NIC — set when the entry becomes live, cleared when it goes idle —
+// so each phase visits the set bits instead of scanning the whole plane,
+// and preallocated arbitration scratch shared by every router (all
 // routers of one network have the topology's radix). The tick replays the
 // dense phase order exactly — flit links, credit links, routers, NICs,
 // each in ascending canonical index — reusing the object arbiters, route
@@ -30,6 +37,8 @@
 // RebuildFromObjects() after Network::Load.
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -53,22 +62,32 @@ class SoaCore {
  public:
   explicit SoaCore(Network& net);
 
-  /// Re-derives every plane and counter from the authoritative object
-  /// state. Called at construction and after Network::Load — the
+  /// Re-derives every plane, bitmap and counter from the authoritative
+  /// object state. Called at construction and after Network::Load — the
   /// SoA<->object conversion at checkpoint boundaries (DESIGN.md §14).
   void RebuildFromObjects();
 
   /// The scheduler-coverage audit: compares every plane and running
   /// counter with what RebuildFromObjects would derive from the objects
-  /// now, reporting each mismatch as kSchedulerCoverage. A stale plane
-  /// entry is a lost update — the skip rules would freeze the work behind
-  /// it. Called by the Network at audit snapshot cadence.
+  /// now, and checks that every live entry has its occupancy bit set,
+  /// reporting each mismatch as kSchedulerCoverage. A stale plane entry or
+  /// a clear bit is a lost update — the skip rules would freeze the work
+  /// behind it (a stale set bit only costs one visit). Called by the
+  /// Network at audit snapshot cadence.
   void AuditPlanes(Auditor& auditor, Cycle now) const;
 
-  /// Marks every link and router idle (due/ready planes kNeverCycle,
-  /// occupancy counters zero) regardless of the objects: the planted
-  /// lost-update fault of Network::ForceSleepAll (mutation tests only).
+  /// Marks every link, router and NIC idle (due/ready planes kNeverCycle,
+  /// occupancy counters and bitmaps zero) regardless of the objects: the
+  /// planted lost-update fault of Network::ForceSleepAll (mutation tests
+  /// only).
   void ForceSleepAll();
+
+  /// NIC `tile` just took a packet (Network::Inject) or an ejected flit
+  /// (switch traversal): it is due this cycle.
+  void WakeNic(std::size_t tile) {
+    nic_due_[tile] = 0;
+    nic_live_.Set(tile);
+  }
 
   // --- one cycle, in dense tick order (Network::TickSoa) ---
 
@@ -82,9 +101,12 @@ class SoaCore {
   /// Phase 3: ticks every router with pending work in ascending index,
   /// replicating Router::Tick over the planes with zero allocations.
   void TickRouters(Cycle now);
+  /// Phase 4: object-ticks every NIC whose nic_due_ has come, in ascending
+  /// tile order, and re-derives its due cycle after the tick.
+  void TickNics(Cycle now);
 
-  /// Component visits (links delivered + routers ticked) accumulated since
-  /// the last call — the kSoa contribution to Network::TickSteps().
+  /// Component visits (links delivered, routers and NICs ticked)
+  /// accumulated since the last call — Network::TickSteps() under kSoa.
   std::uint64_t TakeSteps() {
     const std::uint64_t s = steps_;
     steps_ = 0;
@@ -102,8 +124,42 @@ class SoaCore {
   }
 
  private:
+  /// One bit per plane entry, packed in u64 words: the entries a phase must
+  /// visit. ForEach walks the set bits in ascending index and re-reads the
+  /// current word after every visit, so a bit a visit sets further up the
+  /// word is visited in the same sweep and one it sets below waits for the
+  /// next — the order the dense loop would see the entries in.
+  class LiveBits {
+   public:
+    void Reset(std::size_t n) { words_.assign((n + 63) / 64, 0); }
+    void Set(std::size_t i) { words_[i / 64] |= Bit(i); }
+    void Clear(std::size_t i) { words_[i / 64] &= ~Bit(i); }
+    bool Test(std::size_t i) const { return (words_[i / 64] & Bit(i)) != 0; }
+    void ClearAll() { std::fill(words_.begin(), words_.end(), 0); }
+
+    template <typename Fn>
+    void ForEach(Fn&& visit) {
+      for (std::size_t w = 0; w < words_.size(); ++w) {
+        std::uint64_t bits = words_[w];
+        while (bits != 0) {
+          const int b = std::countr_zero(bits);
+          visit(w * 64 + static_cast<std::size_t>(b));
+          bits = words_[w] & ~((std::uint64_t{2} << b) - 1);  // above b
+        }
+      }
+    }
+
+   private:
+    static std::uint64_t Bit(std::size_t i) {
+      return std::uint64_t{1} << (i % 64);
+    }
+
+    std::vector<std::uint64_t> words_;
+  };
+
   /// Wake-hook trampolines: every channel Push refreshes the link's due
-  /// plane (the front item is always the earliest in a DelayLine).
+  /// plane (the front item is always the earliest in a DelayLine) — or,
+  /// for a NIC-bound credit line, pulls the NIC's due cycle forward.
   static void WakeFlitLink(void* ctx, std::size_t index);
   static void WakeCreditLink(void* ctx, std::size_t index);
 
@@ -111,12 +167,26 @@ class SoaCore {
   /// RC + VA, SA + ST, buffered-cycle accounting.
   void TickRouter(std::size_t r, Cycle now);
 
+  /// Clears every occupancy bitmap.
+  void ClearLiveBits();
+
+  /// True when router `r`'s tick can change state (DESIGN.md §9).
+  bool RouterHasWork(std::size_t r) const;
+
+  /// nic_due_ of NIC `tile` derived from the object: 0 unless idle, else
+  /// its credit line's front delivery and (dynamic policy) its next epoch
+  /// boundary, whichever comes first; kNeverCycle when neither exists.
+  Cycle DeriveNicDue(std::size_t tile) const;
+
   /// Cached construction facts of one router.
   struct RouterRec {
     Router* router = nullptr;
     std::uint32_t vc_base = 0;  ///< offset of its VCs in front_ready_
     std::uint32_t buffered = 0;  ///< flits across its input VCs
   };
+
+  /// credit_nic_ entry of a router-bound credit link.
+  static constexpr std::uint32_t kRouterBound = ~std::uint32_t{0};
 
   Network& net_;
 
@@ -129,15 +199,23 @@ class SoaCore {
 
   std::vector<RouterRec> routers_;
   std::vector<Cycle> front_ready_;  ///< [router][port][vc]
+  std::vector<Cycle> nic_due_;      ///< [tile]
 
   // Link planes, in the Network's canonical link order.
   std::vector<Cycle> flit_due_;
   std::vector<Cycle> credit_due_;  ///< kNeverCycle pinned for NIC-bound
-  std::vector<std::uint8_t> credit_router_bound_;
+  /// Receiving tile of each NIC-bound credit link; kRouterBound otherwise.
+  std::vector<std::uint32_t> credit_nic_;
   /// Destination plane offset of each flit link: front_ready_ index of
   /// (dst_router, dst_port, vc=0); add flit.vc on delivery.
   std::vector<std::uint32_t> flit_dst_base_;
   std::vector<std::uint32_t> flit_dst_router_;
+
+  // Occupancy bitmaps over the planes: the entries each phase visits.
+  LiveBits flit_live_;
+  LiveBits credit_live_;  ///< router-bound links only
+  LiveBits router_live_;
+  LiveBits nic_live_;
 
   // Running occupancy counters (watchdog predicate, skip decisions).
   std::uint64_t buffered_total_ = 0;

@@ -111,9 +111,13 @@ TEST(AuditTest, GpuDesignSpaceRunsClean) {
 // --- planted faults --------------------------------------------------------
 
 // Drives one multi-flit packet into the audited network and plants `fault`
-// in the first live channel that can host it. Returns the report after the
-// dust settles.
-AuditReport RunWithFault(AuditFault fault, NetworkConfig cfg = AuditedConfig()) {
+// in the first live channel that can host it, then runs until `expected`
+// trips or the dust settles. Stopping at the trip matters: a planted fault
+// also breaks the protocol a component asserts on (Debug builds abort
+// there), and the auditor records it at least one cycle before that
+// assert, because a delivered flit becomes eligible only at now + 1.
+AuditReport RunWithFault(AuditFault fault, AuditInvariant expected,
+                         NetworkConfig cfg = AuditedConfig()) {
   Network net(cfg);
   struct Sink : PacketSink {
     bool Accept(const Packet&, Cycle) override { return true; }
@@ -134,31 +138,38 @@ AuditReport RunWithFault(AuditFault fault, NetworkConfig cfg = AuditedConfig()) 
   }
   EXPECT_TRUE(planted) << "no in-flight victim found for "
                        << AuditFaultName(fault);
-  for (int c = 0; c < 64; ++c) net.Tick();
-  net.Drain(2000);  // may or may not succeed depending on the fault
+  const auto tripped = [&] { return Count(net.AuditResults(), expected) > 0; };
+  for (int c = 0; c < 64 && !tripped(); ++c) net.Tick();
+  // May or may not succeed depending on the fault; quiescence is checked
+  // only by a successful drain.
+  if (!tripped()) net.Drain(2000);
   return net.AuditResults();
 }
 
 TEST(AuditFaultTest, DroppedCreditTripsCreditConservation) {
-  const AuditReport r = RunWithFault(AuditFault::kDropCredit);
+  const AuditReport r = RunWithFault(AuditFault::kDropCredit,
+                                     AuditInvariant::kCreditConservation);
   EXPECT_GT(Count(r, AuditInvariant::kCreditConservation), 0u);
   EXPECT_FALSE(r.clean());
 }
 
 TEST(AuditFaultTest, DroppedFlitTripsFlitConservation) {
-  const AuditReport r = RunWithFault(AuditFault::kDropFlit);
+  const AuditReport r = RunWithFault(AuditFault::kDropFlit,
+                                     AuditInvariant::kFlitConservation);
   EXPECT_GT(Count(r, AuditInvariant::kFlitConservation), 0u);
   EXPECT_FALSE(r.clean());
 }
 
 TEST(AuditFaultTest, DuplicatedFlitTripsWormholeIntegrity) {
-  const AuditReport r = RunWithFault(AuditFault::kDuplicateFlit);
+  const AuditReport r = RunWithFault(AuditFault::kDuplicateFlit,
+                                     AuditInvariant::kWormhole);
   EXPECT_GT(Count(r, AuditInvariant::kWormhole), 0u);
   EXPECT_FALSE(r.clean());
 }
 
 TEST(AuditFaultTest, CorruptedVcTripsWormholeIntegrity) {
-  const AuditReport r = RunWithFault(AuditFault::kCorruptVc);
+  const AuditReport r = RunWithFault(AuditFault::kCorruptVc,
+                                     AuditInvariant::kWormhole);
   EXPECT_GT(Count(r, AuditInvariant::kWormhole), 0u);
   EXPECT_FALSE(r.clean());
 }
@@ -171,7 +182,8 @@ TEST(AuditFaultTest, DroppedCreditTripsQuiescence) {
   // the quiescence sweep would not even run.
   NetworkConfig cfg = AuditedConfig();
   cfg.atomic_vc_realloc = false;
-  const AuditReport r = RunWithFault(AuditFault::kDropCredit, cfg);
+  const AuditReport r = RunWithFault(AuditFault::kDropCredit,
+                                     AuditInvariant::kQuiescence, cfg);
   EXPECT_GT(Count(r, AuditInvariant::kQuiescence), 0u);
 }
 

@@ -145,11 +145,13 @@ TEST(RouterTest, StallsWhenOutputCreditsExhausted) {
   RouterConfig cfg = DefaultConfig();
   cfg.vc_depth = 2;  // only 2 credits per output VC
   RouterHarness h(cfg);
-  // 3 single-flit packets of the same class through the same output VC.
+  // 3 single-flit packets of the same class through the same output VC,
+  // one per input port (a depth-2 input VC cannot hold all three).
+  const Port inputs[] = {Port::kWest, Port::kNorth, Port::kSouth};
   for (int i = 0; i < 3; ++i) {
     Flit f = h.MakeFlit(FlitKind::kHeadTail, TrafficClass::kRequest,
                         Coord{3, 1}, /*vc=*/0, static_cast<PacketId>(i + 1));
-    h.router_.AcceptFlit(Port::kWest, f, static_cast<Cycle>(i));
+    h.router_.AcceptFlit(inputs[i], f, static_cast<Cycle>(i));
   }
   for (Cycle c = 0; c < 10; ++c) h.router_.Tick(c);
   // With atomic reallocation and no credits returned, only the first packet

@@ -2,12 +2,12 @@
 // reference. Bit-identical results across routing x VC-policy x topology,
 // high load, the full GPU design space and the sweep override; instrumented
 // and bare runs simulating the same outcome; NIC state and per-router
-// counters matching full mode cycle by cycle; the retired backend names
-// parsing as soa aliases; soa's skip cost on idle and sparse networks;
-// deadlock-watchdog parity (including a checkpoint taken mid-stall); the
-// scheduler-coverage audit of soa's planes; snapshot round-trips through
-// the plane rebuild; and the route-LUT fast path agreeing with the
-// analytic routing function.
+// counters matching full mode cycle by cycle, including at each site that
+// wakes a sleeping NIC; the retired backend names parsing as soa aliases;
+// soa's skip cost on idle and sparse networks; deadlock-watchdog parity
+// (including a checkpoint taken mid-stall); the scheduler-coverage audit
+// of soa's planes; snapshot round-trips through the plane rebuild; and the
+// route-LUT fast path agreeing with the analytic routing function.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -231,12 +231,13 @@ TEST(SoaBitIdentityTest, FourWayOpenLoopMatrixAgrees) {
   }
 }
 
-// Serializes, at one cycle, the clock, every NIC's object state (both
-// modes tick every NIC every cycle, so all of it must match) and every
-// router's counters and buffered-flit count. Router object state is not
-// compared whole: soa defers a skipped router's output-VC recycling and
-// boundary replay to its next tick (DESIGN.md §9), so those fields may lag
-// full mode's without changing any later decision.
+// Serializes, at one cycle, the clock, every NIC's object state (soa ticks
+// a NIC whenever a tick could change it — a held packet or flit, a landing
+// credit, a dynamic epoch boundary — so all of it must match full mode's
+// every-cycle ticks) and every router's counters and buffered-flit count.
+// Router object state is not compared whole: soa defers a skipped router's
+// output-VC recycling and boundary replay to its next tick (DESIGN.md §9),
+// so those fields may lag full mode's without changing any later decision.
 std::string ComponentState(const Network& net) {
   Serializer s;
   s.U64(net.now());
@@ -258,20 +259,58 @@ std::string ComponentState(const Network& net) {
   return s.TakeBytes();
 }
 
+// Answers every delivered packet by injecting, from inside Accept — in the
+// middle of the NIC phase — a one-flit request from node `dst + offset`
+// back to the packet's source. Relays are request-class and are not
+// answered themselves; a relay source outside the network is skipped.
+class RelaySink final : public PacketSink {
+ public:
+  RelaySink(Network& net, int offset) : net_(net), offset_(offset) {}
+
+  bool Accept(const Packet& packet, Cycle) override {
+    if (packet.cls() == TrafficClass::kRequest) return true;
+    Packet relay;
+    relay.type = PacketType::kReadRequest;
+    relay.src = packet.dst + offset_;
+    relay.dst = packet.src;
+    relay.num_flits = 1;
+    if (relay.src < 0 || relay.src >= net_.num_nodes() ||
+        relay.src == relay.dst) {
+      return true;
+    }
+    net_.Inject(relay);  // a full queue drops it, in both modes alike
+    return true;
+  }
+
+ private:
+  Network& net_;
+  int offset_;
+};
+
 // Drives the same open-loop traffic through a full-mode and a soa-mode
 // network side by side, compares their component state every `stride`
 // cycles and again after both drain. A divergence is caught within
 // `stride` cycles of where it starts, not only if it survives into the
-// end-of-run summary.
+// end-of-run summary. A nonzero `relay_offset` installs a RelaySink with
+// that offset at every node of both networks.
 void ExpectLockstepStatesMatch(NetworkConfig cfg, const OpenLoopConfig& tcfg,
                                int cycles, int stride,
-                               const std::string& label) {
+                               const std::string& label,
+                               int relay_offset = 0) {
   cfg.scheduling = SchedulingMode::kFull;
   Network full(cfg);
   cfg.scheduling = SchedulingMode::kSoa;
   Network soa(cfg);
   OpenLoopTraffic full_traffic(full, tcfg);
   OpenLoopTraffic soa_traffic(soa, tcfg);
+  RelaySink full_relay(full, relay_offset);
+  RelaySink soa_relay(soa, relay_offset);
+  if (relay_offset != 0) {
+    for (NodeId n = 0; n < full.num_nodes(); ++n) {
+      full.SetSink(n, &full_relay);
+      soa.SetSink(n, &soa_relay);
+    }
+  }
   for (int c = 1; c <= cycles; ++c) {
     full_traffic.Tick();
     full.Tick();
@@ -334,6 +373,43 @@ TEST(SoaBitIdentityTest, HighLoadMatchesFullMode) {
     ExpectLockstepStatesMatch(cfg, tcfg, /*cycles=*/1200, /*stride=*/25,
                               TrafficPatternName(pattern));
   }
+}
+
+// Each way an idle, sleeping NIC is woken must fire at the cycle full
+// mode's every-cycle tick would act, compared cycle by cycle at low load
+// (most NICs asleep most of the time):
+//  - vc_policy=dynamic with a short epoch: idle NICs sleep across epoch
+//    boundaries and must still commit each one on time;
+//  - non-atomic VC reallocation: a NIC releases its VC at the tail and
+//    goes idle while that VC's credits are still on the wire;
+//  - a sink injecting from inside Accept: the woken NIC sits above the
+//    accepting one (ticked later in the same NIC phase) or below it
+//    (ticked next cycle).
+TEST(SoaBitIdentityTest, NicWakeSitesMatchFullMode) {
+  NetworkConfig base;
+  base.width = 4;
+  base.height = 4;
+  base.num_vcs = 4;
+  base.vc_depth = 4;
+  OpenLoopConfig tcfg;
+  tcfg.injection_rate = 0.02;
+  tcfg.packet_size = 4;
+
+  NetworkConfig dynamic = base;
+  dynamic.vc_policy = VcPolicyKind::kDynamic;
+  dynamic.dynamic_epoch = 16;
+  ExpectLockstepStatesMatch(dynamic, tcfg, /*cycles=*/1200, /*stride=*/1,
+                            "dynamic epoch 16");
+
+  NetworkConfig eager = base;
+  eager.atomic_vc_realloc = false;
+  ExpectLockstepStatesMatch(eager, tcfg, /*cycles=*/1200, /*stride=*/1,
+                            "non-atomic VC reallocation");
+
+  ExpectLockstepStatesMatch(base, tcfg, /*cycles=*/1200, /*stride=*/1,
+                            "relay to the node above", /*relay_offset=*/1);
+  ExpectLockstepStatesMatch(base, tcfg, /*cycles=*/1200, /*stride=*/1,
+                            "relay to the node below", /*relay_offset=*/-1);
 }
 
 // --- bit identity, full GPU model ------------------------------------------
@@ -473,9 +549,9 @@ TEST(SchedulingBitIdentityTest, SweepOverrideMatchesFullMode) {
 
 // --- skip cost -------------------------------------------------------------
 
-// An idle soa network ticks no routers and visits no channels: the only
-// per-cycle component steps are the NIC ticks (the soa core keeps NICs on
-// the dense object path; see DESIGN.md §14).
+// An idle soa network takes no component step at all: no link has a due
+// item, no router a buffered flit and no NIC a due tick (DESIGN.md §9,
+// §14). (The name dates from when soa still ticked every NIC.)
 TEST(SoaCostTest, IdleNetworkTicksOnlyNics) {
   NetworkConfig cfg;
   cfg.scheduling = SchedulingMode::kSoa;
@@ -486,15 +562,14 @@ TEST(SoaCostTest, IdleNetworkTicksOnlyNics) {
   Network full(cfg);
   for (int c = 0; c < 1000; ++c) full.Tick();
 
-  // 64 NIC steps per cycle, nothing else — well under full mode's
-  // every-component bill.
-  EXPECT_EQ(soa.TickSteps(), 1000u * 64u);
-  EXPECT_GT(full.TickSteps(), soa.TickSteps());
+  // Against full mode's every-component bill.
+  EXPECT_EQ(soa.TickSteps(), 0u);
+  EXPECT_GT(full.TickSteps(), 0u);
 }
 
-// Router and link visits (TickSteps minus the per-cycle NIC ticks both
-// modes pay) while one packet crosses an otherwise idle 8x8 mesh corner to
-// corner.
+// Component steps spent while one packet crosses an otherwise idle 8x8
+// mesh corner to corner: soa's TickSteps whole (it ticks only the NICs on
+// the path); full mode's TickSteps minus its every-cycle tick of every NIC.
 std::uint64_t SparsePathSteps(SchedulingMode mode) {
   NetworkConfig cfg;
   cfg.scheduling = mode;
@@ -510,14 +585,16 @@ std::uint64_t SparsePathSteps(SchedulingMode mode) {
   p.num_flits = 2;
   EXPECT_TRUE(net.Inject(p));
   EXPECT_TRUE(net.Drain(1000));
+  if (mode == SchedulingMode::kSoa) return net.TickSteps();
   const std::uint64_t nic_steps =
       net.now() * static_cast<std::uint64_t>(net.num_nodes());
   EXPECT_GE(net.TickSteps(), nic_steps);
   return net.TickSteps() - nic_steps;
 }
 
-// soa visits only the links and routers on the packet's path — a small
-// fraction of full mode's every-router, every-link bill for the same run.
+// soa visits only the links, routers and NICs on the packet's path — a
+// small fraction of full mode's every-router, every-link bill for the same
+// run.
 TEST(SchedulingCostTest, SparseTrafficTicksFewComponents) {
   const std::uint64_t soa = SparsePathSteps(SchedulingMode::kSoa);
   const std::uint64_t full = SparsePathSteps(SchedulingMode::kFull);
@@ -625,36 +702,46 @@ TEST(SchedulingWatchdogTest, CheckpointMidStallKeepsDeadlockCycle) {
 
 // --- scheduler-coverage invariant ------------------------------------------
 
-// Marking every link and router idle in the soa planes while flits are in
-// flight is a lost update by construction; the plane audit must report it.
+// Marking every link, router and NIC idle in the soa planes while work is
+// pending is a lost update by construction; the plane audit must report
+// it — with flits in flight (4 ticks after injection), and with the
+// packet still parked in its source NIC's injection queue (0 ticks), where
+// only the NIC next-due plane schedules it.
 TEST(SchedulingCoverageTest, ForceSleepTripsCoverageInvariant) {
-  NetworkConfig cfg;
-  cfg.width = 4;
-  cfg.height = 4;
-  cfg.scheduling = SchedulingMode::kSoa;
-  cfg.audit = true;
-  cfg.audit_interval = 1;
-  Network net(cfg);
-  struct Sink : PacketSink {
-    bool Accept(const Packet&, Cycle) override { return true; }
-  } sink;
-  for (NodeId n = 0; n < net.num_nodes(); ++n) net.SetSink(n, &sink);
-  Packet p;
-  p.src = 0;
-  p.dst = 15;
-  p.type = PacketType::kReadRequest;
-  p.num_flits = 4;
-  ASSERT_TRUE(net.Inject(p));
-  for (int c = 0; c < 4; ++c) net.Tick();
-  ASSERT_GT(net.FlitsInFlight(), 0u);
-  ASSERT_TRUE(net.AuditResults().clean());
-  net.ForceSleepAll();
-  for (int c = 0; c < 4; ++c) net.Tick();
-  const AuditReport r = net.AuditResults();
-  EXPECT_GT(r.by_invariant[static_cast<std::size_t>(
-                AuditInvariant::kSchedulerCoverage)],
-            0u);
-  EXPECT_FALSE(r.clean());
+  for (int ticks_before_sleep : {4, 0}) {
+    NetworkConfig cfg;
+    cfg.width = 4;
+    cfg.height = 4;
+    cfg.scheduling = SchedulingMode::kSoa;
+    cfg.audit = true;
+    cfg.audit_interval = 1;
+    Network net(cfg);
+    struct Sink : PacketSink {
+      bool Accept(const Packet&, Cycle) override { return true; }
+    } sink;
+    for (NodeId n = 0; n < net.num_nodes(); ++n) net.SetSink(n, &sink);
+    Packet p;
+    p.src = 0;
+    p.dst = 15;
+    p.type = PacketType::kReadRequest;
+    p.num_flits = 4;
+    ASSERT_TRUE(net.Inject(p));
+    for (int c = 0; c < ticks_before_sleep; ++c) net.Tick();
+    if (ticks_before_sleep == 0) {
+      ASSERT_EQ(net.FlitsInFlight(), 1u);  // only the busy source NIC
+    } else {
+      ASSERT_GT(net.FlitsInFlight(), 0u);
+    }
+    ASSERT_TRUE(net.AuditResults().clean());
+    net.ForceSleepAll();
+    for (int c = 0; c < 4; ++c) net.Tick();
+    const AuditReport r = net.AuditResults();
+    EXPECT_GT(r.by_invariant[static_cast<std::size_t>(
+                  AuditInvariant::kSchedulerCoverage)],
+              0u)
+        << ticks_before_sleep << " ticks before sleeping";
+    EXPECT_FALSE(r.clean());
+  }
   EXPECT_STREQ(AuditInvariantName(AuditInvariant::kSchedulerCoverage),
                "scheduler-coverage");
 }
