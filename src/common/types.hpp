@@ -14,6 +14,10 @@ namespace gnoc {
 /// Simulation time in router clock cycles.
 using Cycle = std::uint64_t;
 
+/// Sentinel for "never": later than any reachable cycle (an empty VC's
+/// ready cycle, an idle link's or NIC's next-due cycle).
+inline constexpr Cycle kNeverCycle = ~Cycle{0};
+
 /// Flat node identifier inside a mesh (row-major: id = y * width + x).
 using NodeId = std::int32_t;
 

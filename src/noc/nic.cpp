@@ -336,6 +336,22 @@ bool Nic::Idle() const {
   return true;
 }
 
+Cycle Nic::NextDue() const {
+  // An idle NIC's tick changes nothing until a credit lands or an epoch
+  // boundary passes: the stall/drain counters need a queued packet or a
+  // busy VC, QoS refill is lazy and runs only for a queued packet, and the
+  // class alternation is derived from `now`.
+  if (!Idle()) return 0;
+  Cycle due = kNeverCycle;
+  if (credit_channel_ != nullptr && !credit_channel_->empty()) {
+    due = credit_channel_->FrontDue();
+  }
+  if (config_.vc_policy == VcPolicyKind::kDynamic) {
+    due = std::min(due, next_boundary_update_);
+  }
+  return due;
+}
+
 namespace {
 
 void SaveNicStats(Serializer& s, const NicStats& st) {

@@ -190,6 +190,12 @@ class Nic {
   /// True when nothing is buffered on either side (for drain detection).
   bool Idle() const;
 
+  /// The first cycle a Tick can change this NIC (the soa scheduler's skip
+  /// rule, DESIGN.md §9): 0 unless Idle(), else the earlier of its credit
+  /// line's front delivery and, under vc_policy=dynamic, its next epoch
+  /// boundary; kNeverCycle when neither exists.
+  Cycle NextDue() const;
+
   /// Snapshot support (DESIGN.md §10): queues, in-flight sends, credits,
   /// round-robin pointers, dynamic-boundary state, QoS token buckets,
   /// ejection/reassembly state and stats. Wiring pointers and `inject_flits_per_cycle_` are
@@ -198,10 +204,6 @@ class Nic {
   void Load(Deserializer& d);
 
  private:
-  /// The soa scheduler derives a NIC's next-due cycle from its credit line
-  /// and epoch boundary (DESIGN.md §9).
-  friend class SoaCore;
-
   /// One in-progress packet transmission bound to an injection VC.
   struct ActiveSend {
     bool busy = false;      ///< VC held by a packet (sending or draining)

@@ -1,19 +1,113 @@
 #include "noc/router.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 #include "common/serialize.hpp"
 
 #include "noc/audit.hpp"
-#include "noc/nic.hpp"
 
 namespace gnoc {
 
+namespace {
+
+/// The dateline restriction of a class's VC range: half 0 is the lower
+/// (pre-wrap) half, half 1 the upper (post-wrap) half. Needs size >= 2 —
+/// the Network validates that for every dateline topology at construction.
 VcRange DatelineHalf(VcRange range, std::int8_t half) {
   assert(range.size() >= 2 && "dateline topologies need >= 2 VCs per class");
   const VcId mid = range.begin + range.size() / 2;
   return half == 0 ? VcRange{range.begin, mid} : VcRange{mid, range.end};
 }
+
+/// One QoS-aware arbiter invocation, used by the VA, SA1 and SA2 stages.
+/// `cls_of(i)` maps a request index to its class index and is only called
+/// for indices with requests[i] == true (and for the winner). Under kNone
+/// this is exactly `arb.Arbitrate(requests)`. kStrict masks the requests to
+/// the highest-priority requesting class; ties fall through to plain
+/// arbitration. kWrr spends per-class credits (`wrr_credit`, persistent
+/// per arbiter site): when no requesting class holds credit the credits
+/// recharge to the class weights, the mask keeps funded classes only, and
+/// the winner's class pays one credit.
+
+template <typename ClsOf>
+int QosArbitrate(Arbiter& arb, const std::vector<bool>& requests,
+                 QosArbitration mode,
+                 const std::array<int, kNumClasses>& priority,
+                 std::array<int, kNumClasses>& wrr_credit, ClsOf&& cls_of) {
+  if (mode == QosArbitration::kNone) return arb.Arbitrate(requests);
+  std::array<bool, kNumClasses> requesting{};
+  bool any = false;
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    if (requests[i]) {
+      requesting[static_cast<std::size_t>(cls_of(static_cast<int>(i)))] = true;
+      any = true;
+    }
+  }
+  if (!any) return arb.Arbitrate(requests);  // vacuous: arbiter returns -1
+  std::array<bool, kNumClasses> allowed{};
+  if (mode == QosArbitration::kStrict) {
+    int best = 0;
+    bool seeded = false;
+    for (int c = 0; c < kNumClasses; ++c) {
+      if (requesting[static_cast<std::size_t>(c)] &&
+          (!seeded || priority[static_cast<std::size_t>(c)] > best)) {
+        best = priority[static_cast<std::size_t>(c)];
+        seeded = true;
+      }
+    }
+    for (int c = 0; c < kNumClasses; ++c) {
+      allowed[static_cast<std::size_t>(c)] =
+          requesting[static_cast<std::size_t>(c)] &&
+          priority[static_cast<std::size_t>(c)] == best;
+    }
+  } else {  // kWrr
+    bool funded = false;
+    for (int c = 0; c < kNumClasses; ++c) {
+      if (requesting[static_cast<std::size_t>(c)] &&
+          wrr_credit[static_cast<std::size_t>(c)] > 0) {
+        funded = true;
+      }
+    }
+    if (!funded) {
+      for (int c = 0; c < kNumClasses; ++c) {
+        wrr_credit[static_cast<std::size_t>(c)] =
+            std::max(1, priority[static_cast<std::size_t>(c)]);
+      }
+    }
+    for (int c = 0; c < kNumClasses; ++c) {
+      allowed[static_cast<std::size_t>(c)] =
+          requesting[static_cast<std::size_t>(c)] &&
+          wrr_credit[static_cast<std::size_t>(c)] > 0;
+    }
+  }
+  bool unmasked = true;
+  for (int c = 0; c < kNumClasses; ++c) {
+    if (requesting[static_cast<std::size_t>(c)] &&
+        !allowed[static_cast<std::size_t>(c)]) {
+      unmasked = false;
+    }
+  }
+  int winner;
+  if (unmasked) {
+    winner = arb.Arbitrate(requests);
+  } else {
+    std::vector<bool> masked(requests);
+    for (std::size_t i = 0; i < masked.size(); ++i) {
+      if (masked[i] &&
+          !allowed[static_cast<std::size_t>(cls_of(static_cast<int>(i)))]) {
+        masked[i] = false;
+      }
+    }
+    winner = arb.Arbitrate(masked);
+  }
+  if (mode == QosArbitration::kWrr && winner >= 0) {
+    --wrr_credit[static_cast<std::size_t>(cls_of(winner))];
+  }
+  return winner;
+}
+
+}  // namespace
 
 Router::Router(NodeId node, Coord coord, const RouterConfig& config)
     : node_(node),
@@ -60,21 +154,6 @@ Router::Router(NodeId node, Coord coord, const RouterConfig& config)
         route_half_.push_back(step.vc_half);
       }
     }
-  } else if (config_.mesh_width > 0 && config_.mesh_height > 0) {
-    lut_width_ = config_.mesh_width;
-    route_lut_.reserve(static_cast<std::size_t>(
-        config_.mesh_width * config_.mesh_height * kNumClasses));
-    for (int y = 0; y < config_.mesh_height; ++y) {
-      for (int x = 0; x < config_.mesh_width; ++x) {
-        for (int c = 0; c < kNumClasses; ++c) {
-          route_lut_.push_back(ComputeOutputPort(config_.routing,
-                                                 static_cast<TrafficClass>(c),
-                                                 coord_, Coord{x, y}));
-        }
-      }
-    }
-    // Standalone mesh routers never restrict VC halves.
-    route_half_.assign(route_lut_.size(), -1);
   }
   for (int p = 0; p < num_ports_; ++p) {
     va_arb_.push_back(MakeArbiter(config_.arbiter, total_vcs));
@@ -137,12 +216,7 @@ bool Router::FrontEligible(const InputVc& ivc, Cycle now) const {
 }
 
 void Router::Tick(Cycle now) {
-  if (config_.vc_policy == VcPolicyKind::kDynamic) {
-    // Under full scheduling the loop body runs at most once per tick.
-    // SoaCore::TickRouter runs the same loop to replay the boundaries a
-    // skipped router missed; see DESIGN.md §9 for why that is exact.
-    while (now >= next_boundary_update_) UpdateDynamicBoundaries();
-  }
+  CatchUpEpochs(now);
   RecycleOutputVcs();
   RouteAndAllocate(now);
   SwitchAllocateAndTraverse(now);
@@ -204,75 +278,59 @@ void Router::RecycleOutputVcs() {
 }
 
 void Router::RouteAndAllocate(Cycle now) {
-  // --- RC: compute the output port for input VCs whose front flit is a
-  // head and whose current packet has no route yet.
-  for (int p = 0; p < num_ports_; ++p) {
-    for (VcId v = 0; v < config_.num_vcs; ++v) {
-      InputVc& ivc = Ivc(static_cast<Port>(p), v);
-      if (ivc.route_valid || !FrontEligible(ivc, now)) continue;
-      const Flit& front = ivc.buffer.Front();
-      assert(IsHead(front) &&
-             "non-head flit at front of an unrouted VC: wormhole broken");
-      ivc.out_port = RouteFor(front.cls, front.dst_coord);
-      ivc.vc_half = RouteHalfFor(front.cls, front.dst_coord);
-      ivc.route_valid = true;
-      ivc.eject = PortIndex(ivc.out_port) < num_local_ports_;
-      ivc.out_vc = kInvalidVc;
-    }
+  // --- RC: route every eligible VC whose packet has no route yet.
+  for (InputVc& ivc : input_vcs_) {
+    if (!ivc.route_valid && FrontEligible(ivc, now)) RouteHead(ivc);
   }
 
-  // --- VA: allocate a downstream VC per output port, round-robin over
-  // requesting input VCs. Ejection needs no VC (the NIC reassembles per
-  // class), so local-bound packets skip VA.
-  const auto total_vcs =
-      static_cast<std::size_t>(num_ports_ * config_.num_vcs);
-  for (int op = 0; op < num_ports_; ++op) {
-    const Port out_port = static_cast<Port>(op);
-    if (op < num_local_ports_) continue;
+  // --- VA: allocate downstream VCs per output port. Local ports need no
+  // VA (the NIC reassembles per class).
+  for (int op = num_local_ports_; op < num_ports_; ++op) {
     if (out_channels_[static_cast<std::size_t>(op)] == nullptr) continue;
-
-    std::vector<bool> requests(total_vcs, false);
+    const Port out_port = static_cast<Port>(op);
+    std::vector<bool> requests(input_vcs_.size(), false);
     int num_requests = 0;
-    for (int p = 0; p < num_ports_; ++p) {
-      for (VcId v = 0; v < config_.num_vcs; ++v) {
-        const InputVc& ivc = Ivc(static_cast<Port>(p), v);
-        if (ivc.route_valid && !ivc.eject && ivc.out_vc == kInvalidVc &&
-            ivc.out_port == out_port && FrontEligible(ivc, now)) {
-          requests[static_cast<std::size_t>(
-              FlatVcIndex(static_cast<Port>(p), v))] = true;
-          ++num_requests;
-        }
+    for (std::size_t i = 0; i < input_vcs_.size(); ++i) {
+      const InputVc& ivc = input_vcs_[i];
+      if (RequestsVc(ivc, out_port) && FrontEligible(ivc, now)) {
+        requests[i] = true;
+        ++num_requests;
       }
     }
-    while (num_requests > 0) {
-      const int winner = QosArbitrate(
-          *va_arb_[static_cast<std::size_t>(op)], requests,
-          config_.qos_arbitration, config_.qos_priority,
-          qos_va_credit_[static_cast<std::size_t>(op)], [&](int i) {
-            return ClassIndex(
-                input_vcs_[static_cast<std::size_t>(i)].buffer.Front().cls);
-          });
-      if (winner < 0) break;
-      requests[static_cast<std::size_t>(winner)] = false;
-      --num_requests;
-      InputVc& ivc = input_vcs_[static_cast<std::size_t>(winner)];
-      const TrafficClass cls = ivc.buffer.Front().cls;
-      VcRange range = AllowedRange(cls, out_port);
-      if (ivc.vc_half >= 0) range = DatelineHalf(range, ivc.vc_half);
-      VcId granted = kInvalidVc;
-      for (VcId v = range.begin; v < range.end; ++v) {
-        if (!Ovc(out_port, v).allocated) {
-          granted = v;
-          break;
-        }
+    AllocateVcs(out_port, requests, num_requests);
+  }
+}
+
+void Router::AllocateVcs(Port out_port, std::vector<bool>& requests,
+                         int num_requests) {
+  const auto op = static_cast<std::size_t>(PortIndex(out_port));
+  const auto cls_of = [&](int i) {
+    return ClassIndex(
+        input_vcs_[static_cast<std::size_t>(i)].buffer.Front().cls);
+  };
+  while (num_requests > 0) {
+    const int winner =
+        QosArbitrate(*va_arb_[op], requests, config_.qos_arbitration,
+                     config_.qos_priority, qos_va_credit_[op], cls_of);
+    if (winner < 0) break;
+    requests[static_cast<std::size_t>(winner)] = false;
+    --num_requests;
+    InputVc& ivc = input_vcs_[static_cast<std::size_t>(winner)];
+    VcRange range = AllowedRange(ivc.buffer.Front().cls, out_port);
+    if (ivc.vc_half >= 0) range = DatelineHalf(range, ivc.vc_half);
+    VcId granted = kInvalidVc;
+    for (VcId v = range.begin; v < range.end; ++v) {
+      if (!Ovc(out_port, v).allocated) {
+        granted = v;
+        break;
       }
-      if (granted == kInvalidVc) {
-        ++stats_.va_failures;
-        continue;  // another class's requester may still succeed
-      }
-      Ovc(out_port, granted).allocated = true;
-      ivc.out_vc = granted;
     }
+    if (granted == kInvalidVc) {
+      ++stats_.va_failures;
+      continue;  // another class's requester may still succeed
+    }
+    Ovc(out_port, granted).allocated = true;
+    ivc.out_vc = granted;
   }
 }
 
@@ -286,36 +344,12 @@ void Router::SwitchAllocateAndTraverse(Cycle now) {
     bool any = false;
     for (VcId v = 0; v < config_.num_vcs; ++v) {
       const InputVc& ivc = Ivc(static_cast<Port>(p), v);
-      if (!ivc.route_valid || !FrontEligible(ivc, now)) continue;
-      const TrafficClass cls = ivc.buffer.Front().cls;
-      bool resource_ok = false;
-      if (ivc.eject) {
-        Nic* nic = nics_[static_cast<std::size_t>(PortIndex(ivc.out_port))];
-        resource_ok = nic != nullptr && nic->CanAcceptEjection(cls);
-      } else if (ivc.out_vc != kInvalidVc) {
-        resource_ok = Ovc(ivc.out_port, ivc.out_vc).credits > 0;
-      }
-      if (resource_ok) {
+      if (FrontEligible(ivc, now) && RequestsSwitch(ivc)) {
         requests[static_cast<std::size_t>(v)] = true;
         any = true;
-      } else if (ivc.out_vc != kInvalidVc || ivc.eject) {
-        ++stats_.sa_stalls;
-        if (!ivc.eject) {
-          // Blocked purely on downstream credits: charge the allocated
-          // downstream VC (telemetry's credit_stall metric).
-          ++stats_.credit_stall_by_vc[static_cast<std::size_t>(ivc.out_vc)];
-        }
       }
     }
-    if (any) {
-      nominee[static_cast<std::size_t>(p)] = QosArbitrate(
-          *sa_input_arb_[static_cast<std::size_t>(p)], requests,
-          config_.qos_arbitration, config_.qos_priority,
-          qos_sa1_credit_[static_cast<std::size_t>(p)], [&](int v) {
-            return ClassIndex(
-                Ivc(static_cast<Port>(p), v).buffer.Front().cls);
-          });
-    }
+    if (any) nominee[static_cast<std::size_t>(p)] = NominateVc(p, requests);
   }
 
   // --- SA phase 2: each output port grants one input port.
@@ -323,26 +357,7 @@ void Router::SwitchAllocateAndTraverse(Cycle now) {
                          -1);  // input port per output port, -1 = none
   for (int op = 0; op < num_ports_; ++op) {
     std::vector<bool> requests(static_cast<std::size_t>(num_ports_), false);
-    bool any = false;
-    for (int p = 0; p < num_ports_; ++p) {
-      const int v = nominee[static_cast<std::size_t>(p)];
-      if (v < 0) continue;
-      const InputVc& ivc = Ivc(static_cast<Port>(p), v);
-      if (PortIndex(ivc.out_port) == op) {
-        requests[static_cast<std::size_t>(p)] = true;
-        any = true;
-      }
-    }
-    if (any) {
-      grant[static_cast<std::size_t>(op)] = QosArbitrate(
-          *sa_output_arb_[static_cast<std::size_t>(op)], requests,
-          config_.qos_arbitration, config_.qos_priority,
-          qos_sa2_credit_[static_cast<std::size_t>(op)], [&](int p2) {
-            const int v2 = nominee[static_cast<std::size_t>(p2)];
-            return ClassIndex(
-                Ivc(static_cast<Port>(p2), v2).buffer.Front().cls);
-          });
-    }
+    grant[static_cast<std::size_t>(op)] = GrantOutput(op, nominee, requests);
   }
 
   // --- ST: winners traverse the switch.
@@ -350,53 +365,88 @@ void Router::SwitchAllocateAndTraverse(Cycle now) {
   for (int op = 0; op < num_ports_; ++op) {
     const int p = grant[static_cast<std::size_t>(op)];
     if (p < 0) continue;
-    const int v = nominee[static_cast<std::size_t>(p)];
-    assert(v >= 0);
-    InputVc& ivc = Ivc(static_cast<Port>(p), v);
-    Flit flit = ivc.buffer.Pop();
+    Traverse(op, p, nominee[static_cast<std::size_t>(p)], now);
     any_traversal = true;
-    ++stats_.flits_forwarded;
-    if (progress_sink_ != nullptr) ++*progress_sink_;
-    stats_.flits_out[static_cast<std::size_t>(op)]
-                    [static_cast<std::size_t>(ClassIndex(flit.cls))]++;
-    epoch_flits_[static_cast<std::size_t>(op)]
-                [static_cast<std::size_t>(ClassIndex(flit.cls))]++;
-    epoch_dirty_ = true;
-
-    // Return a credit to whoever feeds this input port.
-    if (CreditChannel* cc = credit_return_[static_cast<std::size_t>(p)]) {
-      cc->Push(Credit{static_cast<VcId>(v)}, now);
-    }
-
-    const Port out_port = static_cast<Port>(op);
-    if (op < num_local_ports_) {
-      Nic* nic = nics_[static_cast<std::size_t>(op)];
-      assert(nic != nullptr);
-      nic->AcceptEjectedFlit(flit, now);
-      if (auditor_ != nullptr) auditor_->OnFlitEjected(flit, now);
-    } else {
-      OutputVc& ovc = Ovc(out_port, ivc.out_vc);
-      assert(ovc.credits > 0);
-      --ovc.credits;
-      flit.vc = ivc.out_vc;
-      FlitChannel* channel = out_channels_[static_cast<std::size_t>(op)];
-      assert(channel != nullptr);
-      channel->Push(flit, now);
-      if (auditor_ != nullptr) {
-        const int link = audit_out_[static_cast<std::size_t>(op)];
-        if (link >= 0) auditor_->OnFlitSent(link, flit, now);
-      }
-      if (IsTail(flit)) ovc.tail_sent = true;  // recycled once drained
-    }
-
-    if (IsTail(flit)) {
-      ivc.route_valid = false;
-      ivc.out_vc = kInvalidVc;
-      ivc.eject = false;
-      ivc.vc_half = -1;
-    }
   }
   if (any_traversal) ++stats_.busy_cycles;
+}
+
+int Router::NominateVc(int in_port, const std::vector<bool>& requests) {
+  const auto p = static_cast<std::size_t>(in_port);
+  const auto cls_of = [&](int v) {
+    return ClassIndex(Ivc(static_cast<Port>(in_port), v).buffer.Front().cls);
+  };
+  return QosArbitrate(*sa_input_arb_[p], requests, config_.qos_arbitration,
+                      config_.qos_priority, qos_sa1_credit_[p], cls_of);
+}
+
+int Router::GrantOutput(int out_port, const std::vector<int>& nominee,
+                        std::vector<bool>& requests) {
+  requests.assign(static_cast<std::size_t>(num_ports_), false);
+  bool any = false;
+  for (int p = 0; p < num_ports_; ++p) {
+    const int v = nominee[static_cast<std::size_t>(p)];
+    if (v >= 0 &&
+        PortIndex(Ivc(static_cast<Port>(p), v).out_port) == out_port) {
+      requests[static_cast<std::size_t>(p)] = true;
+      any = true;
+    }
+  }
+  if (!any) return -1;
+  const auto cls_of = [&](int p) {
+    const int v = nominee[static_cast<std::size_t>(p)];
+    return ClassIndex(Ivc(static_cast<Port>(p), v).buffer.Front().cls);
+  };
+  const auto op = static_cast<std::size_t>(out_port);
+  return QosArbitrate(*sa_output_arb_[op], requests, config_.qos_arbitration,
+                      config_.qos_priority, qos_sa2_credit_[op], cls_of);
+}
+
+Nic* Router::Traverse(int out_port, int in_port, VcId vc, Cycle now) {
+  assert(vc >= 0);
+  const auto op = static_cast<std::size_t>(out_port);
+  InputVc& ivc = Ivc(static_cast<Port>(in_port), vc);
+  Flit flit = ivc.buffer.Pop();
+  ++stats_.flits_forwarded;
+  if (progress_sink_ != nullptr) ++*progress_sink_;
+  const auto ci = static_cast<std::size_t>(ClassIndex(flit.cls));
+  stats_.flits_out[op][ci]++;
+  epoch_flits_[op][ci]++;
+  epoch_dirty_ = true;
+
+  // Return a credit to whoever feeds this input port.
+  if (CreditChannel* cc = credit_return_[static_cast<std::size_t>(in_port)]) {
+    cc->Push(Credit{vc}, now);
+  }
+
+  Nic* ejected_to = nullptr;
+  if (out_port < num_local_ports_) {
+    ejected_to = nics_[op];
+    assert(ejected_to != nullptr);
+    ejected_to->AcceptEjectedFlit(flit, now);
+    if (auditor_ != nullptr) auditor_->OnFlitEjected(flit, now);
+  } else {
+    OutputVc& ovc = Ovc(static_cast<Port>(out_port), ivc.out_vc);
+    assert(ovc.credits > 0);
+    --ovc.credits;
+    flit.vc = ivc.out_vc;
+    FlitChannel* channel = out_channels_[op];
+    assert(channel != nullptr);
+    channel->Push(flit, now);
+    if (auditor_ != nullptr) {
+      const int link = audit_out_[op];
+      if (link >= 0) auditor_->OnFlitSent(link, flit, now);
+    }
+    if (IsTail(flit)) ovc.tail_sent = true;  // recycled once drained
+  }
+
+  if (IsTail(flit)) {
+    ivc.route_valid = false;
+    ivc.out_vc = kInvalidVc;
+    ivc.eject = false;
+    ivc.vc_half = -1;
+  }
+  return ejected_to;
 }
 
 void Router::ResetStats() {

@@ -18,8 +18,8 @@
 // route LUT also carries the dateline VC half each hop must allocate from.
 #pragma once
 
-#include <algorithm>
 #include <array>
+#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -29,6 +29,7 @@
 #include "noc/arbiter.hpp"
 #include "noc/buffer.hpp"
 #include "noc/channel.hpp"
+#include "noc/nic.hpp"
 #include "noc/qos.hpp"
 #include "noc/routing.hpp"
 #include "noc/topology.hpp"
@@ -37,102 +38,7 @@
 namespace gnoc {
 
 class Auditor;
-class Nic;
 class SoaCore;
-
-/// The dateline restriction of a class's VC range: half 0 is the lower
-/// (pre-wrap) half, half 1 the upper (post-wrap) half. Needs size >= 2 —
-/// the Network validates that for every dateline topology at construction.
-/// Shared by the router's VA stage and its SoA replica (noc/soa_core.cpp).
-VcRange DatelineHalf(VcRange range, std::int8_t half);
-
-/// One QoS-aware arbiter invocation, shared verbatim by the object router
-/// (router.cpp) and its SoA replica (soa_core.cpp) — any change here keeps
-/// the backends bit-identical by construction. `cls_of(i)` maps a request
-/// index to its class index and is only called for indices with
-/// requests[i] == true (and for the winner). Under kNone this is exactly
-/// `arb.Arbitrate(requests)`. kStrict masks the requests to the
-/// highest-priority requesting class; ties fall through to plain
-/// arbitration. kWrr spends per-class credits (`wrr_credit`, persistent
-/// per arbiter site): when no requesting class holds credit the credits
-/// recharge to the class weights, the mask keeps funded classes only, and
-/// the winner's class pays one credit.
-template <typename ClsOf>
-int QosArbitrate(Arbiter& arb, const std::vector<bool>& requests,
-                 QosArbitration mode,
-                 const std::array<int, kNumClasses>& priority,
-                 std::array<int, kNumClasses>& wrr_credit, ClsOf&& cls_of) {
-  if (mode == QosArbitration::kNone) return arb.Arbitrate(requests);
-  std::array<bool, kNumClasses> requesting{};
-  bool any = false;
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    if (requests[i]) {
-      requesting[static_cast<std::size_t>(cls_of(static_cast<int>(i)))] = true;
-      any = true;
-    }
-  }
-  if (!any) return arb.Arbitrate(requests);  // vacuous: arbiter returns -1
-  std::array<bool, kNumClasses> allowed{};
-  if (mode == QosArbitration::kStrict) {
-    int best = 0;
-    bool seeded = false;
-    for (int c = 0; c < kNumClasses; ++c) {
-      if (requesting[static_cast<std::size_t>(c)] &&
-          (!seeded || priority[static_cast<std::size_t>(c)] > best)) {
-        best = priority[static_cast<std::size_t>(c)];
-        seeded = true;
-      }
-    }
-    for (int c = 0; c < kNumClasses; ++c) {
-      allowed[static_cast<std::size_t>(c)] =
-          requesting[static_cast<std::size_t>(c)] &&
-          priority[static_cast<std::size_t>(c)] == best;
-    }
-  } else {  // kWrr
-    bool funded = false;
-    for (int c = 0; c < kNumClasses; ++c) {
-      if (requesting[static_cast<std::size_t>(c)] &&
-          wrr_credit[static_cast<std::size_t>(c)] > 0) {
-        funded = true;
-      }
-    }
-    if (!funded) {
-      for (int c = 0; c < kNumClasses; ++c) {
-        wrr_credit[static_cast<std::size_t>(c)] =
-            std::max(1, priority[static_cast<std::size_t>(c)]);
-      }
-    }
-    for (int c = 0; c < kNumClasses; ++c) {
-      allowed[static_cast<std::size_t>(c)] =
-          requesting[static_cast<std::size_t>(c)] &&
-          wrr_credit[static_cast<std::size_t>(c)] > 0;
-    }
-  }
-  bool unmasked = true;
-  for (int c = 0; c < kNumClasses; ++c) {
-    if (requesting[static_cast<std::size_t>(c)] &&
-        !allowed[static_cast<std::size_t>(c)]) {
-      unmasked = false;
-    }
-  }
-  int winner;
-  if (unmasked) {
-    winner = arb.Arbitrate(requests);
-  } else {
-    std::vector<bool> masked(requests);
-    for (std::size_t i = 0; i < masked.size(); ++i) {
-      if (masked[i] &&
-          !allowed[static_cast<std::size_t>(cls_of(static_cast<int>(i)))]) {
-        masked[i] = false;
-      }
-    }
-    winner = arb.Arbitrate(masked);
-  }
-  if (mode == QosArbitration::kWrr && winner >= 0) {
-    --wrr_credit[static_cast<std::size_t>(cls_of(winner))];
-  }
-  return winner;
-}
 
 /// Static configuration shared by every router in a network.
 struct RouterConfig {
@@ -161,13 +67,9 @@ struct RouterConfig {
   /// The topology graph, when the router lives in a Network: drives the
   /// port count, the local-port count and the per-(destination, class)
   /// route LUT (the router's node id is its index in the topology).
-  /// nullptr falls back to a standalone 5-port mesh router.
+  /// nullptr falls back to a standalone 5-port mesh router that routes
+  /// each head flit with ComputeOutputPort.
   const Topology* topology = nullptr;
-  /// Mesh dimensions for standalone routers (unit tests) without a
-  /// topology: non-zero dimensions precompute a mesh route LUT; 0 falls
-  /// back to ComputeOutputPort per head flit.
-  int mesh_width = 0;
-  int mesh_height = 0;
 };
 
 /// Per-router counters, exposed for link-utilization analysis (Fig. 4/6).
@@ -273,8 +175,7 @@ class Router {
   std::size_t BufferedFlits() const;
 
   /// The output port a packet of class `cls` headed for `dst` takes here
-  /// (LUT when the topology or mesh dimensions are known, ComputeOutputPort
-  /// otherwise).
+  /// (LUT when the topology is known, ComputeOutputPort otherwise).
   Port RouteFor(TrafficClass cls, Coord dst) const {
     if (route_lut_.empty()) {
       return ComputeOutputPort(config_.routing, cls, coord_, dst);
@@ -316,8 +217,8 @@ class Router {
   void Load(Deserializer& d);
 
  private:
-  /// The SoA tick path (scheduling=soa) replays this router's phases over
-  /// flattened planes, reusing the object arbiters, stats and VC state.
+  /// SoaCore::TickRouter (scheduling=soa) drives the pipeline stages below
+  /// over its own eligibility planes and scratch.
   friend class SoaCore;
 
   /// State of one input VC.
@@ -338,8 +239,67 @@ class Router {
     int credits = 0;
   };
 
+  // --- pipeline stages -----------------------------------------------------
+  //
+  // The only copy of the allocation rules. Two visit loops drive them: the
+  // dense RouteAndAllocate / SwitchAllocateAndTraverse below (scheduling=
+  // full) and SoaCore::TickRouter. A loop decides which input VCs are
+  // eligible (front flit present and ready) and in what order to visit
+  // them; a stage is only ever applied to an eligible VC. The per-VC stages
+  // are inline (defined after the class): soa calls them from another
+  // translation unit.
+
+  /// Commits every dynamic-partitioning epoch boundary `now` has reached.
+  /// Under full scheduling the loop body runs at most once per tick; soa
+  /// skips idle routers and this replays the boundaries they missed
+  /// (DESIGN.md §9 gives why that is exact).
+  void CatchUpEpochs(Cycle now) {
+    if (config_.vc_policy != VcPolicyKind::kDynamic) return;
+    while (now >= next_boundary_update_) UpdateDynamicBoundaries();
+  }
+
   /// Frees output VCs whose packet has fully drained downstream.
   void RecycleOutputVcs();
+
+  /// RC: routes the packet whose head flit is at the front of the unrouted
+  /// `ivc` (output port, dateline VC half, ejection flag).
+  void RouteHead(InputVc& ivc) const;
+
+  /// VA request predicate: `ivc` holds a routed packet that leaves through
+  /// `out_port` and has no downstream VC yet. Ejecting packets need none.
+  static bool RequestsVc(const InputVc& ivc, Port out_port);
+
+  /// VA on one output port: QoS-aware arbitration rounds over `requests`
+  /// (flat input-VC indices, `num_requests` of them set). Each winner gets
+  /// the lowest free VC of its allowed range (restricted to its dateline
+  /// half) or counts a VA failure, until every request is served or the
+  /// arbiter declines.
+  void AllocateVcs(Port out_port, std::vector<bool>& requests,
+                   int num_requests);
+
+  /// SA1 request test: true when `ivc` holds a routed packet whose next
+  /// resource (downstream credit, or NIC ejection space) is available. A
+  /// packet holding a VC or ejecting that lacks it is charged an SA stall,
+  /// and a credit stall on its downstream VC when credits are missing.
+  bool RequestsSwitch(const InputVc& ivc);
+
+  /// SA1 arbitration: the VC input port `in_port` nominates among
+  /// `requests` (by VC id); -1 when the arbiter declines.
+  int NominateVc(int in_port, const std::vector<bool>& requests);
+
+  /// SA2 on one output port: builds `requests` (scratch sized
+  /// num_ports()) from the input ports whose nominee (a VC id per input
+  /// port, -1 = none) routes to `out_port`, and returns the input port it
+  /// grants; -1 when none requests or the arbiter declines.
+  int GrantOutput(int out_port, const std::vector<int>& nominee,
+                  std::vector<bool>& requests);
+
+  /// ST: the front flit of input VC (`in_port`, `vc`) traverses the switch
+  /// to `out_port` — stats, epoch counts, a credit upstream, then ejection
+  /// into the NIC or a push onto the link with its downstream VC — and a
+  /// tail resets the input VC. Returns the NIC it ejected into, nullptr
+  /// when it left on a link.
+  Nic* Traverse(int out_port, int in_port, VcId vc, Cycle now);
 
   /// The VC range `cls` may allocate on `out_port` right now (honours the
   /// static policy, the link mode and — for kDynamic — the port boundary).
@@ -374,6 +334,7 @@ class Router {
   /// True when the front flit of `ivc` exists and is pipeline-eligible.
   bool FrontEligible(const InputVc& ivc, Cycle now) const;
 
+  // The dense visit loop (Tick; scheduling=full).
   void RouteAndAllocate(Cycle now);  // RC + VA
   void SwitchAllocateAndTraverse(Cycle now);  // SA + ST
 
@@ -400,8 +361,8 @@ class Router {
   std::uint64_t* progress_sink_ = nullptr;
 
   /// Per-(destination node, class) output ports and dateline VC halves,
-  /// precomputed when the topology (or, standalone, the mesh dimensions)
-  /// is known; empty = compute per head flit.
+  /// precomputed when the topology is known; empty = compute per head
+  /// flit.
   std::vector<Port> route_lut_;
   std::vector<std::int8_t> route_half_;
 
@@ -420,12 +381,48 @@ class Router {
   std::vector<std::unique_ptr<Arbiter>> sa_output_arb_;
 
   // Per-site WRR credit state (qos_arbitration == kWrr only; see
-  // QosArbitrate). One entry per arbiter above, indexed like it.
+  // QosArbitrate in router.cpp). One entry per arbiter above, indexed like
+  // it.
   std::vector<std::array<int, kNumClasses>> qos_va_credit_;
   std::vector<std::array<int, kNumClasses>> qos_sa1_credit_;
   std::vector<std::array<int, kNumClasses>> qos_sa2_credit_;
 
   RouterStats stats_;
 };
+
+inline void Router::RouteHead(InputVc& ivc) const {
+  const Flit& front = ivc.buffer.Front();
+  assert(IsHead(front) &&
+         "non-head flit at front of an unrouted VC: wormhole broken");
+  ivc.out_port = RouteFor(front.cls, front.dst_coord);
+  ivc.vc_half = RouteHalfFor(front.cls, front.dst_coord);
+  ivc.route_valid = true;
+  ivc.eject = PortIndex(ivc.out_port) < num_local_ports_;
+  ivc.out_vc = kInvalidVc;
+}
+
+inline bool Router::RequestsVc(const InputVc& ivc, Port out_port) {
+  return ivc.route_valid && !ivc.eject && ivc.out_vc == kInvalidVc &&
+         ivc.out_port == out_port;
+}
+
+inline bool Router::RequestsSwitch(const InputVc& ivc) {
+  if (!ivc.route_valid) return false;
+  if (ivc.eject) {
+    const Nic* nic = nics_[static_cast<std::size_t>(PortIndex(ivc.out_port))];
+    if (nic != nullptr && nic->CanAcceptEjection(ivc.buffer.Front().cls)) {
+      return true;
+    }
+    ++stats_.sa_stalls;
+    return false;
+  }
+  if (ivc.out_vc == kInvalidVc) return false;  // still waiting for VA
+  if (Ovc(ivc.out_port, ivc.out_vc).credits > 0) return true;
+  // Blocked purely on downstream credits: charge the allocated downstream
+  // VC (telemetry's credit_stall metric).
+  ++stats_.sa_stalls;
+  ++stats_.credit_stall_by_vc[static_cast<std::size_t>(ivc.out_vc)];
+  return false;
+}
 
 }  // namespace gnoc

@@ -99,7 +99,7 @@ void SoaCore::RebuildFromObjects() {
     if (credit_due_[i] != kNeverCycle) credit_live_.Set(i);
   }
   for (std::size_t n = 0; n < nic_due_.size(); ++n) {
-    nic_due_[n] = DeriveNicDue(n);
+    nic_due_[n] = net_.nics_[n]->NextDue();
     if (nic_due_[n] != kNeverCycle) nic_live_.Set(n);
   }
 }
@@ -111,19 +111,6 @@ bool SoaCore::RouterHasWork(std::size_t r) const {
   // boundaries and are replayed by the catch-up loop). DESIGN.md §9.
   const RouterRec& rec = routers_[r];
   return rec.buffered != 0 || (dynamic_policy_ && rec.router->epoch_dirty_);
-}
-
-Cycle SoaCore::DeriveNicDue(std::size_t tile) const {
-  // An idle NIC's tick changes nothing until a credit lands or an epoch
-  // boundary passes: the stall/drain counters need a queued packet or a
-  // busy VC, QoS refill is lazy and runs only for a queued packet, and the
-  // class alternation is derived from `now` (DESIGN.md §9).
-  const Nic& nic = *net_.nics_[tile];
-  if (!nic.Idle()) return 0;
-  Cycle due = kNeverCycle;
-  if (!nic.credit_channel_->empty()) due = nic.credit_channel_->FrontDue();
-  if (dynamic_policy_) due = std::min(due, nic.next_boundary_update_);
-  return due;
 }
 
 void SoaCore::AuditPlanes(Auditor& auditor, Cycle now) const {
@@ -277,111 +264,56 @@ void SoaCore::TickNics(Cycle now) {
     if (nic_due_[tile] > now) return;
     ++steps_;
     net_.nics_[tile]->Tick(now);
-    nic_due_[tile] = DeriveNicDue(tile);
+    nic_due_[tile] = net_.nics_[tile]->NextDue();
     if (nic_due_[tile] == kNeverCycle) nic_live_.Clear(tile);
   });
 }
 
 void SoaCore::TickRouter(std::size_t r, Cycle now) {
+  // Router::Tick's stages in its order; this loop only decides which VCs
+  // are eligible (the ready plane), skips what cannot change state, reuses
+  // the scratch vectors and keeps the planes current.
   RouterRec& rec = routers_[r];
   Router& rt = *rec.router;
   const Cycle* ready = front_ready_.data() + rec.vc_base;
 
-  if (dynamic_policy_) {
-    while (now >= rt.next_boundary_update_) rt.UpdateDynamicBoundaries();
-  }
+  rt.CatchUpEpochs(now);
+  rt.RecycleOutputVcs();
 
-  // --- recycle output VCs (Router::RecycleOutputVcs) ---
-  for (int p = 0; p < num_ports_; ++p) {
-    if (rt.out_channels_[static_cast<std::size_t>(p)] == nullptr) continue;
-    for (VcId v = 0; v < num_vcs_; ++v) {
-      Router::OutputVc& ovc =
-          rt.output_vcs_[static_cast<std::size_t>(p * num_vcs_ + v)];
-      if (ovc.allocated && ovc.tail_sent &&
-          (!rt.config_.atomic_vc_realloc ||
-           ovc.credits == rt.config_.vc_depth)) {
-        ovc.allocated = false;
-        ovc.tail_sent = false;
-      }
-    }
-  }
-
-  // --- RC (Router::RouteAndAllocate): one plane scan finds the eligible
-  // VCs; when none is eligible this cycle VA/SA/ST cannot touch any state
-  // (requests stay empty, arbiters are not invoked, stall counters only
-  // fire for eligible VCs) and are skipped wholesale.
+  // --- RC: one plane scan finds the eligible VCs; when none is eligible
+  // this cycle VA/SA/ST cannot touch any state (requests stay empty,
+  // arbiters are not invoked, stall counters only fire for eligible VCs)
+  // and are skipped wholesale.
   bool any_eligible = false;
   for (int idx = 0; idx < total_vcs_; ++idx) {
     if (ready[idx] > now) continue;
     any_eligible = true;
     Router::InputVc& ivc = rt.input_vcs_[static_cast<std::size_t>(idx)];
-    if (ivc.route_valid) continue;
-    const Flit& front = ivc.buffer.Front();
-    assert(IsHead(front) &&
-           "non-head flit at front of an unrouted VC: wormhole broken");
-    ivc.out_port = rt.RouteFor(front.cls, front.dst_coord);
-    ivc.vc_half = rt.RouteHalfFor(front.cls, front.dst_coord);
-    ivc.route_valid = true;
-    ivc.eject = PortIndex(ivc.out_port) < num_local_ports_;
-    ivc.out_vc = kInvalidVc;
+    if (!ivc.route_valid) rt.RouteHead(ivc);
   }
   if (!any_eligible) {
     rt.stats_.buffered_flit_cycles += rec.buffered;
     return;
   }
 
-  // --- VA (Router::RouteAndAllocate) ---
+  // --- VA ---
   for (int op = num_local_ports_; op < num_ports_; ++op) {
-    if (rt.out_channels_[static_cast<std::size_t>(op)] == nullptr) continue;
     const Port out_port = static_cast<Port>(op);
+    if (!rt.HasOutputChannel(out_port)) continue;
     va_requests_.assign(static_cast<std::size_t>(total_vcs_), false);
     int num_requests = 0;
     for (int idx = 0; idx < total_vcs_; ++idx) {
-      if (ready[idx] > now) continue;
-      const Router::InputVc& ivc =
-          rt.input_vcs_[static_cast<std::size_t>(idx)];
-      if (ivc.route_valid && !ivc.eject && ivc.out_vc == kInvalidVc &&
-          ivc.out_port == out_port) {
+      if (ready[idx] <= now &&
+          Router::RequestsVc(rt.input_vcs_[static_cast<std::size_t>(idx)],
+                             out_port)) {
         va_requests_[static_cast<std::size_t>(idx)] = true;
         ++num_requests;
       }
     }
-    while (num_requests > 0) {
-      // QoS-aware arbitration, identical to Router::RouteAndAllocate (the
-      // shared QosArbitrate helper keeps the backends bit-identical).
-      const int winner = QosArbitrate(
-          *rt.va_arb_[static_cast<std::size_t>(op)], va_requests_,
-          rt.config_.qos_arbitration, rt.config_.qos_priority,
-          rt.qos_va_credit_[static_cast<std::size_t>(op)], [&](int i) {
-            return ClassIndex(
-                rt.input_vcs_[static_cast<std::size_t>(i)].buffer.Front().cls);
-          });
-      if (winner < 0) break;
-      va_requests_[static_cast<std::size_t>(winner)] = false;
-      --num_requests;
-      Router::InputVc& ivc = rt.input_vcs_[static_cast<std::size_t>(winner)];
-      const TrafficClass cls = ivc.buffer.Front().cls;
-      VcRange range = rt.AllowedRange(cls, out_port);
-      if (ivc.vc_half >= 0) range = DatelineHalf(range, ivc.vc_half);
-      VcId granted = kInvalidVc;
-      for (VcId v = range.begin; v < range.end; ++v) {
-        if (!rt.output_vcs_[static_cast<std::size_t>(op * num_vcs_ + v)]
-                 .allocated) {
-          granted = v;
-          break;
-        }
-      }
-      if (granted == kInvalidVc) {
-        ++rt.stats_.va_failures;
-        continue;  // another class's requester may still succeed
-      }
-      rt.output_vcs_[static_cast<std::size_t>(op * num_vcs_ + granted)]
-          .allocated = true;
-      ivc.out_vc = granted;
-    }
+    if (num_requests > 0) rt.AllocateVcs(out_port, va_requests_, num_requests);
   }
 
-  // --- SA phase 1 (Router::SwitchAllocateAndTraverse) ---
+  // --- SA phase 1 ---
   int num_nominees = 0;
   for (int p = 0; p < num_ports_; ++p) {
     nominee_[static_cast<std::size_t>(p)] = -1;
@@ -397,42 +329,15 @@ void SoaCore::TickRouter(std::size_t r, Cycle now) {
     sa1_requests_.assign(static_cast<std::size_t>(num_vcs_), false);
     bool any = false;
     for (int v = 0; v < num_vcs_; ++v) {
-      if (port_ready[v] > now) continue;
-      const Router::InputVc& ivc =
-          rt.input_vcs_[static_cast<std::size_t>(p * num_vcs_ + v)];
-      if (!ivc.route_valid) continue;
-      const TrafficClass cls = ivc.buffer.Front().cls;
-      bool resource_ok = false;
-      if (ivc.eject) {
-        Nic* nic = rt.nics_[static_cast<std::size_t>(PortIndex(ivc.out_port))];
-        resource_ok = nic != nullptr && nic->CanAcceptEjection(cls);
-      } else if (ivc.out_vc != kInvalidVc) {
-        resource_ok =
-            rt.output_vcs_[static_cast<std::size_t>(
-                               PortIndex(ivc.out_port) * num_vcs_ + ivc.out_vc)]
-                .credits > 0;
-      }
-      if (resource_ok) {
+      if (port_ready[v] <= now &&
+          rt.RequestsSwitch(
+              rt.input_vcs_[static_cast<std::size_t>(p * num_vcs_ + v)])) {
         sa1_requests_[static_cast<std::size_t>(v)] = true;
         any = true;
-      } else if (ivc.out_vc != kInvalidVc || ivc.eject) {
-        ++rt.stats_.sa_stalls;
-        if (!ivc.eject) {
-          ++rt.stats_
-                .credit_stall_by_vc[static_cast<std::size_t>(ivc.out_vc)];
-        }
       }
     }
     if (any) {
-      const int won = QosArbitrate(
-          *rt.sa_input_arb_[static_cast<std::size_t>(p)], sa1_requests_,
-          rt.config_.qos_arbitration, rt.config_.qos_priority,
-          rt.qos_sa1_credit_[static_cast<std::size_t>(p)], [&](int v2) {
-            return ClassIndex(
-                rt.input_vcs_[static_cast<std::size_t>(p * num_vcs_ + v2)]
-                    .buffer.Front()
-                    .cls);
-          });
+      const int won = rt.NominateVc(p, sa1_requests_);
       nominee_[static_cast<std::size_t>(p)] = won;
       if (won >= 0) ++num_nominees;
     }
@@ -444,31 +349,8 @@ void SoaCore::TickRouter(std::size_t r, Cycle now) {
 
   // --- SA phase 2 ---
   for (int op = 0; op < num_ports_; ++op) {
-    grant_[static_cast<std::size_t>(op)] = -1;
-    sa2_requests_.assign(static_cast<std::size_t>(num_ports_), false);
-    bool any = false;
-    for (int p = 0; p < num_ports_; ++p) {
-      const int v = nominee_[static_cast<std::size_t>(p)];
-      if (v < 0) continue;
-      const Router::InputVc& ivc =
-          rt.input_vcs_[static_cast<std::size_t>(p * num_vcs_ + v)];
-      if (PortIndex(ivc.out_port) == op) {
-        sa2_requests_[static_cast<std::size_t>(p)] = true;
-        any = true;
-      }
-    }
-    if (any) {
-      grant_[static_cast<std::size_t>(op)] = QosArbitrate(
-          *rt.sa_output_arb_[static_cast<std::size_t>(op)], sa2_requests_,
-          rt.config_.qos_arbitration, rt.config_.qos_priority,
-          rt.qos_sa2_credit_[static_cast<std::size_t>(op)], [&](int p2) {
-            const int v2 = nominee_[static_cast<std::size_t>(p2)];
-            return ClassIndex(
-                rt.input_vcs_[static_cast<std::size_t>(p2 * num_vcs_ + v2)]
-                    .buffer.Front()
-                    .cls);
-          });
-    }
+    grant_[static_cast<std::size_t>(op)] =
+        rt.GrantOutput(op, nominee_, sa2_requests_);
   }
 
   // --- ST ---
@@ -477,55 +359,17 @@ void SoaCore::TickRouter(std::size_t r, Cycle now) {
     const int p = grant_[static_cast<std::size_t>(op)];
     if (p < 0) continue;
     const int v = nominee_[static_cast<std::size_t>(p)];
-    assert(v >= 0);
+    const Nic* ejected_to = rt.Traverse(op, p, v, now);
     const int idx = p * num_vcs_ + v;
-    Router::InputVc& ivc = rt.input_vcs_[static_cast<std::size_t>(idx)];
-    Flit flit = ivc.buffer.Pop();
+    const VcBuffer& buf = rt.input_vcs_[static_cast<std::size_t>(idx)].buffer;
     front_ready_[rec.vc_base + static_cast<std::uint32_t>(idx)] =
-        ivc.buffer.empty() ? kNeverCycle : ivc.buffer.Front().ready;
+        buf.empty() ? kNeverCycle : buf.Front().ready;
     --rec.buffered;
     --buffered_total_;
+    if (ejected_to != nullptr) {
+      WakeNic(static_cast<std::size_t>(ejected_to->node()));
+    }
     any_traversal = true;
-    ++rt.stats_.flits_forwarded;
-    if (rt.progress_sink_ != nullptr) ++*rt.progress_sink_;
-    rt.stats_.flits_out[static_cast<std::size_t>(op)]
-                       [static_cast<std::size_t>(ClassIndex(flit.cls))]++;
-    rt.epoch_flits_[static_cast<std::size_t>(op)]
-                   [static_cast<std::size_t>(ClassIndex(flit.cls))]++;
-    rt.epoch_dirty_ = true;
-
-    if (CreditChannel* cc = rt.credit_return_[static_cast<std::size_t>(p)]) {
-      cc->Push(Credit{static_cast<VcId>(v)}, now);
-    }
-
-    if (op < num_local_ports_) {
-      Nic* nic = rt.nics_[static_cast<std::size_t>(op)];
-      assert(nic != nullptr);
-      nic->AcceptEjectedFlit(flit, now);
-      WakeNic(static_cast<std::size_t>(nic->node()));
-      if (rt.auditor_ != nullptr) rt.auditor_->OnFlitEjected(flit, now);
-    } else {
-      Router::OutputVc& ovc =
-          rt.output_vcs_[static_cast<std::size_t>(op * num_vcs_ + ivc.out_vc)];
-      assert(ovc.credits > 0);
-      --ovc.credits;
-      flit.vc = ivc.out_vc;
-      FlitChannel* channel = rt.out_channels_[static_cast<std::size_t>(op)];
-      assert(channel != nullptr);
-      channel->Push(flit, now);
-      if (rt.auditor_ != nullptr) {
-        const int link = rt.audit_out_[static_cast<std::size_t>(op)];
-        if (link >= 0) rt.auditor_->OnFlitSent(link, flit, now);
-      }
-      if (IsTail(flit)) ovc.tail_sent = true;
-    }
-
-    if (IsTail(flit)) {
-      ivc.route_valid = false;
-      ivc.out_vc = kInvalidVc;
-      ivc.eject = false;
-      ivc.vc_half = -1;
-    }
   }
   if (any_traversal) ++rt.stats_.busy_cycles;
 

@@ -18,23 +18,26 @@
 //                                 the delivery passes skip idle links
 //   buffered_[router]             per-router flit occupancy (O(1) skip of
 //                                 workless routers and O(1) watchdog sums)
-//   nic_due_[tile]                first cycle a NIC tick can change state:
-//                                 0 while the NIC holds a packet or flit,
-//                                 else its earliest in-flight credit or
-//                                 (vc_policy=dynamic) epoch boundary
+//   nic_due_[tile]                first cycle a NIC tick can change state
+//                                 (Nic::NextDue): 0 while the NIC holds a
+//                                 packet or flit, else its earliest
+//                                 in-flight credit or (vc_policy=dynamic)
+//                                 epoch boundary
 //
 // plus one occupancy bit per flit link, router-bound credit link, router
 // and NIC — set when the entry becomes live, cleared when it goes idle —
 // so each phase visits the set bits instead of scanning the whole plane,
 // and preallocated arbitration scratch shared by every router (all
-// routers of one network have the topology's radix). The tick replays the
-// dense phase order exactly — flit links, credit links, routers, NICs,
-// each in ascending canonical index — reusing the object arbiters, route
-// LUTs, VC policy and stats counters, so results are bit-identical to
-// full. Flit payloads, credits, arbiter matrices and NIC cursors stay in
-// the objects: Save/Load, the auditor and every introspection API read
-// live state, and the only checkpoint-boundary conversion needed is
-// RebuildFromObjects() after Network::Load.
+// routers of one network have the topology's radix). The tick keeps the
+// dense phase order — flit links, credit links, routers, NICs, each in
+// ascending canonical index. Each router runs through the Router's own
+// pipeline stages (router.hpp), the only copy of the allocation rules;
+// soa decides only which VCs are eligible, what it may skip and how the
+// planes stay current, so results are bit-identical to full. A NIC's
+// skip rule is its own Nic::NextDue. Flit payloads, credits, arbiter
+// matrices and NIC cursors stay in the objects: Save/Load, the auditor and
+// every introspection API read live state, and the only checkpoint-
+// boundary conversion needed is RebuildFromObjects() after Network::Load.
 #pragma once
 
 #include <algorithm>
@@ -49,10 +52,6 @@ namespace gnoc {
 class Auditor;
 class Network;
 class Router;
-
-/// The per-input-VC / per-link sentinel for "empty" (no head flit, no
-/// in-flight item): later than any reachable cycle.
-inline constexpr Cycle kNeverCycle = ~Cycle{0};
 
 /// Contiguous hot-state planes plus preallocated arbitration scratch for
 /// one Network; drives the scheduling=soa tick path. Owned by the Network
@@ -98,11 +97,11 @@ class SoaCore {
   /// credit channels are popped by the NIC itself in its Tick, exactly as
   /// the dense path leaves them.
   void DeliverCreditLinks(Cycle now);
-  /// Phase 3: ticks every router with pending work in ascending index,
-  /// replicating Router::Tick over the planes with zero allocations.
+  /// Phase 3: ticks every router with pending work in ascending index
+  /// (TickRouter).
   void TickRouters(Cycle now);
   /// Phase 4: object-ticks every NIC whose nic_due_ has come, in ascending
-  /// tile order, and re-derives its due cycle after the tick.
+  /// tile order, and re-reads its Nic::NextDue after the tick.
   void TickNics(Cycle now);
 
   /// Component visits (links delivered, routers and NICs ticked)
@@ -163,8 +162,10 @@ class SoaCore {
   static void WakeFlitLink(void* ctx, std::size_t index);
   static void WakeCreditLink(void* ctx, std::size_t index);
 
-  /// Router::Tick over the planes: dynamic-epoch catch-up, recycle,
-  /// RC + VA, SA + ST, buffered-cycle accounting.
+  /// Router::Tick without allocations: the Router's stages (epoch
+  /// catch-up, recycle, RC, VA, SA1, SA2, ST) applied to the VCs the ready
+  /// plane marks eligible, plus the early-outs, scratch reuse and plane
+  /// updates that make soa fast.
   void TickRouter(std::size_t r, Cycle now);
 
   /// Clears every occupancy bitmap.
@@ -172,11 +173,6 @@ class SoaCore {
 
   /// True when router `r`'s tick can change state (DESIGN.md §9).
   bool RouterHasWork(std::size_t r) const;
-
-  /// nic_due_ of NIC `tile` derived from the object: 0 unless idle, else
-  /// its credit line's front delivery and (dynamic policy) its next epoch
-  /// boundary, whichever comes first; kNeverCycle when neither exists.
-  Cycle DeriveNicDue(std::size_t tile) const;
 
   /// Cached construction facts of one router.
   struct RouterRec {

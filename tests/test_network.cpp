@@ -89,7 +89,12 @@ TEST(NetworkTest, SelfAddressedPacketIsDelivered) {
 
 TEST(NetworkTest, LatencyScalesWithDistance) {
   Network near_net(SmallConfig());
-  Network far_net(SmallConfig());
+  // While the far packet crosses the mesh no NIC injects or delivers, for
+  // longer than this threshold: switch traversals alone must keep the
+  // deadlock watchdog fed.
+  NetworkConfig far_cfg = SmallConfig();
+  far_cfg.deadlock_threshold = 4;
+  Network far_net(far_cfg);
   CollectSink near_sink;
   CollectSink far_sink;
   near_net.SetSink(1, &near_sink);
@@ -113,6 +118,8 @@ TEST(NetworkTest, LatencyScalesWithDistance) {
   const Cycle far_latency =
       far_sink.packets.at(0).ejected - far_sink.packets.at(0).created;
   EXPECT_LT(near_latency, far_latency);
+  EXPECT_GT(far_latency, 2 * far_cfg.deadlock_threshold);
+  EXPECT_FALSE(far_net.Deadlocked());
 }
 
 TEST(NetworkTest, PacketsBetweenSamePairStayOrdered) {

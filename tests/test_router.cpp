@@ -1,7 +1,10 @@
 // White-box unit tests of the VC router: pipeline timing, credit protocol,
-// wormhole integrity, VC allocation policy enforcement, atomic VC
-// reallocation and link-aware monopolizing.
+// wormhole integrity, VC allocation policy enforcement, QoS precedence in
+// the allocators, atomic VC reallocation and link-aware monopolizing.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <vector>
 
 #include "noc/nic.hpp"
 #include "noc/router.hpp"
@@ -227,6 +230,83 @@ TEST(RouterTest, MonopolizePolicyUsesAllVcs) {
               h.router_.OutputVcAllocated(Port::kEast, 1));
   for (Cycle c = 2; c < 8; ++c) h.router_.Tick(c);
   EXPECT_EQ(h.out_[PortIndex(Port::kEast)].size(), 2u);
+
+  // A lone packet may use any VC and is granted the lowest free one.
+  RouterHarness lone(cfg);
+  lone.router_.AcceptFlit(Port::kWest,
+                          lone.MakeFlit(FlitKind::kHeadTail,
+                                        TrafficClass::kRequest, Coord{3, 1},
+                                        /*vc=*/1, 3),
+                          0);
+  for (Cycle c = 0; c < 4; ++c) lone.router_.Tick(c);
+  const auto f = lone.out_[PortIndex(Port::kEast)].Pop(100);
+  ASSERT_TRUE(f.has_value());
+  EXPECT_EQ(f->vc, 0);
+}
+
+// QoS precedence holds at each arbitration site. Every packet is one flit
+// heading east; with qos=none the round-robin arbiters would serve the
+// lowest index (the requests) first.
+TEST(RouterTest, QosArbitrationFavorsThePriorityClassAtEverySite) {
+  const auto first_classes = [](RouterHarness& h, int n) {
+    for (Cycle c = 0; c < 8; ++c) h.router_.Tick(c);
+    std::vector<TrafficClass> out;
+    auto& east = h.out_[PortIndex(Port::kEast)];
+    while (auto f = east.Pop(100)) {
+      if (static_cast<int>(out.size()) < n) out.push_back(f->cls);
+    }
+    return out;
+  };
+  const auto rq = TrafficClass::kRequest;
+  const auto rp = TrafficClass::kReply;
+
+  RouterConfig strict = DefaultConfig();
+  strict.qos_arbitration = QosArbitration::kStrict;
+  strict.qos_priority = {0, 1};  // replies outrank requests
+
+  // VA and SA2: two requests and a reply contend for the two east VCs and
+  // the east output. The reply gets a VC and leaves first.
+  RouterConfig mono = strict;
+  mono.vc_policy = VcPolicyKind::kFullMonopolize;
+  RouterHarness va(mono);
+  va.router_.AcceptFlit(
+      Port::kNorth, va.MakeFlit(FlitKind::kHeadTail, rq, Coord{3, 1}, 0, 1),
+      0);
+  va.router_.AcceptFlit(
+      Port::kSouth, va.MakeFlit(FlitKind::kHeadTail, rq, Coord{3, 1}, 0, 2),
+      0);
+  va.router_.AcceptFlit(
+      Port::kWest, va.MakeFlit(FlitKind::kHeadTail, rp, Coord{3, 1}, 0, 3), 0);
+  EXPECT_EQ(first_classes(va, 2), (std::vector<TrafficClass>{rp, rq}));
+
+  // SA1: a request and a reply on the two VCs of one input port; the port
+  // nominates the reply first.
+  RouterHarness sa1(strict);
+  sa1.router_.AcceptFlit(
+      Port::kWest, sa1.MakeFlit(FlitKind::kHeadTail, rq, Coord{3, 1}, 0, 1),
+      0);
+  sa1.router_.AcceptFlit(
+      Port::kWest, sa1.MakeFlit(FlitKind::kHeadTail, rp, Coord{3, 1}, 1, 2),
+      0);
+  EXPECT_EQ(first_classes(sa1, 2), (std::vector<TrafficClass>{rp, rq}));
+
+  // WRR with weights 1:2 gives the reply class two of every three
+  // contested grants (round-robin alone would alternate).
+  RouterConfig wrr = DefaultConfig();
+  wrr.atomic_vc_realloc = false;  // each VC carries the next packet at once
+  wrr.qos_arbitration = QosArbitration::kWrr;
+  wrr.qos_priority = {1, 2};
+  RouterHarness w(wrr);
+  for (PacketId i = 0; i < 3; ++i) {
+    w.router_.AcceptFlit(
+        Port::kWest,
+        w.MakeFlit(FlitKind::kHeadTail, rq, Coord{3, 1}, 0, 10 + i), 0);
+    w.router_.AcceptFlit(
+        Port::kWest,
+        w.MakeFlit(FlitKind::kHeadTail, rp, Coord{3, 1}, 1, 20 + i), 0);
+  }
+  const std::vector<TrafficClass> first = first_classes(w, 3);
+  EXPECT_EQ(std::count(first.begin(), first.end(), rp), 2);
 }
 
 TEST(RouterTest, PartialMonopolizeHonorsLinkMode) {

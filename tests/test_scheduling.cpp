@@ -160,9 +160,8 @@ TEST(SchedulingBitIdentityTest, OpenLoopMatrixMatchesFullMode) {
 }
 
 // The equivalence must also hold on the non-mesh topologies: wrap links
-// (dateline VC halves in the SoA VA replica), concentration (multiple
-// local ports per router) and circulant skip links all change the plane
-// geometry.
+// (dateline VC halves), concentration (multiple local ports per router)
+// and circulant skip links all change the plane geometry.
 TEST(SchedulingBitIdentityTest, TopologyMatrixMatchesFullMode) {
   const TopologyKind topologies[] = {TopologyKind::kTorus,
                                      TopologyKind::kCMesh,
@@ -234,10 +233,11 @@ TEST(SoaBitIdentityTest, FourWayOpenLoopMatrixAgrees) {
 // Serializes, at one cycle, the clock, every NIC's object state (soa ticks
 // a NIC whenever a tick could change it — a held packet or flit, a landing
 // credit, a dynamic epoch boundary — so all of it must match full mode's
-// every-cycle ticks) and every router's counters and buffered-flit count.
-// Router object state is not compared whole: soa defers a skipped router's
-// output-VC recycling and boundary replay to its next tick (DESIGN.md §9),
-// so those fields may lag full mode's without changing any later decision.
+// every-cycle ticks) and every router's counters and per-(port, VC) input
+// occupancy, which shows which VC each flit was allocated. Router object
+// state is not compared whole: soa defers a skipped router's output-VC
+// recycling and boundary replay to its next tick (DESIGN.md §9), so those
+// fields may lag full mode's without changing any later decision.
 std::string ComponentState(const Network& net) {
   Serializer s;
   s.U64(net.now());
@@ -254,7 +254,11 @@ std::string ComponentState(const Network& net) {
     s.U64(st.sa_stalls);
     for (const std::uint64_t n : st.credit_stall_by_vc) s.U64(n);
     s.U64(st.buffered_flit_cycles);
-    s.U64(router.BufferedFlits());
+    for (int p = 0; p < router.num_ports(); ++p) {
+      for (VcId v = 0; v < router.config().num_vcs; ++v) {
+        s.U64(router.VcOccupancy(static_cast<Port>(p), v));
+      }
+    }
   }
   return s.TakeBytes();
 }
@@ -379,7 +383,10 @@ TEST(SoaBitIdentityTest, HighLoadMatchesFullMode) {
 // mode's every-cycle tick would act, compared cycle by cycle at low load
 // (most NICs asleep most of the time):
 //  - vc_policy=dynamic with a short epoch: idle NICs sleep across epoch
-//    boundaries and must still commit each one on time;
+//    boundaries and must still commit each one on time. The open-loop
+//    generator sends replies only, so every boundary soon sits at its
+//    limit; request-class relays move it back and forth, which makes a
+//    late epoch commit (in a NIC or a skipped router) visible;
 //  - non-atomic VC reallocation: a NIC releases its VC at the tail and
 //    goes idle while that VC's credits are still on the wire;
 //  - a sink injecting from inside Accept: the woken NIC sits above the
@@ -400,6 +407,9 @@ TEST(SoaBitIdentityTest, NicWakeSitesMatchFullMode) {
   dynamic.dynamic_epoch = 16;
   ExpectLockstepStatesMatch(dynamic, tcfg, /*cycles=*/1200, /*stride=*/1,
                             "dynamic epoch 16");
+  ExpectLockstepStatesMatch(dynamic, tcfg, /*cycles=*/1200, /*stride=*/1,
+                            "dynamic epoch 16, relay to the node above",
+                            /*relay_offset=*/1);
 
   NetworkConfig eager = base;
   eager.atomic_vc_realloc = false;

@@ -210,6 +210,34 @@ TEST(TopologyTest, DatelineHalvesAreConsistent) {
       }
     }
   }
+
+  // The routers allocate from those halves. On a 4x4 torus with 4 VCs the
+  // request class owns VCs 0-1: a request from (3,0) to (1,0) crosses the
+  // wrap link into router 0 on the pre-wrap VC 0, then reaches router 1 on
+  // the post-wrap VC 1.
+  NetworkConfig cfg;
+  cfg.topology = TopologyKind::kTorus;
+  cfg.width = 4;
+  cfg.height = 4;
+  cfg.num_vcs = 4;
+  Network net(cfg);
+  Packet p;
+  p.type = PacketType::kReadRequest;
+  p.src = 3;
+  p.dst = 1;
+  p.num_flits = 1;
+  ASSERT_TRUE(net.Inject(p));
+  VcId wrap_vc = kInvalidVc;
+  VcId post_wrap_vc = kInvalidVc;
+  for (int c = 0; c < 20; ++c) {
+    net.Tick();
+    for (VcId v = 0; v < cfg.num_vcs; ++v) {
+      if (net.router(0).VcOccupancy(Port::kWest, v) > 0) wrap_vc = v;
+      if (net.router(1).VcOccupancy(Port::kWest, v) > 0) post_wrap_vc = v;
+    }
+  }
+  EXPECT_EQ(wrap_vc, 0);
+  EXPECT_EQ(post_wrap_vc, 1);
 }
 
 // --- simulation: dateline topologies run audit-clean -----------------------
