@@ -17,8 +17,8 @@ scheduling mode (full, soa) — and enforces these gates:
      Using the *ratio* normalizes away the CI runner's absolute speed; the
      full-mode run is the on-machine control. The soa leg additionally
      carries an *absolute* ceiling on the default fig8 pin: soa/full must
-     stay below --soa-max-ratio (default 0.6), pinning the SoA core's
-     headline >=2x claim, not just its trend.
+     stay below --soa-max-ratio (default 0.45), pinning the SoA core's
+     headline >=2.2x claim, not just its trend.
   4. Checkpoint-off cost: a checkpoint-enabled run (checkpoint_dir= to a
      scratch directory) is the on-machine control for the default
      checkpoint-off run. The two must produce exactly equal JSON, and the
@@ -167,10 +167,10 @@ def main():
     ap.add_argument("--ckpt-tolerance", type=float, default=0.05,
                     help="allowed checkpoint-off vs checkpoint-on wall-clock "
                          "excess (0.05 = 5%%)")
-    ap.add_argument("--soa-max-ratio", type=float, default=0.6,
+    ap.add_argument("--soa-max-ratio", type=float, default=0.45,
                     help="absolute soa/full wall-clock ceiling on the "
-                         "default protocol (0.6 = soa must be >=1.67x "
-                         "faster; the committed baseline pins ~2x)")
+                         "default protocol (0.45 = soa must be >=2.2x "
+                         "faster)")
     ap.add_argument("--update", action="store_true",
                     help="rewrite the baseline from this machine's runs")
     args = ap.parse_args()

@@ -20,8 +20,7 @@ using namespace gnoc;
 
 void BM_RoundRobinArbiter(benchmark::State& state) {
   RoundRobinArbiter arb(10);
-  std::vector<bool> requests(10, true);
-  requests[3] = false;
+  const RequestMask requests = (RequestBit(10) - 1) & ~RequestBit(3);
   for (auto _ : state) {
     benchmark::DoNotOptimize(arb.Arbitrate(requests));
   }
@@ -30,7 +29,7 @@ BENCHMARK(BM_RoundRobinArbiter);
 
 void BM_MatrixArbiter(benchmark::State& state) {
   MatrixArbiter arb(10);
-  std::vector<bool> requests(10, true);
+  const RequestMask requests = RequestBit(10) - 1;
   for (auto _ : state) {
     benchmark::DoNotOptimize(arb.Arbitrate(requests));
   }

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "noc/deadlock.hpp"
+#include "noc/router.hpp"
 
 namespace gnoc {
 
@@ -107,6 +108,7 @@ std::string DesignInfeasibility(const DesignSpace& space,
   try {
     const Topology topo = Topology::Make(cfg.topology, cfg.width, cfg.height,
                                          cfg.circulant_s1, cfg.circulant_s2);
+    CheckRequestMaskWidth(topo, cfg.num_vcs);
     const TilePlan plan(cfg.width, cfg.height, cfg.num_mcs, cfg.placement);
     ValidatePolicyOrThrow(topo, plan, cfg.routing, cfg.vc_policy,
                           cfg.allow_unsafe);

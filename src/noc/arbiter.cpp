@@ -1,9 +1,11 @@
 #include "noc/arbiter.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cctype>
 #include <stdexcept>
+#include <string>
 
 #include "common/serialize.hpp"
 
@@ -29,59 +31,54 @@ ArbiterKind ParseArbiterKind(const std::string& name) {
 }
 
 Arbiter::Arbiter(std::size_t num_inputs) : num_inputs_(num_inputs) {
-  assert(num_inputs > 0);
+  assert(num_inputs > 0 && num_inputs <= kMaxArbiterInputs);
 }
+
+namespace {
+
+/// The mask with every input of an `n`-input arbiter set.
+RequestMask AllInputs(std::size_t n) {
+  return n == kMaxArbiterInputs ? ~RequestMask{0}
+                                 : RequestBit(static_cast<int>(n)) - 1;
+}
+
+}  // namespace
 
 RoundRobinArbiter::RoundRobinArbiter(std::size_t num_inputs)
     : Arbiter(num_inputs) {}
 
-int RoundRobinArbiter::Arbitrate(const std::vector<bool>& requests) {
-  assert(requests.size() == num_inputs_);
-  for (std::size_t k = 0; k < num_inputs_; ++k) {
-    const std::size_t i = (pointer_ + k) % num_inputs_;
-    if (requests[i]) {
-      pointer_ = (i + 1) % num_inputs_;
-      return static_cast<int>(i);
-    }
-  }
-  return -1;
+int RoundRobinArbiter::Arbitrate(RequestMask requests) {
+  assert((requests & ~AllInputs(num_inputs_)) == 0);
+  if (requests == 0) return -1;
+  // The first requester at or after the pointer, wrapping to the lowest.
+  const RequestMask from_pointer = requests & (~RequestMask{0} << pointer_);
+  const int winner =
+      std::countr_zero(from_pointer != 0 ? from_pointer : requests);
+  const auto next = static_cast<std::size_t>(winner) + 1;
+  pointer_ = next == num_inputs_ ? 0 : next;
+  return winner;
 }
 
 MatrixArbiter::MatrixArbiter(std::size_t num_inputs)
-    : Arbiter(num_inputs),
-      prec_(num_inputs, std::vector<bool>(num_inputs, false)) {
+    : Arbiter(num_inputs), beaten_by_(num_inputs) {
   // Initial total order: lower index has precedence.
-  for (std::size_t i = 0; i < num_inputs; ++i) {
-    for (std::size_t j = i + 1; j < num_inputs; ++j) prec_[i][j] = true;
+  for (std::size_t j = 0; j < num_inputs; ++j) {
+    beaten_by_[j] = RequestBit(static_cast<int>(j)) - 1;
   }
 }
 
-int MatrixArbiter::Arbitrate(const std::vector<bool>& requests) {
-  assert(requests.size() == num_inputs_);
-  int winner = -1;
-  for (std::size_t i = 0; i < num_inputs_; ++i) {
-    if (!requests[i]) continue;
-    bool dominated = false;
-    for (std::size_t j = 0; j < num_inputs_; ++j) {
-      if (j != i && requests[j] && prec_[j][i]) {
-        dominated = true;
-        break;
-      }
-    }
-    if (!dominated) {
-      winner = static_cast<int>(i);
-      break;
-    }
-  }
-  if (winner >= 0) {
+int MatrixArbiter::Arbitrate(RequestMask requests) {
+  assert((requests & ~AllInputs(num_inputs_)) == 0);
+  for (RequestMask rest = requests; rest != 0; rest &= rest - 1) {
+    const int i = std::countr_zero(rest);
+    const auto w = static_cast<std::size_t>(i);
+    if ((beaten_by_[w] & requests & ~RequestBit(i)) != 0) continue;
     // Winner loses precedence against everyone.
-    const auto w = static_cast<std::size_t>(winner);
-    for (std::size_t j = 0; j < num_inputs_; ++j) {
-      prec_[w][j] = false;
-      if (j != w) prec_[j][w] = true;
-    }
+    for (RequestMask& column : beaten_by_) column &= ~RequestBit(i);
+    beaten_by_[w] = AllInputs(num_inputs_) & ~RequestBit(i);
+    return i;
   }
-  return winner;
+  return -1;
 }
 
 std::unique_ptr<Arbiter> MakeArbiter(ArbiterKind kind,
@@ -97,17 +94,30 @@ std::unique_ptr<Arbiter> MakeArbiter(ArbiterKind kind,
 
 void RoundRobinArbiter::Save(Serializer& s) const { s.U64(pointer_); }
 
-void RoundRobinArbiter::Load(Deserializer& d) { pointer_ = d.U64(); }
+void RoundRobinArbiter::Load(Deserializer& d) {
+  const std::uint64_t pointer = d.U64();
+  if (pointer >= num_inputs_) {
+    throw SerializeError("round-robin arbiter pointer " +
+                         std::to_string(pointer) + " out of range for " +
+                         std::to_string(num_inputs_) + " inputs");
+  }
+  pointer_ = static_cast<std::size_t>(pointer);
+}
 
 void MatrixArbiter::Save(Serializer& s) const {
-  for (const auto& row : prec_) {
-    for (const bool bit : row) s.Bool(bit);
+  for (std::size_t i = 0; i < num_inputs_; ++i) {
+    for (const RequestMask column : beaten_by_) {
+      s.Bool(((column >> i) & 1) != 0);
+    }
   }
 }
 
 void MatrixArbiter::Load(Deserializer& d) {
-  for (auto& row : prec_) {
-    for (std::size_t j = 0; j < row.size(); ++j) row[j] = d.Bool();
+  std::fill(beaten_by_.begin(), beaten_by_.end(), 0);
+  for (std::size_t i = 0; i < num_inputs_; ++i) {
+    for (RequestMask& column : beaten_by_) {
+      if (d.Bool()) column |= RequestBit(static_cast<int>(i));
+    }
   }
 }
 

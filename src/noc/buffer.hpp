@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstddef>
 #include <deque>
+#include <string>
 
 #include "noc/flit.hpp"
 
@@ -57,9 +58,14 @@ class VcBuffer {
     s.U64(fifo_.size());
     for (const Flit& f : fifo_) gnoc::Save(s, f);
   }
+  /// Throws SerializeError for more flits than the capacity.
   void Load(Deserializer& d) {
     fifo_.clear();
     const std::uint64_t n = d.U64();
+    if (n > capacity_) {
+      throw SerializeError("VC buffer holds " + std::to_string(n) +
+                           " flits, capacity " + std::to_string(capacity_));
+    }
     for (std::uint64_t i = 0; i < n; ++i) {
       Flit f;
       gnoc::Load(d, f);

@@ -84,6 +84,7 @@ Network::Network(const NetworkConfig& config)
         "dynamic_epoch must be >= 1 (got 0): the dynamic VC policy commits "
         "epoch flit counts every dynamic_epoch cycles");
   }
+  CheckRequestMaskWidth(topo_, config_.num_vcs);
   if (topo_.has_datelines()) ValidateDatelineVcs(config_);
   if (config_.audit) {
     auditor_ = std::make_unique<Auditor>(config_.audit_interval);

@@ -35,6 +35,14 @@ Nic::Nic(NodeId node, Coord coord, const NicConfig& config)
           kTokenScale;
     }
   }
+  SetLinkMode(LinkMode::kMixed);
+}
+
+void Nic::SetLinkMode(LinkMode mode) {
+  for (int c = 0; c < kNumClasses; ++c) {
+    injection_vcs_[static_cast<std::size_t>(c)] =
+        policy_.AllowedVcs(static_cast<TrafficClass>(c), Port::kLocal, mode);
+  }
 }
 
 void Nic::SetInjectionChannel(FlitChannel* channel) {
@@ -101,7 +109,7 @@ VcRange Nic::InjectionRange(TrafficClass cls) const {
   if (config_.vc_policy == VcPolicyKind::kDynamic) {
     return PartitionAt(cls, boundary_, config_.num_vcs);
   }
-  return policy_.AllowedVcs(cls, Port::kLocal, link_mode_);
+  return injection_vcs_[static_cast<std::size_t>(ClassIndex(cls))];
 }
 
 void Nic::UpdateDynamicBoundary() {

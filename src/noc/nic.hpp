@@ -116,7 +116,8 @@ class Nic {
   void SetSink(PacketSink* sink);
 
   /// Class usage of this NIC's injection link (link-aware monopolizing).
-  void SetLinkMode(LinkMode mode) { link_mode_ = mode; }
+  /// Defaults to kMixed.
+  void SetLinkMode(LinkMode mode);
 
   /// Attaches the network's invariant auditor and this NIC's injection
   /// link id (nullptr = auditing off).
@@ -238,7 +239,9 @@ class Nic {
   Coord coord_;
   NicConfig config_;
   VcPolicy policy_;
-  LinkMode link_mode_ = LinkMode::kMixed;
+  /// VcPolicy::AllowedVcs per class under the injection link's mode (the
+  /// static policies' InjectionRange), refreshed by SetLinkMode.
+  std::array<VcRange, kNumClasses> injection_vcs_{};
 
   FlitChannel* inject_channel_ = nullptr;
   CreditChannel* credit_channel_ = nullptr;

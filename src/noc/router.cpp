@@ -1,7 +1,10 @@
 #include "noc/router.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 #include "common/serialize.hpp"
 
@@ -22,92 +25,82 @@ VcRange DatelineHalf(VcRange range, std::int8_t half) {
 
 /// One QoS-aware arbiter invocation, used by the VA, SA1 and SA2 stages.
 /// `cls_of(i)` maps a request index to its class index and is only called
-/// for indices with requests[i] == true (and for the winner). Under kNone
-/// this is exactly `arb.Arbitrate(requests)`. kStrict masks the requests to
-/// the highest-priority requesting class; ties fall through to plain
-/// arbitration. kWrr spends per-class credits (`wrr_credit`, persistent
-/// per arbiter site): when no requesting class holds credit the credits
-/// recharge to the class weights, the mask keeps funded classes only, and
-/// the winner's class pays one credit.
-
+/// for the set bits of `requests`. Under kNone this is exactly
+/// `arb.Arbitrate(requests)`. Otherwise the requests are split into one
+/// mask per class and the arbiter sees the OR of the allowed classes'
+/// masks. kStrict allows the highest-priority requesting class; ties fall
+/// through to plain arbitration. kWrr spends per-class credits
+/// (`wrr_credit`, persistent per arbiter site): when no requesting class
+/// holds credit the credits recharge to the class weights, the funded
+/// classes are allowed, and the winner's class pays one credit.
 template <typename ClsOf>
-int QosArbitrate(Arbiter& arb, const std::vector<bool>& requests,
-                 QosArbitration mode,
+int QosArbitrate(Arbiter& arb, RequestMask requests, QosArbitration mode,
                  const std::array<int, kNumClasses>& priority,
                  std::array<int, kNumClasses>& wrr_credit, ClsOf&& cls_of) {
   if (mode == QosArbitration::kNone) return arb.Arbitrate(requests);
-  std::array<bool, kNumClasses> requesting{};
-  bool any = false;
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    if (requests[i]) {
-      requesting[static_cast<std::size_t>(cls_of(static_cast<int>(i)))] = true;
-      any = true;
-    }
+  if (requests == 0) return -1;
+  constexpr auto kClasses = static_cast<std::size_t>(kNumClasses);
+  std::array<RequestMask, kClasses> by_class{};
+  for (RequestMask rest = requests; rest != 0; rest &= rest - 1) {
+    const int i = std::countr_zero(rest);
+    by_class[static_cast<std::size_t>(cls_of(i))] |= RequestBit(i);
   }
-  if (!any) return arb.Arbitrate(requests);  // vacuous: arbiter returns -1
-  std::array<bool, kNumClasses> allowed{};
+  RequestMask allowed = 0;
   if (mode == QosArbitration::kStrict) {
     int best = 0;
     bool seeded = false;
-    for (int c = 0; c < kNumClasses; ++c) {
-      if (requesting[static_cast<std::size_t>(c)] &&
-          (!seeded || priority[static_cast<std::size_t>(c)] > best)) {
-        best = priority[static_cast<std::size_t>(c)];
+    for (std::size_t c = 0; c < kClasses; ++c) {
+      if (by_class[c] != 0 && (!seeded || priority[c] > best)) {
+        best = priority[c];
         seeded = true;
       }
     }
-    for (int c = 0; c < kNumClasses; ++c) {
-      allowed[static_cast<std::size_t>(c)] =
-          requesting[static_cast<std::size_t>(c)] &&
-          priority[static_cast<std::size_t>(c)] == best;
+    for (std::size_t c = 0; c < kClasses; ++c) {
+      if (priority[c] == best) allowed |= by_class[c];
     }
   } else {  // kWrr
     bool funded = false;
-    for (int c = 0; c < kNumClasses; ++c) {
-      if (requesting[static_cast<std::size_t>(c)] &&
-          wrr_credit[static_cast<std::size_t>(c)] > 0) {
-        funded = true;
-      }
+    for (std::size_t c = 0; c < kClasses; ++c) {
+      if (by_class[c] != 0 && wrr_credit[c] > 0) funded = true;
     }
     if (!funded) {
-      for (int c = 0; c < kNumClasses; ++c) {
-        wrr_credit[static_cast<std::size_t>(c)] =
-            std::max(1, priority[static_cast<std::size_t>(c)]);
+      for (std::size_t c = 0; c < kClasses; ++c) {
+        wrr_credit[c] = std::max(1, priority[c]);
       }
     }
-    for (int c = 0; c < kNumClasses; ++c) {
-      allowed[static_cast<std::size_t>(c)] =
-          requesting[static_cast<std::size_t>(c)] &&
-          wrr_credit[static_cast<std::size_t>(c)] > 0;
+    for (std::size_t c = 0; c < kClasses; ++c) {
+      if (wrr_credit[c] > 0) allowed |= by_class[c];
     }
   }
-  bool unmasked = true;
-  for (int c = 0; c < kNumClasses; ++c) {
-    if (requesting[static_cast<std::size_t>(c)] &&
-        !allowed[static_cast<std::size_t>(c)]) {
-      unmasked = false;
-    }
-  }
-  int winner;
-  if (unmasked) {
-    winner = arb.Arbitrate(requests);
-  } else {
-    std::vector<bool> masked(requests);
-    for (std::size_t i = 0; i < masked.size(); ++i) {
-      if (masked[i] &&
-          !allowed[static_cast<std::size_t>(cls_of(static_cast<int>(i)))]) {
-        masked[i] = false;
-      }
-    }
-    winner = arb.Arbitrate(masked);
-  }
+  const int winner = arb.Arbitrate(allowed);
   if (mode == QosArbitration::kWrr && winner >= 0) {
     --wrr_credit[static_cast<std::size_t>(cls_of(winner))];
   }
   return winner;
 }
 
+/// Packs a dense-loop request vector into the mask the stages take.
+RequestMask ToMask(const std::vector<bool>& requests) {
+  RequestMask mask = 0;
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    if (requests[i]) mask |= RequestBit(static_cast<int>(i));
+  }
+  return mask;
+}
+
 }  // namespace
+
+void CheckRequestMaskWidth(const Topology& topo, int num_vcs) {
+  const int inputs = topo.radix() * num_vcs;
+  if (static_cast<std::size_t>(inputs) <= kMaxArbiterInputs) return;
+  throw std::invalid_argument(
+      std::string("topology '") + TopologyName(topo.kind()) +
+      "' has radix " + std::to_string(topo.radix()) + ", so num_vcs=" +
+      std::to_string(num_vcs) + " gives each VC allocator " +
+      std::to_string(inputs) + " inputs; at most " +
+      std::to_string(kMaxArbiterInputs) +
+      " fit one request mask (lower num_vcs)");
+}
 
 Router::Router(NodeId node, Coord coord, const RouterConfig& config)
     : node_(node),
@@ -121,6 +114,8 @@ Router::Router(NodeId node, Coord coord, const RouterConfig& config)
   num_local_ports_ = topo != nullptr ? topo->num_local_ports() : 1;
   const auto total_vcs =
       static_cast<std::size_t>(num_ports_ * config_.num_vcs);
+  assert(total_vcs <= kMaxArbiterInputs &&
+         "radix x num_vcs exceeds one request mask");
   input_vcs_.reserve(total_vcs);
   for (std::size_t i = 0; i < total_vcs; ++i) {
     input_vcs_.emplace_back(config_.vc_depth);
@@ -129,6 +124,8 @@ Router::Router(NodeId node, Coord coord, const RouterConfig& config)
   out_channels_.assign(static_cast<std::size_t>(num_ports_), nullptr);
   credit_return_.assign(static_cast<std::size_t>(num_ports_), nullptr);
   link_modes_.assign(static_cast<std::size_t>(num_ports_), LinkMode::kMixed);
+  allowed_vcs_.resize(static_cast<std::size_t>(num_ports_));
+  for (int p = 0; p < num_ports_; ++p) CacheAllowedVcs(p);
   nics_.assign(static_cast<std::size_t>(num_local_ports_), nullptr);
   // Both ends of every link must seed the same dynamic boundary — the NIC
   // uses the same helper for its injection link.
@@ -189,6 +186,16 @@ void Router::SetNic(int local_port, Nic* nic) {
 
 void Router::SetLinkMode(Port out_port, LinkMode mode) {
   link_modes_[static_cast<std::size_t>(PortIndex(out_port))] = mode;
+  CacheAllowedVcs(PortIndex(out_port));
+}
+
+void Router::CacheAllowedVcs(int out_port) {
+  const auto p = static_cast<std::size_t>(out_port);
+  for (int c = 0; c < kNumClasses; ++c) {
+    allowed_vcs_[p][static_cast<std::size_t>(c)] = policy_.AllowedVcs(
+        static_cast<TrafficClass>(c), static_cast<Port>(out_port),
+        link_modes_[p]);
+  }
 }
 
 void Router::AcceptFlit(Port in_port, const Flit& flit, Cycle now) {
@@ -224,13 +231,11 @@ void Router::Tick(Cycle now) {
 }
 
 VcRange Router::AllowedRange(TrafficClass cls, Port out_port) const {
+  const auto p = static_cast<std::size_t>(PortIndex(out_port));
   if (config_.vc_policy == VcPolicyKind::kDynamic) {
-    return PartitionAt(cls,
-                       boundaries_[static_cast<std::size_t>(PortIndex(out_port))],
-                       config_.num_vcs);
+    return PartitionAt(cls, boundaries_[p], config_.num_vcs);
   }
-  return policy_.AllowedVcs(
-      cls, out_port, link_modes_[static_cast<std::size_t>(PortIndex(out_port))]);
+  return allowed_vcs_[p][static_cast<std::size_t>(ClassIndex(cls))];
 }
 
 void Router::UpdateDynamicBoundaries() {
@@ -263,16 +268,14 @@ VcId Router::DynamicBoundary(Port out_port) const {
 }
 
 void Router::RecycleOutputVcs() {
-  for (int p = 0; p < num_ports_; ++p) {
-    const Port port = static_cast<Port>(p);
-    if (out_channels_[static_cast<std::size_t>(p)] == nullptr) continue;
-    for (VcId v = 0; v < config_.num_vcs; ++v) {
-      OutputVc& ovc = Ovc(port, v);
-      if (ovc.allocated && ovc.tail_sent &&
-          (!config_.atomic_vc_realloc || ovc.credits == config_.vc_depth)) {
-        ovc.allocated = false;
-        ovc.tail_sent = false;
-      }
+  for (RequestMask rest = draining_; rest != 0; rest &= rest - 1) {
+    const int i = std::countr_zero(rest);
+    OutputVc& ovc = output_vcs_[static_cast<std::size_t>(i)];
+    if (ovc.allocated &&
+        (!config_.atomic_vc_realloc || ovc.credits == config_.vc_depth)) {
+      ovc.allocated = false;
+      ovc.tail_sent = false;
+      draining_ &= ~RequestBit(i);
     }
   }
 }
@@ -289,32 +292,28 @@ void Router::RouteAndAllocate(Cycle now) {
     if (out_channels_[static_cast<std::size_t>(op)] == nullptr) continue;
     const Port out_port = static_cast<Port>(op);
     std::vector<bool> requests(input_vcs_.size(), false);
-    int num_requests = 0;
     for (std::size_t i = 0; i < input_vcs_.size(); ++i) {
       const InputVc& ivc = input_vcs_[i];
       if (RequestsVc(ivc, out_port) && FrontEligible(ivc, now)) {
         requests[i] = true;
-        ++num_requests;
       }
     }
-    AllocateVcs(out_port, requests, num_requests);
+    AllocateVcs(out_port, ToMask(requests));
   }
 }
 
-void Router::AllocateVcs(Port out_port, std::vector<bool>& requests,
-                         int num_requests) {
+void Router::AllocateVcs(Port out_port, RequestMask requests) {
   const auto op = static_cast<std::size_t>(PortIndex(out_port));
   const auto cls_of = [&](int i) {
     return ClassIndex(
         input_vcs_[static_cast<std::size_t>(i)].buffer.Front().cls);
   };
-  while (num_requests > 0) {
+  while (requests != 0) {
     const int winner =
         QosArbitrate(*va_arb_[op], requests, config_.qos_arbitration,
                      config_.qos_priority, qos_va_credit_[op], cls_of);
     if (winner < 0) break;
-    requests[static_cast<std::size_t>(winner)] = false;
-    --num_requests;
+    requests &= ~RequestBit(winner);
     InputVc& ivc = input_vcs_[static_cast<std::size_t>(winner)];
     VcRange range = AllowedRange(ivc.buffer.Front().cls, out_port);
     if (ivc.vc_half >= 0) range = DatelineHalf(range, ivc.vc_half);
@@ -349,16 +348,15 @@ void Router::SwitchAllocateAndTraverse(Cycle now) {
         any = true;
       }
     }
-    if (any) nominee[static_cast<std::size_t>(p)] = NominateVc(p, requests);
+    if (any) {
+      nominee[static_cast<std::size_t>(p)] = NominateVc(p, ToMask(requests));
+    }
   }
 
   // --- SA phase 2: each output port grants one input port.
   std::vector<int> grant(static_cast<std::size_t>(num_ports_),
                          -1);  // input port per output port, -1 = none
-  for (int op = 0; op < num_ports_; ++op) {
-    std::vector<bool> requests(static_cast<std::size_t>(num_ports_), false);
-    grant[static_cast<std::size_t>(op)] = GrantOutput(op, nominee, requests);
-  }
+  GrantOutputs(nominee, grant);
 
   // --- ST: winners traverse the switch.
   bool any_traversal = false;
@@ -371,7 +369,7 @@ void Router::SwitchAllocateAndTraverse(Cycle now) {
   if (any_traversal) ++stats_.busy_cycles;
 }
 
-int Router::NominateVc(int in_port, const std::vector<bool>& requests) {
+int Router::NominateVc(int in_port, RequestMask requests) {
   const auto p = static_cast<std::size_t>(in_port);
   const auto cls_of = [&](int v) {
     return ClassIndex(Ivc(static_cast<Port>(in_port), v).buffer.Front().cls);
@@ -380,26 +378,31 @@ int Router::NominateVc(int in_port, const std::vector<bool>& requests) {
                       config_.qos_priority, qos_sa1_credit_[p], cls_of);
 }
 
-int Router::GrantOutput(int out_port, const std::vector<int>& nominee,
-                        std::vector<bool>& requests) {
-  requests.assign(static_cast<std::size_t>(num_ports_), false);
-  bool any = false;
+void Router::GrantOutputs(const std::vector<int>& nominee,
+                          std::vector<int>& grant) {
+  // Radix <= 64 (the constructor's bound), so one mask per output port
+  // fits here; only the first num_ports_ are used.
+  std::array<RequestMask, kMaxArbiterInputs> requests;
+  std::fill_n(requests.begin(), num_ports_, RequestMask{0});
   for (int p = 0; p < num_ports_; ++p) {
     const int v = nominee[static_cast<std::size_t>(p)];
-    if (v >= 0 &&
-        PortIndex(Ivc(static_cast<Port>(p), v).out_port) == out_port) {
-      requests[static_cast<std::size_t>(p)] = true;
-      any = true;
-    }
+    if (v < 0) continue;
+    const Port out_port = Ivc(static_cast<Port>(p), v).out_port;
+    requests[static_cast<std::size_t>(PortIndex(out_port))] |= RequestBit(p);
   }
-  if (!any) return -1;
   const auto cls_of = [&](int p) {
     const int v = nominee[static_cast<std::size_t>(p)];
     return ClassIndex(Ivc(static_cast<Port>(p), v).buffer.Front().cls);
   };
-  const auto op = static_cast<std::size_t>(out_port);
-  return QosArbitrate(*sa_output_arb_[op], requests, config_.qos_arbitration,
-                      config_.qos_priority, qos_sa2_credit_[op], cls_of);
+  for (int op = 0; op < num_ports_; ++op) {
+    const auto o = static_cast<std::size_t>(op);
+    grant[o] = requests[o] == 0
+                   ? -1
+                   : QosArbitrate(*sa_output_arb_[o], requests[o],
+                                  config_.qos_arbitration,
+                                  config_.qos_priority, qos_sa2_credit_[o],
+                                  cls_of);
+  }
 }
 
 Nic* Router::Traverse(int out_port, int in_port, VcId vc, Cycle now) {
@@ -437,7 +440,11 @@ Nic* Router::Traverse(int out_port, int in_port, VcId vc, Cycle now) {
       const int link = audit_out_[op];
       if (link >= 0) auditor_->OnFlitSent(link, flit, now);
     }
-    if (IsTail(flit)) ovc.tail_sent = true;  // recycled once drained
+    if (IsTail(flit)) {  // recycled once drained
+      ovc.tail_sent = true;
+      draining_ |= RequestBit(FlatVcIndex(static_cast<Port>(out_port),
+                                          ivc.out_vc));
+    }
   }
 
   if (IsTail(flit)) {
@@ -524,17 +531,34 @@ void Router::Save(Serializer& s) const {
 
 void Router::Load(Deserializer& d) {
   for (InputVc& ivc : input_vcs_) {
-    ivc.buffer.Load(d);
+    ivc.buffer.Load(d);  // throws past vc_depth flits
     ivc.route_valid = d.Bool();
-    ivc.out_port = static_cast<Port>(d.U8());
+    const std::uint8_t out_port = d.U8();
     ivc.out_vc = d.I32();
     ivc.eject = d.Bool();
     ivc.vc_half = static_cast<std::int8_t>(d.U8());
+    // The allocators index per-port state and shift masks by these, and
+    // an ejecting VC indexes the NICs by its port.
+    if (out_port >= num_ports_ || ivc.out_vc < kInvalidVc ||
+        ivc.out_vc >= config_.num_vcs ||
+        (ivc.eject && out_port >= num_local_ports_)) {
+      throw SerializeError(
+          "router " + std::to_string(node_) + ": input VC state (port " +
+          std::to_string(out_port) + ", VC " + std::to_string(ivc.out_vc) +
+          ", eject " + std::to_string(ivc.eject) + ") out of range for " +
+          std::to_string(num_ports_) + " ports (" +
+          std::to_string(num_local_ports_) + " local) x " +
+          std::to_string(config_.num_vcs) + " VCs");
+    }
+    ivc.out_port = static_cast<Port>(out_port);
   }
-  for (OutputVc& ovc : output_vcs_) {
+  draining_ = 0;
+  for (std::size_t i = 0; i < output_vcs_.size(); ++i) {
+    OutputVc& ovc = output_vcs_[i];
     ovc.allocated = d.Bool();
     ovc.tail_sent = d.Bool();
     ovc.credits = d.I32();
+    if (ovc.tail_sent) draining_ |= RequestBit(static_cast<int>(i));
   }
   for (VcId& b : boundaries_) b = d.I32();
   for (auto& per_port : epoch_flits_) {

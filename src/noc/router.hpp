@@ -16,6 +16,10 @@
 // [0, num_local_ports) eject into the attached NICs; the rest carry
 // inter-router links. On topologies with wrap links (torus, circulant) the
 // route LUT also carries the dateline VC half each hop must allocate from.
+//
+// The allocators arbitrate RequestMasks (arbiter.hpp), so radix × num_vcs
+// — the VA arbiter's width — must be at most 64; the Network refuses wider
+// configs and a standalone Router asserts it.
 #pragma once
 
 #include <array>
@@ -92,6 +96,11 @@ struct RouterStats {
   /// Sum over cycles of total buffered flits (divide by cycles for mean).
   std::uint64_t buffered_flit_cycles = 0;
 };
+
+/// Throws std::invalid_argument, naming the topology, its radix and
+/// `num_vcs`, when radix × num_vcs — the VA arbiter's width — exceeds one
+/// RequestMask (kMaxArbiterInputs).
+void CheckRequestMaskWidth(const Topology& topo, int num_vcs);
 
 /// One router. Wiring (channels, NICs) is injected by the Network.
 class Router {
@@ -270,12 +279,10 @@ class Router {
   static bool RequestsVc(const InputVc& ivc, Port out_port);
 
   /// VA on one output port: QoS-aware arbitration rounds over `requests`
-  /// (flat input-VC indices, `num_requests` of them set). Each winner gets
-  /// the lowest free VC of its allowed range (restricted to its dateline
-  /// half) or counts a VA failure, until every request is served or the
-  /// arbiter declines.
-  void AllocateVcs(Port out_port, std::vector<bool>& requests,
-                   int num_requests);
+  /// (bit i = flat input-VC index i). Each winner gets the lowest free VC
+  /// of its allowed range (restricted to its dateline half) or counts a VA
+  /// failure, until every request is served or the arbiter declines.
+  void AllocateVcs(Port out_port, RequestMask requests);
 
   /// SA1 request test: true when `ivc` holds a routed packet whose next
   /// resource (downstream credit, or NIC ejection space) is available. A
@@ -284,15 +291,15 @@ class Router {
   bool RequestsSwitch(const InputVc& ivc);
 
   /// SA1 arbitration: the VC input port `in_port` nominates among
-  /// `requests` (by VC id); -1 when the arbiter declines.
-  int NominateVc(int in_port, const std::vector<bool>& requests);
+  /// `requests` (bit v = VC v); -1 when the arbiter declines.
+  int NominateVc(int in_port, RequestMask requests);
 
-  /// SA2 on one output port: builds `requests` (scratch sized
-  /// num_ports()) from the input ports whose nominee (a VC id per input
-  /// port, -1 = none) routes to `out_port`, and returns the input port it
-  /// grants; -1 when none requests or the arbiter declines.
-  int GrantOutput(int out_port, const std::vector<int>& nominee,
-                  std::vector<bool>& requests);
+  /// SA2: one pass over `nominee` (a VC id per input port, -1 = none)
+  /// builds every output port's request mask — the input ports whose
+  /// nominee routes there — then each output port with requests grants one
+  /// input port. `grant[op]` is that input port, -1 when none requests or
+  /// the arbiter declines. Both vectors are sized num_ports().
+  void GrantOutputs(const std::vector<int>& nominee, std::vector<int>& grant);
 
   /// ST: the front flit of input VC (`in_port`, `vc`) traverses the switch
   /// to `out_port` — stats, epoch counts, a credit upstream, then ejection
@@ -304,6 +311,10 @@ class Router {
   /// The VC range `cls` may allocate on `out_port` right now (honours the
   /// static policy, the link mode and — for kDynamic — the port boundary).
   VcRange AllowedRange(TrafficClass cls, Port out_port) const;
+
+  /// Refreshes `out_port`'s entries of allowed_vcs_ from the policy and
+  /// the port's link mode.
+  void CacheAllowedVcs(int out_port);
 
   /// Moves each port's dynamic boundary one step towards the traffic share
   /// observed in the finished epoch, then starts a new epoch.
@@ -349,9 +360,17 @@ class Router {
   std::vector<InputVc> input_vcs_;    // [port][vc] flattened
   std::vector<OutputVc> output_vcs_;  // [port][vc] flattened
 
+  /// Output VCs whose tail has left and which wait to be recycled: bit
+  /// FlatVcIndex(port, vc). Set when a tail leaves on a link, cleared when
+  /// RecycleOutputVcs frees the VC, rebuilt from tail_sent by Load.
+  RequestMask draining_ = 0;
+
   std::vector<FlitChannel*> out_channels_;    // sized num_ports_
   std::vector<CreditChannel*> credit_return_;
   std::vector<LinkMode> link_modes_;          // default kMixed
+  /// VcPolicy::AllowedVcs per (output port, class) under the port's link
+  /// mode: the static policies' AllowedRange, off the per-cycle path.
+  std::vector<std::array<VcRange, kNumClasses>> allowed_vcs_;
   std::vector<Nic*> nics_;                    // sized num_local_ports_
 
   Auditor* auditor_ = nullptr;

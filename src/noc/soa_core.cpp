@@ -1,6 +1,7 @@
 #include "noc/soa_core.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <string>
 
@@ -59,9 +60,9 @@ SoaCore::SoaCore(Network& net) : net_(net) {
   router_live_.Reset(routers_.size());
   nic_live_.Reset(nic_due_.size());
 
-  va_requests_.assign(static_cast<std::size_t>(total_vcs_), false);
-  sa1_requests_.assign(static_cast<std::size_t>(num_vcs_), false);
-  sa2_requests_.assign(static_cast<std::size_t>(num_ports_), false);
+  // radix >= 2, so num_vcs_ <= 32 under the Network's 64-input bound.
+  port_vcs_ = RequestBit(num_vcs_) - 1;
+  va_requests_.assign(static_cast<std::size_t>(num_ports_), 0);
   nominee_.assign(static_cast<std::size_t>(num_ports_), -1);
   grant_.assign(static_cast<std::size_t>(num_ports_), -1);
 
@@ -271,8 +272,8 @@ void SoaCore::TickNics(Cycle now) {
 
 void SoaCore::TickRouter(std::size_t r, Cycle now) {
   // Router::Tick's stages in its order; this loop only decides which VCs
-  // are eligible (the ready plane), skips what cannot change state, reuses
-  // the scratch vectors and keeps the planes current.
+  // are eligible (the ready plane), skips what cannot change state, builds
+  // the request masks and keeps the planes current.
   RouterRec& rec = routers_[r];
   Router& rt = *rec.router;
   const Cycle* ready = front_ready_.data() + rec.vc_base;
@@ -280,64 +281,56 @@ void SoaCore::TickRouter(std::size_t r, Cycle now) {
   rt.CatchUpEpochs(now);
   rt.RecycleOutputVcs();
 
-  // --- RC: one plane scan finds the eligible VCs; when none is eligible
-  // this cycle VA/SA/ST cannot touch any state (requests stay empty,
-  // arbiters are not invoked, stall counters only fire for eligible VCs)
-  // and are skipped wholesale.
-  bool any_eligible = false;
+  // Bit FlatVcIndex set = the VC's front flit is present and ready. When
+  // none is, VA/SA/ST cannot touch any state (requests stay empty, arbiters
+  // are not invoked, stall counters only fire for eligible VCs) and are
+  // skipped wholesale.
+  RequestMask eligible = 0;
   for (int idx = 0; idx < total_vcs_; ++idx) {
-    if (ready[idx] > now) continue;
-    any_eligible = true;
-    Router::InputVc& ivc = rt.input_vcs_[static_cast<std::size_t>(idx)];
-    if (!ivc.route_valid) rt.RouteHead(ivc);
+    if (ready[idx] <= now) eligible |= RequestBit(idx);
   }
-  if (!any_eligible) {
+  if (eligible == 0) {
     rt.stats_.buffered_flit_cycles += rec.buffered;
     return;
+  }
+
+  // --- RC, and every output port's VA requests, in one pass. A VC requests
+  // only the port its route names, so this equals one scan per port.
+  std::fill(va_requests_.begin(), va_requests_.end(), RequestMask{0});
+  for (RequestMask rest = eligible; rest != 0; rest &= rest - 1) {
+    const int idx = std::countr_zero(rest);
+    Router::InputVc& ivc = rt.input_vcs_[static_cast<std::size_t>(idx)];
+    if (!ivc.route_valid) rt.RouteHead(ivc);
+    if (Router::RequestsVc(ivc, ivc.out_port)) {
+      va_requests_[static_cast<std::size_t>(PortIndex(ivc.out_port))] |=
+          RequestBit(idx);
+    }
   }
 
   // --- VA ---
   for (int op = num_local_ports_; op < num_ports_; ++op) {
     const Port out_port = static_cast<Port>(op);
-    if (!rt.HasOutputChannel(out_port)) continue;
-    va_requests_.assign(static_cast<std::size_t>(total_vcs_), false);
-    int num_requests = 0;
-    for (int idx = 0; idx < total_vcs_; ++idx) {
-      if (ready[idx] <= now &&
-          Router::RequestsVc(rt.input_vcs_[static_cast<std::size_t>(idx)],
-                             out_port)) {
-        va_requests_[static_cast<std::size_t>(idx)] = true;
-        ++num_requests;
-      }
+    const RequestMask requests = va_requests_[static_cast<std::size_t>(op)];
+    if (requests != 0 && rt.HasOutputChannel(out_port)) {
+      rt.AllocateVcs(out_port, requests);
     }
-    if (num_requests > 0) rt.AllocateVcs(out_port, va_requests_, num_requests);
   }
 
-  // --- SA phase 1 ---
+  // --- SA phase 1: each input port arbitrates its slice of `eligible`.
   int num_nominees = 0;
   for (int p = 0; p < num_ports_; ++p) {
     nominee_[static_cast<std::size_t>(p)] = -1;
-    const Cycle* port_ready = ready + p * num_vcs_;
-    bool port_eligible = false;
-    for (int v = 0; v < num_vcs_; ++v) {
-      if (port_ready[v] <= now) {
-        port_eligible = true;
-        break;
-      }
-    }
-    if (!port_eligible) continue;  // no VC can request or stall here
-    sa1_requests_.assign(static_cast<std::size_t>(num_vcs_), false);
-    bool any = false;
-    for (int v = 0; v < num_vcs_; ++v) {
-      if (port_ready[v] <= now &&
-          rt.RequestsSwitch(
+    const RequestMask port_eligible = (eligible >> (p * num_vcs_)) & port_vcs_;
+    RequestMask requests = 0;
+    for (RequestMask rest = port_eligible; rest != 0; rest &= rest - 1) {
+      const int v = std::countr_zero(rest);
+      if (rt.RequestsSwitch(
               rt.input_vcs_[static_cast<std::size_t>(p * num_vcs_ + v)])) {
-        sa1_requests_[static_cast<std::size_t>(v)] = true;
-        any = true;
+        requests |= RequestBit(v);
       }
     }
-    if (any) {
-      const int won = rt.NominateVc(p, sa1_requests_);
+    if (requests != 0) {
+      const int won = rt.NominateVc(p, requests);
       nominee_[static_cast<std::size_t>(p)] = won;
       if (won >= 0) ++num_nominees;
     }
@@ -348,10 +341,7 @@ void SoaCore::TickRouter(std::size_t r, Cycle now) {
   }
 
   // --- SA phase 2 ---
-  for (int op = 0; op < num_ports_; ++op) {
-    grant_[static_cast<std::size_t>(op)] =
-        rt.GrantOutput(op, nominee_, sa2_requests_);
-  }
+  rt.GrantOutputs(nominee_, grant_);
 
   // --- ST ---
   bool any_traversal = false;

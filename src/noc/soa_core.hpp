@@ -26,18 +26,20 @@
 //
 // plus one occupancy bit per flit link, router-bound credit link, router
 // and NIC — set when the entry becomes live, cleared when it goes idle —
-// so each phase visits the set bits instead of scanning the whole plane,
-// and preallocated arbitration scratch shared by every router (all
-// routers of one network have the topology's radix). The tick keeps the
-// dense phase order — flit links, credit links, routers, NICs, each in
-// ascending canonical index. Each router runs through the Router's own
-// pipeline stages (router.hpp), the only copy of the allocation rules;
-// soa decides only which VCs are eligible, what it may skip and how the
-// planes stay current, so results are bit-identical to full. A NIC's
-// skip rule is its own Nic::NextDue. Flit payloads, credits, arbiter
-// matrices and NIC cursors stay in the objects: Save/Load, the auditor and
-// every introspection API read live state, and the only checkpoint-
-// boundary conversion needed is RebuildFromObjects() after Network::Load.
+// so each phase visits the set bits instead of scanning the whole plane.
+// The tick keeps the dense phase order — flit links, credit links,
+// routers, NICs, each in ascending canonical index. Each router runs
+// through the Router's own pipeline stages (router.hpp), the only copy of
+// the allocation rules; soa decides only which VCs are eligible, what it
+// may skip and how the planes stay current, so results are bit-identical
+// to full. A router's eligible VCs are one RequestMask read off its
+// front_ready_ slice, and every stage's requests are built from it in one
+// pass: RC plus each output port's VA mask, then each input port's SA1
+// slice (DESIGN.md §14). A NIC's skip rule is its own Nic::NextDue.
+// Flit payloads, credits, arbiter matrices and NIC cursors stay in the
+// objects: Save/Load, the auditor and every introspection API read live
+// state, and the only checkpoint-boundary conversion needed is
+// RebuildFromObjects() after Network::Load.
 #pragma once
 
 #include <algorithm>
@@ -46,6 +48,7 @@
 #include <vector>
 
 #include "common/types.hpp"
+#include "noc/arbiter.hpp"
 
 namespace gnoc {
 
@@ -164,8 +167,8 @@ class SoaCore {
 
   /// Router::Tick without allocations: the Router's stages (epoch
   /// catch-up, recycle, RC, VA, SA1, SA2, ST) applied to the VCs the ready
-  /// plane marks eligible, plus the early-outs, scratch reuse and plane
-  /// updates that make soa fast.
+  /// plane marks eligible, with every request mask built in one pass over
+  /// them, plus the early-outs and plane updates that make soa fast.
   void TickRouter(std::size_t r, Cycle now);
 
   /// Clears every occupancy bitmap.
@@ -219,13 +222,12 @@ class SoaCore {
 
   std::uint64_t steps_ = 0;
 
-  // Preallocated arbitration scratch, reused by every router every cycle —
-  // the allocations the dense path pays per port per cycle.
-  std::vector<bool> va_requests_;   ///< total_vcs_
-  std::vector<bool> sa1_requests_;  ///< num_vcs_
-  std::vector<bool> sa2_requests_;  ///< num_ports_
-  std::vector<int> nominee_;        ///< num_ports_
-  std::vector<int> grant_;          ///< num_ports_
+  // Arbitration scratch shared by every router (all routers of one
+  // network have the topology's radix).
+  RequestMask port_vcs_ = 0;              ///< the num_vcs_ low bits
+  std::vector<RequestMask> va_requests_;  ///< per output port
+  std::vector<int> nominee_;              ///< num_ports_
+  std::vector<int> grant_;                ///< num_ports_
 };
 
 }  // namespace gnoc

@@ -208,6 +208,15 @@ TEST(DesignSpaceTest, FeasibilityScreening) {
   EXPECT_NE(dateline.find("dateline"), std::string::npos) << dateline;
   torus.vc_counts = {4};
   EXPECT_EQ(DesignInfeasibility(torus, torus.PointAt(0)), "");
+
+  // A router's VA arbiter takes radix x num_vcs inputs, at most 64: 13
+  // VCs on the radix-5 mesh are one too many, 12 fit.
+  DesignSpace wide;
+  wide.vc_counts = {13};
+  const std::string mask = DesignInfeasibility(wide, wide.PointAt(0));
+  EXPECT_NE(mask.find("num_vcs=13"), std::string::npos) << mask;
+  wide.vc_counts = {12};
+  EXPECT_EQ(DesignInfeasibility(wide, wide.PointAt(0)), "");
 }
 
 TEST(DesignSpaceTest, BufferAreaScalesWithVcResources) {

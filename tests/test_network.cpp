@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -301,6 +303,41 @@ TEST(NetworkTest, RectangularMeshesWork) {
     EXPECT_EQ(static_cast<int>(sink.packets.size()), sent) << w << "x" << h;
     sink.packets.clear();
   }
+}
+
+// Each output port's VA arbiter takes one request bit per input VC of the
+// router, radix x num_vcs of them, and a request mask holds 64. Wider
+// configs are refused with the numbers that broke the bound; exactly 64
+// (cmesh, radix 8, with 8 VCs) is accepted.
+TEST(NetworkTest, RefusesConfigsWiderThanOneRequestMask) {
+  struct Case {
+    TopologyKind topology;
+    int num_vcs;
+    const char* radix;
+  };
+  for (const Case& c : {Case{TopologyKind::kMesh, 13, "radix 5"},
+                        Case{TopologyKind::kCMesh, 9, "radix 8"}}) {
+    NetworkConfig cfg = SmallConfig();
+    cfg.topology = c.topology;
+    cfg.num_vcs = c.num_vcs;
+    try {
+      Network net(cfg);
+      ADD_FAILURE() << TopologyName(c.topology) << " accepted num_vcs="
+                    << c.num_vcs;
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(TopologyName(c.topology)), std::string::npos)
+          << what;
+      EXPECT_NE(what.find(c.radix), std::string::npos) << what;
+      EXPECT_NE(what.find("num_vcs=" + std::to_string(c.num_vcs)),
+                std::string::npos)
+          << what;
+    }
+  }
+  NetworkConfig widest = SmallConfig();
+  widest.topology = TopologyKind::kCMesh;
+  widest.num_vcs = 8;
+  EXPECT_NO_THROW(Network net(widest));
 }
 
 TEST(NetworkTest, FlitConservationUnderRandomTraffic) {

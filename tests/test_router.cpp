@@ -1,11 +1,14 @@
 // White-box unit tests of the VC router: pipeline timing, credit protocol,
 // wormhole integrity, VC allocation policy enforcement, QoS precedence in
-// the allocators, atomic VC reallocation and link-aware monopolizing.
+// the allocators, atomic VC reallocation, link-aware monopolizing, the
+// request-mask width bound and snapshot-load validation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
+#include "common/serialize.hpp"
 #include "noc/nic.hpp"
 #include "noc/router.hpp"
 
@@ -438,6 +441,69 @@ TEST(RouterTest, DynamicBoundaryAdaptsTowardsHeavyClass) {
   // All-reply traffic: the boundary must have moved down towards 1,
   // giving replies 3 of the 4 VCs.
   EXPECT_EQ(h.router_.DynamicBoundary(Port::kEast), 1);
+}
+
+// A standalone router has 5 ports; 13 VCs would give its VA arbiters 65
+// request bits, one more than a request mask holds.
+TEST(RouterTest, AssertsRadixTimesVcsFitsOneRequestMask) {
+  RouterConfig cfg = DefaultConfig();
+  cfg.num_vcs = 12;
+  const Router widest(0, Coord{0, 0}, cfg);
+  EXPECT_EQ(widest.num_ports() * widest.config().num_vcs, 60);
+  cfg.num_vcs = 13;
+  EXPECT_DEBUG_DEATH(Router(0, Coord{0, 0}, cfg), "request mask");
+}
+
+/// `bytes` with the `width`-byte little-endian field at `offset` set to
+/// `value`.
+std::string Patch(std::string bytes, std::size_t offset, std::uint64_t value,
+                  int width) {
+  for (int i = 0; i < width; ++i) {
+    bytes[offset + static_cast<std::size_t>(i)] =
+        static_cast<char>((value >> (8 * i)) & 0xFF);
+  }
+  return bytes;
+}
+
+// Router::Load refuses input-VC state the allocators would index, or shift
+// a request mask, out of range with. Each case patches one field of the
+// first input VC (local port, VC 0) of an idle router's snapshot, laid out
+// as: u64 flit count @0, bool route_valid @8, u8 out_port @9, i32 out_vc
+// @10, bool eject @14, u8 vc_half @15.
+TEST(RouterTest, LoadRejectsOutOfRangeInputVcState) {
+  const RouterConfig cfg = DefaultConfig();  // 5 ports x 2 VCs, depth 4
+  Serializer s;
+  Router(5, Coord{1, 1}, cfg).Save(s);
+  const std::string clean = s.bytes();
+  // The error message of loading `bytes` into a fresh router, "" if none.
+  const auto load_error = [&](const std::string& bytes) -> std::string {
+    Router router(5, Coord{1, 1}, cfg);
+    Deserializer d(bytes);
+    try {
+      router.Load(d);
+      d.Finish();
+    } catch (const SerializeError& e) {
+      return e.what();
+    }
+    return "";
+  };
+  EXPECT_EQ(load_error(clean), "");
+  // In range: the last port, the last VC, an ejecting local-port VC.
+  EXPECT_EQ(load_error(Patch(clean, 9, 4, 1)), "");
+  EXPECT_EQ(load_error(Patch(clean, 10, 1, 4)), "");
+  EXPECT_EQ(load_error(Patch(clean, 14, 1, 1)), "");
+
+  EXPECT_NE(load_error(Patch(clean, 0, 5, 8)).find("capacity 4"),
+            std::string::npos);
+  const std::string bad[] = {
+      Patch(clean, 9, 5, 1),                   // out_port = radix
+      Patch(clean, 10, 2, 4),                  // out_vc = num_vcs
+      Patch(clean, 10, 0xFFFFFFFE, 4),         // out_vc = -2
+      Patch(Patch(clean, 9, 1, 1), 14, 1, 1),  // ejecting via a link port
+  };
+  for (const std::string& bytes : bad) {
+    EXPECT_NE(load_error(bytes).find("out of range"), std::string::npos);
+  }
 }
 
 TEST(RouterTest, StatsCountForwardedFlitsPerPortAndClass) {

@@ -355,6 +355,43 @@ TEST(SoaBitIdentityTest, TopologyMatrixMatchesFullMode) {
   }
 }
 
+// A cmesh router has radix 8, so num_vcs=8 fills the 64-bit request mask
+// exactly: the VA masks use bit 63 and SA1 slices the last port's VCs from
+// the top byte (the UBSan build turns a shift by 64 into a failure here).
+// Full and soa must deliver the same traffic identically, and the input VC
+// behind bit 63 must actually carry flits.
+TEST(SoaBitIdentityTest, FullWidthRequestMaskMatchesFullMode) {
+  NetworkConfig cfg;
+  cfg.topology = TopologyKind::kCMesh;
+  cfg.width = 4;
+  cfg.height = 4;
+  cfg.num_vcs = 8;
+  cfg.vc_depth = 2;
+  OpenLoopConfig tcfg;
+  tcfg.injection_rate = 0.5;
+  tcfg.packet_size = 4;
+  ExpectLockstepStatesMatch(cfg, tcfg, /*cycles=*/1200, /*stride=*/25,
+                            "cmesh num_vcs=8");
+  EXPECT_EQ(NetworkFingerprint(cfg, SchedulingMode::kFull, 0.5),
+            NetworkFingerprint(cfg, SchedulingMode::kSoa, 0.5));
+
+  cfg.scheduling = SchedulingMode::kSoa;
+  Network net(cfg);
+  OpenLoopTraffic traffic(net, tcfg);
+  const auto top_port = static_cast<Port>(net.router(0).num_ports() - 1);
+  bool top_bit_used = false;
+  for (int c = 0; c < 1200 && !top_bit_used; ++c) {
+    traffic.Tick();
+    net.Tick();
+    for (NodeId r = 0; r < net.num_routers(); ++r) {
+      if (net.router(r).VcOccupancy(top_port, cfg.num_vcs - 1) > 0) {
+        top_bit_used = true;
+      }
+    }
+  }
+  EXPECT_TRUE(top_bit_used);
+}
+
 // Saturating adversarial patterns load some routers to the limit while
 // others stay nearly idle, so full and empty regions of the eligibility
 // planes coexist and shift from cycle to cycle. NIC state and per-router
