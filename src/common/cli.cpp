@@ -254,11 +254,9 @@ Config FlagSet::Parse(int argc, const char* const* argv, int first) {
     const std::string value = token.substr(eq + 1);
     if (key == "config") {
       const Config file = Config::FromFile(value);
+      Check(file);
       for (const std::string& file_key : file.keys()) {
-        const auto it = index_.find(file_key);
-        if (it == index_.end()) ThrowUnknown(file_key);
         for (const std::string& file_value : file.GetList(file_key)) {
-          Validate(flags_[it->second], file_value);
           from_file.Append(file_key, file_value);
         }
       }
@@ -273,6 +271,16 @@ Config FlagSet::Parse(int argc, const char* const* argv, int first) {
   Config merged = from_file;
   merged.Merge(from_cli);
   return merged;
+}
+
+void FlagSet::Check(const Config& config) const {
+  for (const std::string& key : config.keys()) {
+    const auto it = index_.find(key);
+    if (it == index_.end()) ThrowUnknown(key);
+    for (const std::string& value : config.GetList(key)) {
+      Validate(flags_[it->second], value);
+    }
+  }
 }
 
 std::string FlagSet::Help() const {

@@ -83,6 +83,11 @@ class FlagSet {
   /// returns the flags parsed so far.
   Config Parse(int argc, const char* const* argv, int first = 1);
 
+  /// Validates every key and value of `config` as Parse does (unknown keys
+  /// with a did-you-mean, types, validators), with no `config=` or help
+  /// handling: both are unknown keys here. Throws CliError.
+  void Check(const Config& config) const;
+
   /// True when the last Parse saw a help request.
   bool help_requested() const { return help_requested_; }
 

@@ -126,16 +126,7 @@ Rng Rng::Fork() {
 }
 
 
-void Rng::Save(Serializer& s) const {
-  for (std::uint64_t word : s_) s.U64(word);
-  s.Bool(has_cached_gaussian_);
-  s.Double(cached_gaussian_);
-}
-
-void Rng::Load(Deserializer& d) {
-  for (std::uint64_t& word : s_) word = d.U64();
-  has_cached_gaussian_ = d.Bool();
-  cached_gaussian_ = d.Double();
-}
+void Rng::Save(Serializer& s) const { Fields(*this, s); }
+void Rng::Load(Deserializer& d) { Fields(*this, d); }
 
 }  // namespace gnoc

@@ -66,6 +66,13 @@ class Rng {
   void Load(Deserializer& d);
 
  private:
+  template <class Self, class Ar>
+  static void Fields(Self& self, Ar& ar) {
+    Io(ar, self.s_);
+    Io(ar, self.has_cached_gaussian_);
+    Io(ar, self.cached_gaussian_);
+  }
+
   std::array<std::uint64_t, 4> s_{};
   bool has_cached_gaussian_ = false;
   double cached_gaussian_ = 0.0;

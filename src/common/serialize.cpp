@@ -66,6 +66,26 @@ std::string Deserializer::Str() {
   return s;
 }
 
+std::size_t Deserializer::Count() {
+  const std::uint64_t n = U64();
+  if (n > remaining()) {
+    throw SerializeError("snapshot count " + std::to_string(n) +
+                         " at offset " + std::to_string(pos_ - 8) +
+                         " exceeds the " + std::to_string(remaining()) +
+                         " byte(s) left");
+  }
+  return static_cast<std::size_t>(n);
+}
+
+void IoCount(Deserializer& d, std::size_t n, std::string_view what) {
+  const std::uint64_t saved = d.U64();
+  if (saved != n) {
+    throw SerializeError("snapshot " + std::string(what) + " count " +
+                         std::to_string(saved) + " differs from this "
+                         "configuration's " + std::to_string(n));
+  }
+}
+
 void Deserializer::Finish() const {
   if (pos_ != data_.size()) {
     throw SerializeError("snapshot payload has " +

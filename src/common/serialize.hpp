@@ -8,7 +8,24 @@
 //   void Save(Serializer& s) const;
 //   void Load(Deserializer& d);
 //
-// and snapshot *files* wrap one serialized payload in a framed container:
+// and writes its layout once, as a field walk both of them call:
+//
+//   template <class Self, class Ar>
+//   static void Fields(Self& self, Ar& ar) {
+//     Io(ar, self.clock_);        // a scalar in its type's wire width
+//     IoSeq(ar, self.queue_);     // a count, then the elements
+//   }
+//   void Save(Serializer& s) const { Fields(*this, s); }
+//   void Load(Deserializer& d) { Fields(*this, d); /* checks, rebuilds */ }
+//
+// `Self` is `const T` when saving and `T` when loading; every Io* helper
+// below has one overload per direction, so a walk never branches on the
+// direction. A `Load` adds only what must follow the walk: checks of loaded
+// values the next Tick would index or divide by, and rebuilds of derived
+// state. A type whose saved form is not a list of its fields (the matrix
+// arbiter's bit matrix) keeps a hand-written pair.
+//
+// Snapshot *files* wrap one serialized payload in a framed container:
 //
 //   magic "GNOCSNAP" | format version u32 | config fingerprint u64
 //   | payload length u64 | payload bytes | CRC32 u32 (over all prior bytes)
@@ -18,10 +35,15 @@
 // go through a temp file + rename so readers never observe a partial file.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <map>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <utility>
 
 namespace gnoc {
 
@@ -61,17 +83,17 @@ class Serializer {
   void Double(double v);
   /// Length-prefixed (u64) byte string.
   void Str(std::string_view v);
-
-  const std::string& bytes() const { return buf_; }
-  std::string TakeBytes() { return std::move(buf_); }
-
- private:
+  /// The low `n` bytes of `v`.
   void Unsigned(std::uint64_t v, int n) {
     for (int i = 0; i < n; ++i) {
       buf_.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
     }
   }
 
+  const std::string& bytes() const { return buf_; }
+  std::string TakeBytes() { return std::move(buf_); }
+
+ private:
   std::string buf_;
 };
 
@@ -93,14 +115,12 @@ class Deserializer {
   std::string Str();
 
   std::size_t remaining() const { return data_.size() - pos_; }
+  /// A u64 element count. Every saved element takes at least one byte, so
+  /// a count above remaining() is refused before anything is allocated.
+  std::size_t Count();
   /// Throws if any payload bytes are left unread.
   void Finish() const;
-
- private:
-  char Byte() {
-    Need(1);
-    return data_[pos_++];
-  }
+  /// An `n`-byte unsigned value.
   std::uint64_t Unsigned(int n) {
     Need(static_cast<std::size_t>(n));
     std::uint64_t v = 0;
@@ -111,6 +131,12 @@ class Deserializer {
     }
     pos_ += static_cast<std::size_t>(n);
     return v;
+  }
+
+ private:
+  char Byte() {
+    Need(1);
+    return data_[pos_++];
   }
   void Need(std::size_t n) const {
     if (data_.size() - pos_ < n) {
@@ -123,6 +149,176 @@ class Deserializer {
   std::string_view data_;
   std::size_t pos_ = 0;
 };
+
+// --- Field-walk helpers ------------------------------------------------------
+
+/// An integer (bool included) in its type's width; a double as its bits.
+template <class T>
+  requires std::is_integral_v<T>
+void Io(Serializer& s, T v) {
+  s.Unsigned(static_cast<std::uint64_t>(v), static_cast<int>(sizeof(T)));
+}
+template <class T>
+  requires std::is_integral_v<T>
+void Io(Deserializer& d, T& v) {
+  v = static_cast<T>(d.Unsigned(static_cast<int>(sizeof(T))));
+}
+inline void Io(Serializer& s, double v) { s.Double(v); }
+inline void Io(Deserializer& d, double& v) { v = d.Double(); }
+inline void Io(Serializer& s, const std::string& v) { s.Str(v); }
+inline void Io(Deserializer& d, std::string& v) { v = d.Str(); }
+
+/// An enum, as its underlying type.
+template <class E>
+  requires std::is_enum_v<E>
+void Io(Serializer& s, E v) {
+  Io(s, static_cast<std::underlying_type_t<E>>(v));
+}
+template <class E>
+  requires std::is_enum_v<E>
+void Io(Deserializer& d, E& v) {
+  std::underlying_type_t<E> raw{};
+  Io(d, raw);
+  v = static_cast<E>(raw);
+}
+
+template <class A, class B>
+void Io(Serializer& s, const std::pair<A, B>& p) {
+  Io(s, p.first);
+  Io(s, p.second);
+}
+template <class A, class B>
+void Io(Deserializer& d, std::pair<A, B>& p) {
+  Io(d, p.first);
+  Io(d, p.second);
+}
+
+/// A fixed-size array: its elements (the size is part of the type).
+template <class T, std::size_t N>
+void Io(Serializer& s, const std::array<T, N>& a) {
+  for (const T& x : a) Io(s, x);
+}
+template <class T, std::size_t N>
+void Io(Deserializer& d, std::array<T, N>& a) {
+  for (T& x : a) Io(d, x);
+}
+
+/// An owned object: the pointee (the pointer is construction-derived).
+template <class T>
+void Io(Serializer& s, const std::unique_ptr<T>& p) {
+  Io(s, *p);
+}
+template <class T>
+void Io(Deserializer& d, std::unique_ptr<T>& p) {
+  Io(d, *p);
+}
+
+/// A class: through its member Save/Load when it has them (Load may check
+/// and rebuild after its walk), else through its static Fields walk.
+template <class T>
+  requires std::is_class_v<T>
+void Io(Serializer& s, const T& v) {
+  if constexpr (requires { v.Save(s); }) {
+    v.Save(s);
+  } else {
+    T::Fields(v, s);
+  }
+}
+template <class T>
+  requires std::is_class_v<T>
+void Io(Deserializer& d, T& v) {
+  if constexpr (requires { v.Load(d); }) {
+    v.Load(d);
+  } else {
+    T::Fields(v, d);
+  }
+}
+
+/// The elements of a range whose size is construction-derived (no count).
+template <class Ar, class Range>
+void IoEach(Ar& ar, Range& range) {
+  for (auto& x : range) Io(ar, x);
+}
+
+/// A construction-derived count: Save writes `n`, Load refuses any other
+/// value, naming `what`.
+inline void IoCount(Serializer& s, std::size_t n, std::string_view) {
+  s.U64(n);
+}
+void IoCount(Deserializer& d, std::size_t n, std::string_view what);
+
+/// IoCount of the range's size, then its elements.
+template <class Ar, class Range>
+void IoSized(Ar& ar, Range& range, std::string_view what) {
+  IoCount(ar, range.size(), what);
+  IoEach(ar, range);
+}
+
+/// A count, then the elements of a sequence that grows at run time. Load
+/// refuses a count above Deserializer::remaining() before allocating, and
+/// starts each element as a copy of `blank` (for element types without a
+/// default constructor).
+template <class Seq>
+void IoSeq(Serializer& s, const Seq& seq,
+           const typename Seq::value_type& /*blank*/ = {}) {
+  s.U64(seq.size());
+  for (const auto& x : seq) Io(s, x);
+}
+template <class Seq>
+void IoSeq(Deserializer& d, Seq& seq,
+           const typename Seq::value_type& blank = {}) {
+  const std::size_t n = d.Count();
+  seq.clear();
+  for (std::size_t i = 0; i < n; ++i) {
+    seq.push_back(blank);
+    Io(d, seq.back());
+  }
+}
+
+/// A map, saved as a count and (key, value) entries sorted by key, so an
+/// unordered map's bytes do not depend on its iteration order.
+/// `value_io(ar, value)` walks one value (Io by default).
+template <class Map, class ValueIo>
+void IoSortedMap(Serializer& s, const Map& map, ValueIo value_io) {
+  std::map<typename Map::key_type, const typename Map::mapped_type*> sorted;
+  for (const auto& [key, value] : map) sorted.emplace(key, &value);
+  s.U64(sorted.size());
+  for (const auto& [key, value] : sorted) {
+    Io(s, key);
+    value_io(s, *value);
+  }
+}
+template <class Map, class ValueIo>
+void IoSortedMap(Deserializer& d, Map& map, ValueIo value_io) {
+  const std::size_t n = d.Count();
+  map.clear();
+  for (std::size_t i = 0; i < n; ++i) {
+    typename Map::key_type key{};
+    Io(d, key);
+    value_io(d, map[key]);
+  }
+}
+template <class Ar, class Map>
+void IoSortedMap(Ar& ar, Map& map) {
+  IoSortedMap(ar, map, [](auto& a, auto& value) { Io(a, value); });
+}
+
+/// An optional sub-object (auditor, telemetry, an SM's L1): a presence
+/// flag, then the pointee when present. Load refuses a flag that differs
+/// from this build's configuration, naming `what`.
+template <class Ptr>
+void IoPresence(Serializer& s, const Ptr& p, std::string_view /*what*/) {
+  s.Bool(p != nullptr);
+  if (p != nullptr) Io(s, *p);
+}
+template <class Ptr>
+void IoPresence(Deserializer& d, Ptr& p, std::string_view what) {
+  if (d.Bool() != (p != nullptr)) {
+    throw SerializeError("snapshot " + std::string(what) +
+                         " mode differs from this configuration");
+  }
+  if (p != nullptr) Io(d, *p);
+}
 
 /// Grants access to std::priority_queue's protected container so snapshot
 /// code can save and restore the heap array *verbatim*. Rebuilding a heap

@@ -166,36 +166,22 @@ std::string StatSet::ToString() const {
 }
 
 
-void RunningStats::Save(Serializer& s) const {
-  s.U64(count_);
-  s.Double(mean_);
-  s.Double(m2_);
-  s.Double(sum_);
-  s.Double(min_);
-  s.Double(max_);
-}
+void RunningStats::Save(Serializer& s) const { Fields(*this, s); }
+void RunningStats::Load(Deserializer& d) { Fields(*this, d); }
 
-void RunningStats::Load(Deserializer& d) {
-  count_ = d.U64();
-  mean_ = d.Double();
-  m2_ = d.Double();
-  sum_ = d.Double();
-  min_ = d.Double();
-  max_ = d.Double();
-}
-
-void Histogram::Save(Serializer& s) const {
-  s.Double(bucket_width_);
-  s.U64(counts_.size());
-  for (std::uint64_t c : counts_) s.U64(c);
-  stats_.Save(s);
-}
+void Histogram::Save(Serializer& s) const { Fields(*this, s); }
 
 void Histogram::Load(Deserializer& d) {
-  bucket_width_ = d.Double();
-  counts_.assign(d.U64(), 0);
-  for (std::uint64_t& c : counts_) c = d.U64();
-  stats_.Load(d);
+  Fields(*this, d);
+  // The constructor's geometry: Add divides by the width and casts the
+  // quotient to an index, and counts_.back() is the overflow bucket.
+  if (!std::isfinite(bucket_width_) || bucket_width_ <= 0.0 ||
+      counts_.size() < 2) {
+    throw SerializeError("snapshot histogram geometry (" +
+                         std::to_string(counts_.size()) + " counts of width " +
+                         std::to_string(bucket_width_) +
+                         ") is not a positive finite width over >= 2 counts");
+  }
 }
 
 }  // namespace gnoc

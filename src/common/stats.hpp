@@ -39,6 +39,16 @@ class RunningStats {
   void Load(Deserializer& d);
 
  private:
+  template <class Self, class Ar>
+  static void Fields(Self& self, Ar& ar) {
+    Io(ar, self.count_);
+    Io(ar, self.mean_);
+    Io(ar, self.m2_);
+    Io(ar, self.sum_);
+    Io(ar, self.min_);
+    Io(ar, self.max_);
+  }
+
   std::uint64_t count_ = 0;
   double mean_ = 0.0;
   double m2_ = 0.0;
@@ -88,12 +98,19 @@ class Histogram {
   };
   Percentiles SummaryPercentiles() const;
 
-  /// Snapshot support: geometry must already match (buckets are restored
-  /// in place, widths included).
+  /// Snapshot support: geometry and counts. Load refuses a geometry the
+  /// constructor would (a width that is not finite and > 0, < 2 counts).
   void Save(Serializer& s) const;
   void Load(Deserializer& d);
 
  private:
+  template <class Self, class Ar>
+  static void Fields(Self& self, Ar& ar) {
+    Io(ar, self.bucket_width_);
+    IoSeq(ar, self.counts_);
+    Io(ar, self.stats_);
+  }
+
   double bucket_width_;
   std::vector<std::uint64_t> counts_;  // last entry = overflow
   RunningStats stats_;

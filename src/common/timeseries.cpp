@@ -1,6 +1,7 @@
 #include "common/timeseries.hpp"
 
 #include <cassert>
+#include <cmath>
 
 #include "common/serialize.hpp"
 
@@ -73,37 +74,30 @@ void HistogramSeries::Downsample() {
 }
 
 
-void TimeSeries::Save(Serializer& s) const {
-  s.U64(width_);
-  s.U64(max_windows_);
-  s.U64(sums_.size());
-  for (double v : sums_) s.Double(v);
-}
+void TimeSeries::Save(Serializer& s) const { Fields(*this, s); }
 
 void TimeSeries::Load(Deserializer& d) {
-  width_ = d.U64();
-  max_windows_ = d.U64();
-  sums_.assign(d.U64(), 0.0);
-  for (double& v : sums_) v = d.Double();
+  Fields(*this, d);
+  if (width_ < 1) throw SerializeError("snapshot time series has width 0");
 }
 
-void HistogramSeries::Save(Serializer& s) const {
-  s.U64(width_);
-  s.U64(max_windows_);
-  s.Double(bucket_width_);
-  s.U64(num_buckets_);
-  s.U64(windows_.size());
-  for (const Histogram& h : windows_) h.Save(s);
-}
+void HistogramSeries::Save(Serializer& s) const { Fields(*this, s); }
 
 void HistogramSeries::Load(Deserializer& d) {
-  width_ = d.U64();
-  max_windows_ = d.U64();
-  bucket_width_ = d.Double();
-  num_buckets_ = d.U64();
-  const std::size_t n = d.U64();
-  windows_.assign(n, Histogram(bucket_width_, num_buckets_));
-  for (Histogram& h : windows_) h.Load(d);
+  Fields(*this, d);
+  // Add divides by the width and builds windows of the series' geometry,
+  // which Downsample merges with the loaded ones.
+  bool valid = width_ >= 1 && num_buckets_ >= 1 &&
+               std::isfinite(bucket_width_) && bucket_width_ > 0.0;
+  for (const Histogram& h : windows_) {
+    valid = valid && h.num_buckets() == num_buckets_ &&
+            h.bucket_width() == bucket_width_;
+  }
+  if (!valid) {
+    throw SerializeError("snapshot histogram series has width 0, a bucket "
+                         "geometry Histogram refuses, or a window of "
+                         "another geometry");
+  }
 }
 
 }  // namespace gnoc

@@ -52,11 +52,18 @@ class TimeSeries {
   double Total() const;
 
   /// Snapshot support: persists the current width (it doubles on
-  /// downsampling), not the construction-time width.
+  /// downsampling), not the construction-time width. Load refuses width 0.
   void Save(Serializer& s) const;
   void Load(Deserializer& d);
 
  private:
+  template <class Self, class Ar>
+  static void Fields(Self& self, Ar& ar) {
+    Io(ar, self.width_);
+    Io(ar, self.max_windows_);
+    IoSeq(ar, self.sums_);
+  }
+
   /// Merges adjacent window pairs and doubles the width.
   void Downsample();
 
@@ -82,10 +89,22 @@ class HistogramSeries {
   Cycle WindowStart(std::size_t i) const { return static_cast<Cycle>(i) * width_; }
   const Histogram& Window(std::size_t i) const { return windows_.at(i); }
 
+  /// Snapshot support. Load refuses width 0, a bucket geometry Histogram
+  /// refuses and windows whose geometry differs from the series'.
   void Save(Serializer& s) const;
   void Load(Deserializer& d);
 
  private:
+  template <class Self, class Ar>
+  static void Fields(Self& self, Ar& ar) {
+    Io(ar, self.width_);
+    Io(ar, self.max_windows_);
+    Io(ar, self.bucket_width_);
+    Io(ar, self.num_buckets_);
+    // Each window loads its own (checked) geometry into the placeholder.
+    IoSeq(ar, self.windows_, Histogram(1.0, 1));
+  }
+
   void Downsample();
 
   Cycle width_;

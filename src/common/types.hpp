@@ -103,6 +103,13 @@ struct Coord {
   int y = 0;
 
   friend constexpr auto operator<=>(const Coord&, const Coord&) = default;
+
+  /// Snapshot layout: x, y (common/serialize.hpp).
+  template <class Self, class Ar>
+  static void Fields(Self& c, Ar& ar) {
+    Io(ar, c.x);
+    Io(ar, c.y);
+  }
 };
 
 /// Manhattan distance between two coordinates.

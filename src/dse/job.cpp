@@ -1,10 +1,13 @@
 #include "dse/job.hpp"
 
+#include <climits>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 
+#include "common/cli.hpp"
 #include "common/json.hpp"
 
 namespace gnoc {
@@ -32,13 +35,50 @@ std::string ScalarToString(const JsonValue& v) {
   }
 }
 
-/// A JSON object of GpuConfig::ApplyOverrides keys -> Config.
-Config ParseOverrides(const JsonValue& obj) {
+/// A JSON object of GpuConfig::ApplyOverrides keys -> Config, checked
+/// against the flags RegisterGpuConfigFlags registers (the same names,
+/// validators and did-you-mean as the CLI). `where` names the object.
+Config ParseOverrides(const JsonValue& obj, const std::string& where) {
+  static const FlagSet flags = [] {
+    FlagSet f("job spec", "");
+    RegisterGpuConfigFlags(f);
+    return f;
+  }();
   Config cfg;
   for (const auto& [key, value] : obj.AsObject()) {
     cfg.Set(key, ScalarToString(value));
   }
+  try {
+    flags.Check(cfg);
+  } catch (const CliError& e) {
+    throw std::invalid_argument(where + ": " + e.what());
+  }
   return cfg;
+}
+
+/// The largest integer every JSON number (an IEEE double) holds exactly.
+constexpr double kMaxExactInteger = 9007199254740992.0;  // 2^53
+
+/// `v` as an integer in [lo, hi]. Refuses fractions and out-of-range
+/// values before any cast: casting -5.0 to an unsigned type is undefined.
+double IntegerIn(const JsonValue& v, const std::string& key, double lo,
+                 double hi) {
+  const double x = v.AsNumber();
+  if (!(x >= lo && x <= hi) || x != std::floor(x)) {
+    throw std::invalid_argument("'" + key + "' must be an integer in [" +
+                                JsonNumber(lo) + ", " + JsonNumber(hi) +
+                                "], got " + JsonNumber(x));
+  }
+  return x;
+}
+
+/// Sets `out` to doc[key] (IntegerIn [lo, hi]) when the key is present.
+template <class T>
+void ReadInteger(const JsonValue& doc, const std::string& key, double lo,
+                 double hi, T& out) {
+  if (const JsonValue* v = doc.Find(key)) {
+    out = static_cast<T>(IntegerIn(*v, key, lo, hi));
+  }
 }
 
 std::vector<std::string> ParseStringArray(const JsonValue& arr) {
@@ -47,10 +87,11 @@ std::vector<std::string> ParseStringArray(const JsonValue& arr) {
   return out;
 }
 
-std::vector<int> ParseIntArray(const JsonValue& arr) {
+std::vector<int> ParsePositiveIntArray(const JsonValue& arr,
+                                       const std::string& key) {
   std::vector<int> out;
   for (const JsonValue& v : arr.AsArray()) {
-    out.push_back(static_cast<int>(v.AsNumber()));
+    out.push_back(static_cast<int>(IntegerIn(v, key, 1, INT_MAX)));
   }
   return out;
 }
@@ -58,7 +99,7 @@ std::vector<int> ParseIntArray(const JsonValue& arr) {
 DesignSpace ParseSpace(const JsonValue& obj) {
   DesignSpace s;  // single-point baseline; listed axes override
   if (const JsonValue* base = obj.Find("base")) {
-    s.base.ApplyOverrides(ParseOverrides(*base));
+    s.base.ApplyOverrides(ParseOverrides(*base, "space.base"));
   }
   if (const JsonValue* v = obj.Find("placements")) {
     s.placements.clear();
@@ -85,10 +126,10 @@ DesignSpace ParseSpace(const JsonValue& obj) {
     }
   }
   if (const JsonValue* v = obj.Find("vc_counts")) {
-    s.vc_counts = ParseIntArray(*v);
+    s.vc_counts = ParsePositiveIntArray(*v, "space.vc_counts");
   }
   if (const JsonValue* v = obj.Find("vc_depths")) {
-    s.vc_depths = ParseIntArray(*v);
+    s.vc_depths = ParsePositiveIntArray(*v, "space.vc_depths");
   }
   s.NumPoints();  // throws on an empty axis
   return s;
@@ -118,17 +159,11 @@ JobSpec JobSpec::Parse(const JsonValue& doc) {
       throw std::invalid_argument("job needs at least one workload");
     }
   }
-  if (const JsonValue* v = doc.Find("warmup")) {
-    spec.lengths.warmup = static_cast<Cycle>(v->AsNumber());
-  }
-  if (const JsonValue* v = doc.Find("measure")) {
-    spec.lengths.measure = static_cast<Cycle>(v->AsNumber());
-  }
-  if (const JsonValue* v = doc.Find("threads")) {
-    spec.threads = static_cast<int>(v->AsNumber());
-  }
+  ReadInteger(doc, "warmup", 0, kMaxExactInteger, spec.lengths.warmup);
+  ReadInteger(doc, "measure", 0, kMaxExactInteger, spec.lengths.measure);
+  ReadInteger(doc, "threads", 0, INT_MAX, spec.threads);
   if (const JsonValue* v = doc.Find("base")) {
-    spec.base_overrides = ParseOverrides(*v);
+    spec.base_overrides = ParseOverrides(*v, "base");
   }
 
   if (spec.type == JobType::kSweep) {
@@ -137,7 +172,7 @@ JobSpec JobSpec::Parse(const JsonValue& doc) {
       SchemeOverride so;
       so.label = s.At("label").AsString();
       if (const JsonValue* cfg = s.Find("config")) {
-        so.overrides = ParseOverrides(*cfg);
+        so.overrides = ParseOverrides(*cfg, "scheme '" + so.label + "' config");
       }
       spec.schemes.push_back(std::move(so));
     }
@@ -166,15 +201,9 @@ JobSpec JobSpec::Parse(const JsonValue& doc) {
       spec.objectives.push_back(ParseSearchObjective(name));
     }
   }
-  if (const JsonValue* v = doc.Find("population")) {
-    spec.population = static_cast<int>(v->AsNumber());
-  }
-  if (const JsonValue* v = doc.Find("max_evaluations")) {
-    spec.max_evaluations = static_cast<int>(v->AsNumber());
-  }
-  if (const JsonValue* v = doc.Find("seed")) {
-    spec.seed = static_cast<std::uint64_t>(v->AsNumber());
-  }
+  ReadInteger(doc, "population", 1, INT_MAX, spec.population);
+  ReadInteger(doc, "max_evaluations", 0, INT_MAX, spec.max_evaluations);
+  ReadInteger(doc, "seed", 0, kMaxExactInteger, spec.seed);
   if (const JsonValue* v = doc.Find("crossover_rate")) {
     spec.crossover_rate = v->AsNumber();
   }

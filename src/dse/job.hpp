@@ -84,7 +84,10 @@ struct JobSpec {
   double mutation_rate = 0.0;
 
   /// Parses a spec document. Throws std::invalid_argument on malformed
-  /// JSON, unknown enum names or a missing/unknown "type".
+  /// JSON, unknown enum names, a missing/unknown "type", a "base"/"config"
+  /// key or value the command line would refuse (unknown flag, failed
+  /// validator), and a count, length or seed that is not an integer in
+  /// range.
   static JobSpec Parse(const std::string& json_text);
   static JobSpec Parse(const JsonValue& doc);
 

@@ -221,6 +221,7 @@ constexpr std::uint32_t kSearchCkptLayout = 1;
 /// The whole mutable state of a search between batches. Everything else
 /// (labels, configs, pool ranking) is a pure function of this + options.
 struct SearchState {
+  std::uint32_t layout = kSearchCkptLayout;  ///< Load refuses any other
   Rng rng{0};
   std::uint64_t generation = 0;
   std::uint64_t evaluations = 0;
@@ -237,59 +238,44 @@ struct SearchState {
     archive.push_back(std::move(d));
   }
 
-  void Save(Serializer& s) const {
-    s.U32(kSearchCkptLayout);
-    rng.Save(s);
-    s.U64(generation);
-    s.U64(evaluations);
-    s.U64(archive.size());
-    for (const EvaluatedDesign& d : archive) {
-      for (const std::uint16_t c : d.point.coord) s.U16(c);
-      s.Bool(d.feasible);
-      s.Str(d.infeasible_reason);
-      s.Double(d.ipc);
-      s.Double(d.mean_packet_latency);
-      s.Double(d.p99_packet_latency);
-      s.Double(d.buffer_area_flits);
-    }
-    s.U64(pending.size());
-    for (const DesignPoint& p : pending) {
-      for (const std::uint16_t c : p.coord) s.U16(c);
-    }
+  template <class Self, class Ar>
+  static void Fields(Self& self, Ar& ar) {
+    Io(ar, self.layout);
+    Io(ar, self.rng);
+    Io(ar, self.generation);
+    Io(ar, self.evaluations);
+    IoSeq(ar, self.archive);
+    IoSeq(ar, self.pending);
   }
 
+  void Save(Serializer& s) const { Fields(*this, s); }
+
   void Load(Deserializer& d, const DesignSpace& space) {
-    const std::uint32_t layout = d.U32();
+    Fields(*this, d);
     if (layout != kSearchCkptLayout) {
       throw SerializeError("search checkpoint layout " +
                            std::to_string(layout) + " != expected " +
                            std::to_string(kSearchCkptLayout));
     }
-    rng.Load(d);
-    generation = d.U64();
-    evaluations = d.U64();
-    archive.clear();
+    // PointLabel and MakeConfig index the axes by these coordinates.
+    const auto check = [&space](const DesignPoint& p) {
+      for (std::size_t axis = 0; axis < kNumDesignAxes; ++axis) {
+        if (p.coord[axis] >= space.AxisSize(axis)) {
+          throw SerializeError(
+              "search checkpoint design point has index " +
+              std::to_string(p.coord[axis]) + " on axis " +
+              std::to_string(axis) + " of " +
+              std::to_string(space.AxisSize(axis)) + " value(s)");
+        }
+      }
+    };
     index.clear();
-    const std::uint64_t n = d.U64();
-    for (std::uint64_t i = 0; i < n; ++i) {
-      EvaluatedDesign e;
-      for (std::uint16_t& c : e.point.coord) c = d.U16();
-      e.feasible = d.Bool();
-      e.infeasible_reason = d.Str();
-      e.ipc = d.Double();
-      e.mean_packet_latency = d.Double();
-      e.p99_packet_latency = d.Double();
-      e.buffer_area_flits = d.Double();
-      e.label = PointLabel(space, e.point);
-      Commit(std::move(e));
+    for (std::size_t i = 0; i < archive.size(); ++i) {
+      check(archive[i].point);
+      archive[i].label = PointLabel(space, archive[i].point);
+      index.emplace(archive[i].point, i);
     }
-    pending.clear();
-    const std::uint64_t np = d.U64();
-    for (std::uint64_t i = 0; i < np; ++i) {
-      DesignPoint p;
-      for (std::uint16_t& c : p.coord) c = d.U16();
-      pending.push_back(p);
-    }
+    for (const DesignPoint& p : pending) check(p);
   }
 };
 

@@ -88,6 +88,18 @@ struct EvaluatedDesign {
   /// crowding distance within that front. -1 / 0 for infeasible designs.
   int rank = -1;
   double crowding = 0.0;
+
+  /// Checkpoint layout: the evaluated state, not the derived label/rank.
+  template <class Self, class Ar>
+  static void Fields(Self& self, Ar& ar) {
+    Io(ar, self.point);
+    Io(ar, self.feasible);
+    Io(ar, self.infeasible_reason);
+    Io(ar, self.ipc);
+    Io(ar, self.mean_packet_latency);
+    Io(ar, self.p99_packet_latency);
+    Io(ar, self.buffer_area_flits);
+  }
 };
 
 /// Per-design progress callback: the committed design, feasible

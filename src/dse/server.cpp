@@ -110,10 +110,13 @@ void JobServer::StartJob(const std::string& id) {
   w->thread = std::thread([this, w, id] {
     const std::string spec_path = Dir("running") + "/" + id + ".json";
     const std::string cancel_path = Dir("cancel") + "/" + id;
+    // The last reported progress: a finished job keeps its counts.
+    int done = 0;
+    int total = 0;
     const auto finish = [&](const std::string& state,
                             const std::string& artifact,
                             const std::string& error) {
-      WriteStatus(id, state, 0, 0, "", artifact, error);
+      WriteStatus(id, state, done, total, "", artifact, error);
       std::error_code ec;
       fs::rename(spec_path, Dir("done") + "/" + id + ".json", ec);
       fs::remove(cancel_path, ec);
@@ -128,8 +131,10 @@ void JobServer::StartJob(const std::string& id) {
       const auto should_stop = [this, &cancel_path] {
         return shutdown_.load() || fs::exists(cancel_path);
       };
-      const auto progress = [this, &id](int done, int total,
-                                        const std::string& detail) {
+      const auto progress = [&](int now_done, int now_total,
+                                const std::string& detail) {
+        done = now_done;
+        total = now_total;
         WriteStatus(id, "running", done, total, detail, "", "");
       };
       const JobOutcome outcome =
@@ -146,7 +151,7 @@ void JobServer::StartJob(const std::string& id) {
       } else {
         // Graceful shutdown: park in running/ so the next server run
         // resumes from the checkpoints.
-        WriteStatus(id, "preempted", 0, 0, "", "", "");
+        WriteStatus(id, "preempted", done, total, "", "", "");
       }
     } catch (const std::exception& e) {
       failed_jobs_.fetch_add(1);

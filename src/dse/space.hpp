@@ -31,6 +31,11 @@ inline constexpr std::size_t kNumDesignAxes = 6;
 struct DesignPoint {
   std::array<std::uint16_t, kNumDesignAxes> coord{};
 
+  template <class Self, class Ar>
+  static void Fields(Self& self, Ar& ar) {
+    Io(ar, self.coord);
+  }
+
   friend bool operator==(const DesignPoint&, const DesignPoint&) = default;
   /// Lexicographic, for ordered containers / deterministic iteration.
   friend auto operator<=>(const DesignPoint&, const DesignPoint&) = default;

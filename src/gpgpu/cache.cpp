@@ -105,34 +105,7 @@ void SetAssocCache::Flush() {
   for (Line& line : lines_) line = Line{};
 }
 
-void SetAssocCache::Save(Serializer& s) const {
-  s.U64(use_counter_);
-  for (const Line& line : lines_) {
-    s.U64(line.tag);
-    s.Bool(line.valid);
-    s.Bool(line.dirty);
-    s.U64(line.lru);
-  }
-  s.U64(stats_.read_hits);
-  s.U64(stats_.read_misses);
-  s.U64(stats_.write_hits);
-  s.U64(stats_.write_misses);
-  s.U64(stats_.writebacks);
-}
-
-void SetAssocCache::Load(Deserializer& d) {
-  use_counter_ = d.U64();
-  for (Line& line : lines_) {
-    line.tag = d.U64();
-    line.valid = d.Bool();
-    line.dirty = d.Bool();
-    line.lru = d.U64();
-  }
-  stats_.read_hits = d.U64();
-  stats_.read_misses = d.U64();
-  stats_.write_hits = d.U64();
-  stats_.write_misses = d.U64();
-  stats_.writebacks = d.U64();
-}
+void SetAssocCache::Save(Serializer& s) const { Fields(*this, s); }
+void SetAssocCache::Load(Deserializer& d) { Fields(*this, d); }
 
 }  // namespace gnoc

@@ -83,6 +83,22 @@ class SetAssocCache {
     std::uint64_t lru = 0;  ///< last-use stamp; smallest = LRU victim
   };
 
+  template <class Self, class Ar>
+  static void Fields(Self& self, Ar& ar) {
+    Io(ar, self.use_counter_);
+    for (auto& line : self.lines_) {
+      Io(ar, line.tag);
+      Io(ar, line.valid);
+      Io(ar, line.dirty);
+      Io(ar, line.lru);
+    }
+    Io(ar, self.stats_.read_hits);
+    Io(ar, self.stats_.read_misses);
+    Io(ar, self.stats_.write_hits);
+    Io(ar, self.stats_.write_misses);
+    Io(ar, self.stats_.writebacks);
+  }
+
   std::uint64_t LineAddress(std::uint64_t addr) const;
   std::uint32_t SetIndex(std::uint64_t line_addr) const;
   std::uint64_t Tag(std::uint64_t line_addr) const;

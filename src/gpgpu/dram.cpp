@@ -58,30 +58,7 @@ Cycle DramModel::Schedule(std::uint64_t addr, bool is_write, Cycle now) {
   return start + latency;
 }
 
-void DramModel::Save(Serializer& s) const {
-  for (const Bank& bank : banks_) {
-    s.U64(bank.busy_until);
-    s.U64(bank.open_row);
-    s.Bool(bank.row_valid);
-  }
-  s.U64(stats_.accesses);
-  s.U64(stats_.row_hits);
-  s.U64(stats_.reads);
-  s.U64(stats_.writes);
-  s.U64(stats_.bank_wait_cycles);
-}
-
-void DramModel::Load(Deserializer& d) {
-  for (Bank& bank : banks_) {
-    bank.busy_until = d.U64();
-    bank.open_row = d.U64();
-    bank.row_valid = d.Bool();
-  }
-  stats_.accesses = d.U64();
-  stats_.row_hits = d.U64();
-  stats_.reads = d.U64();
-  stats_.writes = d.U64();
-  stats_.bank_wait_cycles = d.U64();
-}
+void DramModel::Save(Serializer& s) const { Fields(*this, s); }
+void DramModel::Load(Deserializer& d) { Fields(*this, d); }
 
 }  // namespace gnoc

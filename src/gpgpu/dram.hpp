@@ -72,6 +72,20 @@ class DramModel {
     bool row_valid = false;
   };
 
+  template <class Self, class Ar>
+  static void Fields(Self& self, Ar& ar) {
+    for (auto& bank : self.banks_) {
+      Io(ar, bank.busy_until);
+      Io(ar, bank.open_row);
+      Io(ar, bank.row_valid);
+    }
+    Io(ar, self.stats_.accesses);
+    Io(ar, self.stats_.row_hits);
+    Io(ar, self.stats_.reads);
+    Io(ar, self.stats_.writes);
+    Io(ar, self.stats_.bank_wait_cycles);
+  }
+
   int BankOf(std::uint64_t addr) const;
   std::uint64_t RowOf(std::uint64_t addr) const;
 

@@ -143,59 +143,7 @@ void MemoryController::ResetStats() {
   dram_.ResetStats();
 }
 
-void MemoryController::Save(Serializer& s) const {
-  l2_.Save(s);
-  dram_.Save(s);
-  s.U64(queue_.size());
-  for (const Packet& p : queue_) gnoc::Save(s, p);
-  const auto& heap =
-      PriorityQueueAccess<decltype(inflight_)>::Container(inflight_);
-  s.U64(heap.size());
-  for (const Completion& c : heap) {
-    s.U64(c.ready_at);
-    gnoc::Save(s, c.reply);
-    s.U64(c.accepted_at);
-  }
-  s.U64(stats_.read_requests);
-  s.U64(stats_.write_requests);
-  s.U64(stats_.l2_read_hits);
-  s.U64(stats_.l2_read_misses);
-  s.U64(stats_.dram_writebacks);
-  s.U64(stats_.replies_sent);
-  s.U64(stats_.stall_cycles);
-  s.U64(stats_.reordered);
-  stats_.service_latency.Save(s);
-}
-
-void MemoryController::Load(Deserializer& d) {
-  l2_.Load(d);
-  dram_.Load(d);
-  queue_.clear();
-  const std::uint64_t queued = d.U64();
-  for (std::uint64_t i = 0; i < queued; ++i) {
-    Packet p;
-    gnoc::Load(d, p);
-    queue_.push_back(p);
-  }
-  auto& heap = PriorityQueueAccess<decltype(inflight_)>::Container(inflight_);
-  heap.clear();
-  const std::uint64_t inflight = d.U64();
-  for (std::uint64_t i = 0; i < inflight; ++i) {
-    Completion c;
-    c.ready_at = d.U64();
-    gnoc::Load(d, c.reply);
-    c.accepted_at = d.U64();
-    heap.push_back(c);
-  }
-  stats_.read_requests = d.U64();
-  stats_.write_requests = d.U64();
-  stats_.l2_read_hits = d.U64();
-  stats_.l2_read_misses = d.U64();
-  stats_.dram_writebacks = d.U64();
-  stats_.replies_sent = d.U64();
-  stats_.stall_cycles = d.U64();
-  stats_.reordered = d.U64();
-  stats_.service_latency.Load(d);
-}
+void MemoryController::Save(Serializer& s) const { Fields(*this, s); }
+void MemoryController::Load(Deserializer& d) { Fields(*this, d); }
 
 }  // namespace gnoc

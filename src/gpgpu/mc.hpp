@@ -100,7 +100,32 @@ class MemoryController : public PacketSink {
     bool operator>(const Completion& other) const {
       return ready_at > other.ready_at;
     }
+
+    template <class Self, class Ar>
+    static void Fields(Self& self, Ar& ar) {
+      Io(ar, self.ready_at);
+      Io(ar, self.reply);
+      Io(ar, self.accepted_at);
+    }
   };
+
+  template <class Self, class Ar>
+  static void Fields(Self& self, Ar& ar) {
+    Io(ar, self.l2_);
+    Io(ar, self.dram_);
+    IoSeq(ar, self.queue_);
+    IoSeq(ar, PriorityQueueAccess<decltype(self.inflight_)>::Container(
+                  self.inflight_));
+    Io(ar, self.stats_.read_requests);
+    Io(ar, self.stats_.write_requests);
+    Io(ar, self.stats_.l2_read_hits);
+    Io(ar, self.stats_.l2_read_misses);
+    Io(ar, self.stats_.dram_writebacks);
+    Io(ar, self.stats_.replies_sent);
+    Io(ar, self.stats_.stall_cycles);
+    Io(ar, self.stats_.reordered);
+    Io(ar, self.stats_.service_latency);
+  }
 
   void StartOneRequest(Cycle now);
   void InjectReadyReplies(Cycle now);

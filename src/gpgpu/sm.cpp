@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <map>
 
 #include "common/serialize.hpp"
 
@@ -256,82 +255,7 @@ int StreamingMultiprocessor::ReadyWarps() const {
   return ready;
 }
 
-void StreamingMultiprocessor::Save(Serializer& s) const {
-  rng_.Save(s);
-  s.U64(warps_.size());
-  for (const Warp& w : warps_) {
-    s.Bool(w.blocked);
-    s.U8(static_cast<std::uint8_t>(w.next));
-    s.U64(w.next_addr);
-    s.U64(w.cursor);
-    s.I32(w.burst_remaining);
-    s.I32(w.pending_replies);
-  }
-  s.Bool(l1_ != nullptr);
-  if (l1_ != nullptr) l1_->Save(s);
-  s.I32(current_warp_);
-  s.I32(outstanding_reads_);
-  s.I32(outstanding_writes_);
-  // Sorted by transaction id so snapshot bytes are independent of the
-  // unordered_map's iteration order (behaviour is lookup-only).
-  const std::map<std::uint64_t, TxInfo> sorted(transactions_.begin(),
-                                               transactions_.end());
-  s.U64(sorted.size());
-  for (const auto& [tx, info] : sorted) {
-    s.U64(tx);
-    s.I32(info.warp);
-    s.U64(info.issued);
-  }
-  s.U64(next_tx_);
-  s.U64(stats_.instructions);
-  s.U64(stats_.loads);
-  s.U64(stats_.stores);
-  s.U64(stats_.l1_misses);
-  s.U64(stats_.write_requests);
-  s.U64(stats_.issue_stalls);
-  s.U64(stats_.no_ready_warp);
-  stats_.read_latency.Save(s);
-}
-
-void StreamingMultiprocessor::Load(Deserializer& d) {
-  rng_.Load(d);
-  if (d.U64() != warps_.size()) {
-    throw SerializeError("SM snapshot warp count mismatch");
-  }
-  for (Warp& w : warps_) {
-    w.blocked = d.Bool();
-    w.next = static_cast<InsnKind>(d.U8());
-    w.next_addr = d.U64();
-    w.cursor = d.U64();
-    w.burst_remaining = d.I32();
-    w.pending_replies = d.I32();
-  }
-  const bool had_l1 = d.Bool();
-  if (had_l1 != (l1_ != nullptr)) {
-    throw SerializeError("SM snapshot L1 mode mismatch");
-  }
-  if (l1_ != nullptr) l1_->Load(d);
-  current_warp_ = d.I32();
-  outstanding_reads_ = d.I32();
-  outstanding_writes_ = d.I32();
-  transactions_.clear();
-  const std::uint64_t n = d.U64();
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const std::uint64_t tx = d.U64();
-    TxInfo info;
-    info.warp = d.I32();
-    info.issued = d.U64();
-    transactions_[tx] = info;
-  }
-  next_tx_ = d.U64();
-  stats_.instructions = d.U64();
-  stats_.loads = d.U64();
-  stats_.stores = d.U64();
-  stats_.l1_misses = d.U64();
-  stats_.write_requests = d.U64();
-  stats_.issue_stalls = d.U64();
-  stats_.no_ready_warp = d.U64();
-  stats_.read_latency.Load(d);
-}
+void StreamingMultiprocessor::Save(Serializer& s) const { Fields(*this, s); }
+void StreamingMultiprocessor::Load(Deserializer& d) { Fields(*this, d); }
 
 }  // namespace gnoc

@@ -107,6 +107,34 @@ class StreamingMultiprocessor : public PacketSink {
     int pending_replies = 0;     ///< outstanding replies of the current load
   };
 
+  template <class Self, class Ar>
+  static void Fields(Self& self, Ar& ar) {
+    Io(ar, self.rng_);
+    IoCount(ar, self.warps_.size(), "SM warp");
+    for (auto& w : self.warps_) {
+      Io(ar, w.blocked);
+      Io(ar, w.next);
+      Io(ar, w.next_addr);
+      Io(ar, w.cursor);
+      Io(ar, w.burst_remaining);
+      Io(ar, w.pending_replies);
+    }
+    IoPresence(ar, self.l1_, "SM L1");
+    Io(ar, self.current_warp_);
+    Io(ar, self.outstanding_reads_);
+    Io(ar, self.outstanding_writes_);
+    IoSortedMap(ar, self.transactions_);
+    Io(ar, self.next_tx_);
+    Io(ar, self.stats_.instructions);
+    Io(ar, self.stats_.loads);
+    Io(ar, self.stats_.stores);
+    Io(ar, self.stats_.l1_misses);
+    Io(ar, self.stats_.write_requests);
+    Io(ar, self.stats_.issue_stalls);
+    Io(ar, self.stats_.no_ready_warp);
+    Io(ar, self.stats_.read_latency);
+  }
+
   /// Rolls the next instruction of warp `w` from the profile.
   void GenerateNextInsn(int w);
 
@@ -141,6 +169,12 @@ class StreamingMultiprocessor : public PacketSink {
   struct TxInfo {
     int warp = -1;
     Cycle issued = 0;
+
+    template <class Self, class Ar>
+    static void Fields(Self& self, Ar& ar) {
+      Io(ar, self.warp);
+      Io(ar, self.issued);
+    }
   };
   std::unordered_map<std::uint64_t, TxInfo> transactions_;
   std::uint64_t next_tx_ = 1;

@@ -92,16 +92,15 @@ std::unique_ptr<Arbiter> MakeArbiter(ArbiterKind kind,
   return std::make_unique<RoundRobinArbiter>(num_inputs);
 }
 
-void RoundRobinArbiter::Save(Serializer& s) const { s.U64(pointer_); }
+void RoundRobinArbiter::Save(Serializer& s) const { Io(s, pointer_); }
 
 void RoundRobinArbiter::Load(Deserializer& d) {
-  const std::uint64_t pointer = d.U64();
-  if (pointer >= num_inputs_) {
+  Io(d, pointer_);
+  if (pointer_ >= num_inputs_) {
     throw SerializeError("round-robin arbiter pointer " +
-                         std::to_string(pointer) + " out of range for " +
+                         std::to_string(pointer_) + " out of range for " +
                          std::to_string(num_inputs_) + " inputs");
   }
-  pointer_ = static_cast<std::size_t>(pointer);
 }
 
 void MatrixArbiter::Save(Serializer& s) const {

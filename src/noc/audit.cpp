@@ -321,80 +321,10 @@ void Auditor::CheckQuiescence(Cycle now) {
   }
 }
 
-void AuditReport::Save(Serializer& s) const {
-  s.Bool(enabled);
-  s.U64(checks);
-  s.U64(events);
-  s.U64(flits_injected);
-  s.U64(flits_ejected);
-  s.U64(violations);
-  for (const std::uint64_t n : by_invariant) s.U64(n);
-  s.U64(samples.size());
-  for (const AuditViolation& v : samples) {
-    s.U8(static_cast<std::uint8_t>(v.invariant));
-    s.U64(v.cycle);
-    s.Str(v.detail);
-  }
-}
+void AuditReport::Save(Serializer& s) const { Fields(*this, s); }
+void AuditReport::Load(Deserializer& d) { Fields(*this, d); }
 
-void AuditReport::Load(Deserializer& d) {
-  enabled = d.Bool();
-  checks = d.U64();
-  events = d.U64();
-  flits_injected = d.U64();
-  flits_ejected = d.U64();
-  violations = d.U64();
-  for (std::uint64_t& n : by_invariant) n = d.U64();
-  samples.clear();
-  const std::uint64_t n = d.U64();
-  for (std::uint64_t i = 0; i < n; ++i) {
-    AuditViolation v;
-    v.invariant = static_cast<AuditInvariant>(d.U8());
-    v.cycle = d.U64();
-    v.detail = d.Str();
-    samples.push_back(std::move(v));
-  }
-}
-
-void Auditor::Save(Serializer& s) const {
-  s.U64(next_check_);
-  s.U64(links_.size());
-  for (const LinkState& ls : links_) {
-    for (const std::vector<Stream>* side : {&ls.sent, &ls.received}) {
-      s.U64(side->size());
-      for (const Stream& stream : *side) {
-        s.Bool(stream.open);
-        s.U64(stream.packet);
-        s.U16(stream.next_seq);
-      }
-    }
-  }
-  report_.Save(s);
-}
-
-void Auditor::Load(Deserializer& d) {
-  next_check_ = d.U64();
-  const std::uint64_t num_links = d.U64();
-  if (num_links != links_.size()) {
-    throw SerializeError("auditor snapshot has " + std::to_string(num_links) +
-                         " links, this network registered " +
-                         std::to_string(links_.size()));
-  }
-  for (LinkState& ls : links_) {
-    for (std::vector<Stream>* side : {&ls.sent, &ls.received}) {
-      const std::uint64_t num_vcs = d.U64();
-      if (num_vcs != side->size()) {
-        throw SerializeError("auditor snapshot VC count mismatch on link " +
-                             ls.link.name);
-      }
-      for (Stream& stream : *side) {
-        stream.open = d.Bool();
-        stream.packet = d.U64();
-        stream.next_seq = d.U16();
-      }
-    }
-  }
-  report_.Load(d);
-}
+void Auditor::Save(Serializer& s) const { Fields(*this, s); }
+void Auditor::Load(Deserializer& d) { Fields(*this, d); }
 
 }  // namespace gnoc

@@ -73,6 +73,13 @@ struct AuditViolation {
   AuditInvariant invariant = AuditInvariant::kCreditConservation;
   Cycle cycle = 0;
   std::string detail;
+
+  template <class Self, class Ar>
+  static void Fields(Self& self, Ar& ar) {
+    Io(ar, self.invariant);
+    Io(ar, self.cycle);
+    Io(ar, self.detail);
+  }
 };
 
 /// Faults the Network can plant in live channels so tests can prove each
@@ -110,6 +117,17 @@ struct AuditReport {
   /// Snapshot support (DESIGN.md §10).
   void Save(Serializer& s) const;
   void Load(Deserializer& d);
+  template <class Self, class Ar>
+  static void Fields(Self& self, Ar& ar) {
+    Io(ar, self.enabled);
+    Io(ar, self.checks);
+    Io(ar, self.events);
+    Io(ar, self.flits_injected);
+    Io(ar, self.flits_ejected);
+    Io(ar, self.violations);
+    Io(ar, self.by_invariant);
+    IoSeq(ar, self.samples);
+  }
 };
 
 /// Tracks invariants for one Network. Owned by the Network; routers and
@@ -188,7 +206,25 @@ class Auditor {
     bool open = false;
     PacketId packet = 0;
     std::uint16_t next_seq = 0;
+
+    template <class Self, class Ar>
+    static void Fields(Self& self, Ar& ar) {
+      Io(ar, self.open);
+      Io(ar, self.packet);
+      Io(ar, self.next_seq);
+    }
   };
+
+  template <class Self, class Ar>
+  static void Fields(Self& self, Ar& ar) {
+    Io(ar, self.next_check_);
+    IoCount(ar, self.links_.size(), "audited link");
+    for (auto& ls : self.links_) {
+      IoSized(ar, ls.sent, "audited VC");
+      IoSized(ar, ls.received, "audited VC");
+    }
+    Io(ar, self.report_);
+  }
 
   struct LinkState {
     Link link;

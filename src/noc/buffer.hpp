@@ -54,22 +54,13 @@ class VcBuffer {
   }
 
   /// Snapshot support: contents only; capacity is construction-derived.
-  void Save(Serializer& s) const {
-    s.U64(fifo_.size());
-    for (const Flit& f : fifo_) gnoc::Save(s, f);
-  }
+  void Save(Serializer& s) const { IoSeq(s, fifo_); }
   /// Throws SerializeError for more flits than the capacity.
   void Load(Deserializer& d) {
-    fifo_.clear();
-    const std::uint64_t n = d.U64();
-    if (n > capacity_) {
-      throw SerializeError("VC buffer holds " + std::to_string(n) +
+    IoSeq(d, fifo_);
+    if (fifo_.size() > capacity_) {
+      throw SerializeError("VC buffer holds " + std::to_string(fifo_.size()) +
                            " flits, capacity " + std::to_string(capacity_));
-    }
-    for (std::uint64_t i = 0; i < n; ++i) {
-      Flit f;
-      gnoc::Load(d, f);
-      fifo_.push_back(f);
     }
   }
 

@@ -31,14 +31,18 @@ struct WakeHook {
 };
 
 /// A credit returned upstream: the downstream router freed one slot of input
-/// VC `vc` on the link this channel models. (Declared before DelayLine so
-/// the template's qualified Save/Load calls see the overloads below.)
+/// VC `vc` on the link this channel models.
 struct Credit {
   VcId vc = kInvalidVc;
+
+  template <class Self, class Ar>
+  static void Fields(Self& c, Ar& ar) {
+    Io(ar, c.vc);
+  }
 };
 
-inline void Save(Serializer& s, const Credit& c) { s.I32(c.vc); }
-inline void Load(Deserializer& d, Credit& c) { c.vc = d.I32(); }
+inline void Save(Serializer& s, const Credit& c) { Credit::Fields(c, s); }
+inline void Load(Deserializer& d, Credit& c) { Credit::Fields(c, d); }
 
 /// A FIFO pipe where each item becomes visible `latency` cycles after being
 /// pushed. Unbounded: admission control is done by credits, not by the wire.
@@ -121,23 +125,8 @@ class DelayLine {
   /// Snapshot support: in-flight items with their delivery times. Load
   /// writes `items_` directly — no Push, so no wake hooks fire; the soa
   /// planes are rebuilt from the loaded objects by Network::Load.
-  void Save(Serializer& s) const {
-    s.U64(items_.size());
-    for (const auto& [due, item] : items_) {
-      s.U64(due);
-      gnoc::Save(s, item);
-    }
-  }
-  void Load(Deserializer& d) {
-    items_.clear();
-    const std::uint64_t n = d.U64();
-    for (std::uint64_t i = 0; i < n; ++i) {
-      const Cycle due = d.U64();
-      T item{};
-      gnoc::Load(d, item);
-      items_.emplace_back(due, std::move(item));
-    }
-  }
+  void Save(Serializer& s) const { IoSeq(s, items_); }
+  void Load(Deserializer& d) { IoSeq(d, items_); }
 
  private:
   Cycle latency_;

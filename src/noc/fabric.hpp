@@ -132,12 +132,8 @@ class DualNetworkFabric final : public Fabric {
     report.qos.Merge(nets_[1]->QosResults());
     return report;
   }
-  void Save(Serializer& s) const override {
-    for (const auto& net : nets_) net->Save(s);
-  }
-  void Load(Deserializer& d) override {
-    for (auto& net : nets_) net->Load(d);
-  }
+  void Save(Serializer& s) const override { Io(s, nets_); }
+  void Load(Deserializer& d) override { Io(d, nets_); }
   int num_networks() const override { return 2; }
   Network& net(TrafficClass cls) override {
     return *nets_[static_cast<std::size_t>(ClassIndex(cls))];

@@ -48,46 +48,30 @@ struct Flit {
                               ///< value; packet.hpp depends on this header)
   std::uint64_t payload = 0;  ///< opaque handle for the transport user
   std::uint64_t addr = 0;     ///< memory address of the transaction (if any)
+
+  /// Snapshot layout (DESIGN.md §10): all fields, declaration order.
+  template <class Self, class Ar>
+  static void Fields(Self& f, Ar& ar) {
+    Io(ar, f.packet_id);
+    Io(ar, f.kind);
+    Io(ar, f.cls);
+    Io(ar, f.src);
+    Io(ar, f.dst);
+    Io(ar, f.dst_coord);
+    Io(ar, f.seq);
+    Io(ar, f.packet_size);
+    Io(ar, f.created);
+    Io(ar, f.injected);
+    Io(ar, f.ready);
+    Io(ar, f.vc);
+    Io(ar, f.type_raw);
+    Io(ar, f.payload);
+    Io(ar, f.addr);
+  }
 };
 
-/// Snapshot support (DESIGN.md §10): all fields, declaration order.
-inline void Save(Serializer& s, const Flit& f) {
-  s.U64(f.packet_id);
-  s.U8(static_cast<std::uint8_t>(f.kind));
-  s.U8(static_cast<std::uint8_t>(f.cls));
-  s.I32(f.src);
-  s.I32(f.dst);
-  s.I32(f.dst_coord.x);
-  s.I32(f.dst_coord.y);
-  s.U16(f.seq);
-  s.U16(f.packet_size);
-  s.U64(f.created);
-  s.U64(f.injected);
-  s.U64(f.ready);
-  s.I32(f.vc);
-  s.U8(f.type_raw);
-  s.U64(f.payload);
-  s.U64(f.addr);
-}
-
-inline void Load(Deserializer& d, Flit& f) {
-  f.packet_id = d.U64();
-  f.kind = static_cast<FlitKind>(d.U8());
-  f.cls = static_cast<TrafficClass>(d.U8());
-  f.src = d.I32();
-  f.dst = d.I32();
-  f.dst_coord.x = d.I32();
-  f.dst_coord.y = d.I32();
-  f.seq = d.U16();
-  f.packet_size = d.U16();
-  f.created = d.U64();
-  f.injected = d.U64();
-  f.ready = d.U64();
-  f.vc = d.I32();
-  f.type_raw = d.U8();
-  f.payload = d.U64();
-  f.addr = d.U64();
-}
+inline void Save(Serializer& s, const Flit& f) { Flit::Fields(f, s); }
+inline void Load(Deserializer& d, Flit& f) { Flit::Fields(f, d); }
 
 /// Returns true for head flits (convenience overload).
 constexpr bool IsHead(const Flit& f) { return IsHead(f.kind); }

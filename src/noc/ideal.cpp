@@ -116,57 +116,8 @@ void IdealFabric::ResetStats() {
   packets_by_type_.fill(0);
 }
 
-void IdealFabric::Save(Serializer& s) const {
-  s.U64(now_);
-  s.U64(next_seq_);
-  const auto& heap = PriorityQueueAccess<decltype(in_flight_)>::Container(
-      in_flight_);
-  s.U64(heap.size());
-  for (const Arrival& a : heap) {
-    s.U64(a.due);
-    s.U64(a.seq);
-    gnoc::Save(s, a.packet);
-  }
-  s.U64(stalled_.size());
-  for (const auto& [node, queue] : stalled_) {
-    s.I32(node);
-    s.U64(queue.size());
-    for (const Packet& p : queue) gnoc::Save(s, p);
-  }
-  summary_.Save(s);
-  for (std::uint64_t v : packets_by_type_) s.U64(v);
-}
-
-void IdealFabric::Load(Deserializer& d) {
-  now_ = d.U64();
-  next_seq_ = d.U64();
-  auto& heap =
-      PriorityQueueAccess<decltype(in_flight_)>::Container(in_flight_);
-  heap.clear();
-  const std::uint64_t n_inflight = d.U64();
-  heap.reserve(n_inflight);
-  for (std::uint64_t i = 0; i < n_inflight; ++i) {
-    Arrival a;
-    a.due = d.U64();
-    a.seq = d.U64();
-    gnoc::Load(d, a.packet);
-    heap.push_back(std::move(a));
-  }
-  stalled_.clear();
-  const std::uint64_t n_stalled = d.U64();
-  for (std::uint64_t i = 0; i < n_stalled; ++i) {
-    const NodeId node = d.I32();
-    auto& queue = stalled_[node];
-    const std::uint64_t n_packets = d.U64();
-    for (std::uint64_t j = 0; j < n_packets; ++j) {
-      Packet p;
-      gnoc::Load(d, p);
-      queue.push_back(std::move(p));
-    }
-  }
-  summary_.Load(d);
-  for (std::uint64_t& v : packets_by_type_) v = d.U64();
-}
+void IdealFabric::Save(Serializer& s) const { Fields(*this, s); }
+void IdealFabric::Load(Deserializer& d) { Fields(*this, d); }
 
 Network& IdealFabric::net(TrafficClass) {
   throw std::logic_error("IdealFabric has no physical network");

@@ -71,7 +71,26 @@ class IdealFabric final : public Fabric {
     bool operator>(const Arrival& other) const {
       return due != other.due ? due > other.due : seq > other.seq;
     }
+
+    template <class Self, class Ar>
+    static void Fields(Self& self, Ar& ar) {
+      Io(ar, self.due);
+      Io(ar, self.seq);
+      Io(ar, self.packet);
+    }
   };
+
+  template <class Self, class Ar>
+  static void Fields(Self& self, Ar& ar) {
+    Io(ar, self.now_);
+    Io(ar, self.next_seq_);
+    IoSeq(ar, PriorityQueueAccess<decltype(self.in_flight_)>::Container(
+                  self.in_flight_));
+    IoSortedMap(ar, self.stalled_,
+                [](auto& a, auto& queue) { IoSeq(a, queue); });
+    Io(ar, self.summary_);
+    Io(ar, self.packets_by_type_);
+  }
 
   IdealFabricConfig config_;
   Cycle now_ = 0;

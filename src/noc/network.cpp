@@ -76,6 +76,14 @@ Network::Network(const NetworkConfig& config)
       topo_(Topology::Make(config.topology, config.width, config.height,
                            config.circulant_s1, config.circulant_s2)) {
   assert(config.width >= 2 && config.height >= 2);
+  if (config_.num_vcs < 1 || config_.vc_depth < 1) {
+    // Router and Nic only assert this; a release build would run with no
+    // VC to inject into and report a silent zero-traffic result.
+    throw std::invalid_argument(
+        "num_vcs and vc_depth must be >= 1 (got " +
+        std::to_string(config_.num_vcs) + " and " +
+        std::to_string(config_.vc_depth) + ")");
+  }
   if (config_.vc_policy == VcPolicyKind::kDynamic &&
       config_.dynamic_epoch == 0) {
     // The router/NIC epoch catch-up loops advance next_boundary_update_ by
@@ -110,7 +118,6 @@ Network::Network(const NetworkConfig& config)
   nc.vc_policy = config.vc_policy;
   nc.inject_queue_capacity = config.inject_queue_capacity;
   nc.eject_capacity = config.eject_capacity;
-  nc.max_deliveries_per_cycle = config.max_deliveries_per_cycle;
   nc.atomic_vc_realloc = config.atomic_vc_realloc;
   nc.dynamic_epoch = config.dynamic_epoch;
   for (int c = 0; c < kNumClasses; ++c) {
@@ -543,74 +550,13 @@ void Network::ResetStats() {
   last_progress_cycle_ = now_;
 }
 
-void NetworkSummary::Save(Serializer& s) const {
-  for (const std::uint64_t n : packets_injected) s.U64(n);
-  for (const std::uint64_t n : packets_ejected) s.U64(n);
-  for (const std::uint64_t n : flits_injected) s.U64(n);
-  for (const std::uint64_t n : flits_ejected) s.U64(n);
-  for (const RunningStats& r : packet_latency) r.Save(s);
-  for (const RunningStats& r : network_latency) r.Save(s);
-  for (const Histogram& h : latency_histogram) h.Save(s);
-  for (const std::uint64_t n : qos_throttle_cycles) s.U64(n);
-  s.U64(flits_forwarded);
-  s.U64(cycles);
-}
+void NetworkSummary::Save(Serializer& s) const { Fields(*this, s); }
+void NetworkSummary::Load(Deserializer& d) { Fields(*this, d); }
 
-void NetworkSummary::Load(Deserializer& d) {
-  for (std::uint64_t& n : packets_injected) n = d.U64();
-  for (std::uint64_t& n : packets_ejected) n = d.U64();
-  for (std::uint64_t& n : flits_injected) n = d.U64();
-  for (std::uint64_t& n : flits_ejected) n = d.U64();
-  for (RunningStats& r : packet_latency) r.Load(d);
-  for (RunningStats& r : network_latency) r.Load(d);
-  for (Histogram& h : latency_histogram) h.Load(d);
-  for (std::uint64_t& n : qos_throttle_cycles) n = d.U64();
-  flits_forwarded = d.U64();
-  cycles = d.U64();
-}
-
-void Network::Save(Serializer& s) const {
-  s.U64(now_);
-  s.U64(next_packet_id_);
-  s.U64(tick_steps_);
-  s.U64(progress_events_);
-  s.U64(last_progress_counter_);
-  s.U64(last_progress_cycle_);
-  s.Bool(deadlocked_);
-  for (const auto& router : routers_) router->Save(s);
-  for (const auto& nic : nics_) nic->Save(s);
-  for (const auto& link : flit_links_) link->channel.Save(s);
-  for (const auto& link : credit_links_) link->channel.Save(s);
-  s.Bool(auditor_ != nullptr);
-  if (auditor_ != nullptr) auditor_->Save(s);
-  s.Bool(telemetry_ != nullptr);
-  if (telemetry_ != nullptr) telemetry_->Save(s);
-}
+void Network::Save(Serializer& s) const { Fields(*this, s); }
 
 void Network::Load(Deserializer& d) {
-  now_ = d.U64();
-  next_packet_id_ = d.U64();
-  tick_steps_ = d.U64();
-  progress_events_ = d.U64();
-  last_progress_counter_ = d.U64();
-  last_progress_cycle_ = d.U64();
-  deadlocked_ = d.Bool();
-  for (const auto& router : routers_) router->Load(d);
-  for (const auto& nic : nics_) nic->Load(d);
-  for (const auto& link : flit_links_) link->channel.Load(d);
-  for (const auto& link : credit_links_) link->channel.Load(d);
-  const bool had_auditor = d.Bool();
-  if (had_auditor != (auditor_ != nullptr)) {
-    throw SerializeError(
-        "snapshot audit mode differs from this network's configuration");
-  }
-  if (auditor_ != nullptr) auditor_->Load(d);
-  const bool had_telemetry = d.Bool();
-  if (had_telemetry != (telemetry_ != nullptr)) {
-    throw SerializeError(
-        "snapshot telemetry mode differs from this network's configuration");
-  }
-  if (telemetry_ != nullptr) telemetry_->Load(d);
+  Fields(*this, d);
   // Channel/buffer Load writes contents directly (no wake hooks fire): the
   // object->SoA conversion at the checkpoint boundary re-derives every
   // plane, so snapshots carry no scheduler state (DESIGN.md §14).

@@ -79,7 +79,6 @@ struct NetworkConfig {
   Cycle link_latency = 1;
   int inject_queue_capacity = 64;
   int eject_capacity = 32;
-  int max_deliveries_per_cycle = 1;
   /// Conservative (atomic) VC reallocation; see RouterConfig.
   bool atomic_vc_realloc = true;
   /// Epoch of the dynamic-partitioning feedback loop (kDynamic only).
@@ -135,6 +134,19 @@ struct NetworkSummary {
   /// Snapshot support (DESIGN.md §10).
   void Save(Serializer& s) const;
   void Load(Deserializer& d);
+  template <class Self, class Ar>
+  static void Fields(Self& self, Ar& ar) {
+    Io(ar, self.packets_injected);
+    Io(ar, self.packets_ejected);
+    Io(ar, self.flits_injected);
+    Io(ar, self.flits_ejected);
+    Io(ar, self.packet_latency);
+    Io(ar, self.network_latency);
+    Io(ar, self.latency_histogram);
+    Io(ar, self.qos_throttle_cycles);
+    Io(ar, self.flits_forwarded);
+    Io(ar, self.cycles);
+  }
 };
 
 class Network {
@@ -291,6 +303,23 @@ class Network {
   /// The SoA core (scheduling=soa) walks the link/router tables directly
   /// and keeps derived planes in sync through the channel wake hooks.
   friend class SoaCore;
+
+  template <class Self, class Ar>
+  static void Fields(Self& self, Ar& ar) {
+    Io(ar, self.now_);
+    Io(ar, self.next_packet_id_);
+    Io(ar, self.tick_steps_);
+    Io(ar, self.progress_events_);
+    Io(ar, self.last_progress_counter_);
+    Io(ar, self.last_progress_cycle_);
+    Io(ar, self.deadlocked_);
+    IoEach(ar, self.routers_);
+    IoEach(ar, self.nics_);
+    for (auto& link : self.flit_links_) Io(ar, link->channel);
+    for (auto& link : self.credit_links_) Io(ar, link->channel);
+    IoPresence(ar, self.auditor_, "audit");
+    IoPresence(ar, self.telemetry_, "telemetry");
+  }
 
   struct FlitLink {
     FlitChannel channel;

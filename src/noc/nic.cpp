@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <map>
 
 #include "common/serialize.hpp"
 
@@ -271,9 +270,7 @@ void Nic::SendFlits(Cycle now) {
 void Nic::DrainEjection(Cycle now) {
   for (int ci = 0; ci < kNumClasses; ++ci) {
     auto& buffer = eject_buffers_[static_cast<std::size_t>(ci)];
-    int deliveries = 0;
-    while (!buffer.empty() &&
-           deliveries < config_.max_deliveries_per_cycle) {
+    while (!buffer.empty()) {
       const Flit& front = buffer.front();
       if (!IsTail(front)) {
         // Absorb into reassembly; capacity accounting keeps counting it via
@@ -322,7 +319,7 @@ void Nic::DrainEjection(Cycle now) {
                                       static_cast<double>(now - packet.created),
                                       now);
       }
-      ++deliveries;
+      break;  // one packet per class per cycle
     }
   }
 }
@@ -360,124 +357,7 @@ Cycle Nic::NextDue() const {
   return due;
 }
 
-namespace {
-
-void SaveNicStats(Serializer& s, const NicStats& st) {
-  for (const std::uint64_t n : st.packets_injected) s.U64(n);
-  for (const std::uint64_t n : st.flits_injected) s.U64(n);
-  for (const std::uint64_t n : st.packets_ejected) s.U64(n);
-  for (const std::uint64_t n : st.flits_ejected) s.U64(n);
-  for (const std::uint64_t n : st.packets_by_type) s.U64(n);
-  for (const RunningStats& r : st.packet_latency) r.Save(s);
-  for (const RunningStats& r : st.network_latency) r.Save(s);
-  s.U64(st.inject_stall_cycles);
-  s.U64(st.inject_drain_cycles);
-  for (const std::uint64_t n : st.qos_throttle_cycles) s.U64(n);
-  for (const Histogram& h : st.latency_histogram) h.Save(s);
-}
-
-void LoadNicStats(Deserializer& d, NicStats& st) {
-  for (std::uint64_t& n : st.packets_injected) n = d.U64();
-  for (std::uint64_t& n : st.flits_injected) n = d.U64();
-  for (std::uint64_t& n : st.packets_ejected) n = d.U64();
-  for (std::uint64_t& n : st.flits_ejected) n = d.U64();
-  for (std::uint64_t& n : st.packets_by_type) n = d.U64();
-  for (RunningStats& r : st.packet_latency) r.Load(d);
-  for (RunningStats& r : st.network_latency) r.Load(d);
-  st.inject_stall_cycles = d.U64();
-  st.inject_drain_cycles = d.U64();
-  for (std::uint64_t& n : st.qos_throttle_cycles) n = d.U64();
-  for (Histogram& h : st.latency_histogram) h.Load(d);
-}
-
-}  // namespace
-
-void Nic::Save(Serializer& s) const {
-  for (const auto& queue : inject_queues_) {
-    s.U64(queue.size());
-    for (const auto& [packet, dst] : queue) {
-      gnoc::Save(s, packet);
-      s.I32(dst.x);
-      s.I32(dst.y);
-    }
-  }
-  for (const ActiveSend& send : sends_) {
-    s.Bool(send.busy);
-    s.Bool(send.draining);
-    s.U64(send.remaining.size());
-    for (const Flit& f : send.remaining) gnoc::Save(s, f);
-  }
-  for (const int c : credits_) s.I32(c);
-  s.U64(send_rr_);
-  s.I32(boundary_);
-  for (const std::uint64_t n : epoch_flits_) s.U64(n);
-  s.U64(next_boundary_update_);
-  for (const auto& buffer : eject_buffers_) {
-    s.U64(buffer.size());
-    for (const Flit& f : buffer) gnoc::Save(s, f);
-  }
-  for (const int n : eject_held_) s.I32(n);
-  // Sorted by packet id so snapshot bytes are independent of the
-  // unordered_map's iteration order (behaviour is lookup-only).
-  const std::map<PacketId, int> sorted(assembled_.begin(), assembled_.end());
-  s.U64(sorted.size());
-  for (const auto& [id, flits] : sorted) {
-    s.U64(id);
-    s.I32(flits);
-  }
-  for (const std::int64_t t : qos_tokens_) s.I64(t);
-  for (const Cycle c : qos_refilled_) s.U64(c);
-  SaveNicStats(s, stats_);
-}
-
-void Nic::Load(Deserializer& d) {
-  for (auto& queue : inject_queues_) {
-    queue.clear();
-    const std::uint64_t n = d.U64();
-    for (std::uint64_t i = 0; i < n; ++i) {
-      Packet packet;
-      gnoc::Load(d, packet);
-      Coord dst{};
-      dst.x = d.I32();
-      dst.y = d.I32();
-      queue.emplace_back(packet, dst);
-    }
-  }
-  for (ActiveSend& send : sends_) {
-    send.busy = d.Bool();
-    send.draining = d.Bool();
-    send.remaining.clear();
-    const std::uint64_t n = d.U64();
-    for (std::uint64_t i = 0; i < n; ++i) {
-      Flit f;
-      gnoc::Load(d, f);
-      send.remaining.push_back(f);
-    }
-  }
-  for (int& c : credits_) c = d.I32();
-  send_rr_ = d.U64();
-  boundary_ = d.I32();
-  for (std::uint64_t& n : epoch_flits_) n = d.U64();
-  next_boundary_update_ = d.U64();
-  for (auto& buffer : eject_buffers_) {
-    buffer.clear();
-    const std::uint64_t n = d.U64();
-    for (std::uint64_t i = 0; i < n; ++i) {
-      Flit f;
-      gnoc::Load(d, f);
-      buffer.push_back(f);
-    }
-  }
-  for (int& n : eject_held_) n = d.I32();
-  assembled_.clear();
-  const std::uint64_t n = d.U64();
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const PacketId id = d.U64();
-    assembled_[id] = d.I32();
-  }
-  for (std::int64_t& t : qos_tokens_) t = d.I64();
-  for (Cycle& c : qos_refilled_) c = d.U64();
-  LoadNicStats(d, stats_);
-}
+void Nic::Save(Serializer& s) const { Fields(*this, s); }
+void Nic::Load(Deserializer& d) { Fields(*this, d); }
 
 }  // namespace gnoc

@@ -47,7 +47,6 @@ struct NicConfig {
   VcPolicyKind vc_policy = VcPolicyKind::kSplit;
   int inject_queue_capacity = 64;  ///< packets per class
   int eject_capacity = 32;         ///< flits per class
-  int max_deliveries_per_cycle = 1;  ///< packet deliveries per class per cycle
   /// Atomic VC reallocation on the injection link (see RouterConfig).
   bool atomic_vc_realloc = true;
   /// Epoch length of dynamic partitioning (vc_policy == kDynamic only).
@@ -212,6 +211,38 @@ class Nic {
     std::deque<Flit> remaining;
   };
 
+  template <class Self, class Ar>
+  static void Fields(Self& self, Ar& ar) {
+    for (auto& queue : self.inject_queues_) IoSeq(ar, queue);
+    for (auto& send : self.sends_) {
+      Io(ar, send.busy);
+      Io(ar, send.draining);
+      IoSeq(ar, send.remaining);
+    }
+    IoEach(ar, self.credits_);
+    Io(ar, self.send_rr_);
+    Io(ar, self.boundary_);
+    Io(ar, self.epoch_flits_);
+    Io(ar, self.next_boundary_update_);
+    for (auto& buffer : self.eject_buffers_) IoSeq(ar, buffer);
+    Io(ar, self.eject_held_);
+    IoSortedMap(ar, self.assembled_);
+    Io(ar, self.qos_tokens_);
+    Io(ar, self.qos_refilled_);
+    auto& st = self.stats_;
+    Io(ar, st.packets_injected);
+    Io(ar, st.flits_injected);
+    Io(ar, st.packets_ejected);
+    Io(ar, st.flits_ejected);
+    Io(ar, st.packets_by_type);
+    Io(ar, st.packet_latency);
+    Io(ar, st.network_latency);
+    Io(ar, st.inject_stall_cycles);
+    Io(ar, st.inject_drain_cycles);
+    Io(ar, st.qos_throttle_cycles);
+    Io(ar, st.latency_histogram);
+  }
+
   /// The VC range `cls` may use on the injection link right now.
   VcRange InjectionRange(TrafficClass cls) const;
 
@@ -232,7 +263,7 @@ class Nic {
   /// Sends up to inject_flits_per_cycle_ flits across busy VCs
   /// (round-robin).
   void SendFlits(Cycle now);
-  /// Delivers completed packets to the sink.
+  /// Delivers at most one completed packet per class to the sink.
   void DrainEjection(Cycle now);
 
   NodeId node_;

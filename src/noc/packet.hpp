@@ -63,34 +63,25 @@ struct Packet {
   std::uint64_t addr = 0;      ///< memory address of the transaction (if any)
 
   TrafficClass cls() const { return ClassOf(type); }
+
+  /// Snapshot layout (DESIGN.md §10): all fields, declaration order.
+  template <class Self, class Ar>
+  static void Fields(Self& p, Ar& ar) {
+    Io(ar, p.id);
+    Io(ar, p.type);
+    Io(ar, p.src);
+    Io(ar, p.dst);
+    Io(ar, p.num_flits);
+    Io(ar, p.created);
+    Io(ar, p.injected);
+    Io(ar, p.ejected);
+    Io(ar, p.payload);
+    Io(ar, p.addr);
+  }
 };
 
-/// Snapshot support (DESIGN.md §10): all fields, declaration order.
-inline void Save(Serializer& s, const Packet& p) {
-  s.U64(p.id);
-  s.U8(static_cast<std::uint8_t>(p.type));
-  s.I32(p.src);
-  s.I32(p.dst);
-  s.I32(p.num_flits);
-  s.U64(p.created);
-  s.U64(p.injected);
-  s.U64(p.ejected);
-  s.U64(p.payload);
-  s.U64(p.addr);
-}
-
-inline void Load(Deserializer& d, Packet& p) {
-  p.id = d.U64();
-  p.type = static_cast<PacketType>(d.U8());
-  p.src = d.I32();
-  p.dst = d.I32();
-  p.num_flits = d.I32();
-  p.created = d.U64();
-  p.injected = d.U64();
-  p.ejected = d.U64();
-  p.payload = d.U64();
-  p.addr = d.U64();
-}
+inline void Save(Serializer& s, const Packet& p) { Packet::Fields(p, s); }
+inline void Load(Deserializer& d, Packet& p) { Packet::Fields(p, d); }
 
 /// Segments `packet` into `packet.num_flits` flits. `dst_coord` is the mesh
 /// coordinate of `packet.dst` (the NIC knows the mapping).

@@ -245,42 +245,7 @@ void QosReport::WriteJson(JsonWriter& w) const {
   w.EndObject();
 }
 
-void QosReport::Save(Serializer& s) const {
-  s.Bool(enabled);
-  s.U8(static_cast<std::uint8_t>(arbitration));
-  for (const QosClassReport& c : classes) {
-    s.Str(c.name);
-    s.I32(c.priority);
-    s.Double(c.rate);
-    s.I32(c.burst);
-    s.I32(c.reserved_vcs);
-    s.Double(c.p99_target);
-    s.U64(c.throttle_cycles);
-    s.U64(c.packets_delivered);
-    s.Double(c.p99_latency);
-    s.U64(c.slo_windows);
-    s.U64(c.slo_violation_windows);
-    s.U64(c.slo_time_in_violation);
-  }
-}
-
-void QosReport::Load(Deserializer& d) {
-  enabled = d.Bool();
-  arbitration = static_cast<QosArbitration>(d.U8());
-  for (QosClassReport& c : classes) {
-    c.name = d.Str();
-    c.priority = d.I32();
-    c.rate = d.Double();
-    c.burst = d.I32();
-    c.reserved_vcs = d.I32();
-    c.p99_target = d.Double();
-    c.throttle_cycles = d.U64();
-    c.packets_delivered = d.U64();
-    c.p99_latency = d.Double();
-    c.slo_windows = d.U64();
-    c.slo_violation_windows = d.U64();
-    c.slo_time_in_violation = d.U64();
-  }
-}
+void QosReport::Save(Serializer& s) const { Fields(*this, s); }
+void QosReport::Load(Deserializer& d) { Fields(*this, d); }
 
 }  // namespace gnoc

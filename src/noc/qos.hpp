@@ -117,6 +117,22 @@ struct QosClassReport {
   std::uint64_t slo_windows = 0;  ///< windows in which the SLO was judged
   std::uint64_t slo_violation_windows = 0;  ///< windows whose p99 missed
   Cycle slo_time_in_violation = 0;  ///< cycles covered by violating windows
+
+  template <class Self, class Ar>
+  static void Fields(Self& self, Ar& ar) {
+    Io(ar, self.name);
+    Io(ar, self.priority);
+    Io(ar, self.rate);
+    Io(ar, self.burst);
+    Io(ar, self.reserved_vcs);
+    Io(ar, self.p99_target);
+    Io(ar, self.throttle_cycles);
+    Io(ar, self.packets_delivered);
+    Io(ar, self.p99_latency);
+    Io(ar, self.slo_windows);
+    Io(ar, self.slo_violation_windows);
+    Io(ar, self.slo_time_in_violation);
+  }
 };
 
 /// The QoS section of a RunReport. Always carries the class names (so
@@ -134,6 +150,12 @@ struct QosReport {
   void WriteJson(JsonWriter& w) const;
   void Save(Serializer& s) const;
   void Load(Deserializer& d);
+  template <class Self, class Ar>
+  static void Fields(Self& self, Ar& ar) {
+    Io(ar, self.enabled);
+    Io(ar, self.arbitration);
+    Io(ar, self.classes);
+  }
 };
 
 }  // namespace gnoc

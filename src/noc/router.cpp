@@ -486,59 +486,14 @@ bool Router::OutputVcAllocated(Port out_port, VcId vc) const {
   return Ovc(out_port, vc).allocated;
 }
 
-void Router::Save(Serializer& s) const {
-  for (const InputVc& ivc : input_vcs_) {
-    ivc.buffer.Save(s);
-    s.Bool(ivc.route_valid);
-    s.U8(static_cast<std::uint8_t>(ivc.out_port));
-    s.I32(ivc.out_vc);
-    s.Bool(ivc.eject);
-    s.U8(static_cast<std::uint8_t>(ivc.vc_half));
-  }
-  for (const OutputVc& ovc : output_vcs_) {
-    s.Bool(ovc.allocated);
-    s.Bool(ovc.tail_sent);
-    s.I32(ovc.credits);
-  }
-  for (const VcId b : boundaries_) s.I32(b);
-  for (const auto& per_port : epoch_flits_) {
-    for (const std::uint64_t n : per_port) s.U64(n);
-  }
-  s.Bool(epoch_dirty_);
-  s.U64(next_boundary_update_);
-  for (const auto& arb : va_arb_) arb->Save(s);
-  for (const auto& arb : sa_input_arb_) arb->Save(s);
-  for (const auto& arb : sa_output_arb_) arb->Save(s);
-  for (const auto& credit : qos_va_credit_) {
-    for (const int c : credit) s.I32(c);
-  }
-  for (const auto& credit : qos_sa1_credit_) {
-    for (const int c : credit) s.I32(c);
-  }
-  for (const auto& credit : qos_sa2_credit_) {
-    for (const int c : credit) s.I32(c);
-  }
-  for (const auto& per_port : stats_.flits_out) {
-    for (const std::uint64_t n : per_port) s.U64(n);
-  }
-  s.U64(stats_.busy_cycles);
-  s.U64(stats_.flits_forwarded);
-  s.U64(stats_.va_failures);
-  s.U64(stats_.sa_stalls);
-  for (const std::uint64_t n : stats_.credit_stall_by_vc) s.U64(n);
-  s.U64(stats_.buffered_flit_cycles);
-}
+void Router::Save(Serializer& s) const { Fields(*this, s); }
 
 void Router::Load(Deserializer& d) {
-  for (InputVc& ivc : input_vcs_) {
-    ivc.buffer.Load(d);  // throws past vc_depth flits
-    ivc.route_valid = d.Bool();
-    const std::uint8_t out_port = d.U8();
-    ivc.out_vc = d.I32();
-    ivc.eject = d.Bool();
-    ivc.vc_half = static_cast<std::int8_t>(d.U8());
-    // The allocators index per-port state and shift masks by these, and
-    // an ejecting VC indexes the NICs by its port.
+  Fields(*this, d);
+  // The allocators index per-port state and shift masks by these, and
+  // an ejecting VC indexes the NICs by its port.
+  for (const InputVc& ivc : input_vcs_) {
+    const int out_port = PortIndex(ivc.out_port);
     if (out_port >= num_ports_ || ivc.out_vc < kInvalidVc ||
         ivc.out_vc >= config_.num_vcs ||
         (ivc.eject && out_port >= num_local_ports_)) {
@@ -550,43 +505,11 @@ void Router::Load(Deserializer& d) {
           std::to_string(num_local_ports_) + " local) x " +
           std::to_string(config_.num_vcs) + " VCs");
     }
-    ivc.out_port = static_cast<Port>(out_port);
   }
   draining_ = 0;
   for (std::size_t i = 0; i < output_vcs_.size(); ++i) {
-    OutputVc& ovc = output_vcs_[i];
-    ovc.allocated = d.Bool();
-    ovc.tail_sent = d.Bool();
-    ovc.credits = d.I32();
-    if (ovc.tail_sent) draining_ |= RequestBit(static_cast<int>(i));
+    if (output_vcs_[i].tail_sent) draining_ |= RequestBit(static_cast<int>(i));
   }
-  for (VcId& b : boundaries_) b = d.I32();
-  for (auto& per_port : epoch_flits_) {
-    for (std::uint64_t& n : per_port) n = d.U64();
-  }
-  epoch_dirty_ = d.Bool();
-  next_boundary_update_ = d.U64();
-  for (const auto& arb : va_arb_) arb->Load(d);
-  for (const auto& arb : sa_input_arb_) arb->Load(d);
-  for (const auto& arb : sa_output_arb_) arb->Load(d);
-  for (auto& credit : qos_va_credit_) {
-    for (int& c : credit) c = d.I32();
-  }
-  for (auto& credit : qos_sa1_credit_) {
-    for (int& c : credit) c = d.I32();
-  }
-  for (auto& credit : qos_sa2_credit_) {
-    for (int& c : credit) c = d.I32();
-  }
-  for (auto& per_port : stats_.flits_out) {
-    for (std::uint64_t& n : per_port) n = d.U64();
-  }
-  stats_.busy_cycles = d.U64();
-  stats_.flits_forwarded = d.U64();
-  stats_.va_failures = d.U64();
-  stats_.sa_stalls = d.U64();
-  for (std::uint64_t& n : stats_.credit_stall_by_vc) n = d.U64();
-  stats_.buffered_flit_cycles = d.U64();
 }
 
 }  // namespace gnoc

@@ -230,6 +230,40 @@ class Router {
   /// over its own eligibility planes and scratch.
   friend class SoaCore;
 
+  template <class Self, class Ar>
+  static void Fields(Self& self, Ar& ar) {
+    for (auto& ivc : self.input_vcs_) {
+      Io(ar, ivc.buffer);  // Load throws past vc_depth flits
+      Io(ar, ivc.route_valid);
+      Io(ar, ivc.out_port);
+      Io(ar, ivc.out_vc);
+      Io(ar, ivc.eject);
+      Io(ar, ivc.vc_half);
+    }
+    for (auto& ovc : self.output_vcs_) {
+      Io(ar, ovc.allocated);
+      Io(ar, ovc.tail_sent);
+      Io(ar, ovc.credits);
+    }
+    IoEach(ar, self.boundaries_);
+    IoEach(ar, self.epoch_flits_);
+    Io(ar, self.epoch_dirty_);
+    Io(ar, self.next_boundary_update_);
+    IoEach(ar, self.va_arb_);
+    IoEach(ar, self.sa_input_arb_);
+    IoEach(ar, self.sa_output_arb_);
+    IoEach(ar, self.qos_va_credit_);
+    IoEach(ar, self.qos_sa1_credit_);
+    IoEach(ar, self.qos_sa2_credit_);
+    IoEach(ar, self.stats_.flits_out);
+    Io(ar, self.stats_.busy_cycles);
+    Io(ar, self.stats_.flits_forwarded);
+    Io(ar, self.stats_.va_failures);
+    Io(ar, self.stats_.sa_stalls);
+    IoEach(ar, self.stats_.credit_stall_by_vc);
+    Io(ar, self.stats_.buffered_flit_cycles);
+  }
+
   /// State of one input VC.
   struct InputVc {
     explicit InputVc(int depth) : buffer(static_cast<std::size_t>(depth)) {}

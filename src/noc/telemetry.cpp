@@ -564,119 +564,10 @@ AutoWarmupResult RunWithAutoWarmup(
   return result;
 }
 
-void TelemetryReport::Save(Serializer& s) const {
-  s.Bool(enabled);
-  s.U64(interval);
-  s.U64(sampled_until);
-  s.U64(tracks.size());
-  for (const TelemetryTrack& t : tracks) {
-    s.Str(t.metric);
-    s.Str(t.entity);
-    s.I32(t.node);
-    s.U8(static_cast<std::uint8_t>(t.port));
-    s.I32(t.vc);
-    s.U8(static_cast<std::uint8_t>(t.cls));
-    t.series.Save(s);
-  }
-  s.U64(latency.size());
-  for (const TelemetryLatency& l : latency) {
-    s.U8(static_cast<std::uint8_t>(l.cls));
-    s.Str(l.label);
-    s.Double(l.p99_target);
-    l.windows.Save(s);
-  }
-}
+void TelemetryReport::Save(Serializer& s) const { Fields(*this, s); }
+void TelemetryReport::Load(Deserializer& d) { Fields(*this, d); }
 
-void TelemetryReport::Load(Deserializer& d) {
-  enabled = d.Bool();
-  interval = d.U64();
-  sampled_until = d.U64();
-  tracks.clear();
-  const std::uint64_t num_tracks = d.U64();
-  for (std::uint64_t i = 0; i < num_tracks; ++i) {
-    TelemetryTrack t;
-    t.metric = d.Str();
-    t.entity = d.Str();
-    t.node = d.I32();
-    t.port = static_cast<Port>(d.U8());
-    t.vc = d.I32();
-    t.cls = static_cast<TrafficClass>(d.U8());
-    t.series.Load(d);
-    tracks.push_back(std::move(t));
-  }
-  latency.clear();
-  const std::uint64_t num_latency = d.U64();
-  for (std::uint64_t i = 0; i < num_latency; ++i) {
-    TelemetryLatency l{TrafficClass::kRequest, "",
-                       HistogramSeries(1, 0, 1.0, 1)};
-    l.cls = static_cast<TrafficClass>(d.U8());
-    l.label = d.Str();
-    l.p99_target = d.Double();
-    l.windows.Load(d);
-    latency.push_back(std::move(l));
-  }
-}
-
-void Telemetry::Save(Serializer& s) const {
-  s.U64(next_sample_);
-  s.U64(window_open_);
-  s.U64(tracks_.size());
-  for (const TelemetryTrack& t : tracks_) t.series.Save(s);
-  s.U64(routers_.size());
-  for (const RouterState& rs : routers_) {
-    s.U64(rs.prev_flits_out.size());
-    for (const std::uint64_t n : rs.prev_flits_out) s.U64(n);
-    s.U64(rs.prev_stalls.size());
-    for (const std::uint64_t n : rs.prev_stalls) s.U64(n);
-  }
-  s.U64(nics_.size());
-  for (const NicState& ns : nics_) {
-    s.U64(ns.prev_inject.size());
-    for (const std::uint64_t n : ns.prev_inject) s.U64(n);
-    s.U64(ns.prev_eject.size());
-    for (const std::uint64_t n : ns.prev_eject) s.U64(n);
-  }
-  s.U64(latency_.size());
-  for (const TelemetryLatency& l : latency_) l.windows.Save(s);
-}
-
-void Telemetry::Load(Deserializer& d) {
-  next_sample_ = d.U64();
-  window_open_ = d.U64();
-  if (d.U64() != tracks_.size()) {
-    throw SerializeError("telemetry snapshot track count mismatch");
-  }
-  for (TelemetryTrack& t : tracks_) t.series.Load(d);
-  if (d.U64() != routers_.size()) {
-    throw SerializeError("telemetry snapshot router count mismatch");
-  }
-  for (RouterState& rs : routers_) {
-    if (d.U64() != rs.prev_flits_out.size() ) {
-      throw SerializeError("telemetry snapshot port count mismatch");
-    }
-    for (std::uint64_t& n : rs.prev_flits_out) n = d.U64();
-    if (d.U64() != rs.prev_stalls.size()) {
-      throw SerializeError("telemetry snapshot VC count mismatch");
-    }
-    for (std::uint64_t& n : rs.prev_stalls) n = d.U64();
-  }
-  if (d.U64() != nics_.size()) {
-    throw SerializeError("telemetry snapshot NIC count mismatch");
-  }
-  for (NicState& ns : nics_) {
-    if (d.U64() != ns.prev_inject.size()) {
-      throw SerializeError("telemetry snapshot class count mismatch");
-    }
-    for (std::uint64_t& n : ns.prev_inject) n = d.U64();
-    if (d.U64() != ns.prev_eject.size()) {
-      throw SerializeError("telemetry snapshot class count mismatch");
-    }
-    for (std::uint64_t& n : ns.prev_eject) n = d.U64();
-  }
-  if (d.U64() != latency_.size()) {
-    throw SerializeError("telemetry snapshot latency-class count mismatch");
-  }
-  for (TelemetryLatency& l : latency_) l.windows.Load(d);
-}
+void Telemetry::Save(Serializer& s) const { Fields(*this, s); }
+void Telemetry::Load(Deserializer& d) { Fields(*this, d); }
 
 }  // namespace gnoc

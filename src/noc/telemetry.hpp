@@ -66,6 +66,17 @@ struct TelemetryTrack {
   VcId vc = kInvalidVc;
   TrafficClass cls = TrafficClass::kRequest;
   TimeSeries series;
+
+  template <class Self, class Ar>
+  static void Fields(Self& self, Ar& ar) {
+    Io(ar, self.metric);
+    Io(ar, self.entity);
+    Io(ar, self.node);
+    Io(ar, self.port);
+    Io(ar, self.vc);
+    Io(ar, self.cls);
+    Io(ar, self.series);
+  }
 };
 
 /// Windowed packet-latency distribution of one traffic class. `label` is
@@ -77,6 +88,14 @@ struct TelemetryLatency {
   std::string label;
   HistogramSeries windows;
   double p99_target = 0.0;
+
+  template <class Self, class Ar>
+  static void Fields(Self& self, Ar& ar) {
+    Io(ar, self.cls);
+    Io(ar, self.label);
+    Io(ar, self.p99_target);
+    Io(ar, self.windows);
+  }
 };
 
 /// SLO violation accounting over one class's windowed latency series: a
@@ -133,6 +152,16 @@ struct TelemetryReport {
   /// Snapshot support (DESIGN.md §10).
   void Save(Serializer& s) const;
   void Load(Deserializer& d);
+  template <class Self, class Ar>
+  static void Fields(Self& self, Ar& ar) {
+    Io(ar, self.enabled);
+    Io(ar, self.interval);
+    Io(ar, self.sampled_until);
+    IoSeq(ar, self.tracks);
+    IoSeq(ar, self.latency,
+          TelemetryLatency{TrafficClass::kRequest, "",
+                           HistogramSeries(1, 0, 1.0, 1)});
+  }
 };
 
 /// Declares warm-up complete when K consecutive non-empty windows of mean
@@ -239,6 +268,26 @@ class Telemetry {
     std::vector<std::uint64_t> prev_inject;  // per class
     std::vector<std::uint64_t> prev_eject;   // per class
   };
+
+  template <class Self, class Ar>
+  static void Fields(Self& self, Ar& ar) {
+    Io(ar, self.next_sample_);
+    Io(ar, self.window_open_);
+    IoCount(ar, self.tracks_.size(), "telemetry track");
+    for (auto& t : self.tracks_) Io(ar, t.series);
+    IoCount(ar, self.routers_.size(), "telemetry router");
+    for (auto& rs : self.routers_) {
+      IoSized(ar, rs.prev_flits_out, "telemetry port");
+      IoSized(ar, rs.prev_stalls, "telemetry VC");
+    }
+    IoCount(ar, self.nics_.size(), "telemetry NIC");
+    for (auto& ns : self.nics_) {
+      IoSized(ar, ns.prev_inject, "telemetry class");
+      IoSized(ar, ns.prev_eject, "telemetry class");
+    }
+    IoCount(ar, self.latency_.size(), "telemetry latency-class");
+    for (auto& l : self.latency_) Io(ar, l.windows);
+  }
 
   int AddTrack(TelemetryTrack track);
 

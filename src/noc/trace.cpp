@@ -49,33 +49,8 @@ void TraceWriter::WriteFile(const std::string& path) const {
   if (!out) throw std::runtime_error("failed writing trace file: " + path);
 }
 
-void TraceWriter::Save(Serializer& s) const {
-  s.U64(records_.size());
-  for (const TraceRecord& r : records_) {
-    s.U64(r.cycle);
-    s.I32(r.src);
-    s.I32(r.dst);
-    s.U8(static_cast<std::uint8_t>(r.type));
-    s.I32(r.num_flits);
-    s.U64(r.addr);
-  }
-}
-
-void TraceWriter::Load(Deserializer& d) {
-  records_.clear();
-  const std::uint64_t n = d.U64();
-  records_.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    TraceRecord r;
-    r.cycle = d.U64();
-    r.src = d.I32();
-    r.dst = d.I32();
-    r.type = static_cast<PacketType>(d.U8());
-    r.num_flits = d.I32();
-    r.addr = d.U64();
-    records_.push_back(r);
-  }
-}
+void TraceWriter::Save(Serializer& s) const { IoSeq(s, records_); }
+void TraceWriter::Load(Deserializer& d) { IoSeq(d, records_); }
 
 // ---------------------------------------------------------------------------
 // TraceReader
@@ -168,15 +143,8 @@ std::array<std::uint64_t, kNumPacketTypes> RecordingFabric::PacketsByType()
     const {
   return inner_->PacketsByType();
 }
-void RecordingFabric::Save(Serializer& s) const {
-  inner_->Save(s);
-  trace_.Save(s);
-}
-
-void RecordingFabric::Load(Deserializer& d) {
-  inner_->Load(d);
-  trace_.Load(d);
-}
+void RecordingFabric::Save(Serializer& s) const { Fields(*this, s); }
+void RecordingFabric::Load(Deserializer& d) { Fields(*this, d); }
 
 int RecordingFabric::num_networks() const { return inner_->num_networks(); }
 Network& RecordingFabric::net(TrafficClass cls) { return inner_->net(cls); }

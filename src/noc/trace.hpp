@@ -31,6 +31,16 @@ struct TraceRecord {
   std::uint64_t addr = 0;
 
   friend bool operator==(const TraceRecord&, const TraceRecord&) = default;
+
+  template <class Self, class Ar>
+  static void Fields(Self& self, Ar& ar) {
+    Io(ar, self.cycle);
+    Io(ar, self.src);
+    Io(ar, self.dst);
+    Io(ar, self.type);
+    Io(ar, self.num_flits);
+    Io(ar, self.addr);
+  }
 };
 
 /// Accumulates records and serializes them to CSV.
@@ -97,6 +107,12 @@ class RecordingFabric final : public Fabric {
   const Network& net(TrafficClass cls) const override;
 
  private:
+  template <class Self, class Ar>
+  static void Fields(Self& self, Ar& ar) {
+    Io(ar, *self.inner_);
+    Io(ar, self.trace_);
+  }
+
   Fabric* inner_;
   TraceWriter trace_;
 };

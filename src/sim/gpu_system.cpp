@@ -9,37 +9,10 @@
 namespace gnoc {
 
 void Save(Serializer& s, const GpuRunStats& stats) {
-  s.Double(stats.ipc);
-  s.U64(stats.cycles);
-  s.U64(stats.instructions);
-  stats.network.Save(s);
-  for (std::uint64_t v : stats.packets_by_type) s.U64(v);
-  s.U64(stats.request_flits);
-  s.U64(stats.reply_flits);
-  s.Double(stats.l2_miss_rate);
-  s.Double(stats.dram_row_hit_rate);
-  s.Double(stats.avg_read_latency);
-  s.Bool(stats.deadlocked);
-  stats.audit.Save(s);
-  stats.telemetry.Save(s);
-  stats.qos.Save(s);
+  GpuRunStats::Fields(stats, s);
 }
-
 void Load(Deserializer& d, GpuRunStats& stats) {
-  stats.ipc = d.Double();
-  stats.cycles = d.U64();
-  stats.instructions = d.U64();
-  stats.network.Load(d);
-  for (std::uint64_t& v : stats.packets_by_type) v = d.U64();
-  stats.request_flits = d.U64();
-  stats.reply_flits = d.U64();
-  stats.l2_miss_rate = d.Double();
-  stats.dram_row_hit_rate = d.Double();
-  stats.avg_read_latency = d.Double();
-  stats.deadlocked = d.Bool();
-  stats.audit.Load(d);
-  stats.telemetry.Load(d);
-  stats.qos.Load(d);
+  GpuRunStats::Fields(stats, d);
 }
 
 namespace {
@@ -245,21 +218,8 @@ GpuRunStats GpuSystem::Run(Cycle warmup, Cycle measure) {
   return Measure();
 }
 
-void GpuSystem::Save(Serializer& s) const {
-  // xport_ is the outermost fabric: the trace recorder (which chains to the
-  // real fabric) when recording, the fabric itself otherwise.
-  xport_->Save(s);
-  for (const auto& sm : sms_) sm->Save(s);
-  for (const auto& mc : mcs_) mc->Save(s);
-  s.U64(measured_since_);
-}
-
-void GpuSystem::Load(Deserializer& d) {
-  xport_->Load(d);
-  for (auto& sm : sms_) sm->Load(d);
-  for (auto& mc : mcs_) mc->Load(d);
-  measured_since_ = d.U64();
-}
+void GpuSystem::Save(Serializer& s) const { Fields(*this, s); }
+void GpuSystem::Load(Deserializer& d) { Fields(*this, d); }
 
 void GpuSystem::SaveSnapshot(const std::string& path) const {
   Serializer s;

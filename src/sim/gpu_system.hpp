@@ -50,6 +50,24 @@ struct GpuRunStats {
   /// QoS outcome (enabled == false unless GpuConfig::qos configures any
   /// class): per-class delivery, throttling and SLO verdicts.
   QosReport qos;
+
+  template <class Self, class Ar>
+  static void Fields(Self& self, Ar& ar) {
+    Io(ar, self.ipc);
+    Io(ar, self.cycles);
+    Io(ar, self.instructions);
+    Io(ar, self.network);
+    Io(ar, self.packets_by_type);
+    Io(ar, self.request_flits);
+    Io(ar, self.reply_flits);
+    Io(ar, self.l2_miss_rate);
+    Io(ar, self.dram_row_hit_rate);
+    Io(ar, self.avg_read_latency);
+    Io(ar, self.deadlocked);
+    Io(ar, self.audit);
+    Io(ar, self.telemetry);
+    Io(ar, self.qos);
+  }
 };
 
 /// Serialization of measured results (checkpoint cell files).
@@ -132,6 +150,16 @@ class GpuSystem {
   std::size_t num_mcs() const { return mcs_.size(); }
 
  private:
+  template <class Self, class Ar>
+  static void Fields(Self& self, Ar& ar) {
+    // xport_ is the outermost fabric: the trace recorder (which chains to the
+    // real fabric) when recording, the fabric itself otherwise.
+    Io(ar, *self.xport_);
+    IoEach(ar, self.sms_);
+    IoEach(ar, self.mcs_);
+    Io(ar, self.measured_since_);
+  }
+
   GpuConfig config_;
   WorkloadProfile workload_;
   TilePlan plan_;

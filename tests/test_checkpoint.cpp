@@ -11,6 +11,8 @@
 #include <string>
 #include <vector>
 
+#include "common/config.hpp"
+#include "common/rng.hpp"
 #include "common/serialize.hpp"
 #include "sim/experiment.hpp"
 #include "sim/gpu_system.hpp"
@@ -352,6 +354,116 @@ TEST_F(CheckpointTest, SweepFingerprintSeparatesConfigurations) {
   threaded.threads = 7;
   threaded.checkpoint_interval = 50;
   EXPECT_EQ(base, SweepFingerprint(schemes, workloads, threaded));
+}
+
+// --- The v5 byte pin -------------------------------------------------------
+//
+// FNV-1a hashes of format-v5 snapshot payloads, recorded from a build whose
+// Save and Load were written separately per component; Debug and Release
+// builds give the same bytes. A failure here means the snapshot layout
+// moved: restore it, or bump kSnapshotFormatVersion and re-pin on purpose.
+
+/// A Baseline GpuConfig with `overrides` ("key=value ..." as on a command
+/// line; repeated keys such as qos_class= keep every occurrence).
+GpuConfig PinnedConfig(const std::string& overrides) {
+  GpuConfig cfg = GpuConfig::Baseline();
+  cfg.ApplyOverrides(Config::FromString(overrides));
+  return cfg;
+}
+
+/// Ticks `gpu` through 120 warm-up and 180 measured cycles and returns its
+/// Save payload.
+std::string MidRunPayload(GpuSystem& gpu) {
+  for (Cycle c = 0; c < 120; ++c) gpu.Tick();
+  gpu.ResetStats();
+  for (Cycle c = 0; c < 180; ++c) gpu.Tick();
+  Serializer s;
+  gpu.Save(s);
+  return s.TakeBytes();
+}
+
+struct PinCase {
+  const char* overrides;
+  std::uint64_t payload_hash;
+};
+
+const PinCase kPinCases[] = {
+    {"audit=true telemetry=true telemetry_interval=40", 0x6e6074f0cac52392ull},
+    {"scheduling=soa", 0xfde34da3df6cfd05ull},
+    {"topology=torus num_vcs=4 qos=strict "
+     "qos_class=critical,prio=2,rate=0.5,burst=8,vcs=1,p99=300 "
+     "qos_class=bulk,prio=1",
+     0x65af17ba66e07580ull},
+    {"topology=cmesh", 0x70bf056ae66e6820ull},
+    {"vc_policy=dynamic routing=xy-yx dynamic_epoch=64", 0x4a7bb06538de5f3cull},
+    {"division=physical num_vcs=4", 0xcf036f23b8742231ull},
+    {"ideal_noc=true", 0xf07322dfebfedee4ull},
+    {"record_trace=true real_l1=true mc_scheduler=fr-fcfs arbiter=matrix",
+     0x5d38f798ba6acbfcull},
+    {"topology=circulant num_vcs=4 qos=wrr qos_class=request,prio=3 "
+     "qos_class=reply,prio=1 audit=true telemetry=true telemetry_interval=40",
+     0x298aacbcd0919c15ull},
+};
+
+TEST(SnapshotPinTest, MidRunPayloadsKeepTheirV5Bytes) {
+  for (const PinCase& pin : kPinCases) {
+    const GpuConfig cfg = PinnedConfig(pin.overrides);
+    GpuSystem gpu(cfg, FindWorkload("KMN"));
+    const std::string payload = MidRunPayload(gpu);
+    EXPECT_EQ(Fnv1a64(payload), pin.payload_hash)
+        << std::hex << "0x" << Fnv1a64(payload) << " for " << pin.overrides;
+
+    // Save -> Load -> Save reproduces the payload exactly.
+    GpuSystem reloaded(cfg, FindWorkload("KMN"));
+    Deserializer d(payload);
+    reloaded.Load(d);
+    d.Finish();
+    Serializer again;
+    reloaded.Save(again);
+    EXPECT_TRUE(again.bytes() == payload) << pin.overrides;
+  }
+}
+
+TEST(SnapshotPinTest, MeasuredStatsKeepTheirV5Bytes) {
+  GpuSystem gpu(PinnedConfig(kPinCases[8].overrides), FindWorkload("KMN"));
+  const std::string bytes = StatsBytes(gpu.Run(120, 180));
+  EXPECT_EQ(Fnv1a64(bytes), 0x6eb798f298a0d714ull)
+      << std::hex << "0x" << Fnv1a64(bytes);
+}
+
+// Seeded single-byte patches of a mid-run payload: every Load + Finish
+// either succeeds or throws SerializeError. A patched count must not make
+// Load allocate whatever the file says (std::length_error, std::bad_alloc),
+// and the sanitizer builds hold every load to no undefined behaviour.
+TEST(SnapshotMutationTest, PatchedPayloadsLoadOrThrowSerializeError) {
+  const GpuConfig cfg = PinnedConfig(
+      "width=4 height=4 num_mcs=4 num_vcs=4 audit=true telemetry=true "
+      "telemetry_interval=10 qos=strict "
+      "qos_class=critical,prio=2,rate=0.5,burst=8,vcs=1,p99=300 "
+      "qos_class=bulk,prio=1");
+  const WorkloadProfile& wl = FindWorkload("KMN");
+  GpuSystem gpu(cfg, wl);
+  const std::string payload = MidRunPayload(gpu);
+  Rng rng(20261017);
+  int refused = 0;
+  std::vector<std::string> other;
+  for (int i = 0; i < 2000; ++i) {
+    std::string patched = payload;
+    const std::size_t at = rng.NextBounded(patched.size());
+    patched[at] = static_cast<char>(patched[at] ^ (1 + rng.NextBounded(255)));
+    Deserializer d(patched);
+    try {
+      gpu.Load(d);
+      d.Finish();
+    } catch (const SerializeError&) {
+      ++refused;
+    } catch (const std::exception& e) {
+      other.push_back("offset " + std::to_string(at) + ": " + e.what());
+    }
+  }
+  EXPECT_TRUE(other.empty()) << other.size() << " patch(es) threw another "
+                             << "exception, first: " << other.front();
+  EXPECT_GT(refused, 0);
 }
 
 }  // namespace

@@ -10,6 +10,8 @@
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <limits>
 #include <set>
 #include <sstream>
@@ -467,6 +469,73 @@ TEST_F(DseCheckpointTest, ResumeRejectsChangedConfiguration) {
   other.seed = opt.seed + 1;
   other.resume = true;
   EXPECT_THROW(ParetoSearch(space, workloads, other), SerializeError);
+}
+
+// The search checkpoint's format-v5 bytes, recorded from a build whose
+// SearchState Save and Load were written separately (see SnapshotPinTest in
+// test_checkpoint.cpp). A grid search on a 4x4 sub-space stopped after two
+// generations, with the third batch pending: RNG, archive (the 1-VC split
+// designs are infeasible, the rest simulated) and pending batch are live.
+TEST_F(DseCheckpointTest, SearchCheckpointKeepsItsV5Bytes) {
+  DesignSpace space = SmallSpace();
+  space.vc_counts = {1, 2, 4};
+  SearchOptions opt;
+  opt.strategy = SearchStrategy::kGrid;
+  opt.objectives = {SearchObjective::kIpc, SearchObjective::kBufferArea};
+  opt.lengths.warmup = 60;
+  opt.lengths.measure = 120;
+  opt.population = 2;
+  opt.max_evaluations = 8;
+  opt.threads = 1;
+  opt.checkpoint_dir = (dir_ / "ckpt").string();
+  int committed = 0;
+  opt.on_design = [&committed](const EvaluatedDesign&, int, int) {
+    ++committed;
+  };
+  opt.should_stop = [&committed] { return committed >= 6; };
+  const ParetoResult stopped = ParetoSearch(space, WorkloadSubset({"BFS"}), opt);
+  EXPECT_FALSE(stopped.completed);
+  EXPECT_EQ(stopped.generations, 2);
+
+  std::ifstream in(dir_ / "ckpt" / "search.ckpt", std::ios::binary);
+  const std::string file((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  EXPECT_EQ(Fnv1a64(file), 0x6fb1c8e6a0c22405ull)
+      << std::hex << "0x" << Fnv1a64(file);
+}
+
+// A resumed search passes every loaded design point to PointLabel and
+// MakeConfig, which index the space's axes by its coordinates and check
+// them only with an assert. Load refuses an out-of-range coordinate. The
+// checkpoint payload is laid out as: u32 layout @0, Rng @4 (41 bytes),
+// u64 generation @45, u64 evaluations @53, u64 archive count @61, first
+// design's u16 coordinates @69.
+TEST_F(DseCheckpointTest, ResumeRefusesDesignPointsOutsideTheSpace) {
+  const DesignSpace space = SmallSpace();
+  const auto workloads = WorkloadSubset({"BFS"});
+  SearchOptions opt = QuickOptions();
+  opt.strategy = SearchStrategy::kGrid;
+  opt.lengths.warmup = 60;
+  opt.lengths.measure = 120;
+  opt.population = 2;
+  opt.max_evaluations = 2;
+  opt.checkpoint_dir = (dir_ / "ckpt").string();
+  ParetoSearch(space, workloads, opt);
+
+  const std::string path = opt.checkpoint_dir + "/search.ckpt";
+  const std::uint64_t fingerprint = SearchFingerprint(space, workloads, opt);
+  const std::string clean = ReadSnapshotFile(path, fingerprint);
+  ASSERT_GE(clean.size(), 71u);
+  opt.resume = true;
+  for (std::size_t axis = 0; axis < kNumDesignAxes; ++axis) {
+    std::string patched = clean;
+    patched[69 + 2 * axis] = static_cast<char>(space.AxisSize(axis));
+    WriteSnapshotFile(path, fingerprint, patched);
+    EXPECT_THROW(ParetoSearch(space, workloads, opt), SerializeError)
+        << "axis " << axis;
+  }
+  WriteSnapshotFile(path, fingerprint, clean);
+  EXPECT_TRUE(ParetoSearch(space, workloads, opt).completed);
 }
 
 }  // namespace

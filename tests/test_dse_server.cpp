@@ -104,6 +104,87 @@ TEST(JobSpecTest, RejectsMalformedSpecs) {
       std::invalid_argument);
 }
 
+/// The std::invalid_argument message of parsing `json`, "" if it parses.
+std::string ParseError(const std::string& json) {
+  try {
+    JobSpec::Parse(json);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// "base", each scheme's "config" and "space.base" take exactly the keys and
+// values the command line does (RegisterGpuConfigFlags), with its
+// validators and did-you-mean.
+TEST(JobSpecTest, RejectsConfigKeysAndValuesTheCliRejects) {
+  EXPECT_NE(ParseError(R"({"type": "sweep", "base": {"num_vcs": 0},
+                           "schemes": [{"label": "x"}]})")
+                .find("base: flag 'num_vcs': must be >= 1"),
+            std::string::npos);
+  EXPECT_NE(ParseError(R"({"type": "sweep", "base": {"num_vc": 4},
+                           "schemes": [{"label": "x"}]})")
+                .find("did you mean 'num_vcs'?"),
+            std::string::npos);
+  EXPECT_NE(ParseError(R"({"type": "sweep",
+                           "schemes": [{"label": "x",
+                                        "config": {"vc_polcy": "mono"}}]})")
+                .find("scheme 'x' config: unknown flag 'vc_polcy'; did you "
+                      "mean 'vc_policy'?"),
+            std::string::npos);
+  EXPECT_NE(ParseError(R"({"type": "sweep",
+                           "schemes": [{"label": "x",
+                                        "config": {"vc_depth": 0}}]})")
+                .find("flag 'vc_depth'"),
+            std::string::npos);
+  EXPECT_NE(ParseError(R"({"type": "search",
+                           "space": {"base": {"routing": "zigzag"}}})")
+                .find("space.base: flag 'routing'"),
+            std::string::npos);
+  // The CLI's own config= and help tokens are not configuration keys.
+  for (const char* key : {"config", "help"}) {
+    EXPECT_NE(ParseError(std::string(R"({"type": "sweep", "base": {")") +
+                         key + R"(": "x"}, "schemes": [{"label": "x"}]})")
+                  .find(std::string("unknown flag '") + key + "'"),
+              std::string::npos)
+        << key;
+  }
+}
+
+TEST(JobSpecTest, RejectsSpaceVcAxisEntriesThatAreNotPositiveIntegers) {
+  for (const char* entries : {"[0]", "[2, -4]", "[1.5]", "[3e9]"}) {
+    for (const char* axis : {"vc_counts", "vc_depths"}) {
+      EXPECT_NE(ParseError(std::string(R"({"type": "search", "space": {")") +
+                           axis + "\": " + entries + "}}")
+                    .find(std::string("'space.") + axis + "' must be"),
+                std::string::npos)
+          << axis << " " << entries;
+    }
+  }
+}
+
+// Negative, fractional and too-large numbers are refused before the cast
+// to the field's type (casting -5.0 to an unsigned Cycle is undefined).
+TEST(JobSpecTest, RejectsCountsLengthsAndSeedsOutsideTheirRange) {
+  for (const char* key : {"warmup", "measure", "threads", "population",
+                          "max_evaluations", "seed"}) {
+    for (const char* value : {"-5", "1.5", "1e300"}) {
+      EXPECT_NE(ParseError(std::string(R"({"type": "search", ")") + key +
+                           "\": " + value + "}")
+                    .find(std::string("'") + key + "' must be an integer"),
+                std::string::npos)
+          << key << "=" << value;
+    }
+  }
+  EXPECT_NE(ParseError(R"({"type": "search", "population": 0})"), "");
+  const JobSpec edges = JobSpec::Parse(
+      R"({"type": "search", "warmup": 0, "threads": 0, "population": 1,
+          "max_evaluations": 0, "seed": 9007199254740992})");
+  EXPECT_EQ(edges.lengths.warmup, 0u);
+  EXPECT_EQ(edges.population, 1);
+  EXPECT_EQ(edges.seed, 9007199254740992ull);
+}
+
 class DseServerTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -203,6 +284,50 @@ TEST_F(DseServerTest, BadSpecsCountAsFailures) {
   }
   EXPECT_EQ(Status("broken"), "failed");
   EXPECT_TRUE(fs::exists(Spool() + "/done/broken.json"));
+}
+
+// A job the CLI would refuse ends `failed`, its status naming why — before
+// the check, num_vcs: 0 and misspelt keys ran to `done` on zero traffic.
+TEST_F(DseServerTest, InvalidConfigJobsFailWithTheirMessage) {
+  {
+    ServerOptions options;
+    options.spool = Spool();
+    options.once = true;
+    options.poll_ms = 10;
+    JobServer server(options);
+    server.Submit("zero_vcs", R"({"type": "sweep", "base": {"num_vcs": 0},
+                                  "schemes": [{"label": "x"}]})");
+    server.Submit("typo", R"({"type": "sweep",
+                              "base": {"num_vc": 4, "vc_polcy": "mono"},
+                              "schemes": [{"label": "x",
+                                           "config": {"vc_depth": 0}}]})");
+    EXPECT_EQ(server.Run(), 2);
+  }
+  const auto error = [this](const std::string& id) {
+    return JsonValue::Parse(ReadFile(Spool() + "/status/" + id + ".json"))
+        .At("error")
+        .AsString();
+  };
+  EXPECT_EQ(Status("zero_vcs"), "failed");
+  EXPECT_NE(error("zero_vcs").find("flag 'num_vcs': must be >= 1"),
+            std::string::npos);
+  EXPECT_EQ(Status("typo"), "failed");
+  EXPECT_NE(error("typo").find("did you mean"), std::string::npos);
+}
+
+TEST_F(DseServerTest, FinishedJobKeepsItsProgress) {
+  ServerOptions options;
+  options.spool = Spool();
+  options.once = true;
+  options.poll_ms = 10;
+  JobServer server(options);
+  server.Submit("sweep1", kSweepSpec);
+  EXPECT_EQ(server.Run(), 0);
+  const JsonValue status =
+      JsonValue::Parse(ReadFile(Spool() + "/status/sweep1.json"));
+  EXPECT_EQ(status.At("state").AsString(), "done");
+  EXPECT_EQ(status.At("done").AsNumber(), 2.0);
+  EXPECT_EQ(status.At("total").AsNumber(), 2.0);
 }
 
 TEST_F(DseServerTest, OrphanedRunningSpecsAreReAdopted) {

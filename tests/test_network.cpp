@@ -340,6 +340,17 @@ TEST(NetworkTest, RefusesConfigsWiderThanOneRequestMask) {
   EXPECT_NO_THROW(Network net(widest));
 }
 
+// Router and Nic only assert num_vcs/vc_depth >= 1; a release build would
+// otherwise simulate a network nothing can inject into.
+TEST(NetworkTest, RefusesZeroVcsOrZeroDepth) {
+  NetworkConfig no_vcs = SmallConfig();
+  no_vcs.num_vcs = 0;
+  EXPECT_THROW(Network net(no_vcs), std::invalid_argument);
+  NetworkConfig no_depth = SmallConfig();
+  no_depth.vc_depth = 0;
+  EXPECT_THROW(Network net(no_depth), std::invalid_argument);
+}
+
 TEST(NetworkTest, FlitConservationUnderRandomTraffic) {
   // Property: after draining, every injected flit was ejected, per class.
   NetworkConfig cfg = SmallConfig();

@@ -5,16 +5,21 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <deque>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <limits>
+#include <memory>
 #include <queue>
 #include <string>
+#include <unordered_map>
 #include <utility>
+#include <vector>
 
 namespace gnoc {
 namespace {
@@ -265,22 +270,11 @@ TEST(SerializeTest, PriorityQueuePreservesHeapArray) {
   for (int i = 0; i < 16; ++i) original.push({i % 3, i});
 
   Serializer s;
-  const auto& items = PriorityQueueAccess<Pq>::Container(original);
-  s.U64(items.size());
-  for (const auto& [k, v] : items) {
-    s.I32(k);
-    s.I32(v);
-  }
+  IoSeq(s, PriorityQueueAccess<Pq>::Container(original));
 
   Deserializer d(s.bytes());
   Pq restored;
-  auto& out = PriorityQueueAccess<Pq>::Container(restored);
-  const std::uint64_t n = d.U64();
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const int k = d.I32();
-    const int v = d.I32();
-    out.push_back({k, v});
-  }
+  IoSeq(d, PriorityQueueAccess<Pq>::Container(restored));
 
   while (!original.empty()) {
     ASSERT_FALSE(restored.empty());
@@ -289,6 +283,139 @@ TEST(SerializeTest, PriorityQueuePreservesHeapArray) {
     restored.pop();
   }
   EXPECT_TRUE(restored.empty());
+}
+
+// --- Field-walk helpers ------------------------------------------------------
+
+enum class Shade : std::uint8_t { kLight = 1, kDark = 200 };
+
+/// One field per helper, walked the way components walk theirs.
+struct Walked {
+  bool flag = false;
+  std::int8_t half = 0;
+  std::uint16_t seq = 0;
+  std::int32_t vc = 0;
+  std::int64_t tokens = 0;
+  double ratio = 0.0;
+  Shade shade = Shade::kLight;
+  std::string name;
+  std::array<std::uint32_t, 2> fixed{};
+  std::vector<std::uint64_t> sized = std::vector<std::uint64_t>(2);
+  std::deque<std::pair<std::uint64_t, std::int32_t>> queue;
+  std::unordered_map<std::int32_t, std::uint8_t> map;
+  std::unique_ptr<std::uint64_t> extra;
+
+  template <class Self, class Ar>
+  static void Fields(Self& self, Ar& ar) {
+    Io(ar, self.flag);
+    Io(ar, self.half);
+    Io(ar, self.seq);
+    Io(ar, self.vc);
+    Io(ar, self.tokens);
+    Io(ar, self.ratio);
+    Io(ar, self.shade);
+    Io(ar, self.name);
+    Io(ar, self.fixed);
+    IoSized(ar, self.sized, "sized");
+    IoSeq(ar, self.queue);
+    IoSortedMap(ar, self.map);
+    IoPresence(ar, self.extra, "extra");
+  }
+};
+
+TEST(FieldWalkTest, WritesEachTypeInItsWireWidthAndRoundTrips) {
+  Walked w;
+  w.flag = true;
+  w.half = -1;
+  w.seq = 0xBEEF;
+  w.vc = -2;
+  w.tokens = -3;
+  w.ratio = 0.5;
+  w.shade = Shade::kDark;
+  w.name = "r5";
+  w.fixed = {7, 8};
+  w.sized = {9, 10};
+  w.queue = {{11, -12}};
+  w.map = {{30, 3}, {-4, 4}, {20, 2}};
+  w.extra = std::make_unique<std::uint64_t>(13);
+  Serializer s;
+  Io(s, w);
+
+  Serializer want;
+  want.Bool(true);
+  want.U8(0xFF);
+  want.U16(0xBEEF);
+  want.I32(-2);
+  want.I64(-3);
+  want.Double(0.5);
+  want.U8(200);
+  want.Str("r5");
+  want.U32(7);
+  want.U32(8);
+  want.U64(2);
+  want.U64(9);
+  want.U64(10);
+  want.U64(1);
+  want.U64(11);
+  want.I32(-12);
+  want.U64(3);  // map entries, sorted by key
+  const std::pair<std::int32_t, std::uint8_t> sorted[] = {
+      {-4, 4}, {20, 2}, {30, 3}};
+  for (const auto& [key, value] : sorted) {
+    want.I32(key);
+    want.U8(value);
+  }
+  want.Bool(true);
+  want.U64(13);
+  EXPECT_EQ(s.bytes(), want.bytes());
+
+  Walked back;
+  back.extra = std::make_unique<std::uint64_t>(0);
+  Deserializer d(s.bytes());
+  Io(d, back);
+  d.Finish();
+  Serializer again;
+  Io(again, back);
+  EXPECT_EQ(again.bytes(), s.bytes());
+  EXPECT_EQ(back.half, -1);
+  EXPECT_EQ(back.shade, Shade::kDark);
+  EXPECT_EQ(back.map.at(-4), 4);
+}
+
+TEST(FieldWalkTest, SequenceCountsPastThePayloadAreRefusedUnsized) {
+  Serializer s;
+  s.U64(std::uint64_t{1} << 40);
+  s.U64(5);
+  std::vector<std::uint64_t> seq;
+  Deserializer d(s.bytes());
+  EXPECT_THROW(IoSeq(d, seq), SerializeError);
+  EXPECT_EQ(seq.capacity(), 0u);
+
+  std::unordered_map<std::int32_t, std::int32_t> map;
+  Deserializer dm(s.bytes());
+  EXPECT_THROW(IoSortedMap(dm, map), SerializeError);
+  EXPECT_TRUE(map.empty());
+}
+
+TEST(FieldWalkTest, ConstructionDerivedCountsAndPresenceMustMatch) {
+  Serializer s;
+  IoCount(s, 3, "router");
+  Deserializer same(s.bytes());
+  EXPECT_NO_THROW(IoCount(same, 3, "router"));
+  Deserializer other(s.bytes());
+  EXPECT_THROW(IoCount(other, 4, "router"), SerializeError);
+
+  const std::unique_ptr<std::uint64_t> absent;
+  Serializer off;
+  IoPresence(off, absent, "audit");
+  auto present = std::make_unique<std::uint64_t>(1);
+  Deserializer d(off.bytes());
+  try {
+    IoPresence(d, present, "audit");
+    ADD_FAILURE() << "presence mismatch accepted";
+  } catch (const SerializeError& e) {
+    EXPECT_NE(std::string(e.what()).find("audit"), std::string::npos);
+  }
 }
 
 }  // namespace

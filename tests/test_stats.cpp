@@ -1,9 +1,13 @@
 // Unit tests for statistics utilities.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
+#include <string>
 
+#include "common/serialize.hpp"
 #include "common/stats.hpp"
 
 namespace gnoc {
@@ -206,6 +210,48 @@ TEST(StatSetTest, PreservesInsertionOrder) {
   EXPECT_EQ(s.names()[0], "z");
   EXPECT_EQ(s.names()[1], "a");
   EXPECT_EQ(s.names()[2], "m");
+}
+
+/// `bytes` with the u64 at `offset` set to `value` (little-endian).
+std::string Patched(std::string bytes, std::size_t offset, std::uint64_t value) {
+  for (int i = 0; i < 8; ++i) {
+    bytes[offset + static_cast<std::size_t>(i)] =
+        static_cast<char>((value >> (8 * i)) & 0xFF);
+  }
+  return bytes;
+}
+
+// Load refuses the geometry the constructor refuses: Add divides by the
+// bucket width, casts the quotient to an index and counts past the last
+// regular bucket into counts_.back(). Each case patches one field of a
+// saved histogram laid out as: double width @0, u64 count @8, counts @16.
+TEST(HistogramTest, LoadRefusesGeometryTheConstructorRefuses) {
+  Histogram h(10.0, 4);
+  h.Add(5.0);
+  h.Add(55.0);
+  Serializer s;
+  h.Save(s);
+  const std::string clean = s.bytes();
+  const auto load = [](const std::string& bytes) {
+    Histogram out(1.0, 1);
+    Deserializer d(bytes);
+    out.Load(d);
+    return out;
+  };
+  EXPECT_EQ(load(clean).count(), 2u);
+  EXPECT_EQ(load(clean).overflow(), 1u);
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double width : {0.0, -10.0, inf, std::nan("")}) {
+    EXPECT_THROW(load(Patched(clean, 0, std::bit_cast<std::uint64_t>(width))),
+                 SerializeError)
+        << width;
+  }
+  for (const std::uint64_t counts : {0u, 1u}) {
+    EXPECT_THROW(load(Patched(clean, 8, counts)), SerializeError) << counts;
+  }
+  // A count the payload cannot hold is refused before anything is sized.
+  EXPECT_THROW(load(Patched(clean, 8, std::uint64_t{1} << 60)),
+               SerializeError);
 }
 
 }  // namespace

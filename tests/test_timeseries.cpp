@@ -3,6 +3,10 @@
 // and the histogram-per-window variant.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
+#include "common/serialize.hpp"
 #include "common/timeseries.hpp"
 
 namespace gnoc {
@@ -105,6 +109,61 @@ TEST(HistogramSeriesTest, DownsamplingMergesBucketCountsExactly) {
     total += hs.Window(i).count();
   }
   EXPECT_EQ(total, 5u);
+}
+
+/// `bytes` with the u64 at `offset` set to `value` (little-endian).
+std::string Patched(std::string bytes, std::size_t offset, std::uint64_t value) {
+  for (int i = 0; i < 8; ++i) {
+    bytes[offset + static_cast<std::size_t>(i)] =
+        static_cast<char>((value >> (8 * i)) & 0xFF);
+  }
+  return bytes;
+}
+
+/// Loads `bytes` into a placeholder `T` (Load + Finish).
+template <class T>
+void LoadInto(T& out, const std::string& bytes) {
+  Deserializer d(bytes);
+  out.Load(d);
+  d.Finish();
+}
+
+// Accumulate divides by the window width, so Load refuses width 0. Layout:
+// u64 width @0, u64 max_windows @8, u64 count @16, sums @24.
+TEST(TimeSeriesTest, LoadRefusesWidthZero) {
+  TimeSeries ts(10, 8);
+  ts.Accumulate(3, 1.0);
+  Serializer s;
+  ts.Save(s);
+  TimeSeries out;
+  LoadInto(out, s.bytes());
+  EXPECT_EQ(out.window_width(), 10u);
+  EXPECT_THROW(LoadInto(out, Patched(s.bytes(), 0, 0)), SerializeError);
+  EXPECT_THROW(LoadInto(out, Patched(s.bytes(), 16, std::uint64_t{1} << 40)),
+               SerializeError);
+}
+
+// Layout: u64 width @0, u64 max_windows @8, double bucket_width @16,
+// u64 num_buckets @24, u64 window count @32, windows @40. Load refuses
+// width 0 (Add divides by it), sizes nothing from the file's num_buckets
+// (a window of that geometry would be allocated up front) and refuses
+// windows whose geometry differs from the series' (Downsample merges
+// them with windows Add builds).
+TEST(HistogramSeriesTest, LoadRefusesWidthZeroAndForeignGeometry) {
+  HistogramSeries hs(10, 4, 1.0, 4);
+  hs.Add(3, 2.0);
+  Serializer s;
+  hs.Save(s);
+  HistogramSeries out(1, 0, 1.0, 1);
+  LoadInto(out, s.bytes());
+  ASSERT_EQ(out.num_windows(), 1u);
+  EXPECT_EQ(out.Window(0).bucket(2), 1u);
+  EXPECT_THROW(LoadInto(out, Patched(s.bytes(), 0, 0)), SerializeError);
+  EXPECT_THROW(LoadInto(out, Patched(s.bytes(), 24, std::uint64_t{1} << 60)),
+               SerializeError);
+  EXPECT_THROW(LoadInto(out, Patched(s.bytes(), 24, 0)), SerializeError);
+  EXPECT_THROW(LoadInto(out, Patched(s.bytes(), 32, std::uint64_t{1} << 60)),
+               SerializeError);
 }
 
 }  // namespace

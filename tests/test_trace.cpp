@@ -1,6 +1,7 @@
 // Tests for packet-trace recording, serialization and replay.
 #include <gtest/gtest.h>
 
+#include "common/serialize.hpp"
 #include "gpgpu/workload.hpp"
 #include "noc/trace.hpp"
 #include "sim/gpu_system.hpp"
@@ -192,6 +193,20 @@ TEST(TraceReplayTest, RecordAndReplayMatchesTrafficVolume) {
   ASSERT_TRUE(replay.Done());
   const auto s = net.Summarize();
   EXPECT_EQ(s.flits_injected[0] + s.flits_injected[1], trace_flits);
+}
+
+// TraceWriter::Load refuses a record count the payload cannot hold before
+// it sizes anything (it used to reserve() whatever the file said).
+TEST(TraceTest, LoadRefusesRecordCountPastThePayload) {
+  TraceWriter writer;
+  writer.Append(TraceRecord{5, 1, 2, PacketType::kReadRequest, 1, 64});
+  Serializer s;
+  writer.Save(s);
+  std::string bytes = s.bytes();
+  bytes[5] = 1;  // record count 1 + 2^40
+  TraceWriter out;
+  Deserializer d(bytes);
+  EXPECT_THROW(out.Load(d), SerializeError);
 }
 
 }  // namespace
