@@ -3,19 +3,22 @@
 
 #include <cassert>
 #include <cstddef>
-#include <deque>
 #include <string>
 
+#include "common/ring.hpp"
 #include "noc/flit.hpp"
 
 namespace gnoc {
 
 /// A fixed-capacity flit FIFO. One instance backs one input VC; the credit
 /// protocol guarantees Push is never called on a full buffer (asserted).
+/// Its ring is sized for the capacity at construction, so a VC never
+/// allocates afterwards.
 class VcBuffer {
  public:
   explicit VcBuffer(std::size_t capacity) : capacity_(capacity) {
     assert(capacity > 0);
+    fifo_.reserve(capacity);
   }
 
   std::size_t capacity() const { return capacity_; }
@@ -55,18 +58,21 @@ class VcBuffer {
 
   /// Snapshot support: contents only; capacity is construction-derived.
   void Save(Serializer& s) const { IoSeq(s, fifo_); }
-  /// Throws SerializeError for more flits than the capacity.
+  /// Reads what Save wrote. Throws SerializeError for more flits than the
+  /// capacity before reading any, so the ring keeps its reserved slots.
   void Load(Deserializer& d) {
-    IoSeq(d, fifo_);
-    if (fifo_.size() > capacity_) {
-      throw SerializeError("VC buffer holds " + std::to_string(fifo_.size()) +
+    const std::size_t n = d.Count();
+    if (n > capacity_) {
+      throw SerializeError("VC buffer holds " + std::to_string(n) +
                            " flits, capacity " + std::to_string(capacity_));
     }
+    fifo_.clear();
+    for (std::size_t i = 0; i < n; ++i) Io(d, fifo_.emplace_back());
   }
 
  private:
   std::size_t capacity_;
-  std::deque<Flit> fifo_;
+  Ring<Flit> fifo_;
 };
 
 }  // namespace gnoc

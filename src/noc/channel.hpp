@@ -7,10 +7,10 @@
 #pragma once
 
 #include <cassert>
-#include <deque>
 #include <optional>
 #include <utility>
 
+#include "common/ring.hpp"
 #include "common/types.hpp"
 #include "noc/flit.hpp"
 
@@ -131,7 +131,7 @@ class DelayLine {
  private:
   Cycle latency_;
   WakeHook wake_;
-  std::deque<std::pair<Cycle, T>> items_;
+  Ring<std::pair<Cycle, T>> items_;
 };
 
 using FlitChannel = DelayLine<Flit>;

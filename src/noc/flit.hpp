@@ -5,6 +5,8 @@
 // head opened.
 #pragma once
 
+#include <string>
+
 #include "common/serialize.hpp"
 #include "common/types.hpp"
 
@@ -49,6 +51,11 @@ struct Flit {
   std::uint64_t payload = 0;  ///< opaque handle for the transport user
   std::uint64_t addr = 0;     ///< memory address of the transaction (if any)
 
+  void Save(Serializer& s) const { Fields(*this, s); }
+  /// Throws SerializeError for a kind or class no packet has: traversal
+  /// and ejection index per-class arrays by `cls`.
+  void Load(Deserializer& d);
+
   /// Snapshot layout (DESIGN.md §10): all fields, declaration order.
   template <class Self, class Ar>
   static void Fields(Self& f, Ar& ar) {
@@ -70,8 +77,20 @@ struct Flit {
   }
 };
 
-inline void Save(Serializer& s, const Flit& f) { Flit::Fields(f, s); }
-inline void Load(Deserializer& d, Flit& f) { Flit::Fields(f, d); }
+inline void Flit::Load(Deserializer& d) {
+  Fields(*this, d);
+  if (kind > FlitKind::kHeadTail || ClassIndex(cls) >= kNumClasses) {
+    throw SerializeError(
+        "flit of packet " + std::to_string(packet_id) + " has kind " +
+        std::to_string(static_cast<int>(kind)) + " and class " +
+        std::to_string(ClassIndex(cls)) + "; kinds stop at " +
+        std::to_string(static_cast<int>(FlitKind::kHeadTail)) +
+        " and classes at " + std::to_string(kNumClasses - 1));
+  }
+}
+
+inline void Save(Serializer& s, const Flit& f) { f.Save(s); }
+inline void Load(Deserializer& d, Flit& f) { f.Load(d); }
 
 /// Returns true for head flits (convenience overload).
 constexpr bool IsHead(const Flit& f) { return IsHead(f.kind); }

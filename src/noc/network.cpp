@@ -557,6 +557,17 @@ void Network::Save(Serializer& s) const { Fields(*this, s); }
 
 void Network::Load(Deserializer& d) {
   Fields(*this, d);
+  // The receiving router, and soa's delivery pass, index input VCs by the
+  // flit's VC.
+  for (std::size_t i = 0; i < flit_links_.size(); ++i) {
+    flit_links_[i]->channel.ForEach([&](const Flit& f) {
+      if (f.vc < 0 || f.vc >= config_.num_vcs) {
+        throw SerializeError("flit link " + std::to_string(i) +
+                             ": flit on VC " + std::to_string(f.vc) +
+                             " of " + std::to_string(config_.num_vcs));
+      }
+    });
+  }
   // Channel/buffer Load writes contents directly (no wake hooks fire): the
   // object->SoA conversion at the checkpoint boundary re-derives every
   // plane, so snapshots carry no scheduler state (DESIGN.md §14).

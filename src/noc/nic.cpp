@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <string>
 
 #include "common/serialize.hpp"
 
@@ -210,10 +211,13 @@ void Nic::StartPackets(Cycle now) {
     packet.injected = now;
     ActiveSend& send = sends_[static_cast<std::size_t>(free_vc)];
     send.busy = true;
-    for (Flit& f : Packetize(packet, dst_coord)) {
+    // A free VC's FIFO is empty (Load refuses one that is not), so every
+    // flit in it now is one of this packet's.
+    assert(send.remaining.empty());
+    Packetize(packet, dst_coord, send.remaining);
+    for (Flit& f : send.remaining) {
       f.vc = free_vc;
       f.injected = now;
-      send.remaining.push_back(f);
     }
   }
 }
@@ -358,6 +362,29 @@ Cycle Nic::NextDue() const {
 }
 
 void Nic::Save(Serializer& s) const { Fields(*this, s); }
-void Nic::Load(Deserializer& d) { Fields(*this, d); }
+
+void Nic::Load(Deserializer& d) {
+  Fields(*this, d);
+  // SendFlits pops a sending VC's FIFO and puts its flits on the injection
+  // link, where the router and soa index input VCs by flit.vc.
+  for (std::size_t v = 0; v < sends_.size(); ++v) {
+    const ActiveSend& send = sends_[v];
+    const bool sending = send.busy && !send.draining;
+    if (send.remaining.empty() == sending) {
+      throw SerializeError(
+          "NIC " + std::to_string(node_) + ": injection VC " +
+          std::to_string(v) + " holds " +
+          std::to_string(send.remaining.size()) + " unsent flit(s) while " +
+          (sending ? "sending" : send.busy ? "draining" : "free"));
+    }
+    for (const Flit& f : send.remaining) {
+      if (f.vc != static_cast<VcId>(v)) {
+        throw SerializeError("NIC " + std::to_string(node_) +
+                             ": injection VC " + std::to_string(v) +
+                             " holds a flit for VC " + std::to_string(f.vc));
+      }
+    }
+  }
+}
 
 }  // namespace gnoc

@@ -15,10 +15,10 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <unordered_map>
 #include <vector>
 
+#include "common/ring.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
 #include "noc/channel.hpp"
@@ -201,14 +201,18 @@ class Nic {
   /// ejection/reassembly state and stats. Wiring pointers and `inject_flits_per_cycle_` are
   /// reapplied by the owner at construction and not serialized.
   void Save(Serializer& s) const;
+  /// Throws SerializeError for a send FIFO the NIC could not have filled:
+  /// a flit whose VC is not its slot's, flits on a free or draining VC, or
+  /// none on a VC still sending (SendFlits would pop an empty FIFO).
   void Load(Deserializer& d);
 
  private:
   /// One in-progress packet transmission bound to an injection VC.
+  /// `remaining` is nonempty exactly while the VC is busy and not draining.
   struct ActiveSend {
     bool busy = false;      ///< VC held by a packet (sending or draining)
     bool draining = false;  ///< tail sent; waiting for credits to return
-    std::deque<Flit> remaining;
+    Ring<Flit> remaining;   ///< unsent flits of the packet, in order
   };
 
   template <class Self, class Ar>
@@ -281,7 +285,7 @@ class Nic {
   int audit_link_ = -1;
   Telemetry* telemetry_ = nullptr;
 
-  std::array<std::deque<std::pair<Packet, Coord>>, kNumClasses> inject_queues_;
+  std::array<Ring<std::pair<Packet, Coord>>, kNumClasses> inject_queues_;
   std::vector<ActiveSend> sends_;   // per VC
   std::vector<int> credits_;       // per VC
   std::size_t send_rr_ = 0;        // round-robin pointer over VCs
@@ -301,7 +305,7 @@ class Nic {
   std::array<std::uint64_t, kNumClasses> epoch_flits_{};
   Cycle next_boundary_update_ = 0;
 
-  std::array<std::deque<Flit>, kNumClasses> eject_buffers_;
+  std::array<Ring<Flit>, kNumClasses> eject_buffers_;
   std::array<int, kNumClasses> eject_held_{};  // flits in buffer + reassembly
   std::unordered_map<PacketId, int> assembled_;  // flits absorbed per packet
 

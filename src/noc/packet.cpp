@@ -24,12 +24,10 @@ int PacketSizes::SizeOf(PacketType t) const {
   return 1;
 }
 
-std::vector<Flit> Packetize(const Packet& packet, Coord dst_coord) {
+void Packetize(const Packet& packet, Coord dst_coord, Ring<Flit>& out) {
   assert(packet.num_flits >= 1);
-  std::vector<Flit> flits;
-  flits.reserve(static_cast<std::size_t>(packet.num_flits));
   for (int i = 0; i < packet.num_flits; ++i) {
-    Flit f;
+    Flit& f = out.emplace_back();
     f.packet_id = packet.id;
     if (packet.num_flits == 1) {
       f.kind = FlitKind::kHeadTail;
@@ -50,9 +48,7 @@ std::vector<Flit> Packetize(const Packet& packet, Coord dst_coord) {
     f.type_raw = static_cast<std::uint8_t>(packet.type);
     f.payload = packet.payload;
     f.addr = packet.addr;
-    flits.push_back(f);
   }
-  return flits;
 }
 
 }  // namespace gnoc

@@ -8,8 +8,7 @@
 //   write reply   -> short (1 flit)          class: reply
 #pragma once
 
-#include <vector>
-
+#include "common/ring.hpp"
 #include "common/types.hpp"
 #include "noc/flit.hpp"
 
@@ -83,8 +82,9 @@ struct Packet {
 inline void Save(Serializer& s, const Packet& p) { Packet::Fields(p, s); }
 inline void Load(Deserializer& d, Packet& p) { Packet::Fields(p, d); }
 
-/// Segments `packet` into `packet.num_flits` flits. `dst_coord` is the mesh
-/// coordinate of `packet.dst` (the NIC knows the mapping).
-std::vector<Flit> Packetize(const Packet& packet, Coord dst_coord);
+/// Segments `packet` into `packet.num_flits` flits, appended in order to
+/// `out`. `dst_coord` is the mesh coordinate of `packet.dst` (the NIC knows
+/// the mapping). The flits leave `vc` and `injected` for the NIC to stamp.
+void Packetize(const Packet& packet, Coord dst_coord, Ring<Flit>& out);
 
 }  // namespace gnoc

@@ -1,17 +1,18 @@
 // Structure-of-arrays scheduling backend (DESIGN.md §14).
 //
 // The dense (kFull) tick walks AoS Router objects: every phase re-scans
-// fat per-VC structs (an InputVc embeds its whole flit deque, so reading
-// one flag strides ~100 bytes) and heap-allocates fresh request/nominee/
-// grant vectors for every arbitration — ~15 allocations per router per
-// cycle. scheduling=soa keeps the objects authoritative but hoists the
-// *hot* state into contiguous per-network planes rebuilt once from the
-// Topology graph wiring:
+// per-VC structs (an InputVc embeds its VC buffer's ring header, so
+// reading one flag strides 64 bytes, and its front flit is one more
+// pointer away) and heap-allocates fresh request/nominee/grant vectors
+// for every arbitration — ~15 allocations per router per cycle.
+// scheduling=soa keeps the objects authoritative but hoists the *hot*
+// state into contiguous per-network planes rebuilt once from the Topology
+// graph wiring:
 //
 //   front_ready_[router:port:vc]  ready cycle of each input VC's head flit
 //                                 (kNeverCycle when the VC is empty), so
 //                                 RC/VA/SA eligibility is one u64 compare
-//                                 on a dense plane instead of a deque deref
+//                                 on a dense plane instead of a ring deref
 //   flit_due_[link]               delivery cycle of each flit channel's
 //   credit_due_[link]             front item (kNeverCycle when empty),
 //                                 maintained by the channel wake hooks, so

@@ -1,6 +1,14 @@
-// Unit tests for VcBuffer and DelayLine channels.
+// Unit tests for the Ring FIFO and the VcBuffer and DelayLine channels
+// built on it.
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "common/ring.hpp"
+#include "common/serialize.hpp"
 #include "noc/buffer.hpp"
 #include "noc/channel.hpp"
 
@@ -85,6 +93,110 @@ TEST(DelayLineTest, SizeCountsInFlight) {
   EXPECT_EQ(line.size(), 2u);
   line.Pop(2);
   EXPECT_EQ(line.size(), 1u);
+}
+
+// The ring's items oldest first, through its iterators.
+template <typename T>
+std::vector<T> Items(const Ring<T>& ring) {
+  return {ring.begin(), ring.end()};
+}
+
+TEST(RingTest, KeepsFifoOrderAcrossManyWrapArounds) {
+  Ring<int> ring;
+  ring.reserve(4);
+  int next_in = 0;
+  int next_out = 0;
+  for (int i = 0; i < 3; ++i) ring.push_back(next_in++);
+  // Hold three items while the head laps the four slots 250 times.
+  for (int i = 0; i < 1000; ++i) {
+    ring.push_back(next_in++);
+    ASSERT_EQ(ring.front(), next_out);
+    ring.pop_front();
+    ++next_out;
+  }
+  EXPECT_EQ(ring.capacity(), 4u) << "never more than 4 items: no growth";
+  EXPECT_EQ(Items(ring), (std::vector<int>{next_out, next_out + 1,
+                                           next_out + 2}));
+}
+
+TEST(RingTest, GrowthWhileWrappedKeepsOrder) {
+  Ring<int> ring;
+  for (int i = 0; i < 4; ++i) ring.push_back(i);
+  ring.pop_front();
+  ring.pop_front();
+  ring.push_back(4);
+  ring.push_back(5);  // full, and the oldest item sits in slot 2
+  ASSERT_EQ(ring.capacity(), 4u);
+  ring.push_back(6);
+  EXPECT_EQ(ring.capacity(), 8u);
+  ring.push_back(7);
+  EXPECT_EQ(ring.back(), 7);
+  for (int want = 2; want <= 7; ++want) {
+    ASSERT_EQ(ring.front(), want);
+    ring.pop_front();
+  }
+  EXPECT_TRUE(ring.empty());
+}
+
+TEST(RingTest, PushOfItsOwnBackSurvivesGrowth) {
+  Ring<Flit> ring;
+  for (PacketId id = 1; id <= 4; ++id) ring.push_back(MakeFlit(id));
+  ring.pop_front();
+  ring.push_back(MakeFlit(5));  // full and wrapped
+  ASSERT_EQ(ring.size(), ring.capacity());
+  ring.push_back(ring.back());  // the argument lives in a slot that moves
+  ASSERT_EQ(ring.size(), 5u);
+  std::vector<PacketId> ids;
+  for (const Flit& f : ring) ids.push_back(f.packet_id);
+  EXPECT_EQ(ids, (std::vector<PacketId>{2, 3, 4, 5, 5}));
+}
+
+TEST(RingTest, IteratesOldestFirst) {
+  Ring<int> ring;
+  EXPECT_TRUE(Items(ring).empty());
+  for (int i = 0; i < 8; ++i) ring.push_back(i);
+  for (int i = 0; i < 5; ++i) ring.pop_front();
+  for (int i = 8; i < 12; ++i) ring.push_back(i);  // wraps into slots 0..3
+  EXPECT_EQ(Items(ring), (std::vector<int>{5, 6, 7, 8, 9, 10, 11}));
+  for (int& x : ring) x *= 10;  // mutable iteration writes the slots
+  EXPECT_EQ(ring.front(), 50);
+  EXPECT_EQ(ring.back(), 110);
+  ring.clear();
+  EXPECT_TRUE(ring.empty());
+  EXPECT_TRUE(Items(ring).empty());
+}
+
+// The snapshot walk of a ring is byte for byte that of a deque with the
+// same contents, so replacing the flit path's deques kept format v5.
+TEST(RingTest, IoSeqWritesTheBytesOfADequeWithTheSameContents) {
+  Ring<std::pair<Cycle, Flit>> ring;
+  std::deque<std::pair<Cycle, Flit>> deque;
+  for (PacketId id = 1; id <= 6; ++id) {
+    Flit f = MakeFlit(id);
+    f.kind = id % 2 == 0 ? FlitKind::kBody : FlitKind::kTail;
+    f.vc = static_cast<VcId>(id % 3);
+    f.addr = 0x1000 * id;
+    ring.emplace_back(Cycle{10 + id}, f);
+    deque.emplace_back(Cycle{10 + id}, f);
+    if (id % 2 == 0) {  // wrap the ring's head past its first slots
+      ring.pop_front();
+      deque.pop_front();
+    }
+  }
+  Serializer from_ring;
+  Serializer from_deque;
+  IoSeq(from_ring, ring);
+  IoSeq(from_deque, deque);
+  ASSERT_EQ(from_ring.bytes(), from_deque.bytes());
+
+  Ring<std::pair<Cycle, Flit>> loaded;
+  loaded.push_back({});  // Load replaces old contents
+  Deserializer d(from_deque.bytes());
+  IoSeq(d, loaded);
+  d.Finish();
+  Serializer again;
+  IoSeq(again, loaded);
+  EXPECT_EQ(again.bytes(), from_deque.bytes());
 }
 
 }  // namespace

@@ -351,6 +351,60 @@ TEST(NetworkTest, RefusesZeroVcsOrZeroDepth) {
   EXPECT_THROW(Network net(no_depth), std::invalid_argument);
 }
 
+// Network::Load refuses a flit on a link whose VC the receiving router
+// does not have. The clean snapshot holds one single-flit packet on its
+// injection link; the flit is found in the payload by its payload and addr
+// fields (the last 16 of its 75 bytes), which its i32 vc precedes by 5.
+TEST(NetworkTest, LoadRefusesLinkFlitOnAVcOutOfRange) {
+  const NetworkConfig cfg = SmallConfig();
+  Network net(cfg);
+  Packet p;
+  p.type = PacketType::kReadRequest;
+  p.src = 0;
+  p.dst = 15;
+  p.num_flits = 1;
+  p.payload = 0x1122334455667788;
+  p.addr = 0x99AABBCCDDEEFF00;
+  ASSERT_TRUE(net.Inject(p));
+  net.Tick();  // the NIC sends the flit onto its link
+  Serializer s;
+  net.Save(s);
+  const std::string clean = s.bytes();
+  Serializer tail;
+  tail.U64(p.payload);
+  tail.U64(p.addr);
+  const std::size_t at = clean.find(tail.bytes());
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_EQ(clean.rfind(tail.bytes()), at) << "the flit should be unique";
+  const std::size_t vc_at = at - 5;
+
+  // The error message of loading `bytes` into a fresh network, "" if none.
+  const auto load_error = [&](const std::string& bytes) -> std::string {
+    Network fresh(cfg);
+    Deserializer d(bytes);
+    try {
+      fresh.Load(d);
+      d.Finish();
+    } catch (const SerializeError& e) {
+      return e.what();
+    }
+    return "";
+  };
+  const auto with_vc = [&](VcId vc) {
+    std::string bytes = clean;
+    for (int i = 0; i < 4; ++i) {
+      bytes[vc_at + static_cast<std::size_t>(i)] = static_cast<char>(
+          (static_cast<std::uint32_t>(vc) >> (8 * i)) & 0xFF);
+    }
+    return bytes;
+  };
+  EXPECT_EQ(load_error(clean), "");
+  EXPECT_EQ(load_error(with_vc(cfg.num_vcs - 1)), "");
+  EXPECT_NE(load_error(with_vc(cfg.num_vcs)).find("flit on VC 2 of 2"),
+            std::string::npos);
+  EXPECT_NE(load_error(with_vc(-1)).find("flit on VC -1"), std::string::npos);
+}
+
 TEST(NetworkTest, FlitConservationUnderRandomTraffic) {
   // Property: after draining, every injected flit was ejected, per class.
   NetworkConfig cfg = SmallConfig();

@@ -2,6 +2,7 @@
 // credit handling, reassembly, delivery backpressure and capacity limits.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "noc/nic.hpp"
@@ -249,6 +250,59 @@ TEST(NicTest, LatencyStatsRecorded) {
   EXPECT_EQ(stats.packets_ejected[rep], 1u);
   EXPECT_DOUBLE_EQ(stats.packet_latency[rep].mean(), 90.0);
   EXPECT_DOUBLE_EQ(stats.network_latency[rep].mean(), 80.0);
+}
+
+// Nic::Load refuses send FIFOs the NIC could not have filled. The clean
+// snapshot is taken one cycle into a 5-flit reply on VC 1 (4 flits left to
+// send); each case patches one field, laid out as: two empty inject
+// queues (u64 counts @0, @8), then per VC busy, draining and the FIFO's
+// u64 count — VC 0 @16, @17, @18; VC 1 @26, @27, @28 — and VC 1's flits
+// from @36, 75 bytes each with the i32 vc at +54.
+TEST(NicTest, LoadRefusesSendFifosTheNicCouldNotHaveFilled) {
+  const NicConfig cfg = DefaultConfig();
+  NicHarness h(cfg);
+  ASSERT_TRUE(h.nic.Inject(h.MakePacket(PacketType::kReadReply, 5),
+                           Coord{3, 0}, 0));
+  h.nic.Tick(0);
+  Serializer s;
+  h.nic.Save(s);
+  const std::string clean = s.bytes();
+  // The error message of loading `bytes` into a fresh NIC, "" if none.
+  const auto load_error = [&](const std::string& bytes) -> std::string {
+    Nic nic(0, Coord{0, 0}, cfg);
+    Deserializer d(bytes);
+    try {
+      nic.Load(d);
+      d.Finish();
+    } catch (const SerializeError& e) {
+      return e.what();
+    }
+    return "";
+  };
+  const auto patched = [&](std::size_t offset, std::uint32_t value,
+                           int width) {
+    std::string bytes = clean;
+    for (int i = 0; i < width; ++i) {
+      bytes[offset + static_cast<std::size_t>(i)] =
+          static_cast<char>((value >> (8 * i)) & 0xFF);
+    }
+    return bytes;
+  };
+  constexpr std::size_t kFirstFlitVc = 36 + 54;
+  ASSERT_EQ(clean[28], 4) << "VC 1 should hold the 4 unsent flits";
+  EXPECT_EQ(load_error(clean), "");
+  // A draining VC holds no flits: VC 0 busy and draining loads.
+  EXPECT_EQ(load_error(patched(16, 0x0101, 2)), "");
+
+  EXPECT_NE(load_error(patched(kFirstFlitVc, 0, 4)).find("flit for VC 0"),
+            std::string::npos);
+  EXPECT_NE(load_error(patched(16, 1, 1)).find("0 unsent flit(s) while "
+                                               "sending"),
+            std::string::npos);
+  EXPECT_NE(load_error(patched(27, 1, 1)).find("while draining"),
+            std::string::npos);
+  EXPECT_NE(load_error(patched(26, 0, 1)).find("while free"),
+            std::string::npos);
 }
 
 }  // namespace

@@ -1,10 +1,20 @@
 // Unit tests for packet types and flit segmentation.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "noc/packet.hpp"
 
 namespace gnoc {
 namespace {
+
+// The flits Packetize appends to an empty ring, oldest first.
+std::vector<Flit> PacketizeToVector(const Packet& packet, Coord dst_coord) {
+  Ring<Flit> ring;
+  Packetize(packet, dst_coord, ring);
+  return {ring.begin(), ring.end()};
+}
 
 TEST(PacketTest, ClassOfMapsProtocolPhases) {
   EXPECT_EQ(ClassOf(PacketType::kReadRequest), TrafficClass::kRequest);
@@ -33,7 +43,7 @@ TEST(PacketizeTest, SingleFlitIsHeadTail) {
   p.num_flits = 1;
   p.created = 10;
   p.payload = 77;
-  const auto flits = Packetize(p, Coord{2, 0});
+  const auto flits = PacketizeToVector(p, Coord{2, 0});
   ASSERT_EQ(flits.size(), 1u);
   EXPECT_EQ(flits[0].kind, FlitKind::kHeadTail);
   EXPECT_EQ(flits[0].packet_id, 42u);
@@ -50,7 +60,7 @@ TEST(PacketizeTest, MultiFlitStructure) {
   p.id = 7;
   p.type = PacketType::kReadReply;
   p.num_flits = 5;
-  const auto flits = Packetize(p, Coord{0, 0});
+  const auto flits = PacketizeToVector(p, Coord{0, 0});
   ASSERT_EQ(flits.size(), 5u);
   EXPECT_EQ(flits[0].kind, FlitKind::kHead);
   EXPECT_EQ(flits[1].kind, FlitKind::kBody);
@@ -67,10 +77,62 @@ TEST(PacketizeTest, MultiFlitStructure) {
 TEST(PacketizeTest, TwoFlitPacketHasHeadAndTail) {
   Packet p;
   p.num_flits = 2;
-  const auto flits = Packetize(p, Coord{});
+  const auto flits = PacketizeToVector(p, Coord{});
   ASSERT_EQ(flits.size(), 2u);
   EXPECT_EQ(flits[0].kind, FlitKind::kHead);
   EXPECT_EQ(flits[1].kind, FlitKind::kTail);
+}
+
+TEST(PacketizeTest, AppendsBehindQueuedFlits) {
+  Packet first;
+  first.id = 1;
+  first.num_flits = 2;
+  Packet second;
+  second.id = 2;
+  second.num_flits = 3;
+  Ring<Flit> ring;
+  Packetize(first, Coord{}, ring);
+  Packetize(second, Coord{}, ring);
+  const std::vector<Flit> flits(ring.begin(), ring.end());
+  ASSERT_EQ(flits.size(), 5u);
+  EXPECT_EQ(flits[1].packet_id, 1u);
+  EXPECT_EQ(flits[1].kind, FlitKind::kTail);
+  EXPECT_EQ(flits[2].packet_id, 2u);
+  EXPECT_EQ(flits[2].kind, FlitKind::kHead);
+  EXPECT_EQ(flits[4].seq, 2);
+}
+
+// Flit::Load refuses a kind or class no packet has. Each case patches one
+// byte of a saved flit, laid out as: u64 packet_id @0, u8 kind @8, u8 cls
+// @9, then the other fields.
+TEST(FlitTest, LoadRefusesKindAndClassNoPacketHas) {
+  Flit flit;
+  flit.packet_id = 9;
+  Serializer s;
+  Save(s, flit);
+  const std::string clean = s.bytes();
+  // The error message of loading `bytes` into a flit, "" if none.
+  const auto load_error = [](const std::string& bytes) -> std::string {
+    Flit f;
+    Deserializer d(bytes);
+    try {
+      Load(d, f);
+      d.Finish();
+    } catch (const SerializeError& e) {
+      return e.what();
+    }
+    return "";
+  };
+  const auto patched = [&](std::size_t offset, std::uint8_t value) {
+    std::string bytes = clean;
+    bytes[offset] = static_cast<char>(value);
+    return bytes;
+  };
+  EXPECT_EQ(load_error(clean), "");
+  EXPECT_EQ(load_error(patched(8, 3)), "");  // kHeadTail
+  EXPECT_EQ(load_error(patched(9, 1)), "");  // kReply
+  EXPECT_NE(load_error(patched(8, 4)).find("kind 4"), std::string::npos);
+  EXPECT_NE(load_error(patched(9, 2)).find("class 2"), std::string::npos);
 }
 
 TEST(PacketTest, Names) {
