@@ -14,10 +14,11 @@
 //   telemetry_interval=100  cycles between telemetry samples
 //   telemetry_out=p   write <p>.csv and <p>.trace.json for runs a harness
 //                     designates (e.g. fig4's standalone KMN run)
-//   scheduling=soa    NoC component scheduling for every cell: full
-//                     (tick everything, default) or soa (structure-of-
-//                     arrays tick skipping idle links and routers; same
-//                     results, faster). active-set/event are aliases of soa
+//   scheduling=full   NoC component scheduling for every cell: soa
+//                     (structure-of-arrays tick skipping idle links and
+//                     routers, default) or full (tick everything; same
+//                     results, the lockstep reference). active-set/event
+//                     are aliases of soa
 //   qos=strict        QoS arbitration discipline for every cell
 //                     (none|strict|wrr; see DESIGN.md §15)
 //   qos_class=...     per-class contract spec, repeatable: the i-th
@@ -142,7 +143,7 @@ inline void RegisterSweepFlags(FlagSet& flags) {
                   "prefix for telemetry .csv/.trace.json exports");
   // Validated by the registry itself, so the retired backend names keep
   // parsing as aliases of soa.
-  flags.AddString("scheduling", "full",
+  flags.AddString("scheduling", "soa",
                   "NoC component scheduling (" +
                       SchedulingRegistry().Choices() + ")",
                   [](const std::string& v) -> std::string {

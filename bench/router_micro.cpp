@@ -54,9 +54,11 @@ void BM_RngNext(benchmark::State& state) {
 }
 BENCHMARK(BM_RngNext);
 
-/// One idle network cycle (64 routers, no traffic): the simulator's floor.
+/// One idle network cycle (64 routers, no traffic) under full scheduling,
+/// which ticks every component anyway: the tick-everything floor.
 void BM_NetworkCycleIdle(benchmark::State& state) {
   NetworkConfig cfg;
+  cfg.scheduling = SchedulingMode::kFull;
   Network net(cfg);
   for (auto _ : state) {
     net.Tick();
@@ -109,7 +111,8 @@ BENCHMARK(BM_NetworkCycleSparse<SchedulingMode::kFull>)
 BENCHMARK(BM_NetworkCycleSparse<SchedulingMode::kSoa>)
     ->Name("BM_NetworkCycleSparseSoa");
 
-/// One loaded GPGPU cycle (56 SMs + 8 MCs + 64 routers, KMN workload).
+/// One loaded GPGPU cycle (56 SMs + 8 MCs + 64 routers, KMN workload) at
+/// the default (soa) scheduling.
 void BM_GpuCycleLoaded(benchmark::State& state) {
   GpuConfig cfg = GpuConfig::Baseline();
   GpuSystem gpu(cfg, FindWorkload("KMN"));

@@ -557,16 +557,22 @@ void Network::Save(Serializer& s) const { Fields(*this, s); }
 
 void Network::Load(Deserializer& d) {
   Fields(*this, d);
-  // The receiving router, and soa's delivery pass, index input VCs by the
-  // flit's VC.
+  // The receiving router (and soa's delivery pass) indexes input VCs by a
+  // flit's VC, and the receiving router or NIC its credit counters by a
+  // credit's.
+  const auto check_vc = [&](const char* what, std::size_t link, VcId vc) {
+    if (vc >= 0 && vc < config_.num_vcs) return;
+    throw SerializeError(std::string(what) + " link " + std::to_string(link) +
+                         ": " + what + " on VC " + std::to_string(vc) +
+                         " of " + std::to_string(config_.num_vcs));
+  };
   for (std::size_t i = 0; i < flit_links_.size(); ++i) {
-    flit_links_[i]->channel.ForEach([&](const Flit& f) {
-      if (f.vc < 0 || f.vc >= config_.num_vcs) {
-        throw SerializeError("flit link " + std::to_string(i) +
-                             ": flit on VC " + std::to_string(f.vc) +
-                             " of " + std::to_string(config_.num_vcs));
-      }
-    });
+    flit_links_[i]->channel.ForEach(
+        [&](const Flit& f) { check_vc("flit", i, f.vc); });
+  }
+  for (std::size_t i = 0; i < credit_links_.size(); ++i) {
+    credit_links_[i]->channel.ForEach(
+        [&](const Credit& c) { check_vc("credit", i, c.vc); });
   }
   // Channel/buffer Load writes contents directly (no wake hooks fire): the
   // object->SoA conversion at the checkpoint boundary re-derives every

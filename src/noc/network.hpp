@@ -32,16 +32,17 @@ class SoaCore;
 /// numeric values are hashed into GpuConfigFingerprint, so they never
 /// change.
 enum class SchedulingMode : std::uint8_t {
-  /// Tick every router, NIC and channel every cycle (the reference path
-  /// the bit-identity gates compare against).
+  /// Tick every router, NIC and channel every cycle (the tick-everything
+  /// reference the lockstep tests and bit-identity gates hold kSoa's
+  /// planes and skip rules against).
   kFull = 0,
-  /// Structure-of-arrays tick (DESIGN.md §14): the hot per-component state
-  /// (input-VC head readiness, channel and NIC due cycles, router
-  /// occupancy) lives in contiguous per-network planes and each phase
-  /// visits only the live entries of its plane in the dense order,
-  /// skipping idle links, routers and NICs, with preallocated arbitration
-  /// scratch. Bit-identical to kFull — stats, telemetry windows, audit
-  /// reports and watchdog verdicts all match.
+  /// Structure-of-arrays tick (DESIGN.md §14), the default: the hot
+  /// per-component state (input-VC head readiness, channel and NIC due
+  /// cycles, router occupancy) lives in contiguous per-network planes and
+  /// each phase visits only the live entries of its plane in the dense
+  /// order, skipping idle links, routers and NICs. Bit-identical to kFull
+  /// — stats, telemetry windows, audit reports and watchdog verdicts all
+  /// match.
   kSoa = 3,
 };
 
@@ -103,9 +104,9 @@ struct NetworkConfig {
   /// Window cap per metric track; when reached, adjacent windows merge and
   /// the width doubles (0 = unbounded).
   std::size_t telemetry_max_windows = 512;
-  /// Component scheduling discipline; kSoa skips idle routers, channels
-  /// and NICs bit-identically (see SchedulingMode).
-  SchedulingMode scheduling = SchedulingMode::kFull;
+  /// Component scheduling discipline; kSoa (default) skips idle routers,
+  /// channels and NICs bit-identically (see SchedulingMode).
+  SchedulingMode scheduling = SchedulingMode::kSoa;
   /// Per-class QoS contracts (noc/qos.hpp): allocator priorities, token-
   /// bucket injection regulation, VC reservation, SLO targets. Defaults
   /// are a no-op, bit-identical to a QoS-less build.

@@ -79,15 +79,6 @@ int QosArbitrate(Arbiter& arb, RequestMask requests, QosArbitration mode,
   return winner;
 }
 
-/// Packs a dense-loop request vector into the mask the stages take.
-RequestMask ToMask(const std::vector<bool>& requests) {
-  RequestMask mask = 0;
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    if (requests[i]) mask |= RequestBit(static_cast<int>(i));
-  }
-  return mask;
-}
-
 }  // namespace
 
 void CheckRequestMaskWidth(const Topology& topo, int num_vcs) {
@@ -218,16 +209,121 @@ void Router::AcceptCredit(Port out_port, VcId vc) {
   assert(ovc.credits <= config_.vc_depth && "credit overflow");
 }
 
-bool Router::FrontEligible(const InputVc& ivc, Cycle now) const {
-  return !ivc.buffer.empty() && ivc.buffer.Front().ready <= now;
+void Router::Tick(Cycle now) {
+  RequestMask eligible = 0;
+  for (std::size_t i = 0; i < input_vcs_.size(); ++i) {
+    const VcBuffer& buf = input_vcs_[i].buffer;
+    if (!buf.empty() && buf.Front().ready <= now) {
+      eligible |= RequestBit(static_cast<int>(i));
+    }
+  }
+  Visit(eligible, now);
+  stats_.buffered_flit_cycles += BufferedFlits();
 }
 
-void Router::Tick(Cycle now) {
+Router::Moves Router::Visit(RequestMask eligible, Cycle now) {
   CatchUpEpochs(now);
   RecycleOutputVcs();
-  RouteAndAllocate(now);
-  SwitchAllocateAndTraverse(now);
-  stats_.buffered_flit_cycles += BufferedFlits();
+  // With no VC eligible, VA/SA/ST cannot touch any state: requests stay
+  // empty, no arbiter runs and the stall counters only fire for eligible
+  // VCs.
+  if (eligible == 0) return {};
+
+  // --- RC, and every output port's VA requests, in one pass. A VC requests
+  // only the port its route names, so this equals one scan per port.
+  std::array<RequestMask, kMaxArbiterInputs> va_requests;
+  std::fill_n(va_requests.begin(), num_ports_, RequestMask{0});
+  for (RequestMask rest = eligible; rest != 0; rest &= rest - 1) {
+    const int idx = std::countr_zero(rest);
+    InputVc& ivc = input_vcs_[static_cast<std::size_t>(idx)];
+    if (!ivc.route_valid) RouteHead(ivc);
+    if (RequestsVc(ivc)) {
+      va_requests[static_cast<std::size_t>(PortIndex(ivc.out_port))] |=
+          RequestBit(idx);
+    }
+  }
+
+  // --- VA: local ports need none (the NIC reassembles per class).
+  for (int op = num_local_ports_; op < num_ports_; ++op) {
+    const RequestMask requests = va_requests[static_cast<std::size_t>(op)];
+    if (requests != 0 &&
+        out_channels_[static_cast<std::size_t>(op)] != nullptr) {
+      AllocateVcs(static_cast<Port>(op), requests);
+    }
+  }
+
+  // --- SA1: each input port nominates one VC of its slice of `eligible`.
+  // Radix >= 2, so num_vcs <= 32 and the shift below is defined.
+  const int num_vcs = config_.num_vcs;
+  const RequestMask port_vcs = RequestBit(num_vcs) - 1;
+  PortInts nominee;
+  int num_nominees = 0;
+  for (int p = 0; p < num_ports_; ++p) {
+    int& won = nominee[static_cast<std::size_t>(p)];
+    won = -1;
+    const RequestMask port_eligible = (eligible >> (p * num_vcs)) & port_vcs;
+    RequestMask requests = 0;
+    for (RequestMask rest = port_eligible; rest != 0; rest &= rest - 1) {
+      const int v = std::countr_zero(rest);
+      const auto idx = static_cast<std::size_t>(p * num_vcs + v);
+      if (RequestsSwitch(input_vcs_[idx])) requests |= RequestBit(v);
+    }
+    if (requests == 0) continue;
+    won = NominateVc(p, requests);
+    if (won >= 0) ++num_nominees;
+  }
+  if (num_nominees == 0) return {};  // SA2/ST would not change state
+
+  // --- SA2: each output port grants one input port.
+  PortInts grant;
+  GrantOutputs(nominee, grant);
+
+  // --- ST: winners traverse the switch.
+  Moves moves;
+  for (int op = 0; op < num_ports_; ++op) {
+    const int p = grant[static_cast<std::size_t>(op)];
+    if (p < 0) continue;
+    const int v = nominee[static_cast<std::size_t>(p)];
+    Traverse(op, p, v, now);
+    moves.vcs |= RequestBit(p * num_vcs + v);
+    if (op < num_local_ports_) moves.ejected |= RequestBit(op);
+  }
+  if (moves.vcs != 0) ++stats_.busy_cycles;
+  return moves;
+}
+
+void Router::RouteHead(InputVc& ivc) const {
+  const Flit& front = ivc.buffer.Front();
+  assert(IsHead(front) &&
+         "non-head flit at front of an unrouted VC: wormhole broken");
+  ivc.out_port = RouteFor(front.cls, front.dst_coord);
+  ivc.vc_half = RouteHalfFor(front.cls, front.dst_coord);
+  ivc.route_valid = true;
+  ivc.eject = PortIndex(ivc.out_port) < num_local_ports_;
+  ivc.out_vc = kInvalidVc;
+}
+
+bool Router::RequestsVc(const InputVc& ivc) {
+  return ivc.route_valid && !ivc.eject && ivc.out_vc == kInvalidVc;
+}
+
+bool Router::RequestsSwitch(const InputVc& ivc) {
+  if (!ivc.route_valid) return false;
+  if (ivc.eject) {
+    const Nic* nic = nics_[static_cast<std::size_t>(PortIndex(ivc.out_port))];
+    if (nic != nullptr && nic->CanAcceptEjection(ivc.buffer.Front().cls)) {
+      return true;
+    }
+    ++stats_.sa_stalls;
+    return false;
+  }
+  if (ivc.out_vc == kInvalidVc) return false;  // still waiting for VA
+  if (Ovc(ivc.out_port, ivc.out_vc).credits > 0) return true;
+  // Blocked purely on downstream credits: charge the allocated downstream
+  // VC (telemetry's credit_stall metric).
+  ++stats_.sa_stalls;
+  ++stats_.credit_stall_by_vc[static_cast<std::size_t>(ivc.out_vc)];
+  return false;
 }
 
 VcRange Router::AllowedRange(TrafficClass cls, Port out_port) const {
@@ -280,28 +376,6 @@ void Router::RecycleOutputVcs() {
   }
 }
 
-void Router::RouteAndAllocate(Cycle now) {
-  // --- RC: route every eligible VC whose packet has no route yet.
-  for (InputVc& ivc : input_vcs_) {
-    if (!ivc.route_valid && FrontEligible(ivc, now)) RouteHead(ivc);
-  }
-
-  // --- VA: allocate downstream VCs per output port. Local ports need no
-  // VA (the NIC reassembles per class).
-  for (int op = num_local_ports_; op < num_ports_; ++op) {
-    if (out_channels_[static_cast<std::size_t>(op)] == nullptr) continue;
-    const Port out_port = static_cast<Port>(op);
-    std::vector<bool> requests(input_vcs_.size(), false);
-    for (std::size_t i = 0; i < input_vcs_.size(); ++i) {
-      const InputVc& ivc = input_vcs_[i];
-      if (RequestsVc(ivc, out_port) && FrontEligible(ivc, now)) {
-        requests[i] = true;
-      }
-    }
-    AllocateVcs(out_port, ToMask(requests));
-  }
-}
-
 void Router::AllocateVcs(Port out_port, RequestMask requests) {
   const auto op = static_cast<std::size_t>(PortIndex(out_port));
   const auto cls_of = [&](int i) {
@@ -333,42 +407,6 @@ void Router::AllocateVcs(Port out_port, RequestMask requests) {
   }
 }
 
-void Router::SwitchAllocateAndTraverse(Cycle now) {
-  // --- SA phase 1: each input port nominates one of its VCs.
-  std::vector<int> nominee(static_cast<std::size_t>(num_ports_),
-                           -1);  // VC id per input port, -1 = none
-  for (int p = 0; p < num_ports_; ++p) {
-    std::vector<bool> requests(static_cast<std::size_t>(config_.num_vcs),
-                               false);
-    bool any = false;
-    for (VcId v = 0; v < config_.num_vcs; ++v) {
-      const InputVc& ivc = Ivc(static_cast<Port>(p), v);
-      if (FrontEligible(ivc, now) && RequestsSwitch(ivc)) {
-        requests[static_cast<std::size_t>(v)] = true;
-        any = true;
-      }
-    }
-    if (any) {
-      nominee[static_cast<std::size_t>(p)] = NominateVc(p, ToMask(requests));
-    }
-  }
-
-  // --- SA phase 2: each output port grants one input port.
-  std::vector<int> grant(static_cast<std::size_t>(num_ports_),
-                         -1);  // input port per output port, -1 = none
-  GrantOutputs(nominee, grant);
-
-  // --- ST: winners traverse the switch.
-  bool any_traversal = false;
-  for (int op = 0; op < num_ports_; ++op) {
-    const int p = grant[static_cast<std::size_t>(op)];
-    if (p < 0) continue;
-    Traverse(op, p, nominee[static_cast<std::size_t>(p)], now);
-    any_traversal = true;
-  }
-  if (any_traversal) ++stats_.busy_cycles;
-}
-
 int Router::NominateVc(int in_port, RequestMask requests) {
   const auto p = static_cast<std::size_t>(in_port);
   const auto cls_of = [&](int v) {
@@ -378,10 +416,7 @@ int Router::NominateVc(int in_port, RequestMask requests) {
                       config_.qos_priority, qos_sa1_credit_[p], cls_of);
 }
 
-void Router::GrantOutputs(const std::vector<int>& nominee,
-                          std::vector<int>& grant) {
-  // Radix <= 64 (the constructor's bound), so one mask per output port
-  // fits here; only the first num_ports_ are used.
+void Router::GrantOutputs(const PortInts& nominee, PortInts& grant) {
   std::array<RequestMask, kMaxArbiterInputs> requests;
   std::fill_n(requests.begin(), num_ports_, RequestMask{0});
   for (int p = 0; p < num_ports_; ++p) {
@@ -405,7 +440,7 @@ void Router::GrantOutputs(const std::vector<int>& nominee,
   }
 }
 
-Nic* Router::Traverse(int out_port, int in_port, VcId vc, Cycle now) {
+void Router::Traverse(int out_port, int in_port, VcId vc, Cycle now) {
   assert(vc >= 0);
   const auto op = static_cast<std::size_t>(out_port);
   InputVc& ivc = Ivc(static_cast<Port>(in_port), vc);
@@ -422,11 +457,10 @@ Nic* Router::Traverse(int out_port, int in_port, VcId vc, Cycle now) {
     cc->Push(Credit{vc}, now);
   }
 
-  Nic* ejected_to = nullptr;
   if (out_port < num_local_ports_) {
-    ejected_to = nics_[op];
-    assert(ejected_to != nullptr);
-    ejected_to->AcceptEjectedFlit(flit, now);
+    Nic* nic = nics_[op];
+    assert(nic != nullptr);
+    nic->AcceptEjectedFlit(flit, now);
     if (auditor_ != nullptr) auditor_->OnFlitEjected(flit, now);
   } else {
     OutputVc& ovc = Ovc(static_cast<Port>(out_port), ivc.out_vc);
@@ -453,7 +487,6 @@ Nic* Router::Traverse(int out_port, int in_port, VcId vc, Cycle now) {
     ivc.eject = false;
     ivc.vc_half = -1;
   }
-  return ejected_to;
 }
 
 void Router::ResetStats() {

@@ -23,7 +23,6 @@
 #pragma once
 
 #include <array>
-#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -226,8 +225,8 @@ class Router {
   void Load(Deserializer& d);
 
  private:
-  /// SoaCore::TickRouter (scheduling=soa) drives the pipeline stages below
-  /// over its own eligibility planes and scratch.
+  /// SoaCore::TickRouter (scheduling=soa) runs Visit over its own ready
+  /// plane and keeps the plane current from the Moves it reports.
   friend class SoaCore;
 
   template <class Self, class Ar>
@@ -284,18 +283,32 @@ class Router {
 
   // --- pipeline stages -----------------------------------------------------
   //
-  // The only copy of the allocation rules. Two visit loops drive them: the
-  // dense RouteAndAllocate / SwitchAllocateAndTraverse below (scheduling=
-  // full) and SoaCore::TickRouter. A loop decides which input VCs are
-  // eligible (front flit present and ready) and in what order to visit
-  // them; a stage is only ever applied to an eligible VC. The per-VC stages
-  // are inline (defined after the class): soa calls them from another
-  // translation unit.
+  // The only copy of the allocation rules, driven by one visit loop
+  // (Visit). A stage is only ever applied to an eligible VC: its front
+  // flit is present and ready.
+
+  /// What one Visit moved, for the caller's bookkeeping.
+  struct Moves {
+    /// Input VCs whose front flit traversed the switch (bit FlatVcIndex;
+    /// each VC sends at most one flit per cycle).
+    RequestMask vcs = 0;
+    /// Local ports that ejected a flit into their NIC (bit port).
+    RequestMask ejected = 0;
+  };
+
+  /// One cycle of the pipeline over the input VCs in `eligible` (bit
+  /// FlatVcIndex set = the VC's front flit is present and ready by
+  /// `now`): epoch catch-up and recycle, then RC plus every output port's
+  /// VA mask in one pass over `eligible`, VA, each input port's SA1 slice
+  /// of `eligible`, SA2 and ST. The caller adds buffered_flit_cycles.
+  /// Tick derives `eligible` from the VC buffers; SoaCore::TickRouter
+  /// reads it off its ready plane.
+  Moves Visit(RequestMask eligible, Cycle now);
 
   /// Commits every dynamic-partitioning epoch boundary `now` has reached.
-  /// Under full scheduling the loop body runs at most once per tick; soa
-  /// skips idle routers and this replays the boundaries they missed
-  /// (DESIGN.md §9 gives why that is exact).
+  /// When the router is visited every cycle the loop body runs at most
+  /// once; soa skips idle routers and this replays the boundaries they
+  /// missed (DESIGN.md §9 gives why that is exact).
   void CatchUpEpochs(Cycle now) {
     if (config_.vc_policy != VcPolicyKind::kDynamic) return;
     while (now >= next_boundary_update_) UpdateDynamicBoundaries();
@@ -308,9 +321,10 @@ class Router {
   /// `ivc` (output port, dateline VC half, ejection flag).
   void RouteHead(InputVc& ivc) const;
 
-  /// VA request predicate: `ivc` holds a routed packet that leaves through
-  /// `out_port` and has no downstream VC yet. Ejecting packets need none.
-  static bool RequestsVc(const InputVc& ivc, Port out_port);
+  /// VA request predicate: `ivc` holds a routed packet that leaves on a
+  /// link and has no downstream VC yet; it requests its route's output
+  /// port. Ejecting packets need none.
+  static bool RequestsVc(const InputVc& ivc);
 
   /// VA on one output port: QoS-aware arbitration rounds over `requests`
   /// (bit i = flat input-VC index i). Each winner gets the lowest free VC
@@ -328,19 +342,22 @@ class Router {
   /// `requests` (bit v = VC v); -1 when the arbiter declines.
   int NominateVc(int in_port, RequestMask requests);
 
+  /// One int per port (radix <= 64, the constructor's bound); only the
+  /// first num_ports() are used.
+  using PortInts = std::array<int, kMaxArbiterInputs>;
+
   /// SA2: one pass over `nominee` (a VC id per input port, -1 = none)
   /// builds every output port's request mask — the input ports whose
   /// nominee routes there — then each output port with requests grants one
   /// input port. `grant[op]` is that input port, -1 when none requests or
-  /// the arbiter declines. Both vectors are sized num_ports().
-  void GrantOutputs(const std::vector<int>& nominee, std::vector<int>& grant);
+  /// the arbiter declines.
+  void GrantOutputs(const PortInts& nominee, PortInts& grant);
 
   /// ST: the front flit of input VC (`in_port`, `vc`) traverses the switch
   /// to `out_port` — stats, epoch counts, a credit upstream, then ejection
   /// into the NIC or a push onto the link with its downstream VC — and a
-  /// tail resets the input VC. Returns the NIC it ejected into, nullptr
-  /// when it left on a link.
-  Nic* Traverse(int out_port, int in_port, VcId vc, Cycle now);
+  /// tail resets the input VC.
+  void Traverse(int out_port, int in_port, VcId vc, Cycle now);
 
   /// The VC range `cls` may allocate on `out_port` right now (honours the
   /// static policy, the link mode and — for kDynamic — the port boundary).
@@ -375,13 +392,6 @@ class Router {
   const OutputVc& Ovc(Port port, VcId vc) const {
     return output_vcs_[static_cast<std::size_t>(FlatVcIndex(port, vc))];
   }
-
-  /// True when the front flit of `ivc` exists and is pipeline-eligible.
-  bool FrontEligible(const InputVc& ivc, Cycle now) const;
-
-  // The dense visit loop (Tick; scheduling=full).
-  void RouteAndAllocate(Cycle now);  // RC + VA
-  void SwitchAllocateAndTraverse(Cycle now);  // SA + ST
 
   NodeId node_;
   Coord coord_;
@@ -442,40 +452,5 @@ class Router {
 
   RouterStats stats_;
 };
-
-inline void Router::RouteHead(InputVc& ivc) const {
-  const Flit& front = ivc.buffer.Front();
-  assert(IsHead(front) &&
-         "non-head flit at front of an unrouted VC: wormhole broken");
-  ivc.out_port = RouteFor(front.cls, front.dst_coord);
-  ivc.vc_half = RouteHalfFor(front.cls, front.dst_coord);
-  ivc.route_valid = true;
-  ivc.eject = PortIndex(ivc.out_port) < num_local_ports_;
-  ivc.out_vc = kInvalidVc;
-}
-
-inline bool Router::RequestsVc(const InputVc& ivc, Port out_port) {
-  return ivc.route_valid && !ivc.eject && ivc.out_vc == kInvalidVc &&
-         ivc.out_port == out_port;
-}
-
-inline bool Router::RequestsSwitch(const InputVc& ivc) {
-  if (!ivc.route_valid) return false;
-  if (ivc.eject) {
-    const Nic* nic = nics_[static_cast<std::size_t>(PortIndex(ivc.out_port))];
-    if (nic != nullptr && nic->CanAcceptEjection(ivc.buffer.Front().cls)) {
-      return true;
-    }
-    ++stats_.sa_stalls;
-    return false;
-  }
-  if (ivc.out_vc == kInvalidVc) return false;  // still waiting for VA
-  if (Ovc(ivc.out_port, ivc.out_vc).credits > 0) return true;
-  // Blocked purely on downstream credits: charge the allocated downstream
-  // VC (telemetry's credit_stall metric).
-  ++stats_.sa_stalls;
-  ++stats_.credit_stall_by_vc[static_cast<std::size_t>(ivc.out_vc)];
-  return false;
-}
 
 }  // namespace gnoc

@@ -13,10 +13,8 @@
 namespace gnoc {
 
 SoaCore::SoaCore(Network& net) : net_(net) {
-  num_ports_ = net_.topo_.radix();
-  num_local_ports_ = net_.topo_.num_local_ports();
-  num_vcs_ = net_.config_.num_vcs;
-  total_vcs_ = num_ports_ * num_vcs_;
+  const int num_vcs = net_.config_.num_vcs;
+  total_vcs_ = net_.topo_.radix() * num_vcs;
   dynamic_policy_ = net_.config_.vc_policy == VcPolicyKind::kDynamic;
 
   routers_.resize(net_.routers_.size());
@@ -38,7 +36,7 @@ SoaCore::SoaCore(Network& net) : net_(net) {
     flit_dst_router_[i] = dst;
     flit_dst_base_[i] = routers_[dst].vc_base +
                         static_cast<std::uint32_t>(PortIndex(link.dst_port) *
-                                                   num_vcs_);
+                                                   num_vcs);
     net_.flit_links_[i]->channel.SetWakeHook({&SoaCore::WakeFlitLink, this, i});
   }
 
@@ -59,12 +57,6 @@ SoaCore::SoaCore(Network& net) : net_(net) {
   credit_live_.Reset(credit_due_.size());
   router_live_.Reset(routers_.size());
   nic_live_.Reset(nic_due_.size());
-
-  // radix >= 2, so num_vcs_ <= 32 under the Network's 64-input bound.
-  port_vcs_ = RequestBit(num_vcs_) - 1;
-  va_requests_.assign(static_cast<std::size_t>(num_ports_), 0);
-  nominee_.assign(static_cast<std::size_t>(num_ports_), -1);
-  grant_.assign(static_cast<std::size_t>(num_ports_), -1);
 
   RebuildFromObjects();
 }
@@ -271,98 +263,29 @@ void SoaCore::TickNics(Cycle now) {
 }
 
 void SoaCore::TickRouter(std::size_t r, Cycle now) {
-  // Router::Tick's stages in its order; this loop only decides which VCs
-  // are eligible (the ready plane), skips what cannot change state, builds
-  // the request masks and keeps the planes current.
+  // The Router's own visit over the VCs the ready plane marks eligible;
+  // this loop only keeps the planes current and wakes ejection targets.
   RouterRec& rec = routers_[r];
   Router& rt = *rec.router;
-  const Cycle* ready = front_ready_.data() + rec.vc_base;
-
-  rt.CatchUpEpochs(now);
-  rt.RecycleOutputVcs();
-
-  // Bit FlatVcIndex set = the VC's front flit is present and ready. When
-  // none is, VA/SA/ST cannot touch any state (requests stay empty, arbiters
-  // are not invoked, stall counters only fire for eligible VCs) and are
-  // skipped wholesale.
+  Cycle* ready = front_ready_.data() + rec.vc_base;
   RequestMask eligible = 0;
   for (int idx = 0; idx < total_vcs_; ++idx) {
     if (ready[idx] <= now) eligible |= RequestBit(idx);
   }
-  if (eligible == 0) {
-    rt.stats_.buffered_flit_cycles += rec.buffered;
-    return;
-  }
-
-  // --- RC, and every output port's VA requests, in one pass. A VC requests
-  // only the port its route names, so this equals one scan per port.
-  std::fill(va_requests_.begin(), va_requests_.end(), RequestMask{0});
-  for (RequestMask rest = eligible; rest != 0; rest &= rest - 1) {
+  const Router::Moves moves = rt.Visit(eligible, now);
+  // A moved VC popped one flit: its entry now reads the new front.
+  for (RequestMask rest = moves.vcs; rest != 0; rest &= rest - 1) {
     const int idx = std::countr_zero(rest);
-    Router::InputVc& ivc = rt.input_vcs_[static_cast<std::size_t>(idx)];
-    if (!ivc.route_valid) rt.RouteHead(ivc);
-    if (Router::RequestsVc(ivc, ivc.out_port)) {
-      va_requests_[static_cast<std::size_t>(PortIndex(ivc.out_port))] |=
-          RequestBit(idx);
-    }
-  }
-
-  // --- VA ---
-  for (int op = num_local_ports_; op < num_ports_; ++op) {
-    const Port out_port = static_cast<Port>(op);
-    const RequestMask requests = va_requests_[static_cast<std::size_t>(op)];
-    if (requests != 0 && rt.HasOutputChannel(out_port)) {
-      rt.AllocateVcs(out_port, requests);
-    }
-  }
-
-  // --- SA phase 1: each input port arbitrates its slice of `eligible`.
-  int num_nominees = 0;
-  for (int p = 0; p < num_ports_; ++p) {
-    nominee_[static_cast<std::size_t>(p)] = -1;
-    const RequestMask port_eligible = (eligible >> (p * num_vcs_)) & port_vcs_;
-    RequestMask requests = 0;
-    for (RequestMask rest = port_eligible; rest != 0; rest &= rest - 1) {
-      const int v = std::countr_zero(rest);
-      if (rt.RequestsSwitch(
-              rt.input_vcs_[static_cast<std::size_t>(p * num_vcs_ + v)])) {
-        requests |= RequestBit(v);
-      }
-    }
-    if (requests != 0) {
-      const int won = rt.NominateVc(p, requests);
-      nominee_[static_cast<std::size_t>(p)] = won;
-      if (won >= 0) ++num_nominees;
-    }
-  }
-  if (num_nominees == 0) {
-    rt.stats_.buffered_flit_cycles += rec.buffered;
-    return;  // nothing can traverse; SA2/ST would not change state
-  }
-
-  // --- SA phase 2 ---
-  rt.GrantOutputs(nominee_, grant_);
-
-  // --- ST ---
-  bool any_traversal = false;
-  for (int op = 0; op < num_ports_; ++op) {
-    const int p = grant_[static_cast<std::size_t>(op)];
-    if (p < 0) continue;
-    const int v = nominee_[static_cast<std::size_t>(p)];
-    const Nic* ejected_to = rt.Traverse(op, p, v, now);
-    const int idx = p * num_vcs_ + v;
     const VcBuffer& buf = rt.input_vcs_[static_cast<std::size_t>(idx)].buffer;
-    front_ready_[rec.vc_base + static_cast<std::uint32_t>(idx)] =
-        buf.empty() ? kNeverCycle : buf.Front().ready;
-    --rec.buffered;
-    --buffered_total_;
-    if (ejected_to != nullptr) {
-      WakeNic(static_cast<std::size_t>(ejected_to->node()));
-    }
-    any_traversal = true;
+    ready[idx] = buf.empty() ? kNeverCycle : buf.Front().ready;
   }
-  if (any_traversal) ++rt.stats_.busy_cycles;
-
+  const auto moved = static_cast<std::uint32_t>(std::popcount(moves.vcs));
+  rec.buffered -= moved;
+  buffered_total_ -= moved;
+  for (RequestMask rest = moves.ejected; rest != 0; rest &= rest - 1) {
+    const auto port = static_cast<std::size_t>(std::countr_zero(rest));
+    WakeNic(static_cast<std::size_t>(rt.nics_[port]->node()));
+  }
   rt.stats_.buffered_flit_cycles += rec.buffered;
 }
 

@@ -1,13 +1,12 @@
 // Structure-of-arrays scheduling backend (DESIGN.md §14).
 //
-// The dense (kFull) tick walks AoS Router objects: every phase re-scans
-// per-VC structs (an InputVc embeds its VC buffer's ring header, so
-// reading one flag strides 64 bytes, and its front flit is one more
-// pointer away) and heap-allocates fresh request/nominee/grant vectors
-// for every arbitration — ~15 allocations per router per cycle.
-// scheduling=soa keeps the objects authoritative but hoists the *hot*
-// state into contiguous per-network planes rebuilt once from the Topology
-// graph wiring:
+// The full (kFull) tick visits every router, link and NIC every cycle,
+// and a router derives its eligible VCs from the AoS Router objects (an
+// InputVc embeds its VC buffer's ring header, so reading one flag strides
+// 64 bytes, and its front flit is one more pointer away). scheduling=soa
+// keeps the objects authoritative but hoists the *hot* state into
+// contiguous per-network planes rebuilt once from the Topology graph
+// wiring:
 //
 //   front_ready_[router:port:vc]  ready cycle of each input VC's head flit
 //                                 (kNeverCycle when the VC is empty), so
@@ -30,13 +29,11 @@
 // so each phase visits the set bits instead of scanning the whole plane.
 // The tick keeps the dense phase order — flit links, credit links,
 // routers, NICs, each in ascending canonical index. Each router runs
-// through the Router's own pipeline stages (router.hpp), the only copy of
-// the allocation rules; soa decides only which VCs are eligible, what it
-// may skip and how the planes stay current, so results are bit-identical
-// to full. A router's eligible VCs are one RequestMask read off its
-// front_ready_ slice, and every stage's requests are built from it in one
-// pass: RC plus each output port's VA mask, then each input port's SA1
-// slice (DESIGN.md §14). A NIC's skip rule is its own Nic::NextDue.
+// Router::Visit, the one visit loop over the only copy of the allocation
+// rules (router.hpp); soa decides only which VCs are eligible (one
+// RequestMask read off the router's front_ready_ slice), what it may skip
+// and how the planes stay current, so results are bit-identical to full.
+// A NIC's skip rule is its own Nic::NextDue.
 // Flit payloads, credits, arbiter matrices and NIC cursors stay in the
 // objects: Save/Load, the auditor and every introspection API read live
 // state, and the only checkpoint-boundary conversion needed is
@@ -49,7 +46,6 @@
 #include <vector>
 
 #include "common/types.hpp"
-#include "noc/arbiter.hpp"
 
 namespace gnoc {
 
@@ -57,8 +53,8 @@ class Auditor;
 class Network;
 class Router;
 
-/// Contiguous hot-state planes plus preallocated arbitration scratch for
-/// one Network; drives the scheduling=soa tick path. Owned by the Network
+/// Contiguous hot-state planes for one Network; drives the scheduling=soa
+/// tick path. Owned by the Network
 /// and wired at construction (installs the channel wake hooks that keep
 /// the due planes sound).
 class SoaCore {
@@ -166,10 +162,9 @@ class SoaCore {
   static void WakeFlitLink(void* ctx, std::size_t index);
   static void WakeCreditLink(void* ctx, std::size_t index);
 
-  /// Router::Tick without allocations: the Router's stages (epoch
-  /// catch-up, recycle, RC, VA, SA1, SA2, ST) applied to the VCs the ready
-  /// plane marks eligible, with every request mask built in one pass over
-  /// them, plus the early-outs and plane updates that make soa fast.
+  /// Router::Visit over the VCs the ready plane marks eligible, then the
+  /// plane refresh of every VC it moved and the wake of every NIC it
+  /// ejected into.
   void TickRouter(std::size_t r, Cycle now);
 
   /// Clears every occupancy bitmap.
@@ -190,11 +185,8 @@ class SoaCore {
 
   Network& net_;
 
-  // Per-network loop bounds (every router has the topology's radix).
-  int num_ports_ = 0;
-  int num_local_ports_ = 0;
-  int num_vcs_ = 0;
-  int total_vcs_ = 0;  ///< num_ports_ * num_vcs_
+  // Input VCs per router (every router has the topology's radix).
+  int total_vcs_ = 0;  ///< radix * num_vcs
   bool dynamic_policy_ = false;
 
   std::vector<RouterRec> routers_;
@@ -222,13 +214,6 @@ class SoaCore {
   std::uint64_t flits_in_channels_ = 0;
 
   std::uint64_t steps_ = 0;
-
-  // Arbitration scratch shared by every router (all routers of one
-  // network have the topology's radix).
-  RequestMask port_vcs_ = 0;              ///< the num_vcs_ low bits
-  std::vector<RequestMask> va_requests_;  ///< per output port
-  std::vector<int> nominee_;              ///< num_ports_
-  std::vector<int> grant_;                ///< num_ports_
 };
 
 }  // namespace gnoc

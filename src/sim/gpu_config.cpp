@@ -176,7 +176,7 @@ void RegisterGpuConfigFlags(FlagSet& flags) {
   flags.AddInt("telemetry_max_windows",
                static_cast<std::int64_t>(def.telemetry_max_windows),
                "telemetry window cap (0 = unbounded)", at_least(0));
-  flags.AddString("scheduling", "full",
+  flags.AddString("scheduling", "soa",
                   "NoC component scheduling (" +
                       SchedulingRegistry().Choices() + ")",
                   parsed_by(ParseSchedulingMode));
@@ -218,7 +218,7 @@ std::string GpuConfig::Describe() const {
     oss << ", " << TopologyName(topology);
   }
   if (division == NetworkDivision::kPhysical) oss << ", dual physical nets";
-  if (scheduling == SchedulingMode::kSoa) oss << ", soa sched";
+  if (scheduling == SchedulingMode::kFull) oss << ", full sched";
   if (qos.Enabled()) oss << ", qos " << QosArbitrationName(qos.arbitration);
   return oss.str();
 }

@@ -82,10 +82,10 @@ struct GpuConfig {
   /// Per-track window cap; 2x-downsamples when exceeded (0 = unbounded).
   std::size_t telemetry_max_windows = 512;
 
-  /// NoC component scheduling: kFull ticks everything every cycle; kSoa
-  /// skips idle routers and channels bit-identically (see SchedulingMode
-  /// in noc/network.hpp).
-  SchedulingMode scheduling = SchedulingMode::kFull;
+  /// NoC component scheduling: kSoa (default) skips idle routers and
+  /// channels bit-identically; kFull ticks everything every cycle (see
+  /// SchedulingMode in noc/network.hpp).
+  SchedulingMode scheduling = SchedulingMode::kSoa;
 
   /// Replace the NoC with a contention-free ideal interconnect (upper
   /// bound; routing/VC settings are ignored).

@@ -341,13 +341,13 @@ TEST_F(CheckpointTest, SweepFingerprintSeparatesConfigurations) {
   longer.lengths.measure += 1;
   SweepOptions audited = options;
   audited.audit = true;
-  SweepOptions soa = options;
-  soa.scheduling = SchedulingMode::kSoa;
+  SweepOptions full = options;
+  full.scheduling = SchedulingMode::kFull;
 
   const std::uint64_t base = SweepFingerprint(schemes, workloads, options);
   EXPECT_NE(base, SweepFingerprint(schemes, workloads, longer));
   EXPECT_NE(base, SweepFingerprint(schemes, workloads, audited));
-  EXPECT_NE(base, SweepFingerprint(schemes, workloads, soa));
+  EXPECT_NE(base, SweepFingerprint(schemes, workloads, full));
   // Execution-only knobs must NOT change the fingerprint: a sweep may be
   // resumed with a different thread count.
   SweepOptions threaded = options;
@@ -367,6 +367,9 @@ TEST_F(CheckpointTest, SweepFingerprintSeparatesConfigurations) {
 /// line; repeated keys such as qos_class= keep every occurrence).
 GpuConfig PinnedConfig(const std::string& overrides) {
   GpuConfig cfg = GpuConfig::Baseline();
+  // The pins were recorded under full scheduling, and a payload differs by
+  // mode: it carries tick_steps_ and output VCs soa has not yet recycled.
+  cfg.scheduling = SchedulingMode::kFull;
   cfg.ApplyOverrides(Config::FromString(overrides));
   return cfg;
 }

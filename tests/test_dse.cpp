@@ -479,6 +479,9 @@ TEST_F(DseCheckpointTest, ResumeRejectsChangedConfiguration) {
 TEST_F(DseCheckpointTest, SearchCheckpointKeepsItsV5Bytes) {
   DesignSpace space = SmallSpace();
   space.vc_counts = {1, 2, 4};
+  // The framing hashes GpuConfigFingerprint, which hashes the scheduling
+  // mode the bytes were recorded under.
+  space.base.scheduling = SchedulingMode::kFull;
   SearchOptions opt;
   opt.strategy = SearchStrategy::kGrid;
   opt.objectives = {SearchObjective::kIpc, SearchObjective::kBufferArea};

@@ -123,6 +123,15 @@ TEST(GpuConfigTest, DescribeNamesTheDesignPoint) {
   EXPECT_NE(desc.find("full-monopolize"), std::string::npos);
   cfg.division = NetworkDivision::kPhysical;
   EXPECT_NE(cfg.Describe().find("dual physical"), std::string::npos);
+  // Only the non-default scheduling mode is named.
+  EXPECT_EQ(desc.find("sched"), std::string::npos);
+  cfg.scheduling = SchedulingMode::kFull;
+  EXPECT_NE(cfg.Describe().find(", full sched"), std::string::npos);
+}
+
+TEST(GpuConfigTest, SchedulingDefaultsToSoa) {
+  EXPECT_EQ(GpuConfig::Baseline().scheduling, SchedulingMode::kSoa);
+  EXPECT_EQ(NetworkConfig{}.scheduling, SchedulingMode::kSoa);
 }
 
 }  // namespace

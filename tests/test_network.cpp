@@ -237,7 +237,10 @@ TEST(NetworkTest, BackpressureStallsButDoesNotDrop) {
 TEST(NetworkTest, CreditConservationAfterDrain) {
   // Property: once the network drains, every credit has returned — all
   // output VCs hold full depth and all NIC injection VCs are replenished.
+  // Full scheduling ticks every router, so every drained output VC is also
+  // recycled; soa defers an idle router's recycle (DESIGN.md §9).
   NetworkConfig cfg = SmallConfig();
+  cfg.scheduling = SchedulingMode::kFull;
   Network net(cfg);
   CollectSink sink;
   for (NodeId n = 0; n < net.num_nodes(); ++n) net.SetSink(n, &sink);
@@ -403,6 +406,64 @@ TEST(NetworkTest, LoadRefusesLinkFlitOnAVcOutOfRange) {
   EXPECT_NE(load_error(with_vc(cfg.num_vcs)).find("flit on VC 2 of 2"),
             std::string::npos);
   EXPECT_NE(load_error(with_vc(-1)).find("flit on VC -1"), std::string::npos);
+}
+
+// Network::Load refuses an in-flight credit on a VC the receiving NIC or
+// router does not have (both index their credit counters by it). A
+// single-flit packet from tile 0 leaves router 0 at cycle 2, which sends a
+// credit back to NIC 0, and router 1 at cycle 4, which sends one back to
+// router 0; each is the only credit in flight one cycle later. A credit
+// line holding one credit saves as its count, the credit's due cycle (now)
+// and its i32 vc.
+TEST(NetworkTest, LoadRefusesCreditOnAVcOutOfRange) {
+  const NetworkConfig cfg = SmallConfig();
+  const auto load_error = [&](const std::string& bytes) -> std::string {
+    Network fresh(cfg);
+    Deserializer d(bytes);
+    try {
+      fresh.Load(d);
+      d.Finish();
+    } catch (const SerializeError& e) {
+      return e.what();
+    }
+    return "";
+  };
+  for (const int ticks : {3, 5}) {  // NIC-bound, then router-bound
+    SCOPED_TRACE(ticks);
+    Network net(cfg);
+    Packet p;
+    p.type = PacketType::kReadRequest;
+    p.src = 0;
+    p.dst = 15;
+    p.num_flits = 1;
+    ASSERT_TRUE(net.Inject(p));
+    for (int i = 0; i < ticks; ++i) net.Tick();
+    Serializer s;
+    net.Save(s);
+    const std::string clean = s.bytes();
+    Serializer line;
+    line.U64(1);
+    line.U64(net.now());
+    Save(line, Credit{0});
+    const std::size_t at = clean.find(line.bytes());
+    ASSERT_NE(at, std::string::npos);
+    ASSERT_EQ(clean.rfind(line.bytes()), at) << "the credit should be unique";
+    const std::size_t vc_at = at + 16;
+    const auto with_vc = [&](VcId vc) {
+      std::string bytes = clean;
+      for (int i = 0; i < 4; ++i) {
+        bytes[vc_at + static_cast<std::size_t>(i)] = static_cast<char>(
+            (static_cast<std::uint32_t>(vc) >> (8 * i)) & 0xFF);
+      }
+      return bytes;
+    };
+    EXPECT_EQ(load_error(clean), "");
+    EXPECT_EQ(load_error(with_vc(cfg.num_vcs - 1)), "");
+    EXPECT_NE(load_error(with_vc(99)).find("credit on VC 99 of 2"),
+              std::string::npos);
+    EXPECT_NE(load_error(with_vc(-1)).find("credit on VC -1"),
+              std::string::npos);
+  }
 }
 
 TEST(NetworkTest, FlitConservationUnderRandomTraffic) {
