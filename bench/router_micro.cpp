@@ -67,10 +67,10 @@ void BM_NetworkCycleIdle(benchmark::State& state) {
 }
 BENCHMARK(BM_NetworkCycleIdle);
 
-/// The same idle 8x8 network under the SoA core: every occupancy bitmap is
-/// empty, so no link, router or NIC is visited. What a cycle still costs
-/// is the empty bitmap words and the watchdog's idle check, which asks
-/// each NIC whether it is idle.
+/// The same idle 8x8 network under soa: every occupancy bitmap is empty,
+/// so no link, router or NIC is visited or asked anything. What a cycle
+/// still costs is reading the empty bitmap words, in the four phases and
+/// again in the watchdog's idle check.
 void BM_NetworkCycleIdleSoa(benchmark::State& state) {
   NetworkConfig cfg;
   cfg.scheduling = SchedulingMode::kSoa;

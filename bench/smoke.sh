@@ -6,14 +6,15 @@
 # telemetry exporters (CSV + Chrome trace, strictly validated with
 # python3 -m json.tool), then SIGKILLs a checkpointed sweep mid-flight and
 # requires the resumed run to be byte-identical to an uninterrupted one,
-# and — when a UBSan tree is available (see GNOC_SANITIZE=undefined in
-# CMakeLists.txt) — runs one UBSan-instrumented config.
+# records one short router_micro run, and — when a UBSan tree is available
+# (see GNOC_SANITIZE=undefined in CMakeLists.txt) — runs one
+# UBSan-instrumented config.
 #
 # Every artifact (sweep JSON, audit JSON, telemetry exports, scheduler
-# CSVs, checkpoint state, pareto.json) lands under one directory,
-# $GNOC_SMOKE_OUT_DIR (default /tmp/gnoc_smoke), so CI can upload the
-# whole run as a single artifact. Per-artifact GNOC_SMOKE_* overrides
-# still win for targeted debugging.
+# CSVs, checkpoint state, pareto.json, router_micro JSON) lands under one
+# directory, $GNOC_SMOKE_OUT_DIR (default /tmp/gnoc_smoke), so CI can
+# upload the whole run as a single artifact. Per-artifact GNOC_SMOKE_*
+# overrides still win for targeted debugging.
 #
 # Usage: bench/smoke.sh [build-dir] [extra harness args...]
 #   bench/smoke.sh                       # default build/ directory
@@ -336,6 +337,39 @@ else
   grep -q '"critical"' "$QOS_FLAGS_OUT" || {
     echo "smoke: QOS FAIL — named classes missing" >&2; exit 1; }
   echo "smoke: qos ok (structural check only; python3 not found)" >&2
+fi
+
+# Microbenchmark pass: one short router_micro run, so the idle and sparse
+# cycle costs DESIGN.md and EXPERIMENTS.md quote are recorded with every
+# run's artifacts. Nothing is gated on the numbers. --benchmark_min_time
+# takes a plain number of seconds: google-benchmark before 1.8 rejects the
+# "0.05s" form, and later versions still accept a bare number.
+MICRO_OUT=${GNOC_SMOKE_MICRO_JSON:-$OUT_DIR/router_micro.json}
+MICRO_HARNESS="$BUILD_DIR/bench/router_micro"
+echo "smoke: $MICRO_HARNESS --benchmark_min_time=0.05 json=$MICRO_OUT" >&2
+"$MICRO_HARNESS" --benchmark_min_time=0.05 json="$MICRO_OUT" > /dev/null
+if [[ ! -s "$MICRO_OUT" ]]; then
+  echo "smoke: FAIL — $MICRO_OUT missing or empty" >&2
+  exit 1
+fi
+if command -v python3 > /dev/null 2>&1; then
+  python3 - "$MICRO_OUT" <<'EOF'
+import json, sys
+with open(sys.argv[1]) as f:
+    doc = json.load(f)
+times = {b["name"]: b["cpu_time"] for b in doc["benchmarks"]}
+for name in ("BM_NetworkCycleIdleSoa", "BM_NetworkCycleSparseSoa"):
+    assert name in times, "router_micro JSON lacks " + name
+print("smoke: router_micro ok — %d benchmarks; soa idle %.0f ns, "
+      "sparse %.0f ns per 8x8 cycle" %
+      (len(times), times["BM_NetworkCycleIdleSoa"],
+       times["BM_NetworkCycleSparseSoa"]))
+EOF
+else
+  grep -q '"BM_NetworkCycleIdleSoa"' "$MICRO_OUT" || {
+    echo "smoke: FAIL — router_micro JSON lacks the idle benchmark" >&2
+    exit 1; }
+  echo "smoke: router_micro ok (structural check only)" >&2
 fi
 
 # Sixth pass: one UBSan config, when an undefined-sanitizer tree exists

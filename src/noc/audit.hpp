@@ -54,11 +54,11 @@ enum class AuditInvariant : std::uint8_t {
   kFlitConservation = 1,
   kWormhole = 2,
   kQuiescence = 3,
-  /// Soa scheduling only: every skip plane and occupancy counter must
-  /// match what the objects imply. A stale entry (a router counted empty
-  /// while it buffers flits, a channel's due cycle lost) is a lost update
-  /// — a scheduler bug that would silently freeze traffic rather than hang
-  /// the process, so the auditor flags it. Checked at snapshot cadence.
+  /// Soa scheduling only: every link, router and NIC with work must have
+  /// its occupancy bit set, and every router's flit count must match its
+  /// VC buffers. A clear bit on live work (a lost wake) is a scheduler bug
+  /// that would silently freeze traffic rather than hang the process, so
+  /// the auditor flags it. Checked at snapshot cadence.
   kSchedulerCoverage = 4,
 };
 
@@ -186,7 +186,7 @@ class Auditor {
   /// End-of-run invariants; call only once the network reports drained.
   void CheckQuiescence(Cycle now);
 
-  /// Records a violation found by an external checker (the soa core's
+  /// Records a violation found by an external checker (the soa
   /// scheduler-coverage sweep). Same counting/sampling as internal checks.
   void ReportViolation(AuditInvariant inv, Cycle now, std::string detail) {
     Violate(inv, now, std::move(detail));

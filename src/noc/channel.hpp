@@ -16,10 +16,10 @@
 
 namespace gnoc {
 
-/// Push notification for the soa scheduler's due planes (DESIGN.md §9): a
-/// plain function pointer + context + the subscriber-chosen index of the
-/// notifying channel. Unset hooks cost one null-pointer test per push —
-/// the same cost model the auditor and telemetry hooks use.
+/// Push notification that sets the soa scheduler's occupancy bit of the
+/// channel's consumer (DESIGN.md §9): a plain function pointer + context +
+/// a subscriber-chosen index. Unset hooks cost one null-pointer test per
+/// push — the same cost model the auditor and telemetry hooks use.
 struct WakeHook {
   void (*fn)(void* ctx, std::size_t index) = nullptr;
   void* ctx = nullptr;
@@ -57,8 +57,8 @@ class DelayLine {
   bool empty() const { return items_.empty(); }
   std::size_t size() const { return items_.size(); }
 
-  /// Fires `hook` on every Push (soa scheduling: the channel's due-plane
-  /// entry must track its front item).
+  /// Fires `hook` on every Push (soa scheduling: a push gives the
+  /// consumer work).
   void SetWakeHook(WakeHook hook) { wake_ = hook; }
 
   /// Enqueues `item` at time `now`; it is deliverable at `now + latency`.
@@ -72,8 +72,8 @@ class DelayLine {
     return !items_.empty() && items_.front().first <= now;
   }
 
-  /// Delivery cycle of the oldest in-flight item (the soa due planes cache
-  /// it). Requires a non-empty line.
+  /// Delivery cycle of the oldest in-flight item (a sleeping NIC's
+  /// Nic::NextDue). Requires a non-empty line.
   Cycle FrontDue() const {
     assert(!items_.empty());
     return items_.front().first;
@@ -124,7 +124,7 @@ class DelayLine {
 
   /// Snapshot support: in-flight items with their delivery times. Load
   /// writes `items_` directly — no Push, so no wake hooks fire; the soa
-  /// planes are rebuilt from the loaded objects by Network::Load.
+  /// bits are rebuilt from the loaded objects by Network::Load.
   void Save(Serializer& s) const { IoSeq(s, items_); }
   void Load(Deserializer& d) { IoSeq(d, items_); }
 

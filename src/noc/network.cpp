@@ -249,9 +249,8 @@ Network::Network(const NetworkConfig& config)
   for (auto& r : routers_) r->SetProgressSink(&progress_events_);
   for (auto& nc : nics_) nc->SetProgressSink(&progress_events_);
 
-  // SoA scheduling: the core flattens the hot state into contiguous planes
-  // and installs channel wake hooks that keep its due/occupancy planes
-  // sound. Under kFull the channel hooks stay null.
+  // soa scheduling: the core installs the channel wake hooks that set its
+  // occupancy bits. Under kFull the channel hooks stay null.
   if (config_.scheduling == SchedulingMode::kSoa) {
     soa_ = std::make_unique<SoaCore>(*this);
   }
@@ -315,82 +314,57 @@ bool Network::CanInject(NodeId n, TrafficClass cls) const {
   return nic(n).CanInject(cls);
 }
 
-void Network::DeliverChannels() {
-  for (auto& link : flit_links_) {
-    while (auto flit = link->channel.Pop(now_)) {
-      link->dst_router->AcceptFlit(link->dst_port, *flit, now_);
-    }
-  }
-  for (auto& link : credit_links_) {
-    if (link->dst_router == nullptr) continue;  // NIC pops its own credits
-    while (auto credit = link->channel.Pop(now_)) {
-      link->dst_router->AcceptCredit(link->dst_port, credit->vc);
-    }
-  }
-}
-
 void Network::Tick() {
   switch (config_.scheduling) {
     case SchedulingMode::kFull: TickFull(); break;
     case SchedulingMode::kSoa: TickSoa(); break;
   }
-  ++now_;
-}
 
-// Deadlock watchdog: flits in flight but no movement for a long time.
-// `no_flits` is invoked only when no progress event fired this cycle, so
-// both tick paths may pass a lazily evaluated (possibly O(N)) predicate.
-template <typename NoFlitsFn>
-void Network::UpdateWatchdog(NoFlitsFn&& no_flits) {
-  if (progress_events_ != last_progress_counter_ || no_flits()) {
+  // Between ticks every atomic operation has completed, so the conservation
+  // sums must hold exactly (flit/credit channels count as in-flight).
+  if (auditor_ != nullptr && auditor_->SnapshotDue(now_)) {
+    if (soa_ != nullptr) soa_->AuditCoverage(*auditor_, now_);
+    auditor_->RunSnapshot(now_);
+  }
+
+  if (telemetry_ != nullptr && telemetry_->SampleDue(now_)) {
+    telemetry_->Sample(now_);
+  }
+
+  // Deadlock watchdog: flits in flight but no movement for a long time.
+  if (progress_events_ != last_progress_counter_ || NoFlitsInFlight()) {
     last_progress_counter_ = progress_events_;
     last_progress_cycle_ = now_;
   } else if (now_ - last_progress_cycle_ >= config_.deadlock_threshold) {
     deadlocked_ = true;
   }
+  ++now_;
 }
 
 void Network::TickFull() {
-  DeliverChannels();
+  for (auto& link : flit_links_) link->Deliver(now_);
+  for (auto& link : credit_links_) {
+    if (link->dst_router != nullptr) link->Deliver(now_);
+  }
   for (auto& r : routers_) r->Tick(now_);
   for (auto& nic : nics_) nic->Tick(now_);
   tick_steps_ += routers_.size() + nics_.size() + flit_links_.size() +
                  credit_links_.size();
-
-  // Between ticks every atomic operation has completed, so the conservation
-  // sums must hold exactly (flit/credit channels count as in-flight).
-  if (auditor_ != nullptr && auditor_->SnapshotDue(now_)) {
-    auditor_->RunSnapshot(now_);
-  }
-
-  if (telemetry_ != nullptr && telemetry_->SampleDue(now_)) {
-    telemetry_->Sample(now_);
-  }
-
-  UpdateWatchdog([this] { return FlitsInFlight() == 0; });
 }
 
 void Network::TickSoa() {
   // Same phase order as TickFull; each phase visits only the links,
-  // routers and NICs its occupancy bitmap marks live and skips those not
-  // yet due (DESIGN.md §9 gives the skip rules and why they are
-  // bit-identical).
+  // routers and NICs whose bit is set and skips those not yet due
+  // (DESIGN.md §9 gives the skip rules and why they are bit-identical).
   soa_->DeliverFlitLinks(now_);
   soa_->DeliverCreditLinks(now_);
   soa_->TickRouters(now_);
   soa_->TickNics(now_);
   tick_steps_ += soa_->TakeSteps();
+}
 
-  if (auditor_ != nullptr && auditor_->SnapshotDue(now_)) {
-    soa_->AuditPlanes(*auditor_, now_);
-    auditor_->RunSnapshot(now_);
-  }
-
-  if (telemetry_ != nullptr && telemetry_->SampleDue(now_)) {
-    telemetry_->Sample(now_);
-  }
-
-  UpdateWatchdog([this] { return soa_->NoFlitsInFlight(); });
+bool Network::NoFlitsInFlight() const {
+  return soa_ != nullptr ? soa_->NoFlitsInFlight() : FlitsInFlight() == 0;
 }
 
 void Network::ForceSleepAll() {
@@ -398,23 +372,15 @@ void Network::ForceSleepAll() {
 }
 
 bool Network::Drain(Cycle max_cycles) {
-  // Under kSoa the running plane counters make everything but the NIC
-  // term O(1).
-  const auto flits_in_flight = [&] {
-    if (soa_ != nullptr && soa_->BufferedTotal() > 0) {
-      return soa_->BufferedTotal();
-    }
-    return FlitsInFlight();
-  };
   for (Cycle i = 0; i < max_cycles; ++i) {
-    if (flits_in_flight() == 0) {
+    if (NoFlitsInFlight()) {
       AuditQuiescence();
       return true;
     }
     if (deadlocked_) return false;
     Tick();
   }
-  const bool drained = flits_in_flight() == 0;
+  const bool drained = NoFlitsInFlight();
   if (drained) AuditQuiescence();
   return drained;
 }
@@ -425,7 +391,7 @@ void Network::AuditQuiescence() {
 
 bool Network::InjectFault(AuditFault fault) {
   // Fault planting mutates channel contents without firing wake hooks;
-  // rebuild the SoA planes afterwards so they stay sound (mutation tests
+  // rebuild the soa bits afterwards so they stay sound (mutation tests
   // only — never on the hot path).
   struct Resync {
     SoaCore* soa;
@@ -557,9 +523,8 @@ void Network::Save(Serializer& s) const { Fields(*this, s); }
 
 void Network::Load(Deserializer& d) {
   Fields(*this, d);
-  // The receiving router (and soa's delivery pass) indexes input VCs by a
-  // flit's VC, and the receiving router or NIC its credit counters by a
-  // credit's.
+  // The receiving router indexes input VCs by a flit's VC, and the
+  // receiving router or NIC its credit counters by a credit's.
   const auto check_vc = [&](const char* what, std::size_t link, VcId vc) {
     if (vc >= 0 && vc < config_.num_vcs) return;
     throw SerializeError(std::string(what) + " link " + std::to_string(link) +
@@ -574,9 +539,9 @@ void Network::Load(Deserializer& d) {
     credit_links_[i]->channel.ForEach(
         [&](const Credit& c) { check_vc("credit", i, c.vc); });
   }
-  // Channel/buffer Load writes contents directly (no wake hooks fire): the
-  // object->SoA conversion at the checkpoint boundary re-derives every
-  // plane, so snapshots carry no scheduler state (DESIGN.md §14).
+  // Channel/buffer Load writes contents directly (no wake hooks fire): soa
+  // re-derives its bits from the loaded objects, so snapshots carry no
+  // scheduler state (DESIGN.md §14).
   if (soa_ != nullptr) soa_->RebuildFromObjects();
 }
 

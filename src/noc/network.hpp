@@ -34,15 +34,14 @@ class SoaCore;
 enum class SchedulingMode : std::uint8_t {
   /// Tick every router, NIC and channel every cycle (the tick-everything
   /// reference the lockstep tests and bit-identity gates hold kSoa's
-  /// planes and skip rules against).
+  /// skip rules against).
   kFull = 0,
-  /// Structure-of-arrays tick (DESIGN.md §14), the default: the hot
-  /// per-component state (input-VC head readiness, channel and NIC due
-  /// cycles, router occupancy) lives in contiguous per-network planes and
-  /// each phase visits only the live entries of its plane in the dense
-  /// order, skipping idle links, routers and NICs. Bit-identical to kFull
-  /// — stats, telemetry windows, audit reports and watchdog verdicts all
-  /// match.
+  /// The skip schedule (DESIGN.md §14), the default: one occupancy bit per
+  /// link, router and NIC, set where the entry can get work, and each
+  /// phase visits only the set bits in the dense order, asking each
+  /// object whether it has work. Bit-identical to kFull — stats,
+  /// telemetry windows, audit reports and watchdog verdicts all match.
+  /// (The name dates from the structure-of-arrays planes it kept once.)
   kSoa = 3,
 };
 
@@ -277,15 +276,15 @@ class Network {
 
   /// Component updates performed so far: one per router/NIC tick and one
   /// per channel visit. Under kFull this grows by (routers + NICs + links)
-  /// every cycle; under kSoa only by the links, routers and NICs the
-  /// planes say have due work (an idle network takes no step) — the skip
-  /// claim tests assert on exactly this.
+  /// every cycle; under kSoa only by the links, routers and NICs that have
+  /// due work (an idle network takes no step) — the skip claim tests
+  /// assert on exactly this.
   std::uint64_t TickSteps() const { return tick_steps_; }
 
-  /// Marks every link, router and NIC idle in the kSoa planes and clears
-  /// their occupancy bitmaps WITHOUT regard to pending work — deliberately
-  /// planting the lost-update bug the scheduler-coverage audit invariant
-  /// exists to catch (mutation tests only). No-op under kFull scheduling.
+  /// Clears every kSoa occupancy bit WITHOUT regard to pending work —
+  /// deliberately planting the lost-wake bug the scheduler-coverage audit
+  /// invariant exists to catch (mutation tests only). No-op under kFull
+  /// scheduling.
   void ForceSleepAll();
 
   // --- snapshot/restore (DESIGN.md §10) ---
@@ -295,14 +294,14 @@ class Network {
   /// state — in a fixed order. Wiring and configuration are
   /// construction-derived and not serialized: Load requires a Network
   /// built from the identical NetworkConfig (scheduling mode aside: the
-  /// kSoa planes are rebuilt from the objects), and resumed execution is
+  /// kSoa bits are rebuilt from the objects), and resumed execution is
   /// bit-identical to never having snapshotted.
   void Save(Serializer& s) const;
   void Load(Deserializer& d);
 
  private:
-  /// The SoA core (scheduling=soa) walks the link/router tables directly
-  /// and keeps derived planes in sync through the channel wake hooks.
+  /// The soa schedule walks the link, router and NIC tables directly and
+  /// sets its bits through the channel wake hooks.
   friend class SoaCore;
 
   template <class Self, class Ar>
@@ -326,26 +325,38 @@ class Network {
     FlitChannel channel;
     Router* dst_router = nullptr;
     Port dst_port = Port::kLocal;
+
+    /// Moves every flit that has arrived by `now` into the router.
+    void Deliver(Cycle now) {
+      while (auto flit = channel.Pop(now)) {
+        dst_router->AcceptFlit(dst_port, *flit, now);
+      }
+    }
   };
   struct CreditLink {
     CreditChannel channel;
     Router* dst_router = nullptr;  // nullptr => credits go to a NIC
     Nic* dst_nic = nullptr;
     Port dst_port = Port::kLocal;  // output port at the receiving router
+
+    /// Hands every credit that has arrived by `now` to the router (a NIC
+    /// pops its own line in its Tick).
+    void Deliver(Cycle now) {
+      while (auto credit = channel.Pop(now)) {
+        dst_router->AcceptCredit(dst_port, credit->vc);
+      }
+    }
   };
 
-  void DeliverChannels();
-
-  /// One full-scheduling cycle (the reference path).
+  /// One full-scheduling cycle's phases (the reference path).
   void TickFull();
-  /// One SoA cycle: the SoaCore runs the delivery, router and NIC phases
-  /// over the live entries of its planes, skipping what is not due.
+  /// One soa cycle's phases: the SoaCore visits the links, routers and
+  /// NICs whose bits are set, skipping what is not due.
   void TickSoa();
-  /// Shared watchdog tail of both tick paths. `no_flits` must equal
-  /// `FlitsInFlight() == 0` at the post-tick boundary (callers may compute
-  /// it lazily: it is only read when no progress event fired this cycle).
-  template <typename NoFlitsFn>
-  void UpdateWatchdog(NoFlitsFn&& no_flits);
+
+  /// FlitsInFlight() == 0. Under kSoa it asks only the entries whose
+  /// occupancy bit is set. The watchdog and Drain call it.
+  bool NoFlitsInFlight() const;
 
   NetworkConfig config_;
   Topology topo_;  ///< declared before the routers that point into it
@@ -356,8 +367,8 @@ class Network {
   std::unique_ptr<Auditor> auditor_;  ///< non-null iff config_.audit
   std::unique_ptr<Telemetry> telemetry_;  ///< non-null iff config_.telemetry
 
-  // SoA scheduling state (null except under kSoa): derived hot-state
-  // planes rebuilt from the objects at construction and after Load; never
+  // soa scheduling state (null except under kSoa): occupancy bits
+  // rebuilt from the objects at construction and after Load; never
   // serialized, so snapshots are mode-independent.
   std::unique_ptr<SoaCore> soa_;
 

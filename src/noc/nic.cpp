@@ -94,7 +94,7 @@ void Nic::Tick(Cycle now) {
   if (config_.vc_policy == VcPolicyKind::kDynamic) {
     // In a Network this runs at most once per tick: full ticks every NIC
     // every cycle, and soa ticks an idle NIC on each boundary cycle (its
-    // next-due plane, DESIGN.md §9). The loop form keeps a sparsely ticked
+    // NextDue, DESIGN.md §9). The loop form keeps a sparsely ticked
     // standalone NIC exact (missed epochs have zero counts and never move
     // the boundary).
     while (now >= next_boundary_update_) UpdateDynamicBoundary();
@@ -366,7 +366,7 @@ void Nic::Save(Serializer& s) const { Fields(*this, s); }
 void Nic::Load(Deserializer& d) {
   Fields(*this, d);
   // SendFlits pops a sending VC's FIFO and puts its flits on the injection
-  // link, where the router and soa index input VCs by flit.vc.
+  // link, where the router indexes input VCs by flit.vc.
   for (std::size_t v = 0; v < sends_.size(); ++v) {
     const ActiveSend& send = sends_[v];
     const bool sending = send.busy && !send.draining;

@@ -200,6 +200,7 @@ void Router::AcceptFlit(Port in_port, const Flit& flit, Cycle now) {
   Flit f = flit;
   f.ready = now + 1;  // models the RC/VA/SA pipeline stage
   ivc.buffer.Push(f);
+  ++buffered_;
 }
 
 void Router::AcceptCredit(Port out_port, VcId vc) {
@@ -209,7 +210,9 @@ void Router::AcceptCredit(Port out_port, VcId vc) {
   assert(ovc.credits <= config_.vc_depth && "credit overflow");
 }
 
-void Router::Tick(Cycle now) {
+RequestMask Router::Tick(Cycle now) {
+  CatchUpEpochs(now);
+  RecycleOutputVcs();
   RequestMask eligible = 0;
   for (std::size_t i = 0; i < input_vcs_.size(); ++i) {
     const VcBuffer& buf = input_vcs_[i].buffer;
@@ -217,17 +220,13 @@ void Router::Tick(Cycle now) {
       eligible |= RequestBit(static_cast<int>(i));
     }
   }
-  Visit(eligible, now);
-  stats_.buffered_flit_cycles += BufferedFlits();
-}
-
-Router::Moves Router::Visit(RequestMask eligible, Cycle now) {
-  CatchUpEpochs(now);
-  RecycleOutputVcs();
   // With no VC eligible, VA/SA/ST cannot touch any state: requests stay
   // empty, no arbiter runs and the stall counters only fire for eligible
   // VCs.
-  if (eligible == 0) return {};
+  if (eligible == 0) {
+    stats_.buffered_flit_cycles += buffered_;
+    return 0;
+  }
 
   // --- RC, and every output port's VA requests, in one pass. A VC requests
   // only the port its route names, so this equals one scan per port.
@@ -257,7 +256,6 @@ Router::Moves Router::Visit(RequestMask eligible, Cycle now) {
   const int num_vcs = config_.num_vcs;
   const RequestMask port_vcs = RequestBit(num_vcs) - 1;
   PortInts nominee;
-  int num_nominees = 0;
   for (int p = 0; p < num_ports_; ++p) {
     int& won = nominee[static_cast<std::size_t>(p)];
     won = -1;
@@ -268,28 +266,27 @@ Router::Moves Router::Visit(RequestMask eligible, Cycle now) {
       const auto idx = static_cast<std::size_t>(p * num_vcs + v);
       if (RequestsSwitch(input_vcs_[idx])) requests |= RequestBit(v);
     }
-    if (requests == 0) continue;
-    won = NominateVc(p, requests);
-    if (won >= 0) ++num_nominees;
+    if (requests != 0) won = NominateVc(p, requests);
   }
-  if (num_nominees == 0) return {};  // SA2/ST would not change state
 
-  // --- SA2: each output port grants one input port.
+  // --- SA2: each output port grants one input port (none without a
+  // nominee).
   PortInts grant;
   GrantOutputs(nominee, grant);
 
   // --- ST: winners traverse the switch.
-  Moves moves;
+  RequestMask ejected = 0;
+  bool moved = false;
   for (int op = 0; op < num_ports_; ++op) {
     const int p = grant[static_cast<std::size_t>(op)];
     if (p < 0) continue;
-    const int v = nominee[static_cast<std::size_t>(p)];
-    Traverse(op, p, v, now);
-    moves.vcs |= RequestBit(p * num_vcs + v);
-    if (op < num_local_ports_) moves.ejected |= RequestBit(op);
+    Traverse(op, p, nominee[static_cast<std::size_t>(p)], now);
+    moved = true;
+    if (op < num_local_ports_) ejected |= RequestBit(op);
   }
-  if (moves.vcs != 0) ++stats_.busy_cycles;
-  return moves;
+  if (moved) ++stats_.busy_cycles;
+  stats_.buffered_flit_cycles += buffered_;
+  return ejected;
 }
 
 void Router::RouteHead(InputVc& ivc) const {
@@ -445,6 +442,7 @@ void Router::Traverse(int out_port, int in_port, VcId vc, Cycle now) {
   const auto op = static_cast<std::size_t>(out_port);
   InputVc& ivc = Ivc(static_cast<Port>(in_port), vc);
   Flit flit = ivc.buffer.Pop();
+  --buffered_;
   ++stats_.flits_forwarded;
   if (progress_sink_ != nullptr) ++*progress_sink_;
   const auto ci = static_cast<std::size_t>(ClassIndex(flit.cls));
@@ -496,12 +494,6 @@ void Router::ResetStats() {
                                    0);
 }
 
-std::size_t Router::BufferedFlits() const {
-  std::size_t total = 0;
-  for (const InputVc& ivc : input_vcs_) total += ivc.buffer.size();
-  return total;
-}
-
 std::size_t Router::VcOccupancy(Port in_port, VcId vc) const {
   return Ivc(in_port, vc).buffer.size();
 }
@@ -539,6 +531,8 @@ void Router::Load(Deserializer& d) {
           std::to_string(config_.num_vcs) + " VCs");
     }
   }
+  buffered_ = 0;
+  for (const InputVc& ivc : input_vcs_) buffered_ += ivc.buffer.size();
   draining_ = 0;
   for (std::size_t i = 0; i < output_vcs_.size(); ++i) {
     if (output_vcs_[i].tail_sent) draining_ |= RequestBit(static_cast<int>(i));

@@ -41,7 +41,6 @@
 namespace gnoc {
 
 class Auditor;
-class SoaCore;
 
 /// Static configuration shared by every router in a network.
 struct RouterConfig {
@@ -161,9 +160,19 @@ class Router {
   /// Delivers a credit for output port `out_port`, VC `vc`.
   void AcceptCredit(Port out_port, VcId vc);
 
-  /// Runs one cycle: route computation, VC allocation, switch allocation and
-  /// switch traversal for eligible flits.
-  void Tick(Cycle now);
+  /// Runs one cycle: epoch catch-up and output-VC recycling, then route
+  /// computation, VC allocation, switch allocation and switch traversal
+  /// over the input VCs whose front flit is ready by `now`. Returns the
+  /// local ports that ejected a flit into their NIC (bit = port).
+  RequestMask Tick(Cycle now);
+
+  /// True when a Tick can change state: the router holds a flit, or
+  /// (vc_policy=dynamic) an epoch with uncommitted flit counts. The soa
+  /// scheduler skips a router while this is false (DESIGN.md §9).
+  bool HasWork() const {
+    return buffered_ != 0 ||
+           (config_.vc_policy == VcPolicyKind::kDynamic && epoch_dirty_);
+  }
 
   // --- introspection ---
 
@@ -179,8 +188,9 @@ class Router {
            nullptr;
   }
 
-  /// Total flits currently buffered in all input VCs.
-  std::size_t BufferedFlits() const;
+  /// Total flits currently buffered in all input VCs (a running count;
+  /// the coverage audit checks it against VcOccupancy).
+  std::size_t BufferedFlits() const { return buffered_; }
 
   /// The output port a packet of class `cls` headed for `dst` takes here
   /// (LUT when the topology is known, ComputeOutputPort otherwise).
@@ -220,15 +230,12 @@ class Router {
   /// and output VCs, dynamic-boundary state, arbiter priorities, stats.
   /// Wiring (channels, NICs, auditor, hooks) and the route LUT are
   /// construction-derived and not serialized; Load requires a Router built
-  /// from the identical config.
+  /// from the identical config, and rebuilds the flit count and the
+  /// draining mask from the loaded buffers and output VCs.
   void Save(Serializer& s) const;
   void Load(Deserializer& d);
 
  private:
-  /// SoaCore::TickRouter (scheduling=soa) runs Visit over its own ready
-  /// plane and keeps the plane current from the Moves it reports.
-  friend class SoaCore;
-
   template <class Self, class Ar>
   static void Fields(Self& self, Ar& ar) {
     for (auto& ivc : self.input_vcs_) {
@@ -284,26 +291,8 @@ class Router {
   // --- pipeline stages -----------------------------------------------------
   //
   // The only copy of the allocation rules, driven by one visit loop
-  // (Visit). A stage is only ever applied to an eligible VC: its front
+  // (Tick). A stage is only ever applied to an eligible VC: its front
   // flit is present and ready.
-
-  /// What one Visit moved, for the caller's bookkeeping.
-  struct Moves {
-    /// Input VCs whose front flit traversed the switch (bit FlatVcIndex;
-    /// each VC sends at most one flit per cycle).
-    RequestMask vcs = 0;
-    /// Local ports that ejected a flit into their NIC (bit port).
-    RequestMask ejected = 0;
-  };
-
-  /// One cycle of the pipeline over the input VCs in `eligible` (bit
-  /// FlatVcIndex set = the VC's front flit is present and ready by
-  /// `now`): epoch catch-up and recycle, then RC plus every output port's
-  /// VA mask in one pass over `eligible`, VA, each input port's SA1 slice
-  /// of `eligible`, SA2 and ST. The caller adds buffered_flit_cycles.
-  /// Tick derives `eligible` from the VC buffers; SoaCore::TickRouter
-  /// reads it off its ready plane.
-  Moves Visit(RequestMask eligible, Cycle now);
 
   /// Commits every dynamic-partitioning epoch boundary `now` has reached.
   /// When the router is visited every cycle the loop body runs at most
@@ -408,6 +397,10 @@ class Router {
   /// FlatVcIndex(port, vc). Set when a tail leaves on a link, cleared when
   /// RecycleOutputVcs frees the VC, rebuilt from tail_sent by Load.
   RequestMask draining_ = 0;
+
+  /// Flits across all input VCs: +1 in AcceptFlit, −1 in Traverse,
+  /// rebuilt from the buffers by Load.
+  std::size_t buffered_ = 0;
 
   std::vector<FlitChannel*> out_channels_;    // sized num_ports_
   std::vector<CreditChannel*> credit_return_;

@@ -452,7 +452,7 @@ std::string QosFingerprint(QosArbitration arb, SchedulingMode mode,
 // Strict and WRR arbitration must give bit-identical results four ways:
 // under both schedulers, and resumed from the other scheduler's mid-run
 // snapshot (token buckets and WRR credits ride in the snapshot; the soa
-// planes are rebuilt on load). Both schedulers call the same Router
+// bits are rebuilt on load). Both schedulers call the same Router
 // arbitration stages, so this checks the schedulers, not the rules.
 TEST(QosSchedulingBitIdentityTest, FourWayMatchesFullMode) {
   for (QosArbitration arb :

@@ -1,7 +1,8 @@
 // White-box unit tests of the VC router: pipeline timing, credit protocol,
 // wormhole integrity, VC allocation policy enforcement, QoS precedence in
 // the allocators, atomic VC reallocation, link-aware monopolizing, the
-// request-mask width bound and snapshot-load validation.
+// request-mask width bound, snapshot-load validation, and the flit count
+// and work predicate the soa scheduler skips routers by.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -115,8 +116,10 @@ TEST(RouterTest, EjectsAtOwnCoordinate) {
   const Flit f = h.MakeFlit(FlitKind::kHeadTail, TrafficClass::kReply,
                             Coord{1, 1}, /*vc=*/1);
   h.router_.AcceptFlit(Port::kNorth, f, 0);
-  h.router_.Tick(0);
-  h.router_.Tick(1);
+  EXPECT_EQ(h.router_.Tick(0), 0u);
+  // Tick reports the local port that ejected (the soa scheduler wakes the
+  // NIC behind it).
+  EXPECT_EQ(h.router_.Tick(1), RequestBit(PortIndex(Port::kLocal)));
   EXPECT_EQ(h.nic_.stats().flits_ejected[ClassIndex(TrafficClass::kReply)],
             1u);
 }
@@ -504,6 +507,91 @@ TEST(RouterTest, LoadRejectsOutOfRangeInputVcState) {
   for (const std::string& bytes : bad) {
     EXPECT_NE(load_error(bytes).find("out of range"), std::string::npos);
   }
+}
+
+/// Flits across every input VC, read off the buffers one VC at a time.
+std::size_t HeldFlits(const Router& router) {
+  std::size_t held = 0;
+  for (int p = 0; p < router.num_ports(); ++p) {
+    for (VcId v = 0; v < router.config().num_vcs; ++v) {
+      held += router.VcOccupancy(static_cast<Port>(p), v);
+    }
+  }
+  return held;
+}
+
+// BufferedFlits() is a running count that the soa scheduler skips routers
+// by: it must equal the VC buffers after accepts, after traversals and
+// after Load of a mid-run snapshot, which rebuilds it. HasWork() must
+// also hold while a dynamic epoch has uncommitted counts and no flit is
+// buffered, and drop once the epoch commits; under a static policy the
+// epoch counts never keep a router awake.
+TEST(RouterTest, FlitCountMatchesBuffersAndDirtyEpochsKeepWork) {
+  RouterConfig cfg = DefaultConfig();
+  cfg.num_vcs = 4;  // requests VCs 0-1, replies 2-3 at the start
+  cfg.vc_policy = VcPolicyKind::kDynamic;
+  cfg.dynamic_epoch = 32;
+  RouterHarness h(cfg);
+  Router& router = h.router_;
+  EXPECT_FALSE(router.HasWork());
+
+  // A two-flit request West -> East and a one-flit reply North -> South.
+  Flit head = h.MakeFlit(FlitKind::kHead, TrafficClass::kRequest,
+                         Coord{3, 1}, /*vc=*/0, 1, 0);
+  Flit tail = h.MakeFlit(FlitKind::kTail, TrafficClass::kRequest,
+                         Coord{3, 1}, /*vc=*/0, 1, 1);
+  head.packet_size = tail.packet_size = 2;
+  router.AcceptFlit(Port::kWest, head, 0);
+  router.AcceptFlit(Port::kWest, tail, 0);
+  router.AcceptFlit(Port::kNorth,
+                    h.MakeFlit(FlitKind::kHeadTail, TrafficClass::kReply,
+                               Coord{1, 3}, /*vc=*/2, 2),
+                    0);
+  EXPECT_EQ(router.BufferedFlits(), 3u);
+  EXPECT_EQ(HeldFlits(router), 3u);
+  EXPECT_TRUE(router.HasWork());
+
+  router.Tick(0);  // nothing ready yet
+  router.Tick(1);  // the head and the reply leave
+  EXPECT_EQ(h.out_[PortIndex(Port::kEast)].size(), 1u);
+  EXPECT_EQ(h.out_[PortIndex(Port::kSouth)].size(), 1u);
+  EXPECT_EQ(router.BufferedFlits(), 1u);
+  EXPECT_EQ(HeldFlits(router), 1u);
+
+  // A fresh router loading the mid-run snapshot counts the tail it holds.
+  Serializer s;
+  router.Save(s);
+  Router loaded(5, Coord{1, 1}, cfg);
+  Deserializer d(s.bytes());
+  loaded.Load(d);
+  d.Finish();
+  EXPECT_EQ(HeldFlits(loaded), 1u);
+  EXPECT_EQ(loaded.BufferedFlits(), 1u);
+  EXPECT_TRUE(loaded.HasWork());
+
+  router.Tick(2);  // the tail leaves
+  EXPECT_EQ(router.BufferedFlits(), 0u);
+  EXPECT_EQ(HeldFlits(router), 0u);
+  // No flit left, but this epoch's flit counts are not committed yet.
+  EXPECT_TRUE(router.HasWork());
+  router.Tick(31);
+  EXPECT_TRUE(router.HasWork());
+  router.Tick(32);  // the epoch boundary commits the counts
+  EXPECT_FALSE(router.HasWork());
+
+  // The same traffic under a static policy leaves no work behind.
+  RouterHarness split(DefaultConfig());
+  split.router_.AcceptFlit(Port::kWest,
+                           split.MakeFlit(FlitKind::kHeadTail,
+                                          TrafficClass::kRequest, Coord{3, 1},
+                                          /*vc=*/0, 3),
+                           0);
+  EXPECT_TRUE(split.router_.HasWork());
+  split.router_.Tick(0);
+  split.router_.Tick(1);
+  EXPECT_EQ(split.out_[PortIndex(Port::kEast)].size(), 1u);
+  EXPECT_EQ(split.router_.BufferedFlits(), 0u);
+  EXPECT_FALSE(split.router_.HasWork());
 }
 
 TEST(RouterTest, StatsCountForwardedFlitsPerPortAndClass) {

@@ -4,10 +4,11 @@
 // and bare runs simulating the same outcome; NIC state and per-router
 // counters matching full mode cycle by cycle, including at each site that
 // wakes a sleeping NIC; the retired backend names parsing as soa aliases;
-// soa's skip cost on idle and sparse networks; deadlock-watchdog parity
-// (including a checkpoint taken mid-stall); the scheduler-coverage audit
-// of soa's planes; snapshot round-trips through the plane rebuild; and the
-// route-LUT fast path agreeing with the analytic routing function.
+// soa's skip cost on idle and sparse networks and its pinned visit counts;
+// deadlock-watchdog parity (including a checkpoint taken mid-stall); the
+// scheduler-coverage audit of soa's occupancy bits; snapshot round-trips
+// through the bit rebuild; and the route-LUT fast path agreeing with the
+// analytic routing function.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -135,7 +136,7 @@ std::string NetworkFingerprint(NetworkConfig cfg, SchedulingMode mode,
 
 // kFull and kSoa must agree bit-for-bit — stats, audit counters and
 // telemetry windows — for every routing x VC-policy combination, with the
-// auditor (and with it soa's plane audit) and telemetry running.
+// auditor (and with it soa's coverage audit) and telemetry running.
 TEST(SchedulingBitIdentityTest, OpenLoopMatrixMatchesFullMode) {
   const RoutingAlgorithm routings[] = {
       RoutingAlgorithm::kXY, RoutingAlgorithm::kYX, RoutingAlgorithm::kXYYX};
@@ -161,7 +162,7 @@ TEST(SchedulingBitIdentityTest, OpenLoopMatrixMatchesFullMode) {
 
 // The equivalence must also hold on the non-mesh topologies: wrap links
 // (dateline VC halves), concentration (multiple local ports per router)
-// and circulant skip links all change the plane geometry.
+// and circulant skip links all change the link and router counts.
 TEST(SchedulingBitIdentityTest, TopologyMatrixMatchesFullMode) {
   const TopologyKind topologies[] = {TopologyKind::kTorus,
                                      TopologyKind::kCMesh,
@@ -179,9 +180,9 @@ TEST(SchedulingBitIdentityTest, TopologyMatrixMatchesFullMode) {
   }
 }
 
-// Near saturation almost every VC is occupied, so the eligibility planes
-// are dense and the skip rules almost never fire — the opposite regime
-// from the sparse matrix above.
+// Near saturation almost every VC is occupied, so nearly every bit is set
+// and the skip rules almost never fire — the opposite regime from the
+// sparse matrix above.
 TEST(SchedulingBitIdentityTest, HighLoadMatchesFullMode) {
   NetworkConfig cfg;
   cfg.width = 4;
@@ -196,7 +197,7 @@ TEST(SchedulingBitIdentityTest, HighLoadMatchesFullMode) {
 // VC-policy cell — {full, soa} x {instrumented, bare} — must simulate the
 // same traffic to the same outcome: the two bare runs agree bit-for-bit,
 // and both instrumented runs begin with exactly the bare fingerprint. In
-// particular soa's plane audit must not disturb the planes it checks.
+// particular soa's coverage audit must not disturb the bits it checks.
 TEST(SoaBitIdentityTest, FourWayOpenLoopMatrixAgrees) {
   const RoutingAlgorithm routings[] = {
       RoutingAlgorithm::kXY, RoutingAlgorithm::kYX, RoutingAlgorithm::kXYYX};
@@ -393,8 +394,8 @@ TEST(SoaBitIdentityTest, FullWidthRequestMaskMatchesFullMode) {
 }
 
 // Saturating adversarial patterns load some routers to the limit while
-// others stay nearly idle, so full and empty regions of the eligibility
-// planes coexist and shift from cycle to cycle. NIC state and per-router
+// others stay nearly idle, so set and clear regions of the occupancy
+// bitmaps coexist and shift from cycle to cycle. NIC state and per-router
 // counters must track full mode throughout.
 TEST(SoaBitIdentityTest, HighLoadMatchesFullMode) {
   const TrafficPattern patterns[] = {TrafficPattern::kTranspose,
@@ -417,15 +418,17 @@ TEST(SoaBitIdentityTest, HighLoadMatchesFullMode) {
 }
 
 // Each way an idle, sleeping NIC is woken must fire at the cycle full
-// mode's every-cycle tick would act, compared cycle by cycle at low load
-// (most NICs asleep most of the time):
+// mode's every-cycle tick would act, compared cycle by cycle at loads
+// where most NICs sleep most of the time:
 //  - vc_policy=dynamic with a short epoch: idle NICs sleep across epoch
 //    boundaries and must still commit each one on time. The open-loop
 //    generator sends replies only, so every boundary soon sits at its
 //    limit; request-class relays move it back and forth, which makes a
 //    late epoch commit (in a NIC or a skipped router) visible;
-//  - non-atomic VC reallocation: a NIC releases its VC at the tail and
-//    goes idle while that VC's credits are still on the wire;
+//  - non-atomic VC reallocation under a backpressured hotspot: a NIC
+//    releases its VC at the tail and goes idle — and to sleep, its bit
+//    cleared — while its last flits still wait in its router, so the
+//    credits they free reach a sleeping NIC and must wake it;
 //  - a sink injecting from inside Accept: the woken NIC sits above the
 //    accepting one (ticked later in the same NIC phase) or below it
 //    (ticked next cycle).
@@ -450,8 +453,13 @@ TEST(SoaBitIdentityTest, NicWakeSitesMatchFullMode) {
 
   NetworkConfig eager = base;
   eager.atomic_vc_realloc = false;
-  ExpectLockstepStatesMatch(eager, tcfg, /*cycles=*/1200, /*stride=*/1,
-                            "non-atomic VC reallocation");
+  OpenLoopConfig hotspot = tcfg;
+  hotspot.pattern = TrafficPattern::kHotspot;
+  hotspot.hotspots = {5};
+  hotspot.hotspot_fraction = 0.9;
+  hotspot.injection_rate = 0.1;
+  ExpectLockstepStatesMatch(eager, hotspot, /*cycles=*/1200, /*stride=*/1,
+                            "non-atomic VC reallocation, hotspot");
 
   ExpectLockstepStatesMatch(base, tcfg, /*cycles=*/1200, /*stride=*/1,
                             "relay to the node above", /*relay_offset=*/1);
@@ -540,7 +548,7 @@ TEST(SchedulingBitIdentityTest, GpuDesignSpaceMatchesFullMode) {
 
 // The design-space axes the placement x routing x policy test above holds
 // fixed — topology, VC count and VC depth — change the shape of soa's
-// planes. Every feasible combination of the full GPU model must produce
+// bitmaps. Every feasible combination of the full GPU model must produce
 // identical results under both schedulers.
 TEST(SoaBitIdentityTest, GpuDesignSpaceMatchesFullMode) {
   const TopologyKind topologies[] = {TopologyKind::kMesh, TopologyKind::kTorus,
@@ -649,10 +657,49 @@ TEST(SchedulingCostTest, SparseTrafficTicksFewComponents) {
   EXPECT_LT(soa * 20u, full);
 }
 
+// soa's visit count of a 4x4 open-loop run and its drain: four VCs,
+// uniform random traffic at 0.05 flits/node/cycle, four-flit packets.
+std::uint64_t SoaRunSteps(NetworkConfig cfg) {
+  cfg.width = 4;
+  cfg.height = 4;
+  cfg.num_vcs = 4;
+  cfg.scheduling = SchedulingMode::kSoa;
+  Network net(cfg);
+  OpenLoopConfig tcfg;
+  tcfg.injection_rate = 0.05;
+  tcfg.packet_size = 4;
+  OpenLoopTraffic traffic(net, tcfg);
+  for (int c = 0; c < 600; ++c) {
+    traffic.Tick();
+    net.Tick();
+  }
+  EXPECT_TRUE(net.Drain(10000));
+  return net.TickSteps();
+}
+
+// What soa visits is pinned, not just what it computes: a skip rule that
+// visits too much (a NIC ticked before its NextDue, whose tick changes
+// nothing) or too little (a router dropped while its dynamic epoch is
+// dirty, whose boundary replay then lands late) can leave every result
+// bit-identical and still change the count. Two inputs exercise those
+// rules: non-atomic VC reallocation over two-cycle links, where sleeping
+// NICs wait on credits still on the wire, and a 16-cycle dynamic epoch.
+// A change that means to move the counts updates them here.
+TEST(SoaCostTest, VisitCountsArePinned) {
+  NetworkConfig eager;
+  eager.atomic_vc_realloc = false;
+  eager.link_latency = 2;
+  EXPECT_EQ(SoaRunSteps(eager), 6098u) << "non-atomic, link latency 2";
+  NetworkConfig dynamic;
+  dynamic.vc_policy = VcPolicyKind::kDynamic;
+  dynamic.dynamic_epoch = 16;
+  EXPECT_EQ(SoaRunSteps(dynamic), 8597u) << "dynamic epoch 16";
+}
+
 // --- watchdog parity -------------------------------------------------------
 
-// A sink that never accepts wedges the network. Routers skipped by the soa
-// planes are exactly the case a naive watchdog would miss, so soa must
+// A sink that never accepts wedges the network. Routers soa skips are
+// exactly the case a naive watchdog would miss, so soa must
 // feed it the same idle/progress signal and declare deadlock at the same
 // cycle as full mode.
 Cycle DeadlockCycle(SchedulingMode mode) {
@@ -749,11 +796,11 @@ TEST(SchedulingWatchdogTest, CheckpointMidStallKeepsDeadlockCycle) {
 
 // --- scheduler-coverage invariant ------------------------------------------
 
-// Marking every link, router and NIC idle in the soa planes while work is
-// pending is a lost update by construction; the plane audit must report
-// it — with flits in flight (4 ticks after injection), and with the
-// packet still parked in its source NIC's injection queue (0 ticks), where
-// only the NIC next-due plane schedules it.
+// Clearing every soa occupancy bit while work is pending is a lost wake by
+// construction; the coverage audit must report it — with flits in flight
+// (4 ticks after injection), and with the packet still parked in its
+// source NIC's injection queue (0 ticks), where only the NIC's bit
+// schedules it.
 TEST(SchedulingCoverageTest, ForceSleepTripsCoverageInvariant) {
   for (int ticks_before_sleep : {4, 0}) {
     NetworkConfig cfg;
@@ -794,7 +841,8 @@ TEST(SchedulingCoverageTest, ForceSleepTripsCoverageInvariant) {
 }
 
 // A clean audited soa run must never trip the coverage invariant: every
-// plane update is in place, so the audit finds nothing stale.
+// wake site is in place and every router's flit count matches its
+// buffers, so the audit finds nothing.
 TEST(SchedulingCoverageTest, CleanRunHasFullCoverage) {
   NetworkConfig cfg;
   cfg.width = 4;
@@ -822,13 +870,13 @@ TEST(SchedulingCoverageTest, CleanRunHasFullCoverage) {
                                                : r.samples[0].detail);
 }
 
-// --- snapshot round-trips through the plane rebuild ------------------------
+// --- snapshot round-trips through the bit rebuild --------------------------
 
 // Saving mid-run from a soa network and restoring into a fresh one must
 // resume bit-identically. Snapshots carry only object state; the restore
-// path rebuilds every plane from the loaded objects (RebuildFromObjects),
-// including front-ready caches for flits parked mid-VC and due caches for
-// flits mid-channel.
+// path rebuilds every occupancy bit from the loaded objects
+// (RebuildFromObjects) — routers with flits parked mid-VC, links with
+// flits mid-channel — and each router's flit count (Router::Load).
 TEST(SoaSnapshotTest, SoaModeResumesBitIdentically) {
   NetworkConfig cfg;
   cfg.width = 4;
