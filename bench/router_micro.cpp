@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -19,7 +20,7 @@ namespace {
 using namespace gnoc;
 
 void BM_RoundRobinArbiter(benchmark::State& state) {
-  RoundRobinArbiter arb(10);
+  Arbiter arb(ArbiterKind::kRoundRobin, 10);
   const RequestMask requests = (RequestBit(10) - 1) & ~RequestBit(3);
   for (auto _ : state) {
     benchmark::DoNotOptimize(arb.Arbitrate(requests));
@@ -28,7 +29,7 @@ void BM_RoundRobinArbiter(benchmark::State& state) {
 BENCHMARK(BM_RoundRobinArbiter);
 
 void BM_MatrixArbiter(benchmark::State& state) {
-  MatrixArbiter arb(10);
+  Arbiter arb(ArbiterKind::kMatrix, 10);
   const RequestMask requests = RequestBit(10) - 1;
   for (auto _ : state) {
     benchmark::DoNotOptimize(arb.Arbitrate(requests));
@@ -110,6 +111,68 @@ BENCHMARK(BM_NetworkCycleSparse<SchedulingMode::kFull>)
     ->Name("BM_NetworkCycleSparseFull");
 BENCHMARK(BM_NetworkCycleSparse<SchedulingMode::kSoa>)
     ->Name("BM_NetworkCycleSparseSoa");
+
+/// One cycle of the noc-qos-saturated network: a 16x16 torus with 4 VCs
+/// (dateline halves), full monopolizing, strict QoS with one reserved VC
+/// per class, a 0.3 flit/cycle token bucket on bulk and telemetry every
+/// 100 cycles. Every node offers 1-flit critical requests at 0.05 and
+/// 5-flit bulk replies at 0.7 flits/cycle from a fixed seed, far past
+/// saturation (refused arrivals are dropped), so every router arbitrates
+/// every cycle through the QoS-masked, dateline-restricted VA/SA paths.
+/// Warmed for 300 cycles before timing; one iteration offers one cycle's
+/// arrivals and ticks the network once.
+void BM_NetworkCycleSaturatedTorus(benchmark::State& state) {
+  NetworkConfig cfg;
+  cfg.width = 16;
+  cfg.height = 16;
+  cfg.topology = TopologyKind::kTorus;
+  cfg.num_vcs = 4;
+  cfg.vc_policy = VcPolicyKind::kFullMonopolize;
+  cfg.scheduling = SchedulingMode::kSoa;
+  cfg.telemetry = true;
+  cfg.telemetry_interval = 100;
+  QosConfig& qos = cfg.qos;
+  qos.arbitration = QosArbitration::kStrict;
+  qos.classes[0].name = "critical";
+  qos.classes[0].priority = 2;
+  qos.classes[0].reserved_vcs = 1;
+  qos.classes[0].p99_target = 200.0;
+  qos.classes[1].name = "bulk";
+  qos.classes[1].priority = 1;
+  qos.classes[1].reserved_vcs = 1;
+  qos.classes[1].rate = 0.3;
+  qos.classes[1].burst = 10;
+  Network net(cfg);
+  const int nodes = net.num_nodes();
+  Rng rng(0xC0FFEE);
+  const auto offer = [&] {
+    for (NodeId src = 0; src < nodes; ++src) {
+      for (const auto& [type, flits, rate] :
+           {std::tuple{PacketType::kReadRequest, 1, 0.05},
+            std::tuple{PacketType::kReadReply, 5, 0.7 / 5.0}}) {
+        if (!rng.Bernoulli(rate)) continue;
+        Packet p;
+        p.src = src;
+        auto dst = static_cast<NodeId>(
+            rng.NextBounded(static_cast<std::uint64_t>(nodes - 1)));
+        p.dst = dst >= src ? dst + 1 : dst;
+        p.type = type;
+        p.num_flits = flits;
+        net.Inject(p);
+      }
+    }
+  };
+  for (int c = 0; c < 300; ++c) {
+    offer();
+    net.Tick();
+  }
+  for (auto _ : state) {
+    offer();
+    net.Tick();
+  }
+  state.SetItemsProcessed(state.iterations() * nodes);
+}
+BENCHMARK(BM_NetworkCycleSaturatedTorus);
 
 /// One loaded GPGPU cycle (56 SMs + 8 MCs + 64 routers, KMN workload) at
 /// the default (soa) scheduling.

@@ -339,9 +339,9 @@ else
   echo "smoke: qos ok (structural check only; python3 not found)" >&2
 fi
 
-# Microbenchmark pass: one short router_micro run, so the idle and sparse
-# cycle costs DESIGN.md and EXPERIMENTS.md quote are recorded with every
-# run's artifacts. Nothing is gated on the numbers. --benchmark_min_time
+# Microbenchmark pass: one short router_micro run, so the idle, sparse and
+# saturated cycle costs DESIGN.md and EXPERIMENTS.md quote are recorded
+# with every run's artifacts. Nothing is gated on the numbers. --benchmark_min_time
 # takes a plain number of seconds: google-benchmark before 1.8 rejects the
 # "0.05s" form, and later versions still accept a bare number.
 MICRO_OUT=${GNOC_SMOKE_MICRO_JSON:-$OUT_DIR/router_micro.json}
@@ -358,17 +358,22 @@ import json, sys
 with open(sys.argv[1]) as f:
     doc = json.load(f)
 times = {b["name"]: b["cpu_time"] for b in doc["benchmarks"]}
-for name in ("BM_NetworkCycleIdleSoa", "BM_NetworkCycleSparseSoa"):
+for name in ("BM_NetworkCycleIdleSoa", "BM_NetworkCycleSparseSoa",
+             "BM_NetworkCycleSaturatedTorus"):
     assert name in times, "router_micro JSON lacks " + name
 print("smoke: router_micro ok — %d benchmarks; soa idle %.0f ns, "
-      "sparse %.0f ns per 8x8 cycle" %
+      "sparse %.0f ns per 8x8 cycle; saturated %.0f ns per 16x16 QoS "
+      "torus cycle" %
       (len(times), times["BM_NetworkCycleIdleSoa"],
-       times["BM_NetworkCycleSparseSoa"]))
+       times["BM_NetworkCycleSparseSoa"],
+       times["BM_NetworkCycleSaturatedTorus"]))
 EOF
 else
-  grep -q '"BM_NetworkCycleIdleSoa"' "$MICRO_OUT" || {
-    echo "smoke: FAIL — router_micro JSON lacks the idle benchmark" >&2
-    exit 1; }
+  for name in BM_NetworkCycleIdleSoa BM_NetworkCycleSaturatedTorus; do
+    grep -q "\"$name\"" "$MICRO_OUT" || {
+      echo "smoke: FAIL — router_micro JSON lacks $name" >&2
+      exit 1; }
+  done
   echo "smoke: router_micro ok (structural check only)" >&2
 fi
 

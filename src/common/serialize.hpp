@@ -240,6 +240,41 @@ void IoEach(Ar& ar, Range& range) {
   for (auto& x : range) Io(ar, x);
 }
 
+/// Bit `i` of a bit mask, as a bool (a flag packed into a mask).
+template <class Mask>
+  requires std::is_unsigned_v<Mask>
+void IoBit(Serializer& s, Mask mask, int i) {
+  Io(s, ((mask >> i) & 1) != 0);
+}
+template <class Mask>
+  requires std::is_unsigned_v<Mask>
+void IoBit(Deserializer& d, Mask& mask, int i) {
+  bool set = false;
+  Io(d, set);
+  const Mask bit = Mask{1} << i;
+  mask = set ? mask | bit : mask & ~bit;
+}
+
+/// An integer saved as the wider `Wire` type but held in a narrower field.
+/// Load refuses a value the field cannot hold before narrowing it.
+template <class Wire, class Field>
+  requires std::is_integral_v<Wire> && std::is_integral_v<Field>
+void IoNarrow(Serializer& s, Field v) {
+  Io(s, static_cast<Wire>(v));
+}
+template <class Wire, class Field>
+  requires std::is_integral_v<Wire> && std::is_integral_v<Field>
+void IoNarrow(Deserializer& d, Field& v) {
+  Wire raw{};
+  Io(d, raw);
+  if (!std::in_range<Field>(raw)) {
+    throw SerializeError("value " + std::to_string(raw) +
+                         " out of range for a " +
+                         std::to_string(sizeof(Field)) + "-byte field");
+  }
+  v = static_cast<Field>(raw);
+}
+
 /// A construction-derived count: Save writes `n`, Load refuses any other
 /// value, naming `what`.
 inline void IoCount(Serializer& s, std::size_t n, std::string_view) {

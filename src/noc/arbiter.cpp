@@ -30,10 +30,6 @@ ArbiterKind ParseArbiterKind(const std::string& name) {
   throw std::invalid_argument("unknown arbiter kind: '" + name + "'");
 }
 
-Arbiter::Arbiter(std::size_t num_inputs) : num_inputs_(num_inputs) {
-  assert(num_inputs > 0 && num_inputs <= kMaxArbiterInputs);
-}
-
 namespace {
 
 /// The mask with every input of an `n`-input arbiter set.
@@ -44,30 +40,18 @@ RequestMask AllInputs(std::size_t n) {
 
 }  // namespace
 
-RoundRobinArbiter::RoundRobinArbiter(std::size_t num_inputs)
-    : Arbiter(num_inputs) {}
-
-int RoundRobinArbiter::Arbitrate(RequestMask requests) {
-  assert((requests & ~AllInputs(num_inputs_)) == 0);
-  if (requests == 0) return -1;
-  // The first requester at or after the pointer, wrapping to the lowest.
-  const RequestMask from_pointer = requests & (~RequestMask{0} << pointer_);
-  const int winner =
-      std::countr_zero(from_pointer != 0 ? from_pointer : requests);
-  const auto next = static_cast<std::size_t>(winner) + 1;
-  pointer_ = next == num_inputs_ ? 0 : next;
-  return winner;
-}
-
-MatrixArbiter::MatrixArbiter(std::size_t num_inputs)
-    : Arbiter(num_inputs), beaten_by_(num_inputs) {
+Arbiter::Arbiter(ArbiterKind kind, std::size_t num_inputs)
+    : kind_(kind), num_inputs_(static_cast<std::uint8_t>(num_inputs)) {
+  assert(num_inputs > 0 && num_inputs <= kMaxArbiterInputs);
+  if (kind_ != ArbiterKind::kMatrix) return;
   // Initial total order: lower index has precedence.
+  beaten_by_.resize(num_inputs);
   for (std::size_t j = 0; j < num_inputs; ++j) {
     beaten_by_[j] = RequestBit(static_cast<int>(j)) - 1;
   }
 }
 
-int MatrixArbiter::Arbitrate(RequestMask requests) {
+int Arbiter::ArbitrateMatrix(RequestMask requests) {
   assert((requests & ~AllInputs(num_inputs_)) == 0);
   for (RequestMask rest = requests; rest != 0; rest &= rest - 1) {
     const int i = std::countr_zero(rest);
@@ -81,29 +65,11 @@ int MatrixArbiter::Arbitrate(RequestMask requests) {
   return -1;
 }
 
-std::unique_ptr<Arbiter> MakeArbiter(ArbiterKind kind,
-                                     std::size_t num_inputs) {
-  switch (kind) {
-    case ArbiterKind::kRoundRobin:
-      return std::make_unique<RoundRobinArbiter>(num_inputs);
-    case ArbiterKind::kMatrix:
-      return std::make_unique<MatrixArbiter>(num_inputs);
+void Arbiter::Save(Serializer& s) const {
+  if (kind_ == ArbiterKind::kRoundRobin) {
+    s.U64(pointer_);
+    return;
   }
-  return std::make_unique<RoundRobinArbiter>(num_inputs);
-}
-
-void RoundRobinArbiter::Save(Serializer& s) const { Io(s, pointer_); }
-
-void RoundRobinArbiter::Load(Deserializer& d) {
-  Io(d, pointer_);
-  if (pointer_ >= num_inputs_) {
-    throw SerializeError("round-robin arbiter pointer " +
-                         std::to_string(pointer_) + " out of range for " +
-                         std::to_string(num_inputs_) + " inputs");
-  }
-}
-
-void MatrixArbiter::Save(Serializer& s) const {
   for (std::size_t i = 0; i < num_inputs_; ++i) {
     for (const RequestMask column : beaten_by_) {
       s.Bool(((column >> i) & 1) != 0);
@@ -111,7 +77,17 @@ void MatrixArbiter::Save(Serializer& s) const {
   }
 }
 
-void MatrixArbiter::Load(Deserializer& d) {
+void Arbiter::Load(Deserializer& d) {
+  if (kind_ == ArbiterKind::kRoundRobin) {
+    const std::uint64_t pointer = d.U64();
+    if (pointer >= num_inputs_) {
+      throw SerializeError("round-robin arbiter pointer " +
+                           std::to_string(pointer) + " out of range for " +
+                           std::to_string(num_inputs_) + " inputs");
+    }
+    pointer_ = static_cast<std::uint8_t>(pointer);
+    return;
+  }
   std::fill(beaten_by_.begin(), beaten_by_.end(), 0);
   for (std::size_t i = 0; i < num_inputs_; ++i) {
     for (RequestMask& column : beaten_by_) {

@@ -2,6 +2,7 @@
 //
 // Round-robin is the arbiter the low-cost router of the paper assumes; a
 // matrix (least-recently-served) arbiter is provided for ablation studies.
+// Both are one value type, `Arbiter`, that carries its kind.
 //
 // Requests arrive as a RequestMask: bit i set means input i requests. A
 // u64 covers every arbitration site of every supported topology — the
@@ -11,9 +12,10 @@
 // count-trailing-zeros.
 #pragma once
 
+#include <bit>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -43,67 +45,59 @@ const char* ArbiterKindName(ArbiterKind k);
 /// Parses "rr"/"round-robin"/"matrix". Throws std::invalid_argument.
 ArbiterKind ParseArbiterKind(const std::string& name);
 
-/// Common interface: given a request mask, pick one winner (index) or -1.
+/// One arbiter of either kind, held by value: a router keeps its 3 x radix
+/// arbiters in three contiguous vectors and calls them without a virtual
+/// dispatch or a heap pointer. Round-robin state is a pointer: the input
+/// after the most recent winner has highest priority. Matrix state
+/// (least-recently-served, strong fairness) is a precedence matrix stored
+/// by column, allocated only for that kind.
 class Arbiter {
  public:
   /// Asserts 1 <= num_inputs <= kMaxArbiterInputs.
-  explicit Arbiter(std::size_t num_inputs);
-  virtual ~Arbiter() = default;
+  Arbiter(ArbiterKind kind, std::size_t num_inputs);
 
   std::size_t num_inputs() const { return num_inputs_; }
 
   /// Picks a winner among the set bits of `requests` (no bit at or above
   /// num_inputs()), or -1 if none. Updates internal priority state only
   /// when a grant is issued.
-  virtual int Arbitrate(RequestMask requests) = 0;
+  int Arbitrate(RequestMask requests) {
+    return kind_ == ArbiterKind::kRoundRobin ? ArbitrateRoundRobin(requests)
+                                             : ArbitrateMatrix(requests);
+  }
 
-  /// Snapshot support: priority state only (kind and width are
-  /// construction-derived; the loader must match them).
-  virtual void Save(Serializer& s) const = 0;
-  virtual void Load(Deserializer& d) = 0;
-
- protected:
-  std::size_t num_inputs_;
-};
-
-/// Classic rotating-priority round-robin arbiter: the input after the most
-/// recent winner has highest priority.
-class RoundRobinArbiter final : public Arbiter {
- public:
-  explicit RoundRobinArbiter(std::size_t num_inputs);
-
-  int Arbitrate(RequestMask requests) override;
-
-  void Save(Serializer& s) const override;
-  /// Throws SerializeError for a pointer >= num_inputs().
-  void Load(Deserializer& d) override;
-
-  /// Exposed for tests: index with current highest priority.
+  /// Round-robin only, exposed for tests: index with current highest
+  /// priority.
   std::size_t pointer() const { return pointer_; }
 
- private:
-  std::size_t pointer_ = 0;
-};
-
-/// Matrix arbiter: grants the least recently served requester (strong
-/// fairness). State is a precedence matrix, stored by column.
-class MatrixArbiter final : public Arbiter {
- public:
-  explicit MatrixArbiter(std::size_t num_inputs);
-
-  int Arbitrate(RequestMask requests) override;
-
-  /// The matrix row by row, one bool per (i, j): i has precedence over j.
-  void Save(Serializer& s) const override;
-  void Load(Deserializer& d) override;
+  /// Snapshot support: priority state only (kind and width are
+  /// construction-derived; the loader must match them). Round-robin: the
+  /// pointer as a u64. Matrix: the matrix row by row, one bool per (i, j):
+  /// i has precedence over j.
+  void Save(Serializer& s) const;
+  /// Throws SerializeError for a round-robin pointer >= num_inputs().
+  void Load(Deserializer& d);
 
  private:
-  /// Bit i of beaten_by_[j] set means i has precedence over j. The
+  /// The first requester at or after the pointer, wrapping to the lowest.
+  int ArbitrateRoundRobin(RequestMask requests) {
+    assert((requests >> (num_inputs_ - 1) >> 1) == 0);
+    if (requests == 0) return -1;
+    const RequestMask from_pointer = requests & (~RequestMask{0} << pointer_);
+    const int winner =
+        std::countr_zero(from_pointer != 0 ? from_pointer : requests);
+    const int next = winner + 1;
+    pointer_ = static_cast<std::uint8_t>(next == num_inputs_ ? 0 : next);
+    return winner;
+  }
+  int ArbitrateMatrix(RequestMask requests);
+
+  ArbiterKind kind_;
+  std::uint8_t num_inputs_;
+  std::uint8_t pointer_ = 0;  ///< round-robin
+  /// Matrix: bit i of beaten_by_[j] set means i has precedence over j. The
   /// diagonal is kept (it round-trips through Save/Load) but never read.
   std::vector<RequestMask> beaten_by_;
 };
-
-/// Builds an arbiter of the requested kind.
-std::unique_ptr<Arbiter> MakeArbiter(ArbiterKind kind, std::size_t num_inputs);
 
 }  // namespace gnoc

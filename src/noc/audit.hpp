@@ -55,8 +55,9 @@ enum class AuditInvariant : std::uint8_t {
   kWormhole = 2,
   kQuiescence = 3,
   /// Soa scheduling only: every link, router and NIC with work must have
-  /// its occupancy bit set, and every router's flit count must match its
-  /// VC buffers. A clear bit on live work (a lost wake) is a scheduler bug
+  /// its occupancy bit set, and every router's flit count and derived
+  /// masks must match a rebuild from its VC buffers
+  /// (Router::DerivedStateMismatch). A clear bit on live work (a lost wake) is a scheduler bug
   /// that would silently freeze traffic rather than hang the process, so
   /// the auditor flags it. Checked at snapshot cadence.
   kSchedulerCoverage = 4,

@@ -365,6 +365,17 @@ void Nic::Save(Serializer& s) const { Fields(*this, s); }
 
 void Nic::Load(Deserializer& d) {
   Fields(*this, d);
+  // A credit count above the depth would overfill the router's input VC;
+  // a negative one never reaches the depth again, wedging the VC.
+  for (std::size_t v = 0; v < credits_.size(); ++v) {
+    if (credits_[v] < 0 || credits_[v] > config_.vc_depth) {
+      throw SerializeError("NIC " + std::to_string(node_) +
+                           ": injection VC " + std::to_string(v) + " holds " +
+                           std::to_string(credits_[v]) +
+                           " credits, out of range [0, " +
+                           std::to_string(config_.vc_depth) + "]");
+    }
+  }
   // SendFlits pops a sending VC's FIFO and puts its flits on the injection
   // link, where the router indexes input VCs by flit.vc.
   for (std::size_t v = 0; v < sends_.size(); ++v) {

@@ -201,9 +201,10 @@ class Nic {
   /// ejection/reassembly state and stats. Wiring pointers and `inject_flits_per_cycle_` are
   /// reapplied by the owner at construction and not serialized.
   void Save(Serializer& s) const;
-  /// Throws SerializeError for a send FIFO the NIC could not have filled:
-  /// a flit whose VC is not its slot's, flits on a free or draining VC, or
-  /// none on a VC still sending (SendFlits would pop an empty FIFO).
+  /// Throws SerializeError for a credit count outside [0, vc_depth] and
+  /// for a send FIFO the NIC could not have filled: a flit whose VC is not
+  /// its slot's, flits on a free or draining VC, or none on a VC still
+  /// sending (SendFlits would pop an empty FIFO).
   void Load(Deserializer& d);
 
  private:

@@ -24,26 +24,26 @@ VcRange DatelineHalf(VcRange range, std::int8_t half) {
 }
 
 /// One QoS-aware arbiter invocation, used by the VA, SA1 and SA2 stages.
-/// `cls_of(i)` maps a request index to its class index and is only called
-/// for the set bits of `requests`. Under kNone this is exactly
-/// `arb.Arbitrate(requests)`. Otherwise the requests are split into one
-/// mask per class and the arbiter sees the OR of the allowed classes'
-/// masks. kStrict allows the highest-priority requesting class; ties fall
-/// through to plain arbitration. kWrr spends per-class credits
-/// (`wrr_credit`, persistent per arbiter site): when no requesting class
-/// holds credit the credits recharge to the class weights, the funded
-/// classes are allowed, and the winner's class pays one credit.
-template <typename ClsOf>
+/// Request i's class is the c whose `classes[c] >> shift` has bit i set
+/// (only the bits of `requests` are read; each lies in exactly one class).
+/// Under kNone this is exactly `arb.Arbitrate(requests)`. Otherwise the
+/// arbiter sees the OR of the allowed classes' requests. kStrict allows
+/// the highest-priority requesting class; ties fall through to plain
+/// arbitration. kWrr spends per-class credits (`wrr_credit`, persistent per
+/// arbiter site): when no requesting class holds credit the credits
+/// recharge to the class weights, the funded classes are allowed, and the
+/// winner's class pays one credit.
 int QosArbitrate(Arbiter& arb, RequestMask requests, QosArbitration mode,
                  const std::array<int, kNumClasses>& priority,
-                 std::array<int, kNumClasses>& wrr_credit, ClsOf&& cls_of) {
+                 std::array<int, kNumClasses>& wrr_credit,
+                 const std::array<RequestMask, kNumClasses>& classes,
+                 int shift) {
   if (mode == QosArbitration::kNone) return arb.Arbitrate(requests);
   if (requests == 0) return -1;
   constexpr auto kClasses = static_cast<std::size_t>(kNumClasses);
-  std::array<RequestMask, kClasses> by_class{};
-  for (RequestMask rest = requests; rest != 0; rest &= rest - 1) {
-    const int i = std::countr_zero(rest);
-    by_class[static_cast<std::size_t>(cls_of(i))] |= RequestBit(i);
+  std::array<RequestMask, kClasses> by_class;
+  for (std::size_t c = 0; c < kClasses; ++c) {
+    by_class[c] = requests & (classes[c] >> shift);
   }
   RequestMask allowed = 0;
   if (mode == QosArbitration::kStrict) {
@@ -74,7 +74,9 @@ int QosArbitrate(Arbiter& arb, RequestMask requests, QosArbitration mode,
   }
   const int winner = arb.Arbitrate(allowed);
   if (mode == QosArbitration::kWrr && winner >= 0) {
-    --wrr_credit[static_cast<std::size_t>(cls_of(winner))];
+    for (std::size_t c = 0; c < kClasses; ++c) {
+      if ((by_class[c] & RequestBit(winner)) != 0) --wrr_credit[c];
+    }
   }
   return winner;
 }
@@ -107,11 +109,12 @@ Router::Router(NodeId node, Coord coord, const RouterConfig& config)
       static_cast<std::size_t>(num_ports_ * config_.num_vcs);
   assert(total_vcs <= kMaxArbiterInputs &&
          "radix x num_vcs exceeds one request mask");
-  input_vcs_.reserve(total_vcs);
+  buffers_.reserve(total_vcs);
   for (std::size_t i = 0; i < total_vcs; ++i) {
-    input_vcs_.emplace_back(config_.vc_depth);
+    buffers_.emplace_back(static_cast<std::size_t>(config_.vc_depth));
   }
-  output_vcs_.resize(total_vcs);
+  out_vc_.fill(kInvalidVc);
+  vc_half_.fill(-1);
   out_channels_.assign(static_cast<std::size_t>(num_ports_), nullptr);
   credit_return_.assign(static_cast<std::size_t>(num_ports_), nullptr);
   link_modes_.assign(static_cast<std::size_t>(num_ports_), LinkMode::kMixed);
@@ -143,13 +146,12 @@ Router::Router(NodeId node, Coord coord, const RouterConfig& config)
       }
     }
   }
-  for (int p = 0; p < num_ports_; ++p) {
-    va_arb_.push_back(MakeArbiter(config_.arbiter, total_vcs));
-    sa_input_arb_.push_back(
-        MakeArbiter(config_.arbiter, static_cast<std::size_t>(config_.num_vcs)));
-    sa_output_arb_.push_back(
-        MakeArbiter(config_.arbiter, static_cast<std::size_t>(num_ports_)));
-  }
+  const auto ports = static_cast<std::size_t>(num_ports_);
+  va_arb_.assign(ports, Arbiter(config_.arbiter, total_vcs));
+  sa_input_arb_.assign(
+      ports,
+      Arbiter(config_.arbiter, static_cast<std::size_t>(config_.num_vcs)));
+  sa_output_arb_.assign(ports, Arbiter(config_.arbiter, ports));
   qos_va_credit_.assign(static_cast<std::size_t>(num_ports_), {});
   qos_sa1_credit_.assign(static_cast<std::size_t>(num_ports_), {});
   qos_sa2_credit_.assign(static_cast<std::size_t>(num_ports_), {});
@@ -160,7 +162,8 @@ void Router::SetOutputChannel(Port out_port, FlitChannel* channel) {
   // Credits for a fresh link equal the downstream buffer depth.
   if (channel != nullptr) {
     for (VcId v = 0; v < config_.num_vcs; ++v) {
-      Ovc(out_port, v).credits = config_.vc_depth;
+      credits_[static_cast<std::size_t>(FlatVcIndex(out_port, v))] =
+          config_.vc_depth;
     }
   }
 }
@@ -195,78 +198,85 @@ void Router::AcceptFlit(Port in_port, const Flit& flit, Cycle now) {
     if (link >= 0) auditor_->OnFlitReceived(link, flit, now);
   }
   assert(flit.vc >= 0 && flit.vc < config_.num_vcs);
-  InputVc& ivc = Ivc(in_port, flit.vc);
-  assert(!ivc.buffer.full() && "credit protocol violated: buffer overflow");
+  const int i = FlatVcIndex(in_port, flit.vc);
+  VcBuffer& buf = buffers_[static_cast<std::size_t>(i)];
+  assert(!buf.full() && "credit protocol violated: buffer overflow");
   Flit f = flit;
   f.ready = now + 1;  // models the RC/VA/SA pipeline stage
-  ivc.buffer.Push(f);
-  ++buffered_;
+  buf.Push(f);
+  ++derived_.buffered;
+  if ((derived_.occupied & RequestBit(i)) == 0) {
+    derived_.occupied |= RequestBit(i);
+    SetFront(i, f);
+  }
 }
 
 void Router::AcceptCredit(Port out_port, VcId vc) {
   assert(vc >= 0 && vc < config_.num_vcs);
-  OutputVc& ovc = Ovc(out_port, vc);
-  ++ovc.credits;
-  assert(ovc.credits <= config_.vc_depth && "credit overflow");
+  int& credits = credits_[static_cast<std::size_t>(FlatVcIndex(out_port, vc))];
+  ++credits;
+  assert(credits <= config_.vc_depth && "credit overflow");
 }
 
 RequestMask Router::Tick(Cycle now) {
   CatchUpEpochs(now);
   RecycleOutputVcs();
   RequestMask eligible = 0;
-  for (std::size_t i = 0; i < input_vcs_.size(); ++i) {
-    const VcBuffer& buf = input_vcs_[i].buffer;
-    if (!buf.empty() && buf.Front().ready <= now) {
-      eligible |= RequestBit(static_cast<int>(i));
+  for (RequestMask rest = derived_.occupied; rest != 0; rest &= rest - 1) {
+    const int i = std::countr_zero(rest);
+    if (derived_.front_ready[static_cast<std::size_t>(i)] <= now) {
+      eligible |= RequestBit(i);
     }
   }
   // With no VC eligible, VA/SA/ST cannot touch any state: requests stay
   // empty, no arbiter runs and the stall counters only fire for eligible
   // VCs.
   if (eligible == 0) {
-    stats_.buffered_flit_cycles += buffered_;
+    stats_.buffered_flit_cycles += derived_.buffered;
     return 0;
   }
 
-  // --- RC, and every output port's VA requests, in one pass. A VC requests
-  // only the port its route names, so this equals one scan per port.
-  std::array<RequestMask, kMaxArbiterInputs> va_requests;
-  std::fill_n(va_requests.begin(), num_ports_, RequestMask{0});
-  for (RequestMask rest = eligible; rest != 0; rest &= rest - 1) {
-    const int idx = std::countr_zero(rest);
-    InputVc& ivc = input_vcs_[static_cast<std::size_t>(idx)];
-    if (!ivc.route_valid) RouteHead(ivc);
-    if (RequestsVc(ivc)) {
-      va_requests[static_cast<std::size_t>(PortIndex(ivc.out_port))] |=
-          RequestBit(idx);
-    }
+  // --- RC: route every eligible head; every eligible VC is routed after.
+  for (RequestMask rest = eligible & ~routed_; rest != 0; rest &= rest - 1) {
+    RouteHead(std::countr_zero(rest));
   }
 
-  // --- VA: local ports need none (the NIC reassembles per class).
+  // --- VA: a routed packet that leaves on a link and holds no downstream
+  // VC requests its route's output port (local ports need none: the NIC
+  // reassembles per class).
+  std::array<RequestMask, kMaxArbiterInputs> va_requests;
+  std::fill_n(va_requests.begin(), num_ports_, RequestMask{0});
+  const RequestMask wants_vc = eligible & ~ejecting_ & ~derived_.holding;
+  for (RequestMask rest = wants_vc; rest != 0; rest &= rest - 1) {
+    const int i = std::countr_zero(rest);
+    va_requests[static_cast<std::size_t>(
+        PortIndex(out_port_[static_cast<std::size_t>(i)]))] |= RequestBit(i);
+  }
   for (int op = num_local_ports_; op < num_ports_; ++op) {
     const RequestMask requests = va_requests[static_cast<std::size_t>(op)];
     if (requests != 0 &&
         out_channels_[static_cast<std::size_t>(op)] != nullptr) {
-      AllocateVcs(static_cast<Port>(op), requests);
+      AllocateVcs(op, requests);
     }
   }
 
-  // --- SA1: each input port nominates one VC of its slice of `eligible`.
-  // Radix >= 2, so num_vcs <= 32 and the shift below is defined.
+  // --- SA1: each input port nominates one VC of its slice of the switch
+  // requests. Radix >= 2, so num_vcs <= 32 and the shift below is defined.
+  const RequestMask sa_requests = SwitchRequests(eligible);
   const int num_vcs = config_.num_vcs;
   const RequestMask port_vcs = RequestBit(num_vcs) - 1;
   PortInts nominee;
   for (int p = 0; p < num_ports_; ++p) {
-    int& won = nominee[static_cast<std::size_t>(p)];
-    won = -1;
-    const RequestMask port_eligible = (eligible >> (p * num_vcs)) & port_vcs;
-    RequestMask requests = 0;
-    for (RequestMask rest = port_eligible; rest != 0; rest &= rest - 1) {
-      const int v = std::countr_zero(rest);
-      const auto idx = static_cast<std::size_t>(p * num_vcs + v);
-      if (RequestsSwitch(input_vcs_[idx])) requests |= RequestBit(v);
-    }
-    if (requests != 0) won = NominateVc(p, requests);
+    const int shift = p * num_vcs;
+    const RequestMask requests = (sa_requests >> shift) & port_vcs;
+    nominee[static_cast<std::size_t>(p)] =
+        requests == 0
+            ? -1
+            : QosArbitrate(sa_input_arb_[static_cast<std::size_t>(p)],
+                           requests, config_.qos_arbitration,
+                           config_.qos_priority,
+                           qos_sa1_credit_[static_cast<std::size_t>(p)],
+                           derived_.class_mask, shift);
   }
 
   // --- SA2: each output port grants one input port (none without a
@@ -285,42 +295,56 @@ RequestMask Router::Tick(Cycle now) {
     if (op < num_local_ports_) ejected |= RequestBit(op);
   }
   if (moved) ++stats_.busy_cycles;
-  stats_.buffered_flit_cycles += buffered_;
+  stats_.buffered_flit_cycles += derived_.buffered;
   return ejected;
 }
 
-void Router::RouteHead(InputVc& ivc) const {
-  const Flit& front = ivc.buffer.Front();
+void Router::RouteHead(int i) {
+  const auto u = static_cast<std::size_t>(i);
+  const Flit& front = buffers_[u].Front();
   assert(IsHead(front) &&
          "non-head flit at front of an unrouted VC: wormhole broken");
-  ivc.out_port = RouteFor(front.cls, front.dst_coord);
-  ivc.vc_half = RouteHalfFor(front.cls, front.dst_coord);
-  ivc.route_valid = true;
-  ivc.eject = PortIndex(ivc.out_port) < num_local_ports_;
-  ivc.out_vc = kInvalidVc;
-}
-
-bool Router::RequestsVc(const InputVc& ivc) {
-  return ivc.route_valid && !ivc.eject && ivc.out_vc == kInvalidVc;
-}
-
-bool Router::RequestsSwitch(const InputVc& ivc) {
-  if (!ivc.route_valid) return false;
-  if (ivc.eject) {
-    const Nic* nic = nics_[static_cast<std::size_t>(PortIndex(ivc.out_port))];
-    if (nic != nullptr && nic->CanAcceptEjection(ivc.buffer.Front().cls)) {
-      return true;
-    }
-    ++stats_.sa_stalls;
-    return false;
+  const Port out_port = RouteFor(front.cls, front.dst_coord);
+  out_port_[u] = out_port;
+  vc_half_[u] = RouteHalfFor(front.cls, front.dst_coord);
+  routed_ |= RequestBit(i);
+  if (PortIndex(out_port) < num_local_ports_) {
+    ejecting_ |= RequestBit(i);
+  } else {
+    ejecting_ &= ~RequestBit(i);
   }
-  if (ivc.out_vc == kInvalidVc) return false;  // still waiting for VA
-  if (Ovc(ivc.out_port, ivc.out_vc).credits > 0) return true;
-  // Blocked purely on downstream credits: charge the allocated downstream
-  // VC (telemetry's credit_stall metric).
-  ++stats_.sa_stalls;
-  ++stats_.credit_stall_by_vc[static_cast<std::size_t>(ivc.out_vc)];
-  return false;
+  out_vc_[u] = kInvalidVc;
+  derived_.holding &= ~RequestBit(i);
+}
+
+RequestMask Router::SwitchRequests(RequestMask eligible) {
+  RequestMask requests = 0;
+  const RequestMask ready_to_move = eligible & (ejecting_ | derived_.holding);
+  for (RequestMask rest = ready_to_move; rest != 0; rest &= rest - 1) {
+    const int i = std::countr_zero(rest);
+    const auto u = static_cast<std::size_t>(i);
+    const auto op = static_cast<std::size_t>(PortIndex(out_port_[u]));
+    if ((ejecting_ & RequestBit(i)) != 0) {
+      const Nic* nic = nics_[op];
+      if (nic != nullptr && nic->CanAcceptEjection(FrontClass(i))) {
+        requests |= RequestBit(i);
+      } else {
+        ++stats_.sa_stalls;
+      }
+      continue;
+    }
+    const int out_vc = out_vc_[u];
+    if (credits_[op * static_cast<std::size_t>(config_.num_vcs) +
+                 static_cast<std::size_t>(out_vc)] > 0) {
+      requests |= RequestBit(i);
+      continue;
+    }
+    // Blocked purely on downstream credits: charge the allocated downstream
+    // VC (telemetry's credit_stall metric).
+    ++stats_.sa_stalls;
+    ++stats_.credit_stall_by_vc[static_cast<std::size_t>(out_vc)];
+  }
+  return requests;
 }
 
 VcRange Router::AllowedRange(TrafficClass cls, Port out_port) const {
@@ -361,88 +385,84 @@ VcId Router::DynamicBoundary(Port out_port) const {
 }
 
 void Router::RecycleOutputVcs() {
-  for (RequestMask rest = draining_; rest != 0; rest &= rest - 1) {
+  for (RequestMask rest = draining_ & allocated_; rest != 0;
+       rest &= rest - 1) {
     const int i = std::countr_zero(rest);
-    OutputVc& ovc = output_vcs_[static_cast<std::size_t>(i)];
-    if (ovc.allocated &&
-        (!config_.atomic_vc_realloc || ovc.credits == config_.vc_depth)) {
-      ovc.allocated = false;
-      ovc.tail_sent = false;
+    if (!config_.atomic_vc_realloc ||
+        credits_[static_cast<std::size_t>(i)] == config_.vc_depth) {
+      allocated_ &= ~RequestBit(i);
       draining_ &= ~RequestBit(i);
     }
   }
 }
 
-void Router::AllocateVcs(Port out_port, RequestMask requests) {
-  const auto op = static_cast<std::size_t>(PortIndex(out_port));
-  const auto cls_of = [&](int i) {
-    return ClassIndex(
-        input_vcs_[static_cast<std::size_t>(i)].buffer.Front().cls);
-  };
+void Router::AllocateVcs(int out_port, RequestMask requests) {
+  const auto op = static_cast<std::size_t>(out_port);
+  const int base = out_port * config_.num_vcs;
   while (requests != 0) {
-    const int winner =
-        QosArbitrate(*va_arb_[op], requests, config_.qos_arbitration,
-                     config_.qos_priority, qos_va_credit_[op], cls_of);
+    const int winner = QosArbitrate(va_arb_[op], requests,
+                                    config_.qos_arbitration,
+                                    config_.qos_priority, qos_va_credit_[op],
+                                    derived_.class_mask, 0);
     if (winner < 0) break;
     requests &= ~RequestBit(winner);
-    InputVc& ivc = input_vcs_[static_cast<std::size_t>(winner)];
-    VcRange range = AllowedRange(ivc.buffer.Front().cls, out_port);
-    if (ivc.vc_half >= 0) range = DatelineHalf(range, ivc.vc_half);
-    VcId granted = kInvalidVc;
-    for (VcId v = range.begin; v < range.end; ++v) {
-      if (!Ovc(out_port, v).allocated) {
-        granted = v;
-        break;
-      }
-    }
-    if (granted == kInvalidVc) {
+    const auto w = static_cast<std::size_t>(winner);
+    VcRange range = AllowedRange(FrontClass(winner), static_cast<Port>(op));
+    if (vc_half_[w] >= 0) range = DatelineHalf(range, vc_half_[w]);
+    // The lowest free VC of the range.
+    const RequestMask in_range = (RequestBit(range.size()) - 1)
+                                 << (base + range.begin);
+    const RequestMask free = in_range & ~allocated_;
+    if (free == 0) {
       ++stats_.va_failures;
       continue;  // another class's requester may still succeed
     }
-    Ovc(out_port, granted).allocated = true;
-    ivc.out_vc = granted;
+    const int granted = std::countr_zero(free);
+    allocated_ |= RequestBit(granted);
+    out_vc_[w] = static_cast<std::int8_t>(granted - base);
+    derived_.holding |= RequestBit(winner);
   }
-}
-
-int Router::NominateVc(int in_port, RequestMask requests) {
-  const auto p = static_cast<std::size_t>(in_port);
-  const auto cls_of = [&](int v) {
-    return ClassIndex(Ivc(static_cast<Port>(in_port), v).buffer.Front().cls);
-  };
-  return QosArbitrate(*sa_input_arb_[p], requests, config_.qos_arbitration,
-                      config_.qos_priority, qos_sa1_credit_[p], cls_of);
 }
 
 void Router::GrantOutputs(const PortInts& nominee, PortInts& grant) {
   std::array<RequestMask, kMaxArbiterInputs> requests;
   std::fill_n(requests.begin(), num_ports_, RequestMask{0});
+  // Bit p of nominee_class[c]: input port p's nominee has class c.
+  std::array<RequestMask, kNumClasses> nominee_class{};
   for (int p = 0; p < num_ports_; ++p) {
     const int v = nominee[static_cast<std::size_t>(p)];
     if (v < 0) continue;
-    const Port out_port = Ivc(static_cast<Port>(p), v).out_port;
-    requests[static_cast<std::size_t>(PortIndex(out_port))] |= RequestBit(p);
+    const int i = p * config_.num_vcs + v;
+    requests[static_cast<std::size_t>(
+        PortIndex(out_port_[static_cast<std::size_t>(i)]))] |= RequestBit(p);
+    nominee_class[static_cast<std::size_t>(ClassIndex(FrontClass(i)))] |=
+        RequestBit(p);
   }
-  const auto cls_of = [&](int p) {
-    const int v = nominee[static_cast<std::size_t>(p)];
-    return ClassIndex(Ivc(static_cast<Port>(p), v).buffer.Front().cls);
-  };
   for (int op = 0; op < num_ports_; ++op) {
     const auto o = static_cast<std::size_t>(op);
     grant[o] = requests[o] == 0
                    ? -1
-                   : QosArbitrate(*sa_output_arb_[o], requests[o],
+                   : QosArbitrate(sa_output_arb_[o], requests[o],
                                   config_.qos_arbitration,
                                   config_.qos_priority, qos_sa2_credit_[o],
-                                  cls_of);
+                                  nominee_class, 0);
   }
 }
 
 void Router::Traverse(int out_port, int in_port, VcId vc, Cycle now) {
   assert(vc >= 0);
   const auto op = static_cast<std::size_t>(out_port);
-  InputVc& ivc = Ivc(static_cast<Port>(in_port), vc);
-  Flit flit = ivc.buffer.Pop();
-  --buffered_;
+  const int i = in_port * config_.num_vcs + vc;
+  const auto u = static_cast<std::size_t>(i);
+  VcBuffer& buf = buffers_[u];
+  Flit flit = buf.Pop();
+  --derived_.buffered;
+  if (buf.empty()) {
+    derived_.occupied &= ~RequestBit(i);
+    for (RequestMask& m : derived_.class_mask) m &= ~RequestBit(i);
+  } else {
+    SetFront(i, buf.Front());
+  }
   ++stats_.flits_forwarded;
   if (progress_sink_ != nullptr) ++*progress_sink_;
   const auto ci = static_cast<std::size_t>(ClassIndex(flit.cls));
@@ -461,10 +481,11 @@ void Router::Traverse(int out_port, int in_port, VcId vc, Cycle now) {
     nic->AcceptEjectedFlit(flit, now);
     if (auditor_ != nullptr) auditor_->OnFlitEjected(flit, now);
   } else {
-    OutputVc& ovc = Ovc(static_cast<Port>(out_port), ivc.out_vc);
-    assert(ovc.credits > 0);
-    --ovc.credits;
-    flit.vc = ivc.out_vc;
+    const int o = out_port * config_.num_vcs + out_vc_[u];
+    int& credits = credits_[static_cast<std::size_t>(o)];
+    assert(credits > 0);
+    --credits;
+    flit.vc = out_vc_[u];
     FlitChannel* channel = out_channels_[op];
     assert(channel != nullptr);
     channel->Push(flit, now);
@@ -472,18 +493,15 @@ void Router::Traverse(int out_port, int in_port, VcId vc, Cycle now) {
       const int link = audit_out_[op];
       if (link >= 0) auditor_->OnFlitSent(link, flit, now);
     }
-    if (IsTail(flit)) {  // recycled once drained
-      ovc.tail_sent = true;
-      draining_ |= RequestBit(FlatVcIndex(static_cast<Port>(out_port),
-                                          ivc.out_vc));
-    }
+    if (IsTail(flit)) draining_ |= RequestBit(o);  // recycled once drained
   }
 
   if (IsTail(flit)) {
-    ivc.route_valid = false;
-    ivc.out_vc = kInvalidVc;
-    ivc.eject = false;
-    ivc.vc_half = -1;
+    routed_ &= ~RequestBit(i);
+    ejecting_ &= ~RequestBit(i);
+    derived_.holding &= ~RequestBit(i);
+    out_vc_[u] = kInvalidVc;
+    vc_half_[u] = -1;
   }
 }
 
@@ -495,20 +513,57 @@ void Router::ResetStats() {
 }
 
 std::size_t Router::VcOccupancy(Port in_port, VcId vc) const {
-  return Ivc(in_port, vc).buffer.size();
+  return Buffer(in_port, vc).size();
 }
 
 void Router::VisitVcFlits(Port in_port, VcId vc,
                           const std::function<void(const Flit&)>& fn) const {
-  Ivc(in_port, vc).buffer.ForEach(fn);
+  Buffer(in_port, vc).ForEach(fn);
 }
 
 int Router::OutputCredits(Port out_port, VcId vc) const {
-  return Ovc(out_port, vc).credits;
+  return credits_[static_cast<std::size_t>(FlatVcIndex(out_port, vc))];
 }
 
 bool Router::OutputVcAllocated(Port out_port, VcId vc) const {
-  return Ovc(out_port, vc).allocated;
+  return (allocated_ & RequestBit(FlatVcIndex(out_port, vc))) != 0;
+}
+
+Router::Derived Router::Rebuild() const {
+  Derived d;
+  for (std::size_t u = 0; u < buffers_.size(); ++u) {
+    const int i = static_cast<int>(u);
+    const VcBuffer& buf = buffers_[u];
+    d.buffered += buf.size();
+    if (!buf.empty()) {
+      d.occupied |= RequestBit(i);
+      d.class_mask[static_cast<std::size_t>(ClassIndex(buf.Front().cls))] |=
+          RequestBit(i);
+      d.front_ready[u] = buf.Front().ready;
+    }
+    if (out_vc_[u] != kInvalidVc) d.holding |= RequestBit(i);
+  }
+  return d;
+}
+
+std::string Router::DerivedStateMismatch() const {
+  const Derived want = Rebuild();
+  if (derived_.buffered != want.buffered) {
+    return "counts " + std::to_string(derived_.buffered) +
+           " flits but its VCs hold " + std::to_string(want.buffered);
+  }
+  if (derived_.occupied != want.occupied) return "occupied mask differs";
+  if (derived_.class_mask != want.class_mask) return "class masks differ";
+  if (derived_.holding != want.holding) return "holding mask differs";
+  for (RequestMask rest = want.occupied; rest != 0; rest &= rest - 1) {
+    const int i = std::countr_zero(rest);
+    if (derived_.front_ready[static_cast<std::size_t>(i)] !=
+        want.front_ready[static_cast<std::size_t>(i)]) {
+      return "front ready cycle of input VC " + std::to_string(i) +
+             " differs";
+    }
+  }
+  return "";
 }
 
 void Router::Save(Serializer& s) const { Fields(*this, s); }
@@ -517,26 +572,33 @@ void Router::Load(Deserializer& d) {
   Fields(*this, d);
   // The allocators index per-port state and shift masks by these, and
   // an ejecting VC indexes the NICs by its port.
-  for (const InputVc& ivc : input_vcs_) {
-    const int out_port = PortIndex(ivc.out_port);
-    if (out_port >= num_ports_ || ivc.out_vc < kInvalidVc ||
-        ivc.out_vc >= config_.num_vcs ||
-        (ivc.eject && out_port >= num_local_ports_)) {
+  for (std::size_t u = 0; u < buffers_.size(); ++u) {
+    const int out_port = PortIndex(out_port_[u]);
+    const int out_vc = out_vc_[u];
+    const bool eject = (ejecting_ & RequestBit(static_cast<int>(u))) != 0;
+    if (out_port >= num_ports_ || out_vc < kInvalidVc ||
+        out_vc >= config_.num_vcs || (eject && out_port >= num_local_ports_)) {
       throw SerializeError(
           "router " + std::to_string(node_) + ": input VC state (port " +
-          std::to_string(out_port) + ", VC " + std::to_string(ivc.out_vc) +
-          ", eject " + std::to_string(ivc.eject) + ") out of range for " +
+          std::to_string(out_port) + ", VC " + std::to_string(out_vc) +
+          ", eject " + std::to_string(eject) + ") out of range for " +
           std::to_string(num_ports_) + " ports (" +
           std::to_string(num_local_ports_) + " local) x " +
           std::to_string(config_.num_vcs) + " VCs");
     }
   }
-  buffered_ = 0;
-  for (const InputVc& ivc : input_vcs_) buffered_ += ivc.buffer.size();
-  draining_ = 0;
-  for (std::size_t i = 0; i < output_vcs_.size(); ++i) {
-    if (output_vcs_[i].tail_sent) draining_ |= RequestBit(static_cast<int>(i));
+  // A credit count above the depth would overfill the downstream VC; a
+  // negative one never reaches the depth again, wedging the VC.
+  for (std::size_t u = 0; u < buffers_.size(); ++u) {
+    if (credits_[u] < 0 || credits_[u] > config_.vc_depth) {
+      throw SerializeError("router " + std::to_string(node_) +
+                           ": output VC " + std::to_string(u) + " holds " +
+                           std::to_string(credits_[u]) +
+                           " credits, out of range [0, " +
+                           std::to_string(config_.vc_depth) + "]");
+    }
   }
+  derived_ = Rebuild();
 }
 
 }  // namespace gnoc

@@ -19,13 +19,19 @@
 //
 // The allocators arbitrate RequestMasks (arbiter.hpp), so radix × num_vcs
 // — the VA arbiter's width — must be at most 64; the Network refuses wider
-// configs and a standalone Router asserts it.
+// configs and a standalone Router asserts it. Everything RC/VA/SA read on a
+// visit is packed per router over that flat input-VC index: request masks
+// (occupied, front class, routed, ejecting, holding an output VC), byte
+// arrays (output port, output VC, dateline half), the front flits' ready
+// cycles, an output-VC allocated mask and the 3 × radix arbiters as values
+// (DESIGN.md §9 "Request masks"). A flit is read only to route a head or
+// to move it.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <memory>
+#include <string>
 #include <vector>
 
 #include "common/types.hpp"
@@ -166,13 +172,10 @@ class Router {
   /// local ports that ejected a flit into their NIC (bit = port).
   RequestMask Tick(Cycle now);
 
-  /// True when a Tick can change state: the router holds a flit, or
-  /// (vc_policy=dynamic) an epoch with uncommitted flit counts. The soa
-  /// scheduler skips a router while this is false (DESIGN.md §9).
-  bool HasWork() const {
-    return buffered_ != 0 ||
-           (config_.vc_policy == VcPolicyKind::kDynamic && epoch_dirty_);
-  }
+  /// True when the router holds a flit. The soa scheduler skips a router
+  /// while this is false (DESIGN.md §9): an epoch boundary it misses is
+  /// replayed, with its flit counts, by the next Tick before VA reads it.
+  bool HasWork() const { return derived_.buffered != 0; }
 
   // --- introspection ---
 
@@ -188,9 +191,10 @@ class Router {
            nullptr;
   }
 
-  /// Total flits currently buffered in all input VCs (a running count;
-  /// the coverage audit checks it against VcOccupancy).
-  std::size_t BufferedFlits() const { return buffered_; }
+  /// Total flits currently buffered in all input VCs (a running count of
+  /// the derived state; DerivedStateMismatch checks it against the
+  /// buffers).
+  std::size_t BufferedFlits() const { return derived_.buffered; }
 
   /// The output port a packet of class `cls` headed for `dst` takes here
   /// (LUT when the topology is known, ComputeOutputPort otherwise).
@@ -226,30 +230,43 @@ class Router {
   /// requests use [0, boundary), replies [boundary, num_vcs)).
   VcId DynamicBoundary(Port out_port) const;
 
+  /// Names the first derived mask or array (occupied, front classes,
+  /// holding, front ready cycles, flit count) that differs from a rebuild
+  /// from the VC buffers and the primary state; "" when all agree.
+  std::string DerivedStateMismatch() const;
+
   /// Snapshot support (DESIGN.md §10): all mutable per-cycle state — input
-  /// and output VCs, dynamic-boundary state, arbiter priorities, stats.
+  /// and output VCs (walked as the v5 per-VC sequence from the packed
+  /// primary state), dynamic-boundary state, arbiter priorities, stats.
   /// Wiring (channels, NICs, auditor, hooks) and the route LUT are
   /// construction-derived and not serialized; Load requires a Router built
-  /// from the identical config, and rebuilds the flit count and the
-  /// draining mask from the loaded buffers and output VCs.
+  /// from the identical config. Load throws SerializeError for an output
+  /// port, output VC or credit count out of range (an output VC before it
+  /// is narrowed to its byte) and rebuilds the derived state.
   void Save(Serializer& s) const;
   void Load(Deserializer& d);
 
  private:
+  /// Snapshot format v5 fixes the order: one record per input VC (buffer,
+  /// route_valid, out_port, out_vc as a VcId, eject, vc_half), then one
+  /// per output VC (allocated, tail_sent, credits), read off the packed
+  /// primary state bit by bit and byte by byte.
   template <class Self, class Ar>
   static void Fields(Self& self, Ar& ar) {
-    for (auto& ivc : self.input_vcs_) {
-      Io(ar, ivc.buffer);  // Load throws past vc_depth flits
-      Io(ar, ivc.route_valid);
-      Io(ar, ivc.out_port);
-      Io(ar, ivc.out_vc);
-      Io(ar, ivc.eject);
-      Io(ar, ivc.vc_half);
+    const int total = static_cast<int>(self.buffers_.size());
+    for (int i = 0; i < total; ++i) {
+      const auto u = static_cast<std::size_t>(i);
+      Io(ar, self.buffers_[u]);  // Load throws past vc_depth flits
+      IoBit(ar, self.routed_, i);
+      Io(ar, self.out_port_[u]);
+      IoNarrow<VcId>(ar, self.out_vc_[u]);
+      IoBit(ar, self.ejecting_, i);
+      Io(ar, self.vc_half_[u]);
     }
-    for (auto& ovc : self.output_vcs_) {
-      Io(ar, ovc.allocated);
-      Io(ar, ovc.tail_sent);
-      Io(ar, ovc.credits);
+    for (int i = 0; i < total; ++i) {
+      IoBit(ar, self.allocated_, i);
+      IoBit(ar, self.draining_, i);
+      Io(ar, self.credits_[static_cast<std::size_t>(i)]);
     }
     IoEach(ar, self.boundaries_);
     IoEach(ar, self.epoch_flits_);
@@ -270,23 +287,22 @@ class Router {
     Io(ar, self.stats_.buffered_flit_cycles);
   }
 
-  /// State of one input VC.
-  struct InputVc {
-    explicit InputVc(int depth) : buffer(static_cast<std::size_t>(depth)) {}
-    VcBuffer buffer;
-    bool route_valid = false;     ///< out_port computed for current packet
-    Port out_port = Port::kLocal;
-    VcId out_vc = kInvalidVc;     ///< allocated downstream VC (non-local)
-    bool eject = false;           ///< current packet leaves via a local port
-    std::int8_t vc_half = -1;     ///< dateline half constraint for VA
+  /// Per-input-VC state the VC buffers and the primary fields determine:
+  /// kept up to date by AcceptFlit, RouteHead, AllocateVcs and Traverse,
+  /// never saved, rebuilt by Load. Bit / entry i is input VC i.
+  struct Derived {
+    RequestMask occupied = 0;  ///< the buffer holds a flit
+    /// Bit i of class_mask[c]: VC i is occupied and its front flit has
+    /// class c.
+    std::array<RequestMask, kNumClasses> class_mask{};
+    RequestMask holding = 0;  ///< out_vc_ names a downstream VC
+    /// The front flit's `ready` cycle; meaningful for occupied VCs only.
+    std::array<Cycle, kMaxArbiterInputs> front_ready{};
+    std::size_t buffered = 0;  ///< flits across all input VCs
   };
 
-  /// Book-keeping for one downstream input VC.
-  struct OutputVc {
-    bool allocated = false;
-    bool tail_sent = false;  ///< tail forwarded; waiting for drain (atomic)
-    int credits = 0;
-  };
+  /// The derived state rebuilt from the buffers and out_vc_.
+  Derived Rebuild() const;
 
   // --- pipeline stages -----------------------------------------------------
   //
@@ -306,30 +322,22 @@ class Router {
   /// Frees output VCs whose packet has fully drained downstream.
   void RecycleOutputVcs();
 
-  /// RC: routes the packet whose head flit is at the front of the unrouted
-  /// `ivc` (output port, dateline VC half, ejection flag).
-  void RouteHead(InputVc& ivc) const;
-
-  /// VA request predicate: `ivc` holds a routed packet that leaves on a
-  /// link and has no downstream VC yet; it requests its route's output
-  /// port. Ejecting packets need none.
-  static bool RequestsVc(const InputVc& ivc);
+  /// RC: routes the packet whose head flit is at the front of unrouted
+  /// input VC `i` (output port, dateline VC half, ejection flag).
+  void RouteHead(int i);
 
   /// VA on one output port: QoS-aware arbitration rounds over `requests`
   /// (bit i = flat input-VC index i). Each winner gets the lowest free VC
   /// of its allowed range (restricted to its dateline half) or counts a VA
   /// failure, until every request is served or the arbiter declines.
-  void AllocateVcs(Port out_port, RequestMask requests);
+  void AllocateVcs(int out_port, RequestMask requests);
 
-  /// SA1 request test: true when `ivc` holds a routed packet whose next
-  /// resource (downstream credit, or NIC ejection space) is available. A
-  /// packet holding a VC or ejecting that lacks it is charged an SA stall,
-  /// and a credit stall on its downstream VC when credits are missing.
-  bool RequestsSwitch(const InputVc& ivc);
-
-  /// SA1 arbitration: the VC input port `in_port` nominates among
-  /// `requests` (bit v = VC v); -1 when the arbiter declines.
-  int NominateVc(int in_port, RequestMask requests);
+  /// SA1 requests: the VCs of `eligible` whose next resource (downstream
+  /// credit, or NIC ejection space) is available. A VC holding an output
+  /// VC or ejecting that lacks it is charged an SA stall, and a credit
+  /// stall on its downstream VC when credits are missing; a VC still
+  /// waiting for VA requests nothing.
+  RequestMask SwitchRequests(RequestMask eligible);
 
   /// One int per port (radix <= 64, the constructor's bound); only the
   /// first num_ports() are used.
@@ -347,6 +355,25 @@ class Router {
   /// into the NIC or a push onto the link with its downstream VC — and a
   /// tail resets the input VC.
   void Traverse(int out_port, int in_port, VcId vc, Cycle now);
+
+  /// The class of occupied input VC `i`'s front flit.
+  TrafficClass FrontClass(int i) const {
+    int c = 0;
+    while (c + 1 < kNumClasses &&
+           (derived_.class_mask[static_cast<std::size_t>(c)] &
+            RequestBit(i)) == 0) {
+      ++c;
+    }
+    return static_cast<TrafficClass>(c);
+  }
+
+  /// Points input VC `i`'s front class and ready cycle at `front`.
+  void SetFront(int i, const Flit& front) {
+    for (RequestMask& m : derived_.class_mask) m &= ~RequestBit(i);
+    derived_.class_mask[static_cast<std::size_t>(ClassIndex(front.cls))] |=
+        RequestBit(i);
+    derived_.front_ready[static_cast<std::size_t>(i)] = front.ready;
+  }
 
   /// The VC range `cls` may allocate on `out_port` right now (honours the
   /// static policy, the link mode and — for kDynamic — the port boundary).
@@ -369,17 +396,8 @@ class Router {
     return PortIndex(port) * config_.num_vcs + vc;
   }
 
-  InputVc& Ivc(Port port, VcId vc) {
-    return input_vcs_[static_cast<std::size_t>(FlatVcIndex(port, vc))];
-  }
-  const InputVc& Ivc(Port port, VcId vc) const {
-    return input_vcs_[static_cast<std::size_t>(FlatVcIndex(port, vc))];
-  }
-  OutputVc& Ovc(Port port, VcId vc) {
-    return output_vcs_[static_cast<std::size_t>(FlatVcIndex(port, vc))];
-  }
-  const OutputVc& Ovc(Port port, VcId vc) const {
-    return output_vcs_[static_cast<std::size_t>(FlatVcIndex(port, vc))];
+  const VcBuffer& Buffer(Port port, VcId vc) const {
+    return buffers_[static_cast<std::size_t>(FlatVcIndex(port, vc))];
   }
 
   NodeId node_;
@@ -390,17 +408,25 @@ class Router {
   int num_local_ports_ = 1;
   int lut_width_ = 0;
 
-  std::vector<InputVc> input_vcs_;    // [port][vc] flattened
-  std::vector<OutputVc> output_vcs_;  // [port][vc] flattened
+  // --- Input VCs, [port][vc] flattened: bit / entry FlatVcIndex. The
+  // buffers and the fields below them are primary (saved); derived_ is
+  // rebuilt from them.
+  std::vector<VcBuffer> buffers_;
+  RequestMask routed_ = 0;    ///< out_port_ computed for the current packet
+  RequestMask ejecting_ = 0;  ///< the current packet leaves via a local port
+  std::array<Port, kMaxArbiterInputs> out_port_{};
+  /// The allocated downstream VC, kInvalidVc = none (non-local ports).
+  std::array<std::int8_t, kMaxArbiterInputs> out_vc_{};
+  /// The dateline half constraint for VA, -1 = unrestricted.
+  std::array<std::int8_t, kMaxArbiterInputs> vc_half_{};
+  Derived derived_;
 
-  /// Output VCs whose tail has left and which wait to be recycled: bit
-  /// FlatVcIndex(port, vc). Set when a tail leaves on a link, cleared when
-  /// RecycleOutputVcs frees the VC, rebuilt from tail_sent by Load.
+  // --- Output VCs (downstream input VCs), [port][vc] flattened, primary.
+  RequestMask allocated_ = 0;  ///< held by a packet
+  /// Tail forwarded, waiting to be recycled (atomic: once drained). Set
+  /// when a tail leaves on a link, cleared by RecycleOutputVcs.
   RequestMask draining_ = 0;
-
-  /// Flits across all input VCs: +1 in AcceptFlit, −1 in Traverse,
-  /// rebuilt from the buffers by Load.
-  std::size_t buffered_ = 0;
+  std::array<int, kMaxArbiterInputs> credits_{};  ///< free downstream slots
 
   std::vector<FlitChannel*> out_channels_;    // sized num_ports_
   std::vector<CreditChannel*> credit_return_;
@@ -431,10 +457,10 @@ class Router {
 
   // One VA arbiter per output port (over all input VCs), one SA input
   // arbiter per input port (over its VCs), one SA output arbiter per output
-  // port (over input ports). Kind per RouterConfig::arbiter.
-  std::vector<std::unique_ptr<Arbiter>> va_arb_;
-  std::vector<std::unique_ptr<Arbiter>> sa_input_arb_;
-  std::vector<std::unique_ptr<Arbiter>> sa_output_arb_;
+  // port (over input ports), held by value. Kind per RouterConfig::arbiter.
+  std::vector<Arbiter> va_arb_;
+  std::vector<Arbiter> sa_input_arb_;
+  std::vector<Arbiter> sa_output_arb_;
 
   // Per-site WRR credit state (qos_arbitration == kWrr only; see
   // QosArbitrate in router.cpp). One entry per arbiter above, indexed like

@@ -78,10 +78,9 @@ void SoaCore::AuditCoverage(Auditor& auditor, Cycle now) const {
         held += router.VcOccupancy(static_cast<Port>(p), v);
       }
     }
-    if (held != router.BufferedFlits()) {
-      report("router " + std::to_string(r) + " counts " +
-             std::to_string(router.BufferedFlits()) +
-             " flits but its VCs hold " + std::to_string(held));
+    const std::string mismatch = router.DerivedStateMismatch();
+    if (!mismatch.empty()) {
+      report("router " + std::to_string(r) + ": " + mismatch);
     }
     check_bit("router", r, held != 0 || router.HasWork(), router_live_);
   }

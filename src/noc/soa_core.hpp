@@ -48,7 +48,8 @@ class SoaCore {
   /// The scheduler-coverage audit: reports as kSchedulerCoverage each live
   /// entry whose bit is clear — a lost wake would freeze the work behind
   /// it (a stale set bit only costs one visit) — and each router whose
-  /// flit count differs from its VC buffers. Liveness comes from the
+  /// flit count or derived masks differ from a rebuild from its VC buffers
+  /// (Router::DerivedStateMismatch). Liveness comes from the
   /// objects: a nonempty channel, a router whose VC buffers hold a flit or
   /// that Router::HasWork, a NIC with a NextDue. Called by the Network at
   /// audit snapshot cadence.

@@ -23,20 +23,20 @@ RequestMask Mask(std::initializer_list<int> inputs) {
 }
 
 TEST(RoundRobinTest, NoRequestsNoGrant) {
-  RoundRobinArbiter arb(4);
+  Arbiter arb(ArbiterKind::kRoundRobin, 4);
   EXPECT_EQ(arb.Arbitrate(0), -1);
   EXPECT_EQ(arb.pointer(), 0u);
 }
 
 TEST(RoundRobinTest, SingleRequesterAlwaysWins) {
-  RoundRobinArbiter arb(4);
+  Arbiter arb(ArbiterKind::kRoundRobin, 4);
   for (int i = 0; i < 10; ++i) {
     EXPECT_EQ(arb.Arbitrate(Mask({2})), 2);
   }
 }
 
 TEST(RoundRobinTest, RotatesAmongContenders) {
-  RoundRobinArbiter arb(3);
+  Arbiter arb(ArbiterKind::kRoundRobin, 3);
   const RequestMask all = Mask({0, 1, 2});
   EXPECT_EQ(arb.Arbitrate(all), 0);
   EXPECT_EQ(arb.Arbitrate(all), 1);
@@ -45,7 +45,7 @@ TEST(RoundRobinTest, RotatesAmongContenders) {
 }
 
 TEST(RoundRobinTest, PointerSkipsIdleInputs) {
-  RoundRobinArbiter arb(4);
+  Arbiter arb(ArbiterKind::kRoundRobin, 4);
   EXPECT_EQ(arb.Arbitrate(Mask({0, 3})), 0);
   // Pointer now at 1; inputs 1,2 idle so 3 wins.
   EXPECT_EQ(arb.Arbitrate(Mask({0, 3})), 3);
@@ -53,7 +53,7 @@ TEST(RoundRobinTest, PointerSkipsIdleInputs) {
 }
 
 TEST(RoundRobinTest, PointerInputWinsWhenRequesting) {
-  RoundRobinArbiter arb(4);
+  Arbiter arb(ArbiterKind::kRoundRobin, 4);
   EXPECT_EQ(arb.Arbitrate(Mask({1})), 1);
   ASSERT_EQ(arb.pointer(), 2u);
   // The input at the pointer has the highest priority.
@@ -61,7 +61,7 @@ TEST(RoundRobinTest, PointerInputWinsWhenRequesting) {
 }
 
 TEST(RoundRobinTest, FairnessUnderSaturation) {
-  RoundRobinArbiter arb(4);
+  Arbiter arb(ArbiterKind::kRoundRobin, 4);
   std::map<int, int> wins;
   for (int i = 0; i < 400; ++i) {
     wins[arb.Arbitrate(Mask({0, 1, 2, 3}))]++;
@@ -70,7 +70,7 @@ TEST(RoundRobinTest, FairnessUnderSaturation) {
 }
 
 TEST(RoundRobinTest, Width64WrapsFromTheTopBit) {
-  RoundRobinArbiter arb(64);
+  Arbiter arb(ArbiterKind::kRoundRobin, 64);
   EXPECT_EQ(arb.Arbitrate(Mask({62})), 62);
   ASSERT_EQ(arb.pointer(), 63u);
   EXPECT_EQ(arb.Arbitrate(Mask({0, 63})), 63);
@@ -85,7 +85,7 @@ TEST(RoundRobinTest, LoadRejectsPointerOutOfRange) {
   for (const std::uint64_t pointer : {3u, 4u, 1000u}) {
     Serializer s;
     s.U64(pointer);
-    RoundRobinArbiter arb(4);
+    Arbiter arb(ArbiterKind::kRoundRobin, 4);
     Deserializer d(s.bytes());
     if (pointer < 4) {
       arb.Load(d);
@@ -97,7 +97,7 @@ TEST(RoundRobinTest, LoadRejectsPointerOutOfRange) {
 }
 
 TEST(MatrixTest, GrantsLeastRecentlyServed) {
-  MatrixArbiter arb(3);
+  Arbiter arb(ArbiterKind::kMatrix, 3);
   const RequestMask all = Mask({0, 1, 2});
   const int first = arb.Arbitrate(all);
   const int second = arb.Arbitrate(all);
@@ -110,12 +110,12 @@ TEST(MatrixTest, GrantsLeastRecentlyServed) {
 }
 
 TEST(MatrixTest, NoRequestsNoGrant) {
-  MatrixArbiter arb(2);
+  Arbiter arb(ArbiterKind::kMatrix, 2);
   EXPECT_EQ(arb.Arbitrate(0), -1);
 }
 
 TEST(MatrixTest, FairnessUnderSaturation) {
-  MatrixArbiter arb(4);
+  Arbiter arb(ArbiterKind::kMatrix, 4);
   std::map<int, int> wins;
   for (int i = 0; i < 400; ++i) {
     wins[arb.Arbitrate(Mask({0, 1, 2, 3}))]++;
@@ -124,7 +124,7 @@ TEST(MatrixTest, FairnessUnderSaturation) {
 }
 
 TEST(MatrixTest, RecentWinnerLosesTies) {
-  MatrixArbiter arb(2);
+  Arbiter arb(ArbiterKind::kMatrix, 2);
   EXPECT_EQ(arb.Arbitrate(Mask({0, 1})), 0);
   EXPECT_EQ(arb.Arbitrate(Mask({0, 1})), 1);
   // 1 just won; 0 must win the tie.
@@ -132,7 +132,7 @@ TEST(MatrixTest, RecentWinnerLosesTies) {
 }
 
 TEST(MatrixTest, Width64ServesBothEnds) {
-  MatrixArbiter arb(64);
+  Arbiter arb(ArbiterKind::kMatrix, 64);
   EXPECT_EQ(arb.Arbitrate(Mask({0, 63})), 0);
   EXPECT_EQ(arb.Arbitrate(Mask({0, 63})), 63);
   EXPECT_EQ(arb.Arbitrate(Mask({0, 63})), 0);
@@ -234,9 +234,9 @@ std::vector<bool> ToVector(RequestMask m, std::size_t n) {
 TEST(ArbiterDifferentialTest, MasksMatchTheVectorArbitersAtEveryWidth) {
   Rng rng(0xA5B17E5);
   for (std::size_t n = 1; n <= kMaxArbiterInputs; ++n) {
-    RoundRobinArbiter rr(n);
+    Arbiter rr(ArbiterKind::kRoundRobin, n);
     ReferenceRoundRobin rr_ref(n);
-    MatrixArbiter matrix(n);
+    Arbiter matrix(ArbiterKind::kMatrix, n);
     ReferenceMatrix matrix_ref(n);
     for (int step = 0; step < 400; ++step) {
       const RequestMask requests = RandomRequests(rng, n);
@@ -254,7 +254,7 @@ TEST(ArbiterDifferentialTest, MasksMatchTheVectorArbitersAtEveryWidth) {
     matrix_ref.Save(want);
     ASSERT_EQ(got.bytes(), want.bytes()) << "width " << n;
     // And they load back into an arbiter that keeps deciding identically.
-    MatrixArbiter restored(n);
+    Arbiter restored(ArbiterKind::kMatrix, n);
     Deserializer d(got.bytes());
     restored.Load(d);
     for (int step = 0; step < 50; ++step) {

@@ -305,5 +305,45 @@ TEST(NicTest, LoadRefusesSendFifosTheNicCouldNotHaveFilled) {
             std::string::npos);
 }
 
+// Nic::Load refuses an injection credit count outside [0, vc_depth]: a
+// count above the depth would overfill the router's input VC, a negative
+// one would never return to the depth and wedge the VC. An idle NIC's
+// snapshot holds two empty inject queues (u64 counts @0, @8), two idle
+// VCs' busy, draining and FIFO count (@16-@35), then the i32 credits of VC
+// 0 @36 and VC 1 @40.
+TEST(NicTest, LoadRefusesCreditCountsOutOfRange) {
+  const NicConfig cfg = DefaultConfig();  // depth 4
+  Serializer s;
+  Nic(0, Coord{0, 0}, cfg).Save(s);
+  const std::string clean = s.bytes();
+  ASSERT_EQ(clean[36], 4) << "VC 0 starts with vc_depth credits";
+  const auto load_error = [&](std::size_t offset, std::uint32_t credits) {
+    std::string bytes = clean;
+    for (int i = 0; i < 4; ++i) {
+      bytes[offset + static_cast<std::size_t>(i)] =
+          static_cast<char>((credits >> (8 * i)) & 0xFF);
+    }
+    Nic nic(0, Coord{0, 0}, cfg);
+    Deserializer d(bytes);
+    try {
+      nic.Load(d);
+      d.Finish();
+    } catch (const SerializeError& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  EXPECT_EQ(load_error(36, 0), "");
+  EXPECT_EQ(load_error(40, 4), "");
+  for (const std::uint32_t credits : {0xFFFFFFFFu, 5u}) {  // -1, depth + 1
+    for (const std::size_t offset : {36u, 40u}) {
+      EXPECT_NE(load_error(offset, credits)
+                    .find("credits, out of range [0, 4]"),
+                std::string::npos)
+          << "credits " << credits << " @" << offset;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace gnoc

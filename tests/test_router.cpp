@@ -1,8 +1,9 @@
 // White-box unit tests of the VC router: pipeline timing, credit protocol,
 // wormhole integrity, VC allocation policy enforcement, QoS precedence in
 // the allocators, atomic VC reallocation, link-aware monopolizing, the
-// request-mask width bound, snapshot-load validation, and the flit count
-// and work predicate the soa scheduler skips routers by.
+// request-mask width bound, snapshot-load validation, the derived masks
+// kept beside the saved state, and the flit count and work predicate the
+// soa scheduler skips routers by.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -468,27 +469,38 @@ std::string Patch(std::string bytes, std::size_t offset, std::uint64_t value,
   return bytes;
 }
 
+/// The snapshot of an idle router built from `cfg`.
+std::string IdleRouterBytes(const RouterConfig& cfg) {
+  Serializer s;
+  Router(5, Coord{1, 1}, cfg).Save(s);
+  return s.bytes();
+}
+
+/// The error message of loading `bytes` into a fresh router built from
+/// `cfg`, "" if none.
+std::string LoadError(const RouterConfig& cfg, const std::string& bytes) {
+  Router router(5, Coord{1, 1}, cfg);
+  Deserializer d(bytes);
+  try {
+    router.Load(d);
+    d.Finish();
+  } catch (const SerializeError& e) {
+    return e.what();
+  }
+  return "";
+}
+
 // Router::Load refuses input-VC state the allocators would index, or shift
 // a request mask, out of range with. Each case patches one field of the
 // first input VC (local port, VC 0) of an idle router's snapshot, laid out
 // as: u64 flit count @0, bool route_valid @8, u8 out_port @9, i32 out_vc
-// @10, bool eject @14, u8 vc_half @15.
+// @10, bool eject @14, u8 vc_half @15. The router holds an output VC in a
+// byte, so an out_vc that only an i32 holds is refused before narrowing.
 TEST(RouterTest, LoadRejectsOutOfRangeInputVcState) {
   const RouterConfig cfg = DefaultConfig();  // 5 ports x 2 VCs, depth 4
-  Serializer s;
-  Router(5, Coord{1, 1}, cfg).Save(s);
-  const std::string clean = s.bytes();
-  // The error message of loading `bytes` into a fresh router, "" if none.
-  const auto load_error = [&](const std::string& bytes) -> std::string {
-    Router router(5, Coord{1, 1}, cfg);
-    Deserializer d(bytes);
-    try {
-      router.Load(d);
-      d.Finish();
-    } catch (const SerializeError& e) {
-      return e.what();
-    }
-    return "";
+  const std::string clean = IdleRouterBytes(cfg);
+  const auto load_error = [&](const std::string& bytes) {
+    return LoadError(cfg, bytes);
   };
   EXPECT_EQ(load_error(clean), "");
   // In range: the last port, the last VC, an ejecting local-port VC.
@@ -502,11 +514,96 @@ TEST(RouterTest, LoadRejectsOutOfRangeInputVcState) {
       Patch(clean, 9, 5, 1),                   // out_port = radix
       Patch(clean, 10, 2, 4),                  // out_vc = num_vcs
       Patch(clean, 10, 0xFFFFFFFE, 4),         // out_vc = -2
+      Patch(clean, 10, 300, 4),                // out_vc past its byte
       Patch(Patch(clean, 9, 1, 1), 14, 1, 1),  // ejecting via a link port
   };
   for (const std::string& bytes : bad) {
     EXPECT_NE(load_error(bytes).find("out of range"), std::string::npos);
   }
+}
+
+// Router::Load refuses an output-VC credit count outside [0, vc_depth]: a
+// count above the depth would overfill the downstream VC, a negative one
+// would never return to the depth and wedge the VC. An idle router's
+// snapshot holds ten 16-byte input-VC records, then per output VC bool
+// allocated, bool tail_sent and i32 credits: output VC 0's credits @162.
+TEST(RouterTest, LoadRejectsOutOfRangeCredits) {
+  const RouterConfig cfg = DefaultConfig();  // depth 4
+  const std::string clean = IdleRouterBytes(cfg);
+  ASSERT_EQ(clean.substr(160, 6), std::string(6, '\0'))
+      << "output VC 0: free, no tail sent, no credits (no channel)";
+  EXPECT_EQ(LoadError(cfg, Patch(clean, 162, 4, 4)), "");  // vc_depth
+  for (const std::uint64_t credits : {0xFFFFFFFFu, 5u}) {  // -1, depth + 1
+    EXPECT_NE(LoadError(cfg, Patch(clean, 162, credits, 4))
+                  .find("credits, out of range [0, 4]"),
+              std::string::npos)
+        << credits;
+  }
+}
+
+// The router keeps derived masks and arrays (occupied, front classes,
+// holding, front ready cycles, the flit count) beside the primary state it
+// saves. After every step that maintains them — an accept into an empty
+// and into a nonempty VC, head routing, VA grants, a traversal that
+// exposes the next packet of another class, one that empties a VC, tails,
+// recycles, and a Load of a mid-run snapshot into a fresh router — they
+// must equal a rebuild from the buffers and the primary state.
+TEST(RouterTest, DerivedStateMatchesARebuildAfterEveryStep) {
+  RouterConfig cfg = DefaultConfig();
+  cfg.vc_policy = VcPolicyKind::kFullMonopolize;
+  cfg.atomic_vc_realloc = false;  // the east VC recycles right after a tail
+  cfg.qos_arbitration = QosArbitration::kStrict;  // the class masks split
+  cfg.qos_priority = {0, 1};
+  RouterHarness h(cfg);
+  Router& router = h.router_;
+  const auto rq = TrafficClass::kRequest;
+  const auto rp = TrafficClass::kReply;
+  EXPECT_EQ(router.DerivedStateMismatch(), "") << "fresh";
+
+  // West VC 0: a two-flit request east, then a one-flit reply south
+  // behind it. North VC 1: a one-flit reply that ejects here.
+  Flit head = h.MakeFlit(FlitKind::kHead, rq, Coord{3, 1}, 0, 1, 0);
+  Flit tail = h.MakeFlit(FlitKind::kTail, rq, Coord{3, 1}, 0, 1, 1);
+  head.packet_size = tail.packet_size = 2;
+  router.AcceptFlit(Port::kWest, head, 0);
+  EXPECT_EQ(router.DerivedStateMismatch(), "") << "accept into an empty VC";
+  router.AcceptFlit(Port::kWest, tail, 1);
+  router.AcceptFlit(Port::kWest,
+                    h.MakeFlit(FlitKind::kHeadTail, rp, Coord{1, 3}, 0, 2), 1);
+  EXPECT_EQ(router.DerivedStateMismatch(), "") << "accept behind a flit";
+  router.AcceptFlit(Port::kNorth,
+                    h.MakeFlit(FlitKind::kHeadTail, rp, Coord{1, 1}, 1, 3), 1);
+
+  router.Tick(1);  // the head is routed, granted east VC 0 and leaves
+  EXPECT_EQ(h.out_[PortIndex(Port::kEast)].size(), 1u);
+  EXPECT_TRUE(router.OutputVcAllocated(Port::kEast, 0));
+  EXPECT_EQ(router.DerivedStateMismatch(), "") << "RC, VA grant, a head left";
+
+  // A fresh router loading this mid-run snapshot rebuilds the derived
+  // state: three flits, a VC holding east VC 0, two fronts of two classes.
+  Serializer s;
+  router.Save(s);
+  Router loaded(5, Coord{1, 1}, cfg);
+  Deserializer d(s.bytes());
+  loaded.Load(d);
+  d.Finish();
+  EXPECT_EQ(loaded.BufferedFlits(), 3u);
+  EXPECT_EQ(loaded.DerivedStateMismatch(), "") << "Load";
+
+  router.Tick(2);  // the tail leaves east; the reply at North ejects
+  EXPECT_EQ(h.out_[PortIndex(Port::kEast)].size(), 2u);
+  EXPECT_EQ(h.nic_.stats().flits_ejected[ClassIndex(rp)], 1u);
+  EXPECT_EQ(router.DerivedStateMismatch(), "")
+      << "a tail exposing a reply, an ejection emptying a VC";
+
+  router.Tick(3);  // east VC 0 recycles; the reply is routed and goes south
+  EXPECT_FALSE(router.OutputVcAllocated(Port::kEast, 0));
+  EXPECT_EQ(h.out_[PortIndex(Port::kSouth)].size(), 1u);
+  EXPECT_EQ(router.BufferedFlits(), 0u);
+  EXPECT_EQ(router.DerivedStateMismatch(), "") << "recycle, the last flit";
+  for (Cycle c = 4; c < 8; ++c) router.Tick(c);
+  EXPECT_EQ(h.out_[PortIndex(Port::kEast)].size(), 2u);
+  EXPECT_EQ(h.out_[PortIndex(Port::kSouth)].size(), 1u);
 }
 
 /// Flits across every input VC, read off the buffers one VC at a time.
@@ -522,31 +619,34 @@ std::size_t HeldFlits(const Router& router) {
 
 // BufferedFlits() is a running count that the soa scheduler skips routers
 // by: it must equal the VC buffers after accepts, after traversals and
-// after Load of a mid-run snapshot, which rebuilds it. HasWork() must
-// also hold while a dynamic epoch has uncommitted counts and no flit is
-// buffered, and drop once the epoch commits; under a static policy the
-// epoch counts never keep a router awake.
-TEST(RouterTest, FlitCountMatchesBuffersAndDirtyEpochsKeepWork) {
+// after Load of a mid-run snapshot, which rebuilds it. HasWork() holds
+// exactly while a flit is buffered: a dynamic epoch's uncommitted counts
+// keep no work, because the next Tick replays a boundary the router slept
+// through with those counts, landing each port's boundary where a router
+// ticked every cycle puts it.
+TEST(RouterTest, FlitCountMatchesBuffersAndOnlyFlitsKeepWork) {
   RouterConfig cfg = DefaultConfig();
   cfg.num_vcs = 4;  // requests VCs 0-1, replies 2-3 at the start
   cfg.vc_policy = VcPolicyKind::kDynamic;
   cfg.dynamic_epoch = 32;
+  // A two-flit request West -> East and a one-flit reply North -> South.
+  const auto feed = [](RouterHarness& h) {
+    Flit head = h.MakeFlit(FlitKind::kHead, TrafficClass::kRequest,
+                           Coord{3, 1}, /*vc=*/0, 1, 0);
+    Flit tail = h.MakeFlit(FlitKind::kTail, TrafficClass::kRequest,
+                           Coord{3, 1}, /*vc=*/0, 1, 1);
+    head.packet_size = tail.packet_size = 2;
+    h.router_.AcceptFlit(Port::kWest, head, 0);
+    h.router_.AcceptFlit(Port::kWest, tail, 0);
+    h.router_.AcceptFlit(Port::kNorth,
+                         h.MakeFlit(FlitKind::kHeadTail, TrafficClass::kReply,
+                                    Coord{1, 3}, /*vc=*/2, 2),
+                         0);
+  };
   RouterHarness h(cfg);
   Router& router = h.router_;
   EXPECT_FALSE(router.HasWork());
-
-  // A two-flit request West -> East and a one-flit reply North -> South.
-  Flit head = h.MakeFlit(FlitKind::kHead, TrafficClass::kRequest,
-                         Coord{3, 1}, /*vc=*/0, 1, 0);
-  Flit tail = h.MakeFlit(FlitKind::kTail, TrafficClass::kRequest,
-                         Coord{3, 1}, /*vc=*/0, 1, 1);
-  head.packet_size = tail.packet_size = 2;
-  router.AcceptFlit(Port::kWest, head, 0);
-  router.AcceptFlit(Port::kWest, tail, 0);
-  router.AcceptFlit(Port::kNorth,
-                    h.MakeFlit(FlitKind::kHeadTail, TrafficClass::kReply,
-                               Coord{1, 3}, /*vc=*/2, 2),
-                    0);
+  feed(h);
   EXPECT_EQ(router.BufferedFlits(), 3u);
   EXPECT_EQ(HeldFlits(router), 3u);
   EXPECT_TRUE(router.HasWork());
@@ -572,12 +672,22 @@ TEST(RouterTest, FlitCountMatchesBuffersAndDirtyEpochsKeepWork) {
   router.Tick(2);  // the tail leaves
   EXPECT_EQ(router.BufferedFlits(), 0u);
   EXPECT_EQ(HeldFlits(router), 0u);
-  // No flit left, but this epoch's flit counts are not committed yet.
-  EXPECT_TRUE(router.HasWork());
-  router.Tick(31);
-  EXPECT_TRUE(router.HasWork());
-  router.Tick(32);  // the epoch boundary commits the counts
+  // No flit left; this epoch's flit counts are not committed yet.
   EXPECT_FALSE(router.HasWork());
+  EXPECT_EQ(router.DynamicBoundary(Port::kEast), 2);
+  router.Tick(40);  // asleep from 3 to 39, past the boundary at 32
+
+  RouterHarness every(cfg);
+  feed(every);
+  for (Cycle c = 0; c <= 40; ++c) every.router_.Tick(c);
+  EXPECT_EQ(every.out_[PortIndex(Port::kEast)].size(), 2u);
+  EXPECT_EQ(every.router_.DynamicBoundary(Port::kEast), 3);   // requests
+  EXPECT_EQ(every.router_.DynamicBoundary(Port::kSouth), 1);  // replies
+  for (int p = 0; p < router.num_ports(); ++p) {
+    EXPECT_EQ(router.DynamicBoundary(static_cast<Port>(p)),
+              every.router_.DynamicBoundary(static_cast<Port>(p)))
+        << "port " << p;
+  }
 
   // The same traffic under a static policy leaves no work behind.
   RouterHarness split(DefaultConfig());

@@ -678,13 +678,14 @@ std::uint64_t SoaRunSteps(NetworkConfig cfg) {
 }
 
 // What soa visits is pinned, not just what it computes: a skip rule that
-// visits too much (a NIC ticked before its NextDue, whose tick changes
-// nothing) or too little (a router dropped while its dynamic epoch is
-// dirty, whose boundary replay then lands late) can leave every result
-// bit-identical and still change the count. Two inputs exercise those
-// rules: non-atomic VC reallocation over two-cycle links, where sleeping
-// NICs wait on credits still on the wire, and a 16-cycle dynamic epoch.
-// A change that means to move the counts updates them here.
+// visits too much (a NIC ticked before its NextDue, or a flit-less router
+// kept awake by a dynamic epoch the next Tick would replay anyway, whose
+// visits change nothing) can leave every result bit-identical and still
+// change the count. Two inputs exercise those rules: non-atomic VC
+// reallocation over two-cycle links, where sleeping NICs wait on credits
+// still on the wire, and a 16-cycle dynamic epoch, where a router sleeps
+// across the boundaries it holds uncommitted flit counts for. A change
+// that means to move the counts updates them here.
 TEST(SoaCostTest, VisitCountsArePinned) {
   NetworkConfig eager;
   eager.atomic_vc_realloc = false;
@@ -693,7 +694,7 @@ TEST(SoaCostTest, VisitCountsArePinned) {
   NetworkConfig dynamic;
   dynamic.vc_policy = VcPolicyKind::kDynamic;
   dynamic.dynamic_epoch = 16;
-  EXPECT_EQ(SoaRunSteps(dynamic), 8597u) << "dynamic epoch 16";
+  EXPECT_EQ(SoaRunSteps(dynamic), 6424u) << "dynamic epoch 16";
 }
 
 // --- watchdog parity -------------------------------------------------------
