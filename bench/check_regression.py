@@ -21,6 +21,9 @@ scheduling mode (full, soa) — and enforces these gates:
      checkpoint-off wall clock must be within --ckpt-tolerance (default 5%)
      of the checkpoint-enabled one — the off path may never pay checkpoint
      costs (it is the pre-checkpoint RunCell code path, null-hook pattern).
+     Both walls come from one loop of alternating off/on runs, the best of
+     each over the same number of pairs, so host drift between two batches
+     of runs cannot open a gap between the modes.
   5. Extra gates: each entry of the baseline's "extra_gates" list (e.g. the
      fixed-seed 16x16 torus sweep) re-runs gates 1-2 — soa-vs-full
      bit-identity and results vs committed baseline — under its own
@@ -80,22 +83,30 @@ QOS_GATE_PROTOCOL = {
 FLOAT_REL_TOL = 1e-6
 
 
+def harness_cmd(build_dir, protocol, mode, json_path, extra_args=()):
+    """The command line running the protocol's harness in `mode`."""
+    harness = os.path.join(build_dir, protocol["harness"])
+    if not os.access(harness, os.X_OK):
+        sys.exit(f"check_regression: harness not found/executable: {harness}")
+    return [harness] + protocol["args"] + [
+        f"json={json_path}", f"scheduling={mode}"] + list(extra_args)
+
+
+def timed_run(cmd):
+    """Runs `cmd` (stdout discarded); returns its wall time in seconds."""
+    start = time.monotonic()
+    subprocess.run(cmd, check=True, stdout=subprocess.DEVNULL)
+    return time.monotonic() - start
+
+
 def run_mode(build_dir, protocol, mode, json_path, extra_args=()):
     """Runs the harness in `mode` `repeats` times; returns (doc, best wall).
 
     The minimum wall time over the repeats is the least-noise estimator on a
     shared CI runner (noise only ever adds time).
     """
-    harness = os.path.join(build_dir, protocol["harness"])
-    if not os.access(harness, os.X_OK):
-        sys.exit(f"check_regression: harness not found/executable: {harness}")
-    cmd = [harness] + protocol["args"] + [
-        f"json={json_path}", f"scheduling={mode}"] + list(extra_args)
-    best = math.inf
-    for _ in range(protocol["repeats"]):
-        start = time.monotonic()
-        subprocess.run(cmd, check=True, stdout=subprocess.DEVNULL)
-        best = min(best, time.monotonic() - start)
+    cmd = harness_cmd(build_dir, protocol, mode, json_path, extra_args)
+    best = min(timed_run(cmd) for _ in range(protocol["repeats"]))
     with open(json_path) as f:
         return json.load(f), best
 
@@ -182,13 +193,25 @@ def main():
     # default checkpoint-off run must produce exactly equal results and may
     # not be meaningfully slower than it — if it were, the off path would
     # be paying checkpoint costs it is designed (null-hook pattern) not to.
+    # The two modes alternate over `repeats` pairs, each pair run in the
+    # other order from the last, so neither mode always follows the
+    # other's file writes; each wall is the best of its mode's runs.
     ckpt_json = os.path.join(args.out_dir, "sweep_ckpt.json")
     ckpt_dir = os.path.join(args.out_dir, "sweep_ckpt_dir")
+    off_cmd = harness_cmd(args.build_dir, protocol, "full", full_json)
+    on_cmd = harness_cmd(args.build_dir, protocol, "full", ckpt_json,
+                         [f"checkpoint_dir={ckpt_dir}"])
+    off_wall = ckpt_wall = math.inf
+    for pair in range(protocol["repeats"]):
+        for on in (False, True) if pair % 2 == 0 else (True, False):
+            if on:
+                shutil.rmtree(ckpt_dir, ignore_errors=True)
+                ckpt_wall = min(ckpt_wall, timed_run(on_cmd))
+            else:
+                off_wall = min(off_wall, timed_run(off_cmd))
     shutil.rmtree(ckpt_dir, ignore_errors=True)
-    ckpt_doc, ckpt_wall = run_mode(
-        args.build_dir, protocol, "full", ckpt_json,
-        extra_args=[f"checkpoint_dir={ckpt_dir}"])
-    shutil.rmtree(ckpt_dir, ignore_errors=True)
+    with open(ckpt_json) as f:
+        ckpt_doc = json.load(f)
     diffs = diff_json(full_doc, ckpt_doc, exact_floats=True)
     if diffs:
         print("check_regression: FAIL — checkpointed sweep diverged from "
@@ -197,16 +220,17 @@ def main():
             print("  " + d, file=sys.stderr)
         return 1
     allowed_wall = ckpt_wall * (1.0 + args.ckpt_tolerance)
-    if full_wall > allowed_wall:
+    if off_wall > allowed_wall:
         print(f"check_regression: FAIL — checkpoint-off wall "
-              f"{full_wall:.3f}s exceeds checkpoint-on control "
+              f"{off_wall:.3f}s exceeds checkpoint-on control "
               f"{ckpt_wall:.3f}s +{args.ckpt_tolerance:.0%} "
               f"({allowed_wall:.3f}s): the checkpoint-off path is paying "
               f"checkpoint costs", file=sys.stderr)
         return 1
     print(f"check_regression: checkpoint ok (results identical, off wall "
-          f"{full_wall:.3f}s <= on {ckpt_wall:.3f}s "
-          f"+{args.ckpt_tolerance:.0%})")
+          f"{off_wall:.3f}s <= on {ckpt_wall:.3f}s "
+          f"+{args.ckpt_tolerance:.0%}, best of {protocol['repeats']} "
+          f"alternating pairs)")
 
     # Gate 5: extra pinned protocols (e.g. the fixed-seed 16x16 torus run),
     # each re-running the bit-identity and stats gates.

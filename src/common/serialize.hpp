@@ -310,6 +310,21 @@ void IoSeq(Deserializer& d, Seq& seq,
   }
 }
 
+/// IoSeq through an element walker: `item_io(ar, element)` walks each
+/// element (for elements whose walk needs context, such as a flit's packet
+/// table). Load appends default-constructed elements for it to fill.
+template <class Seq, class ItemIo>
+void IoSeqWith(Serializer& s, const Seq& seq, ItemIo&& item_io) {
+  s.U64(seq.size());
+  for (const auto& x : seq) item_io(s, x);
+}
+template <class Seq, class ItemIo>
+void IoSeqWith(Deserializer& d, Seq& seq, ItemIo&& item_io) {
+  const std::size_t n = d.Count();
+  seq.clear();
+  for (std::size_t i = 0; i < n; ++i) item_io(d, seq.emplace_back());
+}
+
 /// A map, saved as a count and (key, value) entries sorted by key, so an
 /// unordered map's bytes do not depend on its iteration order.
 /// `value_io(ar, value)` walks one value (Io by default).

@@ -75,7 +75,8 @@ void AuditReport::WriteJson(JsonWriter& w) const {
   w.EndObject();
 }
 
-Auditor::Auditor(Cycle interval) : interval_(interval < 1 ? 1 : interval) {
+Auditor::Auditor(Cycle interval, const PacketTable& packets)
+    : interval_(interval < 1 ? 1 : interval), packets_(packets) {
   report_.enabled = true;
   next_check_ = interval_;
 }
@@ -101,9 +102,10 @@ void Auditor::Violate(AuditInvariant inv, Cycle now, std::string detail) {
 
 void Auditor::CheckStream(Stream& stream, const LinkState& ls,
                           const char* side, const Flit& flit, Cycle now) {
+  const PacketId packet = PacketOf(flit);
   std::ostringstream where;
   where << ls.link.name << " vc " << flit.vc << " (" << side << ") packet "
-        << flit.packet_id << " seq " << flit.seq;
+        << packet << " seq " << flit.seq;
   if (IsHead(flit)) {
     if (stream.open) {
       Violate(AuditInvariant::kWormhole, now,
@@ -111,19 +113,19 @@ void Auditor::CheckStream(Stream& stream, const LinkState& ls,
                   std::to_string(stream.packet));
     }
     stream.open = true;
-    stream.packet = flit.packet_id;
+    stream.packet = packet;
     stream.next_seq = 0;
   } else if (!stream.open) {
     Violate(AuditInvariant::kWormhole, now,
             where.str() + ": body/tail flit with no open packet");
     stream.open = true;
-    stream.packet = flit.packet_id;
+    stream.packet = packet;
     stream.next_seq = flit.seq;
-  } else if (flit.packet_id != stream.packet) {
+  } else if (packet != stream.packet) {
     Violate(AuditInvariant::kWormhole, now,
             where.str() + ": interleaves open packet " +
                 std::to_string(stream.packet));
-    stream.packet = flit.packet_id;
+    stream.packet = packet;
     stream.next_seq = flit.seq;
   }
   if (flit.seq != stream.next_seq) {
@@ -230,16 +232,17 @@ void Auditor::RunSnapshot(Cycle now) {
       const Flit* prev = nullptr;
       auto check_next = [&](const Flit& cur) {
         if (prev != nullptr) {
+          // One packet's flits share its record's slot.
           const bool ok =
               IsTail(*prev)
                   ? IsHead(cur)
-                  : (!IsHead(cur) && cur.packet_id == prev->packet_id &&
+                  : (!IsHead(cur) && cur.slot == prev->slot &&
                      cur.seq == prev->seq + 1);
           if (!ok) {
             std::ostringstream oss;
             oss << ls.link.name << " vc " << vc << ": packet "
-                << prev->packet_id << " seq " << prev->seq
-                << " followed by packet " << cur.packet_id << " seq "
+                << PacketOf(*prev) << " seq " << prev->seq
+                << " followed by packet " << PacketOf(cur) << " seq "
                 << cur.seq;
             Violate(AuditInvariant::kWormhole, now, oss.str());
           }
@@ -301,6 +304,16 @@ void Auditor::CheckQuiescence(Cycle now) {
             "injected " + std::to_string(report_.flits_injected) +
                 " != ejected " + std::to_string(report_.flits_ejected) +
                 " after drain");
+  }
+  if (packets_.live() != 0) {
+    std::string first;
+    packets_.ForEachLive([&](const PacketRecord& r) {
+      if (first.empty()) first = std::to_string(r.id);
+    });
+    Violate(AuditInvariant::kQuiescence, now,
+            std::to_string(packets_.live()) +
+                " packet record(s) still live after drain, the first of "
+                "packet " + first);
   }
   for (const Nic* nic : nics_) {
     if (nic->PendingAssembly() != 0) {

@@ -24,7 +24,8 @@
 //                         contents at snapshot time.
 //   Quiescence            After a successful drain: no flits anywhere, all
 //                         credits home (or in flight back), all wormhole
-//                         streams closed, NIC reassembly state empty.
+//                         streams closed, NIC reassembly state empty, no
+//                         live packet record left in the packet table.
 //
 // Cost model: when auditing is off the Network holds no Auditor and every
 // hook site is a null-pointer test. When on, the per-flit hooks are O(1)
@@ -41,6 +42,7 @@
 #include "common/types.hpp"
 #include "noc/channel.hpp"
 #include "noc/flit.hpp"
+#include "noc/packet.hpp"
 
 namespace gnoc {
 
@@ -156,7 +158,9 @@ class Auditor {
     Port dst_port = Port::kLocal;  ///< receiver's input port
   };
 
-  explicit Auditor(Cycle interval);
+  /// Audits the network whose packet records `packets` holds (it reads
+  /// the flits' packet ids there).
+  Auditor(Cycle interval, const PacketTable& packets);
 
   /// Registers a link at wiring time; returns its id for the event hooks.
   int RegisterLink(Link link);
@@ -244,7 +248,11 @@ class Auditor {
   int SenderCredits(const LinkState& ls, VcId vc) const;
   int ReceiverOccupancy(const LinkState& ls, VcId vc) const;
 
+  /// The packet id of `flit`, read from its record.
+  PacketId PacketOf(const Flit& flit) const { return packets_[flit.slot].id; }
+
   Cycle interval_;
+  const PacketTable& packets_;
   Cycle next_check_ = 0;
   std::vector<LinkState> links_;
   std::vector<const Nic*> nics_;

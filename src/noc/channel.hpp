@@ -11,6 +11,7 @@
 #include <utility>
 
 #include "common/ring.hpp"
+#include "common/serialize.hpp"
 #include "common/types.hpp"
 #include "noc/flit.hpp"
 
@@ -122,13 +123,24 @@ class DelayLine {
     return false;
   }
 
-  /// Snapshot support: in-flight items with their delivery times. Load
-  /// writes `items_` directly — no Push, so no wake hooks fire; the soa
-  /// bits are rebuilt from the loaded objects by Network::Load.
-  void Save(Serializer& s) const { IoSeq(s, items_); }
-  void Load(Deserializer& d) { IoSeq(d, items_); }
+  /// Snapshot support: in-flight items with their delivery times, each
+  /// item through `item_io(ar, item)` (Io by default; a flit line passes
+  /// its network's packet table). Load writes `items_` directly — no Push,
+  /// so no wake hooks fire; the soa bits are rebuilt from the loaded
+  /// objects by Network::Load.
+  template <class Self, class Ar, class ItemIo>
+  static void Fields(Self& self, Ar& ar, ItemIo&& item_io) {
+    IoSeqWith(ar, self.items_, [&](auto& a, auto& entry) {
+      Io(a, entry.first);
+      item_io(a, entry.second);
+    });
+  }
+  void Save(Serializer& s) const { Fields(*this, s, kIo); }
+  void Load(Deserializer& d) { Fields(*this, d, kIo); }
 
  private:
+  static constexpr auto kIo = [](auto& ar, auto& item) { Io(ar, item); };
+
   Cycle latency_;
   WakeHook wake_;
   Ring<std::pair<Cycle, T>> items_;

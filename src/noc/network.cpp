@@ -74,7 +74,8 @@ void ValidateDatelineVcs(const NetworkConfig& config) {
 Network::Network(const NetworkConfig& config)
     : config_(config),
       topo_(Topology::Make(config.topology, config.width, config.height,
-                           config.circulant_s1, config.circulant_s2)) {
+                           config.circulant_s1, config.circulant_s2)),
+      packets_(config.width, config.height) {
   assert(config.width >= 2 && config.height >= 2);
   if (config_.num_vcs < 1 || config_.vc_depth < 1) {
     // Router and Nic only assert this; a release build would run with no
@@ -83,6 +84,12 @@ Network::Network(const NetworkConfig& config)
         "num_vcs and vc_depth must be >= 1 (got " +
         std::to_string(config_.num_vcs) + " and " +
         std::to_string(config_.vc_depth) + ")");
+  }
+  if (config_.vc_depth > FlitSlab::kMaxDepth) {
+    // A router's flit slab counts each VC's flits in a byte.
+    throw std::invalid_argument(
+        "vc_depth must be <= " + std::to_string(FlitSlab::kMaxDepth) +
+        " (got " + std::to_string(config_.vc_depth) + ")");
   }
   if (config_.vc_policy == VcPolicyKind::kDynamic &&
       config_.dynamic_epoch == 0) {
@@ -95,7 +102,7 @@ Network::Network(const NetworkConfig& config)
   CheckRequestMaskWidth(topo_, config_.num_vcs);
   if (topo_.has_datelines()) ValidateDatelineVcs(config_);
   if (config_.audit) {
-    auditor_ = std::make_unique<Auditor>(config_.audit_interval);
+    auditor_ = std::make_unique<Auditor>(config_.audit_interval, packets_);
   }
 
   RouterConfig rc;
@@ -135,11 +142,13 @@ Network::Network(const NetworkConfig& config)
   for (int r = 0; r < num_routers; ++r) {
     routers_.push_back(
         std::make_unique<Router>(r, topo_.RouterCoord(r), rc));
+    routers_.back()->SetPacketTable(&packets_);
     if (auditor_ != nullptr) routers_.back()->SetAuditor(auditor_.get());
   }
   nics_.reserve(static_cast<std::size_t>(n));
   for (NodeId tile = 0; tile < n; ++tile) {
     nics_.push_back(std::make_unique<Nic>(tile, CoordOf(tile), nc));
+    nics_.back()->SetPacketTable(&packets_);
     routers_[static_cast<std::size_t>(topo_.RouterOf(tile))]->SetNic(
         topo_.LocalPortOf(tile), nics_.back().get());
     if (auditor_ != nullptr) auditor_->RegisterNic(nics_.back().get());
@@ -522,6 +531,7 @@ void NetworkSummary::Load(Deserializer& d) { Fields(*this, d); }
 void Network::Save(Serializer& s) const { Fields(*this, s); }
 
 void Network::Load(Deserializer& d) {
+  packets_.Clear();
   Fields(*this, d);
   // The receiving router indexes input VCs by a flit's VC, and the
   // receiving router or NIC its credit counters by a credit's.

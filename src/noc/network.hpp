@@ -168,6 +168,10 @@ class Network {
   /// The connection graph the network was wired from.
   const Topology& topology() const { return topo_; }
 
+  /// The per-packet fields of the packets in flight (one record per
+  /// packet from segmentation until its sink accepts the tail).
+  const PacketTable& packets() const { return packets_; }
+
   NodeId NodeAt(Coord c) const;
   Coord CoordOf(NodeId n) const;
 
@@ -295,7 +299,10 @@ class Network {
   /// construction-derived and not serialized: Load requires a Network
   /// built from the identical NetworkConfig (scheduling mode aside: the
   /// kSoa bits are rebuilt from the objects), and resumed execution is
-  /// bit-identical to never having snapshotted.
+  /// bit-identical to never having snapshotted. The packet table is not
+  /// saved either: every flit writes its packet's fields, and Load
+  /// interns one record per packet id, refusing the flits
+  /// PacketTable::Intern refuses and a flit on a VC its link lacks.
   void Save(Serializer& s) const;
   void Load(Deserializer& d);
 
@@ -315,7 +322,11 @@ class Network {
     Io(ar, self.deadlocked_);
     IoEach(ar, self.routers_);
     IoEach(ar, self.nics_);
-    for (auto& link : self.flit_links_) Io(ar, link->channel);
+    for (auto& link : self.flit_links_) {
+      FlitChannel::Fields(link->channel, ar, [&self](auto& a, auto& flit) {
+        IoFlit(a, flit, self.packets_);
+      });
+    }
     for (auto& link : self.credit_links_) Io(ar, link->channel);
     IoPresence(ar, self.auditor_, "audit");
     IoPresence(ar, self.telemetry_, "telemetry");
@@ -360,6 +371,7 @@ class Network {
 
   NetworkConfig config_;
   Topology topo_;  ///< declared before the routers that point into it
+  PacketTable packets_;  ///< routers, NICs and the auditor point into it
   std::vector<std::unique_ptr<Router>> routers_;
   std::vector<std::unique_ptr<Nic>> nics_;
   std::vector<std::unique_ptr<FlitLink>> flit_links_;

@@ -214,11 +214,8 @@ void Nic::StartPackets(Cycle now) {
     // A free VC's FIFO is empty (Load refuses one that is not), so every
     // flit in it now is one of this packet's.
     assert(send.remaining.empty());
-    Packetize(packet, dst_coord, send.remaining);
-    for (Flit& f : send.remaining) {
-      f.vc = free_vc;
-      f.injected = now;
-    }
+    Packetize(packet, dst_coord, *packets_, send.remaining);
+    for (Flit& f : send.remaining) f.vc = free_vc;
   }
 }
 
@@ -279,25 +276,18 @@ void Nic::DrainEjection(Cycle now) {
       if (!IsTail(front)) {
         // Absorb into reassembly; capacity accounting keeps counting it via
         // eject_held_ until the whole packet is delivered.
-        ++assembled_[front.packet_id];
+        ++assembled_[(*packets_)[front.slot].id];
         buffer.pop_front();
         continue;
       }
       // Tail flit: the packet is complete (wormhole preserves flit order).
-      Packet packet;
-      packet.id = front.packet_id;
-      packet.type = static_cast<PacketType>(front.type_raw);
-      packet.src = front.src;
-      packet.dst = front.dst;
-      packet.num_flits = front.packet_size;
-      packet.created = front.created;
-      packet.injected = front.injected;
-      packet.ejected = now;
-      packet.payload = front.payload;
-      packet.addr = front.addr;
+      // The sink gets a copy: its Accept may inject, which never touches
+      // the table, but no reference into the table outlives the release.
+      const PacketSlot slot = front.slot;
+      const Packet packet = (*packets_)[slot].ToPacket(now);
       assert(packet.dst == node_ && "flit ejected at the wrong NIC");
 
-      auto it = assembled_.find(front.packet_id);
+      auto it = assembled_.find(packet.id);
       [[maybe_unused]] const int absorbed =
           it == assembled_.end() ? 0 : it->second;
       assert(absorbed + 1 == packet.num_flits &&
@@ -307,6 +297,7 @@ void Nic::DrainEjection(Cycle now) {
         break;  // sink stalled: retry next cycle, backpressure holds
       }
       buffer.pop_front();
+      packets_->Release(slot);
       if (it != assembled_.end()) assembled_.erase(it);
       eject_held_[static_cast<std::size_t>(ci)] -= packet.num_flits;
       assert(eject_held_[static_cast<std::size_t>(ci)] >= 0);
@@ -374,6 +365,14 @@ void Nic::Load(Deserializer& d) {
                            std::to_string(credits_[v]) +
                            " credits, out of range [0, " +
                            std::to_string(config_.vc_depth) + "]");
+    }
+  }
+  // StartPackets segments a queued packet into flits that the router
+  // routes by destination and the sink takes by type.
+  for (int c = 0; c < kNumClasses; ++c) {
+    for (const auto& [packet, dst_coord] :
+         inject_queues_[static_cast<std::size_t>(c)]) {
+      packets_->CheckQueued(packet, dst_coord, static_cast<TrafficClass>(c));
     }
   }
   // SendFlits pops a sending VC's FIFO and puts its flits on the injection

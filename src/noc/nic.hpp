@@ -125,6 +125,12 @@ class Nic {
     audit_link_ = link;
   }
 
+  /// Attaches the network's packet table (required before the first
+  /// Tick): segmentation adds a record per packet, reassembly reads it and
+  /// releases it once the sink accepts the tail, and Save and Load walk
+  /// the queued flits' per-packet fields through it.
+  void SetPacketTable(PacketTable* packets) { packets_ = packets; }
+
   /// Attaches the network's telemetry sampler (nullptr = telemetry off);
   /// the NIC reports per-packet delivery latencies to it.
   void SetTelemetry(Telemetry* telemetry) { telemetry_ = telemetry; }
@@ -201,10 +207,11 @@ class Nic {
   /// ejection/reassembly state and stats. Wiring pointers and `inject_flits_per_cycle_` are
   /// reapplied by the owner at construction and not serialized.
   void Save(Serializer& s) const;
-  /// Throws SerializeError for a credit count outside [0, vc_depth] and
-  /// for a send FIFO the NIC could not have filled: a flit whose VC is not
-  /// its slot's, flits on a free or draining VC, or none on a VC still
-  /// sending (SendFlits would pop an empty FIFO).
+  /// Throws SerializeError for a credit count outside [0, vc_depth], for
+  /// a flit the packet table refuses (PacketTable::Intern), and for a send
+  /// FIFO the NIC could not have filled: a flit whose VC is not its
+  /// slot's, flits on a free or draining VC, or none on a VC still sending
+  /// (SendFlits would pop an empty FIFO).
   void Load(Deserializer& d);
 
  private:
@@ -218,18 +225,23 @@ class Nic {
 
   template <class Self, class Ar>
   static void Fields(Self& self, Ar& ar) {
+    const auto flit_io = [&self](auto& a, auto& flit) {
+      IoFlit(a, flit, *self.packets_);
+    };
     for (auto& queue : self.inject_queues_) IoSeq(ar, queue);
     for (auto& send : self.sends_) {
       Io(ar, send.busy);
       Io(ar, send.draining);
-      IoSeq(ar, send.remaining);
+      IoSeqWith(ar, send.remaining, flit_io);
     }
     IoEach(ar, self.credits_);
     Io(ar, self.send_rr_);
     Io(ar, self.boundary_);
     Io(ar, self.epoch_flits_);
     Io(ar, self.next_boundary_update_);
-    for (auto& buffer : self.eject_buffers_) IoSeq(ar, buffer);
+    for (auto& buffer : self.eject_buffers_) {
+      IoSeqWith(ar, buffer, flit_io);
+    }
     Io(ar, self.eject_held_);
     IoSortedMap(ar, self.assembled_);
     Io(ar, self.qos_tokens_);
@@ -282,6 +294,7 @@ class Nic {
   FlitChannel* inject_channel_ = nullptr;
   CreditChannel* credit_channel_ = nullptr;
   PacketSink* sink_ = nullptr;
+  PacketTable* packets_ = nullptr;
   Auditor* auditor_ = nullptr;
   int audit_link_ = -1;
   Telemetry* telemetry_ = nullptr;

@@ -81,6 +81,12 @@ int QosArbitrate(Arbiter& arb, RequestMask requests, QosArbitration mode,
   return winner;
 }
 
+/// The topology a router is built on; a router routes by its LUT only.
+const Topology& TopologyOf(const RouterConfig& config) {
+  assert(config.topology != nullptr && "a router needs its topology");
+  return *config.topology;
+}
+
 }  // namespace
 
 void CheckRequestMaskWidth(const Topology& topo, int num_vcs) {
@@ -99,20 +105,14 @@ Router::Router(NodeId node, Coord coord, const RouterConfig& config)
     : node_(node),
       coord_(coord),
       config_(config),
-      policy_(config.vc_policy, config.num_vcs, config.qos_reserved) {
+      policy_(config.vc_policy, config.num_vcs, config.qos_reserved),
+      num_ports_(TopologyOf(config).radix()),
+      num_local_ports_(config.topology->num_local_ports()),
+      slab_(num_ports_ * config.num_vcs, config.vc_depth) {
   assert(config.num_vcs >= 1);
   assert(config.vc_depth >= 1);
-  const Topology* topo = config_.topology;
-  num_ports_ = topo != nullptr ? topo->radix() : kNumPorts;
-  num_local_ports_ = topo != nullptr ? topo->num_local_ports() : 1;
-  const auto total_vcs =
-      static_cast<std::size_t>(num_ports_ * config_.num_vcs);
-  assert(total_vcs <= kMaxArbiterInputs &&
-         "radix x num_vcs exceeds one request mask");
-  buffers_.reserve(total_vcs);
-  for (std::size_t i = 0; i < total_vcs; ++i) {
-    buffers_.emplace_back(static_cast<std::size_t>(config_.vc_depth));
-  }
+  const Topology& topo = *config_.topology;
+  const auto total_vcs = static_cast<std::size_t>(NumInputVcs());
   out_vc_.fill(kInvalidVc);
   vc_half_.fill(-1);
   out_channels_.assign(static_cast<std::size_t>(num_ports_), nullptr);
@@ -132,18 +132,15 @@ Router::Router(NodeId node, Coord coord, const RouterConfig& config)
                                    0);
   audit_out_.assign(static_cast<std::size_t>(num_ports_), -1);
   audit_in_.assign(static_cast<std::size_t>(num_ports_), -1);
-  if (topo != nullptr) {
-    lut_width_ = topo->width();
-    const int tiles = topo->num_tiles();
-    route_lut_.reserve(static_cast<std::size_t>(tiles * kNumClasses));
-    route_half_.reserve(static_cast<std::size_t>(tiles * kNumClasses));
-    for (NodeId dst = 0; dst < tiles; ++dst) {
-      for (int c = 0; c < kNumClasses; ++c) {
-        const RouteStep step = topo->Route(
-            config_.routing, static_cast<TrafficClass>(c), node_, dst);
-        route_lut_.push_back(static_cast<Port>(step.port));
-        route_half_.push_back(step.vc_half);
-      }
+  const int tiles = topo.num_tiles();
+  route_lut_.reserve(static_cast<std::size_t>(tiles * kNumClasses));
+  route_half_.reserve(static_cast<std::size_t>(tiles * kNumClasses));
+  for (NodeId dst = 0; dst < tiles; ++dst) {
+    for (int c = 0; c < kNumClasses; ++c) {
+      const RouteStep step = topo.Route(
+          config_.routing, static_cast<TrafficClass>(c), node_, dst);
+      route_lut_.push_back(static_cast<Port>(step.port));
+      route_half_.push_back(step.vc_half);
     }
   }
   const auto ports = static_cast<std::size_t>(num_ports_);
@@ -199,11 +196,10 @@ void Router::AcceptFlit(Port in_port, const Flit& flit, Cycle now) {
   }
   assert(flit.vc >= 0 && flit.vc < config_.num_vcs);
   const int i = FlatVcIndex(in_port, flit.vc);
-  VcBuffer& buf = buffers_[static_cast<std::size_t>(i)];
-  assert(!buf.full() && "credit protocol violated: buffer overflow");
+  assert(!slab_.full(i) && "credit protocol violated: buffer overflow");
   Flit f = flit;
   f.ready = now + 1;  // models the RC/VA/SA pipeline stage
-  buf.Push(f);
+  slab_.Push(i, f);
   ++derived_.buffered;
   if ((derived_.occupied & RequestBit(i)) == 0) {
     derived_.occupied |= RequestBit(i);
@@ -301,12 +297,13 @@ RequestMask Router::Tick(Cycle now) {
 
 void Router::RouteHead(int i) {
   const auto u = static_cast<std::size_t>(i);
-  const Flit& front = buffers_[u].Front();
+  const Flit& front = slab_.Front(i);
   assert(IsHead(front) &&
          "non-head flit at front of an unrouted VC: wormhole broken");
-  const Port out_port = RouteFor(front.cls, front.dst_coord);
+  const std::size_t route = LutIndex(front.cls, front.dst);
+  const Port out_port = route_lut_[route];
   out_port_[u] = out_port;
-  vc_half_[u] = RouteHalfFor(front.cls, front.dst_coord);
+  vc_half_[u] = route_half_[route];
   routed_ |= RequestBit(i);
   if (PortIndex(out_port) < num_local_ports_) {
     ejecting_ |= RequestBit(i);
@@ -454,14 +451,14 @@ void Router::Traverse(int out_port, int in_port, VcId vc, Cycle now) {
   const auto op = static_cast<std::size_t>(out_port);
   const int i = in_port * config_.num_vcs + vc;
   const auto u = static_cast<std::size_t>(i);
-  VcBuffer& buf = buffers_[u];
-  Flit flit = buf.Pop();
+  Flit flit = slab_.Front(i);
+  slab_.Pop(i);
   --derived_.buffered;
-  if (buf.empty()) {
+  if (slab_.empty(i)) {
     derived_.occupied &= ~RequestBit(i);
     for (RequestMask& m : derived_.class_mask) m &= ~RequestBit(i);
   } else {
-    SetFront(i, buf.Front());
+    SetFront(i, slab_.Front(i));
   }
   ++stats_.flits_forwarded;
   if (progress_sink_ != nullptr) ++*progress_sink_;
@@ -513,12 +510,12 @@ void Router::ResetStats() {
 }
 
 std::size_t Router::VcOccupancy(Port in_port, VcId vc) const {
-  return Buffer(in_port, vc).size();
+  return slab_.size(FlatVcIndex(in_port, vc));
 }
 
 void Router::VisitVcFlits(Port in_port, VcId vc,
                           const std::function<void(const Flit&)>& fn) const {
-  Buffer(in_port, vc).ForEach(fn);
+  slab_.ForEach(FlatVcIndex(in_port, vc), fn);
 }
 
 int Router::OutputCredits(Port out_port, VcId vc) const {
@@ -531,15 +528,15 @@ bool Router::OutputVcAllocated(Port out_port, VcId vc) const {
 
 Router::Derived Router::Rebuild() const {
   Derived d;
-  for (std::size_t u = 0; u < buffers_.size(); ++u) {
-    const int i = static_cast<int>(u);
-    const VcBuffer& buf = buffers_[u];
-    d.buffered += buf.size();
-    if (!buf.empty()) {
+  for (int i = 0; i < NumInputVcs(); ++i) {
+    const auto u = static_cast<std::size_t>(i);
+    d.buffered += slab_.size(i);
+    if (!slab_.empty(i)) {
+      const Flit& front = slab_.Front(i);
       d.occupied |= RequestBit(i);
-      d.class_mask[static_cast<std::size_t>(ClassIndex(buf.Front().cls))] |=
+      d.class_mask[static_cast<std::size_t>(ClassIndex(front.cls))] |=
           RequestBit(i);
-      d.front_ready[u] = buf.Front().ready;
+      d.front_ready[u] = front.ready;
     }
     if (out_vc_[u] != kInvalidVc) d.holding |= RequestBit(i);
   }
@@ -572,7 +569,8 @@ void Router::Load(Deserializer& d) {
   Fields(*this, d);
   // The allocators index per-port state and shift masks by these, and
   // an ejecting VC indexes the NICs by its port.
-  for (std::size_t u = 0; u < buffers_.size(); ++u) {
+  const auto total = static_cast<std::size_t>(NumInputVcs());
+  for (std::size_t u = 0; u < total; ++u) {
     const int out_port = PortIndex(out_port_[u]);
     const int out_vc = out_vc_[u];
     const bool eject = (ejecting_ & RequestBit(static_cast<int>(u))) != 0;
@@ -589,7 +587,7 @@ void Router::Load(Deserializer& d) {
   }
   // A credit count above the depth would overfill the downstream VC; a
   // negative one never reaches the depth again, wedging the VC.
-  for (std::size_t u = 0; u < buffers_.size(); ++u) {
+  for (std::size_t u = 0; u < total; ++u) {
     if (credits_[u] < 0 || credits_[u] > config_.vc_depth) {
       throw SerializeError("router " + std::to_string(node_) +
                            ": output VC " + std::to_string(u) + " holds " +

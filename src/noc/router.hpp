@@ -24,8 +24,9 @@
 // (occupied, front class, routed, ejecting, holding an output VC), byte
 // arrays (output port, output VC, dateline half), the front flits' ready
 // cycles, an output-VC allocated mask and the 3 × radix arbiters as values
-// (DESIGN.md §9 "Request masks"). A flit is read only to route a head or
-// to move it.
+// (DESIGN.md §9 "Request masks"). The input VCs' flits live in one slab
+// per router (buffer.hpp). A flit is read only to route a head — the LUT
+// is indexed by its destination tile and class — or to move it.
 #pragma once
 
 #include <array>
@@ -39,6 +40,7 @@
 #include "noc/buffer.hpp"
 #include "noc/channel.hpp"
 #include "noc/nic.hpp"
+#include "noc/packet.hpp"
 #include "noc/qos.hpp"
 #include "noc/routing.hpp"
 #include "noc/topology.hpp"
@@ -72,11 +74,9 @@ struct RouterConfig {
   std::array<int, kNumClasses> qos_priority{};
   /// QoS VC reservation per class, forwarded to the VcPolicy.
   std::array<int, kNumClasses> qos_reserved{};
-  /// The topology graph, when the router lives in a Network: drives the
-  /// port count, the local-port count and the per-(destination, class)
-  /// route LUT (the router's node id is its index in the topology).
-  /// nullptr falls back to a standalone 5-port mesh router that routes
-  /// each head flit with ComputeOutputPort.
+  /// The topology graph (required): drives the port count, the local-port
+  /// count and the per-(destination, class) route LUT (the router's node
+  /// id is its index in the topology).
   const Topology* topology = nullptr;
 };
 
@@ -115,7 +115,7 @@ class Router {
   Coord coord() const { return coord_; }
   const RouterConfig& config() const { return config_; }
 
-  /// Ports on this router (the topology's radix; 5 standalone).
+  /// Ports on this router (the topology's radix).
   int num_ports() const { return num_ports_; }
   /// Ports [0, num_local_ports) eject into NICs (1 except cmesh).
   int num_local_ports() const { return num_local_ports_; }
@@ -142,6 +142,10 @@ class Router {
 
   /// Attaches the network's invariant auditor (nullptr = auditing off).
   void SetAuditor(Auditor* auditor) { auditor_ = auditor; }
+
+  /// Attaches the network's packet table, through which Save and Load walk
+  /// the buffered flits' per-packet fields (needed once a flit is held).
+  void SetPacketTable(PacketTable* packets) { packets_ = packets; }
 
   /// Audit link id of the link leaving through `out_port`.
   void SetAuditOutLink(Port out_port, int link) {
@@ -196,20 +200,10 @@ class Router {
   /// buffers).
   std::size_t BufferedFlits() const { return derived_.buffered; }
 
-  /// The output port a packet of class `cls` headed for `dst` takes here
-  /// (LUT when the topology is known, ComputeOutputPort otherwise).
-  Port RouteFor(TrafficClass cls, Coord dst) const {
-    if (route_lut_.empty()) {
-      return ComputeOutputPort(config_.routing, cls, coord_, dst);
-    }
+  /// The output port a packet of class `cls` headed for tile `dst` takes
+  /// here (the route LUT).
+  Port RouteFor(TrafficClass cls, NodeId dst) const {
     return route_lut_[LutIndex(cls, dst)];
-  }
-
-  /// The dateline VC half the hop for (`cls`, `dst`) must allocate from
-  /// (-1 = unrestricted; only torus/circulant restrict).
-  std::int8_t RouteHalfFor(TrafficClass cls, Coord dst) const {
-    if (route_half_.empty()) return -1;
-    return route_half_[LutIndex(cls, dst)];
   }
 
   /// Occupancy of one input VC (for tests and invariant checks).
@@ -250,13 +244,17 @@ class Router {
   /// Snapshot format v5 fixes the order: one record per input VC (buffer,
   /// route_valid, out_port, out_vc as a VcId, eject, vc_half), then one
   /// per output VC (allocated, tail_sent, credits), read off the packed
-  /// primary state bit by bit and byte by byte.
+  /// primary state bit by bit and byte by byte. A buffer is its slab
+  /// VC's flits, each written from the flit and its packet's record.
   template <class Self, class Ar>
   static void Fields(Self& self, Ar& ar) {
-    const int total = static_cast<int>(self.buffers_.size());
+    const int total = self.NumInputVcs();
+    const auto flit_io = [&self](auto& a, auto& flit) {
+      IoFlit(a, flit, *self.packets_);
+    };
     for (int i = 0; i < total; ++i) {
       const auto u = static_cast<std::size_t>(i);
-      Io(ar, self.buffers_[u]);  // Load throws past vc_depth flits
+      self.slab_.Walk(ar, i, flit_io);  // Load throws past vc_depth flits
       IoBit(ar, self.routed_, i);
       Io(ar, self.out_port_[u]);
       IoNarrow<VcId>(ar, self.out_vc_[u]);
@@ -301,7 +299,7 @@ class Router {
     std::size_t buffered = 0;  ///< flits across all input VCs
   };
 
-  /// The derived state rebuilt from the buffers and out_vc_.
+  /// The derived state rebuilt from the slab and out_vc_.
   Derived Rebuild() const;
 
   // --- pipeline stages -----------------------------------------------------
@@ -387,31 +385,27 @@ class Router {
   /// observed in the finished epoch, then starts a new epoch.
   void UpdateDynamicBoundaries();
 
-  std::size_t LutIndex(TrafficClass cls, Coord dst) const {
-    return static_cast<std::size_t>(
-        (dst.y * lut_width_ + dst.x) * kNumClasses + ClassIndex(cls));
+  static std::size_t LutIndex(TrafficClass cls, NodeId dst) {
+    return static_cast<std::size_t>(dst * kNumClasses + ClassIndex(cls));
   }
 
   int FlatVcIndex(Port port, VcId vc) const {
     return PortIndex(port) * config_.num_vcs + vc;
   }
 
-  const VcBuffer& Buffer(Port port, VcId vc) const {
-    return buffers_[static_cast<std::size_t>(FlatVcIndex(port, vc))];
-  }
+  int NumInputVcs() const { return num_ports_ * config_.num_vcs; }
 
   NodeId node_;
   Coord coord_;
   RouterConfig config_;
   VcPolicy policy_;
-  int num_ports_ = kNumPorts;
-  int num_local_ports_ = 1;
-  int lut_width_ = 0;
+  int num_ports_;
+  int num_local_ports_;
 
-  // --- Input VCs, [port][vc] flattened: bit / entry FlatVcIndex. The
-  // buffers and the fields below them are primary (saved); derived_ is
-  // rebuilt from them.
-  std::vector<VcBuffer> buffers_;
+  // --- Input VCs, [port][vc] flattened: bit / entry / slab VC
+  // FlatVcIndex. The slab and the fields below it are primary (saved);
+  // derived_ is rebuilt from them.
+  FlitSlab slab_;
   RequestMask routed_ = 0;    ///< out_port_ computed for the current packet
   RequestMask ejecting_ = 0;  ///< the current packet leaves via a local port
   std::array<Port, kMaxArbiterInputs> out_port_{};
@@ -437,14 +431,14 @@ class Router {
   std::vector<Nic*> nics_;                    // sized num_local_ports_
 
   Auditor* auditor_ = nullptr;
+  PacketTable* packets_ = nullptr;
   std::vector<int> audit_out_;  // audit link ids, -1 = none
   std::vector<int> audit_in_;
 
   std::uint64_t* progress_sink_ = nullptr;
 
-  /// Per-(destination node, class) output ports and dateline VC halves,
-  /// precomputed when the topology is known; empty = compute per head
-  /// flit.
+  /// Per-(destination tile, class) output ports and dateline VC halves,
+  /// precomputed from the topology: entry dst * kNumClasses + class.
   std::vector<Port> route_lut_;
   std::vector<std::int8_t> route_half_;
 

@@ -1,9 +1,11 @@
 #include "noc/trace.hpp"
 
 #include <cassert>
+#include <cstdint>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 namespace gnoc {
 
@@ -161,6 +163,29 @@ TraceReplay::TraceReplay(Network& network, std::vector<TraceRecord> records)
   for (std::size_t i = 1; i < records_.size(); ++i) {
     assert(records_[i - 1].cycle <= records_[i].cycle &&
            "trace must be sorted by cycle");
+  }
+  // The network routes a flit by its destination tile and counts a
+  // packet's flits in 16 bits; a trace from another grid must not reach it.
+  const int tiles = network_.num_nodes();
+  const std::string off_grid =
+      " is not a tile of the " + std::to_string(tiles) + "-tile network";
+  for (std::size_t i = 0; i < records_.size(); ++i) {
+    const TraceRecord& r = records_[i];
+    std::string problem;
+    if (r.src < 0 || r.src >= tiles) {
+      problem = "src" + off_grid;
+    } else if (r.dst < 0 || r.dst >= tiles) {
+      problem = "dst" + off_grid;
+    } else if (r.num_flits < 1 || r.num_flits > UINT16_MAX) {
+      problem = "the flit count is outside [1, 65535]";
+    } else {
+      continue;
+    }
+    throw std::invalid_argument(
+        "trace record " + std::to_string(i) + " (cycle " +
+        std::to_string(r.cycle) + ", src " + std::to_string(r.src) +
+        ", dst " + std::to_string(r.dst) + ", " +
+        std::to_string(r.num_flits) + " flits): " + problem);
   }
 }
 

@@ -123,7 +123,10 @@ class RecordingFabric final : public Fabric {
 /// stream instead of dropping packets.
 class TraceReplay {
  public:
-  /// `records` must be sorted by cycle (TraceWriter output is).
+  /// `records` must be sorted by cycle (TraceWriter output is). Throws
+  /// std::invalid_argument, naming the record, for a source or
+  /// destination that is not a tile of `network` or a flit count outside
+  /// [1, 65535].
   TraceReplay(Network& network, std::vector<TraceRecord> records);
 
   /// Injects every due record the network will accept.

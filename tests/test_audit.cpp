@@ -187,6 +187,34 @@ TEST(AuditFaultTest, DroppedCreditTripsQuiescence) {
   EXPECT_GT(Count(r, AuditInvariant::kQuiescence), 0u);
 }
 
+// The end-of-run sweep reports a packet record still live after a drain:
+// a NIC that delivered a packet but never released its record leaks a
+// table slot per packet. The auditor reads the network's packet table.
+TEST(AuditFaultTest, LivePacketRecordTripsQuiescence) {
+  PacketTable packets(4, 4);
+  Auditor auditor(/*interval=*/1, packets);
+  auditor.CheckQuiescence(10);
+  EXPECT_TRUE(auditor.report().clean());
+
+  Packet p;
+  p.id = 42;
+  p.src = 0;
+  p.dst = 5;
+  const PacketSlot slot = packets.Add(PacketRecord::Of(p, Coord{1, 1}));
+  auditor.CheckQuiescence(11);
+  const AuditReport& r = auditor.report();
+  EXPECT_EQ(Count(r, AuditInvariant::kQuiescence), 1u);
+  ASSERT_EQ(r.samples.size(), 1u);
+  EXPECT_EQ(r.samples[0].detail,
+            "1 packet record(s) still live after drain, the first of packet "
+            "42");
+
+  packets.Release(slot);
+  auditor.CheckQuiescence(12);
+  EXPECT_EQ(Count(auditor.report(), AuditInvariant::kQuiescence), 1u)
+      << "a released record is not reported";
+}
+
 TEST(AuditFaultTest, FaultNeedsALiveVictim) {
   Network net(AuditedConfig());
   // Idle network: nothing in any channel to corrupt.

@@ -1,5 +1,5 @@
-// Unit tests for the Ring FIFO and the VcBuffer and DelayLine channels
-// built on it.
+// Unit tests for the Ring FIFO, the DelayLine channels built on it, and
+// the router's per-VC flit FIFOs in one slab (VcBufferTest).
 #include <gtest/gtest.h>
 
 #include <deque>
@@ -11,47 +11,93 @@
 #include "common/serialize.hpp"
 #include "noc/buffer.hpp"
 #include "noc/channel.hpp"
+#include "noc/packet.hpp"
 
 namespace gnoc {
 namespace {
 
-Flit MakeFlit(PacketId id) {
+/// A flit told apart by its `ready` cycle.
+Flit MakeFlit(Cycle id) {
   Flit f;
-  f.packet_id = id;
+  f.ready = id;
   return f;
 }
 
+/// VC `vc`'s flits in `slab`, oldest first, by id.
+std::vector<Cycle> Ids(const FlitSlab& slab, int vc) {
+  std::vector<Cycle> ids;
+  slab.ForEach(vc, [&](const Flit& f) { ids.push_back(f.ready); });
+  return ids;
+}
+
+// Each VC of the slab is a FIFO over its own slots: order holds across
+// wrap-arounds and traffic on one VC never shows on another.
 TEST(VcBufferTest, FifoOrder) {
-  VcBuffer buf(4);
-  buf.Push(MakeFlit(1));
-  buf.Push(MakeFlit(2));
-  buf.Push(MakeFlit(3));
-  EXPECT_EQ(buf.size(), 3u);
-  EXPECT_EQ(buf.Pop().packet_id, 1u);
-  EXPECT_EQ(buf.Pop().packet_id, 2u);
-  EXPECT_EQ(buf.Front().packet_id, 3u);
-  EXPECT_EQ(buf.Pop().packet_id, 3u);
-  EXPECT_TRUE(buf.empty());
+  FlitSlab slab(/*num_vcs=*/3, /*depth=*/4);
+  for (Cycle id = 1; id <= 3; ++id) slab.Push(1, MakeFlit(id));
+  slab.Push(2, MakeFlit(100));
+  EXPECT_EQ(slab.size(1), 3u);
+  EXPECT_EQ(slab.Front(1).ready, 1u);
+  slab.Pop(1);
+  EXPECT_EQ(slab.Front(1).ready, 2u);
+  slab.Pop(1);
+  // Wrap VC 1's head past the end of its slots.
+  for (Cycle id = 4; id <= 6; ++id) slab.Push(1, MakeFlit(id));
+  EXPECT_EQ(Ids(slab, 1), (std::vector<Cycle>{3, 4, 5, 6}));
+  for (Cycle want = 3; want <= 6; ++want) {
+    ASSERT_EQ(slab.Front(1).ready, want);
+    slab.Pop(1);
+  }
+  EXPECT_TRUE(slab.empty(1));
+  EXPECT_TRUE(slab.empty(0));
+  EXPECT_EQ(Ids(slab, 2), (std::vector<Cycle>{100}));
 }
 
 TEST(VcBufferTest, CapacityTracking) {
-  VcBuffer buf(2);
-  EXPECT_EQ(buf.free_slots(), 2u);
-  EXPECT_FALSE(buf.full());
-  buf.Push(MakeFlit(1));
-  EXPECT_EQ(buf.free_slots(), 1u);
-  buf.Push(MakeFlit(2));
-  EXPECT_TRUE(buf.full());
-  EXPECT_EQ(buf.free_slots(), 0u);
-  buf.Pop();
-  EXPECT_FALSE(buf.full());
+  FlitSlab slab(/*num_vcs=*/2, /*depth=*/2);
+  EXPECT_FALSE(slab.full(0));
+  slab.Push(0, MakeFlit(1));
+  EXPECT_EQ(slab.size(0), 1u);
+  slab.Push(0, MakeFlit(2));
+  EXPECT_TRUE(slab.full(0));
+  EXPECT_FALSE(slab.full(1)) << "each VC has its own capacity";
+  slab.Pop(0);
+  EXPECT_FALSE(slab.full(0));
+  EXPECT_EQ(slab.size(0), 1u);
 }
 
+// A VC's snapshot walk writes the v5 bytes of a VC buffer (a u64 count,
+// then the flits); loading replaces the VC's contents, so a VC that held
+// flits is emptied by an empty record, and a count past the depth is
+// refused before any flit is read.
 TEST(VcBufferTest, ClearEmpties) {
-  VcBuffer buf(3);
-  buf.Push(MakeFlit(1));
-  buf.Clear();
-  EXPECT_TRUE(buf.empty());
+  const auto ready_io = [](auto& ar, auto& f) { Io(ar, f.ready); };
+  FlitSlab slab(/*num_vcs=*/2, /*depth=*/3);
+  slab.Push(0, MakeFlit(1));
+  slab.Push(1, MakeFlit(7));
+  Serializer one_flit;
+  slab.Walk(one_flit, 1, ready_io);
+  EXPECT_EQ(one_flit.bytes().size(), 16u) << "u64 count, one u64 ready";
+  Serializer no_flits;
+  FlitSlab(2, 3).Walk(no_flits, 0, ready_io);
+  ASSERT_EQ(no_flits.bytes(), std::string(8, '\0'));
+
+  Deserializer d(no_flits.bytes());
+  slab.Walk(d, 0, ready_io);
+  d.Finish();
+  EXPECT_TRUE(slab.empty(0)) << "an empty record clears the VC";
+  EXPECT_EQ(Ids(slab, 1), (std::vector<Cycle>{7})) << "and only that VC";
+
+  Deserializer one(one_flit.bytes());
+  slab.Walk(one, 0, ready_io);
+  one.Finish();
+  EXPECT_EQ(Ids(slab, 0), (std::vector<Cycle>{7}));
+
+  Serializer four;
+  four.U64(4);
+  for (std::uint64_t i = 0; i < 4; ++i) four.U64(i);
+  Deserializer past(four.bytes());
+  EXPECT_THROW(slab.Walk(past, 0, ready_io), SerializeError);
 }
 
 TEST(DelayLineTest, RespectsLatency) {
@@ -140,15 +186,15 @@ TEST(RingTest, GrowthWhileWrappedKeepsOrder) {
 
 TEST(RingTest, PushOfItsOwnBackSurvivesGrowth) {
   Ring<Flit> ring;
-  for (PacketId id = 1; id <= 4; ++id) ring.push_back(MakeFlit(id));
+  for (Cycle id = 1; id <= 4; ++id) ring.push_back(MakeFlit(id));
   ring.pop_front();
   ring.push_back(MakeFlit(5));  // full and wrapped
   ASSERT_EQ(ring.size(), ring.capacity());
   ring.push_back(ring.back());  // the argument lives in a slot that moves
   ASSERT_EQ(ring.size(), 5u);
-  std::vector<PacketId> ids;
-  for (const Flit& f : ring) ids.push_back(f.packet_id);
-  EXPECT_EQ(ids, (std::vector<PacketId>{2, 3, 4, 5, 5}));
+  std::vector<Cycle> ids;
+  for (const Flit& f : ring) ids.push_back(f.ready);
+  EXPECT_EQ(ids, (std::vector<Cycle>{2, 3, 4, 5, 5}));
 }
 
 TEST(RingTest, IteratesOldestFirst) {
@@ -167,17 +213,20 @@ TEST(RingTest, IteratesOldestFirst) {
 }
 
 // The snapshot walk of a ring is byte for byte that of a deque with the
-// same contents, so replacing the flit path's deques kept format v5.
+// same contents, so replacing the flit path's deques kept format v5. The
+// items are those of a NIC's injection queue.
 TEST(RingTest, IoSeqWritesTheBytesOfADequeWithTheSameContents) {
-  Ring<std::pair<Cycle, Flit>> ring;
-  std::deque<std::pair<Cycle, Flit>> deque;
+  Ring<std::pair<Packet, Coord>> ring;
+  std::deque<std::pair<Packet, Coord>> deque;
   for (PacketId id = 1; id <= 6; ++id) {
-    Flit f = MakeFlit(id);
-    f.kind = id % 2 == 0 ? FlitKind::kBody : FlitKind::kTail;
-    f.vc = static_cast<VcId>(id % 3);
-    f.addr = 0x1000 * id;
-    ring.emplace_back(Cycle{10 + id}, f);
-    deque.emplace_back(Cycle{10 + id}, f);
+    Packet p;
+    p.id = id;
+    p.type = id % 2 == 0 ? PacketType::kReadReply : PacketType::kWriteRequest;
+    p.num_flits = static_cast<int>(id % 3) + 1;
+    p.addr = 0x1000 * id;
+    const Coord at{static_cast<int>(id), 2};
+    ring.emplace_back(p, at);
+    deque.emplace_back(p, at);
     if (id % 2 == 0) {  // wrap the ring's head past its first slots
       ring.pop_front();
       deque.pop_front();
@@ -189,7 +238,7 @@ TEST(RingTest, IoSeqWritesTheBytesOfADequeWithTheSameContents) {
   IoSeq(from_deque, deque);
   ASSERT_EQ(from_ring.bytes(), from_deque.bytes());
 
-  Ring<std::pair<Cycle, Flit>> loaded;
+  Ring<std::pair<Packet, Coord>> loaded;
   loaded.push_back({});  // Load replaces old contents
   Deserializer d(from_deque.bytes());
   IoSeq(d, loaded);

@@ -2,13 +2,16 @@
 // latency, credits, and multi-packet stress across routings and policies.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "noc/deadlock.hpp"
+#include "noc/fabric.hpp"
 #include "noc/network.hpp"
 #include "noc/placement.hpp"
 
@@ -466,6 +469,176 @@ TEST(NetworkTest, LoadRefusesCreditOnAVcOutOfRange) {
   }
 }
 
+// --- Loaded flits the network could not have made ------------------------
+//
+// Offsets within a flit's 75-byte v5 record: u64 packet_id @0, u8 kind @8,
+// u8 cls @9, i32 src @10, i32 dst @14, i32 dst_coord x @18 and y @22, u16
+// seq @26, u16 packet_size @28, u64 created @30, u64 injected @38, u64
+// ready @46, i32 vc @54, u8 type_raw @58, u64 payload @59, u64 addr @67.
+constexpr std::size_t kFlitKind = 8;
+constexpr std::size_t kFlitSrc = 10;
+constexpr std::size_t kFlitDst = 14;
+constexpr std::size_t kFlitDstX = 18;
+constexpr std::size_t kFlitSeq = 26;
+constexpr std::size_t kFlitSize = 28;
+constexpr std::size_t kFlitCreated = 30;
+constexpr std::size_t kFlitInjected = 38;
+constexpr std::size_t kFlitType = 58;
+constexpr std::size_t kFlitPayload = 59;
+constexpr std::size_t kFlitAddr = 67;
+
+/// A SmallConfig network's payload after it carried `packet` (from tile 0
+/// to tile 15, created at cycle 0) for `ticks` cycles, and the offsets of
+/// its flits' records in payload order, found by their payload and addr.
+struct CarriedPacket {
+  std::string bytes;
+  std::vector<std::size_t> flits;
+};
+
+CarriedPacket Carry(PacketType type, int num_flits, int ticks) {
+  Network net(SmallConfig());
+  Packet p;
+  p.type = type;
+  p.src = 0;
+  p.dst = 15;
+  p.num_flits = num_flits;
+  p.payload = 0x1122334455667788;
+  p.addr = 0x99AABBCCDDEEFF00;
+  EXPECT_TRUE(net.Inject(p));
+  for (int i = 0; i < ticks; ++i) net.Tick();
+  Serializer s;
+  net.Save(s);
+  CarriedPacket carried{s.TakeBytes(), {}};
+  Serializer tail;
+  tail.U64(p.payload);
+  tail.U64(p.addr);
+  for (std::size_t at = carried.bytes.find(tail.bytes());
+       at != std::string::npos;
+       at = carried.bytes.find(tail.bytes(), at + 1)) {
+    carried.flits.push_back(at - kFlitPayload);
+  }
+  return carried;
+}
+
+/// `bytes` with the `width`-byte little-endian field at `at` set to
+/// `value`.
+std::string Patched(std::string bytes, std::size_t at, std::uint64_t value,
+                    int width) {
+  for (int i = 0; i < width; ++i) {
+    bytes[at + static_cast<std::size_t>(i)] =
+        static_cast<char>((value >> (8 * i)) & 0xFF);
+  }
+  return bytes;
+}
+
+/// The error message of loading `bytes` into a fresh SmallConfig network,
+/// "" if none.
+std::string NetworkLoadError(const std::string& bytes) {
+  Network fresh(SmallConfig());
+  Deserializer d(bytes);
+  try {
+    fresh.Load(d);
+    d.Finish();
+  } catch (const SerializeError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// RC indexes its route LUT by a flit's destination tile: Load refuses a
+// dst that is not a tile, or a dst_coord that is not dst's coordinate. The
+// snapshot holds one request on its injection link. dst_coord.x = 100000
+// is the reproducer: it loaded, and the first Tick read past the LUT.
+TEST(NetworkTest, LoadRefusesAFlitDestinationOffTheGrid) {
+  const CarriedPacket c = Carry(PacketType::kReadRequest, 1, 1);
+  ASSERT_EQ(c.flits.size(), 1u);
+  const std::size_t f = c.flits[0];
+  EXPECT_EQ(NetworkLoadError(c.bytes), "");
+  EXPECT_NE(NetworkLoadError(Patched(c.bytes, f + kFlitDstX, 100000, 4))
+                .find("dst_coord (100000,3) is not tile 15's (3,3)"),
+            std::string::npos);
+  EXPECT_NE(NetworkLoadError(Patched(c.bytes, f + kFlitDst, 14, 4))
+                .find("dst_coord (3,3) is not tile 14's (2,3)"),
+            std::string::npos);
+  for (const std::uint64_t dst : {16u, 0xFFFFFFFFu}) {  // past the grid, -1
+    EXPECT_NE(NetworkLoadError(Patched(c.bytes, f + kFlitDst, dst, 4))
+                  .find("is not a tile of the 4x4 grid"),
+              std::string::npos)
+        << dst;
+  }
+  // The sink replies to the source: it must be a tile too.
+  EXPECT_NE(NetworkLoadError(Patched(c.bytes, f + kFlitSrc, 16, 4))
+                .find("node 16 is not a tile"),
+            std::string::npos);
+}
+
+// The NIC reassembles by kind: Load refuses a kind that contradicts the
+// flit's seq and its packet's size (the snapshot holds one single-flit
+// request on its injection link).
+TEST(NetworkTest, LoadRefusesAFlitKindThatContradictsSeqAndSize) {
+  const CarriedPacket c = Carry(PacketType::kReadRequest, 1, 1);
+  ASSERT_EQ(c.flits.size(), 1u);
+  const std::size_t f = c.flits[0];
+  const std::string bad[] = {
+      Patched(c.bytes, f + kFlitKind, 0, 1),  // a head of a 1-flit packet
+      Patched(c.bytes, f + kFlitSeq, 1, 2),   // seq past the packet
+      Patched(c.bytes, f + kFlitSize, 0, 2),  // a 0-flit packet
+      Patched(c.bytes, f + kFlitSize, 2, 2),  // head-tail of 2 flits
+  };
+  for (const std::string& bytes : bad) {
+    EXPECT_NE(NetworkLoadError(bytes).find("contradicts seq"),
+              std::string::npos);
+  }
+}
+
+// A sink takes a packet by its type: Load refuses a type_raw that is not a
+// packet type of the flit's class.
+TEST(NetworkTest, LoadRefusesAFlitTypeNotOfItsClass) {
+  const CarriedPacket c = Carry(PacketType::kReadRequest, 1, 1);
+  ASSERT_EQ(c.flits.size(), 1u);
+  const std::size_t at = c.flits[0] + kFlitType;
+  EXPECT_EQ(NetworkLoadError(Patched(c.bytes, at, 1, 1)), "")
+      << "a write request is a request";
+  EXPECT_NE(NetworkLoadError(Patched(c.bytes, at, 2, 1))
+                .find("type 2 is not a packet type of class 0"),
+            std::string::npos);
+  EXPECT_NE(NetworkLoadError(Patched(c.bytes, at, 4, 1))
+                .find("type 4 is not a packet type of class 0"),
+            std::string::npos);
+}
+
+// Load keeps one record per packet id: flits of one packet that disagree
+// on a per-packet field are refused. One tick into a 5-flit reply, its
+// head is on the injection link and four flits wait in the NIC's send
+// FIFO; each case patches one field of one of them.
+TEST(NetworkTest, LoadRefusesFlitsOfOnePacketThatDisagree) {
+  const CarriedPacket c = Carry(PacketType::kReadReply, 5, 1);
+  ASSERT_EQ(c.flits.size(), 5u);
+  EXPECT_EQ(NetworkLoadError(c.bytes), "");
+  struct Case {
+    std::size_t flit;
+    std::size_t field;
+    std::uint64_t value;
+    int width;
+    const char* name;
+  };
+  const Case cases[] = {
+      {4, kFlitSrc, 1, 4, "src"},
+      {1, kFlitSize, 6, 2, "packet_size"},
+      {2, kFlitCreated, 9, 8, "created"},
+      {4, kFlitInjected, 9, 8, "injected"},
+      {3, kFlitType, 3, 1, "type_raw"},  // a write reply
+      {0, kFlitPayload, 7, 8, "payload"},
+      {4, kFlitAddr, 7, 8, "addr"},
+  };
+  for (const Case& k : cases) {
+    EXPECT_EQ(NetworkLoadError(Patched(c.bytes, c.flits[k.flit] + k.field,
+                                       k.value, k.width)),
+              std::string("flits of packet 1 disagree on ") + k.name)
+        << "flit " << k.flit;
+  }
+}
+
 TEST(NetworkTest, FlitConservationUnderRandomTraffic) {
   // Property: after draining, every injected flit was ejected, per class.
   NetworkConfig cfg = SmallConfig();
@@ -508,10 +681,21 @@ struct SweepParam {
   int num_vcs;
 };
 
-class NetworkSweepTest : public ::testing::TestWithParam<SweepParam> {};
+const SweepParam kSweepParams[] = {
+    {RoutingAlgorithm::kXY, VcPolicyKind::kSplit, 2},
+    {RoutingAlgorithm::kYX, VcPolicyKind::kSplit, 2},
+    {RoutingAlgorithm::kXYYX, VcPolicyKind::kSplit, 2},
+    {RoutingAlgorithm::kXY, VcPolicyKind::kFullMonopolize, 2},
+    {RoutingAlgorithm::kYX, VcPolicyKind::kFullMonopolize, 2},
+    {RoutingAlgorithm::kXYYX, VcPolicyKind::kPartialMonopolize, 2},
+    {RoutingAlgorithm::kXY, VcPolicyKind::kAsymmetric, 4},
+    {RoutingAlgorithm::kXYYX, VcPolicyKind::kAsymmetric, 4},
+};
 
-TEST_P(NetworkSweepTest, ManyToFewDeliversAll) {
-  const SweepParam param = GetParam();
+/// An 8x8 network of the sweep point, its links' class usage analysed for
+/// the bottom MC placement the many-to-few traffic follows (so link-aware
+/// policies are exercised).
+std::unique_ptr<Network> SweepNetwork(const SweepParam& param) {
   NetworkConfig cfg;
   cfg.width = 8;
   cfg.height = 8;
@@ -519,22 +703,18 @@ TEST_P(NetworkSweepTest, ManyToFewDeliversAll) {
   cfg.vc_depth = 4;
   cfg.routing = param.routing;
   cfg.vc_policy = param.policy;
-  Network net(cfg);
-  // The traffic below matches the bottom MC placement; distribute the
-  // static link analysis so link-aware policies are exercised.
-  net.ConfigureLinkModes(
+  auto net = std::make_unique<Network>(cfg);
+  net->ConfigureLinkModes(
       AnalyzeLinkUsage(TilePlan(8, 8, 8, McPlacement::kBottom),
                        param.routing));
+  return net;
+}
 
-  // Request sinks at the bottom row (MC-like), reply sinks everywhere else.
-  CollectSink mc_sink;
-  CollectSink core_sink;
-  for (NodeId n = 0; n < net.num_nodes(); ++n) {
-    net.SetSink(n, net.CoordOf(n).y == 7 ? &mc_sink : &core_sink);
-  }
-
-  // Cores (rows 0..6) send requests to the bottom row; bottom row sends
-  // replies back. Class-correct traffic so split policies are exercised.
+/// Many-to-few traffic on an 8x8 network: cores (rows 0..6) send requests
+/// to the bottom row, the bottom row sends replies back, six rounds three
+/// cycles apart. Class-correct, so split policies are exercised. Returns
+/// the packets injected.
+int InjectManyToFew(Network& net) {
   int sent = 0;
   Rng rng(123);
   for (int round = 0; round < 6; ++round) {
@@ -554,11 +734,26 @@ TEST_P(NetworkSweepTest, ManyToFewDeliversAll) {
       }
       p.src = n;
       if (p.src == p.dst) continue;
-      ASSERT_TRUE(net.Inject(p));
+      EXPECT_TRUE(net.Inject(p));
       ++sent;
     }
     for (int k = 0; k < 3; ++k) net.Tick();
   }
+  return sent;
+}
+
+class NetworkSweepTest : public ::testing::TestWithParam<SweepParam> {};
+
+TEST_P(NetworkSweepTest, ManyToFewDeliversAll) {
+  const std::unique_ptr<Network> owned = SweepNetwork(GetParam());
+  Network& net = *owned;
+  // Request sinks at the bottom row (MC-like), reply sinks everywhere else.
+  CollectSink mc_sink;
+  CollectSink core_sink;
+  for (NodeId n = 0; n < net.num_nodes(); ++n) {
+    net.SetSink(n, net.CoordOf(n).y == 7 ? &mc_sink : &core_sink);
+  }
+  const int sent = InjectManyToFew(net);
 
   ASSERT_TRUE(net.Drain(50000)) << "network failed to drain";
   EXPECT_FALSE(net.Deadlocked());
@@ -567,17 +762,7 @@ TEST_P(NetworkSweepTest, ManyToFewDeliversAll) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    RoutingPolicyMatrix, NetworkSweepTest,
-    ::testing::Values(
-        SweepParam{RoutingAlgorithm::kXY, VcPolicyKind::kSplit, 2},
-        SweepParam{RoutingAlgorithm::kYX, VcPolicyKind::kSplit, 2},
-        SweepParam{RoutingAlgorithm::kXYYX, VcPolicyKind::kSplit, 2},
-        SweepParam{RoutingAlgorithm::kXY, VcPolicyKind::kFullMonopolize, 2},
-        SweepParam{RoutingAlgorithm::kYX, VcPolicyKind::kFullMonopolize, 2},
-        SweepParam{RoutingAlgorithm::kXYYX, VcPolicyKind::kPartialMonopolize,
-                   2},
-        SweepParam{RoutingAlgorithm::kXY, VcPolicyKind::kAsymmetric, 4},
-        SweepParam{RoutingAlgorithm::kXYYX, VcPolicyKind::kAsymmetric, 4}),
+    RoutingPolicyMatrix, NetworkSweepTest, ::testing::ValuesIn(kSweepParams),
     [](const ::testing::TestParamInfo<SweepParam>& info) {
       std::string name = std::string(RoutingName(info.param.routing)) + "_" +
                          VcPolicyName(info.param.policy) + "_v" +
@@ -587,6 +772,148 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return name;
     });
+
+/// Uniform random traffic for `cycles` cycles at 0.1 packets per tile per
+/// cycle, half 1-flit requests and half 5-flit replies, into `fabric`,
+/// which then ticks until it holds no flit. Returns the peak count of live
+/// packet records over `networks`, sampled every cycle.
+std::size_t RunUniformAndDrain(Fabric& fabric, int tiles, int cycles,
+                               const std::vector<const Network*>& networks) {
+  Rng rng(0x7AB1E);
+  std::size_t peak = 0;
+  const auto sample = [&] {
+    std::size_t live = 0;
+    for (const Network* net : networks) live += net->packets().live();
+    peak = std::max(peak, live);
+  };
+  for (int c = 0; c < cycles; ++c) {
+    for (NodeId n = 0; n < tiles; ++n) {
+      if (!rng.Bernoulli(0.1)) continue;
+      Packet p;
+      p.type = rng.Bernoulli(0.5) ? PacketType::kReadRequest
+                                  : PacketType::kReadReply;
+      p.num_flits = p.type == PacketType::kReadRequest ? 1 : 5;
+      p.src = n;
+      p.dst = static_cast<NodeId>(
+          rng.NextBounded(static_cast<std::uint64_t>(tiles)));
+      if (p.dst != p.src && fabric.CanInject(p.src, p.cls())) {
+        EXPECT_TRUE(fabric.Inject(p));
+      }
+    }
+    fabric.Tick();
+    sample();
+  }
+  for (int c = 0; c < 20000 && fabric.FlitsInFlight() != 0; ++c) {
+    fabric.Tick();
+  }
+  EXPECT_EQ(fabric.FlitsInFlight(), 0u) << "failed to drain";
+  return peak;
+}
+
+// Every packet's record is released once its sink accepts the tail: a
+// drained network's packet table is empty — across the routing x policy
+// matrix, the torus, cmesh and circulant topologies, and both networks of
+// a DualNetworkFabric — though each table held records mid-run.
+TEST(NetworkTest, DrainedNetworksHoldNoLivePacketRecords) {
+  CollectSink sink;
+  for (const SweepParam& param : kSweepParams) {
+    const std::unique_ptr<Network> net = SweepNetwork(param);
+    for (NodeId n = 0; n < net->num_nodes(); ++n) net->SetSink(n, &sink);
+    InjectManyToFew(*net);
+    EXPECT_GT(net->packets().live(), 0u);
+    ASSERT_TRUE(net->Drain(50000));
+    EXPECT_EQ(net->packets().live(), 0u)
+        << RoutingName(param.routing) << "/" << VcPolicyName(param.policy);
+  }
+  for (const TopologyKind kind :
+       {TopologyKind::kTorus, TopologyKind::kCMesh,
+        TopologyKind::kCirculant}) {
+    NetworkConfig cfg = SmallConfig();
+    cfg.topology = kind;
+    cfg.num_vcs = 4;  // two dateline halves per class on torus/circulant
+    SingleNetworkFabric fabric(cfg);
+    for (NodeId n = 0; n < 16; ++n) fabric.SetSink(n, &sink);
+    const Network& net = fabric.net(TrafficClass::kRequest);
+    EXPECT_GT(RunUniformAndDrain(fabric, 16, 400, {&net}), 0u);
+    EXPECT_EQ(net.packets().live(), 0u) << TopologyName(kind);
+  }
+  NetworkConfig cfg = SmallConfig();
+  cfg.num_vcs = 4;
+  DualNetworkFabric dual(cfg);
+  for (NodeId n = 0; n < 16; ++n) dual.SetSink(n, &sink);
+  const Network& requests = dual.net(TrafficClass::kRequest);
+  const Network& replies = dual.net(TrafficClass::kReply);
+  EXPECT_GT(RunUniformAndDrain(dual, 16, 400, {&requests, &replies}), 0u);
+  EXPECT_EQ(requests.packets().live(), 0u);
+  EXPECT_EQ(replies.packets().live(), 0u);
+}
+
+// A sink that injects from inside Accept — the MC and SM models reply that
+// way — while the NIC still holds the delivered packet's record: the NIC
+// hands the sink a copy and releases the record after Accept, so relayed
+// packets reuse released slots without aliasing a live one. Each chain of
+// packets bounces between its two tiles, counting its payload down; every
+// delivery must carry its own chain's endpoints, type and flit count.
+TEST(NetworkTest, RelaySinkInjectingFromAcceptKeepsRecordsApart) {
+  class Relay : public PacketSink {
+   public:
+    explicit Relay(Network& net) : net_(net) {}
+    bool Accept(const Packet& p, Cycle) override {
+      if (p.payload > 0) {
+        Packet next;
+        next.type = p.cls() == TrafficClass::kRequest
+                        ? PacketType::kReadReply
+                        : PacketType::kWriteRequest;
+        next.num_flits = next.type == PacketType::kReadReply ? 5 : 3;
+        next.src = p.dst;
+        next.dst = p.src;
+        next.payload = p.payload - 1;
+        next.addr = p.addr;
+        if (!net_.Inject(next)) return false;  // retried next cycle
+      }
+      delivered.push_back(p);
+      return true;
+    }
+    std::vector<Packet> delivered;
+
+   private:
+    Network& net_;
+  };
+  Network net(SmallConfig());
+  Relay relay(net);
+  for (NodeId n = 0; n < net.num_nodes(); ++n) net.SetSink(n, &relay);
+  constexpr int kChains = 12;
+  constexpr std::uint64_t kHops = 9;  // payloads 9 down to 0
+  const auto ends = [](std::uint64_t chain) {
+    return std::pair<NodeId, NodeId>{static_cast<NodeId>(chain),
+                                     static_cast<NodeId>(15 - chain)};
+  };
+  for (std::uint64_t chain = 0; chain < kChains; ++chain) {
+    Packet p;
+    p.type = PacketType::kReadRequest;
+    p.src = ends(chain).first;
+    p.dst = ends(chain).second;
+    p.payload = kHops;
+    p.addr = chain;
+    ASSERT_TRUE(net.Inject(p));
+  }
+  ASSERT_TRUE(net.Drain(50000));
+  EXPECT_EQ(net.packets().live(), 0u);
+  ASSERT_EQ(relay.delivered.size(), kChains * (kHops + 1));
+  for (const Packet& p : relay.delivered) {
+    const auto [a, b] = ends(p.addr);
+    EXPECT_TRUE((p.src == a && p.dst == b) || (p.src == b && p.dst == a))
+        << "chain " << p.addr << " delivered " << p.src << "->" << p.dst;
+    // The chain leaves a at even payload distance from its start.
+    const bool outbound = (kHops - p.payload) % 2 == 0;
+    EXPECT_EQ(p.src, outbound ? a : b) << "chain " << p.addr;
+    const bool request = p.cls() == TrafficClass::kRequest;
+    EXPECT_EQ(request, outbound) << "chain " << p.addr;
+    EXPECT_EQ(p.num_flits, p.type == PacketType::kReadRequest    ? 1
+                           : p.type == PacketType::kWriteRequest ? 3
+                                                                 : 5);
+  }
+}
 
 }  // namespace
 }  // namespace gnoc

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "noc/nic.hpp"
+#include "noc/packet.hpp"
 
 namespace gnoc {
 namespace {
@@ -22,8 +24,33 @@ NicConfig DefaultConfig() {
 
 struct NicHarness {
   explicit NicHarness(const NicConfig& cfg) : nic(0, Coord{0, 0}, cfg) {
+    nic.SetPacketTable(&packets);
     nic.SetInjectionChannel(&inject);
     nic.SetCreditChannel(&credits);
+  }
+
+  /// Flit `seq` of the `size`-flit packet `id` of `type`, from tile 3 to
+  /// this NIC, as its router ejects it. The packet's first flit adds its
+  /// record to the harness's packet table.
+  Flit Ejected(PacketId id, PacketType type, int seq = 0, int size = 1,
+               Cycle created = 0, Cycle injected = 0) {
+    Packet p;
+    p.id = id;
+    p.type = type;
+    p.src = 3;
+    p.dst = 0;
+    p.num_flits = size;
+    p.created = created;
+    p.injected = injected;
+    const auto [it, added] = slots.try_emplace(id, PacketSlot{0});
+    if (added) it->second = packets.Add(PacketRecord::Of(p, Coord{0, 0}));
+    Flit f;
+    f.slot = it->second;
+    f.dst = 0;
+    f.seq = static_cast<std::uint16_t>(seq);
+    f.kind = KindAt(seq, size);
+    f.cls = ClassOf(type);
+    return f;
   }
 
   Packet MakePacket(PacketType type, int flits, PacketId id = 0) {
@@ -36,6 +63,8 @@ struct NicHarness {
     return p;
   }
 
+  PacketTable packets{4, 4};
+  std::unordered_map<PacketId, PacketSlot> slots;
   Nic nic;
   FlitChannel inject{1};
   CreditChannel credits{1};
@@ -126,24 +155,16 @@ TEST(NicTest, EjectionReassemblesInterleavedPackets) {
   } sink;
   h.nic.SetSink(&sink);
 
-  auto eject = [&](PacketId id, int seq, int size, FlitKind kind) {
-    Flit f;
-    f.packet_id = id;
-    f.kind = kind;
-    f.cls = TrafficClass::kReply;
-    f.type_raw = static_cast<std::uint8_t>(PacketType::kReadReply);
-    f.src = 3;
-    f.dst = 0;
-    f.seq = static_cast<std::uint16_t>(seq);
-    f.packet_size = static_cast<std::uint16_t>(size);
-    h.nic.AcceptEjectedFlit(f, 0);
+  auto eject = [&](PacketId id, int seq, int size) {
+    h.nic.AcceptEjectedFlit(h.Ejected(id, PacketType::kReadReply, seq, size),
+                            0);
   };
   // Packets 10 (3 flits) and 11 (2 flits) interleaved.
-  eject(10, 0, 3, FlitKind::kHead);
-  eject(11, 0, 2, FlitKind::kHead);
-  eject(10, 1, 3, FlitKind::kBody);
-  eject(11, 1, 2, FlitKind::kTail);
-  eject(10, 2, 3, FlitKind::kTail);
+  eject(10, 0, 3);
+  eject(11, 0, 2);
+  eject(10, 1, 3);
+  eject(11, 1, 2);
+  eject(10, 2, 3);
 
   // One delivery per class per cycle.
   h.nic.Tick(0);
@@ -154,6 +175,7 @@ TEST(NicTest, EjectionReassemblesInterleavedPackets) {
   EXPECT_EQ(sink.got[1].id, 10u);
   EXPECT_EQ(sink.got[1].num_flits, 3);
   EXPECT_EQ(h.nic.EjectOccupancy(TrafficClass::kReply), 0);
+  EXPECT_EQ(h.packets.live(), 0u) << "each delivery released its record";
 }
 
 TEST(NicTest, StalledSinkBackpressuresEjection) {
@@ -166,21 +188,15 @@ TEST(NicTest, StalledSinkBackpressuresEjection) {
   } sink;
   h.nic.SetSink(&sink);
 
-  Flit f;
-  f.packet_id = 5;
-  f.kind = FlitKind::kHeadTail;
-  f.cls = TrafficClass::kRequest;
-  f.type_raw = static_cast<std::uint8_t>(PacketType::kReadRequest);
-  f.dst = 0;
-  f.packet_size = 1;
   for (int i = 0; i < 3; ++i) {
     ASSERT_TRUE(h.nic.CanAcceptEjection(TrafficClass::kRequest));
-    f.packet_id = static_cast<PacketId>(5 + i);
-    h.nic.AcceptEjectedFlit(f, 0);
+    h.nic.AcceptEjectedFlit(
+        h.Ejected(static_cast<PacketId>(5 + i), PacketType::kReadRequest), 0);
   }
   EXPECT_FALSE(h.nic.CanAcceptEjection(TrafficClass::kRequest));
   h.nic.Tick(0);
   EXPECT_EQ(h.nic.EjectOccupancy(TrafficClass::kRequest), 3);
+  EXPECT_EQ(h.packets.live(), 3u) << "a refused packet keeps its record";
   sink.open = true;
   h.nic.Tick(1);
   h.nic.Tick(2);
@@ -234,16 +250,10 @@ TEST(NicTest, LatencyStatsRecorded) {
     bool Accept(const Packet&, Cycle) override { return true; }
   } sink;
   h.nic.SetSink(&sink);
-  Flit f;
-  f.packet_id = 1;
-  f.kind = FlitKind::kHeadTail;
-  f.cls = TrafficClass::kReply;
-  f.type_raw = static_cast<std::uint8_t>(PacketType::kReadReply);
-  f.dst = 0;
-  f.packet_size = 1;
-  f.created = 10;
-  f.injected = 20;
-  h.nic.AcceptEjectedFlit(f, 100);
+  h.nic.AcceptEjectedFlit(
+      h.Ejected(1, PacketType::kReadReply, 0, 1, /*created=*/10,
+                /*injected=*/20),
+      100);
   h.nic.Tick(100);
   const auto& stats = h.nic.stats();
   const auto rep = static_cast<std::size_t>(ClassIndex(TrafficClass::kReply));
@@ -270,6 +280,8 @@ TEST(NicTest, LoadRefusesSendFifosTheNicCouldNotHaveFilled) {
   // The error message of loading `bytes` into a fresh NIC, "" if none.
   const auto load_error = [&](const std::string& bytes) -> std::string {
     Nic nic(0, Coord{0, 0}, cfg);
+    PacketTable packets(4, 4);
+    nic.SetPacketTable(&packets);
     Deserializer d(bytes);
     try {
       nic.Load(d);
@@ -303,6 +315,56 @@ TEST(NicTest, LoadRefusesSendFifosTheNicCouldNotHaveFilled) {
             std::string::npos);
   EXPECT_NE(load_error(patched(26, 0, 1)).find("while free"),
             std::string::npos);
+}
+
+// Nic::Load refuses a queued packet whose flits the network could not
+// carry: StartPackets segments it into flits the router routes by their
+// destination tile, and the sink takes it by its type. The clean snapshot
+// holds one 1-flit read request in the request queue: its u64 count @0,
+// then the Packet (u64 id @8, u8 type @16, i32 src @17, i32 dst @21, i32
+// num_flits @25, ...) and its destination's coordinate (i32 x @69, y @73).
+TEST(NicTest, LoadRefusesQueuedPacketsTheNetworkCannotCarry) {
+  const NicConfig cfg = DefaultConfig();
+  NicHarness h(cfg);
+  ASSERT_TRUE(h.nic.Inject(h.MakePacket(PacketType::kReadRequest, 1),
+                           Coord{3, 0}, 0));
+  Serializer s;
+  h.nic.Save(s);
+  const std::string clean = s.bytes();
+  const auto load_error = [&](std::size_t offset, std::uint32_t value,
+                              int width) -> std::string {
+    std::string bytes = clean;
+    for (int i = 0; i < width; ++i) {
+      bytes[offset + static_cast<std::size_t>(i)] =
+          static_cast<char>((value >> (8 * i)) & 0xFF);
+    }
+    Nic nic(0, Coord{0, 0}, cfg);
+    PacketTable packets(4, 4);
+    nic.SetPacketTable(&packets);
+    Deserializer d(bytes);
+    try {
+      nic.Load(d);
+      d.Finish();
+    } catch (const SerializeError& e) {
+      return e.what();
+    }
+    return "";
+  };
+  ASSERT_EQ(clean[0], 1) << "one queued request";
+  ASSERT_EQ(clean[21], 3) << "headed for tile 3";
+  EXPECT_EQ(load_error(21, 3, 4), "");
+  EXPECT_EQ(load_error(16, 1, 1), "") << "a write request is a request";
+  EXPECT_NE(load_error(21, 16, 4).find("node 16 is not a tile"),
+            std::string::npos);
+  EXPECT_NE(load_error(69, 2, 4).find("is not tile 3's (3,0)"),
+            std::string::npos);
+  EXPECT_NE(load_error(16, 2, 1).find("not a packet type of class 0"),
+            std::string::npos);
+  for (const std::uint32_t flits : {0u, 65536u}) {
+    EXPECT_NE(load_error(25, flits, 4).find("outside [1, 65535]"),
+              std::string::npos)
+        << flits;
+  }
 }
 
 // Nic::Load refuses an injection credit count outside [0, vc_depth]: a

@@ -8,22 +8,36 @@
 
 #include <algorithm>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/serialize.hpp"
 #include "noc/nic.hpp"
+#include "noc/packet.hpp"
 #include "noc/router.hpp"
+#include "noc/topology.hpp"
 
 namespace gnoc {
 namespace {
+
+/// The 8x8 mesh the routers under test route by; router 9 sits at (1, 1).
+const Topology& Mesh() {
+  static const Topology mesh = Topology::Mesh(8, 8);
+  return mesh;
+}
+
+constexpr NodeId kNode = 9;
+constexpr Coord kCoord{1, 1};
 
 /// Harness around a single router: we feed flits into its input ports and
 /// observe its output channels directly.
 class RouterHarness {
  public:
   explicit RouterHarness(const RouterConfig& config)
-      : router_(/*node=*/5, /*coord=*/Coord{1, 1}, config),
-        nic_(5, Coord{1, 1}, MakeNicConfig(config)) {
+      : router_(kNode, kCoord, config),
+        nic_(kNode, kCoord, MakeNicConfig(config)) {
+    router_.SetPacketTable(&packets_);
+    nic_.SetPacketTable(&packets_);
     // Wire all four mesh outputs; local ejection goes to the NIC.
     for (Port p : {Port::kNorth, Port::kEast, Port::kSouth, Port::kWest}) {
       router_.SetOutputChannel(p, &out_[PortIndex(p)]);
@@ -42,21 +56,32 @@ class RouterHarness {
     return nc;
   }
 
-  /// Builds a flit heading from `in_port` to destination `dst` on VC `vc`.
+  /// Builds flit `seq` of the `size`-flit packet `packet` of class `cls`,
+  /// from tile 0 to destination `dst`, on VC `vc`. The packet's first flit
+  /// adds its record to the harness's packet table.
   Flit MakeFlit(FlitKind kind, TrafficClass cls, Coord dst, VcId vc,
-                PacketId packet = 1, int seq = 0) {
+                PacketId packet = 1, int seq = 0, int size = 1) {
+    Packet p;
+    p.id = packet;
+    p.type = cls == TrafficClass::kRequest ? PacketType::kReadRequest
+                                           : PacketType::kReadReply;
+    p.src = 0;
+    p.dst = dst.y * Mesh().width() + dst.x;
+    p.num_flits = size;
+    const auto [it, added] = slots_.try_emplace(packet, PacketSlot{0});
+    if (added) it->second = packets_.Add(PacketRecord::Of(p, dst));
     Flit f;
-    f.packet_id = packet;
+    f.slot = it->second;
     f.kind = kind;
     f.cls = cls;
-    f.dst = dst.y * 8 + dst.x;
-    f.dst_coord = dst;
+    f.dst = p.dst;
     f.vc = vc;
     f.seq = static_cast<std::uint16_t>(seq);
-    f.packet_size = 1;
     return f;
   }
 
+  PacketTable packets_{Mesh().width(), Mesh().height()};
+  std::unordered_map<PacketId, PacketSlot> slots_;
   Router router_;
   Nic nic_;
   std::array<FlitChannel, kNumPorts> out_ = {
@@ -73,6 +98,7 @@ RouterConfig DefaultConfig() {
   cfg.vc_depth = 4;
   cfg.routing = RoutingAlgorithm::kXY;
   cfg.vc_policy = VcPolicyKind::kSplit;
+  cfg.topology = &Mesh();
   return cfg;
 }
 
@@ -178,9 +204,8 @@ TEST(RouterTest, WormholeKeepsPacketContiguousPerVc) {
     const FlitKind kind = i == 0   ? FlitKind::kHead
                           : i == 2 ? FlitKind::kTail
                                    : FlitKind::kBody;
-    Flit f = h.MakeFlit(kind, TrafficClass::kRequest, Coord{3, 1}, /*vc=*/0,
-                        /*packet=*/7, i);
-    f.packet_size = 3;
+    const Flit f = h.MakeFlit(kind, TrafficClass::kRequest, Coord{3, 1},
+                              /*vc=*/0, /*packet=*/7, i, /*size=*/3);
     h.router_.AcceptFlit(Port::kWest, f, static_cast<Cycle>(i));
   }
   for (Cycle c = 0; c < 10; ++c) h.router_.Tick(c);
@@ -375,9 +400,8 @@ TEST(RouterTest, EjectionBlockedByFullNicBackpressures) {
   RouterConfig cfg = DefaultConfig();
   RouterHarness h(cfg);
   // Fill the NIC's request ejection buffer.
-  Flit filler = h.MakeFlit(FlitKind::kHead, TrafficClass::kRequest,
-                           Coord{1, 1}, /*vc=*/0, 99, 0);
-  filler.packet_size = 64;
+  const Flit filler = h.MakeFlit(FlitKind::kHead, TrafficClass::kRequest,
+                                 Coord{1, 1}, /*vc=*/0, 99, 0, /*size=*/64);
   int accepted = 0;
   while (h.nic_.CanAcceptEjection(TrafficClass::kRequest)) {
     h.nic_.AcceptEjectedFlit(filler, 0);
@@ -447,8 +471,8 @@ TEST(RouterTest, DynamicBoundaryAdaptsTowardsHeavyClass) {
   EXPECT_EQ(h.router_.DynamicBoundary(Port::kEast), 1);
 }
 
-// A standalone router has 5 ports; 13 VCs would give its VA arbiters 65
-// request bits, one more than a request mask holds.
+// A mesh router has 5 ports; 13 VCs would give its VA arbiters 65 request
+// bits, one more than a request mask holds.
 TEST(RouterTest, AssertsRadixTimesVcsFitsOneRequestMask) {
   RouterConfig cfg = DefaultConfig();
   cfg.num_vcs = 12;
@@ -472,14 +496,14 @@ std::string Patch(std::string bytes, std::size_t offset, std::uint64_t value,
 /// The snapshot of an idle router built from `cfg`.
 std::string IdleRouterBytes(const RouterConfig& cfg) {
   Serializer s;
-  Router(5, Coord{1, 1}, cfg).Save(s);
+  Router(kNode, kCoord, cfg).Save(s);
   return s.bytes();
 }
 
 /// The error message of loading `bytes` into a fresh router built from
 /// `cfg`, "" if none.
 std::string LoadError(const RouterConfig& cfg, const std::string& bytes) {
-  Router router(5, Coord{1, 1}, cfg);
+  Router router(kNode, kCoord, cfg);
   Deserializer d(bytes);
   try {
     router.Load(d);
@@ -562,9 +586,8 @@ TEST(RouterTest, DerivedStateMatchesARebuildAfterEveryStep) {
 
   // West VC 0: a two-flit request east, then a one-flit reply south
   // behind it. North VC 1: a one-flit reply that ejects here.
-  Flit head = h.MakeFlit(FlitKind::kHead, rq, Coord{3, 1}, 0, 1, 0);
-  Flit tail = h.MakeFlit(FlitKind::kTail, rq, Coord{3, 1}, 0, 1, 1);
-  head.packet_size = tail.packet_size = 2;
+  const Flit head = h.MakeFlit(FlitKind::kHead, rq, Coord{3, 1}, 0, 1, 0, 2);
+  const Flit tail = h.MakeFlit(FlitKind::kTail, rq, Coord{3, 1}, 0, 1, 1, 2);
   router.AcceptFlit(Port::kWest, head, 0);
   EXPECT_EQ(router.DerivedStateMismatch(), "") << "accept into an empty VC";
   router.AcceptFlit(Port::kWest, tail, 1);
@@ -583,7 +606,9 @@ TEST(RouterTest, DerivedStateMatchesARebuildAfterEveryStep) {
   // state: three flits, a VC holding east VC 0, two fronts of two classes.
   Serializer s;
   router.Save(s);
-  Router loaded(5, Coord{1, 1}, cfg);
+  Router loaded(kNode, kCoord, cfg);
+  PacketTable loaded_packets(8, 8);
+  loaded.SetPacketTable(&loaded_packets);
   Deserializer d(s.bytes());
   loaded.Load(d);
   d.Finish();
@@ -631,11 +656,10 @@ TEST(RouterTest, FlitCountMatchesBuffersAndOnlyFlitsKeepWork) {
   cfg.dynamic_epoch = 32;
   // A two-flit request West -> East and a one-flit reply North -> South.
   const auto feed = [](RouterHarness& h) {
-    Flit head = h.MakeFlit(FlitKind::kHead, TrafficClass::kRequest,
-                           Coord{3, 1}, /*vc=*/0, 1, 0);
-    Flit tail = h.MakeFlit(FlitKind::kTail, TrafficClass::kRequest,
-                           Coord{3, 1}, /*vc=*/0, 1, 1);
-    head.packet_size = tail.packet_size = 2;
+    const Flit head = h.MakeFlit(FlitKind::kHead, TrafficClass::kRequest,
+                                 Coord{3, 1}, /*vc=*/0, 1, 0, /*size=*/2);
+    const Flit tail = h.MakeFlit(FlitKind::kTail, TrafficClass::kRequest,
+                                 Coord{3, 1}, /*vc=*/0, 1, 1, /*size=*/2);
     h.router_.AcceptFlit(Port::kWest, head, 0);
     h.router_.AcceptFlit(Port::kWest, tail, 0);
     h.router_.AcceptFlit(Port::kNorth,
@@ -661,7 +685,9 @@ TEST(RouterTest, FlitCountMatchesBuffersAndOnlyFlitsKeepWork) {
   // A fresh router loading the mid-run snapshot counts the tail it holds.
   Serializer s;
   router.Save(s);
-  Router loaded(5, Coord{1, 1}, cfg);
+  Router loaded(kNode, kCoord, cfg);
+  PacketTable loaded_packets(8, 8);
+  loaded.SetPacketTable(&loaded_packets);
   Deserializer d(s.bytes());
   loaded.Load(d);
   d.Finish();

@@ -1019,7 +1019,7 @@ TEST(SchedulingRouteLutTest, LutMatchesComputeOutputPort) {
           const Coord dst{x, y};
           for (TrafficClass cls :
                {TrafficClass::kRequest, TrafficClass::kReply}) {
-            EXPECT_EQ(router.RouteFor(cls, dst),
+            EXPECT_EQ(router.RouteFor(cls, net.NodeAt(dst)),
                       ComputeOutputPort(routing, cls, router.coord(), dst))
                 << RoutingName(routing) << " node=" << n << " dst=(" << x
                 << ',' << y << ')';

@@ -1,6 +1,9 @@
 // Tests for packet-trace recording, serialization and replay.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "common/serialize.hpp"
 #include "gpgpu/workload.hpp"
 #include "noc/trace.hpp"
@@ -162,6 +165,54 @@ TEST(TraceReplayTest, RespectsBackpressure) {
   EXPECT_FALSE(replay.Done());
   EXPECT_GT(replay.remaining(), 0u);
   EXPECT_LT(replay.injected(), 40u);
+}
+
+// TraceReplay refuses, naming the record, what the network cannot carry:
+// a source or destination that is not one of its tiles (a flit's RC reads
+// the route LUT at its destination tile) and a flit count past the 16-bit
+// packet size. The first record is valid; the second is the case.
+std::string ReplayError(const TraceRecord& second) {
+  NetworkConfig cfg;  // 8x8, as examples/trace_replay builds
+  Network net(cfg);
+  try {
+    TraceReplay replay(net, {R(0, 0, 63, PacketType::kReadRequest, 1),
+                             second});
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(TraceReplayTest, RefusesADestinationOffTheGrid) {
+  EXPECT_EQ(ReplayError(R(3, 63, 0, PacketType::kReadReply, 5)), "");
+  EXPECT_EQ(ReplayError(R(3, 0, 9999, PacketType::kReadRequest, 1)),
+            "trace record 1 (cycle 3, src 0, dst 9999, 1 flits): dst is "
+            "not a tile of the 64-tile network");
+  EXPECT_NE(ReplayError(R(3, 0, 64, PacketType::kReadRequest, 1))
+                .find("dst is not a tile"),
+            std::string::npos);
+  EXPECT_NE(ReplayError(R(3, 0, -1, PacketType::kReadRequest, 1))
+                .find("dst is not a tile"),
+            std::string::npos);
+}
+
+TEST(TraceReplayTest, RefusesASourceOffTheGrid) {
+  EXPECT_EQ(ReplayError(R(3, 64, 0, PacketType::kReadRequest, 1)),
+            "trace record 1 (cycle 3, src 64, dst 0, 1 flits): src is not "
+            "a tile of the 64-tile network");
+  EXPECT_NE(ReplayError(R(3, -5, 0, PacketType::kReadRequest, 1))
+                .find("src is not a tile"),
+            std::string::npos);
+}
+
+TEST(TraceReplayTest, RefusesAFlitCountPastThePacketSize) {
+  EXPECT_EQ(ReplayError(R(3, 1, 2, PacketType::kWriteRequest, 65535)), "");
+  EXPECT_EQ(ReplayError(R(3, 1, 2, PacketType::kWriteRequest, 65536)),
+            "trace record 1 (cycle 3, src 1, dst 2, 65536 flits): the flit "
+            "count is outside [1, 65535]");
+  EXPECT_NE(ReplayError(R(3, 1, 2, PacketType::kWriteRequest, 0))
+                .find("outside [1, 65535]"),
+            std::string::npos);
 }
 
 TEST(TraceReplayTest, RecordAndReplayMatchesTrafficVolume) {
