@@ -6,12 +6,14 @@
 # telemetry exporters (CSV + Chrome trace, strictly validated with
 # python3 -m json.tool), then SIGKILLs a checkpointed sweep mid-flight and
 # requires the resumed run to be byte-identical to an uninterrupted one,
+# runs both network divisions audited and records one packet trace,
 # records one short router_micro run, and — when a UBSan tree is available
 # (see GNOC_SANITIZE=undefined in CMakeLists.txt) — runs one
 # UBSan-instrumented config.
 #
 # Every artifact (sweep JSON, audit JSON, telemetry exports, scheduler
-# CSVs, checkpoint state, pareto.json, router_micro JSON) lands under one
+# CSVs, checkpoint state, pareto.json, network-division JSON, recorded
+# trace CSV, router_micro JSON) lands under one
 # directory, $GNOC_SMOKE_OUT_DIR (default /tmp/gnoc_smoke), so CI can
 # upload the whole run as a single artifact. Per-artifact GNOC_SMOKE_*
 # overrides still win for targeted debugging.
@@ -338,6 +340,49 @@ else
     echo "smoke: QOS FAIL — named classes missing" >&2; exit 1; }
   echo "smoke: qos ok (structural check only; python3 not found)" >&2
 fi
+
+# Network-division pass: the Sec. 4.2 harness runs every workload on one
+# network with virtually divided VCs and on two physical networks; every
+# cell of both must be audit-clean. Then the trace recorder: a recorded
+# full-system run must write the CSV header and more than 100 packets.
+NETDIV_OUT=${GNOC_SMOKE_NETDIV_JSON:-$OUT_DIR/netdiv.json}
+NETDIV_HARNESS="$BUILD_DIR/bench/netdiv_network_division"
+echo "smoke: $NETDIV_HARNESS scale=0.1 workloads=BFS,KMN audit=true" >&2
+"$NETDIV_HARNESS" scale=0.1 threads=4 workloads=BFS,KMN audit=true \
+    json="$NETDIV_OUT" > /dev/null
+if command -v python3 > /dev/null 2>&1; then
+  python3 - "$NETDIV_OUT" <<'EOF'
+import json, sys
+with open(sys.argv[1]) as f:
+    doc = json.load(f)
+cells = [c for sweep in doc["sweeps"].values() for c in sweep["cells"]]
+schemes = {c["scheme"] for c in cells}
+assert len(schemes) == 2, "expected both divisions, got %s" % sorted(schemes)
+bad = ["%s/%s" % (c["scheme"], c["workload"]) for c in cells
+       if not c["audit"]["enabled"] or not c["audit"]["clean"]]
+if bad:
+    sys.exit("smoke: NETDIV AUDIT FAIL — " + ", ".join(bad))
+print("smoke: netdiv ok — %d cells over both divisions audit-clean" %
+      len(cells))
+EOF
+else
+  grep -q '"clean": false' "$NETDIV_OUT" && {
+    echo "smoke: NETDIV AUDIT FAIL" >&2; exit 1; }
+  echo "smoke: netdiv ok (structural check only)" >&2
+fi
+TRACE_OUT=${GNOC_SMOKE_TRACE_CSV:-$OUT_DIR/trace.csv}
+TRACE_HARNESS="$BUILD_DIR/examples/trace_replay"
+rm -f "$TRACE_OUT"
+echo "smoke: $TRACE_HARNESS measure=2000 trace_file=$TRACE_OUT" >&2
+"$TRACE_HARNESS" measure=2000 trace_file="$TRACE_OUT" > /dev/null
+head -n1 "$TRACE_OUT" | grep -qx 'cycle,src,dst,type,flits,addr' || {
+  echo "smoke: FAIL — $TRACE_OUT has no trace header" >&2; exit 1; }
+TRACE_RECORDS=$(($(wc -l < "$TRACE_OUT") - 1))
+if (( TRACE_RECORDS <= 100 )); then
+  echo "smoke: FAIL — $TRACE_OUT holds $TRACE_RECORDS records" >&2
+  exit 1
+fi
+echo "smoke: trace ok — $TRACE_RECORDS recorded packets" >&2
 
 # Microbenchmark pass: one short router_micro run, so the idle, sparse and
 # saturated cycle costs DESIGN.md and EXPERIMENTS.md quote are recorded

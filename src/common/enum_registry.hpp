@@ -46,14 +46,15 @@ class EnumRegistry {
       : subject_(subject), entries_(entries) {}
 
   /// Parses a name or alias (case-insensitive). Throws
-  /// std::invalid_argument listing the canonical choices on a miss.
+  /// std::invalid_argument naming `text` and listing the canonical choices
+  /// on a miss.
   E Parse(const std::string& text) const {
     const std::string needle = enum_registry_detail::AsciiLower(text);
     for (const Entry& e : entries_) {
       if (enum_registry_detail::AsciiLower(e.name) == needle) return e.value;
     }
     throw std::invalid_argument(std::string(subject_) + " must be " +
-                                Choices());
+                                Choices() + ", not '" + text + "'");
   }
 
   /// Canonical (first-registered) name of `value`.

@@ -86,6 +86,13 @@ void IoCount(Deserializer& d, std::size_t n, std::string_view what) {
   }
 }
 
+void IoDerived(Deserializer& d, bool value, std::string_view what) {
+  if (d.U8() != (value ? 1 : 0)) {
+    throw SerializeError("snapshot " + std::string(what) +
+                         " contradicts the fields before it");
+  }
+}
+
 void Deserializer::Finish() const {
   if (pos_ != data_.size()) {
     throw SerializeError("snapshot payload has " +

@@ -282,6 +282,13 @@ inline void IoCount(Serializer& s, std::size_t n, std::string_view) {
 }
 void IoCount(Deserializer& d, std::size_t n, std::string_view what);
 
+/// A flag derived from the fields walked before it: Save writes `value`,
+/// Load refuses any other byte, naming `what`.
+inline void IoDerived(Serializer& s, bool value, std::string_view) {
+  s.Bool(value);
+}
+void IoDerived(Deserializer& d, bool value, std::string_view what);
+
 /// IoCount of the range's size, then its elements.
 template <class Ar, class Range>
 void IoSized(Ar& ar, Range& range, std::string_view what) {

@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cctype>
 #include <filesystem>
 #include <limits>
 #include <map>
 #include <sstream>
 #include <stdexcept>
 
+#include "common/enum_registry.hpp"
 #include "common/json.hpp"
 #include "common/rng.hpp"
 #include "common/serialize.hpp"
@@ -17,59 +17,54 @@
 
 namespace gnoc {
 
-const char* SearchStrategyName(SearchStrategy s) {
-  switch (s) {
-    case SearchStrategy::kNsga2: return "nsga2";
-    case SearchStrategy::kRandom: return "random";
-    case SearchStrategy::kGrid: return "grid";
-  }
-  return "?";
-}
-
 namespace {
 
-std::string Lowered(const std::string& name) {
-  std::string n;
-  for (const char c : name) {
-    n += static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  }
-  return n;
+const EnumRegistry<SearchStrategy>& StrategyRegistry() {
+  static const EnumRegistry<SearchStrategy> kRegistry{
+      "strategy",
+      {
+          {"nsga2", SearchStrategy::kNsga2},
+          {"random", SearchStrategy::kRandom},
+          {"grid", SearchStrategy::kGrid},
+          {"nsga-ii", SearchStrategy::kNsga2},
+          {"nsga", SearchStrategy::kNsga2},
+          {"rand", SearchStrategy::kRandom},
+          {"exhaustive", SearchStrategy::kGrid},
+      }};
+  return kRegistry;
+}
+
+const EnumRegistry<SearchObjective>& ObjectiveRegistry() {
+  static const EnumRegistry<SearchObjective> kRegistry{
+      "objective",
+      {
+          {"ipc", SearchObjective::kIpc},
+          {"mean_latency", SearchObjective::kMeanLatency},
+          {"p99_latency", SearchObjective::kP99Latency},
+          {"buffer_area", SearchObjective::kBufferArea},
+          {"latency", SearchObjective::kMeanLatency},
+          {"p99", SearchObjective::kP99Latency},
+          {"area", SearchObjective::kBufferArea},
+      }};
+  return kRegistry;
 }
 
 }  // namespace
 
+const char* SearchStrategyName(SearchStrategy s) {
+  return StrategyRegistry().Name(s);
+}
+
 SearchStrategy ParseSearchStrategy(const std::string& name) {
-  const std::string n = Lowered(name);
-  if (n == "nsga2" || n == "nsga-ii" || n == "nsga") {
-    return SearchStrategy::kNsga2;
-  }
-  if (n == "random" || n == "rand") return SearchStrategy::kRandom;
-  if (n == "grid" || n == "exhaustive") return SearchStrategy::kGrid;
-  throw std::invalid_argument("unknown search strategy '" + name +
-                              "' (want nsga2|random|grid)");
+  return StrategyRegistry().Parse(name);
 }
 
 const char* SearchObjectiveName(SearchObjective o) {
-  switch (o) {
-    case SearchObjective::kIpc: return "ipc";
-    case SearchObjective::kMeanLatency: return "mean_latency";
-    case SearchObjective::kP99Latency: return "p99_latency";
-    case SearchObjective::kBufferArea: return "buffer_area";
-  }
-  return "?";
+  return ObjectiveRegistry().Name(o);
 }
 
 SearchObjective ParseSearchObjective(const std::string& name) {
-  const std::string n = Lowered(name);
-  if (n == "ipc") return SearchObjective::kIpc;
-  if (n == "mean_latency" || n == "latency") {
-    return SearchObjective::kMeanLatency;
-  }
-  if (n == "p99_latency" || n == "p99") return SearchObjective::kP99Latency;
-  if (n == "buffer_area" || n == "area") return SearchObjective::kBufferArea;
-  throw std::invalid_argument(
-      "unknown objective '" + name +
-      "' (want ipc|mean_latency|p99_latency|buffer_area)");
+  return ObjectiveRegistry().Parse(name);
 }
 
 std::vector<double> ObjectiveVector(

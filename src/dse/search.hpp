@@ -48,8 +48,8 @@ enum class SearchStrategy : std::uint8_t {
 };
 
 const char* SearchStrategyName(SearchStrategy s);
-/// Parses "nsga2" / "random" / "grid" (aliases accepted). Throws
-/// std::invalid_argument on unknown names.
+/// Parses "nsga2" / "random" / "grid" (aliases accepted, case-insensitive).
+/// Throws std::invalid_argument on unknown names.
 SearchStrategy ParseSearchStrategy(const std::string& name);
 
 /// The objectives the search can optimize. IPC is maximized; the other
@@ -62,7 +62,9 @@ enum class SearchObjective : std::uint8_t {
 };
 
 const char* SearchObjectiveName(SearchObjective o);
-/// Parses "ipc" / "mean_latency" / "p99_latency" / "buffer_area".
+/// Parses "ipc" / "mean_latency" / "p99_latency" / "buffer_area" (aliases
+/// accepted, case-insensitive). Throws std::invalid_argument on unknown
+/// names.
 SearchObjective ParseSearchObjective(const std::string& name);
 
 /// One design the search has looked at, with its aggregated metrics.

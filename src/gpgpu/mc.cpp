@@ -3,16 +3,34 @@
 #include <algorithm>
 #include <cassert>
 
+#include "common/enum_registry.hpp"
 #include "common/serialize.hpp"
 
 namespace gnoc {
 
+namespace {
+
+const EnumRegistry<McScheduler>& McSchedulerRegistry() {
+  static const EnumRegistry<McScheduler> kRegistry{
+      "mc_scheduler",
+      {
+          {"in-order", McScheduler::kInOrder},
+          {"fr-fcfs", McScheduler::kFrFcfs},
+          {"inorder", McScheduler::kInOrder},
+          {"fifo", McScheduler::kInOrder},
+          {"frfcfs", McScheduler::kFrFcfs},
+      }};
+  return kRegistry;
+}
+
+}  // namespace
+
 const char* McSchedulerName(McScheduler s) {
-  switch (s) {
-    case McScheduler::kInOrder: return "in-order";
-    case McScheduler::kFrFcfs: return "fr-fcfs";
-  }
-  return "?";
+  return McSchedulerRegistry().Name(s);
+}
+
+McScheduler ParseMcScheduler(const std::string& name) {
+  return McSchedulerRegistry().Parse(name);
 }
 
 MemoryController::MemoryController(NodeId node, const McConfig& config,

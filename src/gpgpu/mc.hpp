@@ -18,6 +18,7 @@
 
 #include <deque>
 #include <queue>
+#include <string>
 
 #include "common/types.hpp"
 #include "gpgpu/cache.hpp"
@@ -35,6 +36,9 @@ enum class McScheduler : std::uint8_t {
 };
 
 const char* McSchedulerName(McScheduler s);
+/// Parses "in-order" / "fr-fcfs" (aliases accepted, case-insensitive).
+/// Throws std::invalid_argument on unknown names.
+McScheduler ParseMcScheduler(const std::string& name);
 
 struct McConfig {
   CacheConfig l2{64 * 1024, 64, 8};

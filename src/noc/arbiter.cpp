@@ -3,31 +3,33 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <cctype>
-#include <stdexcept>
 #include <string>
 
+#include "common/enum_registry.hpp"
 #include "common/serialize.hpp"
 
 namespace gnoc {
 
-const char* ArbiterKindName(ArbiterKind k) {
-  switch (k) {
-    case ArbiterKind::kRoundRobin: return "round-robin";
-    case ArbiterKind::kMatrix: return "matrix";
-  }
-  return "?";
+namespace {
+
+const EnumRegistry<ArbiterKind>& ArbiterRegistry() {
+  static const EnumRegistry<ArbiterKind> kRegistry{
+      "arbiter",
+      {
+          {"round-robin", ArbiterKind::kRoundRobin},
+          {"matrix", ArbiterKind::kMatrix},
+          {"rr", ArbiterKind::kRoundRobin},
+          {"roundrobin", ArbiterKind::kRoundRobin},
+      }};
+  return kRegistry;
 }
 
+}  // namespace
+
+const char* ArbiterKindName(ArbiterKind k) { return ArbiterRegistry().Name(k); }
+
 ArbiterKind ParseArbiterKind(const std::string& name) {
-  std::string lower = name;
-  std::transform(lower.begin(), lower.end(), lower.begin(),
-                 [](unsigned char c) { return std::tolower(c); });
-  if (lower == "rr" || lower == "round-robin" || lower == "roundrobin") {
-    return ArbiterKind::kRoundRobin;
-  }
-  if (lower == "matrix") return ArbiterKind::kMatrix;
-  throw std::invalid_argument("unknown arbiter kind: '" + name + "'");
+  return ArbiterRegistry().Parse(name);
 }
 
 namespace {

@@ -42,7 +42,8 @@ enum class ArbiterKind : std::uint8_t {
 /// Human readable name ("round-robin" / "matrix").
 const char* ArbiterKindName(ArbiterKind k);
 
-/// Parses "rr"/"round-robin"/"matrix". Throws std::invalid_argument.
+/// Parses "rr"/"round-robin"/"matrix" (case-insensitive). Throws
+/// std::invalid_argument on unknown names.
 ArbiterKind ParseArbiterKind(const std::string& name);
 
 /// One arbiter of either kind, held by value: a router keeps its 3 x radix

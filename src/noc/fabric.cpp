@@ -1,126 +1,83 @@
 #include "noc/fabric.hpp"
 
 #include <algorithm>
-#include <cassert>
+
+#include "noc/trace.hpp"
 
 namespace gnoc {
 
-// ---------------------------------------------------------------------------
-// SingleNetworkFabric
-// ---------------------------------------------------------------------------
-
-SingleNetworkFabric::SingleNetworkFabric(const NetworkConfig& config)
-    : network_(config) {}
-
-bool SingleNetworkFabric::Inject(Packet packet) {
-  return network_.Inject(packet);
-}
-
-bool SingleNetworkFabric::CanInject(NodeId node, TrafficClass cls) const {
-  return network_.CanInject(node, cls);
-}
-
-void SingleNetworkFabric::SetSink(NodeId node, PacketSink* sink) {
-  network_.SetSink(node, sink);
-}
-
-void SingleNetworkFabric::Tick() { network_.Tick(); }
-Cycle SingleNetworkFabric::now() const { return network_.now(); }
-bool SingleNetworkFabric::Deadlocked() const { return network_.Deadlocked(); }
-std::size_t SingleNetworkFabric::FlitsInFlight() const {
-  return network_.FlitsInFlight();
-}
-NetworkSummary SingleNetworkFabric::Summarize() const {
-  return network_.Summarize();
-}
-void SingleNetworkFabric::ResetStats() { network_.ResetStats(); }
-
-std::array<std::uint64_t, kNumPacketTypes> SingleNetworkFabric::PacketsByType()
-    const {
-  std::array<std::uint64_t, kNumPacketTypes> out{};
-  for (NodeId n = 0; n < network_.num_nodes(); ++n) {
-    const NicStats& ns = network_.nic(n).stats();
-    for (int t = 0; t < kNumPacketTypes; ++t) {
-      out[static_cast<std::size_t>(t)] +=
-          ns.packets_by_type[static_cast<std::size_t>(t)];
-    }
+NetworkFabric::NetworkFabric(const NetworkConfig& config,
+                             NetworkDivision division) {
+  if (division == NetworkDivision::kVirtual) {
+    nets_.push_back(std::make_unique<Network>(config));
+    by_class_.fill(nets_[0].get());
+    return;
   }
-  return out;
-}
-
-// ---------------------------------------------------------------------------
-// DualNetworkFabric
-// ---------------------------------------------------------------------------
-
-DualNetworkFabric::DualNetworkFabric(const NetworkConfig& config) {
   NetworkConfig per_net = config;
   per_net.num_vcs = std::max(1, config.num_vcs / 2);
   // Each physical network carries a single class; within it every VC is
   // usable by that class, which is what a dedicated network means.
   per_net.vc_policy = VcPolicyKind::kFullMonopolize;
-  for (auto& net : nets_) net = std::make_unique<Network>(per_net);
-}
-
-bool DualNetworkFabric::Inject(Packet packet) {
-  return net(packet.cls()).Inject(packet);
-}
-
-bool DualNetworkFabric::CanInject(NodeId node, TrafficClass cls) const {
-  return net(cls).CanInject(node, cls);
-}
-
-void DualNetworkFabric::SetSink(NodeId node, PacketSink* sink) {
-  for (auto& net : nets_) net->SetSink(node, sink);
-}
-
-void DualNetworkFabric::Tick() {
-  for (auto& net : nets_) net->Tick();
-}
-
-Cycle DualNetworkFabric::now() const { return nets_[0]->now(); }
-
-bool DualNetworkFabric::Deadlocked() const {
-  return nets_[0]->Deadlocked() || nets_[1]->Deadlocked();
-}
-
-std::size_t DualNetworkFabric::FlitsInFlight() const {
-  return nets_[0]->FlitsInFlight() + nets_[1]->FlitsInFlight();
-}
-
-NetworkSummary DualNetworkFabric::Summarize() const {
-  NetworkSummary out = nets_[0]->Summarize();
-  const NetworkSummary reply = nets_[1]->Summarize();
-  for (int c = 0; c < kNumClasses; ++c) {
-    const auto ci = static_cast<std::size_t>(c);
-    out.packets_injected[ci] += reply.packets_injected[ci];
-    out.packets_ejected[ci] += reply.packets_ejected[ci];
-    out.flits_injected[ci] += reply.flits_injected[ci];
-    out.flits_ejected[ci] += reply.flits_ejected[ci];
-    out.packet_latency[ci].Merge(reply.packet_latency[ci]);
-    out.network_latency[ci].Merge(reply.network_latency[ci]);
-    out.latency_histogram[ci].Merge(reply.latency_histogram[ci]);
+  for (Network*& net : by_class_) {
+    nets_.push_back(std::make_unique<Network>(per_net));
+    net = nets_.back().get();
   }
-  out.flits_forwarded += reply.flits_forwarded;
+}
+
+bool NetworkFabric::Inject(Packet packet) {
+  Network& network = net(packet.cls());
+  if (!network.Inject(packet)) return false;
+  if (trace_ != nullptr) trace_->Append(packet, network.now());
+  return true;
+}
+
+bool NetworkFabric::Deadlocked() const {
+  return std::any_of(nets_.begin(), nets_.end(),
+                     [](const auto& net) { return net->Deadlocked(); });
+}
+
+std::size_t NetworkFabric::FlitsInFlight() const {
+  std::size_t total = 0;
+  for (const auto& net : nets_) total += net->FlitsInFlight();
+  return total;
+}
+
+NetworkSummary NetworkFabric::Summarize() const {
+  NetworkSummary out = nets_[0]->Summarize();
+  for (std::size_t i = 1; i < nets_.size(); ++i) {
+    out.Merge(nets_[i]->Summarize());
+  }
   return out;
 }
 
-void DualNetworkFabric::ResetStats() {
-  for (auto& net : nets_) net->ResetStats();
-}
-
-std::array<std::uint64_t, kNumPacketTypes> DualNetworkFabric::PacketsByType()
+std::array<std::uint64_t, kNumPacketTypes> NetworkFabric::PacketsByType()
     const {
   std::array<std::uint64_t, kNumPacketTypes> out{};
   for (const auto& net : nets_) {
     for (NodeId n = 0; n < net->num_nodes(); ++n) {
-      const NicStats& ns = net->nic(n).stats();
-      for (int t = 0; t < kNumPacketTypes; ++t) {
-        out[static_cast<std::size_t>(t)] +=
-            ns.packets_by_type[static_cast<std::size_t>(t)];
-      }
+      const auto& by_type = net->nic(n).stats().packets_by_type;
+      for (std::size_t t = 0; t < out.size(); ++t) out[t] += by_type[t];
     }
   }
   return out;
+}
+
+RunReport NetworkFabric::CollectRunReport() const {
+  RunReport report{nets_[0]->AuditResults(), {}, nets_[0]->QosResults()};
+  for (std::size_t i = 1; i < nets_.size(); ++i) {
+    report.audit.Merge(nets_[i]->AuditResults());
+    report.qos.Merge(nets_[i]->QosResults());
+  }
+  if (nets_.size() == 1) {
+    report.telemetry = nets_[0]->TelemetryResults();
+  } else {
+    // Two physical networks are two sets of links, named by their class.
+    report.telemetry.Merge(net(TrafficClass::kRequest).TelemetryResults(),
+                           "req:");
+    report.telemetry.Merge(net(TrafficClass::kReply).TelemetryResults(),
+                           "rep:");
+  }
+  return report;
 }
 
 }  // namespace gnoc

@@ -9,19 +9,30 @@
 //     [11]) — roughly twice the router/wire cost.
 //
 // They observe the virtual division performs within 0.03% of the physical
-// one. `SingleNetworkFabric` and `DualNetworkFabric` reproduce exactly this
-// comparison: the dual fabric gives each class its own mesh with half the
-// VCs per port (equal total buffering), while the single fabric shares one
-// mesh under a VC policy.
+// one. `NetworkFabric` reproduces exactly this comparison: physical
+// division gives each class its own mesh with half the VCs per port (equal
+// total buffering), virtual division shares one mesh under a VC policy.
 #pragma once
 
 #include <array>
+#include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "common/types.hpp"
 #include "noc/network.hpp"
 
 namespace gnoc {
+
+class TraceWriter;
+
+/// How the request/reply classes are separated (paper Sec. 4.2, "Impact of
+/// Network Division"): one physical network with VCs divided virtually (the
+/// paper's choice) or two parallel physical networks (prior work [11]).
+enum class NetworkDivision : std::uint8_t {
+  kVirtual = 0,
+  kPhysical = 1,
+};
 
 /// Everything a finished (or paused) run reports about its transport, in
 /// one value: the invariant-audit verdict, the telemetry snapshot and the
@@ -54,8 +65,9 @@ class Fabric {
 
   /// The merged run report of the underlying networks: audit verdict,
   /// telemetry snapshot and QoS outcome in one sweep (sections default to
-  /// their disabled values when the subsystem is off). Dual fabrics prefix
-  /// telemetry entities "req:" / "rep:" and sum QoS counters.
+  /// their disabled values when the subsystem is off). Two physical
+  /// networks prefix telemetry entities "req:" / "rep:" and sum QoS
+  /// counters.
   virtual RunReport CollectRunReport() const = 0;
 
   /// Snapshot support (DESIGN.md §10): serializes the full transport state
@@ -71,79 +83,60 @@ class Fabric {
   virtual const Network& net(TrafficClass cls) const = 0;
 };
 
-/// One physical network; classes separated by the configured VC policy.
-class SingleNetworkFabric final : public Fabric {
+/// The physical networks of one network division. Virtual division is one
+/// network whose VC policy separates the classes. Physical division is one
+/// network per class, each with half the per-port VCs (minimum 1) and fully
+/// monopolized internally (it only ever sees one class): roughly double the
+/// router/wire cost, the alternative the paper argues against. Every
+/// method walks the networks in class order, request first.
+class NetworkFabric final : public Fabric {
  public:
-  explicit SingleNetworkFabric(const NetworkConfig& config);
+  /// `config` describes the one network of virtual division; physical
+  /// division builds each class's network from it with num_vcs / 2 VCs.
+  explicit NetworkFabric(const NetworkConfig& config,
+                         NetworkDivision division = NetworkDivision::kVirtual);
+
+  /// Appends every accepted injection to `trace` (not owned; nullptr, the
+  /// default, records nothing).
+  void SetTrace(TraceWriter* trace) { trace_ = trace; }
 
   bool Inject(Packet packet) override;
-  bool CanInject(NodeId node, TrafficClass cls) const override;
-  void SetSink(NodeId node, PacketSink* sink) override;
-  void Tick() override;
-  Cycle now() const override;
+  bool CanInject(NodeId node, TrafficClass cls) const override {
+    return net(cls).CanInject(node, cls);
+  }
+  void SetSink(NodeId node, PacketSink* sink) override {
+    for (auto& net : nets_) net->SetSink(node, sink);
+  }
+  void Tick() override {
+    for (auto& net : nets_) net->Tick();
+  }
+  Cycle now() const override { return nets_[0]->now(); }
   bool Deadlocked() const override;
   std::size_t FlitsInFlight() const override;
   NetworkSummary Summarize() const override;
-  void ResetStats() override;
-  std::array<std::uint64_t, kNumPacketTypes> PacketsByType() const override;
-  RunReport CollectRunReport() const override {
-    return RunReport{network_.AuditResults(), network_.TelemetryResults(),
-                     network_.QosResults()};
+  void ResetStats() override {
+    for (auto& net : nets_) net->ResetStats();
   }
-  void Save(Serializer& s) const override { network_.Save(s); }
-  void Load(Deserializer& d) override { network_.Load(d); }
-  int num_networks() const override { return 1; }
-  Network& net(TrafficClass) override { return network_; }
-  const Network& net(TrafficClass) const override { return network_; }
-
- private:
-  Network network_;
-};
-
-/// Two parallel physical networks, one per class. Each network receives
-/// half the per-port VCs (minimum 1) and runs fully monopolized internally
-/// (it only ever sees one class). Roughly double the router/wire cost —
-/// the alternative the paper argues against.
-class DualNetworkFabric final : public Fabric {
- public:
-  /// `config` describes the equivalent single network; each physical
-  /// network gets num_vcs/2 VCs (>= 1).
-  explicit DualNetworkFabric(const NetworkConfig& config);
-
-  bool Inject(Packet packet) override;
-  bool CanInject(NodeId node, TrafficClass cls) const override;
-  void SetSink(NodeId node, PacketSink* sink) override;
-  void Tick() override;
-  Cycle now() const override;
-  bool Deadlocked() const override;
-  std::size_t FlitsInFlight() const override;
-  NetworkSummary Summarize() const override;
-  void ResetStats() override;
   std::array<std::uint64_t, kNumPacketTypes> PacketsByType() const override;
-  RunReport CollectRunReport() const override {
-    RunReport report;
-    report.audit = nets_[0]->AuditResults();
-    report.audit.Merge(nets_[1]->AuditResults());
-    report.telemetry.Merge(
-        nets_[ClassIndex(TrafficClass::kRequest)]->TelemetryResults(), "req:");
-    report.telemetry.Merge(
-        nets_[ClassIndex(TrafficClass::kReply)]->TelemetryResults(), "rep:");
-    report.qos = nets_[0]->QosResults();
-    report.qos.Merge(nets_[1]->QosResults());
-    return report;
-  }
-  void Save(Serializer& s) const override { Io(s, nets_); }
-  void Load(Deserializer& d) override { Io(d, nets_); }
-  int num_networks() const override { return 2; }
+  RunReport CollectRunReport() const override;
+  void Save(Serializer& s) const override { IoEach(s, nets_); }
+  void Load(Deserializer& d) override { IoEach(d, nets_); }
+  int num_networks() const override { return static_cast<int>(nets_.size()); }
   Network& net(TrafficClass cls) override {
-    return *nets_[static_cast<std::size_t>(ClassIndex(cls))];
+    return *by_class_[static_cast<std::size_t>(ClassIndex(cls))];
   }
   const Network& net(TrafficClass cls) const override {
-    return *nets_[static_cast<std::size_t>(ClassIndex(cls))];
+    return *by_class_[static_cast<std::size_t>(ClassIndex(cls))];
   }
 
  private:
-  std::array<std::unique_ptr<Network>, kNumClasses> nets_;
+  std::vector<std::unique_ptr<Network>> nets_;
+  std::array<Network*, kNumClasses> by_class_{};  ///< the net carrying a class
+  TraceWriter* trace_ = nullptr;
 };
+
+/// Perfbench's GPU assembly builds on this name; one argument means
+/// virtual division.
+using SingleNetworkFabric = NetworkFabric;
 
 }  // namespace gnoc

@@ -3,6 +3,8 @@
 #include <cassert>
 #include <stdexcept>
 
+#include "noc/trace.hpp"
+
 namespace gnoc {
 
 IdealFabric::IdealFabric(const IdealFabricConfig& config)
@@ -20,10 +22,7 @@ Cycle IdealFabric::DeliveryLatency(NodeId src, NodeId dst) const {
 }
 
 bool IdealFabric::Inject(Packet packet) {
-  assert(packet.src >= 0 &&
-         packet.src < config_.width * config_.height);
-  assert(packet.dst >= 0 &&
-         packet.dst < config_.width * config_.height);
+  CheckInjectable(packet, config_.width * config_.height);
   if (packet.created == 0) packet.created = now_;
   packet.injected = now_;
   const auto ci = static_cast<std::size_t>(ClassIndex(packet.cls()));
@@ -36,6 +35,7 @@ bool IdealFabric::Inject(Packet packet) {
   arrival.seq = next_seq_++;
   arrival.packet = packet;
   in_flight_.push(arrival);
+  if (trace_ != nullptr) trace_->Append(packet, now_);
   return true;
 }
 
@@ -47,8 +47,7 @@ void IdealFabric::SetSink(NodeId node, PacketSink* sink) {
   sinks_.at(static_cast<std::size_t>(node)) = sink;
 }
 
-void IdealFabric::Tick() {
-  // Retry stalled deliveries first (FIFO per destination).
+void IdealFabric::DeliverStalled() {
   for (auto it = stalled_.begin(); it != stalled_.end();) {
     auto& queue = it->second;
     PacketSink* sink = sinks_[static_cast<std::size_t>(it->first)];
@@ -70,36 +69,19 @@ void IdealFabric::Tick() {
     }
     it = queue.empty() ? stalled_.erase(it) : std::next(it);
   }
+}
 
-  // Deliver newly due packets (or append them behind stalled ones so per-
-  // destination order is preserved).
+void IdealFabric::Tick() {
+  // Retry stalled deliveries first (FIFO per destination).
+  DeliverStalled();
+  // Queue newly due packets behind the stalled ones, so per-destination
+  // order is preserved, and offer them too.
   while (!in_flight_.empty() && in_flight_.top().due <= now_) {
     Packet packet = in_flight_.top().packet;
     in_flight_.pop();
     stalled_[packet.dst].push_back(packet);
   }
-  // One more retry pass for the packets that just became due.
-  for (auto it = stalled_.begin(); it != stalled_.end();) {
-    auto& queue = it->second;
-    PacketSink* sink = sinks_[static_cast<std::size_t>(it->first)];
-    while (!queue.empty() && sink != nullptr) {
-      Packet packet = queue.front();
-      packet.ejected = now_;
-      if (!sink->Accept(packet, now_)) break;
-      const auto ci = static_cast<std::size_t>(ClassIndex(packet.cls()));
-      ++summary_.packets_ejected[ci];
-      summary_.flits_ejected[ci] +=
-          static_cast<std::uint64_t>(packet.num_flits);
-      summary_.packet_latency[ci].Add(
-          static_cast<double>(now_ - packet.created));
-      summary_.network_latency[ci].Add(
-          static_cast<double>(now_ - packet.injected));
-      summary_.latency_histogram[ci].Add(
-          static_cast<double>(now_ - packet.created));
-      queue.pop_front();
-    }
-    it = queue.empty() ? stalled_.erase(it) : std::next(it);
-  }
+  DeliverStalled();
   ++now_;
   summary_.cycles = now_;
 }

@@ -31,6 +31,12 @@ class IdealFabric final : public Fabric {
  public:
   explicit IdealFabric(const IdealFabricConfig& config);
 
+  /// Appends every accepted injection to `trace` (not owned; nullptr, the
+  /// default, records nothing).
+  void SetTrace(TraceWriter* trace) { trace_ = trace; }
+
+  /// Throws std::invalid_argument, naming the packet, for a source or
+  /// destination that is not a tile or a flit count outside [1, 65535].
   bool Inject(Packet packet) override;
   bool CanInject(NodeId node, TrafficClass cls) const override;
   void SetSink(NodeId node, PacketSink* sink) override;
@@ -80,6 +86,10 @@ class IdealFabric final : public Fabric {
     }
   };
 
+  /// Hands each destination's stalled packets, in order, to its sink
+  /// until the sink refuses one.
+  void DeliverStalled();
+
   template <class Self, class Ar>
   static void Fields(Self& self, Ar& ar) {
     Io(ar, self.now_);
@@ -102,6 +112,7 @@ class IdealFabric final : public Fabric {
   std::vector<PacketSink*> sinks_;
   NetworkSummary summary_;
   std::array<std::uint64_t, kNumPacketTypes> packets_by_type_{};
+  TraceWriter* trace_ = nullptr;
 };
 
 }  // namespace gnoc

@@ -308,8 +308,7 @@ void Network::ConfigureLinkModes(const LinkUsage& usage) {
 }
 
 bool Network::Inject(Packet packet) {
-  assert(packet.src >= 0 && packet.src < num_nodes());
-  assert(packet.dst >= 0 && packet.dst < num_nodes());
+  CheckInjectable(packet, num_nodes());
   if (packet.id == 0) packet.id = NextPacketId();
   if (packet.created == 0) packet.created = now_;
   if (!nic(packet.src).Inject(packet, CoordOf(packet.dst), now_)) {
@@ -523,6 +522,20 @@ void Network::ResetStats() {
   // progress_events_ is cumulative (never reset); re-baseline against it.
   last_progress_counter_ = progress_events_;
   last_progress_cycle_ = now_;
+}
+
+void NetworkSummary::Merge(const NetworkSummary& other) {
+  for (std::size_t c = 0; c < packets_injected.size(); ++c) {
+    packets_injected[c] += other.packets_injected[c];
+    packets_ejected[c] += other.packets_ejected[c];
+    flits_injected[c] += other.flits_injected[c];
+    flits_ejected[c] += other.flits_ejected[c];
+    packet_latency[c].Merge(other.packet_latency[c]);
+    network_latency[c].Merge(other.network_latency[c]);
+    latency_histogram[c].Merge(other.latency_histogram[c]);
+    qos_throttle_cycles[c] += other.qos_throttle_cycles[c];
+  }
+  flits_forwarded += other.flits_forwarded;
 }
 
 void NetworkSummary::Save(Serializer& s) const { Fields(*this, s); }

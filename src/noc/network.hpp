@@ -131,6 +131,10 @@ struct NetworkSummary {
   std::uint64_t flits_forwarded = 0;
   std::uint64_t cycles = 0;
 
+  /// Adds another network's counts and folds in its latency statistics
+  /// (the networks of a physical division); `cycles` stays.
+  void Merge(const NetworkSummary& other);
+
   /// Snapshot support (DESIGN.md §10).
   void Save(Serializer& s) const;
   void Load(Deserializer& d);
@@ -197,7 +201,9 @@ class Network {
   /// resolves the destination coordinate, and enqueues at the source NIC.
   /// Returns false when the source injection queue is full. Under kSoa
   /// this also wakes the source NIC (DESIGN.md §9), so packets must enter
-  /// through here, never through nic(n).Inject.
+  /// through here, never through nic(n).Inject. Throws
+  /// std::invalid_argument, naming the packet, for a source or destination
+  /// that is not a tile or a flit count outside [1, 65535].
   bool Inject(Packet packet);
 
   /// True when the source NIC of `cls` traffic at node `n` can take a packet.

@@ -1,6 +1,8 @@
 #include "noc/packet.hpp"
 
 #include <cassert>
+#include <cstdint>
+#include <stdexcept>
 #include <string>
 
 namespace gnoc {
@@ -13,6 +15,30 @@ const char* PacketTypeName(PacketType t) {
     case PacketType::kWriteReply: return "write-reply";
   }
   return "?";
+}
+
+std::string InjectionProblem(NodeId src, NodeId dst, int num_flits,
+                             int tiles) {
+  const bool src_ok = src >= 0 && src < tiles;
+  if (!src_ok || dst < 0 || dst >= tiles) {
+    return std::string(src_ok ? "dst" : "src") + " is not a tile of the " +
+           std::to_string(tiles) + "-tile network";
+  }
+  if (num_flits < 1 || num_flits > UINT16_MAX) {
+    return "the flit count is outside [1, 65535]";
+  }
+  return {};
+}
+
+void CheckInjectable(const Packet& packet, int tiles) {
+  const std::string problem =
+      InjectionProblem(packet.src, packet.dst, packet.num_flits, tiles);
+  if (problem.empty()) return;
+  throw std::invalid_argument(
+      std::string(PacketTypeName(packet.type)) + " packet " +
+      std::to_string(packet.id) + " (src " + std::to_string(packet.src) +
+      ", dst " + std::to_string(packet.dst) + ", " +
+      std::to_string(packet.num_flits) + " flits): " + problem);
 }
 
 int PacketSizes::SizeOf(PacketType t) const {

@@ -12,6 +12,7 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -89,6 +90,17 @@ struct Packet {
 
 inline void Save(Serializer& s, const Packet& p) { Packet::Fields(p, s); }
 inline void Load(Deserializer& d, Packet& p) { Packet::Fields(p, d); }
+
+/// Why a packet from `src` to `dst` of `num_flits` flits cannot enter a
+/// network of `tiles` tiles — a source or destination that is not a tile,
+/// or a flit count outside [1, 65535] (its record counts flits in 16
+/// bits) — or "" when it can.
+std::string InjectionProblem(NodeId src, NodeId dst, int num_flits,
+                             int tiles);
+
+/// Throws std::invalid_argument, naming `packet`, when InjectionProblem
+/// finds one on a network of `tiles` tiles.
+void CheckInjectable(const Packet& packet, int tiles);
 
 /// The per-packet fields of a packet in flight: what its flits share and
 /// no hop reads. One record per packet, from segmentation at the source NIC

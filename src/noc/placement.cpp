@@ -2,33 +2,36 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cctype>
 #include <set>
 #include <stdexcept>
 
+#include "common/enum_registry.hpp"
+
 namespace gnoc {
 
+namespace {
+
+const EnumRegistry<McPlacement>& PlacementRegistry() {
+  static const EnumRegistry<McPlacement> kRegistry{
+      "placement",
+      {
+          {"bottom", McPlacement::kBottom},
+          {"edge", McPlacement::kEdge},
+          {"top-bottom", McPlacement::kTopBottom},
+          {"diamond", McPlacement::kDiamond},
+          {"topbottom", McPlacement::kTopBottom},
+      }};
+  return kRegistry;
+}
+
+}  // namespace
+
 const char* McPlacementName(McPlacement p) {
-  switch (p) {
-    case McPlacement::kBottom: return "bottom";
-    case McPlacement::kEdge: return "edge";
-    case McPlacement::kTopBottom: return "top-bottom";
-    case McPlacement::kDiamond: return "diamond";
-  }
-  return "?";
+  return PlacementRegistry().Name(p);
 }
 
 McPlacement ParseMcPlacement(const std::string& name) {
-  std::string lower = name;
-  std::transform(lower.begin(), lower.end(), lower.begin(),
-                 [](unsigned char c) { return std::tolower(c); });
-  if (lower == "bottom") return McPlacement::kBottom;
-  if (lower == "edge") return McPlacement::kEdge;
-  if (lower == "top-bottom" || lower == "topbottom") {
-    return McPlacement::kTopBottom;
-  }
-  if (lower == "diamond") return McPlacement::kDiamond;
-  throw std::invalid_argument("unknown MC placement: '" + name + "'");
+  return PlacementRegistry().Parse(name);
 }
 
 namespace {

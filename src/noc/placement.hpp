@@ -33,7 +33,7 @@ inline constexpr McPlacement kAllPlacements[] = {
 /// Human readable name.
 const char* McPlacementName(McPlacement p);
 
-/// Parses "bottom" / "edge" / "top-bottom" / "diamond".
+/// Parses "bottom" / "edge" / "top-bottom" / "diamond" (case-insensitive).
 /// Throws std::invalid_argument on unknown names.
 McPlacement ParseMcPlacement(const std::string& name);
 

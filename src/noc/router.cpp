@@ -370,7 +370,6 @@ void Router::UpdateDynamicBoundaries() {
       --boundary;
     }
   }
-  epoch_dirty_ = false;
   // += (not now + epoch) keeps boundaries on the construction-time epoch
   // grid even when updates are replayed late; equivalent under full
   // scheduling, where updates fire exactly at the grid points.
@@ -465,7 +464,6 @@ void Router::Traverse(int out_port, int in_port, VcId vc, Cycle now) {
   const auto ci = static_cast<std::size_t>(ClassIndex(flit.cls));
   stats_.flits_out[op][ci]++;
   epoch_flits_[op][ci]++;
-  epoch_dirty_ = true;
 
   // Return a credit to whoever feeds this input port.
   if (CreditChannel* cc = credit_return_[static_cast<std::size_t>(in_port)]) {

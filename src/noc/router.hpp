@@ -29,6 +29,7 @@
 // is indexed by its destination tile and class — or to move it.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <functional>
@@ -268,7 +269,7 @@ class Router {
     }
     IoEach(ar, self.boundaries_);
     IoEach(ar, self.epoch_flits_);
-    Io(ar, self.epoch_dirty_);
+    IoDerived(ar, self.EpochDirty(), "router epoch-dirty flag");
     Io(ar, self.next_boundary_update_);
     IoEach(ar, self.va_arb_);
     IoEach(ar, self.sa_input_arb_);
@@ -301,6 +302,13 @@ class Router {
 
   /// The derived state rebuilt from the slab and out_vc_.
   Derived Rebuild() const;
+
+  /// Some port counted a flit since the last epoch boundary (the v5
+  /// snapshot keeps this byte after the counts).
+  bool EpochDirty() const {
+    return std::any_of(epoch_flits_.begin(), epoch_flits_.end(),
+                       [](const auto& c) { return (c[0] | c[1]) != 0; });
+  }
 
   // --- pipeline stages -----------------------------------------------------
   //
@@ -446,7 +454,6 @@ class Router {
   // counters by class.
   std::vector<VcId> boundaries_;
   std::vector<std::array<std::uint64_t, kNumClasses>> epoch_flits_;
-  bool epoch_dirty_ = false;  ///< any epoch_flits_ entry nonzero
   Cycle next_boundary_update_ = 0;
 
   // One VA arbiter per output port (over all input VCs), one SA input

@@ -1,29 +1,33 @@
 #include "noc/routing.hpp"
 
-#include <algorithm>
 #include <cassert>
-#include <cctype>
-#include <stdexcept>
+
+#include "common/enum_registry.hpp"
 
 namespace gnoc {
 
+namespace {
+
+const EnumRegistry<RoutingAlgorithm>& RoutingRegistry() {
+  static const EnumRegistry<RoutingAlgorithm> kRegistry{
+      "routing",
+      {
+          {"XY", RoutingAlgorithm::kXY},
+          {"YX", RoutingAlgorithm::kYX},
+          {"XY-YX", RoutingAlgorithm::kXYYX},
+          {"xyyx", RoutingAlgorithm::kXYYX},
+      }};
+  return kRegistry;
+}
+
+}  // namespace
+
 const char* RoutingName(RoutingAlgorithm r) {
-  switch (r) {
-    case RoutingAlgorithm::kXY: return "XY";
-    case RoutingAlgorithm::kYX: return "YX";
-    case RoutingAlgorithm::kXYYX: return "XY-YX";
-  }
-  return "?";
+  return RoutingRegistry().Name(r);
 }
 
 RoutingAlgorithm ParseRouting(const std::string& name) {
-  std::string lower = name;
-  std::transform(lower.begin(), lower.end(), lower.begin(),
-                 [](unsigned char c) { return std::tolower(c); });
-  if (lower == "xy") return RoutingAlgorithm::kXY;
-  if (lower == "yx") return RoutingAlgorithm::kYX;
-  if (lower == "xy-yx" || lower == "xyyx") return RoutingAlgorithm::kXYYX;
-  throw std::invalid_argument("unknown routing algorithm: '" + name + "'");
+  return RoutingRegistry().Parse(name);
 }
 
 Port ComputeOutputPort(RoutingAlgorithm algo, TrafficClass cls, Coord here,

@@ -18,14 +18,8 @@ constexpr char kHeader[] = "cycle,src,dst,type,flits,addr";
 // ---------------------------------------------------------------------------
 
 void TraceWriter::Append(const Packet& packet, Cycle now) {
-  TraceRecord r;
-  r.cycle = now;
-  r.src = packet.src;
-  r.dst = packet.dst;
-  r.type = packet.type;
-  r.num_flits = packet.num_flits;
-  r.addr = packet.addr;
-  Append(r);
+  Append({now, packet.src, packet.dst, packet.type, packet.num_flits,
+          packet.addr});
 }
 
 void TraceWriter::Append(const TraceRecord& record) {
@@ -111,50 +105,6 @@ std::vector<TraceRecord> TraceReader::FromFile(const std::string& path) {
 }
 
 // ---------------------------------------------------------------------------
-// RecordingFabric
-// ---------------------------------------------------------------------------
-
-RecordingFabric::RecordingFabric(Fabric* inner) : inner_(inner) {
-  assert(inner != nullptr);
-}
-
-bool RecordingFabric::Inject(Packet packet) {
-  const Cycle now = inner_->now();
-  if (!inner_->Inject(packet)) return false;
-  trace_.Append(packet, now);
-  return true;
-}
-
-bool RecordingFabric::CanInject(NodeId node, TrafficClass cls) const {
-  return inner_->CanInject(node, cls);
-}
-void RecordingFabric::SetSink(NodeId node, PacketSink* sink) {
-  inner_->SetSink(node, sink);
-}
-void RecordingFabric::Tick() { inner_->Tick(); }
-Cycle RecordingFabric::now() const { return inner_->now(); }
-bool RecordingFabric::Deadlocked() const { return inner_->Deadlocked(); }
-std::size_t RecordingFabric::FlitsInFlight() const {
-  return inner_->FlitsInFlight();
-}
-NetworkSummary RecordingFabric::Summarize() const {
-  return inner_->Summarize();
-}
-void RecordingFabric::ResetStats() { inner_->ResetStats(); }
-std::array<std::uint64_t, kNumPacketTypes> RecordingFabric::PacketsByType()
-    const {
-  return inner_->PacketsByType();
-}
-void RecordingFabric::Save(Serializer& s) const { Fields(*this, s); }
-void RecordingFabric::Load(Deserializer& d) { Fields(*this, d); }
-
-int RecordingFabric::num_networks() const { return inner_->num_networks(); }
-Network& RecordingFabric::net(TrafficClass cls) { return inner_->net(cls); }
-const Network& RecordingFabric::net(TrafficClass cls) const {
-  return inner_->net(cls);
-}
-
-// ---------------------------------------------------------------------------
 // TraceReplay
 // ---------------------------------------------------------------------------
 
@@ -166,21 +116,11 @@ TraceReplay::TraceReplay(Network& network, std::vector<TraceRecord> records)
   }
   // The network routes a flit by its destination tile and counts a
   // packet's flits in 16 bits; a trace from another grid must not reach it.
-  const int tiles = network_.num_nodes();
-  const std::string off_grid =
-      " is not a tile of the " + std::to_string(tiles) + "-tile network";
   for (std::size_t i = 0; i < records_.size(); ++i) {
     const TraceRecord& r = records_[i];
-    std::string problem;
-    if (r.src < 0 || r.src >= tiles) {
-      problem = "src" + off_grid;
-    } else if (r.dst < 0 || r.dst >= tiles) {
-      problem = "dst" + off_grid;
-    } else if (r.num_flits < 1 || r.num_flits > UINT16_MAX) {
-      problem = "the flit count is outside [1, 65535]";
-    } else {
-      continue;
-    }
+    const std::string problem =
+        InjectionProblem(r.src, r.dst, r.num_flits, network_.num_nodes());
+    if (problem.empty()) continue;
     throw std::invalid_argument(
         "trace record " + std::to_string(i) + " (cycle " +
         std::to_string(r.cycle) + ", src " + std::to_string(r.src) +

@@ -2,10 +2,10 @@
 //
 // A common NoC-research workflow: record the packet stream a full-system
 // run injects, then replay it against network variants without re-running
-// the cores. `RecordingFabric` wraps any Fabric and records every accepted
-// injection; `TraceReplay` plays a trace into a bare Network, respecting
-// injection backpressure (records queue behind a full NIC rather than being
-// dropped).
+// the cores. A `TraceWriter` handed to a fabric (NetworkFabric::SetTrace,
+// IdealFabric::SetTrace) receives every accepted injection; `TraceReplay`
+// plays a trace into a bare Network, respecting injection backpressure
+// (records queue behind a full NIC rather than being dropped).
 //
 // Trace format: CSV with header `cycle,src,dst,type,flits,addr`, one packet
 // per line, ordered by cycle.
@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "common/types.hpp"
-#include "noc/fabric.hpp"
 #include "noc/network.hpp"
 #include "noc/packet.hpp"
 
@@ -75,46 +74,6 @@ class TraceReader {
 
   /// Reads and parses a file; throws std::runtime_error when unreadable.
   static std::vector<TraceRecord> FromFile(const std::string& path);
-};
-
-/// A Fabric decorator that records every accepted injection.
-class RecordingFabric final : public Fabric {
- public:
-  /// Wraps `inner` (not owned; must outlive this object).
-  explicit RecordingFabric(Fabric* inner);
-
-  const TraceWriter& trace() const { return trace_; }
-  TraceWriter& trace() { return trace_; }
-
-  bool Inject(Packet packet) override;
-  bool CanInject(NodeId node, TrafficClass cls) const override;
-  void SetSink(NodeId node, PacketSink* sink) override;
-  void Tick() override;
-  Cycle now() const override;
-  bool Deadlocked() const override;
-  std::size_t FlitsInFlight() const override;
-  NetworkSummary Summarize() const override;
-  void ResetStats() override;
-  std::array<std::uint64_t, kNumPacketTypes> PacketsByType() const override;
-  RunReport CollectRunReport() const override {
-    return inner_->CollectRunReport();
-  }
-  /// Saves the wrapped fabric followed by the recorded trace.
-  void Save(Serializer& s) const override;
-  void Load(Deserializer& d) override;
-  int num_networks() const override;
-  Network& net(TrafficClass cls) override;
-  const Network& net(TrafficClass cls) const override;
-
- private:
-  template <class Self, class Ar>
-  static void Fields(Self& self, Ar& ar) {
-    Io(ar, *self.inner_);
-    Io(ar, self.trace_);
-  }
-
-  Fabric* inner_;
-  TraceWriter trace_;
 };
 
 /// Replays a trace into a Network. Call Tick() once per cycle before

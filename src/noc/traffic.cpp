@@ -3,36 +3,38 @@
 #include <cassert>
 #include <stdexcept>
 
+#include "common/enum_registry.hpp"
+
 namespace gnoc {
 
+namespace {
+
+const EnumRegistry<TrafficPattern>& PatternRegistry() {
+  static const EnumRegistry<TrafficPattern> kRegistry{
+      "pattern",
+      {
+          {"uniform-random", TrafficPattern::kUniformRandom},
+          {"transpose", TrafficPattern::kTranspose},
+          {"bit-reverse", TrafficPattern::kBitReverse},
+          {"hotspot", TrafficPattern::kHotspot},
+          {"tornado", TrafficPattern::kTornado},
+          {"neighbor", TrafficPattern::kNeighbor},
+          {"shuffle", TrafficPattern::kShuffle},
+          {"uniform", TrafficPattern::kUniformRandom},
+          {"bitrev", TrafficPattern::kBitReverse},
+          {"neighbour", TrafficPattern::kNeighbor},
+      }};
+  return kRegistry;
+}
+
+}  // namespace
+
 const char* TrafficPatternName(TrafficPattern p) {
-  switch (p) {
-    case TrafficPattern::kUniformRandom: return "uniform-random";
-    case TrafficPattern::kTranspose: return "transpose";
-    case TrafficPattern::kBitReverse: return "bit-reverse";
-    case TrafficPattern::kHotspot: return "hotspot";
-    case TrafficPattern::kTornado: return "tornado";
-    case TrafficPattern::kNeighbor: return "neighbor";
-    case TrafficPattern::kShuffle: return "shuffle";
-  }
-  return "?";
+  return PatternRegistry().Name(p);
 }
 
 TrafficPattern ParseTrafficPattern(const std::string& name) {
-  if (name == "uniform" || name == "uniform-random") {
-    return TrafficPattern::kUniformRandom;
-  }
-  if (name == "transpose") return TrafficPattern::kTranspose;
-  if (name == "bitrev" || name == "bit-reverse") {
-    return TrafficPattern::kBitReverse;
-  }
-  if (name == "hotspot") return TrafficPattern::kHotspot;
-  if (name == "tornado") return TrafficPattern::kTornado;
-  if (name == "neighbor" || name == "neighbour") {
-    return TrafficPattern::kNeighbor;
-  }
-  if (name == "shuffle") return TrafficPattern::kShuffle;
-  throw std::invalid_argument("unknown traffic pattern: '" + name + "'");
+  return PatternRegistry().Parse(name);
 }
 
 namespace {

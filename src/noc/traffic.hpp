@@ -34,7 +34,8 @@ enum class TrafficPattern : std::uint8_t {
 };
 
 /// Parses "uniform"/"transpose"/"bitrev"/"hotspot"/"tornado"/"neighbor"/
-/// "shuffle". Throws std::invalid_argument on unknown names.
+/// "shuffle" (case-insensitive). Throws std::invalid_argument on unknown
+/// names.
 TrafficPattern ParseTrafficPattern(const std::string& name);
 
 const char* TrafficPatternName(TrafficPattern p);

@@ -2,38 +2,42 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cctype>
 #include <cmath>
 #include <stdexcept>
 
+#include "common/enum_registry.hpp"
+
 namespace gnoc {
 
-const char* VcPolicyName(VcPolicyKind k) {
-  switch (k) {
-    case VcPolicyKind::kSplit: return "split";
-    case VcPolicyKind::kFullMonopolize: return "full-monopolize";
-    case VcPolicyKind::kPartialMonopolize: return "partial-monopolize";
-    case VcPolicyKind::kAsymmetric: return "asymmetric";
-    case VcPolicyKind::kDynamic: return "dynamic";
-  }
-  return "?";
+namespace {
+
+const EnumRegistry<VcPolicyKind>& VcPolicyRegistry() {
+  static const EnumRegistry<VcPolicyKind> kRegistry{
+      "vc_policy",
+      {
+          {"split", VcPolicyKind::kSplit},
+          {"full-monopolize", VcPolicyKind::kFullMonopolize},
+          {"partial-monopolize", VcPolicyKind::kPartialMonopolize},
+          {"asymmetric", VcPolicyKind::kAsymmetric},
+          {"dynamic", VcPolicyKind::kDynamic},
+          {"baseline", VcPolicyKind::kSplit},
+          {"mono", VcPolicyKind::kFullMonopolize},
+          {"full", VcPolicyKind::kFullMonopolize},
+          {"monopolize", VcPolicyKind::kFullMonopolize},
+          {"partial", VcPolicyKind::kPartialMonopolize},
+          {"pm", VcPolicyKind::kPartialMonopolize},
+          {"asym", VcPolicyKind::kAsymmetric},
+          {"feedback", VcPolicyKind::kDynamic},
+      }};
+  return kRegistry;
 }
 
+}  // namespace
+
+const char* VcPolicyName(VcPolicyKind k) { return VcPolicyRegistry().Name(k); }
+
 VcPolicyKind ParseVcPolicy(const std::string& name) {
-  std::string lower = name;
-  std::transform(lower.begin(), lower.end(), lower.begin(),
-                 [](unsigned char c) { return std::tolower(c); });
-  if (lower == "split" || lower == "baseline") return VcPolicyKind::kSplit;
-  if (lower == "mono" || lower == "full" || lower == "full-monopolize" ||
-      lower == "monopolize") {
-    return VcPolicyKind::kFullMonopolize;
-  }
-  if (lower == "partial" || lower == "partial-monopolize" || lower == "pm") {
-    return VcPolicyKind::kPartialMonopolize;
-  }
-  if (lower == "asym" || lower == "asymmetric") return VcPolicyKind::kAsymmetric;
-  if (lower == "dynamic" || lower == "feedback") return VcPolicyKind::kDynamic;
-  throw std::invalid_argument("unknown VC policy: '" + name + "'");
+  return VcPolicyRegistry().Parse(name);
 }
 
 VcPolicy::VcPolicy(VcPolicyKind kind, int num_vcs,

@@ -53,8 +53,8 @@ enum class VcPolicyKind : std::uint8_t {
 /// Human readable name.
 const char* VcPolicyName(VcPolicyKind k);
 
-/// Parses "split" / "mono" / "partial" / "asym" (several aliases accepted).
-/// Throws std::invalid_argument on unknown names.
+/// Parses "split" / "mono" / "partial" / "asym" (several aliases accepted,
+/// case-insensitive). Throws std::invalid_argument on unknown names.
 VcPolicyKind ParseVcPolicy(const std::string& name);
 
 /// Static class usage of one directed link, produced by the route analysis

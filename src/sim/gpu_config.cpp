@@ -20,19 +20,6 @@ const EnumRegistry<NetworkDivision>& DivisionRegistry() {
   return kRegistry;
 }
 
-const EnumRegistry<McScheduler>& McSchedulerRegistry() {
-  static const EnumRegistry<McScheduler> kRegistry{
-      "mc_scheduler",
-      {
-          {"in-order", McScheduler::kInOrder},
-          {"inorder", McScheduler::kInOrder},
-          {"fifo", McScheduler::kInOrder},
-          {"fr-fcfs", McScheduler::kFrFcfs},
-          {"frfcfs", McScheduler::kFrFcfs},
-      }};
-  return kRegistry;
-}
-
 }  // namespace
 
 GpuConfig GpuConfig::Baseline() { return GpuConfig{}; }
@@ -94,8 +81,7 @@ void GpuConfig::ApplyOverrides(const Config& overrides) {
   mc_inject_flits_per_cycle = static_cast<int>(overrides.GetInt(
       "mc_inject_bw", mc_inject_flits_per_cycle));
   if (overrides.Contains("mc_scheduler")) {
-    mc.scheduler =
-        McSchedulerRegistry().Parse(overrides.GetString("mc_scheduler"));
+    mc.scheduler = ParseMcScheduler(overrides.GetString("mc_scheduler"));
   }
   if (overrides.Contains("arbiter")) {
     arbiter = ParseArbiterKind(overrides.GetString("arbiter"));
@@ -194,9 +180,7 @@ void RegisterGpuConfigFlags(FlagSet& flags) {
                "MC NIC injection bandwidth (flits/cycle)", at_least(1));
   flags.AddString("mc_scheduler", "in-order",
                   "MC request scheduling (in-order|fr-fcfs)",
-                  parsed_by([](const std::string& v) {
-                    return McSchedulerRegistry().Parse(v);
-                  }));
+                  parsed_by(ParseMcScheduler));
   flags.AddString("arbiter", "rr", "VA/SA arbiter (rr|matrix)",
                   parsed_by(ParseArbiterKind));
   flags.AddInt("warps", def.sm.warps_per_sm, "warps per SM", at_least(1));

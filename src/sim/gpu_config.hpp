@@ -7,6 +7,7 @@
 #include "common/config.hpp"
 #include "gpgpu/mc.hpp"
 #include "gpgpu/sm.hpp"
+#include "noc/fabric.hpp"
 #include "noc/network.hpp"
 #include "noc/placement.hpp"
 #include "noc/qos.hpp"
@@ -15,14 +16,6 @@
 namespace gnoc {
 
 class FlagSet;
-
-/// How the request/reply classes are separated (paper Sec. 4.2, "Impact of
-/// Network Division"): one physical network with VCs divided virtually (the
-/// paper's choice) or two parallel physical networks (prior work [11]).
-enum class NetworkDivision : std::uint8_t {
-  kVirtual = 0,
-  kPhysical = 1,
-};
 
 /// Everything needed to build a GpuSystem.
 struct GpuConfig {

@@ -144,27 +144,25 @@ GpuSystem::GpuSystem(const GpuConfig& config, const WorkloadProfile& workload)
   net.telemetry_max_windows = config_.telemetry_max_windows;
   net.scheduling = config_.scheduling;
   net.qos = config_.qos;
+  if (config_.record_trace) trace_ = std::make_unique<TraceWriter>();
   if (config_.ideal_noc) {
     IdealFabricConfig ideal;
     ideal.width = config_.width;
     ideal.height = config_.height;
-    fabric_ = std::make_unique<IdealFabric>(ideal);
-  } else if (config_.division == NetworkDivision::kPhysical) {
-    fabric_ = std::make_unique<DualNetworkFabric>(net);
+    auto fabric = std::make_unique<IdealFabric>(ideal);
+    fabric->SetTrace(trace_.get());
+    fabric_ = std::move(fabric);
   } else {
-    auto single = std::make_unique<SingleNetworkFabric>(net);
-    // Distribute the static per-link class analysis so link-aware partial
-    // monopolizing knows which links are single-class.
-    Network& req_net = single->net(TrafficClass::kRequest);
-    req_net.ConfigureLinkModes(
-        AnalyzeLinkUsage(req_net.topology(), plan_, config_.routing));
-    fabric_ = std::move(single);
-  }
-  if (config_.record_trace) {
-    recorder_ = std::make_unique<RecordingFabric>(fabric_.get());
-    xport_ = recorder_.get();
-  } else {
-    xport_ = fabric_.get();
+    auto fabric = std::make_unique<NetworkFabric>(net, config_.division);
+    fabric->SetTrace(trace_.get());
+    if (config_.division == NetworkDivision::kVirtual) {
+      // Distribute the static per-link class analysis so link-aware partial
+      // monopolizing knows which links are single-class.
+      Network& req_net = fabric->net(TrafficClass::kRequest);
+      req_net.ConfigureLinkModes(
+          AnalyzeLinkUsage(req_net.topology(), plan_, config_.routing));
+    }
+    fabric_ = std::move(fabric);
   }
 
   Rng master(config_.seed);
@@ -173,20 +171,20 @@ GpuSystem::GpuSystem(const GpuConfig& config, const WorkloadProfile& workload)
 
   for (NodeId node : plan_.core_nodes()) {
     auto sm = std::make_unique<StreamingMultiprocessor>(
-        node, sm_cfg, workload_, xport_, config_.num_mcs,
+        node, sm_cfg, workload_, fabric_.get(), config_.num_mcs,
         master.Fork());
     sm->SetMcNodes(plan_.mc_nodes());
-    xport_->SetSink(node, sm.get());
+    fabric_->SetSink(node, sm.get());
     sms_.push_back(std::move(sm));
   }
   for (NodeId node : plan_.mc_nodes()) {
     auto mc = std::make_unique<MemoryController>(node, config_.mc,
-                                                 xport_);
-    xport_->SetSink(node, mc.get());
+                                                 fabric_.get());
+    fabric_->SetSink(node, mc.get());
     if (!config_.ideal_noc && config_.mc_inject_flits_per_cycle > 1) {
       // Prior-work option [3, 11]: extra injection bandwidth at the few
       // MCs, applied to the network that carries their reply traffic.
-      xport_->net(TrafficClass::kReply)
+      fabric_->net(TrafficClass::kReply)
           .nic(node)
           .SetInjectFlitsPerCycle(config_.mc_inject_flits_per_cycle);
     }
@@ -195,17 +193,17 @@ GpuSystem::GpuSystem(const GpuConfig& config, const WorkloadProfile& workload)
 }
 
 void GpuSystem::Tick() {
-  const Cycle now = xport_->now();
+  const Cycle now = fabric_->now();
   for (auto& sm : sms_) sm->Tick(now);
   for (auto& mc : mcs_) mc->Tick(now);
-  xport_->Tick();
+  fabric_->Tick();
 }
 
 void GpuSystem::ResetStats() {
-  xport_->ResetStats();
+  fabric_->ResetStats();
   for (auto& sm : sms_) sm->ResetStats();
   for (auto& mc : mcs_) mc->ResetStats();
-  measured_since_ = xport_->now();
+  measured_since_ = fabric_->now();
 }
 
 GpuRunStats GpuSystem::Run(Cycle warmup, Cycle measure) {
@@ -213,7 +211,7 @@ GpuRunStats GpuSystem::Run(Cycle warmup, Cycle measure) {
   ResetStats();
   for (Cycle c = 0; c < measure; ++c) {
     Tick();
-    if (xport_->Deadlocked()) break;
+    if (fabric_->Deadlocked()) break;
   }
   return Measure();
 }
@@ -236,14 +234,14 @@ void GpuSystem::LoadSnapshot(const std::string& path) {
 
 GpuRunStats GpuSystem::Measure() const {
   GpuRunStats out;
-  out.cycles = xport_->now() - measured_since_;
+  out.cycles = fabric_->now() - measured_since_;
   for (const auto& sm : sms_) out.instructions += sm->stats().instructions;
   out.ipc = out.cycles == 0 ? 0.0
                             : static_cast<double>(out.instructions) /
                                   static_cast<double>(out.cycles);
-  out.network = xport_->Summarize();
+  out.network = fabric_->Summarize();
   out.network.cycles = out.cycles;
-  out.packets_by_type = xport_->PacketsByType();
+  out.packets_by_type = fabric_->PacketsByType();
   out.request_flits = out.network.flits_injected[static_cast<std::size_t>(
       ClassIndex(TrafficClass::kRequest))];
   out.reply_flits = out.network.flits_injected[static_cast<std::size_t>(
@@ -267,8 +265,8 @@ GpuRunStats GpuSystem::Measure() const {
   RunningStats read_latency;
   for (const auto& sm : sms_) read_latency.Merge(sm->stats().read_latency);
   out.avg_read_latency = read_latency.mean();
-  out.deadlocked = xport_->Deadlocked();
-  const RunReport report = xport_->CollectRunReport();
+  out.deadlocked = fabric_->Deadlocked();
+  const RunReport report = fabric_->CollectRunReport();
   out.audit = report.audit;
   out.telemetry = report.telemetry;
   out.qos = report.qos;

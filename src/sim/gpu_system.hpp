@@ -92,20 +92,20 @@ class GpuSystem {
   const GpuConfig& config() const { return config_; }
   const WorkloadProfile& workload() const { return workload_; }
   const TilePlan& plan() const { return plan_; }
-  /// The transport (one or two physical networks, per config().division),
-  /// wrapped in a trace recorder when config().record_trace is set.
-  Fabric& fabric() { return *xport_; }
-  const Fabric& fabric() const { return *xport_; }
+  /// The transport: a NetworkFabric of one or two physical networks (per
+  /// config().division), or the IdealFabric when config().ideal_noc is
+  /// set. With config().record_trace it appends every accepted injection
+  /// to trace().
+  Fabric& fabric() { return *fabric_; }
+  const Fabric& fabric() const { return *fabric_; }
 
   /// The recorded injection trace, or nullptr when recording is off.
-  const TraceWriter* trace() const {
-    return recorder_ ? &recorder_->trace() : nullptr;
-  }
+  const TraceWriter* trace() const { return trace_.get(); }
   /// The physical network carrying request traffic (the only network under
   /// virtual division) — convenience for link-level introspection.
-  Network& network() { return xport_->net(TrafficClass::kRequest); }
+  Network& network() { return fabric_->net(TrafficClass::kRequest); }
   const Network& network() const {
-    return xport_->net(TrafficClass::kRequest);
+    return fabric_->net(TrafficClass::kRequest);
   }
 
   /// Advances one cycle (SMs issue, MCs service, network moves flits).
@@ -121,19 +121,20 @@ class GpuSystem {
   /// Clears every statistics counter (simulation state is untouched).
   void ResetStats();
 
-  Cycle now() const { return xport_->now(); }
+  Cycle now() const { return fabric_->now(); }
 
   /// Fingerprint of this system's (config, workload) pair.
   std::uint64_t Fingerprint() const {
     return GpuConfigFingerprint(config_, workload_);
   }
 
-  /// Snapshot support (DESIGN.md §10): fabric (routers, NICs, channels,
-  /// auditor, telemetry, trace recorder), SMs, MCs and the measurement
-  /// epoch. Wiring (sinks, MC node lists, link modes) is construction-
-  /// derived and reapplied, not serialized. Loading into a system built
-  /// from a different configuration is undefined — use the snapshot-file
-  /// API below, which checks the fingerprint.
+  /// Snapshot support (DESIGN.md §10): the fabric (routers, NICs,
+  /// channels, auditor, telemetry), then the recorded trace when
+  /// config().record_trace is set, then the SMs, MCs and the measurement
+  /// epoch. Wiring (sinks, MC node lists, link modes, the trace hook) is
+  /// construction-derived and reapplied, not serialized. Loading into a
+  /// system built from a different configuration is undefined — use the
+  /// snapshot-file API below, which checks the fingerprint.
   void Save(Serializer& s) const;
   void Load(Deserializer& d);
 
@@ -152,9 +153,8 @@ class GpuSystem {
  private:
   template <class Self, class Ar>
   static void Fields(Self& self, Ar& ar) {
-    // xport_ is the outermost fabric: the trace recorder (which chains to the
-    // real fabric) when recording, the fabric itself otherwise.
-    Io(ar, *self.xport_);
+    Io(ar, self.fabric_);
+    if (self.trace_ != nullptr) Io(ar, self.trace_);
     IoEach(ar, self.sms_);
     IoEach(ar, self.mcs_);
     Io(ar, self.measured_since_);
@@ -163,9 +163,8 @@ class GpuSystem {
   GpuConfig config_;
   WorkloadProfile workload_;
   TilePlan plan_;
-  std::unique_ptr<Fabric> fabric_;            ///< owned transport
-  std::unique_ptr<RecordingFabric> recorder_;  ///< optional trace decorator
-  Fabric* xport_ = nullptr;                   ///< what everything talks to
+  std::unique_ptr<TraceWriter> trace_;  ///< when config_.record_trace
+  std::unique_ptr<Fabric> fabric_;
   std::vector<std::unique_ptr<StreamingMultiprocessor>> sms_;
   std::vector<std::unique_ptr<MemoryController>> mcs_;
   Cycle measured_since_ = 0;

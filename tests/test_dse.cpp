@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cctype>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
@@ -17,6 +18,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/json.hpp"
@@ -24,6 +26,7 @@
 #include "dse/pareto.hpp"
 #include "dse/search.hpp"
 #include "dse/space.hpp"
+#include "noc/traffic.hpp"
 
 namespace gnoc {
 namespace {
@@ -250,6 +253,79 @@ TEST(SearchParseTest, ObjectivesAndAliases) {
   EXPECT_EQ(ParseSearchObjective("p99"), SearchObjective::kP99Latency);
   EXPECT_EQ(ParseSearchObjective("area"), SearchObjective::kBufferArea);
   EXPECT_THROW(ParseSearchObjective("power"), std::invalid_argument);
+}
+
+// The registry-backed names of every enum a job spec, CSV or JSON names:
+// each canonical name is the one printed before the registries, and parses
+// back to its value under any case.
+TEST(SearchParseTest, CanonicalNamesRoundTrip) {
+  const auto round_trips = [](auto value, const char* name, auto parse,
+                              auto print) {
+    std::string upper = name;
+    for (char& c : upper) c = static_cast<char>(std::toupper(c));
+    return std::string(print(value)) == name && parse(name) == value &&
+           parse(upper) == value;
+  };
+  using V = VcPolicyKind;
+  for (const auto& [v, name] : std::vector<std::pair<V, const char*>>{
+           {V::kSplit, "split"},
+           {V::kFullMonopolize, "full-monopolize"},
+           {V::kPartialMonopolize, "partial-monopolize"},
+           {V::kAsymmetric, "asymmetric"},
+           {V::kDynamic, "dynamic"}}) {
+    EXPECT_TRUE(round_trips(v, name, ParseVcPolicy, VcPolicyName)) << name;
+  }
+  using R = RoutingAlgorithm;
+  for (const auto& [v, name] : std::vector<std::pair<R, const char*>>{
+           {R::kXY, "XY"}, {R::kYX, "YX"}, {R::kXYYX, "XY-YX"}}) {
+    EXPECT_TRUE(round_trips(v, name, ParseRouting, RoutingName)) << name;
+  }
+  for (const auto& [v, name] :
+       std::vector<std::pair<ArbiterKind, const char*>>{
+           {ArbiterKind::kRoundRobin, "round-robin"},
+           {ArbiterKind::kMatrix, "matrix"}}) {
+    EXPECT_TRUE(round_trips(v, name, ParseArbiterKind, ArbiterKindName))
+        << name;
+  }
+  using P = McPlacement;
+  for (const auto& [v, name] : std::vector<std::pair<P, const char*>>{
+           {P::kBottom, "bottom"},
+           {P::kEdge, "edge"},
+           {P::kTopBottom, "top-bottom"},
+           {P::kDiamond, "diamond"}}) {
+    EXPECT_TRUE(round_trips(v, name, ParseMcPlacement, McPlacementName))
+        << name;
+  }
+  using T = TrafficPattern;
+  for (const auto& [v, name] : std::vector<std::pair<T, const char*>>{
+           {T::kUniformRandom, "uniform-random"},
+           {T::kTranspose, "transpose"},
+           {T::kBitReverse, "bit-reverse"},
+           {T::kHotspot, "hotspot"},
+           {T::kTornado, "tornado"},
+           {T::kNeighbor, "neighbor"},
+           {T::kShuffle, "shuffle"}}) {
+    EXPECT_TRUE(
+        round_trips(v, name, ParseTrafficPattern, TrafficPatternName))
+        << name;
+  }
+  using S = SearchStrategy;
+  for (const auto& [v, name] : std::vector<std::pair<S, const char*>>{
+           {S::kNsga2, "nsga2"}, {S::kRandom, "random"}, {S::kGrid, "grid"}}) {
+    EXPECT_TRUE(
+        round_trips(v, name, ParseSearchStrategy, SearchStrategyName))
+        << name;
+  }
+  using O = SearchObjective;
+  for (const auto& [v, name] : std::vector<std::pair<O, const char*>>{
+           {O::kIpc, "ipc"},
+           {O::kMeanLatency, "mean_latency"},
+           {O::kP99Latency, "p99_latency"},
+           {O::kBufferArea, "buffer_area"}}) {
+    EXPECT_TRUE(
+        round_trips(v, name, ParseSearchObjective, SearchObjectiveName))
+        << name;
+  }
 }
 
 TEST(SearchParseTest, ObjectiveVectorNegatesIpc) {

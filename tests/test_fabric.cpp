@@ -1,11 +1,15 @@
-// Tests for the Fabric abstraction: single-network behaviour parity and the
-// dual-physical-network division (paper Sec. 4.2).
+// Tests for the Fabric abstraction: single-network behaviour parity, the
+// dual-physical-network division (paper Sec. 4.2) and trace recording.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "gpgpu/workload.hpp"
 #include "noc/fabric.hpp"
+#include "noc/ideal.hpp"
+#include "noc/trace.hpp"
 #include "sim/gpu_system.hpp"
 
 namespace gnoc {
@@ -52,7 +56,7 @@ TEST(FabricTest, SingleDeliversBothClasses) {
 }
 
 TEST(FabricTest, DualSegregatesClassesPhysically) {
-  DualNetworkFabric fabric(SmallCfg());
+  NetworkFabric fabric(SmallCfg(), NetworkDivision::kPhysical);
   CollectSink sink;
   fabric.SetSink(15, &sink);
   Packet req;
@@ -84,7 +88,7 @@ TEST(FabricTest, DualSegregatesClassesPhysically) {
 }
 
 TEST(FabricTest, DualSummarizeMergesBothNetworks) {
-  DualNetworkFabric fabric(SmallCfg());
+  NetworkFabric fabric(SmallCfg(), NetworkDivision::kPhysical);
   CollectSink sink;
   for (NodeId n = 0; n < 16; ++n) fabric.SetSink(n, &sink);
   for (int i = 0; i < 4; ++i) {
@@ -101,6 +105,106 @@ TEST(FabricTest, DualSummarizeMergesBothNetworks) {
   const auto by_type = fabric.PacketsByType();
   EXPECT_EQ(by_type[static_cast<int>(PacketType::kReadRequest)], 2u);
   EXPECT_EQ(by_type[static_cast<int>(PacketType::kWriteReply)], 2u);
+}
+
+// The reply network of a physical division throttles a rate-limited reply
+// class; the fabric's summary must carry the cycles that network counted.
+TEST(FabricTest, PhysicalSummarizeCountsEveryNetworksThrottling) {
+  NetworkConfig cfg = SmallCfg();
+  cfg.num_vcs = 4;                 // two per physical network
+  cfg.qos.classes[1].rate = 0.05;  // class 1 = kReply
+  cfg.qos.classes[1].burst = 1;
+  NetworkFabric fabric(cfg, NetworkDivision::kPhysical);
+  CollectSink sink;
+  for (NodeId n = 0; n < 16; ++n) fabric.SetSink(n, &sink);
+  for (int c = 0; c < 400; ++c) {
+    Packet rep;
+    rep.type = PacketType::kReadReply;
+    rep.src = static_cast<NodeId>(c % 4);
+    rep.dst = 15;
+    rep.num_flits = 5;
+    fabric.Inject(rep);  // refused while the NIC's queue is full
+    fabric.Tick();
+  }
+  const auto rq = static_cast<std::size_t>(ClassIndex(TrafficClass::kRequest));
+  const auto rp = static_cast<std::size_t>(ClassIndex(TrafficClass::kReply));
+  const std::uint64_t throttled =
+      fabric.net(TrafficClass::kReply).Summarize().qos_throttle_cycles[rp];
+  ASSERT_GT(throttled, 0u);
+  const NetworkSummary s = fabric.Summarize();
+  EXPECT_EQ(s.qos_throttle_cycles[rp], throttled);
+  EXPECT_EQ(s.qos_throttle_cycles[rq], 0u);
+}
+
+/// Offers `fabric` six packets a cycle from three sources of a 16-tile grid
+/// for 60 cycles, more than small injection queues take. Returns the
+/// number offered and the trace records of those accepted, in call order.
+std::pair<std::size_t, std::vector<TraceRecord>> OfferBursts(Fabric& fabric) {
+  std::size_t offered = 0;
+  std::vector<TraceRecord> accepted;
+  for (int c = 0; c < 60; ++c) {
+    for (int i = 0; i < 6; ++i) {
+      Packet p;
+      p.type = static_cast<PacketType>((c + i) % kNumPacketTypes);
+      p.src = static_cast<NodeId>(i % 3);
+      p.dst = static_cast<NodeId>(15 - (c + i) % 5);
+      p.num_flits = p.cls() == TrafficClass::kReply ? 5 : 1;
+      p.addr = static_cast<std::uint64_t>(c * 64 + i);
+      const Cycle now = fabric.now();
+      ++offered;
+      if (fabric.Inject(p)) {
+        accepted.push_back({now, p.src, p.dst, p.type, p.num_flits, p.addr});
+      }
+    }
+    fabric.Tick();
+  }
+  return {offered, accepted};
+}
+
+// Under virtual division, physical division and the ideal NoC, the trace
+// handed to the fabric holds every accepted injection exactly once, in
+// call order, and neither a refused one nor one that threw.
+TEST(FabricTest, TraceHoldsEachAcceptedInjectionOnceInCallOrder) {
+  NetworkConfig cfg = SmallCfg();
+  cfg.num_vcs = 4;
+  cfg.inject_queue_capacity = 2;
+  NetworkFabric virt(cfg);
+  NetworkFabric phys(cfg, NetworkDivision::kPhysical);
+  IdealFabricConfig ideal_cfg;
+  ideal_cfg.width = 4;
+  ideal_cfg.height = 4;
+  IdealFabric ideal(ideal_cfg);
+  TraceWriter virt_trace;
+  TraceWriter phys_trace;
+  TraceWriter ideal_trace;
+  virt.SetTrace(&virt_trace);
+  phys.SetTrace(&phys_trace);
+  ideal.SetTrace(&ideal_trace);
+  const struct {
+    const char* name;
+    Fabric& fabric;
+    const TraceWriter& trace;
+    bool refuses;  ///< finite injection queues
+  } cases[] = {{"virtual", virt, virt_trace, true},
+               {"physical", phys, phys_trace, true},
+               {"ideal", ideal, ideal_trace, false}};
+  CollectSink sink;
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    for (NodeId n = 0; n < 16; ++n) c.fabric.SetSink(n, &sink);
+    Packet off_grid;
+    off_grid.src = 0;
+    off_grid.dst = 16;
+    EXPECT_THROW(c.fabric.Inject(off_grid), std::invalid_argument);
+    const auto [offered, accepted] = OfferBursts(c.fabric);
+    ASSERT_GT(accepted.size(), 50u);
+    if (c.refuses) {
+      EXPECT_LT(accepted.size(), offered);
+    } else {
+      EXPECT_EQ(accepted.size(), offered);
+    }
+    EXPECT_EQ(c.trace.records(), accepted);
+  }
 }
 
 TEST(FabricTest, GpuSystemRunsOnPhysicalDivision) {

@@ -2,6 +2,7 @@
 // upper bound for the real NoC.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "gpgpu/workload.hpp"
@@ -45,6 +46,29 @@ TEST(IdealFabricTest, DeliversAtExactZeroLoadLatency) {
   for (int c = 0; c < 40 && sink.packets.empty(); ++c) fabric.Tick();
   ASSERT_EQ(sink.packets.size(), 1u);
   EXPECT_EQ(sink.times[0], 16u);
+}
+
+// The ideal fabric takes any packet a network could carry, and none
+// other: a source or destination off the grid, or a flit count outside
+// [1, 65535], throws instead of being delivered somewhere.
+TEST(IdealFabricTest, InjectRefusesImpossiblePackets) {
+  IdealFabric fabric(Cfg());  // 4x4
+  const auto inject = [&fabric](NodeId src, NodeId dst, int num_flits) {
+    Packet p;
+    p.type = PacketType::kReadReply;
+    p.src = src;
+    p.dst = dst;
+    p.num_flits = num_flits;
+    return fabric.Inject(p);
+  };
+  EXPECT_THROW(inject(0, 9999, 5), std::invalid_argument);
+  EXPECT_THROW(inject(0, 16, 5), std::invalid_argument);
+  EXPECT_THROW(inject(-1, 3, 5), std::invalid_argument);
+  EXPECT_THROW(inject(0, 3, 70000), std::invalid_argument);
+  EXPECT_THROW(inject(0, 3, 0), std::invalid_argument);
+  EXPECT_EQ(fabric.FlitsInFlight(), 0u);
+  EXPECT_EQ(fabric.Summarize().packets_injected[1], 0u);
+  EXPECT_TRUE(inject(15, 0, 65535));
 }
 
 TEST(IdealFabricTest, NeverRefusesInjection) {

@@ -357,6 +357,39 @@ TEST(NetworkTest, RefusesZeroVcsOrZeroDepth) {
   EXPECT_THROW(Network net(no_depth), std::invalid_argument);
 }
 
+// Network::Inject refuses, in every build, a packet it cannot carry: a
+// source or destination that is not a tile would route off the grid, and
+// a flit count past 65535 would wrap its record's 16-bit size.
+TEST(NetworkTest, InjectRefusesImpossiblePackets) {
+  Network net(NetworkConfig{});  // 8x8
+  const auto inject = [&net](NodeId src, NodeId dst, int num_flits) {
+    Packet p;
+    p.type = PacketType::kWriteRequest;
+    p.src = src;
+    p.dst = dst;
+    p.num_flits = num_flits;
+    return net.Inject(p);
+  };
+  EXPECT_THROW(inject(0, 9999, 1), std::invalid_argument);
+  EXPECT_THROW(inject(0, 64, 1), std::invalid_argument);
+  EXPECT_THROW(inject(0, -1, 1), std::invalid_argument);
+  EXPECT_THROW(inject(64, 0, 1), std::invalid_argument);
+  EXPECT_THROW(inject(0, 1, 70000), std::invalid_argument);
+  EXPECT_THROW(inject(0, 1, 65536), std::invalid_argument);
+  EXPECT_THROW(inject(0, 1, 0), std::invalid_argument);
+  EXPECT_EQ(net.FlitsInFlight(), 0u);
+  EXPECT_EQ(net.packets().live(), 0u);
+  try {
+    inject(3, 1, 70000);
+    ADD_FAILURE() << "accepted a 70000-flit packet";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "write-request packet 0 (src 3, dst 1, 70000 flits): the "
+                 "flit count is outside [1, 65535]");
+  }
+  EXPECT_TRUE(inject(63, 0, 65535));
+}
+
 // Network::Load refuses a flit on a link whose VC the receiving router
 // does not have. The clean snapshot holds one single-flit packet on its
 // injection link; the flit is found in the payload by its payload and addr
@@ -813,7 +846,8 @@ std::size_t RunUniformAndDrain(Fabric& fabric, int tiles, int cycles,
 // Every packet's record is released once its sink accepts the tail: a
 // drained network's packet table is empty — across the routing x policy
 // matrix, the torus, cmesh and circulant topologies, and both networks of
-// a DualNetworkFabric — though each table held records mid-run.
+// a physical-division NetworkFabric — though each table held records
+// mid-run.
 TEST(NetworkTest, DrainedNetworksHoldNoLivePacketRecords) {
   CollectSink sink;
   for (const SweepParam& param : kSweepParams) {
@@ -839,7 +873,7 @@ TEST(NetworkTest, DrainedNetworksHoldNoLivePacketRecords) {
   }
   NetworkConfig cfg = SmallConfig();
   cfg.num_vcs = 4;
-  DualNetworkFabric dual(cfg);
+  NetworkFabric dual(cfg, NetworkDivision::kPhysical);
   for (NodeId n = 0; n < 16; ++n) dual.SetSink(n, &sink);
   const Network& requests = dual.net(TrafficClass::kRequest);
   const Network& replies = dual.net(TrafficClass::kReply);

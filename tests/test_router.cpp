@@ -565,6 +565,27 @@ TEST(RouterTest, LoadRejectsOutOfRangeCredits) {
   }
 }
 
+// The v5 byte after the epoch counts says whether any count is nonzero.
+// It is derived from them, so Load refuses one that contradicts them. An
+// idle router's snapshot (5 ports x 2 VCs) holds 220 bytes of input- and
+// output-VC records and five i32 boundaries, then each port's u64
+// request and reply counts @240 and the flag @320.
+TEST(RouterTest, LoadRefusesAnEpochFlagThatContradictsTheCounts) {
+  const RouterConfig cfg = DefaultConfig();
+  const std::string clean = IdleRouterBytes(cfg);
+  ASSERT_EQ(clean.substr(240, 81), std::string(81, '\0'))
+      << "no flit counted, flag clear";
+  const auto refused = [&cfg](const std::string& bytes) {
+    return LoadError(cfg, bytes).find("contradicts") != std::string::npos;
+  };
+  EXPECT_EQ(LoadError(cfg, clean), "");
+  EXPECT_TRUE(refused(Patch(clean, 320, 1, 1)));  // flag, no count
+  const std::string counted = Patch(clean, 248, 3, 8);  // port 0's replies
+  EXPECT_TRUE(refused(counted));                         // count, no flag
+  EXPECT_EQ(LoadError(cfg, Patch(counted, 320, 1, 1)), "");
+  EXPECT_TRUE(refused(Patch(counted, 320, 2, 1)));  // not a bool
+}
+
 // The router keeps derived masks and arrays (occupied, front classes,
 // holding, front ready cycles, the flit count) beside the primary state it
 // saves. After every step that maintains them — an accept into an empty

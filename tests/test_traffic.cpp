@@ -159,6 +159,9 @@ TEST(TrafficPatternTest, ParseNames) {
   EXPECT_EQ(ParseTrafficPattern("tornado"), TrafficPattern::kTornado);
   EXPECT_EQ(ParseTrafficPattern("neighbor"), TrafficPattern::kNeighbor);
   EXPECT_EQ(ParseTrafficPattern("shuffle"), TrafficPattern::kShuffle);
+  // Like every other enum's names, pattern names ignore case.
+  EXPECT_EQ(ParseTrafficPattern("Bit-Reverse"), TrafficPattern::kBitReverse);
+  EXPECT_EQ(ParseTrafficPattern("NEIGHBOUR"), TrafficPattern::kNeighbor);
   EXPECT_THROW(ParseTrafficPattern("nope"), std::invalid_argument);
 }
 
