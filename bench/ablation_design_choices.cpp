@@ -41,7 +41,8 @@ int main(int argc, char** argv) {
   const BenchOptions opts = ParseBenchOptions(
       argc, argv, "ablation_design_choices",
       "Ablation: one-at-a-time design choices on a single workload",
-      [](FlagSet& flags) {
+      // The fully monopolized variants need the Table 2 mesh.
+      kRunKeys, [](FlagSet& flags) {
         flags.AddString("workload", "KMN", "the workload to ablate on");
       });
   const WorkloadProfile& workload =
@@ -49,6 +50,7 @@ int main(int argc, char** argv) {
   std::cout << SectionHeader("Ablation — design choices (workload: " +
                              workload.name + ")");
   BenchReport report("ablation_design_choices", opts);
+  const GpuConfig baseline = WithGridOverrides(GpuConfig::Baseline(), opts);
 
   const auto ipc = [&workload](const SweepResult& r, const std::string& s) {
     return r.Get(s, workload.name).ipc;
@@ -58,7 +60,7 @@ int main(int argc, char** argv) {
   {
     std::vector<SchemeSpec> schemes;
     for (bool atomic : {true, false}) {
-      GpuConfig base = GpuConfig::Baseline();
+      GpuConfig base = baseline;
       base.atomic_vc_realloc = atomic;
       const std::string tag = atomic ? "atomic" : "non-atomic";
       schemes.push_back({"base " + tag, base});
@@ -84,7 +86,7 @@ int main(int argc, char** argv) {
   {
     std::vector<SchemeSpec> schemes;
     for (int depth : {2, 4, 8, 16}) {
-      GpuConfig base = GpuConfig::Baseline();
+      GpuConfig base = baseline;
       base.vc_depth = depth;
       schemes.push_back({"base d" + std::to_string(depth), base});
       schemes.push_back({"mono d" + std::to_string(depth), Monopolized(base)});
@@ -105,7 +107,7 @@ int main(int argc, char** argv) {
   {
     std::vector<SchemeSpec> schemes;
     for (int capacity : {8, 16, 32, 64}) {
-      GpuConfig base = GpuConfig::Baseline();
+      GpuConfig base = baseline;
       base.eject_capacity = capacity;
       schemes.push_back({"base e" + std::to_string(capacity), base});
     }
@@ -124,7 +126,7 @@ int main(int argc, char** argv) {
   {
     std::vector<SchemeSpec> schemes;
     for (ArbiterKind kind : {ArbiterKind::kRoundRobin, ArbiterKind::kMatrix}) {
-      GpuConfig base = GpuConfig::Baseline();
+      GpuConfig base = baseline;
       base.arbiter = kind;
       const std::string tag = ArbiterKindName(kind);
       schemes.push_back({"base " + tag, base});
@@ -148,7 +150,7 @@ int main(int argc, char** argv) {
   {
     std::vector<SchemeSpec> schemes;
     for (McScheduler sched : {McScheduler::kInOrder, McScheduler::kFrFcfs}) {
-      GpuConfig base = GpuConfig::Baseline();
+      GpuConfig base = baseline;
       base.mc.scheduler = sched;
       schemes.push_back({McSchedulerName(sched), base});
     }
@@ -170,7 +172,7 @@ int main(int argc, char** argv) {
   {
     std::vector<SchemeSpec> schemes;
     for (int bw : {1, 2, 4}) {
-      GpuConfig base = GpuConfig::Baseline();
+      GpuConfig base = baseline;
       base.mc_inject_flits_per_cycle = bw;
       schemes.push_back({"base b" + std::to_string(bw), base});
       schemes.push_back({"mono b" + std::to_string(bw), Monopolized(base)});
@@ -200,8 +202,7 @@ int main(int argc, char** argv) {
       divergent_set.push_back(divergent);
     }
     const std::vector<SchemeSpec> schemes{
-        {"base", GpuConfig::Baseline()},
-        {"mono", Monopolized(GpuConfig::Baseline())}};
+        {"base", baseline}, {"mono", Monopolized(baseline)}};
     SweepOptions sweep_opts = SweepOpts(opts);
     sweep_opts.progress = nullptr;
     const SweepResult r = RunSweep(schemes, divergent_set, sweep_opts);

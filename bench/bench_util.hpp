@@ -7,23 +7,27 @@
 //   threads=4         parallel sweep workers (0/default: one per core;
 //                     results are identical for any thread count)
 //   json=out.json     also write the figure's results as structured JSON
-//   audit=true        run every cell with the NoC invariant auditor on
-//                     (per-cell report lands in the JSON "audit" field)
-//   telemetry=true    run every cell with the telemetry sampler on (summary
-//                     in the JSON "telemetry" field; see telemetry_out=)
-//   telemetry_interval=100  cycles between telemetry samples
-//   telemetry_out=p   write <p>.csv and <p>.trace.json for runs a harness
-//                     designates (e.g. fig4's standalone KMN run)
-//   scheduling=full   NoC component scheduling for every cell: soa
-//                     (structure-of-arrays tick skipping idle links and
-//                     routers, default) or full (tick everything; same
-//                     results, the lockstep reference). active-set/event
-//                     are aliases of soa
-//   qos=strict        QoS arbitration discipline for every cell
-//                     (none|strict|wrr; see DESIGN.md §15)
+//
+// and exactly the GpuConfig keys it applies to its schemes (its
+// ParseBenchOptions `config_keys`, defined once by RegisterGpuConfigFlags,
+// applied by WithGridOverrides). The GPU sweep drivers take all eleven:
+//   topology=torus radix=16 num_vcs=4
+//                     re-run the paper matrix on another grid (also
+//                     circulant_s1= and circulant_s2=)
+//   qos=strict        QoS arbitration discipline (none|strict|wrr)
 //   qos_class=...     per-class contract spec, repeatable: the i-th
 //                     occurrence configures class i (request, reply), e.g.
 //                     qos_class=critical,prio=2,vcs=1,p99=400
+//   audit=true        run the NoC invariant auditor (per-cell report lands
+//                     in the JSON "audit" field)
+//   telemetry=true    run the telemetry sampler (summary in the JSON
+//                     "telemetry" field), telemetry_interval=100 cycles
+//                     between samples
+//   scheduling=full   NoC component scheduling: soa (default) or full (the
+//                     tick-everything reference; same results)
+// A harness that takes telemetry= also takes telemetry_out=p: write
+// <p>.csv and <p>.trace.json for the runs it designates (e.g. fig4's
+// standalone KMN run); it implies telemetry=true.
 #pragma once
 
 #include <unistd.h>
@@ -34,7 +38,6 @@
 #include <iostream>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -45,13 +48,29 @@
 
 #include "common/cli.hpp"
 #include "common/config.hpp"
-#include "common/enum_registry.hpp"
 #include "common/json.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "sim/experiment.hpp"
 
 namespace gnoc::bench {
+
+/// GpuConfig keys a harness can take on its command line.
+using ConfigKeys = std::vector<std::string>;
+/// Keys that reshape the tile grid and its network.
+inline const ConfigKeys kGridKeys{"topology", "radix", "circulant_s1",
+                                  "circulant_s2", "num_vcs"};
+/// Keys that change how a cell is checked, observed or scheduled, never
+/// what it computes.
+inline const ConfigKeys kRunKeys{"audit", "telemetry", "telemetry_interval",
+                                 "scheduling"};
+/// All eleven: what the GPU sweep drivers take.
+inline const ConfigKeys kSweepConfigKeys = [] {
+  ConfigKeys keys = kGridKeys;
+  keys.insert(keys.end(), {"qos", "qos_class"});
+  keys.insert(keys.end(), kRunKeys.begin(), kRunKeys.end());
+  return keys;
+}();
 
 /// Parsed common options.
 struct BenchOptions {
@@ -60,15 +79,13 @@ struct BenchOptions {
   bool csv = false;
   int threads = 0;        ///< sweep workers; 0 = one per hardware thread
   std::string json_path;  ///< empty = no JSON output
-  bool audit = false;     ///< run cells with the invariant auditor enabled
-  bool telemetry = false;  ///< run cells with the telemetry sampler enabled
-  Cycle telemetry_interval = 0;  ///< 0 = each config's default
-  std::string telemetry_path;    ///< prefix for .csv/.trace.json exports
-  /// NoC scheduling override for every cell (unset = scheme default).
-  std::optional<SchedulingMode> scheduling;
+  /// telemetry_out=: prefix for the .csv/.trace.json exports.
+  std::string telemetry_path;
   std::string checkpoint_dir;      ///< empty = crash-resume off
   Cycle checkpoint_interval = 0;   ///< cycles between mid-cell snapshots
   bool resume = false;             ///< resume from checkpoint_dir
+  /// The GpuConfig keys this harness takes; WithGridOverrides applies them.
+  ConfigKeys config_keys;
   Config raw;
 };
 
@@ -119,9 +136,10 @@ inline FlagSet::IntCheck NonNegative() {
   };
 }
 
-/// Registers the flags every sweep harness shares (EXPERIMENTS.md lists
-/// them once; drivers add their own flags on top).
-inline void RegisterSweepFlags(FlagSet& flags) {
+/// Registers the flags every harness shares, then `config_keys` as
+/// RegisterGpuConfigFlags defines them (drivers add their own flags on
+/// top).
+inline void RegisterSweepFlags(FlagSet& flags, const ConfigKeys& config_keys) {
   flags.AddDouble("scale", 1.0, "scales warmup/measure cycles",
                   [](double v) {
                     return v <= 0.0 ? std::string("must be > 0")
@@ -133,27 +151,6 @@ inline void RegisterSweepFlags(FlagSet& flags) {
   flags.AddInt("threads", 0, "parallel sweep workers (0 = one per core)",
                NonNegative());
   flags.AddString("json", "", "also write results as JSON to this path");
-  flags.AddBool("audit", false, "run cells with the NoC invariant auditor");
-  flags.AddBool("telemetry", false,
-                "run cells with the NoC telemetry sampler");
-  flags.AddInt("telemetry_interval", 0,
-               "cycles between telemetry samples (0 = config default)",
-               NonNegative());
-  flags.AddString("telemetry_out", "",
-                  "prefix for telemetry .csv/.trace.json exports");
-  // Validated by the registry itself, so the retired backend names keep
-  // parsing as aliases of soa.
-  flags.AddString("scheduling", "soa",
-                  "NoC component scheduling (" +
-                      SchedulingRegistry().Choices() + ")",
-                  [](const std::string& v) -> std::string {
-                    try {
-                      ParseSchedulingMode(v);
-                      return "";
-                    } catch (const std::exception& e) {
-                      return e.what();
-                    }
-                  });
   flags.AddString("checkpoint_dir", "",
                   "directory for crash-resumable sweep state (empty = off)");
   flags.AddInt("checkpoint_interval", 0,
@@ -161,81 +158,45 @@ inline void RegisterSweepFlags(FlagSet& flags) {
                NonNegative());
   flags.AddBool("resume", false,
                 "resume a checkpointed sweep from checkpoint_dir");
-  // Grid/topology overrides applied to every scheme's base configuration
-  // (WithGridOverrides), so the paper matrix re-runs on other topologies
-  // and sizes, e.g. topology=torus radix=16 num_vcs=4.
-  flags.AddEnum("topology", "mesh", "interconnect topology",
-                {"mesh", "torus", "cmesh", "circulant"});
-  flags.AddInt("radix", 8,
-               "square-grid shorthand: width = height = num_mcs = radix",
-               [](std::int64_t v) {
-                 return v < 2 ? std::string("must be >= 2") : std::string();
-               });
-  flags.AddInt("circulant_s1", 1, "circulant chord step s1",
-               [](std::int64_t v) {
-                 return v < 1 ? std::string("must be >= 1") : std::string();
-               });
-  flags.AddInt("circulant_s2", 0, "circulant chord step s2 (0 = near-sqrt)",
-               NonNegative());
-  flags.AddInt("num_vcs", 2,
-               "VCs per port (dateline topologies need >= 4 under split)",
-               [](std::int64_t v) {
-                 return v < 1 ? std::string("must be >= 1") : std::string();
-               });
-  flags.AddString("qos", "none",
-                  "QoS arbitration discipline (none|strict|wrr)",
-                  [](const std::string& v) -> std::string {
-                    try {
-                      ParseQosArbitration(v);
-                      return "";
-                    } catch (const std::exception& e) {
-                      return e.what();
-                    }
-                  });
-  flags.AddString("qos_class", "",
-                  "traffic class spec '<name>[,prio=N][,rate=X][,burst=N]"
-                  "[,vcs=N][,p99=X]' (repeatable; i-th occurrence = class i)",
-                  [](const std::string& v) -> std::string {
-                    if (v.empty()) return "";
-                    try {
-                      ParseTrafficClassSpec(v);
-                      return "";
-                    } catch (const std::exception& e) {
-                      return e.what();
-                    }
-                  });
+  FlagSet gpu_flags("GpuConfig", "");
+  RegisterGpuConfigFlags(gpu_flags);
+  for (const std::string& key : config_keys) flags.Copy(gpu_flags, key);
+  if (flags.Contains("telemetry")) {
+    flags.AddString("telemetry_out", "",
+                    "prefix for telemetry .csv/.trace.json exports (implies "
+                    "telemetry=true)");
+  }
 }
 
-/// Applies the shared grid/topology overrides (topology=, radix=,
-/// circulant_s1/s2=, num_vcs=) to a driver's base configuration. Keys the
-/// user did not set keep the driver's programmed values, so default runs
-/// are untouched.
+/// Applies the harness's GpuConfig keys (BenchOptions::config_keys) to a
+/// driver's base configuration. Keys the user did not set keep the
+/// driver's programmed values, so default runs are untouched.
 inline GpuConfig WithGridOverrides(GpuConfig cfg, const BenchOptions& opts) {
   Config sub;
-  for (const char* key :
-       {"topology", "radix", "circulant_s1", "circulant_s2", "num_vcs",
-        "qos"}) {
-    if (opts.raw.Contains(key)) sub.Set(key, opts.raw.GetString(key, ""));
+  for (const std::string& key : opts.config_keys) {
+    // Every occurrence, in order: qos_class= is positional (the i-th
+    // configures class i); the other keys stay last-wins.
+    for (const std::string& value : opts.raw.GetList(key)) {
+      sub.Append(key, value);
+    }
   }
-  // qos_class= is positional and repeatable: forward every occurrence in
-  // order so the i-th still configures class i.
-  for (const std::string& spec : opts.raw.GetList("qos_class")) {
-    if (!spec.empty()) sub.Append("qos_class", spec);
-  }
+  if (!opts.telemetry_path.empty()) sub.Set("telemetry", "true");
   cfg.ApplyOverrides(sub);
   return cfg;
 }
 
-/// Builds the harness FlagSet (shared sweep flags + optional driver
-/// extras) and parses argv through it. help= prints the generated help and
-/// exits 0; an unknown flag or malformed value prints the error and exits
-/// 2 — a mistyped flag never silently runs the full sweep.
+/// Builds the harness FlagSet (shared flags, the driver's GpuConfig keys
+/// and optional driver extras) and parses argv through it. help= prints
+/// the generated help and exits 0; an unknown flag or malformed value
+/// prints the error and exits 2 — a mistyped flag never silently runs the
+/// full sweep.
 inline BenchOptions ParseBenchOptions(
     int argc, char** argv, const std::string& program,
     const std::string& summary,
+    const ConfigKeys& config_keys = kSweepConfigKeys,
     const std::function<void(FlagSet&)>& extra = nullptr) {
   FlagSet flags(program, summary);
-  RegisterSweepFlags(flags);
+  RegisterSweepFlags(flags, config_keys);
   if (extra) extra(flags);
   BenchOptions opts;
   try {
@@ -253,21 +214,13 @@ inline BenchOptions ParseBenchOptions(
   opts.csv = opts.raw.GetBool("csv", false);
   opts.threads = static_cast<int>(opts.raw.GetInt("threads", 0));
   opts.json_path = opts.raw.GetString("json", "");
-  opts.audit = opts.raw.GetBool("audit", false);
-  opts.telemetry = opts.raw.GetBool("telemetry", false);
-  opts.telemetry_interval =
-      static_cast<Cycle>(opts.raw.GetInt("telemetry_interval", 0));
   opts.telemetry_path = opts.raw.GetString("telemetry_out", "");
-  // telemetry_out= implies telemetry collection.
-  if (!opts.telemetry_path.empty()) opts.telemetry = true;
-  if (opts.raw.Contains("scheduling")) {
-    opts.scheduling = ParseSchedulingMode(opts.raw.GetString("scheduling"));
-  }
   opts.checkpoint_dir = opts.raw.GetString("checkpoint_dir", "");
   opts.checkpoint_interval =
       static_cast<Cycle>(opts.raw.GetInt("checkpoint_interval", 0));
   opts.resume = opts.raw.GetBool("resume", false);
   opts.workloads = ParseWorkloadList(opts.raw.GetString("workloads", ""));
+  opts.config_keys = config_keys;
   return opts;
 }
 
@@ -298,10 +251,6 @@ inline SweepOptions SweepOpts(const BenchOptions& opts) {
   out.lengths = opts.lengths;
   out.threads = opts.threads;
   out.progress = StderrProgress();
-  out.audit = opts.audit;
-  out.telemetry = opts.telemetry;
-  out.telemetry_interval = opts.telemetry_interval;
-  out.scheduling = opts.scheduling;
   out.checkpoint_dir = opts.checkpoint_dir;
   out.checkpoint_interval = opts.checkpoint_interval;
   out.resume = opts.resume;

@@ -21,7 +21,8 @@ int main(int argc, char** argv) {
       "(baseline: bottom MCs, XY routing, 2 split VCs)");
 
   // A one-scheme sweep: the engine parallelizes the 25 baseline runs.
-  const std::vector<SchemeSpec> schemes{{"Baseline", GpuConfig::Baseline()}};
+  const std::vector<SchemeSpec> schemes{
+      {"Baseline", WithGridOverrides(GpuConfig::Baseline(), opts)}};
   const SweepResult result =
       RunSweep(schemes, opts.workloads, SweepOpts(opts));
 

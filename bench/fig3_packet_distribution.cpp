@@ -20,7 +20,8 @@ int main(int argc, char** argv) {
       "Fig. 3 — Packet type distribution (percent of all packets)");
 
   // A one-scheme sweep: the engine parallelizes the 25 baseline runs.
-  const std::vector<SchemeSpec> schemes{{"Baseline", GpuConfig::Baseline()}};
+  const std::vector<SchemeSpec> schemes{
+      {"Baseline", WithGridOverrides(GpuConfig::Baseline(), opts)}};
   const SweepResult result =
       RunSweep(schemes, opts.workloads, SweepOpts(opts));
 

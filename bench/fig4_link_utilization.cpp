@@ -47,7 +47,10 @@ int main(int argc, char** argv) {
 
   const BenchOptions opts = ParseBenchOptions(
       argc, argv, "fig4_link_utilization",
-      "Figs. 4 & 6: analytic link-utilization coefficient maps");
+      "Figs. 4 & 6: analytic link-utilization coefficient maps",
+      // The validation compares against the 8x8 analytic map, so the grid
+      // stays Table 2's.
+      kRunKeys);
   std::cout << SectionHeader(
       "Figs. 4 & 6 — Link utilization coefficient maps (Eq. 2, N=4)");
 
@@ -59,14 +62,8 @@ int main(int argc, char** argv) {
   // proportional to the analytic coefficients (requests, XY, bottom MCs).
   std::cout << "\n--- validation against the cycle-accurate simulator "
                "(8x8, KMN workload) ---\n";
-  GpuConfig cfg = GpuConfig::Baseline();
-  if (opts.telemetry) {
-    cfg.telemetry = true;
-    if (opts.telemetry_interval > 0) {
-      cfg.telemetry_interval = opts.telemetry_interval;
-    }
-  }
-  GpuSystem gpu(cfg, FindWorkload("KMN"));
+  GpuSystem gpu(WithGridOverrides(GpuConfig::Baseline(), opts),
+                FindWorkload("KMN"));
   gpu.Run(opts.lengths.warmup, opts.lengths.measure);
 
   const TilePlan plan8(8, 8, 8, McPlacement::kBottom);

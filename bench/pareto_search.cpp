@@ -50,7 +50,9 @@ int Main(int argc, char** argv) {
       argc, argv, "pareto_search",
       "multi-objective design-space search: NSGA-II / random / grid over "
       "the NoC configuration axes",
-      [&](FlagSet& f) {
+      // radix= reshapes the base grid under the axes; the axes themselves
+      // carry the topology and VC choices.
+      {"radix"}, [&](FlagSet& f) {
         f.AddEnum("strategy", "nsga2", "batch proposal strategy",
                   {"nsga2", "random", "grid"});
         f.AddString("objectives", "ipc,mean_latency,p99_latency,buffer_area",
@@ -83,13 +85,7 @@ int Main(int argc, char** argv) {
                [](const std::string& s) { return std::stoi(s); });
   OverrideAxis(space.vc_depths, opts.raw.GetString("vc_depths", ""),
                [](const std::string& s) { return std::stoi(s); });
-  // radix= reshapes the base grid under the axes (the axes themselves
-  // carry topology/VC choices, so only the size shorthand applies here).
-  if (opts.raw.Contains("radix")) {
-    Config sub;
-    sub.Set("radix", opts.raw.GetString("radix", ""));
-    space.base.ApplyOverrides(sub);
-  }
+  space.base = WithGridOverrides(space.base, opts);
 
   SearchOptions sopt;
   sopt.strategy = ParseSearchStrategy(opts.raw.GetString("strategy"));

@@ -168,7 +168,7 @@ int main(int argc, char** argv) {
       argc, argv, "qos_starvation",
       "QoS starvation study: a latency-critical class vs saturating bulk"
       " wormholes, with full-vs-soa and snapshot-resume bit-identity checks",
-      [](FlagSet& flags) {
+      kGridKeys, [](FlagSet& flags) {
         const auto rate = [](double v) {
           return v < 0.0 ? std::string("must be >= 0") : std::string();
         };
@@ -190,9 +190,9 @@ int main(int argc, char** argv) {
       " wormholes");
 
   Scenario sc;
-  // Honor the shared grid overrides (topology=, radix=, num_vcs=, ...)
-  // through the GpuConfig machinery, then lift the result into the
-  // network-only configuration this study drives directly.
+  // Honor the grid keys (topology=, radix=, circulant_s1/s2=, num_vcs=)
+  // through the GpuConfig machinery, then lift exactly those fields into
+  // the network-only configuration this study drives directly.
   GpuConfig grid = GpuConfig::Baseline();
   grid.num_vcs = 4;
   grid = WithGridOverrides(grid, opts);

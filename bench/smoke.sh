@@ -6,16 +6,17 @@
 # telemetry exporters (CSV + Chrome trace, strictly validated with
 # python3 -m json.tool), then SIGKILLs a checkpointed sweep mid-flight and
 # requires the resumed run to be byte-identical to an uninterrupted one,
+# checks that each harness applies exactly the GpuConfig keys it accepts,
 # runs both network divisions audited and records one packet trace,
 # records one short router_micro run, and — when a UBSan tree is available
 # (see GNOC_SANITIZE=undefined in CMakeLists.txt) — runs one
 # UBSan-instrumented config.
 #
 # Every artifact (sweep JSON, audit JSON, telemetry exports, scheduler
-# CSVs, checkpoint state, pareto.json, network-division JSON, recorded
-# trace CSV, router_micro JSON) lands under one
-# directory, $GNOC_SMOKE_OUT_DIR (default /tmp/gnoc_smoke), so CI can
-# upload the whole run as a single artifact. Per-artifact GNOC_SMOKE_*
+# CSVs, checkpoint state, fig2's mesh and torus CSVs, pareto.json,
+# network-division JSON, recorded trace CSV, router_micro JSON) lands
+# under one directory, $GNOC_SMOKE_OUT_DIR (default /tmp/gnoc_smoke), so
+# CI can upload the whole run as a single artifact. Per-artifact GNOC_SMOKE_*
 # overrides still win for targeted debugging.
 #
 # Usage: bench/smoke.sh [build-dir] [extra harness args...]
@@ -236,6 +237,37 @@ EOF
     echo "smoke: topology $topo ok (structural check only)" >&2
   fi
 done
+
+# Config-key pass: a harness applies exactly the GpuConfig keys it
+# accepts. fig2 builds its scheme through WithGridOverrides, so a torus run
+# must change its CSV; fig4, table1 and pareto_search keep their own grid
+# and must refuse topology= as an unknown flag (exit 2), not ignore it.
+FIG2_HARNESS="$BUILD_DIR/bench/fig2_traffic_volumes"
+FIG2_MESH="$OUT_DIR/fig2_mesh.csv"
+FIG2_TORUS="$OUT_DIR/fig2_torus.csv"
+echo "smoke: $FIG2_HARNESS default vs topology=torus radix=8 num_vcs=4" >&2
+"$FIG2_HARNESS" scale=0.1 workloads=BFS csv=true > "$FIG2_MESH"
+"$FIG2_HARNESS" scale=0.1 workloads=BFS csv=true topology=torus radix=8 \
+    num_vcs=4 > "$FIG2_TORUS"
+if cmp -s "$FIG2_MESH" "$FIG2_TORUS"; then
+  echo "smoke: FAIL — fig2 ignored topology=torus radix=8 num_vcs=4" >&2
+  exit 1
+fi
+# Cheap arguments, so a harness that wrongly accepts the key finishes fast.
+expect_refused() {  # harness [args...]: must exit 2 on topology=torus
+  local status=0
+  "$BUILD_DIR/bench/$1" "${@:2}" topology=torus > /dev/null 2>&1 || status=$?
+  if (( status != 2 )); then
+    echo "smoke: FAIL — $1 exited $status on topology=torus, not 2" >&2
+    exit 1
+  fi
+}
+expect_refused fig4_link_utilization scale=0.1
+expect_refused table1_hop_counts
+expect_refused pareto_search strategy=grid scale=0.1 workloads=BFS \
+    max_evaluations=1 out="$OUT_DIR/refused.json"
+echo "smoke: config keys ok — fig2 applies topology=; fig4, table1 and" \
+     "pareto_search refuse it" >&2
 
 # DSE pass: a quick Pareto search over a 16-point sub-space (grid
 # strategy, ground truth for the size) must complete, write a parseable

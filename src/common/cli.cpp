@@ -127,6 +127,14 @@ FlagSet& FlagSet::AddEnum(const std::string& name, const std::string& def,
   return Register(std::move(f));
 }
 
+FlagSet& FlagSet::Copy(const FlagSet& from, const std::string& name) {
+  const auto it = from.index_.find(name);
+  if (it == from.index_.end()) {
+    throw CliError("no flag '" + name + "' to copy from " + from.program_);
+  }
+  return Register(from.flags_[it->second]);
+}
+
 bool FlagSet::Contains(const std::string& name) const {
   return index_.count(name) != 0;
 }

@@ -72,6 +72,11 @@ class FlagSet {
     return AddEnum(name, def, doc, registry.CanonicalNames());
   }
 
+  /// Registers `from`'s flag `name` here — type, default, doc and
+  /// validator — so one definition serves every FlagSet that takes the
+  /// flag. Throws CliError when `from` has no such flag.
+  FlagSet& Copy(const FlagSet& from, const std::string& name);
+
   bool Contains(const std::string& name) const;
 
   /// Parses "key=value" tokens from argv[first..). Loads `config=<file>`

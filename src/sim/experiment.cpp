@@ -225,27 +225,9 @@ std::vector<SweepCell> EnumerateCells(std::size_t num_schemes,
 
 namespace {
 
-/// The scheme's config with the sweep-wide overrides applied — what a cell
-/// actually runs with (and what its checkpoint fingerprint covers).
-GpuConfig EffectiveConfig(const SchemeSpec& scheme,
-                          const SweepOptions& options) {
-  GpuConfig config = scheme.config;
-  if (options.audit) config.audit = true;
-  if (options.telemetry) {
-    config.telemetry = true;
-    if (options.telemetry_interval > 0) {
-      config.telemetry_interval = options.telemetry_interval;
-    }
-  }
-  if (options.scheduling.has_value()) {
-    config.scheduling = *options.scheduling;
-  }
-  return config;
-}
-
 GpuRunStats RunCell(const SchemeSpec& scheme, const WorkloadProfile& workload,
                     const SweepOptions& options) {
-  GpuSystem gpu(EffectiveConfig(scheme, options), workload);
+  GpuSystem gpu(scheme.config, workload);
   return gpu.Run(options.lengths.warmup, options.lengths.measure);
 }
 
@@ -263,7 +245,7 @@ GpuRunStats RunCellCheckpointed(const SchemeSpec& scheme,
                                 const SweepOptions& options,
                                 const std::string& snap_path,
                                 std::uint64_t cell_fingerprint) {
-  GpuSystem gpu(EffectiveConfig(scheme, options), workload);
+  GpuSystem gpu(scheme.config, workload);
   std::uint8_t phase = kPhaseWarmup;
   Cycle done_in_phase = 0;
   if (options.resume && std::filesystem::exists(snap_path)) {
@@ -449,9 +431,8 @@ std::uint64_t SweepFingerprint(const std::vector<SchemeSpec>& schemes,
   s.U64(workloads.size());
   for (const SchemeSpec& scheme : schemes) {
     s.Str(scheme.label);
-    const GpuConfig config = EffectiveConfig(scheme, options);
     for (const WorkloadProfile& w : workloads) {
-      s.U64(GpuConfigFingerprint(config, w));
+      s.U64(GpuConfigFingerprint(scheme.config, w));
     }
   }
   return Fnv1a64(s.bytes());
@@ -480,8 +461,7 @@ SweepResult RunSweep(const std::vector<SchemeSpec>& schemes,
   if (!options.checkpoint_dir.empty()) {
     for (std::size_t i = 0; i < cells.size(); ++i) {
       cell_fingerprints[i] = GpuConfigFingerprint(
-          EffectiveConfig(schemes[cells[i].scheme], options),
-          workloads[cells[i].workload]);
+          schemes[cells[i].scheme].config, workloads[cells[i].workload]);
     }
     checkpoint = std::make_unique<SweepCheckpoint>(
         options.checkpoint_dir, SweepFingerprint(schemes, workloads, options),

@@ -16,7 +16,6 @@
 #include <functional>
 #include <iosfwd>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -131,22 +130,6 @@ struct SweepOptions {
   /// original sequential behavior).
   int threads = 0;
   ProgressFn progress;
-  /// Run every cell with the NoC invariant auditor enabled (overrides each
-  /// scheme's GpuConfig::audit; see noc/audit.hpp). The per-cell report is
-  /// in GpuRunStats::audit and serialized by WriteJson.
-  bool audit = false;
-  /// Run every cell with the NoC telemetry sampler enabled (overrides each
-  /// scheme's GpuConfig::telemetry; see noc/telemetry.hpp). The per-cell
-  /// report is in GpuRunStats::telemetry; WriteJson serializes a summary
-  /// (counts, not the full series — use the CSV/trace exporters for those).
-  bool telemetry = false;
-  /// Sampling interval applied when `telemetry` is set (0 = keep each
-  /// scheme's GpuConfig::telemetry_interval).
-  Cycle telemetry_interval = 0;
-  /// NoC scheduling mode applied to every cell when set (overrides each
-  /// scheme's GpuConfig::scheduling; see SchedulingMode in noc/network.hpp).
-  std::optional<SchedulingMode> scheduling;
-
   // --- crash-resumable sweeps (DESIGN.md §10) ---
   /// Directory for checkpoint state (empty = checkpointing off, the
   /// default; the per-cell simulation path is then byte-for-byte the
@@ -167,9 +150,9 @@ struct SweepOptions {
 };
 
 /// Fingerprint of everything that determines a sweep's results: run
-/// lengths, scheme labels and effective configurations (after the audit/
-/// telemetry/scheduling overrides) and workloads. Checkpoint state is only
-/// valid for the sweep that wrote it; this is how that is enforced.
+/// lengths, scheme labels and configurations, and workloads. Checkpoint
+/// state is only valid for the sweep that wrote it; this is how that is
+/// enforced.
 std::uint64_t SweepFingerprint(const std::vector<SchemeSpec>& schemes,
                                const std::vector<WorkloadProfile>& workloads,
                                const SweepOptions& options);

@@ -35,7 +35,9 @@ void HashPacketSizes(Serializer& s, const PacketSizes& p) {
 std::uint64_t GpuConfigFingerprint(const GpuConfig& config,
                                    const WorkloadProfile& workload) {
   Serializer s;
-  // GpuConfig, field by field in declaration order.
+  // GpuConfig, field by field in a fixed order: snapshot and checkpoint
+  // files carry this hash, so the bytes never change. The inherited
+  // deadlock_threshold has no byte; no GPU run sets it.
   s.I32(config.width);
   s.I32(config.height);
   s.I32(config.num_mcs);
@@ -121,29 +123,6 @@ GpuSystem::GpuSystem(const GpuConfig& config, const WorkloadProfile& workload)
                            config_.qos.classes[1].reserved_vcs});
   }
 
-  NetworkConfig net;
-  net.width = config_.width;
-  net.height = config_.height;
-  net.topology = config_.topology;
-  net.circulant_s1 = config_.circulant_s1;
-  net.circulant_s2 = config_.circulant_s2;
-  net.num_vcs = config_.num_vcs;
-  net.vc_depth = config_.vc_depth;
-  net.routing = config_.routing;
-  net.vc_policy = config_.vc_policy;
-  net.link_latency = config_.link_latency;
-  net.inject_queue_capacity = config_.inject_queue_capacity;
-  net.eject_capacity = config_.eject_capacity;
-  net.atomic_vc_realloc = config_.atomic_vc_realloc;
-  net.dynamic_epoch = config_.dynamic_epoch;
-  net.arbiter = config_.arbiter;
-  net.audit = config_.audit;
-  net.audit_interval = config_.audit_interval;
-  net.telemetry = config_.telemetry;
-  net.telemetry_interval = config_.telemetry_interval;
-  net.telemetry_max_windows = config_.telemetry_max_windows;
-  net.scheduling = config_.scheduling;
-  net.qos = config_.qos;
   if (config_.record_trace) trace_ = std::make_unique<TraceWriter>();
   if (config_.ideal_noc) {
     IdealFabricConfig ideal;
@@ -153,7 +132,7 @@ GpuSystem::GpuSystem(const GpuConfig& config, const WorkloadProfile& workload)
     fabric->SetTrace(trace_.get());
     fabric_ = std::move(fabric);
   } else {
-    auto fabric = std::make_unique<NetworkFabric>(net, config_.division);
+    auto fabric = std::make_unique<NetworkFabric>(config_, config_.division);
     fabric->SetTrace(trace_.get());
     if (config_.division == NetworkDivision::kVirtual) {
       // Distribute the static per-link class analysis so link-aware partial

@@ -75,8 +75,9 @@ void Save(Serializer& s, const GpuRunStats& stats);
 void Load(Deserializer& d, GpuRunStats& stats);
 
 /// Canonical fingerprint of a (configuration, workload) pair: FNV-1a over
-/// every field in declaration order. Snapshot files carry this value and
-/// refuse to load under a different configuration (see common/serialize.hpp).
+/// every field but the inherited deadlock_threshold, in a fixed order.
+/// Snapshot files carry this value and refuse to load under a different
+/// configuration (see common/serialize.hpp).
 std::uint64_t GpuConfigFingerprint(const GpuConfig& config,
                                    const WorkloadProfile& workload);
 

@@ -339,15 +339,17 @@ TEST_F(CheckpointTest, SweepFingerprintSeparatesConfigurations) {
 
   SweepOptions longer = options;
   longer.lengths.measure += 1;
-  SweepOptions audited = options;
-  audited.audit = true;
-  SweepOptions full = options;
-  full.scheduling = SchedulingMode::kFull;
+  std::vector<SchemeSpec> audited = schemes;
+  for (SchemeSpec& scheme : audited) scheme.config.audit = true;
+  std::vector<SchemeSpec> full = schemes;
+  for (SchemeSpec& scheme : full) {
+    scheme.config.scheduling = SchedulingMode::kFull;
+  }
 
   const std::uint64_t base = SweepFingerprint(schemes, workloads, options);
   EXPECT_NE(base, SweepFingerprint(schemes, workloads, longer));
-  EXPECT_NE(base, SweepFingerprint(schemes, workloads, audited));
-  EXPECT_NE(base, SweepFingerprint(schemes, workloads, full));
+  EXPECT_NE(base, SweepFingerprint(audited, workloads, options));
+  EXPECT_NE(base, SweepFingerprint(full, workloads, options));
   // Execution-only knobs must NOT change the fingerprint: a sweep may be
   // resumed with a different thread count.
   SweepOptions threaded = options;

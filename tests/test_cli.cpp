@@ -173,6 +173,28 @@ TEST(CliTest, ReservedAndDuplicateNamesRejected) {
   EXPECT_THROW(flags.AddEnum("mode", "c", "", {"a", "b"}), CliError);
 }
 
+TEST(CliTest, CopyKeepsTheFlagDefinition) {
+  FlagSet source = TypicalFlags();
+  FlagSet flags("copy", "");
+  flags.Copy(source, "threads").Copy(source, "scheduling");
+  EXPECT_TRUE(flags.Contains("threads"));
+  EXPECT_FALSE(flags.Contains("scale"));
+  // Type and validator: an int that must be >= 0; an enum of two names.
+  EXPECT_EQ(ParseTokens(flags, {"threads=3"}).GetInt("threads", -1), 3);
+  EXPECT_THROW(ParseTokens(flags, {"threads=x"}), CliError);
+  EXPECT_THROW(ParseTokens(flags, {"threads=-1"}), CliError);
+  EXPECT_NO_THROW(ParseTokens(flags, {"scheduling=soa"}));
+  EXPECT_THROW(ParseTokens(flags, {"scheduling=event"}), CliError);
+  // Default and doc text.
+  const std::string help = flags.Help();
+  EXPECT_NE(help.find("int (default 0)  worker threads"), std::string::npos);
+  EXPECT_NE(help.find("full|soa (default full)  scheduling mode"),
+            std::string::npos);
+  // A name the source lacks throws, as does copying one twice.
+  EXPECT_THROW(flags.Copy(source, "no_such_flag"), CliError);
+  EXPECT_THROW(flags.Copy(source, "threads"), CliError);
+}
+
 class CliFileTest : public ::testing::Test {
  protected:
   void SetUp() override {

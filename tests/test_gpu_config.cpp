@@ -16,6 +16,10 @@ TEST(GpuConfigTest, BaselineMatchesTable2) {
   EXPECT_EQ(cfg.vc_policy, VcPolicyKind::kSplit);
   EXPECT_EQ(cfg.num_vcs, 2);
   EXPECT_EQ(cfg.vc_depth, 4);
+  // The GPU's NIC inject queue is the one default GpuConfig sets over
+  // NetworkConfig's.
+  EXPECT_EQ(cfg.inject_queue_capacity, 16);
+  EXPECT_EQ(NetworkConfig{}.inject_queue_capacity, 64);
   EXPECT_EQ(cfg.division, NetworkDivision::kVirtual);
   EXPECT_FALSE(cfg.ideal_noc);
   EXPECT_FALSE(cfg.record_trace);
@@ -44,6 +48,17 @@ TEST(GpuConfigTest, OverridesApply) {
   args.SetInt("mc_inject_bw", 2);
   args.SetInt("warps", 48);
   args.SetInt("seed", 99);
+  // The run keys reach a sweep's cells only through this path.
+  args.SetBool("audit", true);
+  args.SetInt("audit_interval", 64);
+  args.SetBool("telemetry", true);
+  args.SetInt("telemetry_interval", 50);
+  args.SetInt("telemetry_max_windows", 8);
+  args.Set("scheduling", "full");
+  args.SetInt("dynamic_epoch", 256);
+  args.SetBool("atomic_vc_realloc", false);
+  args.SetInt("circulant_s1", 3);
+  args.SetInt("circulant_s2", 5);
 
   GpuConfig cfg = GpuConfig::Baseline();
   cfg.ApplyOverrides(args);
@@ -62,6 +77,16 @@ TEST(GpuConfigTest, OverridesApply) {
   EXPECT_EQ(cfg.mc_inject_flits_per_cycle, 2);
   EXPECT_EQ(cfg.sm.warps_per_sm, 48);
   EXPECT_EQ(cfg.seed, 99u);
+  EXPECT_TRUE(cfg.audit);
+  EXPECT_EQ(cfg.audit_interval, 64u);
+  EXPECT_TRUE(cfg.telemetry);
+  EXPECT_EQ(cfg.telemetry_interval, 50u);
+  EXPECT_EQ(cfg.telemetry_max_windows, 8u);
+  EXPECT_EQ(cfg.scheduling, SchedulingMode::kFull);
+  EXPECT_EQ(cfg.dynamic_epoch, 256u);
+  EXPECT_FALSE(cfg.atomic_vc_realloc);
+  EXPECT_EQ(cfg.circulant_s1, 3);
+  EXPECT_EQ(cfg.circulant_s2, 5);
 }
 
 TEST(GpuConfigTest, RadixShorthandScalesGridAndMcs) {

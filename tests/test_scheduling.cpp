@@ -588,15 +588,15 @@ TEST(SoaBitIdentityTest, GpuDesignSpaceMatchesFullMode) {
   EXPECT_GE(compared, 12) << "design space unexpectedly small";
 }
 
-// The sweep engine forwards its scheduling override into every cell.
+// A sweep cell runs its scheme's scheduling mode, and both modes agree.
 TEST(SchedulingBitIdentityTest, SweepOverrideMatchesFullMode) {
   SchemeSpec scheme{"baseline", GpuConfig::Baseline()};
   SweepOptions opts;
   opts.lengths = RunLengths{100, 500};
   opts.threads = 1;
-  opts.scheduling = SchedulingMode::kSoa;
+  scheme.config.scheduling = SchedulingMode::kSoa;
   const SweepResult soa = RunSweep({scheme}, {FindWorkload("KMN")}, opts);
-  opts.scheduling = SchedulingMode::kFull;
+  scheme.config.scheduling = SchedulingMode::kFull;
   const SweepResult full = RunSweep({scheme}, {FindWorkload("KMN")}, opts);
   ExpectRunsEqual(full.Get("baseline", "KMN"), soa.Get("baseline", "KMN"),
                   "sweep override");
