@@ -41,8 +41,9 @@ int main(int argc, char** argv) {
   const BenchOptions opts = ParseBenchOptions(
       argc, argv, "ablation_design_choices",
       "Ablation: one-at-a-time design choices on a single workload",
-      // The fully monopolized variants need the Table 2 mesh.
-      kRunKeys, [](FlagSet& flags) {
+      // The fully monopolized variants need the Table 2 mesh, and workload=
+      // names the one workload.
+      kRunKeys, RunFlagsExcept({"workloads"}), [](FlagSet& flags) {
         flags.AddString("workload", "KMN", "the workload to ablate on");
       });
   const WorkloadProfile& workload =

@@ -1,12 +1,16 @@
 // Shared helpers for the per-figure benchmark harnesses.
 //
-// Every harness accepts "key=value" overrides:
+// Every harness accepts "key=value" overrides — exactly the run flags it
+// applies (its ParseBenchOptions `run_flags`, defined once by
+// RegisterRunFlags; the GPU sweep drivers take all eight):
 //   scale=0.25        shrink warmup/measure cycles (quick smoke run)
 //   workloads=BFS,KMN restrict the benchmark set
 //   csv=true          emit CSV instead of aligned tables
 //   threads=4         parallel sweep workers (0/default: one per core;
 //                     results are identical for any thread count)
 //   json=out.json     also write the figure's results as structured JSON
+//   checkpoint_dir=d checkpoint_interval=N resume=true
+//                     crash-resumable sweeps (EXPERIMENTS.md)
 //
 // and exactly the GpuConfig keys it applies to its schemes (its
 // ParseBenchOptions `config_keys`, defined once by RegisterGpuConfigFlags,
@@ -32,6 +36,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
 #include <fstream>
@@ -71,6 +76,29 @@ inline const ConfigKeys kSweepConfigKeys = [] {
   keys.insert(keys.end(), kRunKeys.begin(), kRunKeys.end());
   return keys;
 }();
+
+/// Run flags (run length, workloads, output, sweep execution) a harness can
+/// take; the rest of its flags are GpuConfig keys and its own.
+using RunFlags = std::vector<std::string>;
+/// All eight: what the GPU sweep drivers apply through RunSweep.
+inline const RunFlags kSweepRunFlags = [] {
+  RunFlags flags{"scale", "workloads", "csv", "threads", "json"};
+  flags.insert(flags.end(),
+               {"checkpoint_dir", "checkpoint_interval", "resume"});
+  return flags;
+}();
+
+/// kSweepRunFlags without `ignored`: what a harness that drives its own
+/// cells or search applies.
+inline RunFlags RunFlagsExcept(const RunFlags& ignored) {
+  RunFlags flags;
+  for (const std::string& name : kSweepRunFlags) {
+    if (std::find(ignored.begin(), ignored.end(), name) == ignored.end()) {
+      flags.push_back(name);
+    }
+  }
+  return flags;
+}
 
 /// Parsed common options.
 struct BenchOptions {
@@ -136,10 +164,8 @@ inline FlagSet::IntCheck NonNegative() {
   };
 }
 
-/// Registers the flags every harness shares, then `config_keys` as
-/// RegisterGpuConfigFlags defines them (drivers add their own flags on
-/// top).
-inline void RegisterSweepFlags(FlagSet& flags, const ConfigKeys& config_keys) {
+/// Defines every run flag once: its type, default, validator and help.
+inline void RegisterRunFlags(FlagSet& flags) {
   flags.AddDouble("scale", 1.0, "scales warmup/measure cycles",
                   [](double v) {
                     return v <= 0.0 ? std::string("must be > 0")
@@ -158,6 +184,16 @@ inline void RegisterSweepFlags(FlagSet& flags, const ConfigKeys& config_keys) {
                NonNegative());
   flags.AddBool("resume", false,
                 "resume a checkpointed sweep from checkpoint_dir");
+}
+
+/// Registers `run_flags` as RegisterRunFlags defines them, then
+/// `config_keys` as RegisterGpuConfigFlags defines them (drivers add their
+/// own flags on top).
+inline void RegisterSweepFlags(FlagSet& flags, const RunFlags& run_flags,
+                               const ConfigKeys& config_keys) {
+  FlagSet run("run", "");
+  RegisterRunFlags(run);
+  for (const std::string& name : run_flags) flags.Copy(run, name);
   FlagSet gpu_flags("GpuConfig", "");
   RegisterGpuConfigFlags(gpu_flags);
   for (const std::string& key : config_keys) flags.Copy(gpu_flags, key);
@@ -185,18 +221,20 @@ inline GpuConfig WithGridOverrides(GpuConfig cfg, const BenchOptions& opts) {
   return cfg;
 }
 
-/// Builds the harness FlagSet (shared flags, the driver's GpuConfig keys
+/// Builds the harness FlagSet (the driver's run flags and GpuConfig keys,
 /// and optional driver extras) and parses argv through it. help= prints
 /// the generated help and exits 0; an unknown flag or malformed value
-/// prints the error and exits 2 — a mistyped flag never silently runs the
-/// full sweep.
+/// prints the error and exits 2 — a mistyped flag, or one the driver
+/// would ignore, never silently runs the full sweep. A run flag the
+/// driver does not take keeps its default in the returned options.
 inline BenchOptions ParseBenchOptions(
     int argc, char** argv, const std::string& program,
     const std::string& summary,
     const ConfigKeys& config_keys = kSweepConfigKeys,
+    const RunFlags& run_flags = kSweepRunFlags,
     const std::function<void(FlagSet&)>& extra = nullptr) {
   FlagSet flags(program, summary);
-  RegisterSweepFlags(flags, config_keys);
+  RegisterSweepFlags(flags, run_flags, config_keys);
   if (extra) extra(flags);
   BenchOptions opts;
   try {

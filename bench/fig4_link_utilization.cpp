@@ -49,8 +49,8 @@ int main(int argc, char** argv) {
       argc, argv, "fig4_link_utilization",
       "Figs. 4 & 6: analytic link-utilization coefficient maps",
       // The validation compares against the 8x8 analytic map, so the grid
-      // stays Table 2's.
-      kRunKeys);
+      // stays Table 2's, and it runs one KMN cell, not a sweep.
+      kRunKeys, {"scale", "csv", "json"});
   std::cout << SectionHeader(
       "Figs. 4 & 6 — Link utilization coefficient maps (Eq. 2, N=4)");
 

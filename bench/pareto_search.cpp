@@ -51,8 +51,10 @@ int Main(int argc, char** argv) {
       "multi-objective design-space search: NSGA-II / random / grid over "
       "the NoC configuration axes",
       // radix= reshapes the base grid under the axes; the axes themselves
-      // carry the topology and VC choices.
-      {"radix"}, [&](FlagSet& f) {
+      // carry the topology and VC choices. out= names its artifact, and
+      // the search checkpoints per batch and per cell, never mid-cell.
+      {"radix"}, RunFlagsExcept({"json", "checkpoint_interval"}),
+      [&](FlagSet& f) {
         f.AddEnum("strategy", "nsga2", "batch proposal strategy",
                   {"nsga2", "random", "grid"});
         f.AddString("objectives", "ipc,mean_latency,p99_latency,buffer_area",
@@ -88,7 +90,7 @@ int Main(int argc, char** argv) {
   space.base = WithGridOverrides(space.base, opts);
 
   SearchOptions sopt;
-  sopt.strategy = ParseSearchStrategy(opts.raw.GetString("strategy"));
+  sopt.strategy = ParseSearchStrategy(opts.raw.GetString("strategy", "nsga2"));
   const std::vector<std::string> objective_names =
       SplitList(opts.raw.GetString("objectives", ""));
   if (!objective_names.empty()) {

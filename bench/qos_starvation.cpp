@@ -168,7 +168,8 @@ int main(int argc, char** argv) {
       argc, argv, "qos_starvation",
       "QoS starvation study: a latency-critical class vs saturating bulk"
       " wormholes, with full-vs-soa and snapshot-resume bit-identity checks",
-      kGridKeys, [](FlagSet& flags) {
+      // Its own open-loop traffic, run in sequence and never checkpointed.
+      kGridKeys, {"scale", "csv", "json"}, [](FlagSet& flags) {
         const auto rate = [](double v) {
           return v < 0.0 ? std::string("must be >= 0") : std::string();
         };

@@ -6,11 +6,11 @@
 # telemetry exporters (CSV + Chrome trace, strictly validated with
 # python3 -m json.tool), then SIGKILLs a checkpointed sweep mid-flight and
 # requires the resumed run to be byte-identical to an uninterrupted one,
-# checks that each harness applies exactly the GpuConfig keys it accepts,
-# runs both network divisions audited and records one packet trace,
-# records one short router_micro run, and — when a UBSan tree is available
-# (see GNOC_SANITIZE=undefined in CMakeLists.txt) — runs one
-# UBSan-instrumented config.
+# checks that each harness applies exactly the GpuConfig keys and run
+# flags it accepts, runs both network divisions audited and records one
+# packet trace, records one short router_micro run, and — when a UBSan
+# tree is available (see GNOC_SANITIZE=undefined in CMakeLists.txt) — runs
+# one UBSan-instrumented config.
 #
 # Every artifact (sweep JSON, audit JSON, telemetry exports, scheduler
 # CSVs, checkpoint state, fig2's mesh and torus CSVs, pareto.json,
@@ -238,10 +238,12 @@ EOF
   fi
 done
 
-# Config-key pass: a harness applies exactly the GpuConfig keys it
-# accepts. fig2 builds its scheme through WithGridOverrides, so a torus run
-# must change its CSV; fig4, table1 and pareto_search keep their own grid
-# and must refuse topology= as an unknown flag (exit 2), not ignore it.
+# Config-key pass: a harness applies exactly the GpuConfig keys and run
+# flags it accepts. fig2 builds its scheme through WithGridOverrides, so a
+# torus run must change its CSV; fig4, table1 and pareto_search keep their
+# own grid and must refuse topology= as an unknown flag (exit 2), not
+# ignore it; table1 (which simulates nothing) and qos_starvation (its own
+# traffic, never a sweep) must refuse the sweep flags they would ignore.
 FIG2_HARNESS="$BUILD_DIR/bench/fig2_traffic_volumes"
 FIG2_MESH="$OUT_DIR/fig2_mesh.csv"
 FIG2_TORUS="$OUT_DIR/fig2_torus.csv"
@@ -253,27 +255,34 @@ if cmp -s "$FIG2_MESH" "$FIG2_TORUS"; then
   echo "smoke: FAIL — fig2 ignored topology=torus radix=8 num_vcs=4" >&2
   exit 1
 fi
-# Cheap arguments, so a harness that wrongly accepts the key finishes fast.
-expect_refused() {  # harness [args...]: must exit 2 on topology=torus
+# Cheap arguments, so a harness that wrongly accepts the flag finishes fast.
+expect_refused() {  # harness flag [args...]: must exit 2 on the flag
   local status=0
-  "$BUILD_DIR/bench/$1" "${@:2}" topology=torus > /dev/null 2>&1 || status=$?
+  "$BUILD_DIR/bench/$1" "${@:3}" "$2" > /dev/null 2>&1 || status=$?
   if (( status != 2 )); then
-    echo "smoke: FAIL — $1 exited $status on topology=torus, not 2" >&2
+    echo "smoke: FAIL — $1 exited $status on $2, not 2" >&2
     exit 1
   fi
 }
-expect_refused fig4_link_utilization scale=0.1
-expect_refused table1_hop_counts
-expect_refused pareto_search strategy=grid scale=0.1 workloads=BFS \
-    max_evaluations=1 out="$OUT_DIR/refused.json"
+expect_refused fig4_link_utilization topology=torus scale=0.1
+expect_refused table1_hop_counts topology=torus
+expect_refused pareto_search topology=torus strategy=grid scale=0.1 \
+    workloads=BFS max_evaluations=1 out="$OUT_DIR/refused.json"
+expect_refused table1_hop_counts threads=2
+expect_refused qos_starvation workloads=BFS scale=0.01
 echo "smoke: config keys ok — fig2 applies topology=; fig4, table1 and" \
-     "pareto_search refuse it" >&2
+     "pareto_search refuse it; table1 refuses threads=, qos_starvation" \
+     "workloads=" >&2
 
-# DSE pass: a quick Pareto search over a 16-point sub-space (grid
+# DSE pass: a one-evaluation search at the default strategy (nsga2) must
+# run; then a quick Pareto search over a 16-point sub-space (grid
 # strategy, ground truth for the size) must complete, write a parseable
 # pareto.json and report a non-empty frontier with full per-point configs.
 DSE_OUT=${GNOC_SMOKE_DSE_JSON:-$OUT_DIR/pareto.json}
 DSE_HARNESS="$BUILD_DIR/bench/pareto_search"
+echo "smoke: $DSE_HARNESS at its default strategy, one evaluation" >&2
+"$DSE_HARNESS" scale=0.1 workloads=BFS max_evaluations=1 \
+    out="$OUT_DIR/pareto_default.json" > /dev/null
 echo "smoke: $DSE_HARNESS strategy=grid radix=4 16-point sub-space" >&2
 "$DSE_HARNESS" strategy=grid max_evaluations=0 radix=4 workloads=BFS \
     scale=0.1 placements=bottom topologies=mesh routings=xy,yx \
@@ -417,8 +426,9 @@ fi
 echo "smoke: trace ok — $TRACE_RECORDS recorded packets" >&2
 
 # Microbenchmark pass: one short router_micro run, so the idle, sparse and
-# saturated cycle costs DESIGN.md and EXPERIMENTS.md quote are recorded
-# with every run's artifacts. Nothing is gated on the numbers. --benchmark_min_time
+# saturated cycle costs DESIGN.md and EXPERIMENTS.md quote, and the loaded
+# GPU cycle (KMN, where blocked routers and NICs sleep), are recorded with
+# every run's artifacts. Nothing is gated on the numbers. --benchmark_min_time
 # takes a plain number of seconds: google-benchmark before 1.8 rejects the
 # "0.05s" form, and later versions still accept a bare number.
 MICRO_OUT=${GNOC_SMOKE_MICRO_JSON:-$OUT_DIR/router_micro.json}
@@ -436,17 +446,19 @@ with open(sys.argv[1]) as f:
     doc = json.load(f)
 times = {b["name"]: b["cpu_time"] for b in doc["benchmarks"]}
 for name in ("BM_NetworkCycleIdleSoa", "BM_NetworkCycleSparseSoa",
-             "BM_NetworkCycleSaturatedTorus"):
+             "BM_NetworkCycleSaturatedTorus", "BM_GpuCycleLoaded"):
     assert name in times, "router_micro JSON lacks " + name
 print("smoke: router_micro ok — %d benchmarks; soa idle %.0f ns, "
       "sparse %.0f ns per 8x8 cycle; saturated %.0f ns per 16x16 QoS "
-      "torus cycle" %
+      "torus cycle; loaded %.0f ns per 8x8 GPU cycle (KMN)" %
       (len(times), times["BM_NetworkCycleIdleSoa"],
        times["BM_NetworkCycleSparseSoa"],
-       times["BM_NetworkCycleSaturatedTorus"]))
+       times["BM_NetworkCycleSaturatedTorus"],
+       times["BM_GpuCycleLoaded"]))
 EOF
 else
-  for name in BM_NetworkCycleIdleSoa BM_NetworkCycleSaturatedTorus; do
+  for name in BM_NetworkCycleIdleSoa BM_NetworkCycleSaturatedTorus \
+      BM_GpuCycleLoaded; do
     grep -q "\"$name\"" "$MICRO_OUT" || {
       echo "smoke: FAIL — router_micro JSON lacks $name" >&2
       exit 1; }

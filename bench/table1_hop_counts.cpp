@@ -13,7 +13,8 @@ int main(int argc, char** argv) {
   const BenchOptions opts = ParseBenchOptions(
       argc, argv, "table1_hop_counts",
       "Table 1: analytic average hop counts per MC placement",
-      /*config_keys=*/{}, [](FlagSet& flags) {
+      // It simulates nothing: no run length, workloads or sweep.
+      /*config_keys=*/{}, /*run_flags=*/{"csv", "json"}, [](FlagSet& flags) {
         flags.AddInt("n", 8, "mesh side length", [](std::int64_t v) {
           return v < 1 ? std::string("must be >= 1") : std::string();
         });

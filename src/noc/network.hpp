@@ -39,8 +39,9 @@ enum class SchedulingMode : std::uint8_t {
   /// The skip schedule (DESIGN.md §14), the default: one occupancy bit per
   /// link, router and NIC, set where the entry can get work, and each
   /// phase visits only the set bits in the dense order, asking each
-  /// object whether it has work. Bit-identical to kFull — stats,
-  /// telemetry windows, audit reports and watchdog verdicts all match.
+  /// object whether it has work; a blocked router or NIC sleeps until an
+  /// event could unblock it. Bit-identical to kFull — stats, telemetry
+  /// windows, audit reports and watchdog verdicts all match.
   /// (The name dates from the structure-of-arrays planes it kept once.)
   kSoa = 3,
 };
@@ -291,10 +292,10 @@ class Network {
   /// assert on exactly this.
   std::uint64_t TickSteps() const { return tick_steps_; }
 
-  /// Clears every kSoa occupancy bit WITHOUT regard to pending work —
-  /// deliberately planting the lost-wake bug the scheduler-coverage audit
-  /// invariant exists to catch (mutation tests only). No-op under kFull
-  /// scheduling.
+  /// Clears every kSoa occupancy and asleep bit WITHOUT regard to pending
+  /// work — deliberately planting the lost-wake bug the scheduler-coverage
+  /// audit invariant exists to catch (mutation tests only). No-op under
+  /// kFull scheduling.
   void ForceSleepAll();
 
   // --- snapshot/restore (DESIGN.md §10) ---
@@ -372,7 +373,7 @@ class Network {
   void TickSoa();
 
   /// FlitsInFlight() == 0. Under kSoa it asks only the entries whose
-  /// occupancy bit is set. The watchdog and Drain call it.
+  /// occupancy or asleep bit is set. The watchdog and Drain call it.
   bool NoFlitsInFlight() const;
 
   NetworkConfig config_;

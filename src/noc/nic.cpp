@@ -90,7 +90,17 @@ void Nic::AcceptEjectedFlit(const Flit& flit, Cycle now) {
   ++stats_.flits_ejected[ci];
 }
 
-void Nic::Tick(Cycle now) {
+bool Nic::EnableSleep(const Cycle* clock) {
+  if (config_.vc_policy == VcPolicyKind::kDynamic) return false;
+  for (const double rate : config_.qos_rate) {
+    if (rate > 0.0) return false;
+  }
+  sleep_.Attach(clock);
+  return true;
+}
+
+bool Nic::Tick(Cycle now) {
+  if (sleep_.asleep()) ChargeSkipped(sleep_.Wake(now));
   if (config_.vc_policy == VcPolicyKind::kDynamic) {
     // In a Network this runs at most once per tick: full ticks every NIC
     // every cycle, and soa ticks an idle NIC on each boundary cycle (its
@@ -99,10 +109,27 @@ void Nic::Tick(Cycle now) {
     // the boundary).
     while (now >= next_boundary_update_) UpdateDynamicBoundary();
   }
-  ConsumeCredits(now);
-  StartPackets(now);
-  SendFlits(now);
-  DrainEjection(now);
+  const bool credited = ConsumeCredits(now);
+  const bool started = StartPackets(now);
+  const SendOutcome sent = SendFlits(now);
+  const bool delivered = DrainEjection(now);
+  // A delivery may have injected here from inside the sink's Accept, and
+  // a flit left in an ejection buffer waits on the sink, not on an event.
+  if (sleep_.attached() && !credited && !started &&
+      sent != SendOutcome::kSent && !delivered && eject_buffers_[0].empty() &&
+      eject_buffers_[1].empty()) {
+    sleep_charge_ = sent;
+    sleep_.Sleep(now);
+  }
+  return delivered;
+}
+
+void Nic::ChargeSkipped(Cycle ticks) const {
+  if (sleep_charge_ == SendOutcome::kStalled) {
+    stats_.inject_stall_cycles += ticks;
+  } else if (sleep_charge_ == SendOutcome::kDraining) {
+    stats_.inject_drain_cycles += ticks;
+  }
 }
 
 VcRange Nic::InjectionRange(TrafficClass cls) const {
@@ -128,13 +155,15 @@ void Nic::UpdateDynamicBoundary() {
   }
 }
 
-void Nic::ConsumeCredits(Cycle now) {
+bool Nic::ConsumeCredits(Cycle now) {
+  bool changed = false;
   if (credit_channel_ != nullptr) {
     while (auto credit = credit_channel_->Pop(now)) {
       const auto vc = static_cast<std::size_t>(credit->vc);
       assert(vc < credits_.size());
       ++credits_[vc];
       assert(credits_[vc] <= config_.vc_depth && "injection credit overflow");
+      changed = true;
     }
   }
   // Release draining VCs (atomic: only once the downstream buffer emptied).
@@ -145,8 +174,10 @@ void Nic::ConsumeCredits(Cycle now) {
          credits_[v] == config_.vc_depth)) {
       send.busy = false;
       send.draining = false;
+      changed = true;
     }
   }
+  return changed;
 }
 
 bool Nic::QosAdmit(int ci, Cycle now) {
@@ -175,7 +206,8 @@ bool Nic::QosAdmit(int ci, Cycle now) {
   return qos_tokens_[c] >= 0;
 }
 
-void Nic::StartPackets(Cycle now) {
+bool Nic::StartPackets(Cycle now) {
+  bool started = false;
   // Alternate which class gets first pick each cycle to avoid starvation.
   // The phase is derived from `now`, not from a tick counter: sparse
   // schedulers skip idle NICs, so a counter would drift out of phase with
@@ -216,11 +248,13 @@ void Nic::StartPackets(Cycle now) {
     assert(send.remaining.empty());
     Packetize(packet, dst_coord, *packets_, send.remaining);
     for (Flit& f : send.remaining) f.vc = free_vc;
+    started = true;
   }
+  return started;
 }
 
-void Nic::SendFlits(Cycle now) {
-  if (inject_channel_ == nullptr) return;
+Nic::SendOutcome Nic::SendFlits(Cycle now) {
+  if (inject_channel_ == nullptr) return SendOutcome::kNone;
   const auto num_vcs = sends_.size();
   int sent = 0;
   bool credit_blocked = false;
@@ -257,18 +291,21 @@ void Nic::SendFlits(Cycle now) {
     }
     if (!sent_this_round) break;
   }
-  if (sent == 0) {
-    const bool queued =
-        !inject_queues_[0].empty() || !inject_queues_[1].empty();
-    if (credit_blocked || queued) {
-      ++stats_.inject_stall_cycles;
-    } else if (draining_only) {
-      ++stats_.inject_drain_cycles;
-    }
+  if (sent != 0) return SendOutcome::kSent;
+  const bool queued = !inject_queues_[0].empty() || !inject_queues_[1].empty();
+  if (credit_blocked || queued) {
+    ++stats_.inject_stall_cycles;
+    return SendOutcome::kStalled;
   }
+  if (draining_only) {
+    ++stats_.inject_drain_cycles;
+    return SendOutcome::kDraining;
+  }
+  return SendOutcome::kNone;
 }
 
-void Nic::DrainEjection(Cycle now) {
+bool Nic::DrainEjection(Cycle now) {
+  bool delivered = false;
   for (int ci = 0; ci < kNumClasses; ++ci) {
     auto& buffer = eject_buffers_[static_cast<std::size_t>(ci)];
     while (!buffer.empty()) {
@@ -314,9 +351,11 @@ void Nic::DrainEjection(Cycle now) {
                                       static_cast<double>(now - packet.created),
                                       now);
       }
+      delivered = true;
       break;  // one packet per class per cycle
     }
   }
+  return delivered;
 }
 
 int Nic::EjectOccupancy(TrafficClass cls) const {
@@ -342,19 +381,20 @@ Cycle Nic::NextDue() const {
   // busy VC, QoS refill is lazy and runs only for a queued packet, and the
   // class alternation is derived from `now`.
   if (!Idle()) return 0;
-  Cycle due = kNeverCycle;
-  if (credit_channel_ != nullptr && !credit_channel_->empty()) {
-    due = credit_channel_->FrontDue();
-  }
+  Cycle due = CreditDue();
   if (config_.vc_policy == VcPolicyKind::kDynamic) {
     due = std::min(due, next_boundary_update_);
   }
   return due;
 }
 
-void Nic::Save(Serializer& s) const { Fields(*this, s); }
+void Nic::Save(Serializer& s) const {
+  Settle();
+  Fields(*this, s);
+}
 
 void Nic::Load(Deserializer& d) {
+  sleep_.Reset();  // a loaded NIC is awake until a tick puts it to sleep
   Fields(*this, d);
   // A credit count above the depth would overfill the router's input VC;
   // a negative one never reaches the depth again, wedging the VC.

@@ -23,6 +23,7 @@
 #include "common/types.hpp"
 #include "noc/channel.hpp"
 #include "noc/packet.hpp"
+#include "noc/soa_core.hpp"
 #include "noc/vc_policy.hpp"
 
 namespace gnoc {
@@ -168,16 +169,40 @@ class Nic {
 
   // --- per-cycle ---
 
-  /// Runs one cycle: consumes returned credits, sends at most one flit, and
-  /// delivers reassembled packets to the sink.
-  void Tick(Cycle now);
+  /// Runs one cycle: charges the ticks skipped while asleep, consumes
+  /// returned credits, sends at most one flit, and delivers reassembled
+  /// packets to the sink. Returns true when it delivered a packet, which
+  /// frees ejection space. With sleep enabled, a tick that changed nothing
+  /// but the injection stall counters leaves the NIC Asleep().
+  bool Tick(Cycle now);
+
+  /// Lets the soa schedule put this NIC to sleep, `clock` being the
+  /// schedule's clock (DESIGN.md §14). Returns false, and the NIC never
+  /// sleeps, under vc_policy=dynamic (epoch boundaries) and when a class
+  /// has a token bucket (its refill and throttle cycles).
+  bool EnableSleep(const Cycle* clock);
+
+  /// True from a tick that popped no credit, released no VC, started no
+  /// packet, sent no flit and delivered no packet, leaving both ejection
+  /// buffers empty, until the next tick: until a packet is injected, a
+  /// flit is ejected into it or its front credit is due, each tick would
+  /// repeat that one.
+  bool Asleep() const { return sleep_.asleep(); }
 
   // --- introspection ---
 
-  const NicStats& stats() const { return stats_; }
+  /// The counters, with the ticks skipped while asleep charged through the
+  /// schedule's clock.
+  const NicStats& stats() const {
+    Settle();
+    return stats_;
+  }
 
   /// Zeroes the statistics counters (queues and in-flight state untouched).
-  void ResetStats() { stats_ = NicStats{}; }
+  void ResetStats() {
+    Settle();  // the charges before the reset are dropped with the rest
+    stats_ = NicStats{};
+  }
 
   /// Flits currently held on the ejection side (buffer + reassembly).
   int EjectOccupancy(TrafficClass cls) const;
@@ -201,6 +226,14 @@ class Nic {
   /// line's front delivery and, under vc_policy=dynamic, its next epoch
   /// boundary; kNeverCycle when neither exists.
   Cycle NextDue() const;
+
+  /// The delivery cycle of the front credit on its line, kNeverCycle when
+  /// none is in flight (a sleeping NIC's next due tick).
+  Cycle CreditDue() const {
+    return credit_channel_ != nullptr && !credit_channel_->empty()
+               ? credit_channel_->FrontDue()
+               : kNeverCycle;
+  }
 
   /// Snapshot support (DESIGN.md §10): queues, in-flight sends, credits,
   /// round-robin pointers, dynamic-boundary state, QoS token buckets,
@@ -260,14 +293,28 @@ class Nic {
     Io(ar, st.latency_histogram);
   }
 
+  /// What one SendFlits call did: sent a flit, or sent none and charged
+  /// a stall cycle, a drain cycle or neither.
+  enum class SendOutcome : std::uint8_t { kNone, kSent, kStalled, kDraining };
+
   /// The VC range `cls` may use on the injection link right now.
   VcRange InjectionRange(TrafficClass cls) const;
 
   /// Advances the dynamic-partitioning feedback loop.
   void UpdateDynamicBoundary();
 
-  /// Pops returned credits from the router.
-  void ConsumeCredits(Cycle now);
+  /// Adds `ticks` skipped ticks' charge (the sleeping tick's SendOutcome)
+  /// to the counters.
+  void ChargeSkipped(Cycle ticks) const;
+
+  /// Charges the skipped ticks up to the schedule's clock.
+  void Settle() const {
+    if (sleep_.asleep()) ChargeSkipped(sleep_.TakeToClock());
+  }
+
+  /// Pops returned credits from the router and releases drained VCs.
+  /// Returns true when it popped or released anything.
+  bool ConsumeCredits(Cycle now);
   /// Lazily refills the class's token bucket up to `now`, then reports
   /// whether its head packet may start (tokens non-negative). Unregulated
   /// classes always pass. StartPackets charges the admitted packet's flit
@@ -275,13 +322,15 @@ class Nic {
   /// wait the debt out, so the long-run admitted rate never exceeds the
   /// configured rate.
   bool QosAdmit(int ci, Cycle now);
-  /// Binds queued packets to free VCs allowed by the policy.
-  void StartPackets(Cycle now);
+  /// Binds queued packets to free VCs allowed by the policy. Returns true
+  /// when it started one.
+  bool StartPackets(Cycle now);
   /// Sends up to inject_flits_per_cycle_ flits across busy VCs
   /// (round-robin).
-  void SendFlits(Cycle now);
-  /// Delivers at most one completed packet per class to the sink.
-  void DrainEjection(Cycle now);
+  SendOutcome SendFlits(Cycle now);
+  /// Delivers at most one completed packet per class to the sink. Returns
+  /// true when it delivered one.
+  bool DrainEjection(Cycle now);
 
   NodeId node_;
   Coord coord_;
@@ -323,7 +372,11 @@ class Nic {
   std::array<int, kNumClasses> eject_held_{};  // flits in buffer + reassembly
   std::unordered_map<PacketId, int> assembled_;  // flits absorbed per packet
 
-  NicStats stats_;
+  // Sleep (soa only, never saved). Mutable with the counters: a read
+  // charges the ticks skipped so far.
+  mutable SleepLedger sleep_;
+  SendOutcome sleep_charge_ = SendOutcome::kNone;
+  mutable NicStats stats_;
 };
 
 }  // namespace gnoc

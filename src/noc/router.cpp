@@ -214,8 +214,20 @@ void Router::AcceptCredit(Port out_port, VcId vc) {
   assert(credits <= config_.vc_depth && "credit overflow");
 }
 
+bool Router::EnableSleep(const Cycle* clock) {
+  if (config_.vc_policy == VcPolicyKind::kDynamic ||
+      config_.arbiter != ArbiterKind::kRoundRobin ||
+      config_.qos_arbitration != QosArbitration::kNone) {
+    return false;
+  }
+  sleep_.Attach(clock);
+  return true;
+}
+
 RequestMask Router::Tick(Cycle now) {
+  if (sleep_.asleep()) ChargeSkipped(sleep_.Wake(now));
   CatchUpEpochs(now);
+  const RequestMask allocated_before = allocated_;
   RecycleOutputVcs();
   RequestMask eligible = 0;
   for (RequestMask rest = derived_.occupied; rest != 0; rest &= rest - 1) {
@@ -233,7 +245,8 @@ RequestMask Router::Tick(Cycle now) {
   }
 
   // --- RC: route every eligible head; every eligible VC is routed after.
-  for (RequestMask rest = eligible & ~routed_; rest != 0; rest &= rest - 1) {
+  const RequestMask unrouted = eligible & ~routed_;
+  for (RequestMask rest = unrouted; rest != 0; rest &= rest - 1) {
     RouteHead(std::countr_zero(rest));
   }
 
@@ -248,13 +261,22 @@ RequestMask Router::Tick(Cycle now) {
     va_requests[static_cast<std::size_t>(
         PortIndex(out_port_[static_cast<std::size_t>(i)]))] |= RequestBit(i);
   }
+  bool va_moved = false;
   for (int op = num_local_ports_; op < num_ports_; ++op) {
     const RequestMask requests = va_requests[static_cast<std::size_t>(op)];
     if (requests != 0 &&
         out_channels_[static_cast<std::size_t>(op)] != nullptr) {
-      AllocateVcs(op, requests);
+      va_moved |= AllocateVcs(op, requests);
     }
   }
+  // So far the visit changed nothing but counters, and no front flit is
+  // still in its pipeline cycle. If SA/ST move nothing either, every visit
+  // until a flit, a credit or ejection space arrives would repeat this
+  // one. Round-robin VA over a fixed request set reaches its fixed point
+  // after one visit, so this first holds on the second blocked visit.
+  const bool quiet = sleep_.attached() && unrouted == 0 && !va_moved &&
+                     allocated_ == allocated_before &&
+                     eligible == derived_.occupied;
 
   // --- SA1: each input port nominates one VC of its slice of the switch
   // requests. Radix >= 2, so num_vcs <= 32 and the shift below is defined.
@@ -292,7 +314,36 @@ RequestMask Router::Tick(Cycle now) {
   }
   if (moved) ++stats_.busy_cycles;
   stats_.buffered_flit_cycles += derived_.buffered;
+  if (quiet && !moved) FallAsleep(now);
   return ejected;
+}
+
+void Router::FallAsleep(Cycle now) {
+  // A visit that moved nothing had no SA1 request (a nominee always wins
+  // some output port), so every VA requester failed once and every VC
+  // holding an output VC or ejecting stalled once in SA, a holder on its
+  // downstream VC's credits.
+  const RequestMask occupied = derived_.occupied;
+  const RequestMask ready_to_move = ejecting_ | derived_.holding;
+  sleep_charge_.va_failures =
+      static_cast<std::uint64_t>(std::popcount(occupied & ~ready_to_move));
+  sleep_charge_.sa_stalls =
+      static_cast<std::uint64_t>(std::popcount(occupied & ready_to_move));
+  sleep_charge_.credit_stalled = occupied & derived_.holding;
+  sleep_charge_.buffered = derived_.buffered;
+  sleep_.Sleep(now);
+}
+
+void Router::ChargeSkipped(Cycle visits) const {
+  stats_.va_failures += visits * sleep_charge_.va_failures;
+  stats_.sa_stalls += visits * sleep_charge_.sa_stalls;
+  // out_vc_ holds still while the router sleeps.
+  for (RequestMask rest = sleep_charge_.credit_stalled; rest != 0;
+       rest &= rest - 1) {
+    const auto i = static_cast<std::size_t>(std::countr_zero(rest));
+    stats_.credit_stall_by_vc[static_cast<std::size_t>(out_vc_[i])] += visits;
+  }
+  stats_.buffered_flit_cycles += visits * sleep_charge_.buffered;
 }
 
 void Router::RouteHead(int i) {
@@ -392,9 +443,10 @@ void Router::RecycleOutputVcs() {
   }
 }
 
-void Router::AllocateVcs(int out_port, RequestMask requests) {
+bool Router::AllocateVcs(int out_port, RequestMask requests) {
   const auto op = static_cast<std::size_t>(out_port);
   const int base = out_port * config_.num_vcs;
+  const std::size_t pointer = va_arb_[op].pointer();
   while (requests != 0) {
     const int winner = QosArbitrate(va_arb_[op], requests,
                                     config_.qos_arbitration,
@@ -418,6 +470,7 @@ void Router::AllocateVcs(int out_port, RequestMask requests) {
     out_vc_[w] = static_cast<std::int8_t>(granted - base);
     derived_.holding |= RequestBit(winner);
   }
+  return va_arb_[op].pointer() != pointer;
 }
 
 void Router::GrantOutputs(const PortInts& nominee, PortInts& grant) {
@@ -501,6 +554,7 @@ void Router::Traverse(int out_port, int in_port, VcId vc, Cycle now) {
 }
 
 void Router::ResetStats() {
+  Settle();  // the charges before the reset are dropped with the rest
   stats_ = RouterStats{};
   stats_.flits_out.assign(static_cast<std::size_t>(num_ports_), {});
   stats_.credit_stall_by_vc.assign(static_cast<std::size_t>(config_.num_vcs),
@@ -561,9 +615,13 @@ std::string Router::DerivedStateMismatch() const {
   return "";
 }
 
-void Router::Save(Serializer& s) const { Fields(*this, s); }
+void Router::Save(Serializer& s) const {
+  Settle();
+  Fields(*this, s);
+}
 
 void Router::Load(Deserializer& d) {
+  sleep_.Reset();  // a loaded router is awake until a visit puts it to sleep
   Fields(*this, d);
   // The allocators index per-port state and shift masks by these, and
   // an ejecting VC indexes the NICs by its port.

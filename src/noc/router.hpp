@@ -44,6 +44,7 @@
 #include "noc/packet.hpp"
 #include "noc/qos.hpp"
 #include "noc/routing.hpp"
+#include "noc/soa_core.hpp"
 #include "noc/topology.hpp"
 #include "noc/vc_policy.hpp"
 
@@ -171,10 +172,13 @@ class Router {
   /// Delivers a credit for output port `out_port`, VC `vc`.
   void AcceptCredit(Port out_port, VcId vc);
 
-  /// Runs one cycle: epoch catch-up and output-VC recycling, then route
-  /// computation, VC allocation, switch allocation and switch traversal
-  /// over the input VCs whose front flit is ready by `now`. Returns the
-  /// local ports that ejected a flit into their NIC (bit = port).
+  /// Runs one cycle: the charges of the visits skipped while asleep,
+  /// epoch catch-up and output-VC recycling, then route computation, VC
+  /// allocation, switch allocation and switch traversal over the input VCs
+  /// whose front flit is ready by `now`. Returns the local ports that
+  /// ejected a flit into their NIC (bit = port). With sleep enabled, a
+  /// visit that changed nothing but the stall counters leaves the router
+  /// Asleep().
   RequestMask Tick(Cycle now);
 
   /// True when the router holds a flit. The soa scheduler skips a router
@@ -182,9 +186,28 @@ class Router {
   /// replayed, with its flit counts, by the next Tick before VA reads it.
   bool HasWork() const { return derived_.buffered != 0; }
 
+  /// Lets the soa schedule put this router to sleep, `clock` being the
+  /// schedule's clock (DESIGN.md §14). Returns false, and the router never
+  /// sleeps, under the configs whose arbiter state the sleep rule does not
+  /// compare: vc_policy=dynamic (epoch boundaries move the VC ranges),
+  /// matrix arbiters and QoS arbitration.
+  bool EnableSleep(const Cycle* clock);
+
+  /// True from a visit that routed no head, granted no VC, recycled none,
+  /// moved no flit and left every VA arbiter it ran as it found it, with
+  /// every occupied VC eligible, until the next visit: until a flit, a
+  /// credit or NIC ejection space reaches it, each visit would repeat that
+  /// one.
+  bool Asleep() const { return sleep_.asleep(); }
+
   // --- introspection ---
 
-  const RouterStats& stats() const { return stats_; }
+  /// The counters, with the visits skipped while asleep charged through
+  /// the schedule's clock.
+  const RouterStats& stats() const {
+    Settle();
+    return stats_;
+  }
 
   /// Zeroes the statistics counters (network state is untouched).
   void ResetStats();
@@ -242,6 +265,16 @@ class Router {
   void Load(Deserializer& d);
 
  private:
+  /// What each visit skipped while asleep charges, recorded by the visit
+  /// that fell asleep: every VA requester fails, and every VC holding an
+  /// output VC or ejecting stalls in SA — on credits when it holds one.
+  struct SleepCharge {
+    std::uint64_t va_failures = 0;
+    std::uint64_t sa_stalls = 0;
+    RequestMask credit_stalled = 0;  ///< charged to the VC out_vc_ names
+    std::size_t buffered = 0;
+  };
+
   /// Snapshot format v5 fixes the order: one record per input VC (buffer,
   /// route_valid, out_port, out_vc as a VcId, eject, vc_half), then one
   /// per output VC (allocated, tail_sent, credits), read off the packed
@@ -328,6 +361,17 @@ class Router {
   /// Frees output VCs whose packet has fully drained downstream.
   void RecycleOutputVcs();
 
+  /// Records the charge of this quiet visit at `now` and falls asleep.
+  void FallAsleep(Cycle now);
+
+  /// Adds `visits` skipped visits' charge to the counters.
+  void ChargeSkipped(Cycle visits) const;
+
+  /// Charges the skipped visits up to the schedule's clock.
+  void Settle() const {
+    if (sleep_.asleep()) ChargeSkipped(sleep_.TakeToClock());
+  }
+
   /// RC: routes the packet whose head flit is at the front of unrouted
   /// input VC `i` (output port, dateline VC half, ejection flag).
   void RouteHead(int i);
@@ -336,7 +380,8 @@ class Router {
   /// (bit i = flat input-VC index i). Each winner gets the lowest free VC
   /// of its allowed range (restricted to its dateline half) or counts a VA
   /// failure, until every request is served or the arbiter declines.
-  void AllocateVcs(int out_port, RequestMask requests);
+  /// Returns true when the port's round-robin pointer moved.
+  bool AllocateVcs(int out_port, RequestMask requests);
 
   /// SA1 requests: the VCs of `eligible` whose next resource (downstream
   /// credit, or NIC ejection space) is available. A VC holding an output
@@ -470,7 +515,11 @@ class Router {
   std::vector<std::array<int, kNumClasses>> qos_sa1_credit_;
   std::vector<std::array<int, kNumClasses>> qos_sa2_credit_;
 
-  RouterStats stats_;
+  // Sleep (soa only, never saved). Mutable with the counters: a read
+  // charges the visits skipped so far.
+  mutable SleepLedger sleep_;
+  SleepCharge sleep_charge_;
+  mutable RouterStats stats_;
 };
 
 }  // namespace gnoc

@@ -25,11 +25,22 @@ SoaCore::SoaCore(Network& net) : net_(net) {
   flit_live_.Reset(net_.flit_links_.size());
   credit_live_.Reset(net_.credit_links_.size());
   router_live_.Reset(net_.routers_.size());
+  router_asleep_.Reset(net_.routers_.size());
   nic_live_.Reset(net_.nics_.size());
+  nic_asleep_.Reset(net_.nics_.size());
+  for (auto& router : net_.routers_) {
+    if (router->EnableSleep(&clock_)) routers_sleep_ = true;
+  }
+  for (std::size_t n = 0; n < net_.nics_.size(); ++n) {
+    net_.nics_[n]->EnableSleep(&clock_);
+    const int router = net_.topo_.RouterOf(static_cast<NodeId>(n));
+    nic_router_.push_back(static_cast<std::size_t>(router));
+  }
   RebuildFromObjects();
 }
 
 void SoaCore::RebuildFromObjects() {
+  clock_ = net_.now_;
   ForceSleepAll();  // then set exactly the live entries
   for (std::size_t i = 0; i < net_.flit_links_.size(); ++i) {
     if (!net_.flit_links_[i]->channel.empty()) flit_live_.Set(i);
@@ -70,6 +81,13 @@ void SoaCore::AuditCoverage(Auditor& auditor, Cycle now) const {
               link.dst_router != nullptr && !link.channel.empty(),
               credit_live_);
   }
+  const auto check_asleep = [&](const char* kind, std::size_t i,
+                                bool ledger_asleep, const LiveBits& bits) {
+    if (bits.Test(i) && !ledger_asleep) {
+      report(std::string(kind) + " " + std::to_string(i) +
+             " is awake but its asleep bit is set");
+    }
+  };
   for (std::size_t r = 0; r < net_.routers_.size(); ++r) {
     const Router& router = *net_.routers_[r];
     std::size_t held = 0;
@@ -82,18 +100,27 @@ void SoaCore::AuditCoverage(Auditor& auditor, Cycle now) const {
     if (!mismatch.empty()) {
       report("router " + std::to_string(r) + ": " + mismatch);
     }
-    check_bit("router", r, held != 0 || router.HasWork(), router_live_);
+    check_asleep("router", r, router.Asleep(), router_asleep_);
+    check_bit("router", r,
+              (held != 0 || router.HasWork()) && !router_asleep_.Test(r),
+              router_live_);
   }
   for (std::size_t n = 0; n < net_.nics_.size(); ++n) {
-    check_bit("NIC", n, net_.nics_[n]->NextDue() != kNeverCycle, nic_live_);
+    check_asleep("NIC", n, net_.nics_[n]->Asleep(), nic_asleep_);
+    check_bit("NIC", n, NicDue(n) != kNeverCycle, nic_live_);
   }
 }
 
 void SoaCore::ForceSleepAll() {
   for (LiveBits* bits : {&flit_live_, &credit_live_, &router_live_,
-                         &nic_live_}) {
+                         &router_asleep_, &nic_live_, &nic_asleep_}) {
     bits->ClearAll();
   }
+}
+
+Cycle SoaCore::NicDue(std::size_t tile) const {
+  const Nic& nic = *net_.nics_[tile];
+  return nic_asleep_.Test(tile) ? nic.CreditDue() : nic.NextDue();
 }
 
 void SoaCore::WakeFlitLink(void* ctx, std::size_t index) {
@@ -115,7 +142,7 @@ void SoaCore::DeliverFlitLinks(Cycle now) {
     ++steps_;
     link.Deliver(now);
     // Router node ids equal their index in routers_ (Network construction).
-    router_live_.Set(static_cast<std::size_t>(link.dst_router->node()));
+    WakeRouter(static_cast<std::size_t>(link.dst_router->node()));
     if (link.channel.empty()) flit_live_.Clear(i);
   });
 }
@@ -126,6 +153,9 @@ void SoaCore::DeliverCreditLinks(Cycle now) {
     if (!link.channel.Deliverable(now)) return;
     ++steps_;
     link.Deliver(now);
+    if (routers_sleep_) {
+      NudgeRouter(static_cast<std::size_t>(link.dst_router->node()));
+    }
     if (link.channel.empty()) credit_live_.Clear(i);
   });
 }
@@ -136,34 +166,49 @@ void SoaCore::TickRouters(Cycle now) {
     Router& router = *net_.routers_[r];
     for (RequestMask ejected = router.Tick(now); ejected != 0;
          ejected &= ejected - 1) {
-      nic_live_.Set(static_cast<std::size_t>(net_.topo_.TileAt(
+      WakeNic(static_cast<std::size_t>(net_.topo_.TileAt(
           static_cast<int>(r), std::countr_zero(ejected))));
     }
-    if (!router.HasWork()) router_live_.Clear(r);
+    if (!router.HasWork()) {
+      router_live_.Clear(r);
+    } else if (router.Asleep()) {
+      router_live_.Clear(r);
+      router_asleep_.Set(r);
+    }
   });
 }
 
 void SoaCore::TickNics(Cycle now) {
   nic_live_.ForEach([&](std::size_t tile) {
-    Nic& nic = *net_.nics_[tile];
-    const Cycle due = nic.NextDue();
+    const Cycle due = NicDue(tile);
     if (due == kNeverCycle) {
       nic_live_.Clear(tile);
-    } else if (due <= now) {
-      ++steps_;
-      nic.Tick(now);
+      return;
+    }
+    if (due > now) return;
+    nic_asleep_.Clear(tile);
+    ++steps_;
+    Nic& nic = *net_.nics_[tile];
+    if (nic.Tick(now) && routers_sleep_) NudgeRouter(nic_router_[tile]);
+    if (nic.Asleep()) {
+      nic_asleep_.Set(tile);
+      if (nic.CreditDue() == kNeverCycle) nic_live_.Clear(tile);
     }
   });
+  clock_ = now + 1;
 }
 
 bool SoaCore::NoFlitsInFlight() const {
-  return !flit_live_.Any([&](std::size_t i) {
-           return !net_.flit_links_[i]->channel.empty();
-         }) &&
-         !router_live_.Any([&](std::size_t r) {
-           return net_.routers_[r]->BufferedFlits() != 0;
-         }) &&
-         !nic_live_.Any([&](std::size_t n) { return !net_.nics_[n]->Idle(); });
+  const auto nonempty = [&](std::size_t i) {
+    return !net_.flit_links_[i]->channel.empty();
+  };
+  const auto holds_flits = [&](std::size_t r) {
+    return net_.routers_[r]->BufferedFlits() != 0;
+  };
+  const auto busy = [&](std::size_t n) { return !net_.nics_[n]->Idle(); };
+  return !flit_live_.Any(nonempty) && !router_live_.Any(holds_flits) &&
+         !router_asleep_.Any(holds_flits) && !nic_live_.Any(busy) &&
+         !nic_asleep_.Any(busy);
 }
 
 }  // namespace gnoc

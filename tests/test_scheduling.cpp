@@ -2,19 +2,21 @@
 // reference. Bit-identical results across routing x VC-policy x topology,
 // high load, the full GPU design space and the sweep override; instrumented
 // and bare runs simulating the same outcome; NIC state and per-router
-// counters matching full mode cycle by cycle, including at each site that
-// wakes a sleeping NIC; the retired backend names parsing as soa aliases;
-// soa's skip cost on idle and sparse networks and its pinned visit counts;
-// deadlock-watchdog parity (including a checkpoint taken mid-stall); the
-// scheduler-coverage audit of soa's occupancy bits; snapshot round-trips
-// through the bit rebuild; and the route-LUT fast path agreeing with the
-// analytic routing function.
+// counters matching full mode cycle by cycle, in open-loop networks and in
+// the GPU model, including at each site that wakes a sleeping router or
+// NIC; the retired backend names parsing as soa aliases; soa's skip cost on
+// idle and sparse networks and its pinned visit counts; deadlock-watchdog
+// parity (including a checkpoint taken mid-stall); the scheduler-coverage
+// audit of soa's occupancy and asleep bits; snapshot round-trips through
+// the bit rebuild, with components asleep at the save; and the route-LUT
+// fast path agreeing with the analytic routing function.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "common/config.hpp"
 #include "common/enum_registry.hpp"
@@ -231,18 +233,26 @@ TEST(SoaBitIdentityTest, FourWayOpenLoopMatrixAgrees) {
   }
 }
 
-// Serializes, at one cycle, the clock, every NIC's object state (soa ticks
-// a NIC whenever a tick could change it — a held packet or flit, a landing
-// credit, a dynamic epoch boundary — so all of it must match full mode's
-// every-cycle ticks) and every router's counters and per-(port, VC) input
-// occupancy, which shows which VC each flit was allocated. Router object
-// state is not compared whole: soa defers a skipped router's output-VC
-// recycling and boundary replay to its next tick (DESIGN.md §9), so those
-// fields may lag full mode's without changing any later decision.
+// Serializes, at one cycle, the clock, every NIC's stall counters as
+// stats() reads them and its object state (soa ticks a NIC whenever a tick
+// could change it — a held packet or flit, a landing credit, a dynamic
+// epoch boundary — and a sleeping NIC charges the ticks it skipped before
+// either read, so all of it must match full mode's every-cycle ticks) and
+// every router's counters (stats() charges the visits a sleeping router
+// skipped) and per-(port, VC) input occupancy, which shows which VC each
+// flit was allocated. Router object state is not compared whole: soa defers
+// a skipped router's output-VC recycling and boundary replay to its next
+// tick (DESIGN.md §9), so those fields may lag full mode's without changing
+// any later decision.
 std::string ComponentState(const Network& net) {
   Serializer s;
   s.U64(net.now());
-  for (NodeId n = 0; n < net.num_nodes(); ++n) net.nic(n).Save(s);
+  for (NodeId n = 0; n < net.num_nodes(); ++n) {
+    const Nic& nic = net.nic(n);
+    s.U64(nic.stats().inject_stall_cycles);
+    s.U64(nic.stats().inject_drain_cycles);
+    nic.Save(s);
+  }
   for (NodeId r = 0; r < net.num_routers(); ++r) {
     const Router& router = net.router(r);
     const RouterStats& st = router.stats();
@@ -264,16 +274,20 @@ std::string ComponentState(const Network& net) {
   return s.TakeBytes();
 }
 
-// Answers every delivered packet by injecting, from inside Accept — in the
+// Accepts packets only on cycles that are multiples of `accept_every`,
+// which backs ejection up into the routers. With a nonzero `offset` it
+// answers every accepted reply by injecting, from inside Accept — in the
 // middle of the NIC phase — a one-flit request from node `dst + offset`
 // back to the packet's source. Relays are request-class and are not
 // answered themselves; a relay source outside the network is skipped.
 class RelaySink final : public PacketSink {
  public:
-  RelaySink(Network& net, int offset) : net_(net), offset_(offset) {}
+  RelaySink(Network& net, int offset, Cycle accept_every = 1)
+      : net_(net), offset_(offset), accept_every_(accept_every) {}
 
-  bool Accept(const Packet& packet, Cycle) override {
-    if (packet.cls() == TrafficClass::kRequest) return true;
+  bool Accept(const Packet& packet, Cycle now) override {
+    if (now % accept_every_ != 0) return false;
+    if (offset_ == 0 || packet.cls() == TrafficClass::kRequest) return true;
     Packet relay;
     relay.type = PacketType::kReadRequest;
     relay.src = packet.dst + offset_;
@@ -290,27 +304,28 @@ class RelaySink final : public PacketSink {
  private:
   Network& net_;
   int offset_;
+  Cycle accept_every_;
 };
 
 // Drives the same open-loop traffic through a full-mode and a soa-mode
 // network side by side, compares their component state every `stride`
 // cycles and again after both drain. A divergence is caught within
 // `stride` cycles of where it starts, not only if it survives into the
-// end-of-run summary. A nonzero `relay_offset` installs a RelaySink with
-// that offset at every node of both networks.
+// end-of-run summary. A nonzero `relay_offset` or an `accept_every` above
+// 1 installs a RelaySink with them at every node of both networks.
 void ExpectLockstepStatesMatch(NetworkConfig cfg, const OpenLoopConfig& tcfg,
                                int cycles, int stride,
                                const std::string& label,
-                               int relay_offset = 0) {
+                               int relay_offset = 0, Cycle accept_every = 1) {
   cfg.scheduling = SchedulingMode::kFull;
   Network full(cfg);
   cfg.scheduling = SchedulingMode::kSoa;
   Network soa(cfg);
   OpenLoopTraffic full_traffic(full, tcfg);
   OpenLoopTraffic soa_traffic(soa, tcfg);
-  RelaySink full_relay(full, relay_offset);
-  RelaySink soa_relay(soa, relay_offset);
-  if (relay_offset != 0) {
+  RelaySink full_relay(full, relay_offset, accept_every);
+  RelaySink soa_relay(soa, relay_offset, accept_every);
+  if (relay_offset != 0 || accept_every > 1) {
     for (NodeId n = 0; n < full.num_nodes(); ++n) {
       full.SetSink(n, &full_relay);
       soa.SetSink(n, &soa_relay);
@@ -467,6 +482,68 @@ TEST(SoaBitIdentityTest, NicWakeSitesMatchFullMode) {
                             "relay to the node below", /*relay_offset=*/-1);
 }
 
+// How many (router, cycle) and (NIC, cycle) pairs of a `cycles`-cycle soa
+// run of this traffic end the cycle asleep.
+std::pair<int, int> CountSleepers(NetworkConfig cfg, const OpenLoopConfig& tcfg,
+                                  int cycles, Cycle accept_every) {
+  cfg.scheduling = SchedulingMode::kSoa;
+  Network net(cfg);
+  OpenLoopTraffic traffic(net, tcfg);
+  RelaySink sink(net, 0, accept_every);
+  for (NodeId n = 0; n < net.num_nodes(); ++n) net.SetSink(n, &sink);
+  std::pair<int, int> asleep{0, 0};
+  for (int c = 0; c < cycles; ++c) {
+    traffic.Tick();
+    net.Tick();
+    for (NodeId r = 0; r < net.num_routers(); ++r) {
+      asleep.first += net.router(r).Asleep() ? 1 : 0;
+    }
+    for (NodeId n = 0; n < net.num_nodes(); ++n) {
+      asleep.second += net.nic(n).Asleep() ? 1 : 0;
+    }
+  }
+  return asleep;
+}
+
+// Each way a sleeping router or NIC is woken must fire at the cycle full
+// mode's every-cycle visit would act, compared cycle by cycle under a
+// static VC policy, where blocked routers and NICs sleep, around a hotspot:
+//  - ejection space: its sink accepts a packet only every eighth cycle,
+//    which fills its NIC's ejection buffer, so the router in front of it
+//    sleeps until the NIC delivers a packet, while flits keep reaching
+//    the sleeping routers behind it;
+//  - credits: two-cycle links keep credits in flight to sleeping routers
+//    and NICs, which must wake when they land.
+// (NicWakeSitesMatchFullMode covers an injection into a sleeping NIC from
+// inside Accept.) Both runs must actually put routers and NICs to sleep.
+TEST(SoaBitIdentityTest, SleepWakeSitesMatchFullMode) {
+  NetworkConfig base;
+  base.width = 4;
+  base.height = 4;
+  base.num_vcs = 4;
+  base.vc_depth = 4;
+  OpenLoopConfig hotspot;
+  hotspot.pattern = TrafficPattern::kHotspot;
+  hotspot.hotspots = {5};
+  hotspot.hotspot_fraction = 0.9;
+  hotspot.injection_rate = 0.1;
+  hotspot.packet_size = 4;
+  ExpectLockstepStatesMatch(base, hotspot, /*cycles=*/1200, /*stride=*/1,
+                            "sinks accept every eighth cycle",
+                            /*relay_offset=*/0, /*accept_every=*/8);
+  const auto throttled = CountSleepers(base, hotspot, 1200, 8);
+  EXPECT_GT(throttled.first, 0) << "no router slept behind slow sinks";
+  EXPECT_GT(throttled.second, 0) << "no NIC slept behind slow sinks";
+
+  NetworkConfig slow = base;
+  slow.link_latency = 2;
+  ExpectLockstepStatesMatch(slow, hotspot, /*cycles=*/1200, /*stride=*/1,
+                            "two-cycle links, hotspot");
+  const auto congested = CountSleepers(slow, hotspot, 1200, 1);
+  EXPECT_GT(congested.first, 0) << "no router slept behind the hotspot";
+  EXPECT_GT(congested.second, 0) << "no NIC slept behind the hotspot";
+}
+
 // --- bit identity, full GPU model ------------------------------------------
 
 void ExpectRunsEqual(const GpuRunStats& a, const GpuRunStats& b,
@@ -503,9 +580,38 @@ void ExpectRunsEqual(const GpuRunStats& a, const GpuRunStats& b,
   EXPECT_EQ(ta.str(), tb.str()) << label;
 }
 
+// Runs one GPU configuration under full and soa side by side — 100 warm-up
+// cycles, a stats reset, 300 measured — comparing every physical network's
+// component state every 20 cycles, then the measured stats. GpuRunStats
+// holds no per-router or per-NIC counter, so the state comparison is what
+// catches a sleeping router or NIC charged the wrong skipped visits.
+void ExpectGpuLockstep(GpuConfig cfg, const char* workload,
+                       const std::string& label) {
+  cfg.scheduling = SchedulingMode::kFull;
+  GpuSystem full(cfg, FindWorkload(workload));
+  cfg.scheduling = SchedulingMode::kSoa;
+  GpuSystem soa(cfg, FindWorkload(workload));
+  for (Cycle c = 1; c <= 400; ++c) {
+    full.Tick();
+    soa.Tick();
+    if (c == 100) {
+      full.ResetStats();
+      soa.ResetStats();
+    }
+    if (c % 20 != 0) continue;
+    for (int n = 0; n < full.fabric().num_networks(); ++n) {
+      const auto cls = static_cast<TrafficClass>(n);
+      ASSERT_TRUE(ComponentState(full.fabric().net(cls)) ==
+                  ComponentState(soa.fabric().net(cls)))
+          << label << ": network " << n << " differs at cycle " << c;
+    }
+  }
+  ExpectRunsEqual(full.Measure(), soa.Measure(), label);
+}
+
 // Every deadlock-safe VC policy x routing x placement combination of the
-// full GPU model must produce identical results under both schedulers,
-// with the auditor and telemetry enabled.
+// full GPU model must produce identical results and component state under
+// both schedulers, with the auditor and telemetry enabled.
 TEST(SchedulingBitIdentityTest, GpuDesignSpaceMatchesFullMode) {
   const VcPolicyKind policies[] = {
       VcPolicyKind::kSplit, VcPolicyKind::kFullMonopolize,
@@ -529,13 +635,7 @@ TEST(SchedulingBitIdentityTest, GpuDesignSpaceMatchesFullMode) {
                                   "/" + RoutingName(routing) + "/" +
                                   VcPolicyName(policy);
         try {
-          cfg.scheduling = SchedulingMode::kFull;
-          GpuSystem full(cfg, FindWorkload("BFS"));
-          const GpuRunStats a = full.Run(/*warmup=*/100, /*measure=*/300);
-          cfg.scheduling = SchedulingMode::kSoa;
-          GpuSystem soa(cfg, FindWorkload("BFS"));
-          const GpuRunStats b = soa.Run(/*warmup=*/100, /*measure=*/300);
-          ExpectRunsEqual(a, b, label);
+          ExpectGpuLockstep(cfg, "BFS", label);
           ++compared;
         } catch (const std::invalid_argument&) {
           // Deadlock-unsafe combination: correctly refused up front.
@@ -547,9 +647,10 @@ TEST(SchedulingBitIdentityTest, GpuDesignSpaceMatchesFullMode) {
 }
 
 // The design-space axes the placement x routing x policy test above holds
-// fixed — topology, VC count and VC depth — change the shape of soa's
-// bitmaps. Every feasible combination of the full GPU model must produce
-// identical results under both schedulers.
+// fixed — topology, VC count, VC depth and the network division — change
+// the shape of soa's bitmaps. Every feasible combination of the full GPU
+// model must produce identical results and component state under both
+// schedulers; the physical division compares both of its networks.
 TEST(SoaBitIdentityTest, GpuDesignSpaceMatchesFullMode) {
   const TopologyKind topologies[] = {TopologyKind::kMesh, TopologyKind::kTorus,
                                      TopologyKind::kCMesh,
@@ -570,13 +671,7 @@ TEST(SoaBitIdentityTest, GpuDesignSpaceMatchesFullMode) {
                                   " vcs=" + std::to_string(num_vcs) +
                                   " depth=" + std::to_string(vc_depth);
         try {
-          cfg.scheduling = SchedulingMode::kFull;
-          GpuSystem full(cfg, FindWorkload("KMN"));
-          const GpuRunStats a = full.Run(/*warmup=*/100, /*measure=*/300);
-          cfg.scheduling = SchedulingMode::kSoa;
-          GpuSystem soa(cfg, FindWorkload("KMN"));
-          const GpuRunStats b = soa.Run(/*warmup=*/100, /*measure=*/300);
-          ExpectRunsEqual(a, b, label);
+          ExpectGpuLockstep(cfg, "KMN", label);
           ++compared;
         } catch (const std::invalid_argument&) {
           // Infeasible combination (e.g. too few VCs for the torus
@@ -586,6 +681,15 @@ TEST(SoaBitIdentityTest, GpuDesignSpaceMatchesFullMode) {
     }
   }
   EXPECT_GE(compared, 12) << "design space unexpectedly small";
+
+  GpuConfig physical = GpuConfig::Baseline();
+  physical.division = NetworkDivision::kPhysical;
+  physical.num_vcs = 4;
+  physical.audit = true;
+  physical.audit_interval = 8;
+  physical.telemetry = true;
+  physical.telemetry_interval = 100;
+  ExpectGpuLockstep(physical, "KMN", "physical division");
 }
 
 // A sweep cell runs its scheme's scheduling mode, and both modes agree.
@@ -678,19 +782,21 @@ std::uint64_t SoaRunSteps(NetworkConfig cfg) {
 }
 
 // What soa visits is pinned, not just what it computes: a skip rule that
-// visits too much (a NIC ticked before its NextDue, or a flit-less router
-// kept awake by a dynamic epoch the next Tick would replay anyway, whose
-// visits change nothing) can leave every result bit-identical and still
-// change the count. Two inputs exercise those rules: non-atomic VC
-// reallocation over two-cycle links, where sleeping NICs wait on credits
-// still on the wire, and a 16-cycle dynamic epoch, where a router sleeps
-// across the boundaries it holds uncommitted flit counts for. A change
-// that means to move the counts updates them here.
+// visits too much (a NIC ticked before its NextDue, a blocked router or
+// NIC kept awake, or a flit-less router kept awake by a dynamic epoch the
+// next Tick would replay anyway, whose visits change nothing) can leave
+// every result bit-identical and still change the count. Two inputs
+// exercise those rules: non-atomic VC reallocation over two-cycle links,
+// where idle and blocked NICs wait on credits still on the wire (6,098
+// visits before blocked routers and NICs slept), and a 16-cycle dynamic
+// epoch, where nothing blocked sleeps and a flit-less router skips the
+// boundaries it holds uncommitted flit counts for. A change that means to
+// move the counts updates them here.
 TEST(SoaCostTest, VisitCountsArePinned) {
   NetworkConfig eager;
   eager.atomic_vc_realloc = false;
   eager.link_latency = 2;
-  EXPECT_EQ(SoaRunSteps(eager), 6098u) << "non-atomic, link latency 2";
+  EXPECT_EQ(SoaRunSteps(eager), 6077u) << "non-atomic, link latency 2";
   NetworkConfig dynamic;
   dynamic.vc_policy = VcPolicyKind::kDynamic;
   dynamic.dynamic_epoch = 16;
@@ -732,6 +838,39 @@ TEST(SoaWatchdogTest, FiresAtTheSameCycleAsFullMode) {
   const Cycle soa = DeadlockCycle(SchedulingMode::kSoa);
   ASSERT_GT(full, 0u) << "watchdog never fired in full mode";
   EXPECT_EQ(full, soa);
+}
+
+// A sleeping router holds flits and a sleeping NIC is not idle, so the
+// drained predicate the watchdog and Drain share must count them. Two
+// packets from nodes 0 and 1 to node 2 need router 1's one request VC
+// east: one waits there, asleep on VA, until the other has left router 2
+// and, over a two-cycle link, its last credit has come back — cycles in
+// which only credits are on the wire and every flit waits in the sleeping
+// router. Every cycle, Drain(0) — that predicate alone — must agree with
+// the full scan.
+TEST(SoaWatchdogTest, DrainCountsSleepingComponents) {
+  NetworkConfig cfg;
+  cfg.width = 4;
+  cfg.height = 4;
+  cfg.link_latency = 2;
+  cfg.scheduling = SchedulingMode::kSoa;
+  Network net(cfg);
+  for (NodeId src : {0, 1}) {
+    Packet p;
+    p.src = src;
+    p.dst = 2;
+    p.type = PacketType::kReadRequest;
+    p.num_flits = 4;
+    ASSERT_TRUE(net.Inject(p));
+  }
+  bool slept = false;
+  for (int c = 0; c < 100; ++c) {
+    net.Tick();
+    ASSERT_EQ(net.Drain(0), net.FlitsInFlight() == 0) << "cycle " << c;
+    slept = slept || net.router(1).Asleep();
+  }
+  EXPECT_TRUE(slept) << "router 1 never slept";
+  EXPECT_EQ(net.FlitsInFlight(), 0u) << "the packets did not arrive";
 }
 
 // A snapshot taken mid-stall must restore the watchdog's baseline exactly,
@@ -938,6 +1077,90 @@ TEST(SoaSnapshotTest, SoaModeResumesBitIdentically) {
 
   EXPECT_EQ(fingerprint(*plain), fingerprint(*second));
   EXPECT_EQ(plain->TickSteps(), second->TickSteps());
+}
+
+// A resumed soa run under a static VC policy, where blocked routers and
+// NICs sleep: slow sinks back a hotspot burst up, and the snapshot is
+// taken while routers and NICs are asleep. Sleep is not saved, so the
+// resumed network visits every component until it falls asleep again.
+// Every payload byte must equal the uninterrupted run's except
+// tick_steps_, which counts that host work, not a result.
+TEST(SoaSnapshotTest, SleepingComponentsResumeBitIdentically) {
+  NetworkConfig cfg;
+  cfg.width = 4;
+  cfg.height = 4;
+  cfg.scheduling = SchedulingMode::kSoa;
+
+  struct SlowSink : PacketSink {
+    bool Accept(const Packet&, Cycle now) override { return now % 3 == 0; }
+  } sink;
+  const auto make_net = [&] {
+    auto net = std::make_unique<Network>(cfg);
+    for (NodeId n = 0; n < net->num_nodes(); ++n) net->SetSink(n, &sink);
+    return net;
+  };
+  // Three four-flit requests from every node to node 5.
+  const auto inject_burst = [](Network& net) {
+    for (int k = 0; k < 3; ++k) {
+      for (NodeId n = 0; n < net.num_nodes(); ++n) {
+        if (n == 5) continue;
+        Packet p;
+        p.src = n;
+        p.dst = 5;
+        p.type = PacketType::kReadRequest;
+        p.num_flits = 4;
+        ASSERT_TRUE(net.Inject(p));
+      }
+    }
+  };
+  const auto payload = [](const Network& net) {
+    Serializer out;
+    net.Save(out);
+    return out.TakeBytes();
+  };
+  // tick_steps_ is the third u64 of a Network payload, after the clock and
+  // the packet-id counter.
+  const auto steps_in = [](const std::string& bytes) {
+    Deserializer d(bytes);
+    d.U64();
+    d.U64();
+    return d.U64();
+  };
+
+  auto plain = make_net();
+  inject_burst(*plain);
+  for (int c = 0; c < 600; ++c) plain->Tick();
+
+  auto first = make_net();
+  inject_burst(*first);
+  for (int c = 0; c < 60; ++c) first->Tick();
+  int routers_asleep = 0;
+  for (NodeId r = 0; r < first->num_routers(); ++r) {
+    routers_asleep += first->router(r).Asleep() ? 1 : 0;
+  }
+  int nics_asleep = 0;
+  for (NodeId n = 0; n < first->num_nodes(); ++n) {
+    nics_asleep += first->nic(n).Asleep() ? 1 : 0;
+  }
+  ASSERT_GT(routers_asleep, 0) << "no router asleep at the snapshot";
+  ASSERT_GT(nics_asleep, 0) << "no NIC asleep at the snapshot";
+  Serializer s;
+  first->Save(s);
+
+  auto second = make_net();
+  Deserializer d(s.bytes());
+  second->Load(d);
+  d.Finish();
+  for (int c = 0; c < 540; ++c) second->Tick();
+
+  std::string want = payload(*plain);
+  std::string got = payload(*second);
+  ASSERT_EQ(steps_in(want), plain->TickSteps());
+  ASSERT_EQ(steps_in(got), second->TickSteps());
+  EXPECT_GE(second->TickSteps(), plain->TickSteps());
+  want.replace(16, 8, 8, '\0');
+  got.replace(16, 8, 8, '\0');
+  EXPECT_TRUE(want == got) << "payloads differ beyond tick_steps_";
 }
 
 // The snapshot bytes themselves are mode-independent object state: a
