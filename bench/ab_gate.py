@@ -3,8 +3,9 @@
 
     python3 bench/ab_gate.py --base origin/main --json ab_gate.json
 
-Run it from anywhere inside a git checkout. It checks REV out into a git
-worktree under .bench_build/ab_gate/base and runs each tree's own
+Run it from anywhere inside a git checkout. It exports REV (git archive)
+into .bench_build/ab_gate/base, re-extracting it only when REV names
+another commit, so no worktree is registered, and runs each tree's own
 perfbench/run.py on every workload BENCHMARK.json names, in PAIRS
 alternating pairs of RUN_SECONDS-second runs (the base first in odd
 pairs, so drift on the host hits both sides alike). Every run of both
@@ -34,6 +35,7 @@ check failed, 2 = usage/setup error.
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -50,9 +52,9 @@ WORK_DIR = os.path.join(ROOT, ".bench_build", "ab_gate")
 BASE_TREE = os.path.join(WORK_DIR, "base")
 
 
-def git(*args, cwd=ROOT):
+def git(*args):
     """Runs git and returns its stripped stdout; exits 2 on failure."""
-    result = subprocess.run(["git", *args], cwd=cwd, capture_output=True,
+    result = subprocess.run(["git", *args], cwd=ROOT, capture_output=True,
                             text=True, check=False)
     if result.returncode != 0:
         sys.stderr.write(result.stderr)
@@ -61,15 +63,28 @@ def git(*args, cwd=ROOT):
 
 
 def checkout_base(rev):
-    """Points the base worktree at `rev` (created on first use)."""
+    """Exports `rev` into the base tree (kept while `rev` is the same
+    commit, so its perfbench build is reused); returns the commit's sha."""
     sha = git("rev-parse", "--verify", f"{rev}^{{commit}}")
-    if os.path.exists(os.path.join(BASE_TREE, ".git")):
-        git("checkout", "--quiet", "--force", "--detach", sha, cwd=BASE_TREE)
-    else:
-        os.makedirs(WORK_DIR, exist_ok=True)
-        git("worktree", "prune")
-        git("worktree", "add", "--quiet", "--force", "--detach", BASE_TREE,
-            sha)
+    stamp = os.path.join(WORK_DIR, "base.sha")
+    if os.path.isdir(BASE_TREE) and os.path.isfile(stamp):
+        with open(stamp) as f:
+            if f.read().strip() == sha:
+                return sha
+        os.remove(stamp)
+    shutil.rmtree(BASE_TREE, ignore_errors=True)
+    os.makedirs(BASE_TREE)
+    archive = subprocess.Popen(["git", "archive", sha], cwd=ROOT,
+                               stdout=subprocess.PIPE)
+    extract = subprocess.run(["tar", "-x", "-C", BASE_TREE],
+                             stdin=archive.stdout, check=False)
+    archive.stdout.close()
+    if archive.wait() != 0 or extract.returncode != 0:
+        print(f"ab_gate: cannot export {sha[:12]} into {BASE_TREE}",
+              file=sys.stderr)
+        sys.exit(2)
+    with open(stamp, "w") as f:
+        f.write(sha + "\n")
     return sha
 
 
@@ -235,7 +250,8 @@ def print_workload(workload, result):
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--base", required=True,
-                    help="revision to compare against (e.g. the merge base)")
+                    help="revision to compare against (e.g. the merge base), "
+                         "exported with git archive")
     ap.add_argument("--json", default=os.path.join(WORK_DIR, "ab_gate.json"),
                     help="where the medians, IQRs and verdicts are written")
     ap.add_argument("--claim", metavar="WORKLOAD:METRIC",

@@ -96,9 +96,13 @@ int main(int argc, char** argv) {
     brute /= static_cast<double>(tiles) * static_cast<double>(tiles);
     std::string label = TopologyName(topo.kind());
     if (topo.kind() == TopologyKind::kCirculant) {
-      label += "(" + std::to_string(topo.num_tiles()) + "; " +
-               std::to_string(topo.circulant_s1()) + "," +
-               std::to_string(topo.circulant_s2()) + ")";
+      label += '(';
+      label += std::to_string(topo.num_tiles());
+      label += "; ";
+      label += std::to_string(topo.circulant_s1());
+      label += ',';
+      label += std::to_string(topo.circulant_s2());
+      label += ')';
     }
     topo_table.AddRow({label, FormatDouble(IdealizedAverageDistance(topo), 4),
                        FormatDouble(brute, 4)});

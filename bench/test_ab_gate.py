@@ -3,13 +3,17 @@
 
     python3 bench/test_ab_gate.py
 
-No perfbench run and no git checkout: only the functions that turn two
-sides' per-run values into pair wins, median ratios and verdicts.
+No perfbench run: only the functions that turn two sides' per-run values
+into pair wins, median ratios and verdicts, and the base tree's export,
+on a throwaway git repository.
 """
 
 import os
+import subprocess
 import sys
+import tempfile
 import unittest
+from unittest import mock
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 import ab_gate  # noqa: E402
@@ -85,6 +89,40 @@ class ClaimVerdictTest(unittest.TestCase):
         slower = [1.2] * 10
         self.assertEqual(ab_gate.judge_claim(WALL, base, slower)["verdict"],
                          "fail")
+
+
+class BaseExportTest(unittest.TestCase):
+    def test_a_commit_is_exported_once_and_replaced_by_the_next(self):
+        with tempfile.TemporaryDirectory() as repo:
+            def commit(text):
+                with open(os.path.join(repo, "file"), "w") as f:
+                    f.write(text)
+                subprocess.run(["git", "-C", repo, "add", "file"], check=True)
+                subprocess.run(["git", "-C", repo, "-c", "user.name=t",
+                                "-c", "user.email=t@t", "commit", "-qm",
+                                text], check=True)
+
+            def exported():
+                with open(os.path.join(base, "file")) as f:
+                    return f.read()
+
+            subprocess.run(["git", "init", "-q", repo], check=True)
+            work = os.path.join(repo, ".bench_build", "ab_gate")
+            base = os.path.join(work, "base")
+            built = os.path.join(base, "built")
+            with mock.patch.multiple(ab_gate, ROOT=repo, WORK_DIR=work,
+                                     BASE_TREE=base):
+                commit("one")
+                first = ab_gate.checkout_base("HEAD")
+                self.assertEqual(exported(), "one")
+                self.assertFalse(os.path.exists(os.path.join(base, ".git")))
+                open(built, "w").close()  # what a perfbench build leaves
+                self.assertEqual(ab_gate.checkout_base(first), first)
+                self.assertTrue(os.path.exists(built))
+                commit("two")
+                self.assertNotEqual(ab_gate.checkout_base("HEAD"), first)
+                self.assertEqual(exported(), "two")
+                self.assertFalse(os.path.exists(built))
 
 
 if __name__ == "__main__":

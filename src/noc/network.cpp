@@ -181,7 +181,9 @@ Network::Network(const NetworkConfig& config)
 
       if (auditor_ != nullptr) {
         Auditor::Link al;
-        al.name = "r" + std::to_string(r) + "." + topo_.PortLabel(p);
+        al.name = 'r' + std::to_string(r);
+        al.name += '.';
+        al.name += topo_.PortLabel(p);
         al.num_vcs = config_.num_vcs;
         al.vc_depth = config_.vc_depth;
         al.flits = &flit_links_.back()->channel;

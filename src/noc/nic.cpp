@@ -6,6 +6,7 @@
 #include <string>
 
 #include "common/serialize.hpp"
+#include "noc/arbiter.hpp"
 
 #include "noc/audit.hpp"
 #include "noc/telemetry.hpp"
@@ -55,11 +56,6 @@ void Nic::SetCreditChannel(CreditChannel* channel) {
 
 void Nic::SetSink(PacketSink* sink) { sink_ = sink; }
 
-bool Nic::CanInject(TrafficClass cls) const {
-  return inject_queues_[static_cast<std::size_t>(ClassIndex(cls))].size() <
-         static_cast<std::size_t>(config_.inject_queue_capacity);
-}
-
 bool Nic::Inject(const Packet& packet, Coord dst_coord, Cycle now) {
   (void)now;
   const auto ci = static_cast<std::size_t>(ClassIndex(packet.cls()));
@@ -73,11 +69,6 @@ bool Nic::Inject(const Packet& packet, Coord dst_coord, Cycle now) {
 
 std::size_t Nic::InjectQueueDepth(TrafficClass cls) const {
   return inject_queues_[static_cast<std::size_t>(ClassIndex(cls))].size();
-}
-
-bool Nic::CanAcceptEjection(TrafficClass cls) const {
-  return eject_held_[static_cast<std::size_t>(ClassIndex(cls))] <
-         config_.eject_capacity;
 }
 
 void Nic::AcceptEjectedFlit(const Flit& flit, Cycle now) {
@@ -155,7 +146,7 @@ void Nic::UpdateDynamicBoundary() {
   }
 }
 
-bool Nic::ConsumeCredits(Cycle now) {
+[[gnu::always_inline]] inline bool Nic::ConsumeCredits(Cycle now) {
   bool changed = false;
   if (credit_channel_ != nullptr) {
     while (auto credit = credit_channel_->Pop(now)) {
@@ -206,7 +197,7 @@ bool Nic::QosAdmit(int ci, Cycle now) {
   return qos_tokens_[c] >= 0;
 }
 
-bool Nic::StartPackets(Cycle now) {
+[[gnu::always_inline]] inline bool Nic::StartPackets(Cycle now) {
   bool started = false;
   // Alternate which class gets first pick each cycle to avoid starvation.
   // The phase is derived from `now`, not from a tick counter: sparse
@@ -253,7 +244,7 @@ bool Nic::StartPackets(Cycle now) {
   return started;
 }
 
-Nic::SendOutcome Nic::SendFlits(Cycle now) {
+[[gnu::always_inline]] inline Nic::SendOutcome Nic::SendFlits(Cycle now) {
   if (inject_channel_ == nullptr) return SendOutcome::kNone;
   const auto num_vcs = sends_.size();
   int sent = 0;
@@ -304,7 +295,7 @@ Nic::SendOutcome Nic::SendFlits(Cycle now) {
   return SendOutcome::kNone;
 }
 
-bool Nic::DrainEjection(Cycle now) {
+[[gnu::always_inline]] inline bool Nic::DrainEjection(Cycle now) {
   bool delivered = false;
   for (int ci = 0; ci < kNumClasses; ++ci) {
     auto& buffer = eject_buffers_[static_cast<std::size_t>(ci)];
@@ -313,7 +304,12 @@ bool Nic::DrainEjection(Cycle now) {
       if (!IsTail(front)) {
         // Absorb into reassembly; capacity accounting keeps counting it via
         // eject_held_ until the whole packet is delivered.
-        ++assembled_[(*packets_)[front.slot].id];
+        const PacketId id = (*packets_)[front.slot].id;
+        if (Assembly* entry = FindAssembly(id)) {
+          ++entry->flits;
+        } else {
+          assembled_.push_back(Assembly{id, 1});
+        }
         buffer.pop_front();
         continue;
       }
@@ -324,9 +320,9 @@ bool Nic::DrainEjection(Cycle now) {
       const Packet packet = (*packets_)[slot].ToPacket(now);
       assert(packet.dst == node_ && "flit ejected at the wrong NIC");
 
-      auto it = assembled_.find(packet.id);
+      Assembly* entry = FindAssembly(packet.id);
       [[maybe_unused]] const int absorbed =
-          it == assembled_.end() ? 0 : it->second;
+          entry == nullptr ? 0 : entry->flits;
       assert(absorbed + 1 == packet.num_flits &&
              "tail arrived before the rest of its packet");
 
@@ -335,7 +331,11 @@ bool Nic::DrainEjection(Cycle now) {
       }
       buffer.pop_front();
       packets_->Release(slot);
-      if (it != assembled_.end()) assembled_.erase(it);
+      // Accept may inject here, which leaves the list alone.
+      if (entry != nullptr) {
+        *entry = assembled_.back();
+        assembled_.pop_back();
+      }
       eject_held_[static_cast<std::size_t>(ci)] -= packet.num_flits;
       assert(eject_held_[static_cast<std::size_t>(ci)] >= 0);
       ++stats_.packets_ejected[static_cast<std::size_t>(ci)];
@@ -356,6 +356,13 @@ bool Nic::DrainEjection(Cycle now) {
     }
   }
   return delivered;
+}
+
+Nic::Assembly* Nic::FindAssembly(PacketId id) {
+  for (Assembly& entry : assembled_) {
+    if (entry.id == id) return &entry;
+  }
+  return nullptr;
 }
 
 int Nic::EjectOccupancy(TrafficClass cls) const {
@@ -386,6 +393,46 @@ Cycle Nic::NextDue() const {
     due = std::min(due, next_boundary_update_);
   }
   return due;
+}
+
+void Nic::IoAssembly(Serializer& s) const {
+  std::vector<Assembly> sorted = assembled_;
+  std::sort(sorted.begin(), sorted.end(),
+            [](const Assembly& a, const Assembly& b) { return a.id < b.id; });
+  s.U64(sorted.size());
+  for (const Assembly& entry : sorted) {
+    Io(s, entry.id);
+    Io(s, entry.flits);
+  }
+}
+
+void Nic::IoAssembly(Deserializer& d) {
+  const std::size_t n = d.Count();
+  // A run never lists more than kMaxEntries: each entry's packet holds or
+  // held one of the router's input VCs, and a class's entries all held
+  // theirs at once, when the class's oldest buffered tail arrived. The
+  // bound also caps the repeat search below at kMaxEntries² comparisons.
+  constexpr std::size_t kMaxEntries =
+      static_cast<std::size_t>(kNumClasses) * kMaxArbiterInputs;
+  if (n > kMaxEntries) {
+    throw SerializeError("NIC " + std::to_string(node_) +
+                         ": reassembly lists " + std::to_string(n) +
+                         " packets, more than the " +
+                         std::to_string(kMaxEntries) +
+                         " its router's input VCs can carry");
+  }
+  assembled_.clear();
+  for (std::size_t k = 0; k < n; ++k) {
+    Assembly entry;
+    Io(d, entry.id);
+    Io(d, entry.flits);
+    if (FindAssembly(entry.id) != nullptr) {
+      throw SerializeError("NIC " + std::to_string(node_) +
+                           ": reassembly lists packet " +
+                           std::to_string(entry.id) + " twice");
+    }
+    assembled_.push_back(entry);
+  }
 }
 
 void Nic::Save(Serializer& s) const {

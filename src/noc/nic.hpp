@@ -15,7 +15,6 @@
 
 #include <array>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "common/ring.hpp"
@@ -150,7 +149,10 @@ class Nic {
   // --- endpoint-facing API ---
 
   /// True when the injection queue of `cls` has room for another packet.
-  bool CanInject(TrafficClass cls) const;
+  bool CanInject(TrafficClass cls) const {
+    return inject_queues_[static_cast<std::size_t>(ClassIndex(cls))].size() <
+           static_cast<std::size_t>(config_.inject_queue_capacity);
+  }
 
   /// Queues `packet` for injection; `dst_coord` is the mesh coordinate of
   /// `packet.dst`. Returns false (and drops nothing) when the queue is full.
@@ -162,7 +164,10 @@ class Nic {
   // --- router-facing API ---
 
   /// True when the ejection buffer of `cls` can take one more flit.
-  bool CanAcceptEjection(TrafficClass cls) const;
+  bool CanAcceptEjection(TrafficClass cls) const {
+    return eject_held_[static_cast<std::size_t>(ClassIndex(cls))] <
+           config_.eject_capacity;
+  }
 
   /// Delivers one flit from the router's local output port.
   void AcceptEjectedFlit(const Flit& flit, Cycle now);
@@ -276,7 +281,7 @@ class Nic {
       IoSeqWith(ar, buffer, flit_io);
     }
     Io(ar, self.eject_held_);
-    IoSortedMap(ar, self.assembled_);
+    self.IoAssembly(ar);
     Io(ar, self.qos_tokens_);
     Io(ar, self.qos_refilled_);
     auto& st = self.stats_;
@@ -292,6 +297,22 @@ class Nic {
     Io(ar, st.qos_throttle_cycles);
     Io(ar, st.latency_histogram);
   }
+
+  /// A packet being reassembled: the flits absorbed before its tail.
+  struct Assembly {
+    PacketId id = 0;
+    int flits = 0;
+  };
+
+  /// The reassembly list as v5 wrote the hash map it replaced: a count,
+  /// then (packet id, absorbed flits) pairs in ascending id order. Load
+  /// throws SerializeError for an id listed twice or a count above what
+  /// the router's input VCs can carry.
+  void IoAssembly(Serializer& s) const;
+  void IoAssembly(Deserializer& d);
+
+  /// The reassembly entry of packet `id`, nullptr when none.
+  Assembly* FindAssembly(PacketId id);
 
   /// What one SendFlits call did: sent a flit, or sent none and charged
   /// a stall cycle, a drain cycle or neither.
@@ -312,9 +333,12 @@ class Nic {
     if (sleep_.asleep()) ChargeSkipped(sleep_.TakeToClock());
   }
 
+  // The four stages of Tick, declared inline: nic.cpp defines them, where
+  // each compiles into Tick, their only caller.
+
   /// Pops returned credits from the router and releases drained VCs.
   /// Returns true when it popped or released anything.
-  bool ConsumeCredits(Cycle now);
+  inline bool ConsumeCredits(Cycle now);
   /// Lazily refills the class's token bucket up to `now`, then reports
   /// whether its head packet may start (tokens non-negative). Unregulated
   /// classes always pass. StartPackets charges the admitted packet's flit
@@ -324,13 +348,13 @@ class Nic {
   bool QosAdmit(int ci, Cycle now);
   /// Binds queued packets to free VCs allowed by the policy. Returns true
   /// when it started one.
-  bool StartPackets(Cycle now);
+  inline bool StartPackets(Cycle now);
   /// Sends up to inject_flits_per_cycle_ flits across busy VCs
   /// (round-robin).
-  SendOutcome SendFlits(Cycle now);
+  inline SendOutcome SendFlits(Cycle now);
   /// Delivers at most one completed packet per class to the sink. Returns
   /// true when it delivered one.
-  bool DrainEjection(Cycle now);
+  inline bool DrainEjection(Cycle now);
 
   NodeId node_;
   Coord coord_;
@@ -370,7 +394,10 @@ class Nic {
 
   std::array<Ring<Flit>, kNumClasses> eject_buffers_;
   std::array<int, kNumClasses> eject_held_{};  // flits in buffer + reassembly
-  std::unordered_map<PacketId, int> assembled_;  // flits absorbed per packet
+  /// One entry per packet with flits absorbed and its tail still to come,
+  /// in no order: at most one per router input VC ejecting here and class,
+  /// so a linear search beats hashing.
+  std::vector<Assembly> assembled_;
 
   // Sleep (soa only, never saved). Mutable with the counters: a read
   // charges the ticks skipped so far.

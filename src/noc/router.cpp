@@ -227,14 +227,15 @@ bool Router::EnableSleep(const Cycle* clock) {
 RequestMask Router::Tick(Cycle now) {
   if (sleep_.asleep()) ChargeSkipped(sleep_.Wake(now));
   CatchUpEpochs(now);
-  const RequestMask allocated_before = allocated_;
   RecycleOutputVcs();
+  // Whether a front flit is ready is data, so it is ORed in, not branched
+  // on.
   RequestMask eligible = 0;
   for (RequestMask rest = derived_.occupied; rest != 0; rest &= rest - 1) {
     const int i = std::countr_zero(rest);
-    if (derived_.front_ready[static_cast<std::size_t>(i)] <= now) {
-      eligible |= RequestBit(i);
-    }
+    eligible |= static_cast<RequestMask>(
+                    derived_.front_ready[static_cast<std::size_t>(i)] <= now)
+                << i;
   }
   // With no VC eligible, VA/SA/ST cannot touch any state: requests stay
   // empty, no arbiter runs and the stall counters only fire for eligible
@@ -252,70 +253,78 @@ RequestMask Router::Tick(Cycle now) {
 
   // --- VA: a routed packet that leaves on a link and holds no downstream
   // VC requests its route's output port (local ports need none: the NIC
-  // reassembles per class).
+  // reassembles per class). va_ports marks the output ports requested,
+  // and only their va_requests entries are written (zeroed on a port's
+  // first request) and read. VA serves the ports with a downstream
+  // channel.
   std::array<RequestMask, kMaxArbiterInputs> va_requests;
-  std::fill_n(va_requests.begin(), num_ports_, RequestMask{0});
+  RequestMask va_ports = 0;
   const RequestMask wants_vc = eligible & ~ejecting_ & ~derived_.holding;
   for (RequestMask rest = wants_vc; rest != 0; rest &= rest - 1) {
     const int i = std::countr_zero(rest);
-    va_requests[static_cast<std::size_t>(
-        PortIndex(out_port_[static_cast<std::size_t>(i)]))] |= RequestBit(i);
+    const int op = PortIndex(out_port_[static_cast<std::size_t>(i)]);
+    const auto o = static_cast<std::size_t>(op);
+    if ((va_ports & RequestBit(op)) == 0) va_requests[o] = 0;
+    va_requests[o] |= RequestBit(i);
+    va_ports |= RequestBit(op);
   }
   bool va_moved = false;
-  for (int op = num_local_ports_; op < num_ports_; ++op) {
-    const RequestMask requests = va_requests[static_cast<std::size_t>(op)];
-    if (requests != 0 &&
-        out_channels_[static_cast<std::size_t>(op)] != nullptr) {
-      va_moved |= AllocateVcs(op, requests);
+  for (RequestMask rest = va_ports; rest != 0; rest &= rest - 1) {
+    const int op = std::countr_zero(rest);
+    if (out_channels_[static_cast<std::size_t>(op)] != nullptr) {
+      va_moved |= AllocateVcs(op, va_requests[static_cast<std::size_t>(op)]);
     }
   }
-  // So far the visit changed nothing but counters, and no front flit is
-  // still in its pipeline cycle. If SA/ST move nothing either, every visit
-  // until a flit, a credit or ejection space arrives would repeat this
-  // one. Round-robin VA over a fixed request set reaches its fixed point
-  // after one visit, so this first holds on the second blocked visit.
+  // So far the visit changed nothing but counters, the output-VC mask and
+  // VA's grants, and no front flit is still in its pipeline cycle. If
+  // SA/ST move nothing either, every visit until a flit, a credit or
+  // ejection space arrives would repeat this one's charges and decisions:
+  // a grantee that moved nothing lacks a credit and stalls on it, which
+  // is what FallAsleep records, and recycling is idempotent. A grant to
+  // the requester just before a VA pointer leaves the pointer where full
+  // mode's next visit moves it, to the same place in the remaining
+  // requesters' cyclic order (DESIGN.md §14). va_moved matters only to
+  // matrix and QoS arbiters, whose routers never sleep: one visit takes a
+  // round-robin pointer to its fixed point.
   const bool quiet = sleep_.attached() && unrouted == 0 && !va_moved &&
-                     allocated_ == allocated_before &&
                      eligible == derived_.occupied;
 
-  // --- SA1: each input port nominates one VC of its slice of the switch
-  // requests. Radix >= 2, so num_vcs <= 32 and the shift below is defined.
+  // --- SA1: each input port with a switch request nominates one VC of its
+  // slice. Radix >= 2, so num_vcs <= 32 and the shifts below are defined.
   const RequestMask sa_requests = SwitchRequests(eligible);
   const int num_vcs = config_.num_vcs;
   const RequestMask port_vcs = RequestBit(num_vcs) - 1;
   PortInts nominee;
-  for (int p = 0; p < num_ports_; ++p) {
+  RequestMask nominated = 0;
+  for (RequestMask rest = sa_requests; rest != 0;) {
+    const int p = std::countr_zero(rest) / num_vcs;
     const int shift = p * num_vcs;
-    const RequestMask requests = (sa_requests >> shift) & port_vcs;
-    nominee[static_cast<std::size_t>(p)] =
-        requests == 0
-            ? -1
-            : QosArbitrate(sa_input_arb_[static_cast<std::size_t>(p)],
-                           requests, config_.qos_arbitration,
-                           config_.qos_priority,
-                           qos_sa1_credit_[static_cast<std::size_t>(p)],
-                           derived_.class_mask, shift);
+    const RequestMask requests = (rest >> shift) & port_vcs;
+    rest &= ~(port_vcs << shift);
+    const int v = QosArbitrate(sa_input_arb_[static_cast<std::size_t>(p)],
+                               requests, config_.qos_arbitration,
+                               config_.qos_priority,
+                               qos_sa1_credit_[static_cast<std::size_t>(p)],
+                               derived_.class_mask, shift);
+    nominee[static_cast<std::size_t>(p)] = v;
+    nominated |= static_cast<RequestMask>(v >= 0) << p;
   }
 
-  // --- SA2: each output port grants one input port (none without a
-  // nominee).
+  // --- SA2: each output port a nominee routes to grants one input port.
   PortInts grant;
-  GrantOutputs(nominee, grant);
+  const RequestMask granted = GrantOutputs(nominated, nominee, grant);
 
-  // --- ST: winners traverse the switch.
-  RequestMask ejected = 0;
-  bool moved = false;
-  for (int op = 0; op < num_ports_; ++op) {
+  // --- ST: winners traverse the switch; the local ports granted are the
+  // ones that ejected.
+  for (RequestMask rest = granted; rest != 0; rest &= rest - 1) {
+    const int op = std::countr_zero(rest);
     const int p = grant[static_cast<std::size_t>(op)];
-    if (p < 0) continue;
     Traverse(op, p, nominee[static_cast<std::size_t>(p)], now);
-    moved = true;
-    if (op < num_local_ports_) ejected |= RequestBit(op);
   }
-  if (moved) ++stats_.busy_cycles;
+  if (granted != 0) ++stats_.busy_cycles;
   stats_.buffered_flit_cycles += derived_.buffered;
-  if (quiet && !moved) FallAsleep(now);
-  return ejected;
+  if (quiet && granted == 0) FallAsleep(now);
+  return granted & (RequestBit(num_local_ports_) - 1);
 }
 
 void Router::FallAsleep(Cycle now) {
@@ -346,7 +355,7 @@ void Router::ChargeSkipped(Cycle visits) const {
   stats_.buffered_flit_cycles += visits * sleep_charge_.buffered;
 }
 
-void Router::RouteHead(int i) {
+[[gnu::always_inline]] inline void Router::RouteHead(int i) {
   const auto u = static_cast<std::size_t>(i);
   const Flit& front = slab_.Front(i);
   assert(IsHead(front) &&
@@ -365,7 +374,8 @@ void Router::RouteHead(int i) {
   derived_.holding &= ~RequestBit(i);
 }
 
-RequestMask Router::SwitchRequests(RequestMask eligible) {
+[[gnu::always_inline]] inline RequestMask Router::SwitchRequests(
+    RequestMask eligible) {
   RequestMask requests = 0;
   const RequestMask ready_to_move = eligible & (ejecting_ | derived_.holding);
   for (RequestMask rest = ready_to_move; rest != 0; rest &= rest - 1) {
@@ -395,7 +405,8 @@ RequestMask Router::SwitchRequests(RequestMask eligible) {
   return requests;
 }
 
-VcRange Router::AllowedRange(TrafficClass cls, Port out_port) const {
+[[gnu::always_inline]] inline VcRange Router::AllowedRange(
+    TrafficClass cls, Port out_port) const {
   const auto p = static_cast<std::size_t>(PortIndex(out_port));
   if (config_.vc_policy == VcPolicyKind::kDynamic) {
     return PartitionAt(cls, boundaries_[p], config_.num_vcs);
@@ -431,7 +442,7 @@ VcId Router::DynamicBoundary(Port out_port) const {
   return boundaries_[static_cast<std::size_t>(PortIndex(out_port))];
 }
 
-void Router::RecycleOutputVcs() {
+[[gnu::always_inline]] inline void Router::RecycleOutputVcs() {
   for (RequestMask rest = draining_ & allocated_; rest != 0;
        rest &= rest - 1) {
     const int i = std::countr_zero(rest);
@@ -443,7 +454,8 @@ void Router::RecycleOutputVcs() {
   }
 }
 
-bool Router::AllocateVcs(int out_port, RequestMask requests) {
+[[gnu::always_inline]] inline bool Router::AllocateVcs(int out_port,
+                                                       RequestMask requests) {
   const auto op = static_cast<std::size_t>(out_port);
   const int base = out_port * config_.num_vcs;
   const std::size_t pointer = va_arb_[op].pointer();
@@ -473,32 +485,42 @@ bool Router::AllocateVcs(int out_port, RequestMask requests) {
   return va_arb_[op].pointer() != pointer;
 }
 
-void Router::GrantOutputs(const PortInts& nominee, PortInts& grant) {
-  std::array<RequestMask, kMaxArbiterInputs> requests;
-  std::fill_n(requests.begin(), num_ports_, RequestMask{0});
+[[gnu::always_inline]] inline RequestMask Router::GrantOutputs(
+    RequestMask nominated, const PortInts& nominee, PortInts& grant) {
+  // Bit p of sa2_requests[op]: input port p's nominee routes to op.
+  // out_ports marks the output ports requested, and only their entries
+  // are written (zeroed on a port's first request) and read.
+  std::array<RequestMask, kMaxArbiterInputs> sa2_requests;
+  RequestMask out_ports = 0;
   // Bit p of nominee_class[c]: input port p's nominee has class c.
   std::array<RequestMask, kNumClasses> nominee_class{};
-  for (int p = 0; p < num_ports_; ++p) {
-    const int v = nominee[static_cast<std::size_t>(p)];
-    if (v < 0) continue;
-    const int i = p * config_.num_vcs + v;
-    requests[static_cast<std::size_t>(
-        PortIndex(out_port_[static_cast<std::size_t>(i)]))] |= RequestBit(p);
+  for (RequestMask rest = nominated; rest != 0; rest &= rest - 1) {
+    const int p = std::countr_zero(rest);
+    const int i = p * config_.num_vcs + nominee[static_cast<std::size_t>(p)];
+    const int op = PortIndex(out_port_[static_cast<std::size_t>(i)]);
+    const auto o = static_cast<std::size_t>(op);
+    if ((out_ports & RequestBit(op)) == 0) sa2_requests[o] = 0;
+    sa2_requests[o] |= RequestBit(p);
+    out_ports |= RequestBit(op);
     nominee_class[static_cast<std::size_t>(ClassIndex(FrontClass(i)))] |=
         RequestBit(p);
   }
-  for (int op = 0; op < num_ports_; ++op) {
+  RequestMask granted = 0;
+  for (RequestMask rest = out_ports; rest != 0; rest &= rest - 1) {
+    const int op = std::countr_zero(rest);
     const auto o = static_cast<std::size_t>(op);
-    grant[o] = requests[o] == 0
-                   ? -1
-                   : QosArbitrate(sa_output_arb_[o], requests[o],
-                                  config_.qos_arbitration,
-                                  config_.qos_priority, qos_sa2_credit_[o],
-                                  nominee_class, 0);
+    const int winner =
+        QosArbitrate(sa_output_arb_[o], sa2_requests[o],
+                     config_.qos_arbitration, config_.qos_priority,
+                     qos_sa2_credit_[o], nominee_class, 0);
+    grant[o] = winner;
+    granted |= static_cast<RequestMask>(winner >= 0) << op;
   }
+  return granted;
 }
 
-void Router::Traverse(int out_port, int in_port, VcId vc, Cycle now) {
+[[gnu::always_inline]] inline void Router::Traverse(int out_port, int in_port,
+                                                    VcId vc, Cycle now) {
   assert(vc >= 0);
   const auto op = static_cast<std::size_t>(out_port);
   const int i = in_port * config_.num_vcs + vc;

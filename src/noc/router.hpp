@@ -24,9 +24,11 @@
 // (occupied, front class, routed, ejecting, holding an output VC), byte
 // arrays (output port, output VC, dateline half), the front flits' ready
 // cycles, an output-VC allocated mask and the 3 × radix arbiters as values
-// (DESIGN.md §9 "Request masks"). The input VCs' flits live in one slab
-// per router (buffer.hpp). A flit is read only to route a head — the LUT
-// is indexed by its destination tile and class — or to move it.
+// (DESIGN.md §9 "Request masks"). A visit pays per requesting port, not
+// per port: each stage walks the set bits of a port mask built alongside
+// its requests. The input VCs' flits live in one slab per router
+// (buffer.hpp). A flit is read only to route a head — the LUT is indexed
+// by its destination tile and class — or to move it.
 #pragma once
 
 #include <algorithm>
@@ -193,11 +195,12 @@ class Router {
   /// matrix arbiters and QoS arbitration.
   bool EnableSleep(const Cycle* clock);
 
-  /// True from a visit that routed no head, granted no VC, recycled none,
-  /// moved no flit and left every VA arbiter it ran as it found it, with
-  /// every occupied VC eligible, until the next visit: until a flit, a
-  /// credit or NIC ejection space reaches it, each visit would repeat that
-  /// one.
+  /// True from a visit that routed no head, moved no flit and left every
+  /// VA arbiter it ran as it found it, with every occupied VC eligible,
+  /// until the next visit: until a flit, a credit or NIC ejection space
+  /// reaches it, each visit would charge what that one did and decide
+  /// nothing new, whatever VC it granted or recycled. A VA pointer may lag
+  /// full mode's meanwhile without changing a decision (DESIGN.md §14).
   bool Asleep() const { return sleep_.asleep(); }
 
   // --- introspection ---
@@ -347,7 +350,8 @@ class Router {
   //
   // The only copy of the allocation rules, driven by one visit loop
   // (Tick). A stage is only ever applied to an eligible VC: its front
-  // flit is present and ready.
+  // flit is present and ready. The stages declared inline are defined in
+  // router.cpp, where each compiles into Tick, their only caller.
 
   /// Commits every dynamic-partitioning epoch boundary `now` has reached.
   /// When the router is visited every cycle the loop body runs at most
@@ -359,7 +363,7 @@ class Router {
   }
 
   /// Frees output VCs whose packet has fully drained downstream.
-  void RecycleOutputVcs();
+  inline void RecycleOutputVcs();
 
   /// Records the charge of this quiet visit at `now` and falls asleep.
   void FallAsleep(Cycle now);
@@ -374,38 +378,41 @@ class Router {
 
   /// RC: routes the packet whose head flit is at the front of unrouted
   /// input VC `i` (output port, dateline VC half, ejection flag).
-  void RouteHead(int i);
+  inline void RouteHead(int i);
 
   /// VA on one output port: QoS-aware arbitration rounds over `requests`
   /// (bit i = flat input-VC index i). Each winner gets the lowest free VC
   /// of its allowed range (restricted to its dateline half) or counts a VA
   /// failure, until every request is served or the arbiter declines.
   /// Returns true when the port's round-robin pointer moved.
-  bool AllocateVcs(int out_port, RequestMask requests);
+  inline bool AllocateVcs(int out_port, RequestMask requests);
 
   /// SA1 requests: the VCs of `eligible` whose next resource (downstream
   /// credit, or NIC ejection space) is available. A VC holding an output
   /// VC or ejecting that lacks it is charged an SA stall, and a credit
   /// stall on its downstream VC when credits are missing; a VC still
   /// waiting for VA requests nothing.
-  RequestMask SwitchRequests(RequestMask eligible);
+  inline RequestMask SwitchRequests(RequestMask eligible);
 
-  /// One int per port (radix <= 64, the constructor's bound); only the
-  /// first num_ports() are used.
+  /// One int per port (radix <= 64, the constructor's bound): an entry is
+  /// written before it is read, and only for a port of the mask that goes
+  /// with it.
   using PortInts = std::array<int, kMaxArbiterInputs>;
 
-  /// SA2: one pass over `nominee` (a VC id per input port, -1 = none)
-  /// builds every output port's request mask — the input ports whose
-  /// nominee routes there — then each output port with requests grants one
-  /// input port. `grant[op]` is that input port, -1 when none requests or
-  /// the arbiter declines.
-  void GrantOutputs(const PortInts& nominee, PortInts& grant);
+  /// SA2: one pass over the input ports of `nominated`, whose `nominee`
+  /// entries hold the VC each nominated, builds the request mask of every
+  /// output port such a VC routes to — the input ports whose nominee
+  /// routes there — then each of those output ports grants one input port
+  /// into `grant`. Returns the output ports granted (an arbiter may
+  /// decline).
+  inline RequestMask GrantOutputs(RequestMask nominated,
+                                  const PortInts& nominee, PortInts& grant);
 
   /// ST: the front flit of input VC (`in_port`, `vc`) traverses the switch
   /// to `out_port` — stats, epoch counts, a credit upstream, then ejection
   /// into the NIC or a push onto the link with its downstream VC — and a
   /// tail resets the input VC.
-  void Traverse(int out_port, int in_port, VcId vc, Cycle now);
+  inline void Traverse(int out_port, int in_port, VcId vc, Cycle now);
 
   /// The class of occupied input VC `i`'s front flit.
   TrafficClass FrontClass(int i) const {
@@ -428,7 +435,7 @@ class Router {
 
   /// The VC range `cls` may allocate on `out_port` right now (honours the
   /// static policy, the link mode and — for kDynamic — the port boundary).
-  VcRange AllowedRange(TrafficClass cls, Port out_port) const;
+  inline VcRange AllowedRange(TrafficClass cls, Port out_port) const;
 
   /// Refreshes `out_port`'s entries of allowed_vcs_ from the policy and
   /// the port's link mode.

@@ -6,6 +6,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/serialize.hpp"
+#include "noc/arbiter.hpp"
 #include "noc/nic.hpp"
 #include "noc/packet.hpp"
 
@@ -405,6 +407,65 @@ TEST(NicTest, LoadRefusesCreditCountsOutOfRange) {
           << "credits " << credits << " @" << offset;
     }
   }
+}
+
+// The reassembly list keeps the v5 layout of the hash map it replaced: a
+// u64 count, then (u64 packet id, i32 absorbed flits) pairs in ascending
+// id order, whatever order the packets arrived in. Load refuses a list
+// that names one packet twice (its tail would find one entry's count) and,
+// before reading a pair, one longer than the router's input VCs can carry.
+TEST(NicTest, ReassemblyListSavesSortedPairsAndLoadRefusesBadLists) {
+  const NicConfig cfg = DefaultConfig();
+  NicHarness h(cfg);
+  // Packet 11 (2 flits) starts before packet 10 (3 flits); no tail yet.
+  h.nic.AcceptEjectedFlit(h.Ejected(11, PacketType::kReadReply, 0, 2), 0);
+  h.nic.AcceptEjectedFlit(h.Ejected(10, PacketType::kReadReply, 0, 3), 0);
+  h.nic.AcceptEjectedFlit(h.Ejected(10, PacketType::kReadReply, 1, 3), 0);
+  h.nic.Tick(0);
+  EXPECT_EQ(h.nic.PendingAssembly(), 2u);
+  Serializer s;
+  h.nic.Save(s);
+  const std::string clean = s.bytes();
+
+  Serializer pairs;
+  pairs.U64(2);
+  Io(pairs, PacketId{10});
+  Io(pairs, 2);
+  Io(pairs, PacketId{11});
+  Io(pairs, 1);
+  const std::size_t at = clean.find(pairs.bytes());
+  ASSERT_NE(at, std::string::npos) << "(10, 2) then (11, 1)";
+  EXPECT_EQ(clean.find(pairs.bytes(), at + 1), std::string::npos);
+
+  const auto load = [&](const std::string& bytes, PacketTable& packets) {
+    Nic nic(0, Coord{0, 0}, cfg);
+    nic.SetPacketTable(&packets);
+    Deserializer d(bytes);
+    nic.Load(d);
+    d.Finish();
+    Serializer again;
+    nic.Save(again);
+    return again.TakeBytes();
+  };
+  PacketTable reloaded(4, 4);
+  EXPECT_TRUE(load(clean, reloaded) == clean);
+
+  const auto refused = [&](const std::string& bytes, const char* why) {
+    PacketTable packets(4, 4);
+    try {
+      load(bytes, packets);
+      ADD_FAILURE() << "loaded a list that should be refused: " << why;
+    } catch (const SerializeError& e) {
+      EXPECT_NE(std::string(e.what()).find(why), std::string::npos)
+          << e.what();
+    }
+  };
+  std::string repeated = clean;
+  repeated[at + 8 + 12] = 10;  // the second pair's id: 11 -> 10
+  refused(repeated, "reassembly lists packet 10 twice");
+  std::string overlong = clean;
+  overlong[at] = static_cast<char>(kNumClasses * kMaxArbiterInputs + 1);
+  refused(overlong, "reassembly lists 129 packets, more than the 128");
 }
 
 }  // namespace

@@ -2,11 +2,15 @@
 // wormhole integrity, VC allocation policy enforcement, QoS precedence in
 // the allocators, atomic VC reallocation, link-aware monopolizing, the
 // request-mask width bound, snapshot-load validation, the derived masks
-// kept beside the saved state, and the flit count and work predicate the
-// soa scheduler skips routers by.
+// kept beside the saved state, the flit count and work predicate the soa
+// scheduler skips routers by, and a pinned radix-8 visit sequence that
+// touches every port.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <map>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -749,6 +753,144 @@ TEST(RouterTest, FlitCountMatchesBuffersAndOnlyFlitsKeepWork) {
   EXPECT_EQ(split.out_[PortIndex(Port::kEast)].size(), 1u);
   EXPECT_EQ(split.router_.BufferedFlits(), 0u);
   EXPECT_FALSE(split.router_.HasWork());
+}
+
+/// The 8x8-tile concentrated mesh: a 4x4 grid of radix-8 routers with
+/// local ports 0-3, then north (4), east (5), south (6) and west (7).
+const Topology& CMesh() {
+  static const Topology cmesh = Topology::CMesh(8, 8);
+  return cmesh;
+}
+
+/// A sink that lists the ids of the packets it accepts.
+struct RecordingSink : PacketSink {
+  bool Accept(const Packet& packet, Cycle) override {
+    ids.push_back(packet.id);
+    return true;
+  }
+  std::vector<PacketId> ids;
+};
+
+// Every input port of a cmesh router holds packets on both VCs, bound for
+// local ports 1-3 and for link ports 4-7. Heads of one class contend for
+// an output port's one VC of that class (VA); two VCs of one input port,
+// and input ports bound for one output port, contend for the switch (SA1,
+// SA2). Links deliver downstream at once and return the credit. Each
+// visit's traversals (output port <- input port.VC, read off the links
+// and the NICs' sinks) and the local ports it reports ejecting are pinned
+// as recorded before the allocator walked port masks: a stage that skips
+// a port, or a returned mask that drops one, moves them.
+TEST(RouterTest, CmeshVisitsMoveThePinnedFlitsThroughEveryPort) {
+  const Topology& topo = CMesh();
+  constexpr NodeId kRouter = 5;  // router (1, 1): tiles 18, 19, 26, 27
+  RouterConfig cfg = DefaultConfig();  // split: requests VC 0, replies VC 1
+  cfg.topology = &topo;
+  Router router(kRouter, topo.RouterCoord(kRouter), cfg);
+  ASSERT_EQ(router.num_ports(), 8);
+  ASSERT_EQ(router.num_local_ports(), 4);
+  PacketTable packets(topo.width(), topo.height());
+  router.SetPacketTable(&packets);
+  std::vector<std::unique_ptr<FlitChannel>> links;
+  for (int p = 4; p < 8; ++p) {
+    links.push_back(std::make_unique<FlitChannel>(1));
+    router.SetOutputChannel(static_cast<Port>(p), links.back().get());
+  }
+  const auto coord = [&topo](NodeId tile) {
+    return Coord{tile % topo.width(), tile / topo.width()};
+  };
+  std::vector<std::unique_ptr<Nic>> nics;
+  std::array<RecordingSink, 4> sinks;
+  for (int k = 0; k < 4; ++k) {
+    const NodeId tile = topo.TileAt(kRouter, k);
+    nics.push_back(std::make_unique<Nic>(tile, coord(tile),
+                                         RouterHarness::MakeNicConfig(cfg)));
+    nics.back()->SetPacketTable(&packets);
+    nics.back()->SetSink(&sinks[static_cast<std::size_t>(k)]);
+    router.SetNic(k, nics.back().get());
+  }
+
+  // A tile behind each link port.
+  constexpr NodeId kNorth = 2, kEast = 20, kSouth = 34, kWest = 16;
+  const auto local = [&](int k) { return topo.TileAt(kRouter, k); };
+  struct Send {
+    int port;
+    VcId vc;
+    NodeId dst;
+    int size;
+  };
+  const Send sends[] = {
+      {0, 0, kWest, 2},   {0, 1, local(1), 1}, {1, 0, local(2), 1},
+      {1, 1, local(3), 1}, {2, 0, kEast, 1},   {2, 0, local(1), 1},
+      {2, 1, kWest, 2},   {3, 0, kNorth, 1},  {3, 1, kSouth, 1},
+      {3, 1, local(3), 1}, {4, 0, kWest, 1},   {4, 0, local(1), 1},
+      {4, 1, local(2), 1}, {5, 0, kWest, 1},   {5, 1, kWest, 1},
+      {6, 0, kNorth, 2},  {6, 1, local(3), 1}, {7, 0, kEast, 1},
+      {7, 1, local(1), 1},
+  };
+  std::unordered_map<PacketId, std::string> input_vc;  // "port.vc"
+  PacketId next_id = 1;
+  for (const Send& send : sends) {
+    Packet p;
+    p.id = next_id++;
+    p.type = send.vc == 0 ? PacketType::kReadRequest : PacketType::kReadReply;
+    p.src = 0;
+    p.dst = send.dst;
+    p.num_flits = send.size;
+    const PacketSlot slot = packets.Add(PacketRecord::Of(p, coord(send.dst)));
+    input_vc[p.id] =
+        std::to_string(send.port) + "." + std::to_string(send.vc);
+    for (int seq = 0; seq < send.size; ++seq) {
+      Flit f;
+      f.slot = slot;
+      f.kind = KindAt(seq, send.size);
+      f.cls = p.cls();
+      f.dst = send.dst;
+      f.vc = send.vc;
+      f.seq = static_cast<std::uint16_t>(seq);
+      router.AcceptFlit(static_cast<Port>(send.port), f, 0);
+    }
+  }
+
+  std::vector<std::string> visits;
+  for (Cycle now = 0; now < 40 && router.HasWork(); ++now) {
+    const RequestMask ejected = router.Tick(now);
+    std::map<int, std::string> moved;  // output port -> input VC
+    for (int k = 0; k < 4; ++k) {
+      RecordingSink& sink = sinks[static_cast<std::size_t>(k)];
+      sink.ids.clear();
+      nics[static_cast<std::size_t>(k)]->Tick(now);
+      for (const PacketId id : sink.ids) moved[k] += input_vc[id];
+    }
+    for (int p = 4; p < 8; ++p) {
+      while (const auto flit =
+                 links[static_cast<std::size_t>(p - 4)]->Pop(now + 1)) {
+        moved[p] += input_vc[packets[flit->slot].id];
+        router.AcceptCredit(static_cast<Port>(p), flit->vc);
+      }
+    }
+    if (moved.empty() && ejected == 0) continue;
+    std::string visit = std::to_string(now) + ":";
+    for (const auto& [port, from] : moved) {
+      visit += ' ';
+      visit += std::to_string(port) + "<-" + from;
+    }
+    visit += " ejected ";
+    visit += std::to_string(ejected);
+    visits.push_back(visit);
+  }
+  EXPECT_FALSE(router.HasWork());
+  EXPECT_GT(router.stats().va_failures, 0u) << "VA contention";
+
+  const std::vector<std::string> want = {
+      "1: 1<-7.1 2<-1.0 3<-6.1 4<-3.0 5<-2.0 7<-0.0 ejected 14",
+      "2: 1<-0.1 2<-4.1 3<-1.1 4<-6.0 5<-7.0 6<-3.1 7<-2.1 ejected 14",
+      "3: 1<-2.0 3<-3.1 4<-6.0 7<-0.0 ejected 10",
+      "4: 7<-2.1 ejected 0",
+      "5: 7<-4.0 ejected 0",
+      "6: 1<-4.0 7<-5.0 ejected 2",
+      "7: 7<-5.1 ejected 0",
+  };
+  EXPECT_EQ(visits, want);
 }
 
 TEST(RouterTest, StatsCountForwardedFlitsPerPortAndClass) {

@@ -242,8 +242,10 @@ TEST(SoaBitIdentityTest, FourWayOpenLoopMatrixAgrees) {
 // skipped) and per-(port, VC) input occupancy, which shows which VC each
 // flit was allocated. Router object state is not compared whole: soa defers
 // a skipped router's output-VC recycling and boundary replay to its next
-// tick (DESIGN.md §9), so those fields may lag full mode's without changing
-// any later decision.
+// tick (DESIGN.md §9), and a router that fell asleep on a visit granting
+// the VA requester just before a port's round-robin pointer keeps that
+// pointer where full mode's next visit moves it (DESIGN.md §14), so those
+// fields may lag full mode's without changing any later decision.
 std::string ComponentState(const Network& net) {
   Serializer s;
   s.U64(net.now());
