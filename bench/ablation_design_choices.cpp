@@ -30,7 +30,7 @@ GpuConfig Monopolized(GpuConfig base) {
 /// Runs `schemes` on the single ablation workload, in parallel.
 SweepResult Sweep(const std::vector<SchemeSpec>& schemes,
                   const WorkloadProfile& workload, const BenchOptions& opts) {
-  SweepOptions sweep_opts = SweepOpts(opts);
+  SweepOptions sweep_opts = opts.sweep;
   sweep_opts.progress = nullptr;  // sections are short; keep stderr clean
   return RunSweep(schemes, {workload}, sweep_opts);
 }
@@ -204,7 +204,7 @@ int main(int argc, char** argv) {
     }
     const std::vector<SchemeSpec> schemes{
         {"base", baseline}, {"mono", Monopolized(baseline)}};
-    SweepOptions sweep_opts = SweepOpts(opts);
+    SweepOptions sweep_opts = opts.sweep;
     sweep_opts.progress = nullptr;
     const SweepResult r = RunSweep(schemes, divergent_set, sweep_opts);
     TextTable table(

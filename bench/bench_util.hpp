@@ -102,20 +102,37 @@ inline RunFlags RunFlagsExcept(const RunFlags& ignored) {
 
 /// Parsed common options.
 struct BenchOptions {
-  RunLengths lengths;
+  /// Run lengths (scale=), threads=, the checkpoint flags and the stderr
+  /// progress ticker, as RunSweep takes them.
+  SweepOptions sweep;
   std::vector<WorkloadProfile> workloads;
   bool csv = false;
-  int threads = 0;        ///< sweep workers; 0 = one per hardware thread
   std::string json_path;  ///< empty = no JSON output
   /// telemetry_out=: prefix for the .csv/.trace.json exports.
   std::string telemetry_path;
-  std::string checkpoint_dir;      ///< empty = crash-resume off
-  Cycle checkpoint_interval = 0;   ///< cycles between mid-cell snapshots
-  bool resume = false;             ///< resume from checkpoint_dir
   /// The GpuConfig keys this harness takes; WithGridOverrides applies them.
   ConfigKeys config_keys;
   Config raw;
 };
+
+/// Stderr progress ticker for long sweeps. Silent when stderr is not a
+/// terminal so piped/tee'd harness output stays clean. The sweep engine
+/// already serializes progress calls; the ticker carries its own mutex so
+/// it also stays safe when shared across concurrent sweeps.
+inline ProgressFn StderrProgress() {
+  if (isatty(fileno(stderr)) == 0) return nullptr;
+  auto mu = std::make_shared<std::mutex>();
+  return [mu](const std::string& scheme, const std::string& workload, int done,
+              int total) {
+    if (total <= 0) return;  // nothing to report on an empty sweep
+    const std::lock_guard<std::mutex> lock(*mu);
+    // `done` is the number of cells actually committed (the engine reports
+    // after each cell completes), so the display never claims a cell early.
+    std::cerr << "\r[" << done << "/" << total << "] " << scheme << " / "
+              << workload << "          " << std::flush;
+    if (done >= total) std::cerr << '\n';
+  };
+}
 
 /// Strips leading/trailing ASCII whitespace.
 inline std::string TrimToken(const std::string& s) {
@@ -248,51 +265,19 @@ inline BenchOptions ParseBenchOptions(
     std::exit(0);
   }
   const double scale = opts.raw.GetDouble("scale", 1.0);
-  opts.lengths = RunLengths{}.Scaled(scale);
+  opts.sweep.lengths = RunLengths{}.Scaled(scale);
+  opts.sweep.threads = static_cast<int>(opts.raw.GetInt("threads", 0));
+  opts.sweep.progress = StderrProgress();
+  opts.sweep.checkpoint_dir = opts.raw.GetString("checkpoint_dir", "");
+  opts.sweep.checkpoint_interval =
+      static_cast<Cycle>(opts.raw.GetInt("checkpoint_interval", 0));
+  opts.sweep.resume = opts.raw.GetBool("resume", false);
   opts.csv = opts.raw.GetBool("csv", false);
-  opts.threads = static_cast<int>(opts.raw.GetInt("threads", 0));
   opts.json_path = opts.raw.GetString("json", "");
   opts.telemetry_path = opts.raw.GetString("telemetry_out", "");
-  opts.checkpoint_dir = opts.raw.GetString("checkpoint_dir", "");
-  opts.checkpoint_interval =
-      static_cast<Cycle>(opts.raw.GetInt("checkpoint_interval", 0));
-  opts.resume = opts.raw.GetBool("resume", false);
   opts.workloads = ParseWorkloadList(opts.raw.GetString("workloads", ""));
   opts.config_keys = config_keys;
   return opts;
-}
-
-/// Sweep execution knobs from the common options (thread count + ticker).
-inline SweepOptions SweepOpts(const BenchOptions& opts);
-
-/// Stderr progress ticker for long sweeps. Silent when stderr is not a
-/// terminal so piped/tee'd harness output stays clean. The sweep engine
-/// already serializes progress calls; the ticker carries its own mutex so
-/// it also stays safe when shared across concurrent sweeps.
-inline ProgressFn StderrProgress() {
-  if (isatty(fileno(stderr)) == 0) return nullptr;
-  auto mu = std::make_shared<std::mutex>();
-  return [mu](const std::string& scheme, const std::string& workload, int done,
-              int total) {
-    if (total <= 0) return;  // nothing to report on an empty sweep
-    const std::lock_guard<std::mutex> lock(*mu);
-    // `done` is the number of cells actually committed (the engine reports
-    // after each cell completes), so the display never claims a cell early.
-    std::cerr << "\r[" << done << "/" << total << "] " << scheme << " / "
-              << workload << "          " << std::flush;
-    if (done >= total) std::cerr << '\n';
-  };
-}
-
-inline SweepOptions SweepOpts(const BenchOptions& opts) {
-  SweepOptions out;
-  out.lengths = opts.lengths;
-  out.threads = opts.threads;
-  out.progress = StderrProgress();
-  out.checkpoint_dir = opts.checkpoint_dir;
-  out.checkpoint_interval = opts.checkpoint_interval;
-  out.resume = opts.resume;
-  return out;
 }
 
 /// Writes a telemetry report as `<prefix>.csv` (long-form windows) and

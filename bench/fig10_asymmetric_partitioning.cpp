@@ -39,8 +39,7 @@ int main(int argc, char** argv) {
 
   const std::vector<SchemeSpec> schemes{{"Baseline (2:2)", base},
                                         {"VC Partitioned (1:3)", asym}};
-  const SweepResult result =
-      RunSweep(schemes, opts.workloads, SweepOpts(opts));
+  const SweepResult result = RunSweep(schemes, opts.workloads, opts.sweep);
 
   BenchReport report("fig10_asymmetric_partitioning", opts);
   report.Sweep("xyyx_partitioning", result, "Baseline (2:2)");
@@ -67,8 +66,7 @@ int main(int argc, char** argv) {
   d_asym.vc_policy = VcPolicyKind::kAsymmetric;
   const std::vector<SchemeSpec> d_schemes{{"Diamond (2:2)", d_base},
                                           {"Diamond (1:3)", d_asym}};
-  const SweepResult d_result =
-      RunSweep(d_schemes, opts.workloads, SweepOpts(opts));
+  const SweepResult d_result = RunSweep(d_schemes, opts.workloads, opts.sweep);
   report.Sweep("diamond_partitioning", d_result, "Diamond (2:2)");
   report.Metric("geomean_xyyx",
                 result.GeomeanSpeedup("VC Partitioned (1:3)",

@@ -64,7 +64,7 @@ int main(int argc, char** argv) {
                "(8x8, KMN workload) ---\n";
   GpuSystem gpu(WithGridOverrides(GpuConfig::Baseline(), opts),
                 FindWorkload("KMN"));
-  gpu.Run(opts.lengths.warmup, opts.lengths.measure);
+  gpu.Run(opts.sweep.lengths.warmup, opts.sweep.lengths.measure);
 
   const TilePlan plan8(8, 8, 8, McPlacement::kBottom);
   const auto coef = ComputeLinkCoefficients(plan8, RoutingAlgorithm::kXY,

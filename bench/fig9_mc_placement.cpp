@@ -66,8 +66,7 @@ int main(int argc, char** argv) {
                                 VcPolicyKind::kFullMonopolize)},
   };
 
-  const SweepResult result =
-      RunSweep(schemes, opts.workloads, SweepOpts(opts));
+  const SweepResult result = RunSweep(schemes, opts.workloads, opts.sweep);
 
   BenchReport report("fig9_mc_placement", opts);
   report.Sweep("mc_placement", result, "Bottom (XY)");

@@ -103,11 +103,11 @@ int Main(int argc, char** argv) {
   sopt.max_evaluations =
       static_cast<int>(opts.raw.GetInt("max_evaluations", 96));
   sopt.seed = static_cast<std::uint64_t>(opts.raw.GetInt("seed", 1));
-  sopt.lengths = opts.lengths;
-  sopt.threads = opts.threads;
-  sopt.progress = StderrProgress();
-  sopt.checkpoint_dir = opts.checkpoint_dir;
-  sopt.resume = opts.resume;
+  sopt.lengths = opts.sweep.lengths;
+  sopt.threads = opts.sweep.threads;
+  sopt.progress = opts.sweep.progress;
+  sopt.checkpoint_dir = opts.sweep.checkpoint_dir;
+  sopt.resume = opts.sweep.resume;
 
   const std::uint64_t num_points = space.NumPoints();
   std::cerr << "pareto_search: " << SearchStrategyName(sopt.strategy)

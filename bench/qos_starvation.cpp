@@ -213,7 +213,7 @@ int main(int argc, char** argv) {
   sc.net.vc_policy = VcPolicyKind::kFullMonopolize;
   sc.net.telemetry = true;
   sc.net.telemetry_interval = 100;
-  sc.lengths = opts.lengths;
+  sc.lengths = opts.sweep.lengths;
 
   sc.critical.pattern = TrafficPattern::kUniformRandom;
   sc.critical.injection_rate = opts.raw.GetDouble("crit_rate", 0.05);

@@ -49,8 +49,7 @@ int main(int argc, char** argv) {
   const std::vector<SchemeSpec> schemes{{"Static 2:2", base},
                                         {"Static 1:3 (paper)", asym},
                                         {"Dynamic (Lee et al.)", dynamic}};
-  const SweepResult result =
-      RunSweep(schemes, opts.workloads, SweepOpts(opts));
+  const SweepResult result = RunSweep(schemes, opts.workloads, opts.sweep);
 
   PrintSpeedupFigure(result, "Static 2:2",
                      {"Static 1:3 (paper)", "Dynamic (Lee et al.)"}, opts.csv);

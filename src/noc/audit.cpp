@@ -1,5 +1,6 @@
 #include "noc/audit.hpp"
 
+#include <algorithm>
 #include <sstream>
 #include <utility>
 
@@ -75,16 +76,18 @@ void AuditReport::WriteJson(JsonWriter& w) const {
   w.EndObject();
 }
 
-Auditor::Auditor(Cycle interval, const PacketTable& packets)
-    : interval_(interval < 1 ? 1 : interval), packets_(packets) {
+Auditor::Auditor(const NetworkConfig& config, const PacketTable& packets)
+    : config_(config),
+      interval_(std::max<Cycle>(config.audit_interval, 1)),
+      packets_(packets) {
   report_.enabled = true;
   next_check_ = interval_;
 }
 
 int Auditor::RegisterLink(Link link) {
   LinkState state;
-  state.sent.resize(static_cast<std::size_t>(link.num_vcs));
-  state.received.resize(static_cast<std::size_t>(link.num_vcs));
+  state.sent.resize(static_cast<std::size_t>(config_.num_vcs));
+  state.received.resize(static_cast<std::size_t>(config_.num_vcs));
   state.link = std::move(link);
   links_.push_back(std::move(state));
   return static_cast<int>(links_.size()) - 1;
@@ -140,7 +143,7 @@ void Auditor::CheckStream(Stream& stream, const LinkState& ls,
 void Auditor::OnFlitSent(int link, const Flit& flit, Cycle now) {
   ++report_.events;
   LinkState& ls = links_[static_cast<std::size_t>(link)];
-  if (flit.vc < 0 || flit.vc >= ls.link.num_vcs) {
+  if (flit.vc < 0 || flit.vc >= config_.num_vcs) {
     Violate(AuditInvariant::kWormhole, now,
             ls.link.name + ": sent flit with out-of-range vc " +
                 std::to_string(flit.vc));
@@ -154,7 +157,7 @@ void Auditor::OnFlitSent(int link, const Flit& flit, Cycle now) {
 void Auditor::OnFlitReceived(int link, const Flit& flit, Cycle now) {
   ++report_.events;
   LinkState& ls = links_[static_cast<std::size_t>(link)];
-  if (flit.vc < 0 || flit.vc >= ls.link.num_vcs) {
+  if (flit.vc < 0 || flit.vc >= config_.num_vcs) {
     Violate(AuditInvariant::kWormhole, now,
             ls.link.name + ": received flit with out-of-range vc " +
                 std::to_string(flit.vc));
@@ -188,14 +191,14 @@ void Auditor::RunSnapshot(Cycle now) {
   std::vector<int> in_credit;
   std::vector<std::vector<const Flit*>> channel_flits;
   for (const LinkState& ls : links_) {
-    const auto nvcs = static_cast<std::size_t>(ls.link.num_vcs);
+    const auto nvcs = static_cast<std::size_t>(config_.num_vcs);
     in_channel.assign(nvcs, 0);
     in_credit.assign(nvcs, 0);
     channel_flits.resize(nvcs);
     for (auto& v : channel_flits) v.clear();
 
     ls.link.flits->ForEach([&](const Flit& f) {
-      if (f.vc < 0 || f.vc >= ls.link.num_vcs) {
+      if (f.vc < 0 || f.vc >= config_.num_vcs) {
         Violate(AuditInvariant::kWormhole, now,
                 ls.link.name + ": in-flight flit with out-of-range vc " +
                     std::to_string(f.vc));
@@ -206,23 +209,23 @@ void Auditor::RunSnapshot(Cycle now) {
       channel_flits[static_cast<std::size_t>(f.vc)].push_back(&f);
     });
     ls.link.credits->ForEach([&](const Credit& c) {
-      if (c.vc >= 0 && c.vc < ls.link.num_vcs) {
+      if (c.vc >= 0 && c.vc < config_.num_vcs) {
         ++in_credit[static_cast<std::size_t>(c.vc)];
       }
     });
 
-    for (VcId vc = 0; vc < ls.link.num_vcs; ++vc) {
+    for (VcId vc = 0; vc < config_.num_vcs; ++vc) {
       const auto v = static_cast<std::size_t>(vc);
       const int occupancy = ReceiverOccupancy(ls, vc);
       const int credits = SenderCredits(ls, vc);
       const int total =
           credits + in_channel[v] + occupancy + in_credit[v];
-      if (total != ls.link.vc_depth) {
+      if (total != config_.vc_depth) {
         std::ostringstream oss;
         oss << ls.link.name << " vc " << vc << ": credits " << credits
             << " + in-flight " << in_channel[v] << " + buffered " << occupancy
             << " + returning " << in_credit[v] << " = " << total << " != depth "
-            << ls.link.vc_depth;
+            << config_.vc_depth;
         Violate(AuditInvariant::kCreditConservation, now, oss.str());
       }
       in_network += static_cast<std::uint64_t>(in_channel[v] + occupancy);
@@ -269,13 +272,13 @@ void Auditor::CheckQuiescence(Cycle now) {
               ls.link.name + ": " + std::to_string(ls.link.flits->size()) +
                   " flit(s) stranded in flight");
     }
-    std::vector<int> in_credit(static_cast<std::size_t>(ls.link.num_vcs), 0);
+    std::vector<int> in_credit(static_cast<std::size_t>(config_.num_vcs), 0);
     ls.link.credits->ForEach([&](const Credit& c) {
-      if (c.vc >= 0 && c.vc < ls.link.num_vcs) {
+      if (c.vc >= 0 && c.vc < config_.num_vcs) {
         ++in_credit[static_cast<std::size_t>(c.vc)];
       }
     });
-    for (VcId vc = 0; vc < ls.link.num_vcs; ++vc) {
+    for (VcId vc = 0; vc < config_.num_vcs; ++vc) {
       const auto v = static_cast<std::size_t>(vc);
       if (ReceiverOccupancy(ls, vc) != 0) {
         Violate(AuditInvariant::kQuiescence, now,
@@ -283,11 +286,11 @@ void Auditor::CheckQuiescence(Cycle now) {
                     ": flits stranded in the input buffer");
       }
       const int home = SenderCredits(ls, vc) + in_credit[v];
-      if (home != ls.link.vc_depth) {
+      if (home != config_.vc_depth) {
         Violate(AuditInvariant::kQuiescence, now,
                 ls.link.name + " vc " + std::to_string(vc) + ": only " +
                     std::to_string(home) + "/" +
-                    std::to_string(ls.link.vc_depth) + " credits returned");
+                    std::to_string(config_.vc_depth) + " credits returned");
       }
       if (ls.sent[v].open || ls.received[v].open) {
         Violate(AuditInvariant::kQuiescence, now,

@@ -42,6 +42,7 @@
 #include "common/types.hpp"
 #include "noc/channel.hpp"
 #include "noc/flit.hpp"
+#include "noc/network_config.hpp"
 #include "noc/packet.hpp"
 
 namespace gnoc {
@@ -146,8 +147,6 @@ class Auditor {
   /// link terminates at a router input port.
   struct Link {
     std::string name;            ///< e.g. "r5.east" or "nic3.inject"
-    int num_vcs = 0;
-    int vc_depth = 0;
     bool injection = false;      ///< NIC -> router local port
     const FlitChannel* flits = nullptr;
     const CreditChannel* credits = nullptr;
@@ -158,9 +157,10 @@ class Auditor {
     Port dst_port = Port::kLocal;  ///< receiver's input port
   };
 
-  /// Audits the network whose packet records `packets` holds (it reads
-  /// the flits' packet ids there).
-  Auditor(Cycle interval, const PacketTable& packets);
+  /// Audits the network built from `config`, whose packet records
+  /// `packets` holds (it reads the flits' packet ids there), sweeping
+  /// every `config.audit_interval` cycles.
+  Auditor(const NetworkConfig& config, const PacketTable& packets);
 
   /// Registers a link at wiring time; returns its id for the event hooks.
   int RegisterLink(Link link);
@@ -251,6 +251,7 @@ class Auditor {
   /// The packet id of `flit`, read from its record.
   PacketId PacketOf(const Flit& flit) const { return packets_[flit.slot].id; }
 
+  NetworkConfig config_;  ///< every link has its num_vcs and vc_depth
   Cycle interval_;
   const PacketTable& packets_;
   Cycle next_check_ = 0;

@@ -7,7 +7,7 @@
 
 namespace gnoc {
 
-IdealFabric::IdealFabric(const IdealFabricConfig& config)
+IdealFabric::IdealFabric(const NetworkConfig& config)
     : config_(config),
       sinks_(static_cast<std::size_t>(config.width * config.height), nullptr) {
   assert(config.width >= 1 && config.height >= 1);
@@ -16,9 +16,8 @@ IdealFabric::IdealFabric(const IdealFabricConfig& config)
 Cycle IdealFabric::DeliveryLatency(NodeId src, NodeId dst) const {
   const Coord a{src % config_.width, src / config_.width};
   const Coord b{dst % config_.width, dst / config_.width};
-  return config_.base_latency +
-         config_.cycles_per_hop *
-             static_cast<Cycle>(ManhattanDistance(a, b));
+  return kBaseLatency +
+         kCyclesPerHop * static_cast<Cycle>(ManhattanDistance(a, b));
 }
 
 bool IdealFabric::Inject(Packet packet) {

@@ -15,21 +15,19 @@
 
 namespace gnoc {
 
-struct IdealFabricConfig {
-  int width = 8;
-  int height = 8;
-  /// Cycles per hop (router pipeline + link) of the modelled ideal network.
-  Cycle cycles_per_hop = 2;
-  /// Fixed overhead (injection + ejection + serialization headroom).
-  Cycle base_latency = 4;
-};
-
 /// A Fabric with infinite bandwidth and zero contention. Deterministic:
 /// delivery time depends only on distance. Sinks that refuse delivery are
 /// retried each cycle (packets queue per destination in arrival order).
 class IdealFabric final : public Fabric {
  public:
-  explicit IdealFabric(const IdealFabricConfig& config);
+  /// Cycles per hop (router pipeline + link) of the modelled ideal network.
+  static constexpr Cycle kCyclesPerHop = 2;
+  /// Fixed overhead (injection + ejection + serialization headroom).
+  static constexpr Cycle kBaseLatency = 4;
+
+  /// The ideal network over `config`'s width x height tile grid; the rest
+  /// of the config describes links and buffers it does not have.
+  explicit IdealFabric(const NetworkConfig& config);
 
   /// Appends every accepted injection to `trace` (not owned; nullptr, the
   /// default, records nothing).
@@ -102,7 +100,7 @@ class IdealFabric final : public Fabric {
     Io(ar, self.packets_by_type_);
   }
 
-  IdealFabricConfig config_;
+  NetworkConfig config_;
   Cycle now_ = 0;
   std::uint64_t next_seq_ = 1;
   std::priority_queue<Arrival, std::vector<Arrival>, std::greater<Arrival>>

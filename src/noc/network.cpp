@@ -49,8 +49,7 @@ void ValidateDatelineVcs(const NetworkConfig& config) {
         "class to a single VC and is not supported");
   }
   const VcPolicy policy(config.vc_policy, config.num_vcs,
-                        {config.qos.classes[0].reserved_vcs,
-                         config.qos.classes[1].reserved_vcs});
+                        config.qos.ReservedVcs());
   for (int c = 0; c < kNumClasses; ++c) {
     for (const LinkMode mode : {LinkMode::kMixed, LinkMode::kSingleClass}) {
       const VcRange range = policy.AllowedVcs(static_cast<TrafficClass>(c),
@@ -102,52 +101,24 @@ Network::Network(const NetworkConfig& config)
   CheckRequestMaskWidth(topo_, config_.num_vcs);
   if (topo_.has_datelines()) ValidateDatelineVcs(config_);
   if (config_.audit) {
-    auditor_ = std::make_unique<Auditor>(config_.audit_interval, packets_);
-  }
-
-  RouterConfig rc;
-  rc.num_vcs = config.num_vcs;
-  rc.vc_depth = config.vc_depth;
-  rc.routing = config.routing;
-  rc.vc_policy = config.vc_policy;
-  rc.atomic_vc_realloc = config.atomic_vc_realloc;
-  rc.dynamic_epoch = config.dynamic_epoch;
-  rc.arbiter = config.arbiter;
-  rc.qos_arbitration = config.qos.arbitration;
-  // The topology graph gives every router its port count and its
-  // (destination, class) -> output-port LUT, so the routing function is
-  // never evaluated per head flit.
-  rc.topology = &topo_;
-
-  NicConfig nc;
-  nc.num_vcs = config.num_vcs;
-  nc.vc_depth = config.vc_depth;
-  nc.vc_policy = config.vc_policy;
-  nc.inject_queue_capacity = config.inject_queue_capacity;
-  nc.eject_capacity = config.eject_capacity;
-  nc.atomic_vc_realloc = config.atomic_vc_realloc;
-  nc.dynamic_epoch = config.dynamic_epoch;
-  for (int c = 0; c < kNumClasses; ++c) {
-    const TrafficClassSpec& spec = config.qos.classes[static_cast<std::size_t>(c)];
-    rc.qos_priority[static_cast<std::size_t>(c)] = spec.priority;
-    rc.qos_reserved[static_cast<std::size_t>(c)] = spec.reserved_vcs;
-    nc.qos_rate[static_cast<std::size_t>(c)] = spec.rate;
-    nc.qos_burst[static_cast<std::size_t>(c)] = spec.burst;
-    nc.qos_reserved[static_cast<std::size_t>(c)] = spec.reserved_vcs;
+    auditor_ = std::make_unique<Auditor>(config_, packets_);
   }
 
   const int n = num_nodes();
   const int num_routers = topo_.num_routers();
   routers_.reserve(static_cast<std::size_t>(num_routers));
   for (int r = 0; r < num_routers; ++r) {
+    // The topology gives every router its port count and its
+    // (destination, class) -> output-port LUT, so the routing function is
+    // never evaluated per head flit.
     routers_.push_back(
-        std::make_unique<Router>(r, topo_.RouterCoord(r), rc));
+        std::make_unique<Router>(r, topo_.RouterCoord(r), config_, topo_));
     routers_.back()->SetPacketTable(&packets_);
     if (auditor_ != nullptr) routers_.back()->SetAuditor(auditor_.get());
   }
   nics_.reserve(static_cast<std::size_t>(n));
   for (NodeId tile = 0; tile < n; ++tile) {
-    nics_.push_back(std::make_unique<Nic>(tile, CoordOf(tile), nc));
+    nics_.push_back(std::make_unique<Nic>(tile, CoordOf(tile), config_));
     nics_.back()->SetPacketTable(&packets_);
     routers_[static_cast<std::size_t>(topo_.RouterOf(tile))]->SetNic(
         topo_.LocalPortOf(tile), nics_.back().get());
@@ -184,8 +155,6 @@ Network::Network(const NetworkConfig& config)
         al.name = 'r' + std::to_string(r);
         al.name += '.';
         al.name += topo_.PortLabel(p);
-        al.num_vcs = config_.num_vcs;
-        al.vc_depth = config_.vc_depth;
         al.flits = &flit_links_.back()->channel;
         al.credits = &credit_link->channel;
         al.src_router = &src;
@@ -221,8 +190,6 @@ Network::Network(const NetworkConfig& config)
       if (auditor_ != nullptr) {
         Auditor::Link al;
         al.name = "nic" + std::to_string(tile) + ".inject";
-        al.num_vcs = config_.num_vcs;
-        al.vc_depth = config_.vc_depth;
         al.injection = true;
         al.flits = &flit_links_.back()->channel;
         al.credits = &inj_credit->channel;
@@ -240,14 +207,8 @@ Network::Network(const NetworkConfig& config)
   // Telemetry registers last: it inspects the wired topology (which output
   // ports have channels) to lay out its per-link tracks.
   if (config_.telemetry) {
-    telemetry_ = std::make_unique<Telemetry>(
-        config_.telemetry_interval, config_.telemetry_max_windows,
-        kLatencyBucketWidth, kLatencyBuckets,
-        std::array<std::string, kNumClasses>{config_.qos.classes[0].name,
-                                             config_.qos.classes[1].name},
-        std::array<double, kNumClasses>{config_.qos.classes[0].p99_target,
-                                        config_.qos.classes[1].p99_target});
-    for (auto& r : routers_) telemetry_->RegisterRouter(r.get());
+    telemetry_ = std::make_unique<Telemetry>(config_);
+    for (auto& r : routers_) telemetry_->RegisterRouter(r.get(), topo_);
     for (auto& nc : nics_) {
       telemetry_->RegisterNic(nc.get());
       nc->SetTelemetry(telemetry_.get());
@@ -481,14 +442,8 @@ QosReport Network::QosResults() const {
   const NetworkSummary summary = Summarize();
   for (int c = 0; c < kNumClasses; ++c) {
     const auto ci = static_cast<std::size_t>(c);
-    const TrafficClassSpec& spec = config_.qos.classes[ci];
     QosClassReport& cls = report.classes[ci];
-    cls.name = spec.name;
-    cls.priority = spec.priority;
-    cls.rate = spec.rate;
-    cls.burst = spec.burst;
-    cls.reserved_vcs = spec.reserved_vcs;
-    cls.p99_target = spec.p99_target;
+    static_cast<TrafficClassSpec&>(cls) = config_.qos.classes[ci];
     cls.throttle_cycles = summary.qos_throttle_cycles[ci];
     cls.packets_delivered = summary.packets_ejected[ci];
     cls.p99_latency = summary.latency_histogram[ci].Percentile(99.0);

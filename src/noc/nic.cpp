@@ -13,11 +13,11 @@
 
 namespace gnoc {
 
-Nic::Nic(NodeId node, Coord coord, const NicConfig& config)
+Nic::Nic(NodeId node, Coord coord, const NetworkConfig& config)
     : node_(node),
       coord_(coord),
       config_(config),
-      policy_(config.vc_policy, config.num_vcs, config.qos_reserved),
+      policy_(config.vc_policy, config.num_vcs, config.qos.ReservedVcs()),
       sends_(static_cast<std::size_t>(config.num_vcs)),
       credits_(static_cast<std::size_t>(config.num_vcs), config.vc_depth) {
   // Same seeding rule as Router (both ends of a link must agree).
@@ -27,13 +27,12 @@ Nic::Nic(NodeId node, Coord coord, const NicConfig& config)
   assert(config.vc_depth >= 1);
   assert(config.inject_queue_capacity >= 1);
   assert(config.eject_capacity >= 1);
-  for (int ci = 0; ci < kNumClasses; ++ci) {
-    if (config_.qos_rate[static_cast<std::size_t>(ci)] > 0.0) {
+  for (std::size_t c = 0; c < qos_tokens_.size(); ++c) {
+    const TrafficClassSpec& spec = config_.qos.classes[c];
+    if (spec.rate > 0.0) {
       // Start with the full burst allowance (at least one flit, or a
       // 1-flit packet could never be admitted).
-      qos_tokens_[static_cast<std::size_t>(ci)] =
-          std::max(1, config_.qos_burst[static_cast<std::size_t>(ci)]) *
-          kTokenScale;
+      qos_tokens_[c] = std::max(1, spec.burst) * kTokenScale;
     }
   }
   SetLinkMode(LinkMode::kMixed);
@@ -82,9 +81,9 @@ void Nic::AcceptEjectedFlit(const Flit& flit, Cycle now) {
 }
 
 bool Nic::EnableSleep(const Cycle* clock) {
-  if (config_.vc_policy == VcPolicyKind::kDynamic) return false;
-  for (const double rate : config_.qos_rate) {
-    if (rate > 0.0) return false;
+  if (config_.vc_policy == VcPolicyKind::kDynamic ||
+      config_.qos.RegulatesInjection()) {
+    return false;
   }
   sleep_.Attach(clock);
   return true;
@@ -173,17 +172,16 @@ void Nic::UpdateDynamicBoundary() {
 
 bool Nic::QosAdmit(int ci, Cycle now) {
   const auto c = static_cast<std::size_t>(ci);
-  const double rate = config_.qos_rate[c];
-  if (rate <= 0.0) return true;
+  const TrafficClassSpec& spec = config_.qos.classes[c];
+  if (spec.rate <= 0.0) return true;
   // Lazy catch-up refill. The per-cycle increment is a fixed-point
   // integer, so `cycles * increment` is exactly the sum of the per-cycle
   // refills, and min-capping commutes with batching (it is monotone):
   // refilling once after N idle cycles lands on the same token count as
   // refilling every cycle.
   const auto increment =
-      static_cast<std::int64_t>(std::llround(rate * kTokenScale));
-  const std::int64_t capacity =
-      std::max(1, config_.qos_burst[c]) * kTokenScale;
+      static_cast<std::int64_t>(std::llround(spec.rate * kTokenScale));
+  const std::int64_t capacity = std::max(1, spec.burst) * kTokenScale;
   if (now > qos_refilled_[c] && increment > 0) {
     auto elapsed = static_cast<std::int64_t>(now - qos_refilled_[c]);
     // Cap the multiplication at "certainly full" so a long idle span can
@@ -226,7 +224,7 @@ bool Nic::QosAdmit(int ci, Cycle now) {
     if (free_vc == kInvalidVc) continue;
     auto [packet, dst_coord] = queue.front();
     queue.pop_front();
-    if (config_.qos_rate[static_cast<std::size_t>(ci)] > 0.0) {
+    if (config_.qos.classes[static_cast<std::size_t>(ci)].rate > 0.0) {
       // Charge the whole packet on admission; debt keeps later packets out.
       qos_tokens_[static_cast<std::size_t>(ci)] -=
           static_cast<std::int64_t>(packet.num_flits) * kTokenScale;

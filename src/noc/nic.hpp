@@ -21,6 +21,7 @@
 #include "common/stats.hpp"
 #include "common/types.hpp"
 #include "noc/channel.hpp"
+#include "noc/network_config.hpp"
 #include "noc/packet.hpp"
 #include "noc/soa_core.hpp"
 #include "noc/vc_policy.hpp"
@@ -38,25 +39,6 @@ class PacketSink {
   /// Offers a fully reassembled packet. Return false to stall delivery; the
   /// NIC will retry next cycle and backpressure builds up behind it.
   virtual bool Accept(const Packet& packet, Cycle now) = 0;
-};
-
-/// Per-NIC configuration.
-struct NicConfig {
-  int num_vcs = 2;
-  int vc_depth = 4;
-  VcPolicyKind vc_policy = VcPolicyKind::kSplit;
-  int inject_queue_capacity = 64;  ///< packets per class
-  int eject_capacity = 32;         ///< flits per class
-  /// Atomic VC reallocation on the injection link (see RouterConfig).
-  bool atomic_vc_realloc = true;
-  /// Epoch length of dynamic partitioning (vc_policy == kDynamic only).
-  Cycle dynamic_epoch = 512;
-  /// QoS token-bucket regulation per class (DESIGN.md §15): sustained rate
-  /// in flits/cycle (0 = unregulated) and burst allowance in flits.
-  std::array<double, kNumClasses> qos_rate{};
-  std::array<int, kNumClasses> qos_burst{};
-  /// QoS VC reservation per class, forwarded to the VcPolicy.
-  std::array<int, kNumClasses> qos_reserved{};
 };
 
 /// Geometry of the per-NIC latency histograms: 64 buckets of 32 cycles
@@ -100,7 +82,7 @@ struct NicStats {
 /// The NIC of one tile.
 class Nic {
  public:
-  Nic(NodeId node, Coord coord, const NicConfig& config);
+  Nic(NodeId node, Coord coord, const NetworkConfig& config);
 
   NodeId node() const { return node_; }
   Coord coord() const { return coord_; }
@@ -358,7 +340,7 @@ class Nic {
 
   NodeId node_;
   Coord coord_;
-  NicConfig config_;
+  NetworkConfig config_;
   VcPolicy policy_;
   /// VcPolicy::AllowedVcs per class under the injection link's mode (the
   /// static policies' InjectionRange), refreshed by SetLinkMode.

@@ -73,6 +73,11 @@ struct QosConfig {
   /// True when any class reserves VCs.
   bool ReservesVcs() const;
 
+  /// Each class's reserved_vcs, as VcPolicy takes them.
+  std::array<int, kNumClasses> ReservedVcs() const {
+    return {classes[0].reserved_vcs, classes[1].reserved_vcs};
+  }
+
   /// Display name of a class: the spec name, never empty.
   const std::string& ClassLabel(TrafficClass cls) const {
     return classes[ClassIndex(cls)].name;
@@ -99,15 +104,9 @@ void ApplyQosOverrides(QosConfig& qos, const Config& overrides);
 /// they key the output JSON).
 std::uint64_t HashQosConfig(std::uint64_t h, const QosConfig& qos);
 
-/// Per-class outcome of a run under the configured contract.
-struct QosClassReport {
-  std::string name;
-  int priority = 0;
-  double rate = 0.0;
-  int burst = 0;
-  int reserved_vcs = 0;
-  double p99_target = 0.0;
-
+/// Per-class outcome of a run: the class's configured contract, then what
+/// it got under it.
+struct QosClassReport : TrafficClassSpec {
   std::uint64_t throttle_cycles = 0;  ///< cycles injection sat token-blocked
   std::uint64_t packets_delivered = 0;
   double p99_latency = 0.0;  ///< whole-run p99 packet latency (0 = no packets)
@@ -118,6 +117,7 @@ struct QosClassReport {
   std::uint64_t slo_violation_windows = 0;  ///< windows whose p99 missed
   Cycle slo_time_in_violation = 0;  ///< cycles covered by violating windows
 
+  /// The v5 walk: the spec fields in declaration order, then the counters.
   template <class Self, class Ar>
   static void Fields(Self& self, Ar& ar) {
     Io(ar, self.name);

@@ -23,22 +23,20 @@ VcRange DatelineHalf(VcRange range, std::int8_t half) {
   return half == 0 ? VcRange{range.begin, mid} : VcRange{mid, range.end};
 }
 
-/// One QoS-aware arbiter invocation, used by the VA, SA1 and SA2 stages.
-/// Request i's class is the c whose `classes[c] >> shift` has bit i set
-/// (only the bits of `requests` are read; each lies in exactly one class).
-/// Under kNone this is exactly `arb.Arbitrate(requests)`. Otherwise the
-/// arbiter sees the OR of the allowed classes' requests. kStrict allows
-/// the highest-priority requesting class; ties fall through to plain
-/// arbitration. kWrr spends per-class credits (`wrr_credit`, persistent per
-/// arbiter site): when no requesting class holds credit the credits
-/// recharge to the class weights, the funded classes are allowed, and the
-/// winner's class pays one credit.
-int QosArbitrate(Arbiter& arb, RequestMask requests, QosArbitration mode,
-                 const std::array<int, kNumClasses>& priority,
-                 std::array<int, kNumClasses>& wrr_credit,
-                 const std::array<RequestMask, kNumClasses>& classes,
-                 int shift) {
-  if (mode == QosArbitration::kNone) return arb.Arbitrate(requests);
+/// QosArbitrate under kStrict or kWrr. Request i's class is the c whose
+/// `classes[c] >> shift` has bit i set (only the bits of `requests` are
+/// read; each lies in exactly one class). The arbiter sees the OR of the
+/// allowed classes' requests. kStrict allows the highest-priority
+/// requesting class; ties fall through to plain arbitration. kWrr spends
+/// per-class credits (`wrr_credit`, persistent per arbiter site): when no
+/// requesting class holds credit the credits recharge to the class
+/// weights, the funded classes are allowed, and the winner's class pays
+/// one credit.
+int ArbitrateByClass(Arbiter& arb, RequestMask requests, const QosConfig& qos,
+                     std::array<int, kNumClasses>& wrr_credit,
+                     const std::array<RequestMask, kNumClasses>& classes,
+                     int shift) {
+  const QosArbitration mode = qos.arbitration;
   if (requests == 0) return -1;
   constexpr auto kClasses = static_cast<std::size_t>(kNumClasses);
   std::array<RequestMask, kClasses> by_class;
@@ -50,13 +48,13 @@ int QosArbitrate(Arbiter& arb, RequestMask requests, QosArbitration mode,
     int best = 0;
     bool seeded = false;
     for (std::size_t c = 0; c < kClasses; ++c) {
-      if (by_class[c] != 0 && (!seeded || priority[c] > best)) {
-        best = priority[c];
+      if (by_class[c] != 0 && (!seeded || qos.classes[c].priority > best)) {
+        best = qos.classes[c].priority;
         seeded = true;
       }
     }
     for (std::size_t c = 0; c < kClasses; ++c) {
-      if (priority[c] == best) allowed |= by_class[c];
+      if (qos.classes[c].priority == best) allowed |= by_class[c];
     }
   } else {  // kWrr
     bool funded = false;
@@ -65,7 +63,7 @@ int QosArbitrate(Arbiter& arb, RequestMask requests, QosArbitration mode,
     }
     if (!funded) {
       for (std::size_t c = 0; c < kClasses; ++c) {
-        wrr_credit[c] = std::max(1, priority[c]);
+        wrr_credit[c] = std::max(1, qos.classes[c].priority);
       }
     }
     for (std::size_t c = 0; c < kClasses; ++c) {
@@ -81,10 +79,16 @@ int QosArbitrate(Arbiter& arb, RequestMask requests, QosArbitration mode,
   return winner;
 }
 
-/// The topology a router is built on; a router routes by its LUT only.
-const Topology& TopologyOf(const RouterConfig& config) {
-  assert(config.topology != nullptr && "a router needs its topology");
-  return *config.topology;
+/// One arbiter invocation of the VA, SA1 or SA2 stage under `qos`. Under
+/// kNone it is exactly `arb.Arbitrate(requests)`, inline in the stage (the
+/// per-visit cost of a network without QoS); otherwise ArbitrateByClass.
+inline int QosArbitrate(Arbiter& arb, RequestMask requests,
+                        const QosConfig& qos,
+                        std::array<int, kNumClasses>& wrr_credit,
+                        const std::array<RequestMask, kNumClasses>& classes,
+                        int shift) {
+  if (qos.arbitration == QosArbitration::kNone) return arb.Arbitrate(requests);
+  return ArbitrateByClass(arb, requests, qos, wrr_credit, classes, shift);
 }
 
 }  // namespace
@@ -101,17 +105,17 @@ void CheckRequestMaskWidth(const Topology& topo, int num_vcs) {
       " fit one request mask (lower num_vcs)");
 }
 
-Router::Router(NodeId node, Coord coord, const RouterConfig& config)
+Router::Router(NodeId node, Coord coord, const NetworkConfig& config,
+               const Topology& topology)
     : node_(node),
       coord_(coord),
       config_(config),
-      policy_(config.vc_policy, config.num_vcs, config.qos_reserved),
-      num_ports_(TopologyOf(config).radix()),
-      num_local_ports_(config.topology->num_local_ports()),
+      policy_(config.vc_policy, config.num_vcs, config.qos.ReservedVcs()),
+      num_ports_(topology.radix()),
+      num_local_ports_(topology.num_local_ports()),
       slab_(num_ports_ * config.num_vcs, config.vc_depth) {
   assert(config.num_vcs >= 1);
   assert(config.vc_depth >= 1);
-  const Topology& topo = *config_.topology;
   const auto total_vcs = static_cast<std::size_t>(NumInputVcs());
   out_vc_.fill(kInvalidVc);
   vc_half_.fill(-1);
@@ -132,12 +136,12 @@ Router::Router(NodeId node, Coord coord, const RouterConfig& config)
                                    0);
   audit_out_.assign(static_cast<std::size_t>(num_ports_), -1);
   audit_in_.assign(static_cast<std::size_t>(num_ports_), -1);
-  const int tiles = topo.num_tiles();
+  const int tiles = topology.num_tiles();
   route_lut_.reserve(static_cast<std::size_t>(tiles * kNumClasses));
   route_half_.reserve(static_cast<std::size_t>(tiles * kNumClasses));
   for (NodeId dst = 0; dst < tiles; ++dst) {
     for (int c = 0; c < kNumClasses; ++c) {
-      const RouteStep step = topo.Route(
+      const RouteStep step = topology.Route(
           config_.routing, static_cast<TrafficClass>(c), node_, dst);
       route_lut_.push_back(static_cast<Port>(step.port));
       route_half_.push_back(step.vc_half);
@@ -217,7 +221,7 @@ void Router::AcceptCredit(Port out_port, VcId vc) {
 bool Router::EnableSleep(const Cycle* clock) {
   if (config_.vc_policy == VcPolicyKind::kDynamic ||
       config_.arbiter != ArbiterKind::kRoundRobin ||
-      config_.qos_arbitration != QosArbitration::kNone) {
+      config_.qos.arbitration != QosArbitration::kNone) {
     return false;
   }
   sleep_.Attach(clock);
@@ -302,8 +306,7 @@ RequestMask Router::Tick(Cycle now) {
     const RequestMask requests = (rest >> shift) & port_vcs;
     rest &= ~(port_vcs << shift);
     const int v = QosArbitrate(sa_input_arb_[static_cast<std::size_t>(p)],
-                               requests, config_.qos_arbitration,
-                               config_.qos_priority,
+                               requests, config_.qos,
                                qos_sa1_credit_[static_cast<std::size_t>(p)],
                                derived_.class_mask, shift);
     nominee[static_cast<std::size_t>(p)] = v;
@@ -460,10 +463,8 @@ VcId Router::DynamicBoundary(Port out_port) const {
   const int base = out_port * config_.num_vcs;
   const std::size_t pointer = va_arb_[op].pointer();
   while (requests != 0) {
-    const int winner = QosArbitrate(va_arb_[op], requests,
-                                    config_.qos_arbitration,
-                                    config_.qos_priority, qos_va_credit_[op],
-                                    derived_.class_mask, 0);
+    const int winner = QosArbitrate(va_arb_[op], requests, config_.qos,
+                                    qos_va_credit_[op], derived_.class_mask, 0);
     if (winner < 0) break;
     requests &= ~RequestBit(winner);
     const auto w = static_cast<std::size_t>(winner);
@@ -510,8 +511,7 @@ VcId Router::DynamicBoundary(Port out_port) const {
     const int op = std::countr_zero(rest);
     const auto o = static_cast<std::size_t>(op);
     const int winner =
-        QosArbitrate(sa_output_arb_[o], sa2_requests[o],
-                     config_.qos_arbitration, config_.qos_priority,
+        QosArbitrate(sa_output_arb_[o], sa2_requests[o], config_.qos,
                      qos_sa2_credit_[o], nominee_class, 0);
     grant[o] = winner;
     granted |= static_cast<RequestMask>(winner >= 0) << op;

@@ -42,6 +42,7 @@
 #include "noc/arbiter.hpp"
 #include "noc/buffer.hpp"
 #include "noc/channel.hpp"
+#include "noc/network_config.hpp"
 #include "noc/nic.hpp"
 #include "noc/packet.hpp"
 #include "noc/qos.hpp"
@@ -53,36 +54,6 @@
 namespace gnoc {
 
 class Auditor;
-
-/// Static configuration shared by every router in a network.
-struct RouterConfig {
-  int num_vcs = 2;
-  int vc_depth = 4;
-  RoutingAlgorithm routing = RoutingAlgorithm::kXY;
-  VcPolicyKind vc_policy = VcPolicyKind::kSplit;
-  /// Atomic (conservative) VC reallocation: an output VC becomes free for
-  /// the next packet only after its downstream buffer has fully drained
-  /// (all credits returned), not merely after the tail left. This matches
-  /// low-cost router designs and makes per-VC buffering the throughput
-  /// limiter on saturated links — the effect VC monopolizing exploits.
-  bool atomic_vc_realloc = true;
-  /// Epoch length (cycles) of the dynamic-partitioning feedback loop
-  /// (only used when vc_policy == kDynamic).
-  Cycle dynamic_epoch = 512;
-  /// Arbiter microarchitecture used by the VA and SA stages.
-  ArbiterKind arbiter = ArbiterKind::kRoundRobin;
-  /// QoS class precedence in the VA/SA stages (DESIGN.md §15). kNone keeps
-  /// the allocators bit-identical to the pre-QoS router.
-  QosArbitration qos_arbitration = QosArbitration::kNone;
-  /// Per-class priority (strict: higher wins; WRR: weight = max(1, prio)).
-  std::array<int, kNumClasses> qos_priority{};
-  /// QoS VC reservation per class, forwarded to the VcPolicy.
-  std::array<int, kNumClasses> qos_reserved{};
-  /// The topology graph (required): drives the port count, the local-port
-  /// count and the per-(destination, class) route LUT (the router's node
-  /// id is its index in the topology).
-  const Topology* topology = nullptr;
-};
 
 /// Per-router counters, exposed for link-utilization analysis (Fig. 4/6).
 struct RouterStats {
@@ -113,11 +84,15 @@ void CheckRequestMaskWidth(const Topology& topo, int num_vcs);
 /// One router. Wiring (channels, NICs) is injected by the Network.
 class Router {
  public:
-  Router(NodeId node, Coord coord, const RouterConfig& config);
+  /// Router `node` of `topology` (its index there), which gives it its
+  /// port count, its local-port count and its per-(destination, class)
+  /// route LUT; the topology is read here only.
+  Router(NodeId node, Coord coord, const NetworkConfig& config,
+         const Topology& topology);
 
   NodeId node() const { return node_; }
   Coord coord() const { return coord_; }
-  const RouterConfig& config() const { return config_; }
+  const NetworkConfig& config() const { return config_; }
 
   /// Ports on this router (the topology's radix).
   int num_ports() const { return num_ports_; }
@@ -457,7 +432,7 @@ class Router {
 
   NodeId node_;
   Coord coord_;
-  RouterConfig config_;
+  NetworkConfig config_;
   VcPolicy policy_;
   int num_ports_;
   int num_local_ports_;
@@ -510,12 +485,12 @@ class Router {
 
   // One VA arbiter per output port (over all input VCs), one SA input
   // arbiter per input port (over its VCs), one SA output arbiter per output
-  // port (over input ports), held by value. Kind per RouterConfig::arbiter.
+  // port (over input ports), held by value. Kind per NetworkConfig::arbiter.
   std::vector<Arbiter> va_arb_;
   std::vector<Arbiter> sa_input_arb_;
   std::vector<Arbiter> sa_output_arb_;
 
-  // Per-site WRR credit state (qos_arbitration == kWrr only; see
+  // Per-site WRR credit state (qos.arbitration == kWrr only; see
   // QosArbitrate in router.cpp). One entry per arbiter above, indexed like
   // it.
   std::vector<std::array<int, kNumClasses>> qos_va_credit_;

@@ -266,23 +266,20 @@ bool SteadyStateDetector::AddWindow(double mean_latency) {
 // ---------------------------------------------------------------------------
 // Telemetry
 
-Telemetry::Telemetry(Cycle interval, std::size_t max_windows,
-                     double latency_bucket_width, std::size_t latency_buckets,
-                     std::array<std::string, kNumClasses> class_labels,
-                     std::array<double, kNumClasses> p99_targets)
-    : interval_(interval < 1 ? 1 : interval),
-      max_windows_(max_windows),
+Telemetry::Telemetry(const NetworkConfig& config)
+    : interval_(std::max<Cycle>(config.telemetry_interval, 1)),
+      max_windows_(config.telemetry_max_windows),
       next_sample_(interval_) {
   for (int c = 0; c < kNumClasses; ++c) {
     const auto cls = static_cast<TrafficClass>(c);
-    const auto ci = static_cast<std::size_t>(c);
-    const std::string label =
-        class_labels[ci].empty() ? ClassName(cls) : class_labels[ci];
+    const TrafficClassSpec& spec =
+        config.qos.classes[static_cast<std::size_t>(c)];
+    const std::string label = spec.name.empty() ? ClassName(cls) : spec.name;
     latency_.push_back(TelemetryLatency{
         cls, label,
-        HistogramSeries(interval_, max_windows_, latency_bucket_width,
-                        latency_buckets),
-        p99_targets[ci]});
+        HistogramSeries(interval_, max_windows_, kLatencyBucketWidth,
+                        kLatencyBuckets),
+        spec.p99_target});
   }
 }
 
@@ -292,14 +289,13 @@ int Telemetry::AddTrack(TelemetryTrack track) {
   return static_cast<int>(tracks_.size()) - 1;
 }
 
-void Telemetry::RegisterRouter(const Router* router) {
+void Telemetry::RegisterRouter(const Router* router, const Topology& topology) {
   RouterState st;
   st.router = router;
   const NodeId n = router->node();
   const std::string rname = "r" + std::to_string(n);
 
   const int num_ports = router->num_ports();
-  const Topology* topo = router->config().topology;
   st.busy_track.assign(static_cast<std::size_t>(num_ports), -1);
   st.prev_flits_out.assign(static_cast<std::size_t>(num_ports), 0);
   for (int p = 0; p < num_ports; ++p) {
@@ -312,8 +308,7 @@ void Telemetry::RegisterRouter(const Router* router) {
     }
     TelemetryTrack t;
     t.metric = "link_busy";
-    t.entity =
-        rname + "." + (topo != nullptr ? topo->PortLabel(p) : PortName(port));
+    t.entity = rname + "." + topology.PortLabel(p);
     t.node = n;
     t.port = port;
     st.busy_track[static_cast<std::size_t>(p)] = AddTrack(std::move(t));

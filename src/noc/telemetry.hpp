@@ -35,7 +35,6 @@
 // chrome://tracing or Perfetto).
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
@@ -51,6 +50,8 @@ class JsonWriter;
 class Network;
 class Nic;
 class Router;
+class Topology;
+struct NetworkConfig;
 struct NetworkSummary;
 
 /// One metric track: `series` holds per-window sums; rate-like metrics
@@ -200,21 +201,19 @@ class SteadyStateDetector {
 /// per-delivery latency hook, the Network drives the snapshot sweep.
 class Telemetry {
  public:
-  /// `latency_bucket_width`/`latency_buckets` fix the windowed-histogram
-  /// geometry (the NIC's kLatencyBucketWidth/kLatencyBuckets by default).
-  /// `class_labels`/`p99_targets` carry the per-class TrafficClassSpec
-  /// identity into the latency series (empty label = default class name;
-  /// target 0 = no SLO).
-  Telemetry(Cycle interval, std::size_t max_windows,
-            double latency_bucket_width, std::size_t latency_buckets,
-            std::array<std::string, kNumClasses> class_labels = {},
-            std::array<double, kNumClasses> p99_targets = {});
+  /// Samples every `config.telemetry_interval` cycles into at most
+  /// `config.telemetry_max_windows` windows per track. The latency series
+  /// bin like the NIC's histograms (kLatencyBucketWidth, kLatencyBuckets)
+  /// and carry each class's TrafficClassSpec name (empty = the default
+  /// class name) and p99 target (0 = no SLO).
+  explicit Telemetry(const NetworkConfig& config);
 
   // --- wiring (called once by the Network, after channels exist) ---
 
-  /// Registers a router: link_busy tracks for its wired output ports (incl.
-  /// the ejection link), vc_occupancy and credit_stall per VC id.
-  void RegisterRouter(const Router* router);
+  /// Registers a router of `topology`: link_busy tracks for its wired
+  /// output ports (incl. the ejection link), labelled by the topology's
+  /// port names, and vc_occupancy and credit_stall per VC id.
+  void RegisterRouter(const Router* router, const Topology& topology);
 
   /// Registers a NIC: a link_busy track for its injection link and
   /// inject/eject rate tracks per class.

@@ -1,6 +1,7 @@
 #include "sim/experiment.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <filesystem>
 #include <fstream>
@@ -454,8 +455,7 @@ SweepResult RunSweep(const std::vector<SchemeSpec>& schemes,
   const int total = static_cast<int>(cells.size());
 
   // Checkpointing (off by default; the per-cell simulation path is then
-  // exactly the original one). Completed cells are loaded from their
-  // result files up front so workers only ever see unfinished cells.
+  // exactly the original one).
   std::unique_ptr<SweepCheckpoint> checkpoint;
   std::vector<std::uint64_t> cell_fingerprints(cells.size(), 0);
   if (!options.checkpoint_dir.empty()) {
@@ -478,70 +478,60 @@ SweepResult RunSweep(const std::vector<SchemeSpec>& schemes,
     checkpoint->CommitCell(index, stats, cell_fingerprints[index]);
     return stats;
   };
-  const auto load_done = [&](std::size_t index) {
-    return checkpoint->LoadResult(index, cell_fingerprints[index]);
+  // Fills cell `index`'s slot and reports the *completed* count, after the
+  // cell's result (and any checkpoint commit) has landed — a resumed or
+  // crashed sweep never saw a cell claimed done that is not. Called under
+  // `mu` once workers run.
+  std::mutex mu;
+  int done = 0;
+  const auto commit = [&](std::size_t index, const GpuRunStats& stats) {
+    const std::string& label = schemes[cells[index].scheme].label;
+    const std::string& name = workloads[cells[index].workload].name;
+    result.Set(label, name, stats);
+    ++done;
+    if (options.progress) options.progress(label, name, done, total);
   };
 
+  // Completed cells load here, on the calling thread, so no worker reads
+  // the checkpoint's record of them; only the unfinished ones are queued.
+  std::vector<std::size_t> pending;
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    if (checkpoint != nullptr && checkpoint->IsDone(i)) {
+      commit(i, checkpoint->LoadResult(i, cell_fingerprints[i]));
+    } else {
+      pending.push_back(i);
+    }
+  }
+  if (pending.empty()) return result;
+
+  // One task per unfinished cell, in definition order (one worker runs
+  // them one after another). Cells write disjoint slots of the result
+  // matrix. Once a cell or a progress call throws, no further cell starts.
   const unsigned requested = options.threads <= 0
                                  ? ThreadPool::DefaultThreads()
                                  : static_cast<unsigned>(options.threads);
-
-  if (requested <= 1) {
-    // Sequential path: run inline in definition order. Progress reports the
-    // *completed* count, after the cell's result (and any checkpoint
-    // commit) has landed — a resumed or crashed sweep never saw a cell
-    // claimed done that is not.
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      const SchemeSpec& scheme = schemes[cells[i].scheme];
-      const WorkloadProfile& workload = workloads[cells[i].workload];
-      result.Set(scheme.label, workload.name,
-                 checkpoint != nullptr && checkpoint->IsDone(i) ? load_done(i)
-                                                                : run_one(i));
-      if (options.progress) {
-        options.progress(scheme.label, workload.name, static_cast<int>(i) + 1,
-                         total);
-      }
-    }
-    return result;
-  }
-
-  // Parallel path: one task per cell. Cells write disjoint slots of the
-  // result matrix, so only progress reporting needs a lock. Progress is
-  // reported at cell *completion* with a monotonic index.
-  const unsigned pool_size =
-      cells.empty() ? 1u
-                    : std::min<unsigned>(requested,
-                                         static_cast<unsigned>(cells.size()));
-  ThreadPool pool(pool_size);
-  std::mutex progress_mu;
-  int done = 0;
-  for (std::size_t i = 0; i < cells.size(); ++i) {
+  ThreadPool pool(
+      std::min<unsigned>(requested, static_cast<unsigned>(pending.size())));
+  std::atomic<bool> failed{false};
+  for (const std::size_t i : pending) {
     pool.Submit([&, i] {
-      const SchemeSpec& scheme = schemes[cells[i].scheme];
-      const WorkloadProfile& workload = workloads[cells[i].workload];
-      GpuRunStats stats = checkpoint != nullptr && checkpoint->IsDone(i)
-                              ? load_done(i)
-                              : run_one(i);
-      std::lock_guard<std::mutex> lock(progress_mu);
-      result.Set(scheme.label, workload.name, stats);
-      ++done;
-      if (options.progress) {
-        options.progress(scheme.label, workload.name, done, total);
+      // Held through the catch, so a progress call that throws sets
+      // `failed` before another worker gets the lock: that worker's next
+      // task sees it.
+      std::unique_lock<std::mutex> lock(mu, std::defer_lock);
+      try {
+        if (failed) return;
+        const GpuRunStats stats = run_one(i);
+        lock.lock();
+        commit(i, stats);
+      } catch (...) {
+        failed = true;
+        throw;
       }
     });
   }
   pool.WaitAll();
   return result;
-}
-
-SweepResult RunSweep(const std::vector<SchemeSpec>& schemes,
-                     const std::vector<WorkloadProfile>& workloads,
-                     const RunLengths& lengths, const ProgressFn& progress) {
-  SweepOptions options;
-  options.lengths = lengths;
-  options.threads = 1;
-  options.progress = progress;
-  return RunSweep(schemes, workloads, options);
 }
 
 const std::vector<WorkloadProfile>& AllWorkloads() { return PaperWorkloads(); }

@@ -126,8 +126,7 @@ using ProgressFn =
 struct SweepOptions {
   RunLengths lengths;
   /// Worker threads; 0 means one per hardware thread. threads=1 runs the
-  /// cells inline on the calling thread in definition order (the engine's
-  /// original sequential behavior).
+  /// cells one after another in definition order.
   int threads = 0;
   ProgressFn progress;
   // --- crash-resumable sweeps (DESIGN.md §10) ---
@@ -162,20 +161,16 @@ std::uint64_t SweepFingerprint(const std::vector<SchemeSpec>& schemes,
 std::vector<SweepCell> EnumerateCells(std::size_t num_schemes,
                                       std::size_t num_workloads);
 
-/// Runs every scheme on every workload, `options.threads` cells at a time.
+/// Runs every scheme on every workload, `options.threads` cells at a time;
+/// a resumed sweep loads its completed cells first, on the calling thread.
 /// Deterministic: each cell uses the same seed (from the scheme's config)
 /// and shares no state, so the result is bit-identical for any thread
-/// count. If a cell throws (e.g. a deadlock-unsafe configuration), the
-/// first exception is rethrown after in-flight cells finish.
+/// count. If a cell throws (e.g. a deadlock-unsafe configuration) or the
+/// progress callback does (a preempted sweep), no further cell starts and
+/// the first exception is rethrown after in-flight cells finish.
 SweepResult RunSweep(const std::vector<SchemeSpec>& schemes,
                      const std::vector<WorkloadProfile>& workloads,
                      const SweepOptions& options);
-
-/// Back-compat convenience: sequential sweep (threads = 1).
-SweepResult RunSweep(const std::vector<SchemeSpec>& schemes,
-                     const std::vector<WorkloadProfile>& workloads,
-                     const RunLengths& lengths,
-                     const ProgressFn& progress = nullptr);
 
 /// Convenience: all 25 paper workloads.
 const std::vector<WorkloadProfile>& AllWorkloads();

@@ -118,17 +118,12 @@ GpuSystem::GpuSystem(const GpuConfig& config, const WorkloadProfile& workload)
         Topology::Make(config_.topology, config_.width, config_.height,
                        config_.circulant_s1, config_.circulant_s2);
     ValidatePolicyOrThrow(topo, plan_, config_.routing, config_.vc_policy,
-                          config_.allow_unsafe,
-                          {config_.qos.classes[0].reserved_vcs,
-                           config_.qos.classes[1].reserved_vcs});
+                          config_.allow_unsafe, config_.qos.ReservedVcs());
   }
 
   if (config_.record_trace) trace_ = std::make_unique<TraceWriter>();
   if (config_.ideal_noc) {
-    IdealFabricConfig ideal;
-    ideal.width = config_.width;
-    ideal.height = config_.height;
-    auto fabric = std::make_unique<IdealFabric>(ideal);
+    auto fabric = std::make_unique<IdealFabric>(config_);
     fabric->SetTrace(trace_.get());
     fabric_ = std::move(fabric);
   } else {

@@ -192,7 +192,7 @@ TEST(AuditFaultTest, DroppedCreditTripsQuiescence) {
 // table slot per packet. The auditor reads the network's packet table.
 TEST(AuditFaultTest, LivePacketRecordTripsQuiescence) {
   PacketTable packets(4, 4);
-  Auditor auditor(/*interval=*/1, packets);
+  Auditor auditor(AuditedConfig(), packets);
   auditor.CheckQuiescence(10);
   EXPECT_TRUE(auditor.report().clean());
 

@@ -440,6 +440,47 @@ TEST(SnapshotPinTest, MeasuredStatsKeepTheirV5Bytes) {
       << std::hex << "0x" << Fnv1a64(bytes);
 }
 
+// A QoS report whose classes differ in every spec field and counter, so a
+// class walk that reorders two fields of one type moves the bytes. (The
+// measured-stats pin above cannot see that: its classes set only their
+// priorities, leaving rate and p99_target, burst and reserved_vcs equal
+// zeros.)
+TEST(SnapshotPinTest, QosReportKeepsItsV5Bytes) {
+  QosReport report;
+  report.enabled = true;
+  report.arbitration = QosArbitration::kWrr;
+  QosClassReport& critical = report.classes[0];
+  critical.name = "critical";
+  critical.priority = 3;
+  critical.rate = 0.25;
+  critical.burst = 8;
+  critical.reserved_vcs = 1;
+  critical.p99_target = 300.0;
+  critical.throttle_cycles = 17;
+  critical.packets_delivered = 4096;
+  critical.p99_latency = 212.5;
+  critical.slo_windows = 40;
+  critical.slo_violation_windows = 3;
+  critical.slo_time_in_violation = 120;
+  QosClassReport& bulk = report.classes[1];
+  bulk.name = "bulk";
+  bulk.priority = 1;
+  bulk.rate = 0.75;
+  bulk.burst = 2;
+  bulk.reserved_vcs = 5;
+  bulk.p99_target = 900.0;
+  bulk.throttle_cycles = 333;
+  bulk.packets_delivered = 1024;
+  bulk.p99_latency = 640.0;
+  bulk.slo_windows = 38;
+  bulk.slo_violation_windows = 11;
+  bulk.slo_time_in_violation = 440;
+  Serializer s;
+  report.Save(s);
+  EXPECT_EQ(Fnv1a64(s.bytes()), 0xea105ef4c7f686a5ull)
+      << std::hex << "0x" << Fnv1a64(s.bytes());
+}
+
 // Seeded single-byte patches of a mid-run payload: every Load + Finish
 // either succeeds or throws SerializeError. A patched count must not make
 // Load allocate whatever the file says (std::length_error, std::bad_alloc),

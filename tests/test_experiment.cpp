@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <stdexcept>
 
 #include "common/json.hpp"
 #include "sim/experiment.hpp"
@@ -55,15 +56,15 @@ TEST(SweepTest, RunsAllCellsAndReportsProgress) {
   const auto workloads = WorkloadSubset({"NQU", "BFS"});
 
   int progress_calls = 0;
-  RunLengths lengths;
-  lengths.warmup = 300;
-  lengths.measure = 1500;
-  const SweepResult result =
-      RunSweep(schemes, workloads, lengths,
-               [&](const std::string&, const std::string&, int, int total) {
-                 ++progress_calls;
-                 EXPECT_EQ(total, 4);
-               });
+  SweepOptions options;
+  options.lengths = RunLengths{300, 1500};
+  options.threads = 1;
+  options.progress = [&](const std::string&, const std::string&, int,
+                         int total) {
+    ++progress_calls;
+    EXPECT_EQ(total, 4);
+  };
+  const SweepResult result = RunSweep(schemes, workloads, options);
   EXPECT_EQ(progress_calls, 4);
   for (const auto& s : {"XY", "YX"}) {
     for (const auto& w : {"NQU", "BFS"}) {
@@ -143,6 +144,25 @@ TEST(SweepTest, ParallelProgressIsSerializedAndMonotonic) {
   EXPECT_EQ(calls, 4);
 }
 
+// A progress callback that throws is how a search or a service job stops a
+// sweep: the cells not yet started must not run. With two workers, the
+// one in flight when the first call throws may still report; none after.
+TEST(SweepTest, ParallelSweepStopsAfterAThrow) {
+  const std::vector<SchemeSpec> schemes{{"XY", GpuConfig::Baseline()}};
+  const auto workloads =
+      WorkloadSubset({"NQU", "BFS", "CP", "STO", "KMN", "HOT", "LIB", "MM"});
+
+  SweepOptions options;
+  options.lengths = RunLengths{100, 500};
+  options.threads = 2;
+  int calls = 0;
+  options.progress = [&](const std::string&, const std::string&, int, int) {
+    if (++calls == 1) throw std::runtime_error("stop");
+  };
+  EXPECT_THROW(RunSweep(schemes, workloads, options), std::runtime_error);
+  EXPECT_LE(calls, 2);
+}
+
 TEST(SweepTest, ParallelSweepPropagatesCellExceptions) {
   GpuConfig base = GpuConfig::Baseline();
   GpuConfig unsafe = base;
@@ -195,10 +215,10 @@ TEST(SweepResultTest, WriteJsonEmitsCellsAndSummaries) {
 TEST(SweepResultTest, JsonCarriesLatencyPercentiles) {
   const std::vector<SchemeSpec> schemes{{"base", GpuConfig::Baseline()}};
   const auto workloads = WorkloadSubset({"BFS"});
-  RunLengths lengths;
-  lengths.warmup = 300;
-  lengths.measure = 1500;
-  const SweepResult result = RunSweep(schemes, workloads, lengths);
+  SweepOptions options;
+  options.lengths = RunLengths{300, 1500};
+  options.threads = 1;
+  const SweepResult result = RunSweep(schemes, workloads, options);
 
   std::ostringstream out;
   result.WriteJson(out);

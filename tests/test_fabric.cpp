@@ -170,10 +170,7 @@ TEST(FabricTest, TraceHoldsEachAcceptedInjectionOnceInCallOrder) {
   cfg.inject_queue_capacity = 2;
   NetworkFabric virt(cfg);
   NetworkFabric phys(cfg, NetworkDivision::kPhysical);
-  IdealFabricConfig ideal_cfg;
-  ideal_cfg.width = 4;
-  ideal_cfg.height = 4;
-  IdealFabric ideal(ideal_cfg);
+  IdealFabric ideal(cfg);
   TraceWriter virt_trace;
   TraceWriter phys_trace;
   TraceWriter ideal_trace;

@@ -23,12 +23,10 @@ class CollectSink : public PacketSink {
   std::vector<Cycle> times;
 };
 
-IdealFabricConfig Cfg() {
-  IdealFabricConfig cfg;
+NetworkConfig Cfg() {
+  NetworkConfig cfg;
   cfg.width = 4;
   cfg.height = 4;
-  cfg.cycles_per_hop = 2;
-  cfg.base_latency = 4;
   return cfg;
 }
 

@@ -14,8 +14,8 @@
 namespace gnoc {
 namespace {
 
-NicConfig DefaultConfig() {
-  NicConfig cfg;
+NetworkConfig DefaultConfig() {
+  NetworkConfig cfg;
   cfg.num_vcs = 2;
   cfg.vc_depth = 4;
   cfg.vc_policy = VcPolicyKind::kSplit;
@@ -25,7 +25,7 @@ NicConfig DefaultConfig() {
 }
 
 struct NicHarness {
-  explicit NicHarness(const NicConfig& cfg) : nic(0, Coord{0, 0}, cfg) {
+  explicit NicHarness(const NetworkConfig& cfg) : nic(0, Coord{0, 0}, cfg) {
     nic.SetPacketTable(&packets);
     nic.SetInjectionChannel(&inject);
     nic.SetCreditChannel(&credits);
@@ -128,7 +128,7 @@ TEST(NicTest, InjectionQueueCapacityEnforced) {
 }
 
 TEST(NicTest, AtomicInjectionVcHeldUntilDrain) {
-  NicConfig cfg = DefaultConfig();
+  NetworkConfig cfg = DefaultConfig();
   cfg.vc_policy = VcPolicyKind::kFullMonopolize;
   cfg.num_vcs = 1;  // single VC: atomicity is visible
   NicHarness h(cfg);
@@ -181,7 +181,7 @@ TEST(NicTest, EjectionReassemblesInterleavedPackets) {
 }
 
 TEST(NicTest, StalledSinkBackpressuresEjection) {
-  NicConfig cfg = DefaultConfig();
+  NetworkConfig cfg = DefaultConfig();
   cfg.eject_capacity = 3;
   NicHarness h(cfg);
   struct Refuse : PacketSink {
@@ -208,7 +208,7 @@ TEST(NicTest, StalledSinkBackpressuresEjection) {
 }
 
 TEST(NicTest, DrainingOnlyCyclesAreNotInjectionStalls) {
-  NicConfig cfg = DefaultConfig();
+  NetworkConfig cfg = DefaultConfig();
   cfg.vc_policy = VcPolicyKind::kFullMonopolize;
   cfg.num_vcs = 1;
   NicHarness h(cfg);
@@ -271,7 +271,7 @@ TEST(NicTest, LatencyStatsRecorded) {
 // u64 count — VC 0 @16, @17, @18; VC 1 @26, @27, @28 — and VC 1's flits
 // from @36, 75 bytes each with the i32 vc at +54.
 TEST(NicTest, LoadRefusesSendFifosTheNicCouldNotHaveFilled) {
-  const NicConfig cfg = DefaultConfig();
+  const NetworkConfig cfg = DefaultConfig();
   NicHarness h(cfg);
   ASSERT_TRUE(h.nic.Inject(h.MakePacket(PacketType::kReadReply, 5),
                            Coord{3, 0}, 0));
@@ -326,7 +326,7 @@ TEST(NicTest, LoadRefusesSendFifosTheNicCouldNotHaveFilled) {
 // then the Packet (u64 id @8, u8 type @16, i32 src @17, i32 dst @21, i32
 // num_flits @25, ...) and its destination's coordinate (i32 x @69, y @73).
 TEST(NicTest, LoadRefusesQueuedPacketsTheNetworkCannotCarry) {
-  const NicConfig cfg = DefaultConfig();
+  const NetworkConfig cfg = DefaultConfig();
   NicHarness h(cfg);
   ASSERT_TRUE(h.nic.Inject(h.MakePacket(PacketType::kReadRequest, 1),
                            Coord{3, 0}, 0));
@@ -376,7 +376,7 @@ TEST(NicTest, LoadRefusesQueuedPacketsTheNetworkCannotCarry) {
 // VCs' busy, draining and FIFO count (@16-@35), then the i32 credits of VC
 // 0 @36 and VC 1 @40.
 TEST(NicTest, LoadRefusesCreditCountsOutOfRange) {
-  const NicConfig cfg = DefaultConfig();  // depth 4
+  const NetworkConfig cfg = DefaultConfig();  // depth 4
   Serializer s;
   Nic(0, Coord{0, 0}, cfg).Save(s);
   const std::string clean = s.bytes();
@@ -415,7 +415,7 @@ TEST(NicTest, LoadRefusesCreditCountsOutOfRange) {
 // that names one packet twice (its tail would find one entry's count) and,
 // before reading a pair, one longer than the router's input VCs can carry.
 TEST(NicTest, ReassemblyListSavesSortedPairsAndLoadRefusesBadLists) {
-  const NicConfig cfg = DefaultConfig();
+  const NetworkConfig cfg = DefaultConfig();
   NicHarness h(cfg);
   // Packet 11 (2 flits) starts before packet 10 (3 flits); no tail yet.
   h.nic.AcceptEjectedFlit(h.Ejected(11, PacketType::kReadReply, 0, 2), 0);

@@ -37,9 +37,8 @@ constexpr Coord kCoord{1, 1};
 /// observe its output channels directly.
 class RouterHarness {
  public:
-  explicit RouterHarness(const RouterConfig& config)
-      : router_(kNode, kCoord, config),
-        nic_(kNode, kCoord, MakeNicConfig(config)) {
+  explicit RouterHarness(const NetworkConfig& config)
+      : router_(kNode, kCoord, config, Mesh()), nic_(kNode, kCoord, config) {
     router_.SetPacketTable(&packets_);
     nic_.SetPacketTable(&packets_);
     // Wire all four mesh outputs; local ejection goes to the NIC.
@@ -50,14 +49,6 @@ class RouterHarness {
     router_.SetCreditReturnChannel(Port::kLocal,
                                    &credits_[PortIndex(Port::kLocal)]);
     router_.SetNic(&nic_);
-  }
-
-  static NicConfig MakeNicConfig(const RouterConfig& config) {
-    NicConfig nc;
-    nc.num_vcs = config.num_vcs;
-    nc.vc_depth = config.vc_depth;
-    nc.vc_policy = config.vc_policy;
-    return nc;
   }
 
   /// Builds flit `seq` of the `size`-flit packet `packet` of class `cls`,
@@ -96,13 +87,12 @@ class RouterHarness {
       CreditChannel(1)};
 };
 
-RouterConfig DefaultConfig() {
-  RouterConfig cfg;
+NetworkConfig DefaultConfig() {
+  NetworkConfig cfg;
   cfg.num_vcs = 2;
   cfg.vc_depth = 4;
   cfg.routing = RoutingAlgorithm::kXY;
   cfg.vc_policy = VcPolicyKind::kSplit;
-  cfg.topology = &Mesh();
   return cfg;
 }
 
@@ -182,7 +172,7 @@ TEST(RouterTest, OutputCreditsDecrementAndRecover) {
 }
 
 TEST(RouterTest, StallsWhenOutputCreditsExhausted) {
-  RouterConfig cfg = DefaultConfig();
+  NetworkConfig cfg = DefaultConfig();
   cfg.vc_depth = 2;  // only 2 credits per output VC
   RouterHarness h(cfg);
   // 3 single-flit packets of the same class through the same output VC,
@@ -249,7 +239,7 @@ TEST(RouterTest, SplitPolicyRestrictsOutputVcByClass) {
 }
 
 TEST(RouterTest, MonopolizePolicyUsesAllVcs) {
-  RouterConfig cfg = DefaultConfig();
+  NetworkConfig cfg = DefaultConfig();
   cfg.vc_policy = VcPolicyKind::kFullMonopolize;
   RouterHarness h(cfg);
   // Two concurrent request packets: the second must get the other VC.
@@ -296,13 +286,13 @@ TEST(RouterTest, QosArbitrationFavorsThePriorityClassAtEverySite) {
   const auto rq = TrafficClass::kRequest;
   const auto rp = TrafficClass::kReply;
 
-  RouterConfig strict = DefaultConfig();
-  strict.qos_arbitration = QosArbitration::kStrict;
-  strict.qos_priority = {0, 1};  // replies outrank requests
+  NetworkConfig strict = DefaultConfig();
+  strict.qos.arbitration = QosArbitration::kStrict;
+  strict.qos.classes[1].priority = 1;  // replies outrank requests
 
   // VA and SA2: two requests and a reply contend for the two east VCs and
   // the east output. The reply gets a VC and leaves first.
-  RouterConfig mono = strict;
+  NetworkConfig mono = strict;
   mono.vc_policy = VcPolicyKind::kFullMonopolize;
   RouterHarness va(mono);
   va.router_.AcceptFlit(
@@ -328,10 +318,11 @@ TEST(RouterTest, QosArbitrationFavorsThePriorityClassAtEverySite) {
 
   // WRR with weights 1:2 gives the reply class two of every three
   // contested grants (round-robin alone would alternate).
-  RouterConfig wrr = DefaultConfig();
+  NetworkConfig wrr = DefaultConfig();
   wrr.atomic_vc_realloc = false;  // each VC carries the next packet at once
-  wrr.qos_arbitration = QosArbitration::kWrr;
-  wrr.qos_priority = {1, 2};
+  wrr.qos.arbitration = QosArbitration::kWrr;
+  wrr.qos.classes[0].priority = 1;
+  wrr.qos.classes[1].priority = 2;
   RouterHarness w(wrr);
   for (PacketId i = 0; i < 3; ++i) {
     w.router_.AcceptFlit(
@@ -346,7 +337,7 @@ TEST(RouterTest, QosArbitrationFavorsThePriorityClassAtEverySite) {
 }
 
 TEST(RouterTest, PartialMonopolizeHonorsLinkMode) {
-  RouterConfig cfg = DefaultConfig();
+  NetworkConfig cfg = DefaultConfig();
   cfg.vc_policy = VcPolicyKind::kPartialMonopolize;
   RouterHarness h(cfg);
   h.router_.SetLinkMode(Port::kEast, LinkMode::kSingleClass);
@@ -371,7 +362,7 @@ TEST(RouterTest, PartialMonopolizeHonorsLinkMode) {
 }
 
 TEST(RouterTest, AtomicReallocWaitsForDrain) {
-  RouterConfig cfg = DefaultConfig();
+  NetworkConfig cfg = DefaultConfig();
   cfg.atomic_vc_realloc = true;
   RouterHarness h(cfg);
   Flit a = h.MakeFlit(FlitKind::kHeadTail, TrafficClass::kRequest,
@@ -388,7 +379,7 @@ TEST(RouterTest, AtomicReallocWaitsForDrain) {
 }
 
 TEST(RouterTest, NonAtomicReallocFreesAtTail) {
-  RouterConfig cfg = DefaultConfig();
+  NetworkConfig cfg = DefaultConfig();
   cfg.atomic_vc_realloc = false;
   RouterHarness h(cfg);
   Flit a = h.MakeFlit(FlitKind::kHeadTail, TrafficClass::kRequest,
@@ -401,7 +392,7 @@ TEST(RouterTest, NonAtomicReallocFreesAtTail) {
 }
 
 TEST(RouterTest, EjectionBlockedByFullNicBackpressures) {
-  RouterConfig cfg = DefaultConfig();
+  NetworkConfig cfg = DefaultConfig();
   RouterHarness h(cfg);
   // Fill the NIC's request ejection buffer.
   const Flit filler = h.MakeFlit(FlitKind::kHead, TrafficClass::kRequest,
@@ -422,7 +413,7 @@ TEST(RouterTest, EjectionBlockedByFullNicBackpressures) {
 }
 
 TEST(RouterTest, OnePortForwardsAtMostOneFlitPerCycle) {
-  RouterConfig cfg = DefaultConfig();
+  NetworkConfig cfg = DefaultConfig();
   cfg.vc_policy = VcPolicyKind::kFullMonopolize;
   RouterHarness h(cfg);
   // Two packets from the same input port to different outputs: the input
@@ -445,7 +436,7 @@ TEST(RouterTest, OnePortForwardsAtMostOneFlitPerCycle) {
 }
 
 TEST(RouterTest, DynamicBoundaryAdaptsTowardsHeavyClass) {
-  RouterConfig cfg = DefaultConfig();
+  NetworkConfig cfg = DefaultConfig();
   cfg.num_vcs = 4;
   cfg.vc_policy = VcPolicyKind::kDynamic;
   cfg.dynamic_epoch = 32;
@@ -478,12 +469,12 @@ TEST(RouterTest, DynamicBoundaryAdaptsTowardsHeavyClass) {
 // A mesh router has 5 ports; 13 VCs would give its VA arbiters 65 request
 // bits, one more than a request mask holds.
 TEST(RouterTest, AssertsRadixTimesVcsFitsOneRequestMask) {
-  RouterConfig cfg = DefaultConfig();
+  NetworkConfig cfg = DefaultConfig();
   cfg.num_vcs = 12;
-  const Router widest(0, Coord{0, 0}, cfg);
+  const Router widest(0, Coord{0, 0}, cfg, Mesh());
   EXPECT_EQ(widest.num_ports() * widest.config().num_vcs, 60);
   cfg.num_vcs = 13;
-  EXPECT_DEBUG_DEATH(Router(0, Coord{0, 0}, cfg), "request mask");
+  EXPECT_DEBUG_DEATH(Router(0, Coord{0, 0}, cfg, Mesh()), "request mask");
 }
 
 /// `bytes` with the `width`-byte little-endian field at `offset` set to
@@ -498,16 +489,16 @@ std::string Patch(std::string bytes, std::size_t offset, std::uint64_t value,
 }
 
 /// The snapshot of an idle router built from `cfg`.
-std::string IdleRouterBytes(const RouterConfig& cfg) {
+std::string IdleRouterBytes(const NetworkConfig& cfg) {
   Serializer s;
-  Router(kNode, kCoord, cfg).Save(s);
+  Router(kNode, kCoord, cfg, Mesh()).Save(s);
   return s.bytes();
 }
 
 /// The error message of loading `bytes` into a fresh router built from
 /// `cfg`, "" if none.
-std::string LoadError(const RouterConfig& cfg, const std::string& bytes) {
-  Router router(kNode, kCoord, cfg);
+std::string LoadError(const NetworkConfig& cfg, const std::string& bytes) {
+  Router router(kNode, kCoord, cfg, Mesh());
   Deserializer d(bytes);
   try {
     router.Load(d);
@@ -525,7 +516,7 @@ std::string LoadError(const RouterConfig& cfg, const std::string& bytes) {
 // @10, bool eject @14, u8 vc_half @15. The router holds an output VC in a
 // byte, so an out_vc that only an i32 holds is refused before narrowing.
 TEST(RouterTest, LoadRejectsOutOfRangeInputVcState) {
-  const RouterConfig cfg = DefaultConfig();  // 5 ports x 2 VCs, depth 4
+  const NetworkConfig cfg = DefaultConfig();  // 5 ports x 2 VCs, depth 4
   const std::string clean = IdleRouterBytes(cfg);
   const auto load_error = [&](const std::string& bytes) {
     return LoadError(cfg, bytes);
@@ -556,7 +547,7 @@ TEST(RouterTest, LoadRejectsOutOfRangeInputVcState) {
 // snapshot holds ten 16-byte input-VC records, then per output VC bool
 // allocated, bool tail_sent and i32 credits: output VC 0's credits @162.
 TEST(RouterTest, LoadRejectsOutOfRangeCredits) {
-  const RouterConfig cfg = DefaultConfig();  // depth 4
+  const NetworkConfig cfg = DefaultConfig();  // depth 4
   const std::string clean = IdleRouterBytes(cfg);
   ASSERT_EQ(clean.substr(160, 6), std::string(6, '\0'))
       << "output VC 0: free, no tail sent, no credits (no channel)";
@@ -575,7 +566,7 @@ TEST(RouterTest, LoadRejectsOutOfRangeCredits) {
 // output-VC records and five i32 boundaries, then each port's u64
 // request and reply counts @240 and the flag @320.
 TEST(RouterTest, LoadRefusesAnEpochFlagThatContradictsTheCounts) {
-  const RouterConfig cfg = DefaultConfig();
+  const NetworkConfig cfg = DefaultConfig();
   const std::string clean = IdleRouterBytes(cfg);
   ASSERT_EQ(clean.substr(240, 81), std::string(81, '\0'))
       << "no flit counted, flag clear";
@@ -598,11 +589,11 @@ TEST(RouterTest, LoadRefusesAnEpochFlagThatContradictsTheCounts) {
 // recycles, and a Load of a mid-run snapshot into a fresh router — they
 // must equal a rebuild from the buffers and the primary state.
 TEST(RouterTest, DerivedStateMatchesARebuildAfterEveryStep) {
-  RouterConfig cfg = DefaultConfig();
+  NetworkConfig cfg = DefaultConfig();
   cfg.vc_policy = VcPolicyKind::kFullMonopolize;
   cfg.atomic_vc_realloc = false;  // the east VC recycles right after a tail
-  cfg.qos_arbitration = QosArbitration::kStrict;  // the class masks split
-  cfg.qos_priority = {0, 1};
+  cfg.qos.arbitration = QosArbitration::kStrict;  // the class masks split
+  cfg.qos.classes[1].priority = 1;
   RouterHarness h(cfg);
   Router& router = h.router_;
   const auto rq = TrafficClass::kRequest;
@@ -631,7 +622,7 @@ TEST(RouterTest, DerivedStateMatchesARebuildAfterEveryStep) {
   // state: three flits, a VC holding east VC 0, two fronts of two classes.
   Serializer s;
   router.Save(s);
-  Router loaded(kNode, kCoord, cfg);
+  Router loaded(kNode, kCoord, cfg, Mesh());
   PacketTable loaded_packets(8, 8);
   loaded.SetPacketTable(&loaded_packets);
   Deserializer d(s.bytes());
@@ -675,7 +666,7 @@ std::size_t HeldFlits(const Router& router) {
 // through with those counts, landing each port's boundary where a router
 // ticked every cycle puts it.
 TEST(RouterTest, FlitCountMatchesBuffersAndOnlyFlitsKeepWork) {
-  RouterConfig cfg = DefaultConfig();
+  NetworkConfig cfg = DefaultConfig();
   cfg.num_vcs = 4;  // requests VCs 0-1, replies 2-3 at the start
   cfg.vc_policy = VcPolicyKind::kDynamic;
   cfg.dynamic_epoch = 32;
@@ -710,7 +701,7 @@ TEST(RouterTest, FlitCountMatchesBuffersAndOnlyFlitsKeepWork) {
   // A fresh router loading the mid-run snapshot counts the tail it holds.
   Serializer s;
   router.Save(s);
-  Router loaded(kNode, kCoord, cfg);
+  Router loaded(kNode, kCoord, cfg, Mesh());
   PacketTable loaded_packets(8, 8);
   loaded.SetPacketTable(&loaded_packets);
   Deserializer d(s.bytes());
@@ -783,9 +774,9 @@ struct RecordingSink : PacketSink {
 TEST(RouterTest, CmeshVisitsMoveThePinnedFlitsThroughEveryPort) {
   const Topology& topo = CMesh();
   constexpr NodeId kRouter = 5;  // router (1, 1): tiles 18, 19, 26, 27
-  RouterConfig cfg = DefaultConfig();  // split: requests VC 0, replies VC 1
-  cfg.topology = &topo;
-  Router router(kRouter, topo.RouterCoord(kRouter), cfg);
+  // Split: requests VC 0, replies VC 1.
+  const NetworkConfig cfg = DefaultConfig();
+  Router router(kRouter, topo.RouterCoord(kRouter), cfg, topo);
   ASSERT_EQ(router.num_ports(), 8);
   ASSERT_EQ(router.num_local_ports(), 4);
   PacketTable packets(topo.width(), topo.height());
@@ -802,8 +793,7 @@ TEST(RouterTest, CmeshVisitsMoveThePinnedFlitsThroughEveryPort) {
   std::array<RecordingSink, 4> sinks;
   for (int k = 0; k < 4; ++k) {
     const NodeId tile = topo.TileAt(kRouter, k);
-    nics.push_back(std::make_unique<Nic>(tile, coord(tile),
-                                         RouterHarness::MakeNicConfig(cfg)));
+    nics.push_back(std::make_unique<Nic>(tile, coord(tile), cfg));
     nics.back()->SetPacketTable(&packets);
     nics.back()->SetSink(&sinks[static_cast<std::size_t>(k)]);
     router.SetNic(k, nics.back().get());
