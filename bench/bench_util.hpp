@@ -102,6 +102,7 @@ inline RunFlags RunFlagsExcept(const RunFlags& ignored) {
 
 /// Parsed common options.
 struct BenchOptions {
+  std::string program;  ///< the harness name its refusals start with
   /// Run lengths (scale=), threads=, the checkpoint flags and the stderr
   /// progress ticker, as RunSweep takes them.
   SweepOptions sweep;
@@ -277,7 +278,22 @@ inline BenchOptions ParseBenchOptions(
   opts.telemetry_path = opts.raw.GetString("telemetry_out", "");
   opts.workloads = ParseWorkloadList(opts.raw.GetString("workloads", ""));
   opts.config_keys = config_keys;
+  opts.program = program;
   return opts;
+}
+
+/// RunSweep over the harness's workloads and sweep options. A scheme whose
+/// configuration cannot be built (RunSweep checks every scheme before its
+/// first cell) prints "<program>: <reason>" and exits 2, as a refused flag
+/// does.
+inline SweepResult RunBenchSweep(const std::vector<SchemeSpec>& schemes,
+                                 const BenchOptions& opts) {
+  try {
+    return RunSweep(schemes, opts.workloads, opts.sweep);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << opts.program << ": " << e.what() << '\n';
+    std::exit(2);
+  }
 }
 
 /// Writes a telemetry report as `<prefix>.csv` (long-form windows) and

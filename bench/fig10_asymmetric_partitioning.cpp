@@ -21,15 +21,6 @@ int main(int argc, char** argv) {
       "2:2, XY-YX routing)");
 
   GpuConfig base = WithGridOverrides(GpuConfig::Baseline(), opts);
-  if (Topology::Make(base.topology, base.width, base.height, base.circulant_s1,
-                     base.circulant_s2)
-          .has_datelines()) {
-    std::cerr << "fig10_asymmetric_partitioning: asymmetric VC partitioning"
-                 " needs both halves of each class's VC pair free; dateline"
-                 " topologies (torus, circulant) reserve them for wrap"
-                 " deadlock avoidance. Run this figure on mesh or cmesh.\n";
-    return 2;
-  }
   base.routing = RoutingAlgorithm::kXYYX;
   if (!opts.raw.Contains("num_vcs")) base.num_vcs = 4;
   base.vc_policy = VcPolicyKind::kSplit;  // 2:2
@@ -39,7 +30,7 @@ int main(int argc, char** argv) {
 
   const std::vector<SchemeSpec> schemes{{"Baseline (2:2)", base},
                                         {"VC Partitioned (1:3)", asym}};
-  const SweepResult result = RunSweep(schemes, opts.workloads, opts.sweep);
+  const SweepResult result = RunBenchSweep(schemes, opts);
 
   BenchReport report("fig10_asymmetric_partitioning", opts);
   report.Sweep("xyyx_partitioning", result, "Baseline (2:2)");
@@ -66,7 +57,7 @@ int main(int argc, char** argv) {
   d_asym.vc_policy = VcPolicyKind::kAsymmetric;
   const std::vector<SchemeSpec> d_schemes{{"Diamond (2:2)", d_base},
                                           {"Diamond (1:3)", d_asym}};
-  const SweepResult d_result = RunSweep(d_schemes, opts.workloads, opts.sweep);
+  const SweepResult d_result = RunBenchSweep(d_schemes, opts);
   report.Sweep("diamond_partitioning", d_result, "Diamond (2:2)");
   report.Metric("geomean_xyyx",
                 result.GeomeanSpeedup("VC Partitioned (1:3)",

@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
   // A one-scheme sweep: the engine parallelizes the 25 baseline runs.
   const std::vector<SchemeSpec> schemes{
       {"Baseline", WithGridOverrides(GpuConfig::Baseline(), opts)}};
-  const SweepResult result = RunSweep(schemes, opts.workloads, opts.sweep);
+  const SweepResult result = RunBenchSweep(schemes, opts);
 
   TextTable table({"benchmark", "request (core-to-MC)", "reply (MC-to-core)",
                    "reply:request"});

@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
 
   const std::vector<SchemeSpec> schemes{
       {"XY (Baseline)", xy}, {"YX", yx}, {"XY-YX", xyyx}};
-  const SweepResult result = RunSweep(schemes, opts.workloads, opts.sweep);
+  const SweepResult result = RunBenchSweep(schemes, opts);
 
   PrintSpeedupFigure(result, "XY (Baseline)", {"YX", "XY-YX"}, opts.csv);
 

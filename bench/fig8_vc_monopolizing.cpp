@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
                                         {"XY (Monopolized)", xy_mono},
                                         {"YX (Monopolized)", yx_mono},
                                         {"XY-YX (Partially Mono)", xyyx_pm}};
-  const SweepResult result = RunSweep(schemes, opts.workloads, opts.sweep);
+  const SweepResult result = RunBenchSweep(schemes, opts);
 
   BenchReport report("fig8_vc_monopolizing", opts);
   report.Sweep("vc_monopolizing", result, "XY (Baseline)");

@@ -66,7 +66,7 @@ int main(int argc, char** argv) {
                                 VcPolicyKind::kFullMonopolize)},
   };
 
-  const SweepResult result = RunSweep(schemes, opts.workloads, opts.sweep);
+  const SweepResult result = RunBenchSweep(schemes, opts);
 
   BenchReport report("fig9_mc_placement", opts);
   report.Sweep("mc_placement", result, "Bottom (XY)");

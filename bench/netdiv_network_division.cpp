@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
   const std::vector<SchemeSpec> schemes{
       {"Two physical networks", phys},
       {"Single net, virtual division", virt}};
-  const SweepResult result = RunSweep(schemes, opts.workloads, opts.sweep);
+  const SweepResult result = RunBenchSweep(schemes, opts);
 
   PrintSpeedupFigure(result, "Two physical networks",
                      {"Single net, virtual division"}, opts.csv);

@@ -27,15 +27,6 @@ int main(int argc, char** argv) {
       "(4 VCs, XY-YX)");
 
   GpuConfig base = WithGridOverrides(GpuConfig::Baseline(), opts);
-  if (Topology::Make(base.topology, base.width, base.height, base.circulant_s1,
-                     base.circulant_s2)
-          .has_datelines()) {
-    std::cerr << "related_dynamic_partitioning: dynamic/asymmetric VC"
-                 " partitioning needs both halves of each class's VC pair"
-                 " free; dateline topologies (torus, circulant) reserve them"
-                 " for wrap deadlock avoidance. Run on mesh or cmesh.\n";
-    return 2;
-  }
   base.routing = RoutingAlgorithm::kXYYX;
   if (!opts.raw.Contains("num_vcs")) base.num_vcs = 4;
 
@@ -49,7 +40,7 @@ int main(int argc, char** argv) {
   const std::vector<SchemeSpec> schemes{{"Static 2:2", base},
                                         {"Static 1:3 (paper)", asym},
                                         {"Dynamic (Lee et al.)", dynamic}};
-  const SweepResult result = RunSweep(schemes, opts.workloads, opts.sweep);
+  const SweepResult result = RunBenchSweep(schemes, opts);
 
   PrintSpeedupFigure(result, "Static 2:2",
                      {"Static 1:3 (paper)", "Dynamic (Lee et al.)"}, opts.csv);

@@ -7,7 +7,7 @@
 # python3 -m json.tool), then SIGKILLs a checkpointed sweep mid-flight and
 # requires the resumed run to be byte-identical to an uninterrupted one,
 # checks that each harness applies exactly the GpuConfig keys and run
-# flags it accepts, runs both network divisions audited and records one
+# flags it accepts and refuses configurations it cannot build, runs both network divisions audited and records one
 # packet trace, records one short router_micro run, and — when a UBSan
 # tree is available (see GNOC_SANITIZE=undefined in CMakeLists.txt) — runs
 # one UBSan-instrumented config.
@@ -26,6 +26,12 @@
 #   GNOC_SMOKE_OUT_DIR=smoke-out bench/smoke.sh       # artifact directory
 #   GNOC_SMOKE_UBSAN_DIR=build-ubsan bench/smoke.sh   # explicit UBSan tree
 set -euo pipefail
+
+# python3 validates every JSON artifact below; without it nothing would be.
+command -v python3 > /dev/null 2>&1 || {
+  echo "smoke: FAIL — python3 not found; it checks every artifact" >&2
+  exit 1
+}
 
 # Positional arg wins, then $BUILD_DIR from the environment, then build/.
 BUILD_DIR=${1:-${BUILD_DIR:-build}}
@@ -48,8 +54,7 @@ if [[ ! -s "$OUT" ]]; then
   exit 1
 fi
 
-if command -v python3 > /dev/null 2>&1; then
-  python3 - "$OUT" <<'EOF'
+python3 - "$OUT" <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
     doc = json.load(f)
@@ -60,12 +65,6 @@ assert all("ipc" in c for c in sweep["cells"]), "cells missing ipc"
 print("smoke: JSON ok — %d cells, schemes=%s" %
       (len(sweep["cells"]), sweep["schemes"]))
 EOF
-else
-  # No python3: fall back to a structural sanity check.
-  head -c1 "$OUT" | grep -q '{' || { echo "smoke: FAIL — not JSON" >&2; exit 1; }
-  grep -q '"cells"' "$OUT" || { echo "smoke: FAIL — no cells" >&2; exit 1; }
-  echo "smoke: JSON ok (structural check only; python3 not found)" >&2
-fi
 
 # Second pass: same figure with the invariant auditor on. Any credit /
 # flit-conservation / wormhole / quiescence violation fails the smoke run.
@@ -78,8 +77,7 @@ if [[ ! -s "$OUT_AUDIT" ]]; then
   exit 1
 fi
 
-if command -v python3 > /dev/null 2>&1; then
-  python3 - "$OUT_AUDIT" <<'EOF'
+python3 - "$OUT_AUDIT" <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
     doc = json.load(f)
@@ -104,13 +102,6 @@ if bad:
     sys.exit(1)
 print("smoke: audit ok — %d cells clean" % cells)
 EOF
-else
-  grep -q '"audit"' "$OUT_AUDIT" || {
-    echo "smoke: FAIL — no audit field" >&2; exit 1; }
-  grep -q '"clean": false' "$OUT_AUDIT" && {
-    echo "smoke: AUDIT FAIL — violations reported" >&2; exit 1; }
-  echo "smoke: audit ok (structural check only; python3 not found)" >&2
-fi
 
 # Third pass: telemetry exporters. fig4's standalone KMN run writes the
 # windowed CSV and the Chrome trace; both must be non-empty and the trace
@@ -129,17 +120,11 @@ for f in "$TELEM.csv" "$TELEM.trace.json"; do
 done
 head -n1 "$TELEM.csv" | grep -q '^window_start,window_cycles,metric' || {
   echo "smoke: FAIL — $TELEM.csv has no telemetry header" >&2; exit 1; }
-if command -v python3 > /dev/null 2>&1; then
-  python3 -m json.tool "$TELEM.trace.json" > /dev/null || {
-    echo "smoke: FAIL — $TELEM.trace.json is malformed JSON" >&2; exit 1; }
-  grep -q '"traceEvents"' "$TELEM.trace.json" || {
-    echo "smoke: FAIL — trace JSON has no traceEvents" >&2; exit 1; }
-  echo "smoke: telemetry ok — $TELEM.csv + valid Chrome trace" >&2
-else
-  head -c1 "$TELEM.trace.json" | grep -q '{' || {
-    echo "smoke: FAIL — trace not JSON" >&2; exit 1; }
-  echo "smoke: telemetry ok (structural check only; python3 not found)" >&2
-fi
+python3 -m json.tool "$TELEM.trace.json" > /dev/null || {
+  echo "smoke: FAIL — $TELEM.trace.json is malformed JSON" >&2; exit 1; }
+grep -q '"traceEvents"' "$TELEM.trace.json" || {
+  echo "smoke: FAIL — trace JSON has no traceEvents" >&2; exit 1; }
+echo "smoke: telemetry ok — $TELEM.csv + valid Chrome trace" >&2
 
 # Fourth pass: soa scheduling must be bit-identical to full-tick mode. Any
 # diff between the CSVs is a scheduler bug.
@@ -206,8 +191,7 @@ for topo in torus cmesh circulant; do
   echo "smoke: $HARNESS topology=$topo radix=8 num_vcs=4 audit=true" >&2
   "$HARNESS" scale=0.1 threads=4 workloads=BFS,KMN topology="$topo" \
       radix=8 num_vcs=4 audit=true json="$TOPO_OUT" > /dev/null
-  if command -v python3 > /dev/null 2>&1; then
-    python3 - "$TOPO_OUT" "$topo" <<'EOF'
+  python3 - "$TOPO_OUT" "$topo" <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
     doc = json.load(f)
@@ -231,11 +215,6 @@ if bad:
     sys.exit(1)
 print("smoke: topology %s ok — %d cells audit-clean" % (sys.argv[2], cells))
 EOF
-  else
-    grep -q '"clean": false' "$TOPO_OUT" && {
-      echo "smoke: TOPOLOGY AUDIT FAIL ($topo)" >&2; exit 1; }
-    echo "smoke: topology $topo ok (structural check only)" >&2
-  fi
 done
 
 # Config-key pass: a harness applies exactly the GpuConfig keys and run
@@ -256,11 +235,11 @@ if cmp -s "$FIG2_MESH" "$FIG2_TORUS"; then
   exit 1
 fi
 # Cheap arguments, so a harness that wrongly accepts the flag finishes fast.
-expect_refused() {  # harness flag [args...]: must exit 2 on the flag
-  local status=0
-  "$BUILD_DIR/bench/$1" "${@:3}" "$2" > /dev/null 2>&1 || status=$?
-  if (( status != 2 )); then
-    echo "smoke: FAIL — $1 exited $status on $2, not 2" >&2
+expect_refused() {  # harness flag [args...]: one "harness: " line, exit 2
+  local status=0 err
+  err=$("$BUILD_DIR/bench/$1" "${@:3}" "$2" 2>&1 > /dev/null) || status=$?
+  if (( status != 2 )) || [[ "$err" != "$1: "* || "$err" == *$'\n'* ]]; then
+    echo "smoke: FAIL — $1 exited $status on $2, not 2 with one line: $err" >&2
     exit 1
   fi
 }
@@ -270,9 +249,17 @@ expect_refused pareto_search topology=torus strategy=grid scale=0.1 \
     workloads=BFS max_evaluations=1 out="$OUT_DIR/refused.json"
 expect_refused table1_hop_counts threads=2
 expect_refused qos_starvation workloads=BFS scale=0.01
+# Configurations the construction check refuses, before any cell runs:
+# split cannot divide one VC, two VCs leave a torus no dateline halves,
+# and asymmetric partitioning leaves requests one VC there.
+expect_refused fig8_vc_monopolizing num_vcs=1 scale=0.1 workloads=BFS
+expect_refused fig8_vc_monopolizing topology=torus radix=8 num_vcs=2 \
+    scale=0.1 workloads=BFS
+expect_refused fig10_asymmetric_partitioning topology=torus radix=8 \
+    scale=0.1 workloads=BFS
 echo "smoke: config keys ok — fig2 applies topology=; fig4, table1 and" \
      "pareto_search refuse it; table1 refuses threads=, qos_starvation" \
-     "workloads=" >&2
+     "workloads=; fig8 and fig10 refuse configurations they cannot build" >&2
 
 # DSE pass: a one-evaluation search at the default strategy (nsga2) must
 # run; then a quick Pareto search over a 16-point sub-space (grid
@@ -292,8 +279,7 @@ if [[ ! -s "$DSE_OUT" ]]; then
   echo "smoke: FAIL — $DSE_OUT missing or empty" >&2
   exit 1
 fi
-if command -v python3 > /dev/null 2>&1; then
-  python3 - "$DSE_OUT" <<'EOF'
+python3 - "$DSE_OUT" <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
     doc = json.load(f)
@@ -309,11 +295,6 @@ for d in frontier:
 print("smoke: dse ok — %d designs, frontier %d, e.g. %s" %
       (doc["num_designs"], doc["frontier_size"], frontier[0]["label"]))
 EOF
-else
-  grep -q '"frontier_size"' "$DSE_OUT" || {
-    echo "smoke: FAIL — no frontier in pareto.json" >&2; exit 1; }
-  echo "smoke: dse ok (structural check only; python3 not found)" >&2
-fi
 
 # QoS pass: two legs. (1) The starvation study harness self-checks the
 # hard invariants — four-way scheduling bit-identity with QoS enabled, a
@@ -332,8 +313,7 @@ echo "smoke: $HARNESS qos=strict qos_class=critical,... qos_class=bulk,..." >&2
     "qos_class=critical,prio=2,vcs=1,p99=300" \
     "qos_class=bulk,prio=1,rate=0.5,burst=8,vcs=1" \
     json="$QOS_FLAGS_OUT" > /dev/null
-if command -v python3 > /dev/null 2>&1; then
-  python3 - "$QOS_OUT" "$QOS_FLAGS_OUT" <<'EOF'
+python3 - "$QOS_OUT" "$QOS_FLAGS_OUT" <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
     starve = json.load(f)
@@ -376,11 +356,6 @@ if bad:
 print("smoke: qos ok — starvation study self-checks passed, "
       "%d cells carry named classes, audit-clean" % cells)
 EOF
-else
-  grep -q '"critical"' "$QOS_FLAGS_OUT" || {
-    echo "smoke: QOS FAIL — named classes missing" >&2; exit 1; }
-  echo "smoke: qos ok (structural check only; python3 not found)" >&2
-fi
 
 # Network-division pass: the Sec. 4.2 harness runs every workload on one
 # network with virtually divided VCs and on two physical networks; every
@@ -391,8 +366,7 @@ NETDIV_HARNESS="$BUILD_DIR/bench/netdiv_network_division"
 echo "smoke: $NETDIV_HARNESS scale=0.1 workloads=BFS,KMN audit=true" >&2
 "$NETDIV_HARNESS" scale=0.1 threads=4 workloads=BFS,KMN audit=true \
     json="$NETDIV_OUT" > /dev/null
-if command -v python3 > /dev/null 2>&1; then
-  python3 - "$NETDIV_OUT" <<'EOF'
+python3 - "$NETDIV_OUT" <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
     doc = json.load(f)
@@ -406,11 +380,6 @@ if bad:
 print("smoke: netdiv ok — %d cells over both divisions audit-clean" %
       len(cells))
 EOF
-else
-  grep -q '"clean": false' "$NETDIV_OUT" && {
-    echo "smoke: NETDIV AUDIT FAIL" >&2; exit 1; }
-  echo "smoke: netdiv ok (structural check only)" >&2
-fi
 TRACE_OUT=${GNOC_SMOKE_TRACE_CSV:-$OUT_DIR/trace.csv}
 TRACE_HARNESS="$BUILD_DIR/examples/trace_replay"
 rm -f "$TRACE_OUT"
@@ -439,8 +408,7 @@ if [[ ! -s "$MICRO_OUT" ]]; then
   echo "smoke: FAIL — $MICRO_OUT missing or empty" >&2
   exit 1
 fi
-if command -v python3 > /dev/null 2>&1; then
-  python3 - "$MICRO_OUT" <<'EOF'
+python3 - "$MICRO_OUT" <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
     doc = json.load(f)
@@ -456,15 +424,6 @@ print("smoke: router_micro ok — %d benchmarks; soa idle %.0f ns, "
        times["BM_NetworkCycleSaturatedTorus"],
        times["BM_GpuCycleLoaded"]))
 EOF
-else
-  for name in BM_NetworkCycleIdleSoa BM_NetworkCycleSaturatedTorus \
-      BM_GpuCycleLoaded; do
-    grep -q "\"$name\"" "$MICRO_OUT" || {
-      echo "smoke: FAIL — router_micro JSON lacks $name" >&2
-      exit 1; }
-  done
-  echo "smoke: router_micro ok (structural check only)" >&2
-fi
 
 # Sixth pass: one UBSan config, when an undefined-sanitizer tree exists
 # (any UB aborts the harness because the tree builds with

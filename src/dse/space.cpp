@@ -4,8 +4,7 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "noc/deadlock.hpp"
-#include "noc/router.hpp"
+#include "sim/gpu_system.hpp"
 
 namespace gnoc {
 
@@ -95,44 +94,9 @@ std::string PointLabel(const DesignSpace& space, const DesignPoint& point) {
 
 std::string DesignInfeasibility(const DesignSpace& space,
                                 const DesignPoint& point) {
-  const GpuConfig cfg = MakeConfig(space, point);
-
-  // VcPolicy asserts (not throws) on partitioning policies with a single
-  // VC, so that case must be caught before any policy object exists.
-  const bool partitions = cfg.vc_policy != VcPolicyKind::kFullMonopolize;
-  if (partitions && cfg.num_vcs < 2) {
-    return std::string("policy '") + VcPolicyName(cfg.vc_policy) +
-           "' partitions VCs and needs num_vcs >= 2";
-  }
-
   try {
-    const Topology topo = Topology::Make(cfg.topology, cfg.width, cfg.height,
-                                         cfg.circulant_s1, cfg.circulant_s2);
-    CheckRequestMaskWidth(topo, cfg.num_vcs);
-    const TilePlan plan(cfg.width, cfg.height, cfg.num_mcs, cfg.placement);
-    ValidatePolicyOrThrow(topo, plan, cfg.routing, cfg.vc_policy,
-                          cfg.allow_unsafe);
-    if (topo.has_datelines()) {
-      // Mirror of Network's ValidateDatelineVcs: wrap links split each
-      // class's VC range into pre-/post-dateline halves.
-      if (cfg.vc_policy == VcPolicyKind::kDynamic) {
-        return std::string("topology '") + TopologyName(cfg.topology) +
-               "' cannot use dynamic partitioning (dateline VC halves)";
-      }
-      const VcPolicy policy(cfg.vc_policy, cfg.num_vcs);
-      for (int c = 0; c < kNumClasses; ++c) {
-        for (const LinkMode mode :
-             {LinkMode::kMixed, LinkMode::kSingleClass}) {
-          if (policy
-                  .AllowedVcs(static_cast<TrafficClass>(c), Port::kNorth, mode)
-                  .size() < 2) {
-            return std::string("topology '") + TopologyName(cfg.topology) +
-                   "' needs >= 2 VCs per class for dateline halves";
-          }
-        }
-      }
-    }
-  } catch (const std::exception& e) {
+    CheckGpuConfig(MakeConfig(space, point));
+  } catch (const std::invalid_argument& e) {
     return e.what();
   }
   return "";

@@ -79,12 +79,10 @@ GpuConfig MakeConfig(const DesignSpace& space, const DesignPoint& point);
 /// values, so resumed searches regenerate identical sweep scheme labels.
 std::string PointLabel(const DesignSpace& space, const DesignPoint& point);
 
-/// Why `point` cannot be simulated, or "" when it can. Reproduces the
-/// construction-time checks (topology validity, placement capacity,
-/// protocol-deadlock safety, dateline VC minimums, partitioning VC
-/// minimums) without building a GpuSystem, so the search can skip
-/// infeasible designs instead of letting one of them abort a whole
-/// evaluation batch.
+/// Why `point` cannot be simulated, or "" when it can: the refusal of the
+/// construction check itself (CheckGpuConfig on MakeConfig), caught, so
+/// the search can skip infeasible designs without building a GpuSystem
+/// instead of letting one of them abort a whole evaluation batch.
 std::string DesignInfeasibility(const DesignSpace& space,
                                 const DesignPoint& point);
 

@@ -154,25 +154,6 @@ void ValidatePolicyOrThrow(const Topology& topo, const TilePlan& plan,
                            RoutingAlgorithm routing, VcPolicyKind policy,
                            bool allow_unsafe,
                            std::array<int, kNumClasses> qos_reserved) {
-  if (topo.has_datelines()) {
-    // Dateline topologies split each class's VC range into pre-/post-wrap
-    // halves, so every class needs >= 2 VCs on every link it can use.
-    // kDynamic moves the request/reply boundary at runtime (a range can
-    // shrink to one VC) and the asymmetric request range is a single VC:
-    // both would break the dateline scheme, so they are rejected outright.
-    const char* why = nullptr;
-    if (policy == VcPolicyKind::kDynamic) {
-      why = "dynamic partitioning can shrink a class to one VC";
-    } else if (policy == VcPolicyKind::kAsymmetric) {
-      why = "the asymmetric request range is a single VC";
-    }
-    if (why != nullptr && !allow_unsafe) {
-      throw std::invalid_argument(
-          std::string("VC policy '") + VcPolicyName(policy) +
-          "' cannot provide dateline VC halves on a " +
-          TopologyName(topo.kind()) + ": " + why);
-    }
-  }
   if (policy != VcPolicyKind::kFullMonopolize) {
     // Split and asymmetric partition VCs disjointly everywhere; link-aware
     // partial monopolizing splits exactly the mixed links. All three are
@@ -193,13 +174,6 @@ void ValidatePolicyOrThrow(const Topology& topo, const TilePlan& plan,
         " (reserve >= 1 VC per class via qos_class=...,vcs=N to restore "
         "safety, or pass allow_unsafe)");
   }
-}
-
-void ValidatePolicyOrThrow(const TilePlan& plan, RoutingAlgorithm routing,
-                           VcPolicyKind policy, bool allow_unsafe,
-                           std::array<int, kNumClasses> qos_reserved) {
-  ValidatePolicyOrThrow(Topology::Mesh(plan.width(), plan.height()), plan,
-                        routing, policy, allow_unsafe, qos_reserved);
 }
 
 }  // namespace gnoc

@@ -110,9 +110,11 @@ SafetyReport AnalyzeSafety(const Topology& topo, const TilePlan& plan,
                            RoutingAlgorithm routing);
 
 /// Convenience guard: throws std::invalid_argument when `policy` is not
-/// provably safe for (plan, routing) and `allow_unsafe` is false. Used by
-/// the GPU system builder so misconfigurations fail fast instead of
-/// deadlocking mid-simulation.
+/// provably protocol-deadlock safe for (plan, routing) on `topo` and
+/// `allow_unsafe` is false. Used by the GPU system check (CheckGpuConfig)
+/// so misconfigurations fail fast instead of deadlocking mid-simulation;
+/// whether the VCs suffice (dateline halves included) is the network's
+/// check, CheckNetworkConfig.
 ///
 /// `qos_reserved` is the per-class QoS VC reservation (DESIGN.md §15).
 /// When *both* classes reserve at least one VC, full monopolizing is safe
@@ -121,11 +123,6 @@ SafetyReport AnalyzeSafety(const Topology& topo, const TilePlan& plan,
 /// the disjoint-buffering argument that makes the split policy safe. An
 /// asymmetric reservation (one class only) adds no such guarantee for the
 /// unreserved class and falls back to the base analysis.
-void ValidatePolicyOrThrow(const TilePlan& plan, RoutingAlgorithm routing,
-                           VcPolicyKind policy, bool allow_unsafe,
-                           std::array<int, kNumClasses> qos_reserved = {});
-
-/// Topology-aware overload of ValidatePolicyOrThrow.
 void ValidatePolicyOrThrow(const Topology& topo, const TilePlan& plan,
                            RoutingAlgorithm routing, VcPolicyKind policy,
                            bool allow_unsafe,

@@ -6,20 +6,26 @@
 
 namespace gnoc {
 
+NetworkConfig DivisionConfig(const NetworkConfig& config,
+                             NetworkDivision division) {
+  NetworkConfig per_net = config;
+  if (division == NetworkDivision::kPhysical) {
+    per_net.num_vcs = std::max(1, config.num_vcs / 2);
+    // Each physical network carries a single class; within it every VC is
+    // usable by that class, which is what a dedicated network means.
+    per_net.vc_policy = VcPolicyKind::kFullMonopolize;
+  }
+  return per_net;
+}
+
 NetworkFabric::NetworkFabric(const NetworkConfig& config,
                              NetworkDivision division) {
-  if (division == NetworkDivision::kVirtual) {
-    nets_.push_back(std::make_unique<Network>(config));
-    by_class_.fill(nets_[0].get());
-    return;
-  }
-  NetworkConfig per_net = config;
-  per_net.num_vcs = std::max(1, config.num_vcs / 2);
-  // Each physical network carries a single class; within it every VC is
-  // usable by that class, which is what a dedicated network means.
-  per_net.vc_policy = VcPolicyKind::kFullMonopolize;
+  const NetworkConfig per_net = DivisionConfig(config, division);
+  const bool physical = division == NetworkDivision::kPhysical;
   for (Network*& net : by_class_) {
-    nets_.push_back(std::make_unique<Network>(per_net));
+    if (nets_.empty() || physical) {
+      nets_.push_back(std::make_unique<Network>(per_net));
+    }
     net = nets_.back().get();
   }
 }

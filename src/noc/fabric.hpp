@@ -83,16 +83,21 @@ class Fabric {
   virtual const Network& net(TrafficClass cls) const = 0;
 };
 
-/// The physical networks of one network division. Virtual division is one
-/// network whose VC policy separates the classes. Physical division is one
-/// network per class, each with half the per-port VCs (minimum 1) and fully
-/// monopolized internally (it only ever sees one class): roughly double the
-/// router/wire cost, the alternative the paper argues against. Every
-/// method walks the networks in class order, request first.
+/// The configuration every network of `division` is built from: `config`
+/// itself under virtual division; under physical division each class's own
+/// network, with half the per-port VCs (minimum 1) and fully monopolized
+/// internally (it only ever sees one class).
+NetworkConfig DivisionConfig(const NetworkConfig& config,
+                             NetworkDivision division);
+
+/// The physical networks of one network division, each built from
+/// DivisionConfig. Virtual division is one network whose VC policy
+/// separates the classes. Physical division is one network per class:
+/// roughly double the router/wire cost, the alternative the paper argues
+/// against. Every method walks the networks in class order, request first.
 class NetworkFabric final : public Fabric {
  public:
-  /// `config` describes the one network of virtual division; physical
-  /// division builds each class's network from it with num_vcs / 2 VCs.
+  /// `config` describes the one network of virtual division.
   explicit NetworkFabric(const NetworkConfig& config,
                          NetworkDivision division = NetworkDivision::kVirtual);
 

@@ -34,22 +34,43 @@ SchedulingMode ParseSchedulingMode(const std::string& name) {
   return SchedulingRegistry().Parse(name);
 }
 
-namespace {
-
-/// Dateline topologies (torus, circulant) split every class's VC range into
-/// pre-/post-wrap halves, so each class needs >= 2 VCs on every link it can
-/// use — under every link mode the policy can assign. Policies that cannot
-/// guarantee that are rejected at construction (they would assert or
-/// deadlock at the first wrap crossing).
-void ValidateDatelineVcs(const NetworkConfig& config) {
+void CheckNetworkConfig(const NetworkConfig& config, const Topology& topo) {
+  const VcPolicy policy(config.vc_policy, config.num_vcs,
+                        config.qos.ReservedVcs());
+  if (config.vc_depth < 1 || config.vc_depth > FlitSlab::kMaxDepth) {
+    throw std::invalid_argument(
+        "vc_depth must be in [1, " + std::to_string(FlitSlab::kMaxDepth) +
+        "] (got " + std::to_string(config.vc_depth) + ")");
+  }
+  if (config.vc_policy == VcPolicyKind::kDynamic &&
+      config.dynamic_epoch == 0) {
+    // The router/NIC epoch catch-up loops advance next_boundary_update_ by
+    // dynamic_epoch per iteration; a zero epoch would spin them forever.
+    throw std::invalid_argument(
+        "dynamic_epoch must be >= 1 (got 0): the dynamic VC policy commits "
+        "epoch flit counts every dynamic_epoch cycles");
+  }
+  const int inputs = topo.radix() * config.num_vcs;
+  if (static_cast<std::size_t>(inputs) > kMaxArbiterInputs) {
+    throw std::invalid_argument(
+        std::string("topology '") + TopologyName(topo.kind()) +
+        "' has radix " + std::to_string(topo.radix()) + ", so num_vcs=" +
+        std::to_string(config.num_vcs) + " gives each VC allocator " +
+        std::to_string(inputs) + " inputs; at most " +
+        std::to_string(kMaxArbiterInputs) +
+        " fit one request mask (lower num_vcs)");
+  }
+  if (!topo.has_datelines()) return;
+  // Wrap links split every class's VC range into pre-/post-dateline
+  // halves, so each class needs >= 2 VCs on every link it can use, under
+  // every link mode the policy can assign; otherwise the first wrap
+  // crossing would assert or deadlock.
   if (config.vc_policy == VcPolicyKind::kDynamic) {
     throw std::invalid_argument(
         std::string("topology '") + TopologyName(config.topology) +
         "' needs dateline VC halves; dynamic partitioning can shrink a "
         "class to a single VC and is not supported");
   }
-  const VcPolicy policy(config.vc_policy, config.num_vcs,
-                        config.qos.ReservedVcs());
   for (int c = 0; c < kNumClasses; ++c) {
     for (const LinkMode mode : {LinkMode::kMixed, LinkMode::kSingleClass}) {
       const VcRange range = policy.AllowedVcs(static_cast<TrafficClass>(c),
@@ -60,15 +81,12 @@ void ValidateDatelineVcs(const NetworkConfig& config) {
             "' needs dateline VC halves: policy '" +
             VcPolicyName(config.vc_policy) + "' with num_vcs=" +
             std::to_string(config.num_vcs) + " leaves " +
-            ClassName(static_cast<TrafficClass>(c)) +
-            " only " + std::to_string(range.size()) +
-            " VC(s) on some links (need >= 2; raise num_vcs)");
+            ClassName(static_cast<TrafficClass>(c)) + " only " +
+            std::to_string(range.size()) + " VC on some links (need >= 2)");
       }
     }
   }
 }
-
-}  // namespace
 
 Network::Network(const NetworkConfig& config)
     : config_(config),
@@ -76,30 +94,7 @@ Network::Network(const NetworkConfig& config)
                            config.circulant_s1, config.circulant_s2)),
       packets_(config.width, config.height) {
   assert(config.width >= 2 && config.height >= 2);
-  if (config_.num_vcs < 1 || config_.vc_depth < 1) {
-    // Router and Nic only assert this; a release build would run with no
-    // VC to inject into and report a silent zero-traffic result.
-    throw std::invalid_argument(
-        "num_vcs and vc_depth must be >= 1 (got " +
-        std::to_string(config_.num_vcs) + " and " +
-        std::to_string(config_.vc_depth) + ")");
-  }
-  if (config_.vc_depth > FlitSlab::kMaxDepth) {
-    // A router's flit slab counts each VC's flits in a byte.
-    throw std::invalid_argument(
-        "vc_depth must be <= " + std::to_string(FlitSlab::kMaxDepth) +
-        " (got " + std::to_string(config_.vc_depth) + ")");
-  }
-  if (config_.vc_policy == VcPolicyKind::kDynamic &&
-      config_.dynamic_epoch == 0) {
-    // The router/NIC epoch catch-up loops advance next_boundary_update_ by
-    // dynamic_epoch per iteration; a zero epoch would spin them forever.
-    throw std::invalid_argument(
-        "dynamic_epoch must be >= 1 (got 0): the dynamic VC policy commits "
-        "epoch flit counts every dynamic_epoch cycles");
-  }
-  CheckRequestMaskWidth(topo_, config_.num_vcs);
-  if (topo_.has_datelines()) ValidateDatelineVcs(config_);
+  CheckNetworkConfig(config_, topo_);
   if (config_.audit) {
     auditor_ = std::make_unique<Auditor>(config_, packets_);
   }

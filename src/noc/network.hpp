@@ -70,8 +70,18 @@ struct NetworkSummary {
   }
 };
 
+/// Throws std::invalid_argument when no network can be built from `config`
+/// on `topo` (the topology it names): a VC count the VC policy and its QoS
+/// reservations refuse (VcPolicy), vc_depth outside [1, 255] (a router's
+/// flit slab counts each VC's flits in a byte), a zero dynamic_epoch under
+/// the dynamic policy, radix x num_vcs wider than one request mask, or, on
+/// a dateline topology, a class left fewer than two VCs on some link (or
+/// the dynamic policy, which can shrink a class to one).
+void CheckNetworkConfig(const NetworkConfig& config, const Topology& topo);
+
 class Network {
  public:
+  /// Throws what CheckNetworkConfig throws.
   explicit Network(const NetworkConfig& config);
   ~Network();  // defaulted in network.cpp, where SoaCore is complete
 

@@ -130,19 +130,8 @@ VcRange Nic::InjectionRange(TrafficClass cls) const {
 }
 
 void Nic::UpdateDynamicBoundary() {
-  const std::uint64_t req = epoch_flits_[ClassIndex(TrafficClass::kRequest)];
-  const std::uint64_t rep = epoch_flits_[ClassIndex(TrafficClass::kReply)];
-  epoch_flits_.fill(0);
+  StepBoundary(epoch_flits_, boundary_, config_.num_vcs);
   next_boundary_update_ += config_.dynamic_epoch;
-  if (req + rep == 0) return;
-  const VcId target = BoundaryForShare(
-      static_cast<double>(req) / static_cast<double>(req + rep),
-      config_.num_vcs);
-  if (target > boundary_) {
-    ++boundary_;
-  } else if (target < boundary_) {
-    --boundary_;
-  }
 }
 
 [[gnu::always_inline]] inline bool Nic::ConsumeCredits(Cycle now) {

@@ -93,18 +93,6 @@ inline int QosArbitrate(Arbiter& arb, RequestMask requests,
 
 }  // namespace
 
-void CheckRequestMaskWidth(const Topology& topo, int num_vcs) {
-  const int inputs = topo.radix() * num_vcs;
-  if (static_cast<std::size_t>(inputs) <= kMaxArbiterInputs) return;
-  throw std::invalid_argument(
-      std::string("topology '") + TopologyName(topo.kind()) +
-      "' has radix " + std::to_string(topo.radix()) + ", so num_vcs=" +
-      std::to_string(num_vcs) + " gives each VC allocator " +
-      std::to_string(inputs) + " inputs; at most " +
-      std::to_string(kMaxArbiterInputs) +
-      " fit one request mask (lower num_vcs)");
-}
-
 Router::Router(NodeId node, Coord coord, const NetworkConfig& config,
                const Topology& topology)
     : node_(node),
@@ -418,22 +406,8 @@ void Router::ChargeSkipped(Cycle visits) const {
 }
 
 void Router::UpdateDynamicBoundaries() {
-  for (int p = 0; p < num_ports_; ++p) {
-    auto& counts = epoch_flits_[static_cast<std::size_t>(p)];
-    const std::uint64_t req = counts[ClassIndex(TrafficClass::kRequest)];
-    const std::uint64_t rep = counts[ClassIndex(TrafficClass::kReply)];
-    counts.fill(0);
-    if (req + rep == 0) continue;  // idle port: keep the current boundary
-    const double share =
-        static_cast<double>(req) / static_cast<double>(req + rep);
-    const VcId target = BoundaryForShare(share, config_.num_vcs);
-    VcId& boundary = boundaries_[static_cast<std::size_t>(p)];
-    // Hysteresis: move one VC per epoch towards the target.
-    if (target > boundary) {
-      ++boundary;
-    } else if (target < boundary) {
-      --boundary;
-    }
+  for (std::size_t p = 0; p < static_cast<std::size_t>(num_ports_); ++p) {
+    StepBoundary(epoch_flits_[p], boundaries_[p], config_.num_vcs);
   }
   // += (not now + epoch) keeps boundaries on the construction-time epoch
   // grid even when updates are replayed late; equivalent under full

@@ -76,11 +76,6 @@ struct RouterStats {
   std::uint64_t buffered_flit_cycles = 0;
 };
 
-/// Throws std::invalid_argument, naming the topology, its radix and
-/// `num_vcs`, when radix × num_vcs — the VA arbiter's width — exceeds one
-/// RequestMask (kMaxArbiterInputs).
-void CheckRequestMaskWidth(const Topology& topo, int num_vcs);
-
 /// One router. Wiring (channels, NICs) is injected by the Network.
 class Router {
  public:

@@ -43,10 +43,14 @@ VcPolicyKind ParseVcPolicy(const std::string& name) {
 VcPolicy::VcPolicy(VcPolicyKind kind, int num_vcs,
                    std::array<int, kNumClasses> reserved)
     : kind_(kind), num_vcs_(num_vcs), reserved_(reserved) {
-  assert(num_vcs >= 1);
-  if (kind != VcPolicyKind::kFullMonopolize) {
-    // Partitioning policies need at least one VC per class.
-    assert(num_vcs >= 2);
+  // Every class needs a VC; a partitioning policy gives each its own.
+  if (kind != VcPolicyKind::kFullMonopolize && num_vcs < 2) {
+    throw std::invalid_argument(std::string("policy '") + VcPolicyName(kind) +
+                                "' partitions VCs and needs num_vcs >= 2");
+  }
+  if (num_vcs < 1) {
+    throw std::invalid_argument("num_vcs must be >= 1 (got " +
+                                std::to_string(num_vcs) + ")");
   }
   if (reserved_[0] == 0 && reserved_[1] == 0) return;
   if (reserved_[0] < 0 || reserved_[1] < 0) {
@@ -140,6 +144,22 @@ VcId BoundaryForShare(double request_share, int num_vcs) {
   const auto raw =
       static_cast<VcId>(std::lround(clamped * static_cast<double>(num_vcs)));
   return std::clamp<VcId>(raw, 1, num_vcs - 1);
+}
+
+void StepBoundary(std::array<std::uint64_t, kNumClasses>& epoch_flits,
+                  VcId& boundary, int num_vcs) {
+  const std::uint64_t req = epoch_flits[ClassIndex(TrafficClass::kRequest)];
+  const std::uint64_t rep = epoch_flits[ClassIndex(TrafficClass::kReply)];
+  epoch_flits.fill(0);
+  if (req + rep == 0) return;  // idle: keep the current boundary
+  const VcId target = BoundaryForShare(
+      static_cast<double>(req) / static_cast<double>(req + rep), num_vcs);
+  // Hysteresis: move one VC per epoch towards the target.
+  if (target > boundary) {
+    ++boundary;
+  } else if (target < boundary) {
+    --boundary;
+  }
 }
 
 VcId InitialBoundary(int num_vcs) {

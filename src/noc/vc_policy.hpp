@@ -35,6 +35,7 @@
 #pragma once
 
 #include <array>
+#include <cstdint>
 #include <string>
 
 #include "common/types.hpp"
@@ -86,14 +87,14 @@ struct VcRange {
 /// same range from the same policy, so no negotiation is needed.
 class VcPolicy {
  public:
-  /// `num_vcs` is the number of VCs per input port (>= 2 for any policy
-  /// that partitions). `reserved[c]` VCs are carved out for class c before
-  /// the policy divides the remainder: class 0 owns the lowest indices,
-  /// class 1 the highest. Throws std::invalid_argument when the
-  /// reservation is unsatisfiable (more reserved than exist, a class left
-  /// with no VC, a 1-VC shared pool no partitioning policy can divide) or
-  /// combined with kDynamic, whose per-port feedback boundary bypasses
-  /// this static map.
+  /// `num_vcs` is the number of VCs per input port. `reserved[c]` VCs are
+  /// carved out for class c before the policy divides the remainder: class
+  /// 0 owns the lowest indices, class 1 the highest. Throws
+  /// std::invalid_argument when `num_vcs` is below 1, or below 2 for any
+  /// policy that partitions, and when the reservation is unsatisfiable
+  /// (more reserved than exist, a class left with no VC, a 1-VC shared pool
+  /// no partitioning policy can divide) or combined with kDynamic, whose
+  /// per-port feedback boundary bypasses this static map.
   VcPolicy(VcPolicyKind kind, int num_vcs,
            std::array<int, kNumClasses> reserved = {});
 
@@ -136,6 +137,13 @@ VcRange PartitionAt(TrafficClass cls, VcId boundary, int num_vcs);
 /// The boundary a traffic mix suggests: round(request_share * num_vcs),
 /// clamped to [1, num_vcs - 1]. `request_share` in [0, 1].
 VcId BoundaryForShare(double request_share, int num_vcs);
+
+/// One dynamic-partitioning epoch commit at an endpoint (a router output
+/// port or a NIC): clears the epoch's per-class flit counts and, unless both
+/// were zero, moves `boundary` one VC towards BoundaryForShare of the
+/// request share (hysteresis).
+void StepBoundary(std::array<std::uint64_t, kNumClasses>& epoch_flits,
+                  VcId& boundary, int num_vcs);
 
 /// The boundary every dynamic-partitioning endpoint starts from: an even
 /// split, clamped into PartitionAt's legal range. Both ends of a link must

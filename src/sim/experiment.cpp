@@ -442,6 +442,14 @@ std::uint64_t SweepFingerprint(const std::vector<SchemeSpec>& schemes,
 SweepResult RunSweep(const std::vector<SchemeSpec>& schemes,
                      const std::vector<WorkloadProfile>& workloads,
                      const SweepOptions& options) {
+  for (const SchemeSpec& scheme : schemes) {
+    try {
+      CheckGpuConfig(scheme.config);
+    } catch (const std::invalid_argument& e) {
+      throw std::invalid_argument("scheme '" + scheme.label +
+                                  "': " + e.what());
+    }
+  }
   std::vector<std::string> scheme_names;
   scheme_names.reserve(schemes.size());
   for (const auto& s : schemes) scheme_names.push_back(s.label);

@@ -165,9 +165,12 @@ std::vector<SweepCell> EnumerateCells(std::size_t num_schemes,
 /// a resumed sweep loads its completed cells first, on the calling thread.
 /// Deterministic: each cell uses the same seed (from the scheme's config)
 /// and shares no state, so the result is bit-identical for any thread
-/// count. If a cell throws (e.g. a deadlock-unsafe configuration) or the
-/// progress callback does (a preempted sweep), no further cell starts and
-/// the first exception is rethrown after in-flight cells finish.
+/// count. First, CheckGpuConfig checks every scheme: a refused one (e.g. a
+/// deadlock-unsafe configuration) throws std::invalid_argument naming the
+/// scheme, before any cell runs or any progress is reported. If a cell
+/// throws or the progress callback does (a preempted sweep), no further
+/// cell starts and the first exception is rethrown after in-flight cells
+/// finish.
 SweepResult RunSweep(const std::vector<SchemeSpec>& schemes,
                      const std::vector<WorkloadProfile>& workloads,
                      const SweepOptions& options);

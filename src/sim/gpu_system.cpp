@@ -107,19 +107,24 @@ std::uint64_t GpuConfigFingerprint(const GpuConfig& config,
   return HashQosConfig(Fnv1a64(s.bytes()), config.qos);
 }
 
+void CheckGpuConfig(const GpuConfig& config) {
+  const TilePlan plan(config.width, config.height, config.num_mcs,
+                      config.placement);
+  if (config.ideal_noc) return;
+  const Topology topo =
+      Topology::Make(config.topology, config.width, config.height,
+                     config.circulant_s1, config.circulant_s2);
+  CheckNetworkConfig(DivisionConfig(config, config.division), topo);
+  // Fail fast on protocol-deadlock-unsafe configurations (Sec. 3.2.1).
+  ValidatePolicyOrThrow(topo, plan, config.routing, config.vc_policy,
+                        config.allow_unsafe, config.qos.ReservedVcs());
+}
+
 GpuSystem::GpuSystem(const GpuConfig& config, const WorkloadProfile& workload)
     : config_(config),
       workload_(workload),
       plan_(config.width, config.height, config.num_mcs, config.placement) {
-  // Fail fast on protocol-deadlock-unsafe configurations (Sec. 3.2.1).
-  // The ideal interconnect has no VCs, so nothing to validate there.
-  if (!config_.ideal_noc) {
-    const Topology topo =
-        Topology::Make(config_.topology, config_.width, config_.height,
-                       config_.circulant_s1, config_.circulant_s2);
-    ValidatePolicyOrThrow(topo, plan_, config_.routing, config_.vc_policy,
-                          config_.allow_unsafe, config_.qos.ReservedVcs());
-  }
+  CheckGpuConfig(config_);
 
   if (config_.record_trace) trace_ = std::make_unique<TraceWriter>();
   if (config_.ideal_noc) {

@@ -81,10 +81,17 @@ void Load(Deserializer& d, GpuRunStats& stats);
 std::uint64_t GpuConfigFingerprint(const GpuConfig& config,
                                    const WorkloadProfile& workload);
 
+/// Throws std::invalid_argument when no GpuSystem can be built from
+/// `config`: its tile plan (TilePlan), then, unless the NoC is ideal (no
+/// network, nothing more to check), its topology, CheckNetworkConfig on the
+/// DivisionConfig its networks are built from, and protocol-deadlock safety
+/// with its QoS reservations (ValidatePolicyOrThrow). The one statement of
+/// what can be built: GpuSystem, RunSweep and the DSE screen all call it.
+void CheckGpuConfig(const GpuConfig& config);
+
 class GpuSystem {
  public:
-  /// Builds the system. Throws std::invalid_argument when the configuration
-  /// is protocol-deadlock unsafe and `config.allow_unsafe` is false.
+  /// Builds the system. Throws what CheckGpuConfig throws.
   GpuSystem(const GpuConfig& config, const WorkloadProfile& workload);
 
   GpuSystem(const GpuSystem&) = delete;

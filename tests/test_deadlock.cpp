@@ -75,20 +75,21 @@ TEST(SafetyTest, BottomXyYxAllowsPartialOnly) {
 
 TEST(SafetyTest, ValidateThrowsOnUnsafeConfig) {
   const TilePlan plan = Plan(McPlacement::kBottom);
-  EXPECT_THROW(ValidatePolicyOrThrow(plan, RoutingAlgorithm::kXYYX,
+  const Topology mesh = Topology::Mesh(8, 8);
+  EXPECT_THROW(ValidatePolicyOrThrow(mesh, plan, RoutingAlgorithm::kXYYX,
                                      VcPolicyKind::kFullMonopolize,
                                      /*allow_unsafe=*/false),
                std::invalid_argument);
-  EXPECT_NO_THROW(ValidatePolicyOrThrow(plan, RoutingAlgorithm::kXYYX,
+  EXPECT_NO_THROW(ValidatePolicyOrThrow(mesh, plan, RoutingAlgorithm::kXYYX,
                                         VcPolicyKind::kFullMonopolize,
                                         /*allow_unsafe=*/true));
-  EXPECT_NO_THROW(ValidatePolicyOrThrow(plan, RoutingAlgorithm::kXY,
+  EXPECT_NO_THROW(ValidatePolicyOrThrow(mesh, plan, RoutingAlgorithm::kXY,
                                         VcPolicyKind::kFullMonopolize,
                                         /*allow_unsafe=*/false));
   // Split and asymmetric are always safe.
-  EXPECT_NO_THROW(ValidatePolicyOrThrow(plan, RoutingAlgorithm::kXYYX,
+  EXPECT_NO_THROW(ValidatePolicyOrThrow(mesh, plan, RoutingAlgorithm::kXYYX,
                                         VcPolicyKind::kSplit, false));
-  EXPECT_NO_THROW(ValidatePolicyOrThrow(plan, RoutingAlgorithm::kXYYX,
+  EXPECT_NO_THROW(ValidatePolicyOrThrow(mesh, plan, RoutingAlgorithm::kXYYX,
                                         VcPolicyKind::kAsymmetric, false));
 }
 

@@ -14,6 +14,7 @@
 #include <fstream>
 #include <iterator>
 #include <limits>
+#include <map>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -27,6 +28,7 @@
 #include "dse/search.hpp"
 #include "dse/space.hpp"
 #include "noc/traffic.hpp"
+#include "sim/gpu_system.hpp"
 
 namespace gnoc {
 namespace {
@@ -222,6 +224,75 @@ TEST(DesignSpaceTest, FeasibilityScreening) {
   EXPECT_NE(mask.find("num_vcs=13"), std::string::npos) << mask;
   wide.vc_counts = {12};
   EXPECT_EQ(DesignInfeasibility(wide, wide.PointAt(0)), "");
+}
+
+// The screen is the construction check caught, so a design is feasible
+// exactly when its GpuSystem builds: over the default space, and over one
+// widened by the dynamic policy, the cmesh and circulant fabrics, 1 and 13
+// VCs and 300-flit VCs, on bases that reserve a VC for one class or both,
+// divide the network physically or replace it by the ideal interconnect.
+// `verdicts` pins the designs a hand-written copy of the checks once
+// misjudged.
+TEST(DesignSpaceTest, ScreenAgreesWithConstruction) {
+  const std::map<std::string, bool> verdicts{
+      // A 1-VC shared pool that split cannot divide.
+      {"reserve_request bottom/XY/split/mesh/2vx4", false},
+      // Escape VCs for both classes make full monopolizing safe.
+      {"reserve_both bottom/XY-YX/full-monopolize/mesh/4vx4", true},
+      // Each physical network gets one VC: no dateline halves.
+      {"physical bottom/XY/full-monopolize/torus/2vx4", false},
+      {"plain bottom/XY/full-monopolize/mesh/2vx300", false},
+      {"plain bottom/XY/split/mesh/1vx4", false},
+      {"plain bottom/XY/dynamic/cmesh/1vx4", false},
+      {"ideal bottom/XY-YX/full-monopolize/torus/1vx300", true},
+      // The reserved VC gives requests two, one per dateline half.
+      {"reserve_request bottom/XY/asymmetric/torus/4vx4", true},
+  };
+  std::size_t pinned = 0;
+  const WorkloadProfile& workload = FindWorkload("BFS");
+  const auto infeasible = [&](const DesignSpace& space,
+                              const std::string& base) {
+    int refused = 0;
+    for (std::uint64_t i = 0; i < space.NumPoints(); ++i) {
+      const DesignPoint p = space.PointAt(i);
+      const std::string reason = DesignInfeasibility(space, p);
+      bool builds = true;
+      try {
+        const GpuSystem gpu(MakeConfig(space, p), workload);
+      } catch (const std::invalid_argument&) {
+        builds = false;
+      }
+      const std::string design = base + " " + PointLabel(space, p);
+      EXPECT_EQ(reason.empty(), builds) << design << ": " << reason;
+      if (const auto it = verdicts.find(design); it != verdicts.end()) {
+        EXPECT_EQ(builds, it->second) << design;
+        ++pinned;
+      }
+      refused += reason.empty() ? 0 : 1;
+    }
+    return refused;
+  };
+  EXPECT_EQ(infeasible(DesignSpace::Default(), "default"), 176);
+
+  DesignSpace wide = DesignSpace::Default();
+  wide.vc_policies.push_back(VcPolicyKind::kDynamic);
+  wide.topologies = {TopologyKind::kMesh, TopologyKind::kTorus,
+                     TopologyKind::kCMesh, TopologyKind::kCirculant};
+  wide.vc_counts = {1, 2, 4, 13};
+  wide.vc_depths = {4, 8, 300};
+  EXPECT_GT(infeasible(wide, "plain"), 0);
+  wide.base.qos.classes[0].reserved_vcs = 1;
+  EXPECT_GT(infeasible(wide, "reserve_request"), 0);
+  wide.base.qos.classes[1].reserved_vcs = 1;
+  EXPECT_GT(infeasible(wide, "reserve_both"), 0);
+  wide.base = GpuConfig::Baseline();
+  wide.base.division = NetworkDivision::kPhysical;
+  EXPECT_GT(infeasible(wide, "physical"), 0);
+  wide.base = GpuConfig::Baseline();
+  wide.base.ideal_noc = true;
+  // The ideal interconnect has no VCs to refuse.
+  EXPECT_EQ(infeasible(wide, "ideal"), 0);
+  EXPECT_EQ(pinned, verdicts.size());
 }
 
 TEST(DesignSpaceTest, BufferAreaScalesWithVcResources) {

@@ -301,7 +301,11 @@ TEST_F(DseServerTest, InvalidConfigJobsFailWithTheirMessage) {
                               "base": {"num_vc": 4, "vc_polcy": "mono"},
                               "schemes": [{"label": "x",
                                            "config": {"vc_depth": 0}}]})");
-    EXPECT_EQ(server.Run(), 2);
+    // A flag-valid value the construction check refuses: split cannot
+    // divide one VC, so the job fails before any cell runs.
+    server.Submit("one_vc", R"({"type": "sweep", "base": {"num_vcs": 1},
+                                "schemes": [{"label": "x"}]})");
+    EXPECT_EQ(server.Run(), 3);
   }
   const auto error = [this](const std::string& id) {
     return JsonValue::Parse(ReadFile(Spool() + "/status/" + id + ".json"))
@@ -313,6 +317,9 @@ TEST_F(DseServerTest, InvalidConfigJobsFailWithTheirMessage) {
             std::string::npos);
   EXPECT_EQ(Status("typo"), "failed");
   EXPECT_NE(error("typo").find("did you mean"), std::string::npos);
+  EXPECT_EQ(Status("one_vc"), "failed");
+  EXPECT_EQ(error("one_vc"),
+            "scheme 'x': policy 'split' partitions VCs and needs num_vcs >= 2");
 }
 
 TEST_F(DseServerTest, FinishedJobKeepsItsProgress) {

@@ -171,10 +171,27 @@ TEST(SweepTest, ParallelSweepPropagatesCellExceptions) {
   const std::vector<SchemeSpec> schemes{{"XY", base}, {"unsafe", unsafe}};
   const auto workloads = WorkloadSubset({"NQU"});
 
-  SweepOptions options;
-  options.lengths = RunLengths{100, 500};
-  options.threads = 4;
-  EXPECT_THROW(RunSweep(schemes, workloads, options), std::invalid_argument);
+  // RunSweep checks every scheme before its first cell: the refusal names
+  // the scheme, and no cell completes or reports progress first.
+  for (const int threads : {1, 4}) {
+    SweepOptions options;
+    options.lengths = RunLengths{100, 500};
+    options.threads = threads;
+    int progress_calls = 0;
+    options.progress = [&progress_calls](const std::string&,
+                                         const std::string&, int, int) {
+      ++progress_calls;
+    };
+    try {
+      RunSweep(schemes, workloads, options);
+      ADD_FAILURE() << "threads=" << threads << ": the unsafe scheme ran";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("scheme 'unsafe': "),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(progress_calls, 0) << "threads=" << threads;
+  }
 }
 
 TEST(SweepResultTest, WriteJsonEmitsCellsAndSummaries) {

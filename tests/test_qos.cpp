@@ -286,15 +286,16 @@ TEST(QosVcReservationTest, RejectsUnsatisfiableReservations) {
 // monopolizing is unsafe — unless *both* classes keep a reserved escape VC.
 TEST(QosDeadlockTest, ReservationsRestoreFullMonopolizeSafety) {
   const TilePlan plan(8, 8, 8, McPlacement::kBottom);
-  EXPECT_THROW(ValidatePolicyOrThrow(plan, RoutingAlgorithm::kXYYX,
+  const Topology mesh = Topology::Mesh(8, 8);
+  EXPECT_THROW(ValidatePolicyOrThrow(mesh, plan, RoutingAlgorithm::kXYYX,
                                      VcPolicyKind::kFullMonopolize,
                                      /*allow_unsafe=*/false),
                std::invalid_argument);
-  EXPECT_NO_THROW(ValidatePolicyOrThrow(plan, RoutingAlgorithm::kXYYX,
+  EXPECT_NO_THROW(ValidatePolicyOrThrow(mesh, plan, RoutingAlgorithm::kXYYX,
                                         VcPolicyKind::kFullMonopolize,
                                         /*allow_unsafe=*/false, {1, 1}));
   // One-sided reservations protect only one class: still unsafe.
-  EXPECT_THROW(ValidatePolicyOrThrow(plan, RoutingAlgorithm::kXYYX,
+  EXPECT_THROW(ValidatePolicyOrThrow(mesh, plan, RoutingAlgorithm::kXYYX,
                                      VcPolicyKind::kFullMonopolize,
                                      /*allow_unsafe=*/false, {1, 0}),
                std::invalid_argument);

@@ -1,6 +1,8 @@
 // Unit tests for VC organization policies.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "noc/vc_policy.hpp"
 
 namespace gnoc {
@@ -86,6 +88,18 @@ TEST(VcPolicyTest, RangesCoverAllVcsWithoutGaps) {
       }
     }
   }
+}
+
+// A partitioning policy gives each class VCs of its own, so it cannot
+// divide one VC; the constructor refuses that in every build, while full
+// monopolizing shares the one VC.
+TEST(VcPolicyTest, PartitioningThrowsAtOneVc) {
+  for (auto kind : {VcPolicyKind::kSplit, VcPolicyKind::kPartialMonopolize,
+                    VcPolicyKind::kAsymmetric, VcPolicyKind::kDynamic}) {
+    EXPECT_THROW(VcPolicy(kind, 1), std::invalid_argument)
+        << VcPolicyName(kind);
+  }
+  EXPECT_NO_THROW(VcPolicy(VcPolicyKind::kFullMonopolize, 1));
 }
 
 TEST(VcRangeTest, ContainsAndSize) {
