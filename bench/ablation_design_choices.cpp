@@ -44,7 +44,8 @@ int main(int argc, char** argv) {
       // The fully monopolized variants need the Table 2 mesh, and workload=
       // names the one workload.
       kRunKeys, RunFlagsExcept({"workloads"}), [](FlagSet& flags) {
-        flags.AddString("workload", "KMN", "the workload to ablate on");
+        flags.AddString("workload", "KMN", "the workload to ablate on",
+                        FlagSet::ParsedBy(FindWorkload));
       });
   const WorkloadProfile& workload =
       FindWorkload(opts.raw.GetString("workload", "KMN"));

@@ -150,17 +150,23 @@ inline std::string TrimToken(const std::string& s) {
   return s.substr(begin, end - begin);
 }
 
-/// Parses a "workloads=" list: comma separated names, whitespace trimmed,
-/// empty tokens skipped. Unknown names throw with the full list of valid
-/// names in the message.
-inline std::vector<WorkloadProfile> ParseWorkloadList(const std::string& list) {
-  std::vector<std::string> names;
+/// The tokens of a comma-separated list, whitespace trimmed, empty tokens
+/// skipped.
+inline std::vector<std::string> SplitList(const std::string& list) {
+  std::vector<std::string> out;
   std::istringstream iss(list);
   std::string token;
   while (std::getline(iss, token, ',')) {
     token = TrimToken(token);
-    if (!token.empty()) names.push_back(token);
+    if (!token.empty()) out.push_back(token);
   }
+  return out;
+}
+
+/// Parses a "workloads=" list (SplitList). Unknown names throw with the
+/// full list of valid names in the message.
+inline std::vector<WorkloadProfile> ParseWorkloadList(const std::string& list) {
+  const std::vector<std::string> names = SplitList(list);
   if (names.empty()) return AllWorkloads();
   try {
     return WorkloadSubset(names);
@@ -190,7 +196,8 @@ inline void RegisterRunFlags(FlagSet& flags) {
                                     : std::string();
                   });
   flags.AddString("workloads", "",
-                  "comma-separated benchmark subset (empty = all 25)");
+                  "comma-separated benchmark subset (empty = all 25)",
+                  FlagSet::ParsedBy(ParseWorkloadList));
   flags.AddBool("csv", false, "emit CSV instead of aligned tables");
   flags.AddInt("threads", 0, "parallel sweep workers (0 = one per core)",
                NonNegative());
@@ -282,18 +289,25 @@ inline BenchOptions ParseBenchOptions(
   return opts;
 }
 
-/// RunSweep over the harness's workloads and sweep options. A scheme whose
-/// configuration cannot be built (RunSweep checks every scheme before its
-/// first cell) prints "<program>: <reason>" and exits 2, as a refused flag
-/// does.
-inline SweepResult RunBenchSweep(const std::vector<SchemeSpec>& schemes,
-                                 const BenchOptions& opts) {
+/// Prints "<program>: <reason>" and exits 2, as a refused flag does, when
+/// CheckSchemes refuses one of `schemes`. A harness that runs several
+/// sweeps checks all their schemes before its first.
+inline void CheckBenchSchemes(const std::vector<SchemeSpec>& schemes,
+                              const BenchOptions& opts) {
   try {
-    return RunSweep(schemes, opts.workloads, opts.sweep);
+    CheckSchemes(schemes);
   } catch (const std::invalid_argument& e) {
     std::cerr << opts.program << ": " << e.what() << '\n';
     std::exit(2);
   }
+}
+
+/// RunSweep over the harness's workloads and sweep options, after
+/// CheckBenchSchemes.
+inline SweepResult RunBenchSweep(const std::vector<SchemeSpec>& schemes,
+                                 const BenchOptions& opts) {
+  CheckBenchSchemes(schemes, opts);
+  return RunSweep(schemes, opts.workloads, opts.sweep);
 }
 
 /// Writes a telemetry report as `<prefix>.csv` (long-form windows) and

@@ -16,9 +16,6 @@ int main(int argc, char** argv) {
   const BenchOptions opts = ParseBenchOptions(
       argc, argv, "fig10_asymmetric_partitioning",
       "Fig. 10: asymmetric request:reply VC partitioning");
-  std::cout << SectionHeader(
-      "Fig. 10 — Asymmetric VC partitioning (4 VCs, request:reply = 1:3 vs "
-      "2:2, XY-YX routing)");
 
   GpuConfig base = WithGridOverrides(GpuConfig::Baseline(), opts);
   base.routing = RoutingAlgorithm::kXYYX;
@@ -30,6 +27,23 @@ int main(int argc, char** argv) {
 
   const std::vector<SchemeSpec> schemes{{"Baseline (2:2)", base},
                                         {"VC Partitioned (1:3)", asym}};
+
+  // The paper notes the scheme is effective across MC placements; verify on
+  // the diamond placement as well.
+  GpuConfig d_base = WithGridOverrides(GpuConfig::Baseline(), opts);
+  d_base.placement = McPlacement::kDiamond;
+  if (!opts.raw.Contains("num_vcs")) d_base.num_vcs = 4;
+  GpuConfig d_asym = d_base;
+  d_asym.vc_policy = VcPolicyKind::kAsymmetric;
+  const std::vector<SchemeSpec> d_schemes{{"Diamond (2:2)", d_base},
+                                          {"Diamond (1:3)", d_asym}};
+  // Both studies are checked before the first runs.
+  CheckBenchSchemes(schemes, opts);
+  CheckBenchSchemes(d_schemes, opts);
+
+  std::cout << SectionHeader(
+      "Fig. 10 — Asymmetric VC partitioning (4 VCs, request:reply = 1:3 vs "
+      "2:2, XY-YX routing)");
   const SweepResult result = RunBenchSweep(schemes, opts);
 
   BenchReport report("fig10_asymmetric_partitioning", opts);
@@ -46,17 +60,8 @@ int main(int argc, char** argv) {
                             3)
             << "\n";
 
-  // The paper notes the scheme is effective across MC placements; verify on
-  // the diamond placement as well.
   std::cout << SectionHeader("Asymmetric partitioning on the diamond "
                              "placement (XY routing)");
-  GpuConfig d_base = WithGridOverrides(GpuConfig::Baseline(), opts);
-  d_base.placement = McPlacement::kDiamond;
-  if (!opts.raw.Contains("num_vcs")) d_base.num_vcs = 4;
-  GpuConfig d_asym = d_base;
-  d_asym.vc_policy = VcPolicyKind::kAsymmetric;
-  const std::vector<SchemeSpec> d_schemes{{"Diamond (2:2)", d_base},
-                                          {"Diamond (1:3)", d_asym}};
   const SweepResult d_result = RunBenchSweep(d_schemes, opts);
   report.Sweep("diamond_partitioning", d_result, "Diamond (2:2)");
   report.Metric("geomean_xyyx",

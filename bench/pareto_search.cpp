@@ -21,27 +21,6 @@
 namespace gnoc::bench {
 namespace {
 
-std::vector<std::string> SplitList(const std::string& list) {
-  std::vector<std::string> out;
-  std::istringstream iss(list);
-  std::string token;
-  while (std::getline(iss, token, ',')) {
-    token = TrimToken(token);
-    if (!token.empty()) out.push_back(token);
-  }
-  return out;
-}
-
-/// Replaces one axis when its flag was given; "" keeps the paper default.
-template <typename T, typename ParseFn>
-void OverrideAxis(std::vector<T>& axis, const std::string& list,
-                  ParseFn parse) {
-  const std::vector<std::string> names = SplitList(list);
-  if (names.empty()) return;
-  axis.clear();
-  for (const std::string& name : names) axis.push_back(parse(name));
-}
-
 int Main(int argc, char** argv) {
   const auto positive = [](std::int64_t v) {
     return v < 1 ? std::string("must be >= 1") : std::string();
@@ -56,7 +35,7 @@ int Main(int argc, char** argv) {
       {"radix"}, RunFlagsExcept({"json", "checkpoint_interval"}),
       [&](FlagSet& f) {
         f.AddEnum("strategy", "nsga2", "batch proposal strategy",
-                  {"nsga2", "random", "grid"});
+                  SearchStrategyRegistry());
         f.AddString("objectives", "ipc,mean_latency,p99_latency,buffer_area",
                     "comma list: ipc, mean_latency, p99_latency, buffer_area");
         f.AddInt("population", 16, "designs proposed per batch", positive);
@@ -65,28 +44,27 @@ int Main(int argc, char** argv) {
                  NonNegative());
         f.AddInt("seed", 1, "search RNG seed", NonNegative());
         f.AddString("out", "pareto.json", "frontier artifact path");
-        f.AddString("placements", "",
-                    "axis override, e.g. bottom,edge (empty = paper axis)");
-        f.AddString("routings", "", "axis override, e.g. xy,yx");
-        f.AddString("vc_policies", "", "axis override, e.g. split,mono");
-        f.AddString("topologies", "", "axis override, e.g. mesh,torus");
-        f.AddString("vc_counts", "", "axis override, e.g. 2,4");
-        f.AddString("vc_depths", "", "axis override, e.g. 4,8");
+        const char* const examples[kNumDesignAxes] = {
+            "bottom,edge", "xy,yx", "split,mono", "mesh,torus", "2,4", "4,8"};
+        for (std::size_t axis = 0; axis < kNumDesignAxes; ++axis) {
+          const std::string name = kDesignAxisNames[axis];
+          f.AddString(name, "",
+                      std::string("axis override, e.g. ") + examples[axis] +
+                          " (empty = paper axis)",
+                      FlagSet::ParsedBy([axis, name](const std::string& v) {
+                        DesignSpace scratch;
+                        SetAxis(scratch, axis, SplitList(v), name);
+                      }));
+        }
       });
 
   DesignSpace space = DesignSpace::Default();
-  OverrideAxis(space.placements, opts.raw.GetString("placements", ""),
-               ParseMcPlacement);
-  OverrideAxis(space.routings, opts.raw.GetString("routings", ""),
-               ParseRouting);
-  OverrideAxis(space.vc_policies, opts.raw.GetString("vc_policies", ""),
-               ParseVcPolicy);
-  OverrideAxis(space.topologies, opts.raw.GetString("topologies", ""),
-               ParseTopology);
-  OverrideAxis(space.vc_counts, opts.raw.GetString("vc_counts", ""),
-               [](const std::string& s) { return std::stoi(s); });
-  OverrideAxis(space.vc_depths, opts.raw.GetString("vc_depths", ""),
-               [](const std::string& s) { return std::stoi(s); });
+  for (std::size_t axis = 0; axis < kNumDesignAxes; ++axis) {
+    const char* name = kDesignAxisNames[axis];
+    const std::vector<std::string> values =
+        SplitList(opts.raw.GetString(name, ""));
+    if (!values.empty()) SetAxis(space, axis, values, name);
+  }
   space.base = WithGridOverrides(space.base, opts);
 
   SearchOptions sopt;

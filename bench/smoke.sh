@@ -6,7 +6,8 @@
 # telemetry exporters (CSV + Chrome trace, strictly validated with
 # python3 -m json.tool), then SIGKILLs a checkpointed sweep mid-flight and
 # requires the resumed run to be byte-identical to an uninterrupted one,
-# checks that each harness applies exactly the GpuConfig keys and run
+# resumes fig10's two sweeps from one checkpoint directory, checks that
+# each harness applies exactly the GpuConfig keys and run
 # flags it accepts and refuses configurations it cannot build, runs both network divisions audited and records one
 # packet trace, records one short router_micro run, and — when a UBSan
 # tree is available (see GNOC_SANITIZE=undefined in CMakeLists.txt) — runs
@@ -151,21 +152,18 @@ echo "smoke: $HARNESS scale=0.1 checkpoint_dir=$CKPT_DIR (will SIGKILL)" >&2
 "$HARNESS" scale=0.1 threads=2 checkpoint_dir="$CKPT_DIR" \
     checkpoint_interval=200 json="$CKPT_OUT" "$@" > /dev/null 2>&1 &
 VICTIM=$!
-# Wait until the sweep is demonstrably mid-flight (some cells committed),
+# Wait until the sweep is demonstrably mid-flight (a cell file committed),
 # then kill it without warning. If it finishes first, resume still has to
 # reproduce the result — the diff below covers both races.
 for _ in $(seq 1 200); do
-  # The pretty-printed manifest lists completed cell indices one per line.
-  if grep -qE '^ +[0-9]+,?$' "$CKPT_DIR/manifest.json" 2> /dev/null; then
-    break
-  fi
+  if compgen -G "$CKPT_DIR/cell_*.bin" > /dev/null; then break; fi
   if ! kill -0 "$VICTIM" 2> /dev/null; then break; fi
   sleep 0.1
 done
 kill -9 "$VICTIM" 2> /dev/null || true
 wait "$VICTIM" 2> /dev/null || true
-if [[ ! -f "$CKPT_DIR/manifest.json" ]]; then
-  echo "smoke: FAIL — no checkpoint manifest written before kill" >&2
+if [[ ! -d "$CKPT_DIR" ]]; then
+  echo "smoke: FAIL — no checkpoint directory written before kill" >&2
   exit 1
 fi
 echo "smoke: resuming killed sweep from $CKPT_DIR" >&2
@@ -180,6 +178,30 @@ if ! cmp -s "$CKPT_OUT" "$STRAIGHT_OUT"; then
 fi
 rm -rf "$CKPT_DIR"
 echo "smoke: checkpoint ok — killed+resumed sweep byte-identical" >&2
+
+# Two sweeps, one directory: fig10 runs its XY-YX and its diamond study
+# into one checkpoint directory. A finished run resumed (every cell
+# loaded, none rerun) must write the JSON of a straight run byte for byte.
+FIG10_HARNESS="$BUILD_DIR/bench/fig10_asymmetric_partitioning"
+FIG10_CKPT_DIR="$OUT_DIR/fig10_ckpt"
+FIG10_CKPT_OUT="$OUT_DIR/fig10_ckpt.json"
+FIG10_STRAIGHT_OUT="$OUT_DIR/fig10_straight.json"
+rm -rf "$FIG10_CKPT_DIR" "$FIG10_CKPT_OUT" "$FIG10_STRAIGHT_OUT"
+echo "smoke: $FIG10_HARNESS checkpoint_dir=$FIG10_CKPT_DIR, then resume=true" >&2
+"$FIG10_HARNESS" scale=0.1 workloads=BFS,KMN \
+    checkpoint_dir="$FIG10_CKPT_DIR" > /dev/null
+"$FIG10_HARNESS" scale=0.1 workloads=BFS,KMN \
+    checkpoint_dir="$FIG10_CKPT_DIR" resume=true json="$FIG10_CKPT_OUT" \
+    > /dev/null
+"$FIG10_HARNESS" scale=0.1 workloads=BFS,KMN json="$FIG10_STRAIGHT_OUT" \
+    > /dev/null
+if ! cmp -s "$FIG10_CKPT_OUT" "$FIG10_STRAIGHT_OUT"; then
+  echo "smoke: FAIL — resumed fig10 JSON differs from a straight run:" >&2
+  diff "$FIG10_CKPT_OUT" "$FIG10_STRAIGHT_OUT" | head -20 >&2
+  exit 1
+fi
+rm -rf "$FIG10_CKPT_DIR"
+echo "smoke: checkpoint ok — fig10's two sweeps resumed from one directory" >&2
 
 # Topology pass: the same figure on each non-mesh topology (8x8-scale,
 # 4 VCs for the dateline halves) with the invariant auditor on — wrap-link
@@ -235,11 +257,16 @@ if cmp -s "$FIG2_MESH" "$FIG2_TORUS"; then
   exit 1
 fi
 # Cheap arguments, so a harness that wrongly accepts the flag finishes fast.
+# A refused run prints no result: no GEOMEAN row reaches stdout.
 expect_refused() {  # harness flag [args...]: one "harness: " line, exit 2
-  local status=0 err
-  err=$("$BUILD_DIR/bench/$1" "${@:3}" "$2" 2>&1 > /dev/null) || status=$?
+  local status=0 err out="$OUT_DIR/refused.out"
+  err=$("$BUILD_DIR/bench/$1" "${@:3}" "$2" 2>&1 > "$out") || status=$?
   if (( status != 2 )) || [[ "$err" != "$1: "* || "$err" == *$'\n'* ]]; then
     echo "smoke: FAIL — $1 exited $status on $2, not 2 with one line: $err" >&2
+    exit 1
+  fi
+  if grep -q GEOMEAN "$out"; then
+    echo "smoke: FAIL — $1 printed results before refusing $2" >&2
     exit 1
   fi
 }
@@ -257,9 +284,23 @@ expect_refused fig8_vc_monopolizing topology=torus radix=8 num_vcs=2 \
     scale=0.1 workloads=BFS
 expect_refused fig10_asymmetric_partitioning topology=torus radix=8 \
     scale=0.1 workloads=BFS
+# fig10's second study (diamond on a 4x4 grid) is refused before its first
+# sweep runs, not after it printed its table.
+expect_refused fig10_asymmetric_partitioning radix=4 scale=0.01 workloads=BFS
+# Unknown workloads and impossible search axes are refused like any bad
+# flag value.
+expect_refused fig8_vc_monopolizing workloads=FOO scale=0.01
+expect_refused ablation_design_choices workload=FOO scale=0.01
+for axis in vc_counts=0 vc_counts=x; do
+  expect_refused pareto_search "$axis" strategy=grid max_evaluations=2 \
+      workloads=BFS scale=0.01 radix=4 placements=bottom routings=xy \
+      vc_policies=split topologies=mesh vc_depths=4 \
+      out="$OUT_DIR/refused.json"
+done
 echo "smoke: config keys ok — fig2 applies topology=; fig4, table1 and" \
      "pareto_search refuse it; table1 refuses threads=, qos_starvation" \
-     "workloads=; fig8 and fig10 refuse configurations they cannot build" >&2
+     "workloads=; fig8 and fig10 refuse configurations they cannot build;" \
+     "unknown workloads and impossible axes are refused" >&2
 
 # DSE pass: a one-evaluation search at the default strategy (nsga2) must
 # run; then a quick Pareto search over a 16-point sub-space (grid

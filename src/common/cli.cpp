@@ -213,8 +213,12 @@ void FlagSet::Validate(const Flag& flag, const std::string& value) const {
       break;
     }
     case Kind::kEnum: {
-      if (std::find(flag.enum_values.begin(), flag.enum_values.end(), value) ==
-          flag.enum_values.end()) {
+      const bool accepted =
+          flag.string_check
+              ? flag.string_check(value).empty()
+              : std::find(flag.enum_values.begin(), flag.enum_values.end(),
+                          value) != flag.enum_values.end();
+      if (!accepted) {
         std::string choices;
         for (const std::string& v : flag.enum_values) {
           if (!choices.empty()) choices += "|";

@@ -64,12 +64,30 @@ class FlagSet {
   /// A string flag restricted to `values` (listed in the help text).
   FlagSet& AddEnum(const std::string& name, const std::string& def,
                    const std::string& doc, std::vector<std::string> values);
-  /// Same, taking the canonical names straight from an enum registry so
-  /// flag choices and the Parse* function can never drift apart.
+  /// Same, accepting what `registry.Parse` accepts (any case, aliases
+  /// too), so flag choices and the Parse* function can never drift apart.
+  /// The help text and the did-you-mean list the canonical names.
   template <typename E>
   FlagSet& AddEnum(const std::string& name, const std::string& def,
                    const std::string& doc, const EnumRegistry<E>& registry) {
-    return AddEnum(name, def, doc, registry.CanonicalNames());
+    AddEnum(name, def, doc, registry.CanonicalNames());
+    flags_.back().string_check =
+        ParsedBy([registry](const std::string& v) { registry.Parse(v); });
+    return *this;
+  }
+
+  /// A string validator that accepts what `parse` accepts: the message of
+  /// the exception `parse` throws, or "".
+  template <typename Parse>
+  static StringCheck ParsedBy(Parse parse) {
+    return [parse](const std::string& value) -> std::string {
+      try {
+        parse(value);
+        return "";
+      } catch (const std::exception& e) {
+        return e.what();
+      }
+    };
   }
 
   /// Registers `from`'s flag `name` here — type, default, doc and
@@ -113,6 +131,8 @@ class FlagSet {
     std::vector<std::string> enum_values;
     IntCheck int_check;
     DoubleCheck double_check;
+    /// kString: the validator. kEnum: when set, it decides which values
+    /// are accepted, in place of `enum_values`.
     StringCheck string_check;
   };
 

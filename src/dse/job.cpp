@@ -87,49 +87,20 @@ std::vector<std::string> ParseStringArray(const JsonValue& arr) {
   return out;
 }
 
-std::vector<int> ParsePositiveIntArray(const JsonValue& arr,
-                                       const std::string& key) {
-  std::vector<int> out;
-  for (const JsonValue& v : arr.AsArray()) {
-    out.push_back(static_cast<int>(IntegerIn(v, key, 1, INT_MAX)));
-  }
-  return out;
-}
-
 DesignSpace ParseSpace(const JsonValue& obj) {
   DesignSpace s;  // single-point baseline; listed axes override
   if (const JsonValue* base = obj.Find("base")) {
     s.base.ApplyOverrides(ParseOverrides(*base, "space.base"));
   }
-  if (const JsonValue* v = obj.Find("placements")) {
-    s.placements.clear();
-    for (const std::string& name : ParseStringArray(*v)) {
-      s.placements.push_back(ParseMcPlacement(name));
+  for (std::size_t axis = 0; axis < kNumDesignAxes; ++axis) {
+    const std::string name = kDesignAxisNames[axis];
+    if (const JsonValue* v = obj.Find(name)) {
+      std::vector<std::string> values;
+      for (const JsonValue& e : v->AsArray()) {
+        values.push_back(ScalarToString(e));
+      }
+      SetAxis(s, axis, values, "space." + name);
     }
-  }
-  if (const JsonValue* v = obj.Find("routings")) {
-    s.routings.clear();
-    for (const std::string& name : ParseStringArray(*v)) {
-      s.routings.push_back(ParseRouting(name));
-    }
-  }
-  if (const JsonValue* v = obj.Find("vc_policies")) {
-    s.vc_policies.clear();
-    for (const std::string& name : ParseStringArray(*v)) {
-      s.vc_policies.push_back(ParseVcPolicy(name));
-    }
-  }
-  if (const JsonValue* v = obj.Find("topologies")) {
-    s.topologies.clear();
-    for (const std::string& name : ParseStringArray(*v)) {
-      s.topologies.push_back(ParseTopology(name));
-    }
-  }
-  if (const JsonValue* v = obj.Find("vc_counts")) {
-    s.vc_counts = ParsePositiveIntArray(*v, "space.vc_counts");
-  }
-  if (const JsonValue* v = obj.Find("vc_depths")) {
-    s.vc_depths = ParsePositiveIntArray(*v, "space.vc_depths");
   }
   s.NumPoints();  // throws on an empty axis
   return s;

@@ -17,9 +17,7 @@
 
 namespace gnoc {
 
-namespace {
-
-const EnumRegistry<SearchStrategy>& StrategyRegistry() {
+const EnumRegistry<SearchStrategy>& SearchStrategyRegistry() {
   static const EnumRegistry<SearchStrategy> kRegistry{
       "strategy",
       {
@@ -33,6 +31,8 @@ const EnumRegistry<SearchStrategy>& StrategyRegistry() {
       }};
   return kRegistry;
 }
+
+namespace {
 
 const EnumRegistry<SearchObjective>& ObjectiveRegistry() {
   static const EnumRegistry<SearchObjective> kRegistry{
@@ -52,11 +52,11 @@ const EnumRegistry<SearchObjective>& ObjectiveRegistry() {
 }  // namespace
 
 const char* SearchStrategyName(SearchStrategy s) {
-  return StrategyRegistry().Name(s);
+  return SearchStrategyRegistry().Name(s);
 }
 
 SearchStrategy ParseSearchStrategy(const std::string& name) {
-  return StrategyRegistry().Parse(name);
+  return SearchStrategyRegistry().Parse(name);
 }
 
 const char* SearchObjectiveName(SearchObjective o) {
@@ -122,8 +122,8 @@ std::uint64_t SearchFingerprint(const DesignSpace& space,
   s.Double(options.crossover_rate);
   s.Double(options.mutation_rate);
   // threads / checkpointing / callbacks deliberately excluded: a resumed
-  // search may run under different parallelism (same guarantee as
-  // SweepFingerprint).
+  // search may run under different parallelism (as a sweep's CellKey
+  // leaves out threads).
   return Fnv1a64(s.bytes());
 }
 
@@ -337,7 +337,6 @@ class Search {
         state_.pending.clear();
         ++state_.generation;
         SaveCheckpoint();
-        RemoveGenDir(state_.generation - 1);
       }
       std::vector<DesignPoint> next = NextBatch();
       if (next.empty()) break;  // budget reached or space exhausted
@@ -354,16 +353,6 @@ class Search {
 
   std::string CheckpointPath() const {
     return options_.checkpoint_dir + "/search.ckpt";
-  }
-
-  std::string GenDir(std::uint64_t gen) const {
-    return options_.checkpoint_dir + "/gen_" + std::to_string(gen);
-  }
-
-  void RemoveGenDir(std::uint64_t gen) {
-    if (options_.checkpoint_dir.empty()) return;
-    std::error_code ignored;
-    std::filesystem::remove_all(GenDir(gen), ignored);
   }
 
   void SaveCheckpoint() const {
@@ -385,16 +374,6 @@ class Search {
         state_.Load(d, space_);
         d.Finish();
         return;
-      }
-      // Fresh start: drop any stale state from a previous, different run.
-      std::error_code ignored;
-      std::filesystem::remove(CheckpointPath(), ignored);
-      for (const auto& entry : std::filesystem::directory_iterator(
-               options_.checkpoint_dir, ignored)) {
-        const std::string name = entry.path().filename().string();
-        if (name.rfind("gen_", 0) == 0) {
-          std::filesystem::remove_all(entry.path(), ignored);
-        }
       }
     }
     state_.pending = NextBatch();
@@ -547,8 +526,9 @@ class Search {
   // --- batch evaluation ---
 
   /// Simulates the pending batch through RunSweep and commits the results.
-  /// Returns false when preempted mid-sweep (the per-cell checkpoints under
-  /// gen_<k>/ then let the resumed search pick up where this one stopped).
+  /// Returns false when preempted mid-sweep (the batch's cell files in the
+  /// checkpoint directory then let the resumed search pick up where this
+  /// one stopped).
   bool EvaluateBatch() {
     std::vector<SchemeSpec> schemes;
     schemes.reserve(state_.pending.size());
@@ -558,12 +538,8 @@ class Search {
     SweepOptions so;
     so.lengths = options_.lengths;
     so.threads = options_.threads;
-    if (!options_.checkpoint_dir.empty()) {
-      so.checkpoint_dir = GenDir(state_.generation);
-      // Always resume: a fresh generation directory simply has nothing to
-      // load, and a preempted one replays its completed cells.
-      so.resume = true;
-    }
+    so.checkpoint_dir = options_.checkpoint_dir;
+    so.resume = options_.resume;
     so.progress = [this](const std::string& scheme,
                          const std::string& workload, int done, int total) {
       if (options_.progress) options_.progress(scheme, workload, done, total);

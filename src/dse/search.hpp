@@ -22,10 +22,11 @@
 // by axis coordinates); the final frontier is ranked over the whole
 // archive, so the search never "forgets" a good early design.
 //
-// Crash resume (PR-5 machinery): with a checkpoint_dir, the search state
-// (RNG, archive, pending batch) is snapshotted before and after every
-// batch, and each batch's RunSweep writes per-cell checkpoints under
-// gen_<k>/. A SIGKILL at any point resumes to a byte-identical result.
+// Crash resume: with a checkpoint_dir, the search state (RNG, archive,
+// pending batch) is snapshotted before and after every batch, and each
+// batch's RunSweep keeps its cell files in the same directory, under the
+// search's own `resume`. A SIGKILL at any point resumes to a
+// byte-identical result.
 #pragma once
 
 #include <cstdint>
@@ -33,6 +34,7 @@
 #include <string>
 #include <vector>
 
+#include "common/enum_registry.hpp"
 #include "dse/space.hpp"
 #include "sim/experiment.hpp"
 
@@ -51,6 +53,8 @@ const char* SearchStrategyName(SearchStrategy s);
 /// Parses "nsga2" / "random" / "grid" (aliases accepted, case-insensitive).
 /// Throws std::invalid_argument on unknown names.
 SearchStrategy ParseSearchStrategy(const std::string& name);
+/// The strategies' names and aliases, for flag registration.
+const EnumRegistry<SearchStrategy>& SearchStrategyRegistry();
 
 /// The objectives the search can optimize. IPC is maximized; the other
 /// three are minimized (internally everything is minimized, IPC negated).
@@ -141,10 +145,12 @@ struct SearchOptions {
   /// returns the partial result with `completed == false`.
   std::function<bool()> should_stop;
 
-  /// Directory for search + per-batch sweep checkpoints (empty = off).
+  /// Directory for the search checkpoint and its batches' cell files
+  /// (empty = off).
   std::string checkpoint_dir;
   /// Resume from `checkpoint_dir` (byte-identical to an uninterrupted
-  /// run). When false, stale checkpoint state is cleared first.
+  /// run). When false, the search starts over and every cell runs and
+  /// overwrites its file.
   bool resume = false;
 };
 

@@ -1,6 +1,8 @@
 #include "dse/space.hpp"
 
 #include <cassert>
+#include <charconv>
+#include <climits>
 #include <sstream>
 #include <stdexcept>
 
@@ -68,7 +70,38 @@ const T& AxisValue(const std::vector<T>& axis, std::uint16_t idx) {
   return axis[idx];
 }
 
+template <typename T, typename Parse>
+void ParseInto(std::vector<T>& axis, const std::vector<std::string>& values,
+               Parse parse) {
+  std::vector<T> parsed;
+  for (const std::string& value : values) parsed.push_back(parse(value));
+  axis = std::move(parsed);
+}
+
 }  // namespace
+
+void SetAxis(DesignSpace& space, std::size_t axis,
+             const std::vector<std::string>& values, const std::string& key) {
+  const auto positive_int = [&key](const std::string& value) {
+    int v = 0;
+    const char* end = value.data() + value.size();
+    const auto [stop, error] = std::from_chars(value.data(), end, v);
+    if (error != std::errc() || stop != end || v < 1) {
+      throw std::invalid_argument("'" + key + "' must be an integer in [1, " +
+                                  std::to_string(INT_MAX) + "], got " + value);
+    }
+    return v;
+  };
+  switch (axis) {
+    case 0: ParseInto(space.placements, values, ParseMcPlacement); break;
+    case 1: ParseInto(space.routings, values, ParseRouting); break;
+    case 2: ParseInto(space.vc_policies, values, ParseVcPolicy); break;
+    case 3: ParseInto(space.topologies, values, ParseTopology); break;
+    case 4: ParseInto(space.vc_counts, values, positive_int); break;
+    case 5: ParseInto(space.vc_depths, values, positive_int); break;
+    default: assert(false && "axis out of range");
+  }
+}
 
 GpuConfig MakeConfig(const DesignSpace& space, const DesignPoint& point) {
   GpuConfig cfg = space.base;

@@ -6,8 +6,8 @@
 // A DesignPoint is one index per axis; MakeConfig turns a point into the
 // GpuConfig it denotes and PointLabel gives it a stable human-readable
 // name. Both are pure functions of (space, point), which is what lets a
-// resumed search re-derive identical sweep scheme labels (and therefore
-// hit the PR-5 sweep checkpoints) without storing configs anywhere.
+// resumed search re-derive identical sweep schemes (and therefore hit its
+// batches' cell files) without storing configs anywhere.
 #pragma once
 
 #include <array>
@@ -26,6 +26,12 @@ namespace gnoc {
 /// Number of searchable axes (placement, routing, vc_policy, topology,
 /// num_vcs, vc_depth).
 inline constexpr std::size_t kNumDesignAxes = 6;
+
+/// The axes' names, in axis order: the job spec's `space` keys and
+/// pareto_search's axis flags.
+inline constexpr std::array<const char*, kNumDesignAxes> kDesignAxisNames{
+    "placements", "routings",  "vc_policies",
+    "topologies", "vc_counts", "vc_depths"};
 
 /// One point of the space: an index into each axis's value list.
 struct DesignPoint {
@@ -69,6 +75,13 @@ struct DesignSpace {
   /// 0 <= index < NumPoints(). The last axis varies fastest.
   DesignPoint PointAt(std::uint64_t index) const;
 };
+
+/// Replaces axis `axis` of `space` with `values`: names through the enum
+/// parsers (any case, aliases too), VC counts and depths as integers in
+/// [1, INT_MAX]. Throws std::invalid_argument: the parser's refusal, or
+/// "'<key>' must be an integer in [1, 2147483647], got <value>".
+void SetAxis(DesignSpace& space, std::size_t axis,
+             const std::vector<std::string>& values, const std::string& key);
 
 /// The configuration a point denotes: `space.base` with the six axis
 /// values applied. Asserts every coordinate is in range.

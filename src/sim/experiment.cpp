@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cassert>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <memory>
+#include <map>
 #include <mutex>
-#include <sstream>
 #include <stdexcept>
 
 #include "common/json.hpp"
@@ -240,17 +239,17 @@ constexpr std::uint8_t kPhaseMeasure = 1;
 /// deadlock-check sequence, with a snapshot written every
 /// `checkpoint_interval` ticks. Resuming from such a snapshot replays the
 /// remaining cycles on bit-identical state, so the returned stats match an
-/// uninterrupted run exactly.
+/// uninterrupted run exactly. The snapshot is framed by the cell's `key`.
 GpuRunStats RunCellCheckpointed(const SchemeSpec& scheme,
                                 const WorkloadProfile& workload,
                                 const SweepOptions& options,
                                 const std::string& snap_path,
-                                std::uint64_t cell_fingerprint) {
+                                std::uint64_t key) {
   GpuSystem gpu(scheme.config, workload);
   std::uint8_t phase = kPhaseWarmup;
   Cycle done_in_phase = 0;
   if (options.resume && std::filesystem::exists(snap_path)) {
-    const std::string payload = ReadSnapshotFile(snap_path, cell_fingerprint);
+    const std::string payload = ReadSnapshotFile(snap_path, key);
     Deserializer d(payload);
     phase = d.U8();
     done_in_phase = d.U64();
@@ -266,7 +265,7 @@ GpuRunStats RunCellCheckpointed(const SchemeSpec& scheme,
     s.U8(phase);
     s.U64(done_in_phase);
     gpu.Save(s);
-    WriteSnapshotFile(snap_path, cell_fingerprint, s.bytes());
+    WriteSnapshotFile(snap_path, key, s.bytes());
   };
   if (phase == kPhaseWarmup) {
     while (done_in_phase < options.lengths.warmup) {
@@ -287,161 +286,28 @@ GpuRunStats RunCellCheckpointed(const SchemeSpec& scheme,
   return gpu.Measure();
 }
 
-/// Crash-resume state of one sweep: the manifest (which cells are done),
-/// per-cell result files and mid-cell snapshots, all under one directory
-/// and all stamped with the sweep fingerprint.
-class SweepCheckpoint {
- public:
-  SweepCheckpoint(std::string dir, std::uint64_t fingerprint,
-                  std::size_t total, bool resume)
-      : dir_(std::move(dir)), fingerprint_(fingerprint), done_(total, false) {
-    std::filesystem::create_directories(dir_);
-    const std::string manifest = ManifestPath();
-    if (resume && std::filesystem::exists(manifest)) {
-      LoadManifest(manifest);
-    } else {
-      Clear();
-      WriteManifest();
-    }
-  }
-
-  bool IsDone(std::size_t cell) const { return done_.at(cell); }
-
-  /// Reads the stats of a completed cell back from its result file.
-  GpuRunStats LoadResult(std::size_t cell, std::uint64_t cell_fingerprint) {
-    const std::string payload =
-        ReadSnapshotFile(CellPath(cell), cell_fingerprint);
-    Deserializer d(payload);
-    GpuRunStats stats;
-    Load(d, stats);
-    d.Finish();
-    return stats;
-  }
-
-  /// Persists a finished cell: result file first, then the manifest entry
-  /// (so a crash between the two just redoes the cell), then the now-
-  /// obsolete mid-run snapshot is dropped. Thread-safe.
-  void CommitCell(std::size_t cell, const GpuRunStats& stats,
-                  std::uint64_t cell_fingerprint) {
-    Serializer s;
-    Save(s, stats);
-    WriteSnapshotFile(CellPath(cell), cell_fingerprint, s.bytes());
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      done_.at(cell) = true;
-      WriteManifest();
-    }
-    std::error_code ignored;
-    std::filesystem::remove(SnapPath(cell), ignored);
-  }
-
-  std::string CellPath(std::size_t cell) const {
-    return dir_ + "/cell_" + std::to_string(cell) + ".bin";
-  }
-  std::string SnapPath(std::size_t cell) const {
-    return dir_ + "/snap_" + std::to_string(cell) + ".ckpt";
-  }
-
- private:
-  std::string ManifestPath() const { return dir_ + "/manifest.json"; }
-
-  static std::string ToHex(std::uint64_t v) {
-    std::ostringstream oss;
-    oss << std::hex << v;
-    return oss.str();
-  }
-
-  void LoadManifest(const std::string& path) {
-    std::ifstream in(path);
-    std::ostringstream text;
-    text << in.rdbuf();
-    JsonValue manifest;
-    try {
-      manifest = JsonValue::Parse(text.str());
-    } catch (const std::invalid_argument& e) {
-      throw SerializeError("checkpoint manifest '" + path +
-                           "' is corrupt: " + e.what() +
-                           "; delete the checkpoint directory to start over");
-    }
-    const std::string written = manifest.At("fingerprint").AsString();
-    if (written != ToHex(fingerprint_)) {
-      throw SerializeError(
-          "checkpoint directory '" + dir_ +
-          "' was written by a different sweep configuration (fingerprint " +
-          written + ", expected " + ToHex(fingerprint_) +
-          "); delete it or point checkpoint_dir elsewhere");
-    }
-    if (static_cast<std::size_t>(manifest.At("total").AsNumber()) !=
-        done_.size()) {
-      throw SerializeError("checkpoint manifest '" + path +
-                           "' cell count does not match this sweep");
-    }
-    for (const JsonValue& v : manifest.At("completed").AsArray()) {
-      const auto cell = static_cast<std::size_t>(v.AsNumber());
-      if (cell >= done_.size()) {
-        throw SerializeError("checkpoint manifest '" + path +
-                             "' lists out-of-range cell " +
-                             std::to_string(cell));
-      }
-      done_[cell] = true;
-    }
-  }
-
-  /// Atomically rewrites the manifest (temp file + rename) so a reader —
-  /// including a resuming run — never sees a partial document.
-  void WriteManifest() const {
-    std::ostringstream out;
-    JsonWriter w(out);
-    w.BeginObject();
-    w.Key("format").Value(static_cast<std::int64_t>(1));
-    w.Key("fingerprint").Value(ToHex(fingerprint_));
-    w.Key("total").Value(static_cast<std::uint64_t>(done_.size()));
-    w.Key("completed").BeginArray();
-    for (std::size_t i = 0; i < done_.size(); ++i) {
-      if (done_[i]) w.Value(static_cast<std::uint64_t>(i));
-    }
-    w.EndArray();
-    w.EndObject();
-    AtomicWriteFile(ManifestPath(), out.str());
-  }
-
-  /// Drops stale checkpoint files (fresh start or resume=false).
-  void Clear() {
-    for (std::size_t i = 0; i < done_.size(); ++i) {
-      std::error_code ignored;
-      std::filesystem::remove(CellPath(i), ignored);
-      std::filesystem::remove(SnapPath(i), ignored);
-    }
-  }
-
-  mutable std::mutex mu_;
-  std::string dir_;
-  std::uint64_t fingerprint_;
-  std::vector<bool> done_;
-};
+/// A cell's checkpoint file `<prefix><key in 16 hex digits><suffix>` in
+/// `dir`.
+std::string CellFile(const std::string& dir, const char* prefix,
+                     std::uint64_t key, const char* suffix) {
+  char hex[17];
+  std::snprintf(hex, sizeof hex, "%016llx",
+                static_cast<unsigned long long>(key));
+  return dir + '/' + prefix + hex + suffix;
+}
 
 }  // namespace
 
-std::uint64_t SweepFingerprint(const std::vector<SchemeSpec>& schemes,
-                               const std::vector<WorkloadProfile>& workloads,
-                               const SweepOptions& options) {
+std::uint64_t CellKey(const GpuConfig& config, const WorkloadProfile& workload,
+                      const RunLengths& lengths) {
   Serializer s;
-  s.U64(options.lengths.warmup);
-  s.U64(options.lengths.measure);
-  s.U64(schemes.size());
-  s.U64(workloads.size());
-  for (const SchemeSpec& scheme : schemes) {
-    s.Str(scheme.label);
-    for (const WorkloadProfile& w : workloads) {
-      s.U64(GpuConfigFingerprint(scheme.config, w));
-    }
-  }
+  s.U64(GpuConfigFingerprint(config, workload));
+  s.U64(lengths.warmup);
+  s.U64(lengths.measure);
   return Fnv1a64(s.bytes());
 }
 
-SweepResult RunSweep(const std::vector<SchemeSpec>& schemes,
-                     const std::vector<WorkloadProfile>& workloads,
-                     const SweepOptions& options) {
+void CheckSchemes(const std::vector<SchemeSpec>& schemes) {
   for (const SchemeSpec& scheme : schemes) {
     try {
       CheckGpuConfig(scheme.config);
@@ -450,6 +316,12 @@ SweepResult RunSweep(const std::vector<SchemeSpec>& schemes,
                                   "': " + e.what());
     }
   }
+}
+
+SweepResult RunSweep(const std::vector<SchemeSpec>& schemes,
+                     const std::vector<WorkloadProfile>& workloads,
+                     const SweepOptions& options) {
+  CheckSchemes(schemes);
   std::vector<std::string> scheme_names;
   scheme_names.reserve(schemes.size());
   for (const auto& s : schemes) scheme_names.push_back(s.label);
@@ -462,58 +334,83 @@ SweepResult RunSweep(const std::vector<SchemeSpec>& schemes,
       EnumerateCells(schemes.size(), workloads.size());
   const int total = static_cast<int>(cells.size());
 
+  // One run per distinct key, in definition order of its first cell; it
+  // fills every slot with that key, so each checkpoint file has exactly
+  // one writer.
+  struct KeyedRun {
+    std::uint64_t key = 0;
+    std::vector<std::size_t> slots;  // indices into `cells`
+  };
+  std::vector<KeyedRun> runs;
+  std::map<std::uint64_t, std::size_t> run_of_key;
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const std::uint64_t key =
+        CellKey(schemes[cells[i].scheme].config,
+                workloads[cells[i].workload], options.lengths);
+    const auto [it, added] = run_of_key.emplace(key, runs.size());
+    if (added) runs.push_back({key, {}});
+    runs[it->second].slots.push_back(i);
+  }
+
   // Checkpointing (off by default; the per-cell simulation path is then
   // exactly the original one).
-  std::unique_ptr<SweepCheckpoint> checkpoint;
-  std::vector<std::uint64_t> cell_fingerprints(cells.size(), 0);
-  if (!options.checkpoint_dir.empty()) {
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      cell_fingerprints[i] = GpuConfigFingerprint(
-          schemes[cells[i].scheme].config, workloads[cells[i].workload]);
-    }
-    checkpoint = std::make_unique<SweepCheckpoint>(
-        options.checkpoint_dir, SweepFingerprint(schemes, workloads, options),
-        cells.size(), options.resume);
-  }
-  const auto run_one = [&](std::size_t index) {
-    const SweepCell& cell = cells[index];
+  const std::string& dir = options.checkpoint_dir;
+  if (!dir.empty()) std::filesystem::create_directories(dir);
+  const auto run_one = [&](const KeyedRun& run) {
+    const SweepCell& cell = cells[run.slots.front()];
     const SchemeSpec& scheme = schemes[cell.scheme];
     const WorkloadProfile& workload = workloads[cell.workload];
-    if (checkpoint == nullptr) return RunCell(scheme, workload, options);
-    GpuRunStats stats = RunCellCheckpointed(scheme, workload, options,
-                                            checkpoint->SnapPath(index),
-                                            cell_fingerprints[index]);
-    checkpoint->CommitCell(index, stats, cell_fingerprints[index]);
+    if (dir.empty()) return RunCell(scheme, workload, options);
+    const std::string snap_path = CellFile(dir, "snap_", run.key, ".ckpt");
+    GpuRunStats stats =
+        RunCellCheckpointed(scheme, workload, options, snap_path, run.key);
+    Serializer s;
+    Save(s, stats);
+    WriteSnapshotFile(CellFile(dir, "cell_", run.key, ".bin"), run.key,
+                      s.bytes());
+    // The result file holds the cell now; its mid-run snapshot is stale.
+    std::error_code ignored;
+    std::filesystem::remove(snap_path, ignored);
     return stats;
   };
-  // Fills cell `index`'s slot and reports the *completed* count, after the
-  // cell's result (and any checkpoint commit) has landed — a resumed or
+  // Fills the run's slots and reports each as *completed*, after the
+  // cell's result (and any checkpoint file) has landed — a resumed or
   // crashed sweep never saw a cell claimed done that is not. Called under
   // `mu` once workers run.
   std::mutex mu;
   int done = 0;
-  const auto commit = [&](std::size_t index, const GpuRunStats& stats) {
-    const std::string& label = schemes[cells[index].scheme].label;
-    const std::string& name = workloads[cells[index].workload].name;
-    result.Set(label, name, stats);
-    ++done;
-    if (options.progress) options.progress(label, name, done, total);
+  const auto commit = [&](const KeyedRun& run, const GpuRunStats& stats) {
+    for (const std::size_t index : run.slots) {
+      const std::string& label = schemes[cells[index].scheme].label;
+      const std::string& name = workloads[cells[index].workload].name;
+      result.Set(label, name, stats);
+      ++done;
+      if (options.progress) options.progress(label, name, done, total);
+    }
   };
 
-  // Completed cells load here, on the calling thread, so no worker reads
-  // the checkpoint's record of them; only the unfinished ones are queued.
-  std::vector<std::size_t> pending;
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    if (checkpoint != nullptr && checkpoint->IsDone(i)) {
-      commit(i, checkpoint->LoadResult(i, cell_fingerprints[i]));
-    } else {
-      pending.push_back(i);
+  // Finished cells load here, on the calling thread, so no worker reads a
+  // result file; only the unfinished ones are queued.
+  const bool resume = options.resume && !dir.empty();
+  std::vector<const KeyedRun*> pending;
+  for (const KeyedRun& run : runs) {
+    const std::string path =
+        resume ? CellFile(dir, "cell_", run.key, ".bin") : std::string();
+    if (!resume || !std::filesystem::exists(path)) {
+      pending.push_back(&run);
+      continue;
     }
+    const std::string payload = ReadSnapshotFile(path, run.key);
+    Deserializer d(payload);
+    GpuRunStats stats;
+    Load(d, stats);
+    d.Finish();
+    commit(run, stats);
   }
   if (pending.empty()) return result;
 
-  // One task per unfinished cell, in definition order (one worker runs
-  // them one after another). Cells write disjoint slots of the result
+  // One task per unfinished run, in definition order (one worker runs
+  // them one after another). Runs write disjoint slots of the result
   // matrix. Once a cell or a progress call throws, no further cell starts.
   const unsigned requested = options.threads <= 0
                                  ? ThreadPool::DefaultThreads()
@@ -521,17 +418,17 @@ SweepResult RunSweep(const std::vector<SchemeSpec>& schemes,
   ThreadPool pool(
       std::min<unsigned>(requested, static_cast<unsigned>(pending.size())));
   std::atomic<bool> failed{false};
-  for (const std::size_t i : pending) {
-    pool.Submit([&, i] {
+  for (const KeyedRun* run : pending) {
+    pool.Submit([&, run] {
       // Held through the catch, so a progress call that throws sets
       // `failed` before another worker gets the lock: that worker's next
       // task sees it.
       std::unique_lock<std::mutex> lock(mu, std::defer_lock);
       try {
         if (failed) return;
-        const GpuRunStats stats = run_one(i);
+        const GpuRunStats stats = run_one(*run);
         lock.lock();
-        commit(i, stats);
+        commit(*run, stats);
       } catch (...) {
         failed = true;
         throw;

@@ -130,31 +130,34 @@ struct SweepOptions {
   int threads = 0;
   ProgressFn progress;
   // --- crash-resumable sweeps (DESIGN.md §10) ---
-  /// Directory for checkpoint state (empty = checkpointing off, the
-  /// default; the per-cell simulation path is then byte-for-byte the
-  /// non-checkpointing one). RunSweep maintains an atomically-rewritten
-  /// manifest.json, one cell_<i>.bin result file per completed cell and,
-  /// when checkpoint_interval > 0, a snap_<i>.ckpt mid-run snapshot per
-  /// in-flight cell. All files carry the sweep fingerprint and are
-  /// rejected under a different configuration.
+  /// Directory of cell results (empty = checkpointing off, the default;
+  /// the per-cell simulation path is then byte-for-byte the
+  /// non-checkpointing one). Each finished cell is one cell_<key>.bin
+  /// result file and, when checkpoint_interval > 0, each in-flight cell
+  /// one snap_<key>.ckpt mid-run snapshot, named and framed by its
+  /// CellKey. Any number of sweeps may share a directory.
   std::string checkpoint_dir;
   /// Cycles between mid-cell snapshots (0 = only per-cell completion
   /// files; a killed run then redoes at most one full cell per thread).
   Cycle checkpoint_interval = 0;
-  /// Resume from `checkpoint_dir`: completed cells are loaded from their
-  /// result files, an in-flight cell restarts from its snapshot. The
-  /// resumed sweep is bit-identical to an uninterrupted one. When false,
-  /// stale checkpoint state in the directory is cleared first.
+  /// Resume from `checkpoint_dir`: a cell whose result file exists is
+  /// loaded, an in-flight cell restarts from its snapshot. The resumed
+  /// sweep is bit-identical to an uninterrupted one. When false, every
+  /// cell runs and overwrites its files.
   bool resume = false;
 };
 
-/// Fingerprint of everything that determines a sweep's results: run
-/// lengths, scheme labels and configurations, and workloads. Checkpoint
-/// state is only valid for the sweep that wrote it; this is how that is
-/// enforced.
-std::uint64_t SweepFingerprint(const std::vector<SchemeSpec>& schemes,
-                               const std::vector<WorkloadProfile>& workloads,
-                               const SweepOptions& options);
+/// Identity of one cell's result: FNV-1a over the cell's
+/// GpuConfigFingerprint and its warmup and measure lengths. A cell's
+/// checkpoint files are named by it and carry it as their framing
+/// fingerprint, so a file loads only as the cell it was computed for.
+std::uint64_t CellKey(const GpuConfig& config, const WorkloadProfile& workload,
+                      const RunLengths& lengths);
+
+/// Throws std::invalid_argument ("scheme '<label>': <reason>") for the
+/// first scheme CheckGpuConfig refuses (e.g. a deadlock-unsafe
+/// configuration). RunSweep calls it before its first cell.
+void CheckSchemes(const std::vector<SchemeSpec>& schemes);
 
 /// The sweep grid in execution order (workload-major, matching the layout
 /// of SweepResult and the original sequential engine).
@@ -162,15 +165,14 @@ std::vector<SweepCell> EnumerateCells(std::size_t num_schemes,
                                       std::size_t num_workloads);
 
 /// Runs every scheme on every workload, `options.threads` cells at a time;
-/// a resumed sweep loads its completed cells first, on the calling thread.
+/// a resumed sweep loads its finished cells first, on the calling thread.
+/// Cells that share a CellKey run once and fill every slot with that key.
 /// Deterministic: each cell uses the same seed (from the scheme's config)
 /// and shares no state, so the result is bit-identical for any thread
-/// count. First, CheckGpuConfig checks every scheme: a refused one (e.g. a
-/// deadlock-unsafe configuration) throws std::invalid_argument naming the
-/// scheme, before any cell runs or any progress is reported. If a cell
-/// throws or the progress callback does (a preempted sweep), no further
-/// cell starts and the first exception is rethrown after in-flight cells
-/// finish.
+/// count. First, CheckSchemes refuses an unbuildable scheme, before any
+/// cell runs or any progress is reported. If a cell throws or the
+/// progress callback does (a preempted sweep), no further cell starts and
+/// the first exception is rethrown after in-flight cells finish.
 SweepResult RunSweep(const std::vector<SchemeSpec>& schemes,
                      const std::vector<WorkloadProfile>& workloads,
                      const SweepOptions& options);

@@ -1,5 +1,7 @@
 #include "sim/gpu_config.hpp"
 
+#include <climits>
+#include <cstdint>
 #include <sstream>
 #include <stdexcept>
 
@@ -100,47 +102,41 @@ void GpuConfig::ApplyOverrides(const Config& overrides) {
 
 void RegisterGpuConfigFlags(FlagSet& flags) {
   const GpuConfig def;
-  // The enum-ish keys accept the aliases their Parse* functions accept
-  // (e.g. routing xyyx/xy-yx), so they register as validated strings
-  // rather than strict enums.
-  const auto parsed_by = [](auto parser) {
-    return [parser](const std::string& v) -> std::string {
-      try {
-        parser(v);
-        return "";
-      } catch (const std::exception& e) {
-        return e.what();
-      }
+  const auto at_least = [](std::int64_t min, std::int64_t max = INT64_MAX) {
+    return [min, max](std::int64_t v) {
+      if (v < min) return "must be >= " + std::to_string(min);
+      return v > max ? "must be <= " + std::to_string(max) : std::string();
     };
   };
-  const auto at_least = [](std::int64_t min) {
-    return [min](std::int64_t v) {
-      return v < min ? "must be >= " + std::to_string(min) : std::string();
-    };
+  // A key whose field is an int: ApplyOverrides narrows the value to it.
+  const auto int_at_least = [&at_least](std::int64_t min) {
+    return at_least(min, INT_MAX);
   };
-  flags.AddInt("width", def.width, "tile grid width", at_least(1));
-  flags.AddInt("height", def.height, "tile grid height", at_least(1));
+  flags.AddInt("width", def.width, "tile grid width", int_at_least(1));
+  flags.AddInt("height", def.height, "tile grid height", int_at_least(1));
   flags.AddInt("radix", def.width,
                "square-grid shorthand: width = height = num_mcs = radix",
-               at_least(2));
+               int_at_least(2));
   flags.AddInt("num_mcs", def.num_mcs, "number of memory controllers",
-               at_least(1));
+               int_at_least(1));
   flags.AddEnum("topology", "mesh", "interconnect topology",
                 TopologyRegistry());
   flags.AddInt("circulant_s1", def.circulant_s1,
-               "circulant chord step s1 (topology=circulant)", at_least(1));
+               "circulant chord step s1 (topology=circulant)", int_at_least(1));
   flags.AddInt("circulant_s2", def.circulant_s2,
-               "circulant chord step s2 (0 = near-sqrt(N))", at_least(0));
+               "circulant chord step s2 (0 = near-sqrt(N))", int_at_least(0));
+  // The enum-ish keys accept the aliases their Parse* functions accept
+  // (e.g. routing xyyx/xy-yx), so they register as validated strings.
   flags.AddString("placement", "bottom",
                   "MC placement (bottom|edge|top-bottom|diamond|...)",
-                  parsed_by(ParseMcPlacement));
+                  FlagSet::ParsedBy(ParseMcPlacement));
   flags.AddString("routing", "xy", "routing algorithm (xy|yx|xy-yx)",
-                  parsed_by(ParseRouting));
+                  FlagSet::ParsedBy(ParseRouting));
   flags.AddString("vc_policy", "split",
                   "VC policy (split|mono|partial|asym|dynamic|...)",
-                  parsed_by(ParseVcPolicy));
-  flags.AddInt("num_vcs", def.num_vcs, "VCs per port", at_least(1));
-  flags.AddInt("vc_depth", def.vc_depth, "flit slots per VC", at_least(1));
+                  FlagSet::ParsedBy(ParseVcPolicy));
+  flags.AddInt("num_vcs", def.num_vcs, "VCs per port", int_at_least(1));
+  flags.AddInt("vc_depth", def.vc_depth, "flit slots per VC", int_at_least(1));
   flags.AddInt("dynamic_epoch", static_cast<std::int64_t>(def.dynamic_epoch),
                "cycles per dynamic VC partitioning epoch (vc_policy=dynamic)",
                at_least(1));
@@ -165,27 +161,27 @@ void RegisterGpuConfigFlags(FlagSet& flags) {
   flags.AddString("scheduling", "soa",
                   "NoC component scheduling (" +
                       SchedulingRegistry().Choices() + ")",
-                  parsed_by(ParseSchedulingMode));
+                  FlagSet::ParsedBy(ParseSchedulingMode));
   flags.AddString("qos", "none",
                   "QoS arbitration discipline (none|strict|wrr)",
-                  parsed_by(ParseQosArbitration));
+                  FlagSet::ParsedBy(ParseQosArbitration));
   flags.AddString(
       "qos_class", "",
       "traffic class spec '<name>[,prio=N][,rate=X][,burst=N][,vcs=N]"
       "[,p99=X]'; the i-th occurrence configures class i (request, reply)",
-      parsed_by(ParseTrafficClassSpec));
+      FlagSet::ParsedBy(ParseTrafficClassSpec));
   flags.AddBool("ideal_noc", def.ideal_noc,
                 "replace the NoC with the contention-free ideal fabric");
   flags.AddInt("mc_inject_bw", def.mc_inject_flits_per_cycle,
-               "MC NIC injection bandwidth (flits/cycle)", at_least(1));
+               "MC NIC injection bandwidth (flits/cycle)", int_at_least(1));
   flags.AddString("mc_scheduler", "in-order",
                   "MC request scheduling (in-order|fr-fcfs)",
-                  parsed_by(ParseMcScheduler));
+                  FlagSet::ParsedBy(ParseMcScheduler));
   flags.AddString("arbiter", "rr", "VA/SA arbiter (rr|matrix)",
-                  parsed_by(ParseArbiterKind));
-  flags.AddInt("warps", def.sm.warps_per_sm, "warps per SM", at_least(1));
+                  FlagSet::ParsedBy(ParseArbiterKind));
+  flags.AddInt("warps", def.sm.warps_per_sm, "warps per SM", int_at_least(1));
   flags.AddInt("mshr", def.sm.mshr_entries, "MSHR entries per SM",
-               at_least(1));
+               int_at_least(1));
   flags.AddBool("real_l1", def.sm.use_real_l1,
                 "model the L1 structurally instead of probabilistically");
   flags.AddInt("l2_latency", static_cast<std::int64_t>(def.mc.l2_latency),

@@ -1,11 +1,12 @@
 // Tests for the checkpoint/restore subsystem (DESIGN.md §10): GpuSystem
 // snapshot round-trips, the hard bit-identical-resume guarantee across the
 // (VC policy x routing x placement x scheduling) matrix, and crash-
-// resumable sweeps (manifest skip, mid-sweep interruption, fingerprint
-// rejection).
+// resumable sweeps over a directory of cell files (finished cells loaded,
+// mid-sweep interruption, cells keyed by configuration and run lengths).
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <stdexcept>
 #include <string>
@@ -51,6 +52,29 @@ class CheckpointTest : public ::testing::Test {
 
   std::string Path(const std::string& name) const {
     return (dir_ / name).string();
+  }
+
+  /// `sub`/<prefix><CellKey in 16 hex digits><suffix>: where RunSweep
+  /// keeps the cell (`scheme`, `workload`) at `lengths`.
+  std::string CellPath(const std::string& sub, const SchemeSpec& scheme,
+                       const WorkloadProfile& workload,
+                       const RunLengths& lengths,
+                       const char* prefix = "cell_",
+                       const char* suffix = ".bin") const {
+    char key[17];
+    std::snprintf(key, sizeof key, "%016llx",
+                  static_cast<unsigned long long>(
+                      CellKey(scheme.config, workload, lengths)));
+    return Path(sub + "/" + prefix + key + suffix);
+  }
+
+  /// The number of cell result files in `sub`.
+  int CellFiles(const std::string& sub) const {
+    int n = 0;
+    for (const auto& entry : std::filesystem::directory_iterator(dir_ / sub)) {
+      n += entry.path().filename().string().rfind("cell_", 0) == 0 ? 1 : 0;
+    }
+    return n;
   }
 
   std::filesystem::path dir_;
@@ -220,14 +244,29 @@ TEST_F(CheckpointTest, CheckpointedSweepMatchesPlainSweep) {
   const SweepResult checkpointed = RunSweep(schemes, workloads, ckpt);
 
   EXPECT_EQ(SweepBytes(checkpointed), SweepBytes(plain));
-  EXPECT_TRUE(std::filesystem::exists(Path("sweep/manifest.json")));
-  for (int i = 0; i < 4; ++i) {
+  for (const SweepCell& cell : EnumerateCells(2, 2)) {
+    const SchemeSpec& scheme = schemes[cell.scheme];
+    const WorkloadProfile& workload = workloads[cell.workload];
     EXPECT_TRUE(std::filesystem::exists(
-        Path("sweep/cell_" + std::to_string(i) + ".bin")));
+        CellPath("sweep", scheme, workload, ckpt.lengths)));
     // Mid-run snapshots are dropped once their cell commits.
-    EXPECT_FALSE(std::filesystem::exists(
-        Path("sweep/snap_" + std::to_string(i) + ".ckpt")));
+    EXPECT_FALSE(std::filesystem::exists(CellPath(
+        "sweep", scheme, workload, ckpt.lengths, "snap_", ".ckpt")));
   }
+  EXPECT_EQ(CellFiles("sweep"), 4);
+}
+
+/// Stats no simulation produces, written as the result file of
+/// (`scheme`, `workload`) at `lengths` under its CellKey.
+void DoctorCell(const std::string& path, const SchemeSpec& scheme,
+                const WorkloadProfile& workload, const RunLengths& lengths) {
+  GpuRunStats doctored;
+  doctored.instructions = 12345;
+  doctored.ipc = 42.0;
+  Serializer s;
+  Save(s, doctored);
+  WriteSnapshotFile(path, CellKey(scheme.config, workload, lengths),
+                    s.bytes());
 }
 
 TEST_F(CheckpointTest, ResumeLoadsCompletedCellsFromDisk) {
@@ -240,14 +279,8 @@ TEST_F(CheckpointTest, ResumeLoadsCompletedCellsFromDisk) {
 
   // Doctor cell 0's result file with sentinel stats. A resumed sweep must
   // *load* it (proving completed cells are never re-run), not recompute.
-  GpuRunStats doctored;
-  doctored.instructions = 12345;
-  doctored.ipc = 42.0;
-  Serializer s;
-  Save(s, doctored);
-  WriteSnapshotFile(Path("sweep/cell_0.bin"),
-                    GpuConfigFingerprint(schemes[0].config, workloads[0]),
-                    s.bytes());
+  DoctorCell(CellPath("sweep", schemes[0], workloads[0], ckpt.lengths),
+             schemes[0], workloads[0], ckpt.lengths);
 
   ckpt.resume = true;
   const SweepResult resumed = RunSweep(schemes, workloads, ckpt);
@@ -269,9 +302,13 @@ TEST_F(CheckpointTest, InterruptedSweepResumesBitIdentically) {
     if (done == 2) throw std::runtime_error("simulated crash");
   };
   EXPECT_THROW(RunSweep(schemes, workloads, ckpt), std::runtime_error);
-  EXPECT_TRUE(std::filesystem::exists(Path("sweep/cell_0.bin")));
-  EXPECT_TRUE(std::filesystem::exists(Path("sweep/cell_1.bin")));
-  EXPECT_FALSE(std::filesystem::exists(Path("sweep/cell_2.bin")));
+  // Cells 0 and 1 (BFS under both schemes) committed; cell 2 never ran.
+  EXPECT_TRUE(std::filesystem::exists(
+      CellPath("sweep", schemes[0], workloads[0], ckpt.lengths)));
+  EXPECT_TRUE(std::filesystem::exists(
+      CellPath("sweep", schemes[1], workloads[0], ckpt.lengths)));
+  EXPECT_FALSE(std::filesystem::exists(
+      CellPath("sweep", schemes[0], workloads[1], ckpt.lengths)));
 
   // Second attempt resumes and must match the uninterrupted sweep exactly.
   ckpt.progress = nullptr;
@@ -300,20 +337,27 @@ TEST_F(CheckpointTest, ResumeInParallelMatchesSequential) {
   EXPECT_EQ(SweepBytes(resumed), SweepBytes(plain));
 }
 
-TEST_F(CheckpointTest, ResumeRejectsDifferentSweepConfiguration) {
+TEST_F(CheckpointTest, ResumeNeverLoadsCellsOfOtherRunLengths) {
   const std::vector<SchemeSpec> schemes = SmallSchemes();
   const std::vector<WorkloadProfile> workloads = WorkloadSubset({"BFS"});
 
   SweepOptions ckpt = SmallSweepOptions();
   ckpt.checkpoint_dir = Path("sweep");
   RunSweep(schemes, workloads, ckpt);
+  DoctorCell(CellPath("sweep", schemes[0], workloads[0], ckpt.lengths),
+             schemes[0], workloads[0], ckpt.lengths);
 
-  // Same directory, different run lengths: the sweep fingerprint changes
-  // and resuming must refuse rather than mix results.
+  // Same directory, different run lengths: every cell has another key, so
+  // the doctored file of the old lengths is never mixed into the results.
   SweepOptions other = ckpt;
   other.resume = true;
   other.lengths.measure += 100;
-  EXPECT_THROW(RunSweep(schemes, workloads, other), SerializeError);
+  const SweepResult resumed = RunSweep(schemes, workloads, other);
+  SweepOptions fresh = SmallSweepOptions();
+  fresh.lengths = other.lengths;
+  EXPECT_EQ(SweepBytes(resumed),
+            SweepBytes(RunSweep(schemes, workloads, fresh)));
+  EXPECT_NE(resumed.Get("baseline", "BFS").instructions, 12345u);
 }
 
 TEST_F(CheckpointTest, FreshRunClearsStaleCheckpointState) {
@@ -324,38 +368,99 @@ TEST_F(CheckpointTest, FreshRunClearsStaleCheckpointState) {
   ckpt.checkpoint_dir = Path("sweep");
   RunSweep(schemes, workloads, ckpt);
 
-  // resume=false (the default) starts over: stale per-cell files from the
-  // previous run are dropped before the sweep begins, and the sweep still
-  // produces the right answer.
+  // resume=false (the default) starts over: every cell runs again, so a
+  // stale (here doctored) result file is overwritten, never loaded, and
+  // the sweep still produces the right answer.
+  DoctorCell(CellPath("sweep", schemes[0], workloads[0], ckpt.lengths),
+             schemes[0], workloads[0], ckpt.lengths);
   const SweepResult plain = RunSweep(schemes, workloads, SmallSweepOptions());
   const SweepResult rerun = RunSweep(schemes, workloads, ckpt);
   EXPECT_EQ(SweepBytes(rerun), SweepBytes(plain));
+  ckpt.resume = true;
+  EXPECT_EQ(SweepBytes(RunSweep(schemes, workloads, ckpt)), SweepBytes(plain));
 }
 
-TEST_F(CheckpointTest, SweepFingerprintSeparatesConfigurations) {
-  const std::vector<SchemeSpec> schemes = SmallSchemes();
+TEST_F(CheckpointTest, CellKeySeparatesConfigurations) {
+  const SchemeSpec scheme = SmallSchemes().front();
+  const WorkloadProfile& workload = FindWorkload("BFS");
+  const RunLengths lengths = SmallSweepOptions().lengths;
+  const std::uint64_t base = CellKey(scheme.config, workload, lengths);
+
+  RunLengths longer = lengths;
+  longer.measure += 1;
+  RunLengths warmer = lengths;
+  warmer.warmup += 1;
+  GpuConfig audited = scheme.config;
+  audited.audit = true;
+  GpuConfig full = scheme.config;
+  full.scheduling = SchedulingMode::kFull;
+
+  EXPECT_NE(base, CellKey(scheme.config, workload, longer));
+  EXPECT_NE(base, CellKey(scheme.config, workload, warmer));
+  EXPECT_NE(base, CellKey(audited, workload, lengths));
+  EXPECT_NE(base, CellKey(full, workload, lengths));
+  EXPECT_NE(base, CellKey(scheme.config, FindWorkload("KMN"), lengths));
+  // Equal inputs, equal keys: the key is a pure function of the cell.
+  EXPECT_EQ(base, CellKey(GpuConfig::Baseline(), workload, lengths));
+}
+
+TEST_F(CheckpointTest, TwoSweepsInOneDirectoryBothResume) {
+  const std::vector<SchemeSpec> first = SmallSchemes();
+  GpuConfig mono = GpuConfig::Baseline();
+  mono.vc_policy = VcPolicyKind::kFullMonopolize;
+  mono.routing = RoutingAlgorithm::kYX;
+  mono.vc_depth = 8;
+  const std::vector<SchemeSpec> second{{"deep mono", mono}};
   const std::vector<WorkloadProfile> workloads = WorkloadSubset({"BFS"});
-  const SweepOptions options = SmallSweepOptions();
 
-  SweepOptions longer = options;
-  longer.lengths.measure += 1;
-  std::vector<SchemeSpec> audited = schemes;
-  for (SchemeSpec& scheme : audited) scheme.config.audit = true;
-  std::vector<SchemeSpec> full = schemes;
-  for (SchemeSpec& scheme : full) {
-    scheme.config.scheduling = SchedulingMode::kFull;
+  SweepOptions ckpt = SmallSweepOptions();
+  ckpt.checkpoint_dir = Path("sweep");
+  RunSweep(first, workloads, ckpt);
+  DoctorCell(CellPath("sweep", first[0], workloads[0], ckpt.lengths),
+             first[0], workloads[0], ckpt.lengths);
+  const SweepResult second_plain =
+      RunSweep(second, workloads, SmallSweepOptions());
+  EXPECT_EQ(SweepBytes(RunSweep(second, workloads, ckpt)),
+            SweepBytes(second_plain));
+  EXPECT_EQ(CellFiles("sweep"), 3);
+
+  // Both sweeps resume from the one directory: the first loads its
+  // doctored cell, the second its own cell.
+  ckpt.resume = true;
+  const SweepResult first_resumed = RunSweep(first, workloads, ckpt);
+  EXPECT_EQ(first_resumed.Get("baseline", "BFS").instructions, 12345u);
+  EXPECT_EQ(SweepBytes(RunSweep(second, workloads, ckpt)),
+            SweepBytes(second_plain));
+}
+
+TEST_F(CheckpointTest, CellsSharingAKeyRunOnceAndFillEverySlot) {
+  const SchemeSpec scheme = SmallSchemes().front();
+  const std::vector<SchemeSpec> twins{{"one", scheme.config},
+                                      {"two", scheme.config}};
+  const std::vector<WorkloadProfile> workloads = WorkloadSubset({"BFS"});
+  const SweepResult plain = RunSweep({scheme}, workloads, SmallSweepOptions());
+
+  for (const int threads : {1, 4}) {
+    const std::string sub = "sweep" + std::to_string(threads);
+    SweepOptions ckpt = SmallSweepOptions();
+    ckpt.checkpoint_dir = Path(sub);
+    ckpt.threads = threads;
+    int progress_calls = 0;
+    ckpt.progress = [&progress_calls](const std::string&, const std::string&,
+                                      int done, int total) {
+      EXPECT_EQ(done, ++progress_calls);
+      EXPECT_EQ(total, 2);
+    };
+    const SweepResult result = RunSweep(twins, workloads, ckpt);
+    EXPECT_EQ(progress_calls, 2) << "threads=" << threads;
+    EXPECT_EQ(CellFiles(sub), 1) << "threads=" << threads;
+    EXPECT_EQ(StatsBytes(result.Get("one", "BFS")),
+              StatsBytes(plain.Get("baseline", "BFS")))
+        << "threads=" << threads;
+    EXPECT_EQ(StatsBytes(result.Get("two", "BFS")),
+              StatsBytes(plain.Get("baseline", "BFS")))
+        << "threads=" << threads;
   }
-
-  const std::uint64_t base = SweepFingerprint(schemes, workloads, options);
-  EXPECT_NE(base, SweepFingerprint(schemes, workloads, longer));
-  EXPECT_NE(base, SweepFingerprint(audited, workloads, options));
-  EXPECT_NE(base, SweepFingerprint(full, workloads, options));
-  // Execution-only knobs must NOT change the fingerprint: a sweep may be
-  // resumed with a different thread count.
-  SweepOptions threaded = options;
-  threaded.threads = 7;
-  threaded.checkpoint_interval = 50;
-  EXPECT_EQ(base, SweepFingerprint(schemes, workloads, threaded));
 }
 
 // --- The v5 byte pin -------------------------------------------------------

@@ -164,6 +164,33 @@ TEST(CliTest, HelpListsEveryFlagWithTypeAndDefault) {
   EXPECT_NE(help.find("help"), std::string::npos);
 }
 
+// An enum flag registered from an EnumRegistry accepts what the
+// registry's Parse accepts (any case, aliases too); its help text and its
+// did-you-mean list only the canonical names.
+TEST(CliTest, RegistryEnumAcceptsWhatItsParserAccepts) {
+  const EnumRegistry<int> registry{"mode",
+                                   {{"fast", 0}, {"slow", 1}, {"quick", 0}}};
+  FlagSet flags("prog", "");
+  flags.AddEnum("mode", "fast", "run mode", registry);
+  for (const char* value : {"fast", "SLOW", "Quick"}) {
+    EXPECT_EQ(ParseTokens(flags, {std::string("mode=") + value})
+                  .GetString("mode", ""),
+              value);
+  }
+  try {
+    ParseTokens(flags, {"mode=fsat"});
+    FAIL() << "expected CliError";
+  } catch (const CliError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("'fsat' is not one of fast|slow; did you mean "
+                        "'fast'?"),
+              std::string::npos)
+        << what;
+  }
+  EXPECT_NE(flags.Help().find("fast|slow (default fast)  run mode"),
+            std::string::npos);
+}
+
 TEST(CliTest, ReservedAndDuplicateNamesRejected) {
   FlagSet flags("prog", "");
   EXPECT_THROW(flags.AddInt("help", 0, ""), CliError);

@@ -176,6 +176,39 @@ TEST(DesignSpaceTest, EmptyAxisThrows) {
   EXPECT_THROW(space.NumPoints(), std::invalid_argument);
 }
 
+// The one axis parser behind the job spec's "space" and pareto_search's
+// axis flags: names in any case and by alias, counts and depths as
+// integers in [1, INT_MAX]; a refused list leaves the axis as it was.
+TEST(DesignSpaceTest, SetAxisParsesNamesAndPositiveIntegers) {
+  DesignSpace space;
+  SetAxis(space, 0, {"BOTTOM", "diamond"}, "placements");
+  SetAxis(space, 1, {"XY", "xy-yx"}, "routings");
+  SetAxis(space, 4, {"2", "4"}, "vc_counts");
+  EXPECT_EQ(space.placements,
+            (std::vector<McPlacement>{McPlacement::kBottom,
+                                      McPlacement::kDiamond}));
+  EXPECT_EQ(space.routings,
+            (std::vector<RoutingAlgorithm>{RoutingAlgorithm::kXY,
+                                           RoutingAlgorithm::kXYYX}));
+  EXPECT_EQ(space.vc_counts, (std::vector<int>{2, 4}));
+  for (const char* value : {"0", "-3", "x", "2.5", "2147483648", ""}) {
+    for (const std::size_t axis : {std::size_t{4}, std::size_t{5}}) {
+      try {
+        SetAxis(space, axis, {"2", value}, kDesignAxisNames[axis]);
+        ADD_FAILURE() << kDesignAxisNames[axis] << " took '" << value << "'";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_EQ(std::string(e.what()),
+                  std::string("'") + kDesignAxisNames[axis] +
+                      "' must be an integer in [1, 2147483647], got " + value);
+      }
+    }
+  }
+  EXPECT_THROW(SetAxis(space, 1, {"zigzag"}, "routings"),
+               std::invalid_argument);
+  EXPECT_EQ(space.vc_counts, (std::vector<int>{2, 4}));
+  EXPECT_EQ(space.routings.size(), 2u);
+}
+
 TEST(DesignSpaceTest, MakeConfigAndLabelFollowTheAxes) {
   DesignSpace space;
   space.placements = {McPlacement::kBottom, McPlacement::kDiamond};

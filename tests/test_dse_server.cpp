@@ -141,6 +141,20 @@ TEST(JobSpecTest, RejectsConfigKeysAndValuesTheCliRejects) {
                            "space": {"base": {"routing": "zigzag"}}})")
                 .find("space.base: flag 'routing'"),
             std::string::npos);
+  // An int key refuses what its int field cannot hold (ApplyOverrides
+  // would narrow 4294967298 VCs to 2); an enum key takes any case.
+  EXPECT_NE(ParseError(R"({"type": "sweep", "base": {"num_vcs": 4294967298},
+                           "schemes": [{"label": "x"}]})")
+                .find("base: flag 'num_vcs': must be <= 2147483647"),
+            std::string::npos);
+  EXPECT_NE(ParseError(R"({"type": "search",
+                           "space": {"base": {"warps": 2147483648}}})")
+                .find("space.base: flag 'warps': must be <= 2147483647"),
+            std::string::npos);
+  EXPECT_EQ(ParseError(R"({"type": "sweep",
+                           "base": {"topology": "Torus", "num_vcs": 4},
+                           "schemes": [{"label": "x"}]})"),
+            "");
   // The CLI's own config= and help tokens are not configuration keys.
   for (const char* key : {"config", "help"}) {
     EXPECT_NE(ParseError(std::string(R"({"type": "sweep", "base": {")") +

@@ -1,6 +1,11 @@
 // Tests for GpuConfig defaults (Table 2) and command-line overrides.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "common/cli.hpp"
 #include "sim/gpu_config.hpp"
 
 namespace gnoc {
@@ -152,6 +157,61 @@ TEST(GpuConfigTest, DescribeNamesTheDesignPoint) {
   EXPECT_EQ(desc.find("sched"), std::string::npos);
   cfg.scheduling = SchedulingMode::kFull;
   EXPECT_NE(cfg.Describe().find(", full sched"), std::string::npos);
+}
+
+/// The flags RegisterGpuConfigFlags defines.
+FlagSet GpuConfigFlags() {
+  FlagSet flags("prog", "");
+  RegisterGpuConfigFlags(flags);
+  return flags;
+}
+
+/// `key`=`value` as one config.
+Config One(const std::string& key, const std::string& value) {
+  Config config;
+  config.Set(key, value);
+  return config;
+}
+
+// ApplyOverrides narrows these keys to int: a value past INT_MAX would
+// wrap (num_vcs=4294967298 ran as 2 VCs), so the flag refuses it.
+TEST(GpuConfigTest, IntFlagsRefuseValuesTheirFieldCannotHold) {
+  const FlagSet flags = GpuConfigFlags();
+  for (const char* key :
+       {"width", "height", "radix", "num_mcs", "circulant_s1", "circulant_s2",
+        "num_vcs", "vc_depth", "mc_inject_bw", "warps", "mshr"}) {
+    for (const char* value : {"2147483648", "4294967298"}) {
+      try {
+        flags.Check(One(key, value));
+        ADD_FAILURE() << key << "=" << value << " passed";
+      } catch (const CliError& e) {
+        EXPECT_NE(std::string(e.what()).find("must be <= 2147483647"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+    EXPECT_NO_THROW(flags.Check(One(key, "2147483647"))) << key;
+  }
+  // Cycle-valued keys keep their 64-bit range.
+  EXPECT_NO_THROW(flags.Check(One("dynamic_epoch", "4294967298")));
+}
+
+// Every enum-valued key accepts what its parser accepts, in any case.
+TEST(GpuConfigTest, EnumFlagsAcceptWhatTheirParserAccepts) {
+  const FlagSet flags = GpuConfigFlags();
+  for (const auto& [key, value] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"topology", "Torus"}, {"division", "Physical"},
+           {"routing", "XY"}, {"vc_policy", "MONO"}, {"scheduling", "SOA"}}) {
+    EXPECT_NO_THROW(flags.Check(One(key, value))) << key << "=" << value;
+    GpuConfig cfg = GpuConfig::Baseline();
+    EXPECT_NO_THROW(cfg.ApplyOverrides(One(key, value)))
+        << key << "=" << value;
+  }
+  GpuConfig cfg = GpuConfig::Baseline();
+  cfg.ApplyOverrides(One("topology", "TORUS"));
+  EXPECT_EQ(cfg.topology, TopologyKind::kTorus);
+  EXPECT_THROW(flags.Check(One("topology", "tor")), CliError);
 }
 
 TEST(GpuConfigTest, SchedulingDefaultsToSoa) {
