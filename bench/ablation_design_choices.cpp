@@ -9,9 +9,11 @@
 //     reply networks more tightly.
 //
 // Each ablation reports IPC on one memory-bound workload for the baseline
-// and the proposed (YX + fully monopolized) configuration. Every section is
-// one sweep over its parameterized schemes, so the variants run in
-// parallel (threads=N).
+// and the proposed (YX + fully monopolized) configuration. Sections 1-6
+// vary the configuration and run as one sweep, so every variant runs in
+// parallel (threads=N) and a variant several sections share (the baseline
+// and its monopolized twin) runs once; section 7 varies the workload and
+// is a second sweep.
 #include <iostream>
 
 #include "bench_util.hpp"
@@ -27,13 +29,13 @@ GpuConfig Monopolized(GpuConfig base) {
   return base;
 }
 
-/// Runs `schemes` on the single ablation workload, in parallel.
-SweepResult Sweep(const std::vector<SchemeSpec>& schemes,
-                  const WorkloadProfile& workload, const BenchOptions& opts) {
-  SweepOptions sweep_opts = opts.sweep;
-  sweep_opts.progress = nullptr;  // sections are short; keep stderr clean
-  return RunSweep(schemes, {workload}, sweep_opts);
-}
+constexpr int kDepths[] = {2, 4, 8, 16};
+constexpr int kEjectCapacities[] = {8, 16, 32, 64};
+constexpr ArbiterKind kArbiters[] = {ArbiterKind::kRoundRobin,
+                                     ArbiterKind::kMatrix};
+constexpr McScheduler kSchedulers[] = {McScheduler::kInOrder,
+                                       McScheduler::kFrFcfs};
+constexpr int kInjectBandwidths[] = {1, 2, 4};
 
 }  // namespace
 
@@ -58,17 +60,50 @@ int main(int argc, char** argv) {
     return r.Get(s, workload.name).ipc;
   };
 
+  // Sections 1-6: every configuration variant, one sweep.
+  std::vector<SchemeSpec> schemes;
+  for (bool atomic : {true, false}) {
+    GpuConfig base = baseline;
+    base.atomic_vc_realloc = atomic;
+    const std::string tag = atomic ? "atomic" : "non-atomic";
+    schemes.push_back({"base " + tag, base});
+    schemes.push_back({"mono " + tag, Monopolized(base)});
+  }
+  for (int depth : kDepths) {
+    GpuConfig base = baseline;
+    base.vc_depth = depth;
+    schemes.push_back({"base d" + std::to_string(depth), base});
+    schemes.push_back({"mono d" + std::to_string(depth), Monopolized(base)});
+  }
+  for (int capacity : kEjectCapacities) {
+    GpuConfig base = baseline;
+    base.eject_capacity = capacity;
+    schemes.push_back({"base e" + std::to_string(capacity), base});
+  }
+  for (ArbiterKind kind : kArbiters) {
+    GpuConfig base = baseline;
+    base.arbiter = kind;
+    const std::string tag = ArbiterKindName(kind);
+    schemes.push_back({"base " + tag, base});
+    schemes.push_back({"mono " + tag, Monopolized(base)});
+  }
+  for (McScheduler sched : kSchedulers) {
+    GpuConfig base = baseline;
+    base.mc.scheduler = sched;
+    schemes.push_back({McSchedulerName(sched), base});
+  }
+  for (int bw : kInjectBandwidths) {
+    GpuConfig base = baseline;
+    base.mc_inject_flits_per_cycle = bw;
+    schemes.push_back({"base b" + std::to_string(bw), base});
+    schemes.push_back({"mono b" + std::to_string(bw), Monopolized(base)});
+  }
+  SweepOptions sweep_opts = opts.sweep;
+  sweep_opts.progress = nullptr;  // sections are short; keep stderr clean
+  const SweepResult r = RunSweep(schemes, {workload}, sweep_opts);
+
   // 1. Atomic VC reallocation.
   {
-    std::vector<SchemeSpec> schemes;
-    for (bool atomic : {true, false}) {
-      GpuConfig base = baseline;
-      base.atomic_vc_realloc = atomic;
-      const std::string tag = atomic ? "atomic" : "non-atomic";
-      schemes.push_back({"base " + tag, base});
-      schemes.push_back({"mono " + tag, Monopolized(base)});
-    }
-    const SweepResult r = Sweep(schemes, workload, opts);
     TextTable table({"VC reallocation", "XY split IPC", "YX mono IPC",
                      "mono speedup"});
     for (bool atomic : {true, false}) {
@@ -86,16 +121,8 @@ int main(int argc, char** argv) {
 
   // 2. VC depth sweep under the baseline and the proposed scheme.
   {
-    std::vector<SchemeSpec> schemes;
-    for (int depth : {2, 4, 8, 16}) {
-      GpuConfig base = baseline;
-      base.vc_depth = depth;
-      schemes.push_back({"base d" + std::to_string(depth), base});
-      schemes.push_back({"mono d" + std::to_string(depth), Monopolized(base)});
-    }
-    const SweepResult r = Sweep(schemes, workload, opts);
     TextTable table({"vc_depth", "XY split IPC", "YX mono IPC"});
-    for (int depth : {2, 4, 8, 16}) {
+    for (int depth : kDepths) {
       const std::string d = std::to_string(depth);
       table.AddRow({d, FormatDouble(ipc(r, "base d" + d), 2),
                     FormatDouble(ipc(r, "mono d" + d), 2)});
@@ -107,15 +134,8 @@ int main(int argc, char** argv) {
 
   // 3. MC ejection capacity (protocol coupling strength).
   {
-    std::vector<SchemeSpec> schemes;
-    for (int capacity : {8, 16, 32, 64}) {
-      GpuConfig base = baseline;
-      base.eject_capacity = capacity;
-      schemes.push_back({"base e" + std::to_string(capacity), base});
-    }
-    const SweepResult r = Sweep(schemes, workload, opts);
     TextTable table({"eject_capacity (flits)", "XY split IPC"});
-    for (int capacity : {8, 16, 32, 64}) {
+    for (int capacity : kEjectCapacities) {
       const std::string e = std::to_string(capacity);
       table.AddRow({e, FormatDouble(ipc(r, "base e" + e), 2)});
     }
@@ -126,17 +146,8 @@ int main(int argc, char** argv) {
 
   // 4. Arbiter microarchitecture (round-robin vs matrix/LRS).
   {
-    std::vector<SchemeSpec> schemes;
-    for (ArbiterKind kind : {ArbiterKind::kRoundRobin, ArbiterKind::kMatrix}) {
-      GpuConfig base = baseline;
-      base.arbiter = kind;
-      const std::string tag = ArbiterKindName(kind);
-      schemes.push_back({"base " + tag, base});
-      schemes.push_back({"mono " + tag, Monopolized(base)});
-    }
-    const SweepResult r = Sweep(schemes, workload, opts);
     TextTable table({"arbiter", "XY split IPC", "YX mono IPC"});
-    for (ArbiterKind kind : {ArbiterKind::kRoundRobin, ArbiterKind::kMatrix}) {
+    for (ArbiterKind kind : kArbiters) {
       const std::string tag = ArbiterKindName(kind);
       table.AddRow({tag, FormatDouble(ipc(r, "base " + tag), 2),
                     FormatDouble(ipc(r, "mono " + tag), 2)});
@@ -150,15 +161,8 @@ int main(int argc, char** argv) {
   // simple in-order scheduler suffices when the NoC preserves row locality
   // — the reason the paper's footnote 1 avoids adaptive routing).
   {
-    std::vector<SchemeSpec> schemes;
-    for (McScheduler sched : {McScheduler::kInOrder, McScheduler::kFrFcfs}) {
-      GpuConfig base = baseline;
-      base.mc.scheduler = sched;
-      schemes.push_back({McSchedulerName(sched), base});
-    }
-    const SweepResult r = Sweep(schemes, workload, opts);
     TextTable table({"MC scheduler", "XY split IPC", "DRAM row hit rate"});
-    for (McScheduler sched : {McScheduler::kInOrder, McScheduler::kFrFcfs}) {
+    for (McScheduler sched : kSchedulers) {
       const GpuRunStats& stats = r.Get(McSchedulerName(sched), workload.name);
       table.AddRow({McSchedulerName(sched), FormatDouble(stats.ipc, 2),
                     FormatDouble(stats.dram_row_hit_rate, 3)});
@@ -172,17 +176,9 @@ int main(int argc, char** argv) {
   // MCs for burst read replies). Matters once VC monopolizing removes the
   // per-VC throughput cap.
   {
-    std::vector<SchemeSpec> schemes;
-    for (int bw : {1, 2, 4}) {
-      GpuConfig base = baseline;
-      base.mc_inject_flits_per_cycle = bw;
-      schemes.push_back({"base b" + std::to_string(bw), base});
-      schemes.push_back({"mono b" + std::to_string(bw), Monopolized(base)});
-    }
-    const SweepResult r = Sweep(schemes, workload, opts);
     TextTable table({"MC inject bw (flits/cy)", "XY split IPC",
                      "YX mono IPC"});
-    for (int bw : {1, 2, 4}) {
+    for (int bw : kInjectBandwidths) {
       const std::string b = std::to_string(bw);
       table.AddRow({b, FormatDouble(ipc(r, "base b" + b), 2),
                     FormatDouble(ipc(r, "mono b" + b), 2)});
@@ -203,16 +199,14 @@ int main(int argc, char** argv) {
       divergent.coalescing_degree = degree;
       divergent_set.push_back(divergent);
     }
-    const std::vector<SchemeSpec> schemes{
+    const std::vector<SchemeSpec> pair{
         {"base", baseline}, {"mono", Monopolized(baseline)}};
-    SweepOptions sweep_opts = opts.sweep;
-    sweep_opts.progress = nullptr;
-    const SweepResult r = RunSweep(schemes, divergent_set, sweep_opts);
+    const SweepResult by_degree = RunSweep(pair, divergent_set, sweep_opts);
     TextTable table(
         {"coalescing degree", "XY split IPC", "YX mono IPC", "mono speedup"});
     for (const WorkloadProfile& divergent : divergent_set) {
-      const double base_ipc = r.Get("base", divergent.name).ipc;
-      const double mono_ipc = r.Get("mono", divergent.name).ipc;
+      const double base_ipc = by_degree.Get("base", divergent.name).ipc;
+      const double mono_ipc = by_degree.Get("mono", divergent.name).ipc;
       table.AddRow({std::to_string(divergent.coalescing_degree),
                     FormatDouble(base_ipc, 2), FormatDouble(mono_ipc, 2),
                     FormatDouble(base_ipc > 0 ? mono_ipc / base_ipc : 0, 3)});

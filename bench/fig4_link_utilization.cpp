@@ -8,7 +8,6 @@
 // cycle-accurate simulator.
 #include <iostream>
 
-#include "analytic/link_coefficients.hpp"
 #include "bench_util.hpp"
 #include "noc/deadlock.hpp"
 #include "sim/gpu_system.hpp"
@@ -20,17 +19,19 @@ using namespace gnoc;
 void PrintMaps(const TilePlan& plan, RoutingAlgorithm routing) {
   std::cout << "\n--- " << RoutingName(routing)
             << " routing, bottom MCs, idealized cores (paper Eq. 2) ---\n";
+  const Topology mesh = Topology::Mesh(plan.width(), plan.height());
+  const LinkUsage coef =
+      AnalyzeLinkUsage(mesh, plan, routing, /*idealized=*/true);
   for (auto cls : {TrafficClass::kRequest, TrafficClass::kReply}) {
-    const auto map =
-        ComputeLinkCoefficients(plan, routing, cls, /*idealized=*/true);
     std::cout << ClassName(cls) << " south-link coefficients:\n"
-              << map.RenderGrid(Port::kSouth)
+              << coef.RenderGrid(Port::kSouth, cls)
               << ClassName(cls) << " north-link coefficients:\n"
-              << map.RenderGrid(Port::kNorth)
+              << coef.RenderGrid(Port::kNorth, cls)
               << ClassName(cls) << " east-link coefficients:\n"
-              << map.RenderGrid(Port::kEast) << '\n';
+              << coef.RenderGrid(Port::kEast, cls) << '\n';
   }
-  const auto usage = AnalyzeLinkUsage(plan, routing);
+  // Mixed links count the simulated traffic: cores on core tiles only.
+  const LinkUsage usage = AnalyzeLinkUsage(mesh, plan, routing);
   std::cout << "mixed (request+reply) directed links: "
             << usage.NumMixedLinks();
   if (usage.NumMixedLinks() > 0) {
@@ -67,8 +68,8 @@ int main(int argc, char** argv) {
   gpu.Run(opts.sweep.lengths.warmup, opts.sweep.lengths.measure);
 
   const TilePlan plan8(8, 8, 8, McPlacement::kBottom);
-  const auto coef = ComputeLinkCoefficients(plan8, RoutingAlgorithm::kXY,
-                                            TrafficClass::kRequest);
+  const LinkUsage coef =
+      AnalyzeLinkUsage(Topology::Mesh(8, 8), plan8, RoutingAlgorithm::kXY);
   // Compare row sums of south-link coefficients vs measured flits: both
   // must grow towards the MCs (the paper's congestion argument).
   TextTable table({"mesh row", "analytic south coef (row sum)",
@@ -77,8 +78,9 @@ int main(int argc, char** argv) {
     long long analytic = 0;
     std::uint64_t measured = 0;
     for (int x = 0; x < 8; ++x) {
-      analytic += coef.Count({x, y}, Port::kSouth);
-      measured += gpu.network().LinkFlits(plan8.NodeAt({x, y}), Port::kSouth,
+      const NodeId node = plan8.NodeAt({x, y});
+      analytic += coef.Count(node, Port::kSouth, TrafficClass::kRequest);
+      measured += gpu.network().LinkFlits(node, Port::kSouth,
                                           TrafficClass::kRequest);
     }
     table.AddRow({std::to_string(y), std::to_string(analytic),

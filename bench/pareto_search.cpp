@@ -37,7 +37,10 @@ int Main(int argc, char** argv) {
         f.AddEnum("strategy", "nsga2", "batch proposal strategy",
                   SearchStrategyRegistry());
         f.AddString("objectives", "ipc,mean_latency,p99_latency,buffer_area",
-                    "comma list: ipc, mean_latency, p99_latency, buffer_area");
+                    "comma list: ipc, mean_latency, p99_latency, buffer_area",
+                    FlagSet::ParsedBy([](const std::string& v) {
+                      ParseSearchObjectives(SplitList(v));
+                    }));
         f.AddInt("population", 16, "designs proposed per batch", positive);
         f.AddInt("max_evaluations", 96,
                  "feasible-design budget (0 = exhaust the space)",
@@ -69,13 +72,9 @@ int Main(int argc, char** argv) {
 
   SearchOptions sopt;
   sopt.strategy = ParseSearchStrategy(opts.raw.GetString("strategy", "nsga2"));
-  const std::vector<std::string> objective_names =
-      SplitList(opts.raw.GetString("objectives", ""));
-  if (!objective_names.empty()) {
-    sopt.objectives.clear();
-    for (const std::string& name : objective_names) {
-      sopt.objectives.push_back(ParseSearchObjective(name));
-    }
+  if (opts.raw.Contains("objectives")) {
+    sopt.objectives =
+        ParseSearchObjectives(SplitList(opts.raw.GetString("objectives")));
   }
   sopt.population = static_cast<int>(opts.raw.GetInt("population", 16));
   sopt.max_evaluations =

@@ -287,11 +287,11 @@ expect_refused fig10_asymmetric_partitioning topology=torus radix=8 \
 # fig10's second study (diamond on a 4x4 grid) is refused before its first
 # sweep runs, not after it printed its table.
 expect_refused fig10_asymmetric_partitioning radix=4 scale=0.01 workloads=BFS
-# Unknown workloads and impossible search axes are refused like any bad
-# flag value.
+# Unknown workloads, impossible search axes and unknown or repeated search
+# objectives are refused like any bad flag value.
 expect_refused fig8_vc_monopolizing workloads=FOO scale=0.01
 expect_refused ablation_design_choices workload=FOO scale=0.01
-for axis in vc_counts=0 vc_counts=x; do
+for axis in vc_counts=0 vc_counts=x objectives=ipc,foo objectives=ipc,ipc; do
   expect_refused pareto_search "$axis" strategy=grid max_evaluations=2 \
       workloads=BFS scale=0.01 radix=4 placements=bottom routings=xy \
       vc_policies=split topologies=mesh vc_depths=4 \
@@ -300,7 +300,7 @@ done
 echo "smoke: config keys ok — fig2 applies topology=; fig4, table1 and" \
      "pareto_search refuse it; table1 refuses threads=, qos_starvation" \
      "workloads=; fig8 and fig10 refuse configurations they cannot build;" \
-     "unknown workloads and impossible axes are refused" >&2
+     "unknown workloads, impossible axes and bad objectives are refused" >&2
 
 # DSE pass: a one-evaluation search at the default strategy (nsga2) must
 # run; then a quick Pareto search over a 16-point sub-space (grid

@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
     // below); other placements scale with N per the paper.
     if (p == McPlacement::kDiamond && n % 8 != 0) continue;
     const TilePlan plan(n, n, p == McPlacement::kDiamond ? 8 : n, p);
-    const HopCounts exact = EnumerateHopCounts(plan);
+    const HopCounts exact = EnumerateHopCounts(Topology::Mesh(n, n), plan);
     const ClosedFormHops closed = ClosedFormHopCounts(p, n);
     table.AddRow(
         {McPlacementName(p),
@@ -61,6 +61,7 @@ int main(int argc, char** argv) {
   std::cout << SectionHeader("Average hops vs mesh size");
   TextTable sweep({"N", "bottom", "edge", "top-bottom", "diamond"});
   for (int size = 4; size <= 16; size += 2) {
+    const Topology mesh = Topology::Mesh(size, size);
     std::vector<double> row;
     for (McPlacement p : kAllPlacements) {
       if (p == McPlacement::kDiamond && size % 8 != 0) {
@@ -69,7 +70,8 @@ int main(int argc, char** argv) {
         continue;
       }
       const int mcs = p == McPlacement::kDiamond ? 8 : size;
-      row.push_back(AverageHops(TilePlan(size, size, mcs, p)));
+      const TilePlan plan(size, size, mcs, p);
+      row.push_back(EnumerateHopCounts(mesh, plan).average());
     }
     sweep.AddRow("N=" + std::to_string(size), row, 3);
   }

@@ -65,13 +65,12 @@ int main(int argc, char** argv) {
 
   // Definition pass: per placement, the split baseline and the strongest
   // deadlock-safe VC policy, all as one sweep.
+  const Topology mesh = Topology::Mesh(8, 8);
   std::vector<SchemeSpec> schemes;
-  std::vector<VcPolicyKind> best_policies;
+  std::vector<SafetyReport> safety;
   for (McPlacement placement : kAllPlacements) {
     const TilePlan plan(8, 8, 8, placement);
-    const SafetyReport safety = AnalyzeSafety(plan, routing);
-    const VcPolicyKind best = safety.BestSafePolicy();
-    best_policies.push_back(best);
+    safety.push_back(AnalyzeSafety(mesh, plan, routing));
 
     GpuConfig split_cfg = GpuConfig::Baseline();
     split_cfg.placement = placement;
@@ -80,7 +79,7 @@ int main(int argc, char** argv) {
                        split_cfg});
 
     GpuConfig best_cfg = split_cfg;
-    best_cfg.vc_policy = best;
+    best_cfg.vc_policy = safety.back().BestSafePolicy();
     schemes.push_back({std::string(McPlacementName(placement)) + " best",
                        best_cfg});
   }
@@ -94,12 +93,12 @@ int main(int argc, char** argv) {
                    " policy", "IPC (split)", "IPC (strongest)"});
   std::size_t i = 0;
   for (McPlacement placement : kAllPlacements) {
-    const TilePlan plan(8, 8, 8, placement);
-    const SafetyReport safety = AnalyzeSafety(plan, routing);
+    const double hops =
+        EnumerateHopCounts(mesh, TilePlan(8, 8, 8, placement)).average();
     const std::string label = McPlacementName(placement);
-    table.AddRow({label, FormatDouble(AverageHops(plan), 3),
-                  std::to_string(safety.mixed_links),
-                  VcPolicyName(best_policies[i]),
+    table.AddRow({label, FormatDouble(hops, 3),
+                  std::to_string(safety[i].mixed_links),
+                  VcPolicyName(safety[i].BestSafePolicy()),
                   FormatDouble(result.Get(label + " split", workload.name).ipc,
                                2),
                   FormatDouble(result.Get(label + " best", workload.name).ipc,

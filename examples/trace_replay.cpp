@@ -34,8 +34,8 @@ std::pair<Cycle, double> ReplayOn(const std::vector<TraceRecord>& records,
   cfg.vc_policy = policy;
   cfg.telemetry = !trace_out.empty();
   Network net(cfg);
-  net.ConfigureLinkModes(
-      AnalyzeLinkUsage(TilePlan(8, 8, 8, McPlacement::kBottom), routing));
+  const TilePlan plan(8, 8, 8, McPlacement::kBottom);
+  net.ConfigureLinkModes(AnalyzeLinkUsage(net.topology(), plan, routing));
 
   struct AcceptAll : PacketSink {
     bool Accept(const Packet&, Cycle) override { return true; }

@@ -1,26 +1,6 @@
 #include "analytic/hop_count.hpp"
 
-#include <cmath>
-#include <cstdlib>
-
 namespace gnoc {
-
-HopCounts EnumerateHopCounts(const TilePlan& plan) {
-  HopCounts out;
-  for (NodeId core : plan.core_nodes()) {
-    const Coord c = plan.CoordOf(core);
-    for (NodeId mc : plan.mc_nodes()) {
-      // The topology graph's one mesh-distance implementation (shared with
-      // RouteLength).
-      const DistanceParts parts = MeshDistanceSplit(c, plan.CoordOf(mc));
-      out.vertical += parts.d2;
-      out.horizontal += parts.d1;
-    }
-  }
-  out.num_pairs = static_cast<long long>(plan.core_nodes().size()) *
-                  static_cast<long long>(plan.mc_nodes().size());
-  return out;
-}
 
 HopCounts EnumerateHopCounts(const Topology& topo, const TilePlan& plan) {
   HopCounts out;
@@ -117,10 +97,6 @@ ClosedFormHops ClosedFormHopCounts(McPlacement placement, int n) {
       break;
   }
   return out;
-}
-
-double AverageHops(const TilePlan& plan) {
-  return EnumerateHopCounts(plan).average();
 }
 
 }  // namespace gnoc

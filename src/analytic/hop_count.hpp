@@ -32,14 +32,10 @@ struct HopCounts {
   }
 };
 
-/// Exact enumeration of Eq. 3 for an arbitrary tile plan on the paper's
-/// mesh. Distances come from the topology graph's mesh distance
-/// (MeshDistanceSplit) — the same implementation behind RouteLength.
-HopCounts EnumerateHopCounts(const TilePlan& plan);
-
-/// Exact enumeration of Eq. 3 on an arbitrary topology: distances are the
-/// graph's DistanceSplit between the core and MC tiles' routers (d1 counts
-/// as horizontal, d2 as vertical; for the circulant they are s1/s2 steps).
+/// Exact enumeration of Eq. 3 for any tile plan and topology: distances
+/// are the graph's DistanceSplit between the core and MC tiles' routers
+/// (d1 counts as horizontal, d2 as vertical; for the circulant they are
+/// s1/s2 steps). The paper's Eq. 3 is the Topology::Mesh case.
 HopCounts EnumerateHopCounts(const Topology& topo, const TilePlan& plan);
 
 /// Idealized all-(ordered-)pairs average router distance on the topology,
@@ -79,8 +75,5 @@ struct ClosedFormHops {
 ///   diamond     Hvert ~ Hhori ~ N^2 (N^2 - 1) / 4 (derived approx; the
 ///               paper's printed N^2 (N+1)(N-2)/8 normalizes implausibly)
 ClosedFormHops ClosedFormHopCounts(McPlacement placement, int n);
-
-/// Average hops from Eq. 3 using exact enumeration; convenience wrapper.
-double AverageHops(const TilePlan& plan);
 
 }  // namespace gnoc

@@ -1,126 +1,6 @@
 #include "analytic/link_coefficients.hpp"
 
-#include <algorithm>
-#include <cassert>
-#include <iomanip>
-#include <sstream>
-
 namespace gnoc {
-
-CoefficientMap::CoefficientMap(int width, int height)
-    : width_(width),
-      height_(height),
-      num_routers_(width * height),
-      radix_(kNumPorts),
-      counts_(static_cast<std::size_t>(num_routers_ * radix_), 0) {}
-
-namespace {
-
-// Router-grid dimensions for RenderGrid and the Coord accessors: the tile
-// grid on mesh/torus, the concentrated grid on cmesh, a single row on the
-// circulant (whose routers have no 2D arrangement).
-Coord RouterGridOf(const Topology& topo) {
-  switch (topo.kind()) {
-    case TopologyKind::kCMesh:
-      return {topo.width() / 2, topo.height() / 2};
-    case TopologyKind::kCirculant:
-      return {topo.num_routers(), 1};
-    default:
-      return {topo.width(), topo.height()};
-  }
-}
-
-}  // namespace
-
-CoefficientMap::CoefficientMap(const Topology& topo)
-    : width_(RouterGridOf(topo).x),
-      height_(RouterGridOf(topo).y),
-      num_routers_(topo.num_routers()),
-      radix_(topo.radix()),
-      counts_(static_cast<std::size_t>(num_routers_ * radix_), 0) {}
-
-std::size_t CoefficientMap::Index(int router, int port) const {
-  assert(router >= 0 && router < num_routers_ && port >= 0 && port < radix_);
-  return static_cast<std::size_t>(router * radix_ + port);
-}
-
-std::size_t CoefficientMap::Index(Coord node, Port port) const {
-  assert(node.x >= 0 && node.x < width_ && node.y >= 0 && node.y < height_);
-  return Index(node.y * width_ + node.x, PortIndex(port));
-}
-
-int CoefficientMap::Count(int router, int port) const {
-  return counts_[Index(router, port)];
-}
-
-void CoefficientMap::Add(int router, int port, int delta) {
-  counts_[Index(router, port)] += delta;
-}
-
-int CoefficientMap::Count(Coord node, Port port) const {
-  return counts_[Index(node, port)];
-}
-
-void CoefficientMap::Add(Coord node, Port port, int delta) {
-  counts_[Index(node, port)] += delta;
-}
-
-int CoefficientMap::Max() const {
-  return *std::max_element(counts_.begin(), counts_.end());
-}
-
-long long CoefficientMap::Total() const {
-  long long total = 0;
-  for (int c : counts_) total += c;
-  return total;
-}
-
-std::string CoefficientMap::RenderGrid(Port port) const {
-  std::ostringstream oss;
-  for (int y = 0; y < height_; ++y) {
-    for (int x = 0; x < width_; ++x) {
-      oss << std::setw(5) << Count({x, y}, port);
-    }
-    oss << '\n';
-  }
-  return oss.str();
-}
-
-CoefficientMap ComputeLinkCoefficients(const Topology& topo,
-                                       const TilePlan& plan,
-                                       RoutingAlgorithm routing,
-                                       TrafficClass cls, bool idealized) {
-  CoefficientMap map(topo);
-  std::vector<NodeId> cores;
-  if (idealized) {
-    for (NodeId n = 0; n < plan.num_nodes(); ++n) cores.push_back(n);
-  } else {
-    cores = plan.core_nodes();
-  }
-  for (NodeId core : cores) {
-    for (NodeId mc : plan.mc_nodes()) {
-      const NodeId src = cls == TrafficClass::kRequest ? core : mc;
-      const NodeId dst = cls == TrafficClass::kRequest ? mc : core;
-      int here = topo.RouterOf(src);
-      const int dst_router = topo.RouterOf(dst);
-      while (here != dst_router) {
-        const RouteStep step = topo.Route(routing, cls, here, dst);
-        assert(step.port >= topo.num_local_ports());
-        map.Add(here, step.port);
-        here = topo.Peer(here, step.port);
-        assert(here >= 0);
-      }
-    }
-  }
-  return map;
-}
-
-CoefficientMap ComputeLinkCoefficients(const TilePlan& plan,
-                                       RoutingAlgorithm routing,
-                                       TrafficClass cls, bool idealized) {
-  return ComputeLinkCoefficients(Topology::Mesh(plan.width(), plan.height()),
-                                 plan, routing, cls, idealized);
-}
 
 int Eq2CoefficientSouth(int n, int i) { return n * i; }
 int Eq2CoefficientNorth(int n, int i) { return n * (i - 1); }

@@ -12,82 +12,12 @@
 //   Csouth = N * i          Cnorth = N * (i - 1)        [reply mirror-image]
 //   Ceast  = j * (N - j)    Cwest  = (N - j + 1) * (j - 1)
 //
-// This module provides both those closed forms and a general enumeration for
-// any (placement, routing) pair, which the tests cross-validate.
+// This module holds those closed forms. The enumeration for any topology,
+// placement and routing is AnalyzeLinkUsage (noc/deadlock.hpp) with
+// `idealized` set; the tests cross-validate the two.
 #pragma once
 
-#include <string>
-#include <vector>
-
-#include "common/types.hpp"
-#include "noc/placement.hpp"
-#include "noc/routing.hpp"
-#include "noc/topology.hpp"
-
 namespace gnoc {
-
-/// Per-directed-link crossing counts for one traffic class. Counts are per
-/// (router, output port); the Coord accessors index the router grid and are
-/// only valid on grid topologies (mesh, torus, and the cmesh router grid).
-class CoefficientMap {
- public:
-  /// Paper mesh: width x height routers with kNumPorts ports each.
-  CoefficientMap(int width, int height);
-  /// Sized from the topology graph: num_routers() x radix().
-  explicit CoefficientMap(const Topology& topo);
-
-  int width() const { return width_; }
-  int height() const { return height_; }
-  int num_routers() const { return num_routers_; }
-  int radix() const { return radix_; }
-
-  int Count(int router, int port) const;
-  void Add(int router, int port, int delta = 1);
-
-  int Count(Coord node, Port port) const;
-  void Add(Coord node, Port port, int delta = 1);
-
-  /// Maximum coefficient over all links (congestion hot spot measure).
-  int Max() const;
-
-  /// Sum of all coefficients (proportional to total link traversals, i.e.
-  /// average hop count x pairs).
-  long long Total() const;
-
-  /// Renders the vertical (south/north) or horizontal (east/west)
-  /// coefficients as an ASCII grid, one row per mesh row. Grid topologies
-  /// only.
-  std::string RenderGrid(Port port) const;
-
- private:
-  std::size_t Index(int router, int port) const;
-  std::size_t Index(Coord node, Port port) const;
-
-  int width_;
-  int height_;
-  int num_routers_;
-  int radix_;
-  std::vector<int> counts_;
-};
-
-/// Enumerates the crossing counts of `cls` traffic: requests are core->MC
-/// pairs, replies MC->core pairs, one pair each, routed by `routing`.
-/// When `idealized` is true every tile (including MC tiles) counts as a
-/// core, matching the paper's Eq. 2 derivation; otherwise only SM tiles do.
-/// Walks the topology graph's own routing function, so the counts agree
-/// with the simulator's route LUTs by construction.
-CoefficientMap ComputeLinkCoefficients(const Topology& topo,
-                                       const TilePlan& plan,
-                                       RoutingAlgorithm routing,
-                                       TrafficClass cls,
-                                       bool idealized = false);
-
-/// Paper mesh shorthand: ComputeLinkCoefficients on Topology::Mesh sized
-/// from the plan.
-CoefficientMap ComputeLinkCoefficients(const TilePlan& plan,
-                                       RoutingAlgorithm routing,
-                                       TrafficClass cls,
-                                       bool idealized = false);
 
 /// Paper Eq. 2 closed forms for the bottom placement with XY routing,
 /// request traffic, idealized cores. `i` is the 1-based row (from the top),

@@ -88,9 +88,6 @@ class JsonValue {
   static JsonValue Parse(const std::string& text);
 
   Kind kind() const { return kind_; }
-  bool IsNull() const { return kind_ == Kind::kNull; }
-  bool IsObject() const { return kind_ == Kind::kObject; }
-  bool IsArray() const { return kind_ == Kind::kArray; }
 
   /// Typed accessors; throw std::invalid_argument on a kind mismatch.
   bool AsBool() const;

@@ -51,29 +51,6 @@ inline constexpr int kNumPorts = 5;
 /// Converts a port to its array index.
 constexpr int PortIndex(Port p) { return static_cast<int>(p); }
 
-/// Returns the port on the neighbouring router that faces `p`.
-/// E.g. flits leaving through kEast arrive at the neighbour's kWest port.
-constexpr Port OppositePort(Port p) {
-  switch (p) {
-    case Port::kNorth: return Port::kSouth;
-    case Port::kSouth: return Port::kNorth;
-    case Port::kEast: return Port::kWest;
-    case Port::kWest: return Port::kEast;
-    case Port::kLocal: return Port::kLocal;
-  }
-  return Port::kLocal;
-}
-
-/// True for the two ports that carry vertical (Y-dimension) traffic.
-constexpr bool IsVerticalPort(Port p) {
-  return p == Port::kNorth || p == Port::kSouth;
-}
-
-/// True for the two ports that carry horizontal (X-dimension) traffic.
-constexpr bool IsHorizontalPort(Port p) {
-  return p == Port::kEast || p == Port::kWest;
-}
-
 /// Human readable port name ("local", "north", ...).
 const char* PortName(Port p);
 
@@ -111,13 +88,6 @@ struct Coord {
     Io(ar, c.y);
   }
 };
-
-/// Manhattan distance between two coordinates.
-constexpr int ManhattanDistance(Coord a, Coord b) {
-  const int dx = a.x > b.x ? a.x - b.x : b.x - a.x;
-  const int dy = a.y > b.y ? a.y - b.y : b.y - a.y;
-  return dx + dy;
-}
 
 std::ostream& operator<<(std::ostream& os, Coord c);
 std::ostream& operator<<(std::ostream& os, Port p);

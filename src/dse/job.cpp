@@ -167,10 +167,7 @@ JobSpec JobSpec::Parse(const JsonValue& doc) {
     spec.strategy = ParseSearchStrategy(v->AsString());
   }
   if (const JsonValue* v = doc.Find("objectives")) {
-    spec.objectives.clear();
-    for (const std::string& name : ParseStringArray(*v)) {
-      spec.objectives.push_back(ParseSearchObjective(name));
-    }
+    spec.objectives = ParseSearchObjectives(ParseStringArray(*v));
   }
   ReadInteger(doc, "population", 1, INT_MAX, spec.population);
   ReadInteger(doc, "max_evaluations", 0, INT_MAX, spec.max_evaluations);

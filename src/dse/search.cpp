@@ -49,6 +49,23 @@ const EnumRegistry<SearchObjective>& ObjectiveRegistry() {
   return kRegistry;
 }
 
+/// Throws std::invalid_argument unless `objectives` is a non-empty,
+/// duplicate-free list.
+void CheckObjectives(const std::vector<SearchObjective>& objectives) {
+  if (objectives.empty()) {
+    throw std::invalid_argument("search needs at least one objective");
+  }
+  for (std::size_t i = 0; i < objectives.size(); ++i) {
+    for (std::size_t j = i + 1; j < objectives.size(); ++j) {
+      if (objectives[i] == objectives[j]) {
+        throw std::invalid_argument(
+            "duplicate search objective '" +
+            std::string(SearchObjectiveName(objectives[i])) + "'");
+      }
+    }
+  }
+}
+
 }  // namespace
 
 const char* SearchStrategyName(SearchStrategy s) {
@@ -65,6 +82,16 @@ const char* SearchObjectiveName(SearchObjective o) {
 
 SearchObjective ParseSearchObjective(const std::string& name) {
   return ObjectiveRegistry().Parse(name);
+}
+
+std::vector<SearchObjective> ParseSearchObjectives(
+    const std::vector<std::string>& names) {
+  std::vector<SearchObjective> objectives;
+  for (const std::string& name : names) {
+    objectives.push_back(ParseSearchObjective(name));
+  }
+  CheckObjectives(objectives);
+  return objectives;
 }
 
 std::vector<double> ObjectiveVector(
@@ -300,19 +327,7 @@ class Search {
         options_(options),
         num_points_(space.NumPoints()),
         fingerprint_(SearchFingerprint(space, workloads, options)) {
-    if (options.objectives.empty()) {
-      throw std::invalid_argument("search needs at least one objective");
-    }
-    for (std::size_t i = 0; i < options.objectives.size(); ++i) {
-      for (std::size_t j = i + 1; j < options.objectives.size(); ++j) {
-        if (options.objectives[i] == options.objectives[j]) {
-          throw std::invalid_argument("duplicate search objective '" +
-                                      std::string(SearchObjectiveName(
-                                          options.objectives[i])) +
-                                      "'");
-        }
-      }
-    }
+    CheckObjectives(options.objectives);
     if (options.population < 1) {
       throw std::invalid_argument("population must be >= 1");
     }

@@ -70,6 +70,11 @@ const char* SearchObjectiveName(SearchObjective o);
 /// accepted, case-insensitive). Throws std::invalid_argument on unknown
 /// names.
 SearchObjective ParseSearchObjective(const std::string& name);
+/// Parses an objective list, each name as ParseSearchObjective does.
+/// Throws std::invalid_argument on an unknown or repeated objective, or an
+/// empty list: what the search itself would refuse.
+std::vector<SearchObjective> ParseSearchObjectives(
+    const std::vector<std::string>& names);
 
 /// One design the search has looked at, with its aggregated metrics.
 struct EvaluatedDesign {

@@ -45,13 +45,6 @@ std::string JobServer::Dir(const std::string& sub) const {
   return options_.spool + "/" + sub;
 }
 
-std::string JobServer::Submit(const std::string& id,
-                              const std::string& spec_json) {
-  const std::string path = Dir("jobs") + "/" + id + ".json";
-  AtomicWriteFile(path, spec_json);
-  return path;
-}
-
 void JobServer::Cancel(const std::string& id) {
   AtomicWriteFile(Dir("cancel") + "/" + id, "");
 }

@@ -56,10 +56,6 @@ class JobServer {
   /// and park in running/. Async-signal-safe (sets an atomic flag).
   void RequestShutdown() { shutdown_.store(true); }
 
-  /// Submits a spec document into the spool under `id` (what the stdin
-  /// protocol uses). Returns the jobs/ path written.
-  std::string Submit(const std::string& id, const std::string& spec_json);
-
   /// Creates the cancel marker for `id`.
   void Cancel(const std::string& id);
 

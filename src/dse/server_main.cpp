@@ -6,18 +6,15 @@
 //
 //   gnoc_server spool=/tmp/dse                 # serve until SIGINT/SIGTERM
 //   gnoc_server spool=/tmp/dse once=true       # drain the backlog, exit
-//   gnoc_server spool=/tmp/dse stdin=true      # also accept stdin lines:
-//     {"type": "pareto-search", ...}           #   submit a job
-//     cancel <id>                              #   cancel a job
-//     quit                                     #   graceful shutdown
+//
+// Submit a job by writing its spec to <spool>/jobs/<id>.json; cancel it by
+// creating <spool>/cancel/<id> (dse/server.hpp has the spool layout).
 
 #include <csignal>
 #include <iostream>
 #include <string>
-#include <thread>
 
 #include "common/cli.hpp"
-#include "dse/job.hpp"
 #include "dse/server.hpp"
 
 namespace {
@@ -26,29 +23,6 @@ gnoc::JobServer* g_server = nullptr;
 
 void HandleSignal(int) {
   if (g_server != nullptr) g_server->RequestShutdown();
-}
-
-/// The stdin line protocol: spec documents, "cancel <id>", "quit".
-void StdinLoop(gnoc::JobServer& server) {
-  std::string line;
-  int counter = 0;
-  while (std::getline(std::cin, line)) {
-    if (line.empty()) continue;
-    if (line == "quit") break;
-    if (line.rfind("cancel ", 0) == 0) {
-      server.Cancel(line.substr(7));
-      continue;
-    }
-    try {
-      const gnoc::JobSpec spec = gnoc::JobSpec::Parse(line);  // validate
-      std::string id = spec.id;
-      if (id.empty()) id = "stdin_" + std::to_string(counter++);
-      std::cout << "submitted " << server.Submit(id, line) << std::endl;
-    } catch (const std::exception& e) {
-      std::cerr << "gnoc_server: bad spec: " << e.what() << std::endl;
-    }
-  }
-  server.RequestShutdown();
 }
 
 }  // namespace
@@ -69,8 +43,6 @@ int main(int argc, char** argv) {
     return v < 1 ? "must be >= 1" : std::string();
   });
   flags.AddBool("once", false, "drain the current backlog, then exit");
-  flags.AddBool("stdin", false,
-                "also accept job specs / cancel / quit lines on stdin");
 
   gnoc::Config args;
   try {
@@ -99,13 +71,8 @@ int main(int argc, char** argv) {
     g_server = &server;
     std::signal(SIGINT, HandleSignal);
     std::signal(SIGTERM, HandleSignal);
-    std::thread stdin_thread;
-    if (args.GetBool("stdin", false)) {
-      stdin_thread = std::thread(StdinLoop, std::ref(server));
-    }
     const int failed = server.Run();
     g_server = nullptr;
-    if (stdin_thread.joinable()) stdin_thread.detach();  // may block on read
     return failed == 0 ? 0 : 1;
   } catch (const std::exception& e) {
     std::cerr << "gnoc_server: " << e.what() << std::endl;

@@ -1,54 +1,47 @@
 #include "noc/deadlock.hpp"
 
 #include <cassert>
+#include <iomanip>
+#include <numeric>
 #include <sstream>
 #include <stdexcept>
 
 namespace gnoc {
 
-LinkUsage::LinkUsage(int width, int height)
-    : width_(width),
-      height_(height),
-      num_routers_(width * height),
-      radix_(kNumPorts),
-      num_local_ports_(1),
-      usage_(static_cast<std::size_t>(width * height * kNumPorts), 0) {}
-
 LinkUsage::LinkUsage(const Topology& topo)
     : kind_(topo.kind()),
-      width_(topo.width()),
-      height_(topo.height()),
+      grid_width_(topo.RouterCoord(topo.num_routers() - 1).x + 1),
       num_routers_(topo.num_routers()),
       radix_(topo.radix()),
       num_local_ports_(topo.num_local_ports()),
-      usage_(static_cast<std::size_t>(topo.num_routers() * topo.radix()), 0) {}
+      counts_(static_cast<std::size_t>(num_routers_ * radix_ * kNumClasses)) {}
 
-std::size_t LinkUsage::Index(NodeId router, Port port) const {
+std::size_t LinkUsage::Index(int router, Port port, TrafficClass cls) const {
   assert(router >= 0 && router < num_routers_);
   assert(PortIndex(port) < radix_);
-  return static_cast<std::size_t>(router) *
-             static_cast<std::size_t>(radix_) +
-         static_cast<std::size_t>(PortIndex(port));
+  const int link = router * radix_ + PortIndex(port);
+  return static_cast<std::size_t>(link * kNumClasses + ClassIndex(cls));
 }
 
-void LinkUsage::Mark(NodeId router, Port port, TrafficClass cls) {
-  usage_[Index(router, port)] |=
-      static_cast<std::uint8_t>(1u << ClassIndex(cls));
+int LinkUsage::Count(int router, Port port, TrafficClass cls) const {
+  return counts_[Index(router, port, cls)];
 }
 
-bool LinkUsage::Uses(NodeId router, Port port, TrafficClass cls) const {
-  return (usage_[Index(router, port)] &
-          static_cast<std::uint8_t>(1u << ClassIndex(cls))) != 0;
+void LinkUsage::Add(int router, Port port, TrafficClass cls) {
+  ++counts_[Index(router, port, cls)];
 }
 
-bool LinkUsage::Mixed(NodeId router, Port port) const {
-  return usage_[Index(router, port)] == 0b11;
+bool LinkUsage::Mixed(int router, Port port) const {
+  return Uses(router, port, TrafficClass::kRequest) &&
+         Uses(router, port, TrafficClass::kReply);
 }
 
 int LinkUsage::NumMixedLinks() const {
   int mixed = 0;
-  for (std::uint8_t u : usage_) {
-    if (u == 0b11) ++mixed;
+  for (int r = 0; r < num_routers_; ++r) {
+    for (int p = 0; p < radix_; ++p) {
+      if (Mixed(r, static_cast<Port>(p))) ++mixed;
+    }
   }
   return mixed;
 }
@@ -63,7 +56,7 @@ bool LinkUsage::IsHorizontal(int port) const {
 }
 
 bool LinkUsage::MixedLinksAllHorizontal() const {
-  for (NodeId r = 0; r < num_routers_; ++r) {
+  for (int r = 0; r < num_routers_; ++r) {
     for (int p = 0; p < radix_; ++p) {
       if (Mixed(r, static_cast<Port>(p)) && !IsHorizontal(p)) return false;
     }
@@ -71,45 +64,50 @@ bool LinkUsage::MixedLinksAllHorizontal() const {
   return true;
 }
 
-namespace {
-
-/// Marks every link of the route src->dst on the topology graph (including
-/// the injection link at src's local port) as used by `cls`.
-void MarkRoute(LinkUsage& usage, const Topology& topo,
-               RoutingAlgorithm routing, TrafficClass cls, NodeId src_tile,
-               NodeId dst_tile) {
-  int r = topo.RouterOf(src_tile);
-  usage.Mark(r, static_cast<Port>(topo.LocalPortOf(src_tile)),
-             cls);  // injection link
-  const int dst_router = topo.RouterOf(dst_tile);
-  while (r != dst_router) {
-    const RouteStep step = topo.Route(routing, cls, r, dst_tile);
-    assert(step.port >= topo.num_local_ports());
-    usage.Mark(r, static_cast<Port>(step.port), cls);
-    r = topo.Peer(r, step.port);
-    assert(r >= 0);
+long long LinkUsage::Total(TrafficClass cls) const {
+  long long total = 0;
+  for (std::size_t i = ClassIndex(cls); i < counts_.size(); i += kNumClasses) {
+    total += counts_[i];
   }
-  // Ejection is modelled by per-class NIC buffers, not by shared VCs, so it
-  // is not a protocol-deadlock resource and is not marked.
+  return total;
 }
 
-}  // namespace
+std::string LinkUsage::RenderGrid(Port port, TrafficClass cls) const {
+  std::ostringstream oss;
+  for (int r = 0; r < num_routers_; ++r) {
+    oss << std::setw(5) << Count(r, port, cls);
+    if ((r + 1) % grid_width_ == 0) oss << '\n';
+  }
+  return oss.str();
+}
 
 LinkUsage AnalyzeLinkUsage(const Topology& topo, const TilePlan& plan,
-                           RoutingAlgorithm routing) {
+                           RoutingAlgorithm routing, bool idealized) {
   LinkUsage usage(topo);
-  for (NodeId core : plan.core_nodes()) {
+  // Counts one route's crossings, hop by hop on the graph.
+  const auto walk = [&](TrafficClass cls, NodeId src, NodeId dst) {
+    int r = topo.RouterOf(src);
+    const int dst_router = topo.RouterOf(dst);
+    while (r != dst_router) {
+      const RouteStep step = topo.Route(routing, cls, r, dst);
+      assert(step.port >= topo.num_local_ports());
+      usage.Add(r, static_cast<Port>(step.port), cls);
+      r = topo.Peer(r, step.port);
+      assert(r >= 0);
+    }
+  };
+  std::vector<NodeId> cores = plan.core_nodes();
+  if (idealized) {
+    cores.resize(static_cast<std::size_t>(plan.num_nodes()));
+    std::iota(cores.begin(), cores.end(), NodeId{0});
+  }
+  for (NodeId core : cores) {
     for (NodeId mc : plan.mc_nodes()) {
-      MarkRoute(usage, topo, routing, TrafficClass::kRequest, core, mc);
-      MarkRoute(usage, topo, routing, TrafficClass::kReply, mc, core);
+      walk(TrafficClass::kRequest, core, mc);
+      walk(TrafficClass::kReply, mc, core);
     }
   }
   return usage;
-}
-
-LinkUsage AnalyzeLinkUsage(const TilePlan& plan, RoutingAlgorithm routing) {
-  return AnalyzeLinkUsage(Topology::Mesh(plan.width(), plan.height()), plan,
-                          routing);
 }
 
 VcPolicyKind SafetyReport::BestSafePolicy() const {
@@ -143,11 +141,6 @@ SafetyReport AnalyzeSafety(const Topology& topo, const TilePlan& plan,
   // is safe for every (placement, routing) pair by construction.
   report.partial_monopolize_safe = true;
   return report;
-}
-
-SafetyReport AnalyzeSafety(const TilePlan& plan, RoutingAlgorithm routing) {
-  return AnalyzeSafety(Topology::Mesh(plan.width(), plan.height()), plan,
-                       routing);
 }
 
 void ValidatePolicyOrThrow(const Topology& topo, const TilePlan& plan,

@@ -9,8 +9,8 @@
 //
 // This module makes that argument executable: it walks every core->MC route
 // (requests) and MC->core route (replies) under a given placement and routing
-// algorithm, records which classes use each directed link, and derives which
-// VC policies are provably safe.
+// algorithm, counts each class's crossings of every directed link (the
+// Eq. 2 coefficients), and derives which VC policies are provably safe.
 #pragma once
 
 #include <array>
@@ -25,30 +25,34 @@
 
 namespace gnoc {
 
-/// Per-directed-link class usage. Links are identified by the upstream
-/// router and its output port (local ports model the injection links).
+/// Per-directed-link crossing counts by class: how many core<->MC routes of
+/// each class leave a router through a port. These are the paper's Eq. 2
+/// coefficients (Figs. 4 & 6), and a link whose two counts are both
+/// non-zero is a mixed link (Sec. 3.2.1). Links are identified by the
+/// upstream router and its output port on the topology graph. Injection
+/// links (local ports) are not counted: a NIC sends only its endpoint's
+/// class (cores requests, MCs replies), so they never mix.
 class LinkUsage {
  public:
-  /// Mesh shorthand: equivalent to LinkUsage(Topology::Mesh(width, height)).
-  LinkUsage(int width, int height);
   /// Sized for `topo`'s router/port table (the Topology itself is not
   /// retained; LinkUsage stays value-semantic).
   explicit LinkUsage(const Topology& topo);
 
-  int width() const { return width_; }
-  int height() const { return height_; }
   int num_routers() const { return num_routers_; }
   int radix() const { return radix_; }
-  int num_local_ports() const { return num_local_ports_; }
 
-  /// Marks that `cls` traffic uses the link leaving `router` through `port`.
-  void Mark(NodeId router, Port port, TrafficClass cls);
+  /// Routes of `cls` crossing the link leaving `router` through `port`.
+  int Count(int router, Port port, TrafficClass cls) const;
+  /// Counts one more `cls` route across the link.
+  void Add(int router, Port port, TrafficClass cls);
 
   /// True when `cls` uses the link.
-  bool Uses(NodeId router, Port port, TrafficClass cls) const;
+  bool Uses(int router, Port port, TrafficClass cls) const {
+    return Count(router, port, cls) > 0;
+  }
 
   /// True when both classes use the link.
-  bool Mixed(NodeId router, Port port) const;
+  bool Mixed(int router, Port port) const;
 
   /// Number of directed inter-router links used by both classes.
   int NumMixedLinks() const;
@@ -58,31 +62,35 @@ class LinkUsage {
   /// so any mixed chord link returns false).
   bool MixedLinksAllHorizontal() const;
 
+  /// Sum of `cls`'s counts: its link traversals over all pairs, i.e. the
+  /// Eq. 3 hop sum.
+  long long Total(TrafficClass cls) const;
+
+  /// Renders `cls`'s counts on the links leaving through `port` as an
+  /// ASCII grid, one line per row of the router grid (RouterCoord).
+  std::string RenderGrid(Port port, TrafficClass cls) const;
+
  private:
-  std::size_t Index(NodeId router, Port port) const;
+  std::size_t Index(int router, Port port, TrafficClass cls) const;
   bool IsHorizontal(int port) const;
 
-  TopologyKind kind_ = TopologyKind::kMesh;
-  int width_;
-  int height_;
+  TopologyKind kind_;
+  int grid_width_;  ///< routers per router-grid row
   int num_routers_;
   int radix_;
   int num_local_ports_;
-  /// usage_[router * radix + port] bit c set => class c uses the link.
-  std::vector<std::uint8_t> usage_;
+  /// counts_[(router * radix + port) * kNumClasses + class]
+  std::vector<int> counts_;
 };
 
-/// Walks all request and reply routes of a tile plan and collects per-link
-/// class usage. Injection/ejection (local) links are included: an injection
-/// link carries the classes its endpoint sends (cores: requests, MCs:
-/// replies).
-LinkUsage AnalyzeLinkUsage(const TilePlan& plan, RoutingAlgorithm routing);
-
-/// Topology-aware overload: routes are walked on `topo`'s graph (wrap links,
-/// concentration and chords included). The mesh overload above is exactly
-/// AnalyzeLinkUsage(Topology::Mesh(plan.width(), plan.height()), ...).
+/// Walks every request (core->MC) and reply (MC->core) route of the tile
+/// plan on `topo`'s graph (wrap links, concentration and chords included)
+/// and counts each class's crossings per link. With `idealized` every tile,
+/// MC tiles included, counts as a core, matching the paper's Eq. 2
+/// derivation; otherwise only the plan's core tiles do, which is the
+/// traffic the simulator carries.
 LinkUsage AnalyzeLinkUsage(const Topology& topo, const TilePlan& plan,
-                           RoutingAlgorithm routing);
+                           RoutingAlgorithm routing, bool idealized = false);
 
 /// Result of the safety derivation for one (placement, routing) pair.
 struct SafetyReport {
@@ -102,10 +110,8 @@ struct SafetyReport {
   std::string ToString() const;
 };
 
-/// Derives which VC policies are protocol-deadlock safe for the pair.
-SafetyReport AnalyzeSafety(const TilePlan& plan, RoutingAlgorithm routing);
-
-/// Topology-aware overload of AnalyzeSafety.
+/// Derives which VC policies are protocol-deadlock safe for the pair on
+/// `topo`.
 SafetyReport AnalyzeSafety(const Topology& topo, const TilePlan& plan,
                            RoutingAlgorithm routing);
 

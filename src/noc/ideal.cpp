@@ -1,6 +1,5 @@
 #include "noc/ideal.hpp"
 
-#include <cassert>
 #include <stdexcept>
 
 #include "noc/trace.hpp"
@@ -9,15 +8,13 @@ namespace gnoc {
 
 IdealFabric::IdealFabric(const NetworkConfig& config)
     : config_(config),
-      sinks_(static_cast<std::size_t>(config.width * config.height), nullptr) {
-  assert(config.width >= 1 && config.height >= 1);
-}
+      topo_(Topology::Make(config.topology, config.width, config.height,
+                           config.circulant_s1, config.circulant_s2)),
+      sinks_(static_cast<std::size_t>(topo_.num_tiles()), nullptr) {}
 
 Cycle IdealFabric::DeliveryLatency(NodeId src, NodeId dst) const {
-  const Coord a{src % config_.width, src / config_.width};
-  const Coord b{dst % config_.width, dst / config_.width};
   return kBaseLatency +
-         kCyclesPerHop * static_cast<Cycle>(ManhattanDistance(a, b));
+         kCyclesPerHop * static_cast<Cycle>(topo_.Distance(src, dst));
 }
 
 bool IdealFabric::Inject(Packet packet) {

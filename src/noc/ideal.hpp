@@ -1,8 +1,8 @@
 // Ideal (contention-free) interconnect: packets arrive a fixed pipeline
-// delay plus their zero-load hop latency after injection, regardless of
-// load. An upper bound no real NoC can beat — useful to contextualize how
-// much of the ideal the paper's schemes recover, and as a latency lower
-// bound in differential tests.
+// delay plus their zero-load hop latency on the configured topology after
+// injection, regardless of load. An upper bound no real NoC can beat —
+// useful to contextualize how much of the ideal the paper's schemes
+// recover, and as a latency lower bound in differential tests.
 #pragma once
 
 #include <deque>
@@ -12,6 +12,7 @@
 
 #include "common/types.hpp"
 #include "noc/fabric.hpp"
+#include "noc/topology.hpp"
 
 namespace gnoc {
 
@@ -25,7 +26,7 @@ class IdealFabric final : public Fabric {
   /// Fixed overhead (injection + ejection + serialization headroom).
   static constexpr Cycle kBaseLatency = 4;
 
-  /// The ideal network over `config`'s width x height tile grid; the rest
+  /// The ideal network over `config`'s topology and tile grid; the rest
   /// of the config describes links and buffers it does not have.
   explicit IdealFabric(const NetworkConfig& config);
 
@@ -63,7 +64,8 @@ class IdealFabric final : public Fabric {
   Network& net(TrafficClass cls) override;
   const Network& net(TrafficClass cls) const override;
 
-  /// Zero-load delivery latency between two nodes.
+  /// Zero-load delivery latency between two nodes: kBaseLatency plus
+  /// kCyclesPerHop per hop of the topology's graph distance.
   Cycle DeliveryLatency(NodeId src, NodeId dst) const;
 
  private:
@@ -101,6 +103,7 @@ class IdealFabric final : public Fabric {
   }
 
   NetworkConfig config_;
+  Topology topo_;
   Cycle now_ = 0;
   std::uint64_t next_seq_ = 1;
   std::priority_queue<Arrival, std::vector<Arrival>, std::greater<Arrival>>

@@ -78,11 +78,6 @@ struct QosConfig {
     return {classes[0].reserved_vcs, classes[1].reserved_vcs};
   }
 
-  /// Display name of a class: the spec name, never empty.
-  const std::string& ClassLabel(TrafficClass cls) const {
-    return classes[ClassIndex(cls)].name;
-  }
-
   friend bool operator==(const QosConfig&, const QosConfig&) = default;
 };
 

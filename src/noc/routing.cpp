@@ -46,26 +46,4 @@ Port ComputeOutputPort(RoutingAlgorithm algo, TrafficClass cls, Coord here,
   return dst.y > here.y ? Port::kSouth : Port::kNorth;
 }
 
-std::vector<Coord> TraceRoute(RoutingAlgorithm algo, TrafficClass cls,
-                              Coord src, Coord dst) {
-  std::vector<Coord> path;
-  path.push_back(src);
-  Coord here = src;
-  while (here != dst) {
-    const Port p = ComputeOutputPort(algo, cls, here, dst);
-    switch (p) {
-      case Port::kEast: ++here.x; break;
-      case Port::kWest: --here.x; break;
-      case Port::kSouth: ++here.y; break;
-      case Port::kNorth: --here.y; break;
-      case Port::kLocal: assert(false && "unreachable"); break;
-    }
-    path.push_back(here);
-  }
-  return path;
-}
-
-// RouteLength is defined in topology.cpp: it shares the topology graph's
-// one mesh-distance implementation with the analytic hop-count model.
-
 }  // namespace gnoc

@@ -11,7 +11,6 @@
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "common/types.hpp"
 
@@ -51,14 +50,5 @@ constexpr DimensionOrder OrderFor(RoutingAlgorithm algo, TrafficClass cls) {
 /// `here == dst` (ejection).
 Port ComputeOutputPort(RoutingAlgorithm algo, TrafficClass cls, Coord here,
                        Coord dst);
-
-/// Returns the full sequence of coordinates a packet visits from `src` to
-/// `dst` (inclusive of both ends). Useful for analysis and tests.
-std::vector<Coord> TraceRoute(RoutingAlgorithm algo, TrafficClass cls,
-                              Coord src, Coord dst);
-
-/// Number of hops (router-to-router links traversed) on the minimal DOR
-/// path; equals the Manhattan distance.
-int RouteLength(Coord src, Coord dst);
 
 }  // namespace gnoc

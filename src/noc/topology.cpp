@@ -393,6 +393,14 @@ RingLeg RingRoute(int pos, int dst, int k) {
   return leg;
 }
 
+/// DistanceSplit's mesh and cmesh case: x and y hops on the router grid.
+DistanceParts MeshDistanceSplit(Coord src, Coord dst) {
+  DistanceParts parts;
+  parts.d1 = std::abs(dst.x - src.x);
+  parts.d2 = std::abs(dst.y - src.y);
+  return parts;
+}
+
 }  // namespace
 
 RouteStep Topology::CirculantStep(DimensionOrder order, int delta) const {
@@ -513,19 +521,6 @@ std::vector<int> Topology::TraceRouters(RoutingAlgorithm algo,
            "routing loop");
   }
   return out;
-}
-
-DistanceParts MeshDistanceSplit(Coord src, Coord dst) {
-  DistanceParts parts;
-  parts.d1 = std::abs(dst.x - src.x);
-  parts.d2 = std::abs(dst.y - src.y);
-  return parts;
-}
-
-// Declared in routing.hpp; lives here so the minimal-DOR path length and
-// the analytic hop-count model share the topology's distance computation.
-int RouteLength(Coord src, Coord dst) {
-  return MeshDistanceSplit(src, dst).total();
 }
 
 DistanceParts Topology::DistanceSplit(NodeId src_tile, NodeId dst_tile) const {

@@ -202,9 +202,4 @@ class Topology {
   std::vector<std::int16_t> plan_b_[2];  // signed s2 steps
 };
 
-/// Mesh distance: the single implementation behind RouteLength
-/// (noc/routing.hpp) and the analytic hop-count model — both are
-/// Topology::DistanceSplit on a mesh.
-DistanceParts MeshDistanceSplit(Coord src, Coord dst);
-
 }  // namespace gnoc

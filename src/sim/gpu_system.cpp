@@ -110,10 +110,12 @@ std::uint64_t GpuConfigFingerprint(const GpuConfig& config,
 void CheckGpuConfig(const GpuConfig& config) {
   const TilePlan plan(config.width, config.height, config.num_mcs,
                       config.placement);
-  if (config.ideal_noc) return;
+  // The ideal fabric charges this topology's distances, so it needs a
+  // buildable one too.
   const Topology topo =
       Topology::Make(config.topology, config.width, config.height,
                      config.circulant_s1, config.circulant_s2);
+  if (config.ideal_noc) return;
   CheckNetworkConfig(DivisionConfig(config, config.division), topo);
   // Fail fast on protocol-deadlock-unsafe configurations (Sec. 3.2.1).
   ValidatePolicyOrThrow(topo, plan, config.routing, config.vc_policy,

@@ -6,6 +6,7 @@
 #include "analytic/hop_count.hpp"
 #include "analytic/link_coefficients.hpp"
 #include "analytic/traffic_model.hpp"
+#include "noc/deadlock.hpp"
 
 namespace gnoc {
 namespace {
@@ -92,25 +93,27 @@ TEST(LinkCoefficientTest, Eq2MatchesEnumerationForBottomXyRequests) {
   // The paper's closed forms assume idealized cores on every tile.
   constexpr int kN = 4;
   TilePlan plan(kN, kN, kN, McPlacement::kBottom);
-  const auto map = ComputeLinkCoefficients(plan, RoutingAlgorithm::kXY,
-                                           TrafficClass::kRequest,
-                                           /*idealized=*/true);
+  const Topology mesh = Topology::Mesh(kN, kN);
+  const auto map =
+      AnalyzeLinkUsage(mesh, plan, RoutingAlgorithm::kXY, /*idealized=*/true);
+  const auto req = TrafficClass::kRequest;
   for (int y = 0; y < kN; ++y) {
     const int i = y + 1;  // paper rows are 1-based
     for (int x = 0; x < kN; ++x) {
       const int j = x + 1;  // paper columns are 1-based
+      const NodeId r = plan.NodeAt({x, y});
       // South coefficients apply to rows above the MC row.
       if (y < kN - 1) {
-        EXPECT_EQ(map.Count({x, y}, Port::kSouth), Eq2CoefficientSouth(kN, i))
+        EXPECT_EQ(map.Count(r, Port::kSouth, req), Eq2CoefficientSouth(kN, i))
             << "south @(" << x << "," << y << ")";
       }
-      EXPECT_EQ(map.Count({x, y}, Port::kNorth), 0) << "requests never north";
+      EXPECT_EQ(map.Count(r, Port::kNorth, req), 0) << "requests never north";
       if (x < kN - 1) {
-        EXPECT_EQ(map.Count({x, y}, Port::kEast), Eq2CoefficientEast(kN, j))
+        EXPECT_EQ(map.Count(r, Port::kEast, req), Eq2CoefficientEast(kN, j))
             << "east @(" << x << "," << y << ")";
       }
       if (x > 0) {
-        EXPECT_EQ(map.Count({x, y}, Port::kWest), Eq2CoefficientWest(kN, j))
+        EXPECT_EQ(map.Count(r, Port::kWest, req), Eq2CoefficientWest(kN, j))
             << "west @(" << x << "," << y << ")";
       }
     }
@@ -121,21 +124,22 @@ TEST(LinkCoefficientTest, Eq2ReplyMirrorsRequestUnderXy) {
   // Fig. 4b: XY replies northbound mirror the request south coefficients.
   constexpr int kN = 4;
   TilePlan plan(kN, kN, kN, McPlacement::kBottom);
-  const auto map = ComputeLinkCoefficients(plan, RoutingAlgorithm::kXY,
-                                           TrafficClass::kReply,
-                                           /*idealized=*/true);
+  const Topology mesh = Topology::Mesh(kN, kN);
+  const auto map =
+      AnalyzeLinkUsage(mesh, plan, RoutingAlgorithm::kXY, /*idealized=*/true);
+  const auto req = TrafficClass::kRequest;
+  const auto rep = TrafficClass::kReply;
   for (int y = 0; y < kN; ++y) {
-    EXPECT_EQ(map.Count({1, y}, Port::kSouth), 0) << "replies never south";
+    EXPECT_EQ(map.Count(plan.NodeAt({1, y}), Port::kSouth, rep), 0)
+        << "replies never south";
   }
   // Reply traffic northward out of row y reaches all idealized cores in
   // rows 0..y-1... cross-check a couple of spot values against enumeration
   // symmetry: north count at row y equals south count at mirrored row.
-  const auto req = ComputeLinkCoefficients(plan, RoutingAlgorithm::kXY,
-                                           TrafficClass::kRequest, true);
   for (int x = 0; x < kN; ++x) {
     for (int y = 1; y < kN; ++y) {
-      EXPECT_EQ(map.Count({x, y}, Port::kNorth),
-                req.Count({x, y - 1}, Port::kSouth))
+      EXPECT_EQ(map.Count(plan.NodeAt({x, y}), Port::kNorth, rep),
+                map.Count(plan.NodeAt({x, y - 1}), Port::kSouth, req))
           << "XY reply north must mirror request south shifted one row";
     }
   }
@@ -144,14 +148,14 @@ TEST(LinkCoefficientTest, Eq2ReplyMirrorsRequestUnderXy) {
 TEST(LinkCoefficientTest, RequestAndReplyDisjointUnderBottomXy) {
   // The central monopolizing argument: no directed link carries both.
   TilePlan plan(8, 8, 8, McPlacement::kBottom);
-  const auto req = ComputeLinkCoefficients(plan, RoutingAlgorithm::kXY,
-                                           TrafficClass::kRequest);
-  const auto rep = ComputeLinkCoefficients(plan, RoutingAlgorithm::kXY,
-                                           TrafficClass::kReply);
+  const auto map =
+      AnalyzeLinkUsage(Topology::Mesh(8, 8), plan, RoutingAlgorithm::kXY);
   for (int y = 0; y < 8; ++y) {
     for (int x = 0; x < 8; ++x) {
+      const NodeId r = plan.NodeAt({x, y});
       for (Port p : {Port::kNorth, Port::kEast, Port::kSouth, Port::kWest}) {
-        EXPECT_FALSE(req.Count({x, y}, p) > 0 && rep.Count({x, y}, p) > 0)
+        EXPECT_FALSE(map.Count(r, p, TrafficClass::kRequest) > 0 &&
+                     map.Count(r, p, TrafficClass::kReply) > 0)
             << "mixed link at (" << x << "," << y << ") " << PortName(p);
       }
     }
@@ -162,19 +166,19 @@ TEST(LinkCoefficientTest, XyYxRepliesAvoidMcRowLinks) {
   // Sec. 3.2.2: XY-YX eliminates reply traffic on the horizontal links
   // between MCs (the bottom row) because replies leave northwards first.
   TilePlan plan(8, 8, 8, McPlacement::kBottom);
-  const auto rep = ComputeLinkCoefficients(plan, RoutingAlgorithm::kXYYX,
-                                           TrafficClass::kReply);
+  const Topology mesh = Topology::Mesh(8, 8);
+  const auto rep = TrafficClass::kReply;
+  const auto xyyx = AnalyzeLinkUsage(mesh, plan, RoutingAlgorithm::kXYYX);
   for (int x = 0; x < 8; ++x) {
-    EXPECT_EQ(rep.Count({x, 7}, Port::kEast), 0);
-    EXPECT_EQ(rep.Count({x, 7}, Port::kWest), 0);
+    EXPECT_EQ(xyyx.Count(plan.NodeAt({x, 7}), Port::kEast, rep), 0);
+    EXPECT_EQ(xyyx.Count(plan.NodeAt({x, 7}), Port::kWest, rep), 0);
   }
   // Under plain XY, replies do congest the MC row.
-  const auto rep_xy = ComputeLinkCoefficients(plan, RoutingAlgorithm::kXY,
-                                              TrafficClass::kReply);
+  const auto xy = AnalyzeLinkUsage(mesh, plan, RoutingAlgorithm::kXY);
   long long mc_row_total = 0;
   for (int x = 0; x < 8; ++x) {
-    mc_row_total += rep_xy.Count({x, 7}, Port::kEast);
-    mc_row_total += rep_xy.Count({x, 7}, Port::kWest);
+    mc_row_total += xy.Count(plan.NodeAt({x, 7}), Port::kEast, rep);
+    mc_row_total += xy.Count(plan.NodeAt({x, 7}), Port::kWest, rep);
   }
   EXPECT_GT(mc_row_total, 0);
 }
@@ -183,17 +187,18 @@ TEST(LinkCoefficientTest, TotalEqualsHopSum) {
   // Sum of all coefficients == total hops over all pairs (Eq. 3 numerator),
   // because each pair contributes one crossing per hop.
   TilePlan plan(8, 8, 8, McPlacement::kDiamond);
-  const auto req = ComputeLinkCoefficients(plan, RoutingAlgorithm::kXY,
-                                           TrafficClass::kRequest);
-  const auto hops = EnumerateHopCounts(plan);
-  EXPECT_EQ(static_cast<double>(req.Total()), hops.total());
+  const Topology mesh = Topology::Mesh(8, 8);
+  const auto map = AnalyzeLinkUsage(mesh, plan, RoutingAlgorithm::kXY);
+  const auto hops = EnumerateHopCounts(mesh, plan);
+  const long long total = map.Total(TrafficClass::kRequest);
+  EXPECT_EQ(static_cast<double>(total), hops.total());
 }
 
 TEST(LinkCoefficientTest, RenderGridHasOneRowPerMeshRow) {
   TilePlan plan(4, 4, 4, McPlacement::kBottom);
-  const auto map = ComputeLinkCoefficients(plan, RoutingAlgorithm::kXY,
-                                           TrafficClass::kRequest);
-  const std::string grid = map.RenderGrid(Port::kSouth);
+  const auto map =
+      AnalyzeLinkUsage(Topology::Mesh(4, 4), plan, RoutingAlgorithm::kXY);
+  const std::string grid = map.RenderGrid(Port::kSouth, TrafficClass::kRequest);
   EXPECT_EQ(std::count(grid.begin(), grid.end(), '\n'), 4);
 }
 
@@ -204,7 +209,7 @@ TEST(LinkCoefficientTest, RenderGridHasOneRowPerMeshRow) {
 TEST(HopCountTest, BottomClosedFormIsExact) {
   for (int n : {4, 6, 8}) {
     TilePlan plan(n, n, n, McPlacement::kBottom);
-    const auto enumerated = EnumerateHopCounts(plan);
+    const auto enumerated = EnumerateHopCounts(Topology::Mesh(n, n), plan);
     const auto closed = ClosedFormHopCounts(McPlacement::kBottom, n);
     EXPECT_TRUE(closed.vertical_exact);
     EXPECT_TRUE(closed.horizontal_exact);
@@ -216,7 +221,7 @@ TEST(HopCountTest, BottomClosedFormIsExact) {
 TEST(HopCountTest, TopBottomVerticalClosedFormIsExact) {
   for (int n : {4, 8}) {
     TilePlan plan(n, n, n, McPlacement::kTopBottom);
-    const auto enumerated = EnumerateHopCounts(plan);
+    const auto enumerated = EnumerateHopCounts(Topology::Mesh(n, n), plan);
     const auto closed = ClosedFormHopCounts(McPlacement::kTopBottom, n);
     EXPECT_TRUE(closed.vertical_exact);
     EXPECT_DOUBLE_EQ(enumerated.vertical, closed.vertical) << "N=" << n;
@@ -226,7 +231,7 @@ TEST(HopCountTest, TopBottomVerticalClosedFormIsExact) {
 TEST(HopCountTest, EdgeHorizontalClosedFormIsExact) {
   for (int n : {4, 8}) {
     TilePlan plan(n, n, n, McPlacement::kEdge);
-    const auto enumerated = EnumerateHopCounts(plan);
+    const auto enumerated = EnumerateHopCounts(Topology::Mesh(n, n), plan);
     const auto closed = ClosedFormHopCounts(McPlacement::kEdge, n);
     EXPECT_TRUE(closed.horizontal_exact);
     EXPECT_DOUBLE_EQ(enumerated.horizontal, closed.horizontal) << "N=" << n;
@@ -237,7 +242,7 @@ TEST(HopCountTest, ApproximateClosedFormsAreClose) {
   constexpr int kN = 8;
   for (McPlacement p : kAllPlacements) {
     TilePlan plan(kN, kN, kN, p);
-    const auto enumerated = EnumerateHopCounts(plan);
+    const auto enumerated = EnumerateHopCounts(Topology::Mesh(kN, kN), plan);
     const auto closed = ClosedFormHopCounts(p, kN);
     EXPECT_NEAR(closed.total() / enumerated.total(), 1.0, 0.25)
         << McPlacementName(p);
@@ -248,12 +253,14 @@ TEST(HopCountTest, PaperPlacementOrderingHolds) {
   // Table 1 discussion: decreasing average hops order is
   // bottom > edge > top-bottom > diamond.
   constexpr int kN = 8;
-  const double bottom = AverageHops(TilePlan(kN, kN, kN, McPlacement::kBottom));
-  const double edge = AverageHops(TilePlan(kN, kN, kN, McPlacement::kEdge));
-  const double top_bottom =
-      AverageHops(TilePlan(kN, kN, kN, McPlacement::kTopBottom));
-  const double diamond =
-      AverageHops(TilePlan(kN, kN, kN, McPlacement::kDiamond));
+  const Topology mesh = Topology::Mesh(kN, kN);
+  const auto average = [&mesh](McPlacement p) {
+    return EnumerateHopCounts(mesh, TilePlan(kN, kN, kN, p)).average();
+  };
+  const double bottom = average(McPlacement::kBottom);
+  const double edge = average(McPlacement::kEdge);
+  const double top_bottom = average(McPlacement::kTopBottom);
+  const double diamond = average(McPlacement::kDiamond);
   EXPECT_GT(bottom, edge);
   EXPECT_GT(edge, top_bottom);
   EXPECT_GT(top_bottom, diamond);
@@ -262,7 +269,7 @@ TEST(HopCountTest, PaperPlacementOrderingHolds) {
 TEST(HopCountTest, PairsCountMatchesEq3Denominator) {
   constexpr int kN = 8;
   TilePlan plan(kN, kN, kN, McPlacement::kBottom);
-  const auto hops = EnumerateHopCounts(plan);
+  const auto hops = EnumerateHopCounts(Topology::Mesh(kN, kN), plan);
   // Eq. 3 denominator: N^2 (N - 1) = (N^2 - N) cores x N MCs.
   EXPECT_EQ(hops.num_pairs, static_cast<long long>(kN) * kN * (kN - 1));
 }
@@ -270,7 +277,7 @@ TEST(HopCountTest, PairsCountMatchesEq3Denominator) {
 TEST(HopCountTest, AverageIsPositiveAndBounded) {
   for (McPlacement p : kAllPlacements) {
     TilePlan plan(8, 8, 8, p);
-    const double avg = AverageHops(plan);
+    const double avg = EnumerateHopCounts(Topology::Mesh(8, 8), plan).average();
     EXPECT_GT(avg, 0.0) << McPlacementName(p);
     EXPECT_LT(avg, 14.0) << McPlacementName(p);  // mesh diameter
   }
@@ -315,21 +322,6 @@ TEST(TopologyHopCountTest, IdealizedClosedFormsMatchBruteForce) {
                    BruteForceAverageDistance(Topology::Torus(5, 3)));
 }
 
-TEST(TopologyHopCountTest, MeshOverloadMatchesPlanEnumeration) {
-  // The topology-aware enumeration on a plain mesh must reproduce the
-  // original Eq. 3 enumeration exactly, placement by placement.
-  for (McPlacement p : kAllPlacements) {
-    TilePlan plan(8, 8, 8, p);
-    const Topology mesh = Topology::Mesh(8, 8);
-    const auto direct = EnumerateHopCounts(plan);
-    const auto via_topo = EnumerateHopCounts(mesh, plan);
-    EXPECT_DOUBLE_EQ(via_topo.vertical, direct.vertical) << McPlacementName(p);
-    EXPECT_DOUBLE_EQ(via_topo.horizontal, direct.horizontal)
-        << McPlacementName(p);
-    EXPECT_EQ(via_topo.num_pairs, direct.num_pairs);
-  }
-}
-
 TEST(TopologyHopCountTest, TorusEnumerationUsesWrapDistances) {
   // Bottom-row MCs are close to the top row on a torus: total hops must
   // drop strictly below the mesh's.
@@ -347,26 +339,11 @@ TEST(TopologyLinkCoefficientTest, TotalEqualsGraphHopSum) {
   for (const Topology& topo :
        {Topology::Mesh(8, 8), Topology::Torus(8, 8), Topology::CMesh(8, 8),
         Topology::Circulant(64, 1, 8)}) {
-    const auto map = ComputeLinkCoefficients(topo, plan, RoutingAlgorithm::kXY,
-                                             TrafficClass::kRequest);
+    const auto map = AnalyzeLinkUsage(topo, plan, RoutingAlgorithm::kXY);
     const auto hops = EnumerateHopCounts(topo, plan);
-    EXPECT_EQ(static_cast<double>(map.Total()), hops.total())
+    const long long total = map.Total(TrafficClass::kRequest);
+    EXPECT_EQ(static_cast<double>(total), hops.total())
         << TopologyName(topo.kind());
-  }
-}
-
-TEST(TopologyLinkCoefficientTest, MeshDelegateIsIdentical) {
-  TilePlan plan(8, 8, 8, McPlacement::kEdge);
-  const auto legacy = ComputeLinkCoefficients(plan, RoutingAlgorithm::kXYYX,
-                                              TrafficClass::kReply);
-  const auto via_topo = ComputeLinkCoefficients(
-      Topology::Mesh(8, 8), plan, RoutingAlgorithm::kXYYX,
-      TrafficClass::kReply);
-  for (int r = 0; r < legacy.num_routers(); ++r) {
-    for (int p = 0; p < legacy.radix(); ++p) {
-      ASSERT_EQ(legacy.Count(r, p), via_topo.Count(r, p))
-          << "r" << r << " port " << p;
-    }
   }
 }
 

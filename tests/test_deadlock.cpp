@@ -9,24 +9,31 @@ namespace {
 
 TilePlan Plan(McPlacement p) { return TilePlan(8, 8, 8, p); }
 
+/// The link table of placement `p` on the paper's 8x8 mesh.
+LinkUsage Usage(McPlacement p, RoutingAlgorithm routing) {
+  return AnalyzeLinkUsage(Topology::Mesh(8, 8), Plan(p), routing);
+}
+
+/// The safety report of placement `p` on the paper's 8x8 mesh.
+SafetyReport Safety(McPlacement p, RoutingAlgorithm routing) {
+  return AnalyzeSafety(Topology::Mesh(8, 8), Plan(p), routing);
+}
+
 TEST(LinkUsageTest, BottomXyHasNoMixedLinks) {
   // Fig. 4: with bottom MCs and XY routing, request and reply traffic never
   // share a directed link -> full monopolizing is safe.
-  const auto usage = AnalyzeLinkUsage(Plan(McPlacement::kBottom),
-                                      RoutingAlgorithm::kXY);
+  const auto usage = Usage(McPlacement::kBottom, RoutingAlgorithm::kXY);
   EXPECT_EQ(usage.NumMixedLinks(), 0);
 }
 
 TEST(LinkUsageTest, BottomYxHasNoMixedLinks) {
-  const auto usage = AnalyzeLinkUsage(Plan(McPlacement::kBottom),
-                                      RoutingAlgorithm::kYX);
+  const auto usage = Usage(McPlacement::kBottom, RoutingAlgorithm::kYX);
   EXPECT_EQ(usage.NumMixedLinks(), 0);
 }
 
 TEST(LinkUsageTest, BottomXyYxMixesOnHorizontalLinksOnly) {
   // Fig. 6c: XY-YX mixes classes on horizontal links, never vertical.
-  const auto usage = AnalyzeLinkUsage(Plan(McPlacement::kBottom),
-                                      RoutingAlgorithm::kXYYX);
+  const auto usage = Usage(McPlacement::kBottom, RoutingAlgorithm::kXYYX);
   EXPECT_GT(usage.NumMixedLinks(), 0);
   EXPECT_TRUE(usage.MixedLinksAllHorizontal());
 }
@@ -34,8 +41,7 @@ TEST(LinkUsageTest, BottomXyYxMixesOnHorizontalLinksOnly) {
 TEST(LinkUsageTest, DiamondXyMixesLinks) {
   // Dispersed MCs mix request and reply traffic (Sec. 4.2, asymmetric VC
   // partitioning paragraph).
-  const auto usage = AnalyzeLinkUsage(Plan(McPlacement::kDiamond),
-                                      RoutingAlgorithm::kXY);
+  const auto usage = Usage(McPlacement::kDiamond, RoutingAlgorithm::kXY);
   EXPECT_GT(usage.NumMixedLinks(), 0);
 }
 
@@ -43,7 +49,7 @@ TEST(LinkUsageTest, BottomXyDirectionalPattern) {
   // With bottom MCs + XY: all request traffic moves south on vertical links,
   // all reply traffic moves north (Fig. 4a/4b).
   const TilePlan plan = Plan(McPlacement::kBottom);
-  const auto usage = AnalyzeLinkUsage(plan, RoutingAlgorithm::kXY);
+  const auto usage = Usage(McPlacement::kBottom, RoutingAlgorithm::kXY);
   for (NodeId n = 0; n < plan.num_nodes(); ++n) {
     EXPECT_FALSE(usage.Uses(n, Port::kNorth, TrafficClass::kRequest));
     EXPECT_FALSE(usage.Uses(n, Port::kSouth, TrafficClass::kReply));
@@ -58,7 +64,7 @@ TEST(LinkUsageTest, BottomXyDirectionalPattern) {
 
 TEST(SafetyTest, BottomXyAndYxAllowFullMonopolizing) {
   for (auto routing : {RoutingAlgorithm::kXY, RoutingAlgorithm::kYX}) {
-    const auto report = AnalyzeSafety(Plan(McPlacement::kBottom), routing);
+    const auto report = Safety(McPlacement::kBottom, routing);
     EXPECT_TRUE(report.full_monopolize_safe) << RoutingName(routing);
     EXPECT_TRUE(report.partial_monopolize_safe) << RoutingName(routing);
     EXPECT_EQ(report.BestSafePolicy(), VcPolicyKind::kFullMonopolize);
@@ -66,8 +72,7 @@ TEST(SafetyTest, BottomXyAndYxAllowFullMonopolizing) {
 }
 
 TEST(SafetyTest, BottomXyYxAllowsPartialOnly) {
-  const auto report =
-      AnalyzeSafety(Plan(McPlacement::kBottom), RoutingAlgorithm::kXYYX);
+  const auto report = Safety(McPlacement::kBottom, RoutingAlgorithm::kXYYX);
   EXPECT_FALSE(report.full_monopolize_safe);
   EXPECT_TRUE(report.partial_monopolize_safe);
   EXPECT_EQ(report.BestSafePolicy(), VcPolicyKind::kPartialMonopolize);
@@ -94,13 +99,13 @@ TEST(SafetyTest, ValidateThrowsOnUnsafeConfig) {
 }
 
 TEST(LinkUsageTest, MarkAndQueryRoundTrip) {
-  LinkUsage usage(4, 4);
+  LinkUsage usage(Topology::Mesh(4, 4));
   EXPECT_FALSE(usage.Uses(0, Port::kEast, TrafficClass::kRequest));
-  usage.Mark(0, Port::kEast, TrafficClass::kRequest);
+  usage.Add(0, Port::kEast, TrafficClass::kRequest);
   EXPECT_TRUE(usage.Uses(0, Port::kEast, TrafficClass::kRequest));
   EXPECT_FALSE(usage.Uses(0, Port::kEast, TrafficClass::kReply));
   EXPECT_FALSE(usage.Mixed(0, Port::kEast));
-  usage.Mark(0, Port::kEast, TrafficClass::kReply);
+  usage.Add(0, Port::kEast, TrafficClass::kReply);
   EXPECT_TRUE(usage.Mixed(0, Port::kEast));
   EXPECT_EQ(usage.NumMixedLinks(), 1);
 }
@@ -112,7 +117,7 @@ class SafetyMatrixTest
 
 TEST_P(SafetyMatrixTest, ReportIsConsistent) {
   const auto [placement, routing] = GetParam();
-  const auto report = AnalyzeSafety(Plan(placement), routing);
+  const auto report = Safety(placement, routing);
   if (report.mixed_links == 0) {
     EXPECT_TRUE(report.full_monopolize_safe);
   }

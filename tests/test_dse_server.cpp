@@ -102,6 +102,13 @@ TEST(JobSpecTest, RejectsMalformedSpecs) {
       JobSpec::Parse(R"({"type": "search",
                          "space": {"routings": ["zigzag"]}})"),
       std::invalid_argument);
+  // So do unknown and repeated objectives, before the search is built.
+  EXPECT_THROW(
+      JobSpec::Parse(R"({"type": "search", "objectives": ["ipc", "foo"]})"),
+      std::invalid_argument);
+  EXPECT_THROW(
+      JobSpec::Parse(R"({"type": "search", "objectives": ["ipc", "ipc"]})"),
+      std::invalid_argument);
 }
 
 /// The std::invalid_argument message of parsing `json`, "" if it parses.
@@ -212,6 +219,12 @@ class DseServerTest : public ::testing::Test {
 
   std::string Spool() const { return (dir_ / "spool").string(); }
 
+  /// Submits a spec the way any client does: the file <spool>/jobs/<id>.json.
+  void Submit(const std::string& id, const std::string& spec_json) const {
+    fs::create_directories(Spool() + "/jobs");
+    std::ofstream(Spool() + "/jobs/" + id + ".json") << spec_json;
+  }
+
   std::string Status(const std::string& id) const {
     return JsonValue::Parse(ReadFile(Spool() + "/status/" + id + ".json"))
         .At("state")
@@ -249,8 +262,8 @@ TEST_F(DseServerTest, OnceModeDrainsTheBacklog) {
   options.once = true;
   options.poll_ms = 10;
   JobServer server(options);
-  server.Submit("search1", kSearchSpec);
-  server.Submit("sweep1", kSweepSpec);
+  Submit("search1", kSearchSpec);
+  Submit("sweep1", kSweepSpec);
   EXPECT_EQ(server.Run(), 0);
 
   for (const std::string id : {"search1", "sweep1"}) {
@@ -272,7 +285,7 @@ TEST_F(DseServerTest, CancelMarkerCancelsTheJob) {
     options.once = true;
     options.poll_ms = 10;
     JobServer server(options);
-    server.Submit("doomed", kSearchSpec);
+    Submit("doomed", kSearchSpec);
     server.Cancel("doomed");
     EXPECT_EQ(server.Run(), 0);
   }
@@ -293,7 +306,7 @@ TEST_F(DseServerTest, BadSpecsCountAsFailures) {
     options.once = true;
     options.poll_ms = 10;
     JobServer server(options);
-    server.Submit("broken", R"({"type": "sweep"})");
+    Submit("broken", R"({"type": "sweep"})");
     EXPECT_EQ(server.Run(), 1);
   }
   EXPECT_EQ(Status("broken"), "failed");
@@ -309,15 +322,15 @@ TEST_F(DseServerTest, InvalidConfigJobsFailWithTheirMessage) {
     options.once = true;
     options.poll_ms = 10;
     JobServer server(options);
-    server.Submit("zero_vcs", R"({"type": "sweep", "base": {"num_vcs": 0},
+    Submit("zero_vcs", R"({"type": "sweep", "base": {"num_vcs": 0},
                                   "schemes": [{"label": "x"}]})");
-    server.Submit("typo", R"({"type": "sweep",
+    Submit("typo", R"({"type": "sweep",
                               "base": {"num_vc": 4, "vc_polcy": "mono"},
                               "schemes": [{"label": "x",
                                            "config": {"vc_depth": 0}}]})");
     // A flag-valid value the construction check refuses: split cannot
     // divide one VC, so the job fails before any cell runs.
-    server.Submit("one_vc", R"({"type": "sweep", "base": {"num_vcs": 1},
+    Submit("one_vc", R"({"type": "sweep", "base": {"num_vcs": 1},
                                 "schemes": [{"label": "x"}]})");
     EXPECT_EQ(server.Run(), 3);
   }
@@ -342,7 +355,7 @@ TEST_F(DseServerTest, FinishedJobKeepsItsProgress) {
   options.once = true;
   options.poll_ms = 10;
   JobServer server(options);
-  server.Submit("sweep1", kSweepSpec);
+  Submit("sweep1", kSweepSpec);
   EXPECT_EQ(server.Run(), 0);
   const JsonValue status =
       JsonValue::Parse(ReadFile(Spool() + "/status/sweep1.json"));

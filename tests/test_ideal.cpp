@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "gpgpu/workload.hpp"
@@ -31,19 +32,33 @@ NetworkConfig Cfg() {
 }
 
 TEST(IdealFabricTest, DeliversAtExactZeroLoadLatency) {
-  IdealFabric fabric(Cfg());
-  CollectSink sink;
-  fabric.SetSink(15, &sink);
-  Packet p;
-  p.type = PacketType::kReadRequest;
-  p.src = 0;
-  p.dst = 15;  // 6 hops
-  p.num_flits = 1;
-  ASSERT_TRUE(fabric.Inject(p));
-  EXPECT_EQ(fabric.DeliveryLatency(0, 15), 4u + 2u * 6u);
-  for (int c = 0; c < 40 && sink.packets.empty(); ++c) fabric.Tick();
-  ASSERT_EQ(sink.packets.size(), 1u);
-  EXPECT_EQ(sink.times[0], 16u);
+  // Tile 0 to tile 15 of the 4x4 grid crosses the topology's own links:
+  // 6 mesh hops, one wrap link per torus dimension, one hop per dimension
+  // of the cmesh's 2x2 router grid, one -s1 chord of the circulant.
+  const std::pair<TopologyKind, Cycle> cases[] = {
+      {TopologyKind::kMesh, 6},
+      {TopologyKind::kTorus, 2},
+      {TopologyKind::kCMesh, 2},
+      {TopologyKind::kCirculant, 1},
+  };
+  for (const auto& [kind, hops] : cases) {
+    NetworkConfig cfg = Cfg();
+    cfg.topology = kind;
+    IdealFabric fabric(cfg);
+    CollectSink sink;
+    fabric.SetSink(15, &sink);
+    Packet p;
+    p.type = PacketType::kReadRequest;
+    p.src = 0;
+    p.dst = 15;
+    p.num_flits = 1;
+    ASSERT_TRUE(fabric.Inject(p));
+    const Cycle latency = 4u + 2u * hops;
+    EXPECT_EQ(fabric.DeliveryLatency(0, 15), latency) << TopologyName(kind);
+    for (int c = 0; c < 40 && sink.packets.empty(); ++c) fabric.Tick();
+    ASSERT_EQ(sink.packets.size(), 1u) << TopologyName(kind);
+    EXPECT_EQ(sink.times[0], latency) << TopologyName(kind);
+  }
 }
 
 // The ideal fabric takes any packet a network could carry, and none

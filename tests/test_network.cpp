@@ -737,9 +737,9 @@ std::unique_ptr<Network> SweepNetwork(const SweepParam& param) {
   cfg.routing = param.routing;
   cfg.vc_policy = param.policy;
   auto net = std::make_unique<Network>(cfg);
+  const TilePlan plan(8, 8, 8, McPlacement::kBottom);
   net->ConfigureLinkModes(
-      AnalyzeLinkUsage(TilePlan(8, 8, 8, McPlacement::kBottom),
-                       param.routing));
+      AnalyzeLinkUsage(net->topology(), plan, param.routing));
   return net;
 }
 

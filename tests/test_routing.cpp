@@ -1,11 +1,28 @@
 // Unit and property tests for dimension-ordered routing.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <vector>
+
 #include "common/rng.hpp"
 #include "noc/routing.hpp"
+#include "noc/topology.hpp"
 
 namespace gnoc {
 namespace {
+
+/// The router-grid coordinates a packet visits from `src` to `dst` on
+/// `mesh`, inclusive of both ends.
+std::vector<Coord> TraceMesh(const Topology& mesh, RoutingAlgorithm algo,
+                             TrafficClass cls, Coord src, Coord dst) {
+  const NodeId from = src.y * mesh.width() + src.x;
+  const NodeId to = dst.y * mesh.width() + dst.x;
+  std::vector<Coord> path;
+  for (int r : mesh.TraceRouters(algo, cls, from, to)) {
+    path.push_back(mesh.RouterCoord(r));
+  }
+  return path;
+}
 
 TEST(RoutingTest, EjectAtDestination) {
   for (auto algo : {RoutingAlgorithm::kXY, RoutingAlgorithm::kYX,
@@ -48,15 +65,15 @@ TEST(RoutingTest, XyYxSplitsByClass) {
 }
 
 TEST(RoutingTest, TraceRouteXyShape) {
-  const auto path = TraceRoute(RoutingAlgorithm::kXY, TrafficClass::kRequest,
-                               {0, 0}, {2, 2});
+  const auto path = TraceMesh(Topology::Mesh(3, 3), RoutingAlgorithm::kXY,
+                              TrafficClass::kRequest, {0, 0}, {2, 2});
   const std::vector<Coord> expected{{0, 0}, {1, 0}, {2, 0}, {2, 1}, {2, 2}};
   EXPECT_EQ(path, expected);
 }
 
 TEST(RoutingTest, TraceRouteYxShape) {
-  const auto path =
-      TraceRoute(RoutingAlgorithm::kYX, TrafficClass::kReply, {0, 0}, {2, 2});
+  const auto path = TraceMesh(Topology::Mesh(3, 3), RoutingAlgorithm::kYX,
+                              TrafficClass::kReply, {0, 0}, {2, 2});
   const std::vector<Coord> expected{{0, 0}, {0, 1}, {0, 2}, {1, 2}, {2, 2}};
   EXPECT_EQ(path, expected);
 }
@@ -78,6 +95,7 @@ class RoutingPropertyTest
 TEST_P(RoutingPropertyTest, RoutesAreMinimalSingleTurnAndComplete) {
   const RoutingAlgorithm algo = GetParam();
   constexpr int kN = 8;
+  const Topology mesh = Topology::Mesh(kN, kN);
   Rng rng(2024);
   for (int trial = 0; trial < 2000; ++trial) {
     const Coord src{static_cast<int>(rng.NextBounded(kN)),
@@ -86,8 +104,9 @@ TEST_P(RoutingPropertyTest, RoutesAreMinimalSingleTurnAndComplete) {
                     static_cast<int>(rng.NextBounded(kN))};
     const auto cls = rng.Bernoulli(0.5) ? TrafficClass::kRequest
                                         : TrafficClass::kReply;
-    const auto path = TraceRoute(algo, cls, src, dst);
-    ASSERT_EQ(static_cast<int>(path.size()) - 1, ManhattanDistance(src, dst));
+    const auto path = TraceMesh(mesh, algo, cls, src, dst);
+    ASSERT_EQ(static_cast<int>(path.size()) - 1,
+              std::abs(src.x - dst.x) + std::abs(src.y - dst.y));
     ASSERT_EQ(path.front(), src);
     ASSERT_EQ(path.back(), dst);
     int turns = 0;

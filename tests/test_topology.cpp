@@ -1,6 +1,6 @@
 // Tests of the topology graph (noc/topology.hpp): construction invariants
 // (port-pair symmetry, tile/router maps), routing reachability and
-// minimality on all four families, distance unification with RouteLength,
+// minimality on all four families, the mesh distance against Manhattan,
 // and audit-clean simulation of the dateline topologies under hotspot
 // traffic.
 #include <gtest/gtest.h>
@@ -155,17 +155,20 @@ TEST(TopologyTest, EveryNodeReachableUnderEveryRouting) {
 }
 
 TEST(TopologyTest, MeshDistanceMatchesRouteLength) {
-  // Satellite: RouteLength and the analytic hop model share
-  // MeshDistanceSplit. Cross-check against the plain Manhattan formula.
+  // The mesh distance (behind the analytic hop model) is the plain
+  // Manhattan formula, and a route walks exactly that many hops.
   const Topology mesh = Topology::Mesh(5, 3);
+  const auto xy = RoutingAlgorithm::kXY;
+  const auto req = TrafficClass::kRequest;
   for (NodeId src = 0; src < mesh.num_tiles(); ++src) {
     for (NodeId dst = 0; dst < mesh.num_tiles(); ++dst) {
       const Coord s{src % 5, src / 5};
       const Coord d{dst % 5, dst / 5};
       const int manhattan =
           std::abs(s.x - d.x) + std::abs(s.y - d.y);
+      const std::vector<int> route = mesh.TraceRouters(xy, req, src, dst);
       EXPECT_EQ(mesh.Distance(src, dst), manhattan);
-      EXPECT_EQ(RouteLength(s, d), manhattan);
+      EXPECT_EQ(static_cast<int>(route.size()) - 1, manhattan);
     }
   }
 }

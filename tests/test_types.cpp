@@ -7,32 +7,6 @@
 namespace gnoc {
 namespace {
 
-TEST(TypesTest, OppositePorts) {
-  EXPECT_EQ(OppositePort(Port::kNorth), Port::kSouth);
-  EXPECT_EQ(OppositePort(Port::kSouth), Port::kNorth);
-  EXPECT_EQ(OppositePort(Port::kEast), Port::kWest);
-  EXPECT_EQ(OppositePort(Port::kWest), Port::kEast);
-  EXPECT_EQ(OppositePort(Port::kLocal), Port::kLocal);
-}
-
-TEST(TypesTest, PortOrientation) {
-  EXPECT_TRUE(IsVerticalPort(Port::kNorth));
-  EXPECT_TRUE(IsVerticalPort(Port::kSouth));
-  EXPECT_FALSE(IsVerticalPort(Port::kEast));
-  EXPECT_FALSE(IsVerticalPort(Port::kLocal));
-  EXPECT_TRUE(IsHorizontalPort(Port::kEast));
-  EXPECT_TRUE(IsHorizontalPort(Port::kWest));
-  EXPECT_FALSE(IsHorizontalPort(Port::kSouth));
-  EXPECT_FALSE(IsHorizontalPort(Port::kLocal));
-}
-
-TEST(TypesTest, ManhattanDistance) {
-  EXPECT_EQ(ManhattanDistance({0, 0}, {0, 0}), 0);
-  EXPECT_EQ(ManhattanDistance({0, 0}, {3, 4}), 7);
-  EXPECT_EQ(ManhattanDistance({3, 4}, {0, 0}), 7);
-  EXPECT_EQ(ManhattanDistance({-1, 2}, {1, -2}), 6);
-}
-
 TEST(TypesTest, CoordComparison) {
   EXPECT_EQ((Coord{1, 2}), (Coord{1, 2}));
   EXPECT_NE((Coord{1, 2}), (Coord{2, 1}));
